@@ -23,7 +23,7 @@ from .report import (
     export_topology,
 )
 from .routing import delay_experiment, utilization
-from .scenario import ScenarioConfig, load_scenario
+from .scenario import ScenarioConfig, apply_overrides, load_scenario
 from .snapshots import analytic_summary, partition
 from .geometry import orbit_period
 
@@ -38,18 +38,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _load(args: argparse.Namespace) -> ScenarioConfig:
     config = load_scenario(args.scenario)
-    if getattr(args, "polar_borders", None):
-        config.polar_borders_deg = args.polar_borders
-    if getattr(args, "output_dir", None):
-        config.output_dir = args.output_dir
-    if getattr(args, "methods", None):
-        config.methods = args.methods.split(",")
-    if getattr(args, "trigger", None):
-        config.trigger = args.trigger
-    if getattr(args, "duration", None):
-        config.duration_s = args.duration
-    if getattr(args, "interval", None):
-        config.interval_s = args.interval
+    apply_overrides(
+        config,
+        polar_borders_deg=args.polar_borders,
+        output_dir=args.output_dir,
+        methods=getattr(args, "methods", None),
+        trigger=getattr(args, "trigger", None),
+        duration_s=getattr(args, "duration", None),
+        interval_s=getattr(args, "interval", None),
+    )
     return config
 
 
@@ -73,7 +70,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config.output_dir.mkdir(parents=True, exist_ok=True)
     for border in config.polar_borders_deg:
         for method in config.methods:
-            seq = partition(spec, method, border, trigger=config.trigger)
+            seq = partition(spec, method, border, trigger=config.trigger,
+                            equal_time_delta_s=config.equal_time_delta_s)
             util = utilization(seq, spec)
             stem = f"{spec.name}_{method}_{border:g}"
             write_snapshot_csv(seq, config.output_dir / f"{stem}_snapshots.csv")
@@ -97,7 +95,8 @@ def cmd_route(args: argparse.Namespace) -> int:
         for method in config.methods:
             series = delay_experiment(
                 spec, method, border, config.source, config.destination,
-                config.duration_s, config.interval_s, trigger=config.trigger)
+                config.duration_s, config.interval_s, trigger=config.trigger,
+                equal_time_delta_s=config.equal_time_delta_s)
             stem = f"{spec.name}_{method}_{border:g}"
             write_delay_csv(series, config.output_dir / f"{stem}_delay.csv")
             print(f"{spec.name} {method} L_pa={border:g}: "

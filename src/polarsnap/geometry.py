@@ -273,7 +273,7 @@ def in_polar_band(u_deg: float, polar_border_deg: float) -> bool:
 
     The caps are half-open along the direction of motion: a row exactly on
     the entry border is inside, a row exactly on the exit border is
-    outside, so states evaluated at crossing instants are unambiguous.
+    outside.
     """
     u = u_deg % 360.0
     north_entry = polar_border_deg

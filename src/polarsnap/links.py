@@ -124,26 +124,39 @@ def horizontal_edges(spec: ConstellationSpec, phase_class: int) -> list[IslEdge]
     ]
 
 
+def active_couples(
+    spec: ConstellationSpec, polar_border_deg: float, t: float,
+) -> frozenset[int]:
+    """Fixed-baseline couples that are active at time t.
+
+    Phase classes (2k, 2k+1) are permanently coupled; a couple, named by
+    its lower class 2k, is active exactly while both rows sit outside the
+    polar caps.
+    """
+    outside = [not in_polar_band(class_phase_deg(spec, c, t), polar_border_deg)
+               for c in range(spec.row_count)]
+    return frozenset(lo for lo in range(0, spec.row_count, 2)
+                     if outside[lo] and outside[lo + 1])
+
+
+def couple_edges(spec: ConstellationSpec, couples: frozenset[int]) -> frozenset[IslEdge]:
+    """The intra-plane rings plus the chain edges of the given couples."""
+    edges = set(intra_plane_edges(spec).edges)
+    for lo in couples:
+        edges.update(chain_edges(spec, lo))
+    return frozenset(edges)
+
+
 def fixed_topology(
     spec: ConstellationSpec, vis: VisibilityModel, t: float,
 ) -> TopologyEdgeSet:
     """Static baseline assignment with polar shutdown.
 
-    Phase classes (2k, 2k+1) are permanently coupled; each couple's chain
-    edges are present exactly while both endpoints sit outside the polar
-    caps. No horizontal links.
+    Each active couple (see ``active_couples``) contributes its chain
+    edges. No horizontal links.
     """
-    border = vis.polar_border_deg
-    phase = {c: class_phase_deg(spec, c, t) for c in range(spec.row_count)}
-    polar = {c: in_polar_band(phase[c], border) for c in range(spec.row_count)}
-
-    edges = set(intra_plane_edges(spec).edges)
-    for k in range(spec.sats_per_plane):
-        lo, hi = 2 * k, 2 * k + 1
-        if polar[lo] or polar[hi]:
-            continue
-        edges.update(chain_edges(spec, lo))
-    return TopologyEdgeSet(frozenset(edges), t, "fixed")
+    couples = active_couples(spec, vis.polar_border_deg, t)
+    return TopologyEdgeSet(couple_edges(spec, couples), t, "fixed")
 
 
 def _band_rows(ls_state: LsState, ascending: bool) -> list:

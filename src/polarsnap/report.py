@@ -12,10 +12,8 @@ from pathlib import Path
 from .geometry import ConstellationSpec, SatId, make_visibility_model, orbit_period
 from .links import IslEdge, TopologyEdgeSet, validate_topology
 from .routing import DelaySeries, delay_experiment, utilization
-from .scenario import MATCH_REASSIGNMENT, ScenarioConfig
+from .scenario import ScenarioConfig
 from .snapshots import (
-    METHOD_EQUAL_TIME,
-    METHOD_FIXED,
     METHOD_REASSIGNMENT,
     AnalyticSummary,
     SnapshotSequence,
@@ -196,13 +194,6 @@ def _check_sequence(
                 f"{len(violations)} violations, first: {first.rule} {first.detail}")
 
 
-def _equal_delta(config: ScenarioConfig) -> float:
-    if config.equal_time_delta == MATCH_REASSIGNMENT:
-        spec = config.constellation
-        return orbit_period(spec) / spec.row_count
-    return float(config.equal_time_delta)
-
-
 def run_compare(config: ScenarioConfig) -> ComparisonReport:
     """Execute the full pipeline for a scenario.
 
@@ -224,7 +215,7 @@ def run_compare(config: ScenarioConfig) -> ComparisonReport:
             seq = partition(
                 spec, method, border,
                 trigger=config.trigger,
-                equal_time_delta_s=_equal_delta(config),
+                equal_time_delta_s=config.equal_time_delta_s,
             )
             _check_sequence(spec, seq, failures)
             util = utilization(seq, spec)

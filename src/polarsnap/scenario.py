@@ -27,13 +27,15 @@ Example::
     directory = out
 
 Unknown sections or keys are rejected with their line number. Comments
-start with '#'.
+start with '#'. Command-line overrides (``apply_overrides``) go through the
+same per-field checks.
 """
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .errors import ScenarioError
-from .geometry import ConstellationSpec, GroundStation
+from .geometry import ConstellationSpec, GroundStation, orbit_period
 from .snapshots import METHOD_EQUAL_TIME, METHOD_FIXED, METHOD_REASSIGNMENT
 
 MATCH_REASSIGNMENT = "match_reassignment"
@@ -53,7 +55,7 @@ _KNOWN_KEYS = {
         "source", "destination", "min_elevation_deg", "duration_s",
         "interval_s",
     },
-    "output": {"directory", "random_seed"},
+    "output": {"directory"},
 }
 
 
@@ -70,7 +72,15 @@ class ScenarioConfig:
     duration_s: float = 86400.0
     interval_s: float = 60.0
     output_dir: Path = field(default_factory=lambda: Path("out"))
-    random_seed: int | None = None
+
+    @property
+    def equal_time_delta_s(self) -> float:
+        """The equal_time interval in seconds; ``match_reassignment`` means
+        the reassignment snapshot duration T / (2*M)."""
+        if self.equal_time_delta == MATCH_REASSIGNMENT:
+            spec = self.constellation
+            return orbit_period(spec) / spec.row_count
+        return float(self.equal_time_delta)
 
 
 def _parse_sections(path: Path) -> dict[str, dict[str, tuple[str, int]]]:
@@ -123,6 +133,64 @@ def _station(value: str, lineno: int, key: str, min_elevation: float) -> GroundS
         raise ScenarioError(f"{key}: {exc}", lineno) from None
 
 
+def _borders(borders: list[float], lineno: int | None = None) -> list[float]:
+    for border in borders:
+        if not 0.0 < border < 90.0:
+            raise ScenarioError(
+                f"polar_border_deg must be in (0, 90), got {border}", lineno)
+    if not borders:
+        raise ScenarioError("polar_border_deg lists no values", lineno)
+    return borders
+
+
+def _methods(value: str, lineno: int | None = None) -> list[str]:
+    methods = [m.strip() for m in value.split(",") if m.strip()]
+    for m in methods:
+        if m not in _VALID_METHODS:
+            raise ScenarioError(
+                f"methods must be among {_VALID_METHODS}, got {m!r}", lineno)
+    if not methods:
+        raise ScenarioError("methods lists no values", lineno)
+    return methods
+
+
+def _trigger(value: str, lineno: int | None = None) -> str:
+    if value not in ("enter", "exit"):
+        raise ScenarioError(f"trigger must be enter or exit, got {value!r}", lineno)
+    return value
+
+
+def _positive(key: str, value: float, lineno: int | None = None) -> float:
+    if value <= 0:
+        raise ScenarioError(f"{key} must be positive, got {value}", lineno)
+    return value
+
+
+# Per-field checks shared by scenario files and command-line overrides.
+_CHECKS = {
+    "polar_borders_deg": _borders,
+    "methods": _methods,
+    "trigger": _trigger,
+    "duration_s": partial(_positive, "duration_s"),
+    "interval_s": partial(_positive, "interval_s"),
+}
+
+
+def apply_overrides(config: ScenarioConfig, **overrides) -> None:
+    """Replace fields of a loaded scenario, checked as in a scenario file.
+
+    ``methods`` takes the file's comma-separated form. A value of None
+    keeps the scenario's own.
+
+    Raises:
+        ScenarioError: A value outside its field's valid range.
+    """
+    for name, value in overrides.items():
+        if value is not None:
+            check = _CHECKS.get(name)
+            setattr(config, name, check(value) if check else value)
+
+
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Parse and validate a scenario file.
 
@@ -167,46 +235,26 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ScenarioError(f"[constellation]: {exc}") from None
 
     part = sections.get("partition", {})
+    borders = [60.0, 65.0, 70.0, 75.0]
     if "polar_border_deg" in part:
         value, lineno = part["polar_border_deg"]
-        borders = [_number(v.strip(), lineno, "polar_border_deg")
-                   for v in value.split(",") if v.strip()]
-    else:
-        borders, lineno = [60.0, 65.0, 70.0, 75.0], 0
-    for border in borders:
-        if not 0.0 < border < 90.0:
-            raise ScenarioError(
-                f"polar_border_deg must be in (0, 90), got {border}", lineno)
-    if not borders:
-        raise ScenarioError("polar_border_deg lists no values", lineno)
+        borders = _borders([_number(v.strip(), lineno, "polar_border_deg")
+                            for v in value.split(",") if v.strip()], lineno)
 
+    methods = list(_VALID_METHODS)
     if "methods" in part:
-        value, lineno = part["methods"]
-        methods = [m.strip() for m in value.split(",") if m.strip()]
-        for m in methods:
-            if m not in _VALID_METHODS:
-                raise ScenarioError(
-                    f"methods must be among {_VALID_METHODS}, got {m!r}", lineno)
-        if not methods:
-            raise ScenarioError("methods lists no values", lineno)
-    else:
-        methods = list(_VALID_METHODS)
+        methods = _methods(*part["methods"])
 
     trigger = "enter"
     if "trigger" in part:
-        value, lineno = part["trigger"]
-        if value not in ("enter", "exit"):
-            raise ScenarioError(f"trigger must be enter or exit, got {value!r}", lineno)
-        trigger = value
+        trigger = _trigger(*part["trigger"])
 
     equal_delta: str | float = MATCH_REASSIGNMENT
     if "equal_time_delta" in part:
         value, lineno = part["equal_time_delta"]
         if value != MATCH_REASSIGNMENT:
-            equal_delta = _number(value, lineno, "equal_time_delta")
-            if equal_delta <= 0.0:
-                raise ScenarioError(
-                    f"equal_time_delta must be positive, got {equal_delta}", lineno)
+            equal_delta = _positive(
+                "equal_time_delta", _number(value, lineno, "equal_time_delta"), lineno)
 
     exp = sections.get("experiment", {})
     min_el = 10.0
@@ -222,21 +270,13 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     duration_s, interval_s = 86400.0, 60.0
     if "duration_s" in exp:
         value, lineno = exp["duration_s"]
-        duration_s = _number(value, lineno, "duration_s")
-        if duration_s <= 0:
-            raise ScenarioError(f"duration_s must be positive, got {duration_s}", lineno)
+        duration_s = _positive("duration_s", _number(value, lineno, "duration_s"), lineno)
     if "interval_s" in exp:
         value, lineno = exp["interval_s"]
-        interval_s = _number(value, lineno, "interval_s")
-        if interval_s <= 0:
-            raise ScenarioError(f"interval_s must be positive, got {interval_s}", lineno)
+        interval_s = _positive("interval_s", _number(value, lineno, "interval_s"), lineno)
 
     out = sections.get("output", {})
     output_dir = Path(out["directory"][0]) if "directory" in out else Path("out")
-    random_seed = None
-    if "random_seed" in out:
-        value, lineno = out["random_seed"]
-        random_seed = int(_number(value, lineno, "random_seed"))
 
     return ScenarioConfig(
         constellation=spec,
@@ -249,5 +289,4 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         duration_s=duration_s,
         interval_s=interval_s,
         output_dir=output_dir,
-        random_seed=random_seed,
     )

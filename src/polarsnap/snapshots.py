@@ -6,14 +6,17 @@ frozen edge set:
 * ``partition_reassignment``: one snapshot per polar-cap crossing event of
   the chosen kind; edges re-paired at every boundary. All durations equal
   T / (2*M) and the inter-plane link count is the same in every snapshot.
-* ``partition_fixed``: boundaries wherever the static baseline's active
-  edge set changes.
+* ``partition_fixed``: boundaries wherever the static baseline's set of
+  active couples changes.
 * ``partition_equal_time``: fixed-width intervals anchored at t=0,
   keeping only baseline links that stay active through the whole interval.
 
-``analytic_summary`` computes the reassignment numbers in closed form; the
-event-driven sequences are built independently (sampled root-solving of
-the border-crossing times) so the two act as cross-checking oracles.
+Every row's phase grows linearly with time, so the border-crossing
+instants have a closed form (``enumerate_events``). Topology states are
+evaluated just after each boundary. ``analytic_summary`` computes the
+reassignment numbers in closed form; the event-driven sequences count
+rows and edges independently, so the two act as cross-checking oracles.
+The tests check the crossing times against a sampled root-solver.
 """
 import math
 from dataclasses import dataclass
@@ -22,19 +25,16 @@ from .geometry import (
     ConstellationSpec,
     VisibilityModel,
     build_ls_state,
-    class_phase_deg,
-    is_uniform_row_distribution,
     make_visibility_model,
     nonpolar_row_count,
     orbit_period,
-    phase_latitude_deg,
 )
 from .links import (
     TRIGGER_ENTER,
-    TRIGGER_EXIT,
     TopologyEdgeSet,
+    active_couples,
+    couple_edges,
     fixed_topology,
-    intra_plane_edges,
     reassign_topology,
 )
 
@@ -45,19 +45,19 @@ METHOD_EQUAL_TIME = "equal_time"
 EVENT_KIND_ENTER = "enter"
 EVENT_KIND_EXIT = "exit"
 
-# Offset used to evaluate topology state strictly after a boundary; far
-# smaller than any event separation, far larger than root-solver error.
+# Offset used to evaluate topology state strictly after a boundary. At the
+# closed-form crossing instant itself, float roundoff puts a few rows on the
+# wrong side of the half-open cap; the offset is far smaller than any event
+# separation.
 _EVENT_EPS_S = 1e-3
-
-_ROOT_TOL_S = 1e-6
 
 
 @dataclass(frozen=True)
 class PolarCrossing:
-    """A merged north/south border-crossing event.
+    """A north/south border-crossing event.
 
-    ``rows`` lists (phase_class, hemisphere) for the two rows crossing
-    simultaneously.
+    ``rows`` lists (phase_class, hemisphere) for the two rows, half a
+    period apart, that cross simultaneously.
     """
     time_s: float
     kind: str
@@ -137,62 +137,6 @@ def analytic_summary(spec: ConstellationSpec, polar_border_deg: float) -> Analyt
     )
 
 
-def _row_crossings(
-    spec: ConstellationSpec,
-    phase_class: int,
-    polar_border_deg: float,
-    horizon_s: float,
-) -> list[tuple[float, str, str]]:
-    """Crossing times of one row against the +-border reference latitudes.
-
-    Samples the border-distance function |lat_ref(u(t))| - L_pa on a grid
-    of T / (200*M) and bisects each sign change to 1e-6 s.
-    """
-    period = orbit_period(spec)
-
-    def dist(t: float) -> float:
-        u = class_phase_deg(spec, phase_class, t)
-        return abs(phase_latitude_deg(u)) - polar_border_deg
-
-    step = period / (200.0 * spec.sats_per_plane)
-    n_steps = int(math.ceil(horizon_s / step))
-    crossings = []
-    prev_t, prev_d = 0.0, dist(0.0)
-    if abs(prev_d) < 1e-12:
-        crossings.append(0.0)
-    for k in range(1, n_steps + 1):
-        t = min(k * step, horizon_s)
-        d = dist(t)
-        if abs(d) < 1e-12:
-            crossings.append(t)
-        elif prev_d * d < 0.0:
-            lo, hi = prev_t, t
-            dlo = prev_d
-            while hi - lo > _ROOT_TOL_S:
-                mid = 0.5 * (lo + hi)
-                dm = dist(mid)
-                if dm == 0.0:
-                    lo = hi = mid
-                    break
-                if dlo * dm < 0.0:
-                    hi = mid
-                else:
-                    lo, dlo = mid, dm
-            crossings.append(0.5 * (lo + hi))
-        prev_t, prev_d = t, d
-
-    out = []
-    for tc in crossings:
-        if not 0.0 <= tc < horizon_s:
-            continue
-        after = dist(tc + 10.0 * _ROOT_TOL_S)
-        kind = EVENT_KIND_ENTER if after > 0.0 else EVENT_KIND_EXIT
-        u = class_phase_deg(spec, phase_class, tc + 10.0 * _ROOT_TOL_S)
-        hemisphere = "north" if phase_latitude_deg(u) > 0.0 else "south"
-        out.append((tc, kind, hemisphere))
-    return out
-
-
 def enumerate_events(
     spec: ConstellationSpec,
     polar_border_deg: float,
@@ -201,32 +145,29 @@ def enumerate_events(
 ) -> list[PolarCrossing]:
     """Chronological polar-border crossings over [0, horizon).
 
-    Simultaneous north/south crossings (rows half a period apart) merge
-    into one event. In uniform configurations an enter and an exit event
-    share the same instant but stay separate records.
+    Row c has phase u_c(t) = c * 180/M + 360 t / T, so it reaches a border
+    phase at ((target - c * 180/M) mod 360) * T / 360 and again every
+    period. It enters at phase L and exits at 180 - L in the north; row
+    c + M, 180 degrees behind, crosses 180 + L and 360 - L in the south at
+    the same instants. In uniform configurations an enter and an exit
+    event share the same instant but stay separate records.
     """
-    if horizon_s <= 0.0:
-        return []
-    raw: list[tuple[float, str, int, str]] = []
-    for c in range(spec.row_count):
-        for tc, kind, hemisphere in _row_crossings(spec, c, polar_border_deg, horizon_s):
-            if kind in kinds:
-                raw.append((tc, kind, c, hemisphere))
-    raw.sort(key=lambda r: (r[0], r[1], r[2]))
-
-    merged: list[PolarCrossing] = []
-    merge_tol = 1e-4
-    for tc, kind, c, hemisphere in raw:
-        if merged and kind == merged[-1].kind and abs(tc - merged[-1].time_s) < merge_tol:
-            merged[-1] = PolarCrossing(
-                time_s=merged[-1].time_s,
-                kind=kind,
-                rows=merged[-1].rows + ((c, hemisphere),),
-            )
-        else:
-            merged.append(PolarCrossing(time_s=tc, kind=kind, rows=((c, hemisphere),)))
-    merged.sort(key=lambda e: (e.time_s, e.kind))
-    return merged
+    period = orbit_period(spec)
+    targets = {EVENT_KIND_ENTER: polar_border_deg, EVENT_KIND_EXIT: 180.0 - polar_border_deg}
+    events = []
+    for kind, target in targets.items():
+        if kind not in kinds:
+            continue
+        for c in range(spec.row_count):
+            first = ((target - c * spec.phase_offset_deg) % 360.0) * period / 360.0
+            south = (c + spec.sats_per_plane) % spec.row_count
+            rows = tuple(sorted(((c, "north"), (south, "south"))))
+            k = 0
+            while first + k * period < horizon_s:
+                events.append(PolarCrossing(first + k * period, kind, rows))
+                k += 1
+    events.sort(key=lambda e: (e.time_s, e.kind))
+    return events
 
 
 def _resolve_vis(
@@ -255,16 +196,13 @@ def partition_reassignment(
     vis = _resolve_vis(spec, vis, polar_border_deg)
     period = orbit_period(spec)
     kind = EVENT_KIND_ENTER if trigger == TRIGGER_ENTER else EVENT_KIND_EXIT
-    events = enumerate_events(spec, polar_border_deg, 1.5 * period, kinds=(kind,))
-    if not events:
-        raise ValueError("no trigger events found; polar border may be unreachable")
+    events = enumerate_events(spec, polar_border_deg, period, kinds=(kind,))
     t0 = events[0].time_s
-    window = [e for e in events if t0 <= e.time_s < t0 + period - 1e-6]
 
     snapshots = []
-    for i, event in enumerate(window):
+    for i, event in enumerate(events):
         start = event.time_s
-        end = window[i + 1].time_s if i + 1 < len(window) else t0 + period
+        end = events[i + 1].time_s if i + 1 < len(events) else t0 + period
         ls = build_ls_state(spec, vis, start + _EVENT_EPS_S)
         topo = reassign_topology(spec, vis, ls, trigger)
         topo = TopologyEdgeSet(topo.edges, start, METHOD_REASSIGNMENT)
@@ -283,30 +221,22 @@ def partition_fixed(
     vis: VisibilityModel | None,
     polar_border_deg: float,
 ) -> SnapshotSequence:
-    """Snapshot boundaries wherever the static baseline's edge set changes."""
+    """Snapshot boundaries wherever the static baseline's set of active
+    couples changes."""
     vis = _resolve_vis(spec, vis, polar_border_deg)
     period = orbit_period(spec)
-    events = enumerate_events(spec, polar_border_deg, 1.5 * period)
+    events = enumerate_events(spec, polar_border_deg, period)
+    states = [active_couples(spec, polar_border_deg, e.time_s + _EVENT_EPS_S)
+              for e in events]
+    # The state before the first event is the one after the last, a period
+    # earlier. A baseline that never changes is one snapshot from t=0.
+    starts = [e.time_s for i, e in enumerate(events)
+              if states[i] != states[i - 1]] or [0.0]
 
-    boundaries = []
-    for event in events:
-        before = fixed_topology(spec, vis, event.time_s - _EVENT_EPS_S).edges
-        after = fixed_topology(spec, vis, event.time_s + _EVENT_EPS_S).edges
-        if before != after:
-            if boundaries and abs(event.time_s - boundaries[-1]) < 1e-4:
-                continue
-            boundaries.append(event.time_s)
-
-    if not boundaries:
-        topo = fixed_topology(spec, vis, 0.0)
-        snap = TopologySnapshot(0.0, period, topo, topo.n_inter_plane)
-        return SnapshotSequence(METHOD_FIXED, (snap,), period, polar_border_deg)
-
-    t0 = boundaries[0]
-    window = [b for b in boundaries if t0 <= b < t0 + period - 1e-6]
+    t0 = starts[0]
     snapshots = []
-    for i, start in enumerate(window):
-        end = window[i + 1] if i + 1 < len(window) else t0 + period
+    for i, start in enumerate(starts):
+        end = starts[i + 1] if i + 1 < len(starts) else t0 + period
         topo = fixed_topology(spec, vis, start + _EVENT_EPS_S)
         topo = TopologyEdgeSet(topo.edges, start, METHOD_FIXED)
         snapshots.append(TopologySnapshot(start, end, topo, topo.n_inter_plane))
@@ -332,30 +262,25 @@ def partition_equal_time(
     """
     if delta_s <= 0.0:
         raise ValueError(f"delta_s must be positive, got {delta_s}")
-    vis = _resolve_vis(spec, vis, polar_border_deg)
+    _resolve_vis(spec, vis, polar_border_deg)
     period = orbit_period(spec)
 
     n_exact = period / delta_s
     truncated = abs(n_exact - round(n_exact)) > 1e-6 * n_exact
     n_full = int(round(n_exact)) if not truncated else int(math.floor(n_exact))
 
-    events = enumerate_events(spec, polar_border_deg, period + delta_s)
-    event_times = [e.time_s for e in events]
-    intra = intra_plane_edges(spec).edges
+    event_times = [e.time_s for e in enumerate_events(spec, polar_border_deg, period)]
 
     snapshots = []
     bounds = [(k * delta_s, (k + 1) * delta_s) for k in range(n_full)]
     if truncated:
         bounds.append((n_full * delta_s, period))
     for start, end in bounds:
-        probes = [start + _EVENT_EPS_S] + [
-            te + _EVENT_EPS_S for te in event_times if start < te < end]
-        active = None
-        for tp in probes:
-            inter = fixed_topology(spec, vis, tp).inter_plane_edges
-            active = inter if active is None else (active & inter)
-        edges = frozenset(intra | (active or frozenset()))
-        topo = TopologyEdgeSet(edges, start, METHOD_EQUAL_TIME)
+        couples = active_couples(spec, polar_border_deg, start + _EVENT_EPS_S)
+        for te in event_times:
+            if start < te < end:
+                couples &= active_couples(spec, polar_border_deg, te + _EVENT_EPS_S)
+        topo = TopologyEdgeSet(couple_edges(spec, couples), start, METHOD_EQUAL_TIME)
         snapshots.append(TopologySnapshot(start, end, topo, topo.n_inter_plane))
     return SnapshotSequence(
         method=METHOD_EQUAL_TIME,

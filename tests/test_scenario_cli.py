@@ -47,10 +47,12 @@ class TestLoadScenario:
 
     def test_unknown_key_reports_line(self, tmp_path):
         p = tmp_path / "bad.scenario"
-        p.write_text("[constellation]\nplanes = 6\nsats_per_plane = 11\n"
-                     "inclination_deg = 86.4\naltitude_km = 780\nwarp_drive = 1\n")
-        with pytest.raises(ScenarioError, match="line 6"):
-            load_scenario(p)
+        base = ("[constellation]\nplanes = 6\nsats_per_plane = 11\n"
+                "inclination_deg = 86.4\naltitude_km = 780\n")
+        for extra, line in (("warp_drive = 1\n", 6), ("[output]\nrandom_seed = 1\n", 7)):
+            p.write_text(base + extra)
+            with pytest.raises(ScenarioError, match=f"line {line}"):
+                load_scenario(p)
 
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "bad.scenario"
@@ -95,6 +97,33 @@ class TestEqualTimeDeltaPolicy:
         assert by_method["equal_time"].snapshot_count == 22
         assert by_method["equal_time"].duration_max_s == pytest.approx(
             by_method["reassignment"].duration_max_s, abs=1e-6)
+
+    def _iridium_delta_1000(self, tmp_path) -> Path:
+        text = (SCENARIOS / "iridium.scenario").read_text()
+        path = tmp_path / "iridium.scenario"
+        path.write_text(text.replace("equal_time_delta = match_reassignment",
+                                     "equal_time_delta = 1000"))
+        return path
+
+    def test_simulate_uses_scenario_delta(self, tmp_path, capsys):
+        scenario = self._iridium_delta_1000(tmp_path)
+        rc = main(["simulate", str(scenario), "--methods", "equal_time",
+                   "--polar-border", "60", "--output-dir", str(tmp_path / "sim")])
+        assert rc == 0
+        csv = tmp_path / "sim" / "iridium_equal_time_60_snapshots.csv"
+        assert len(csv.read_text().splitlines()) == 1 + 7
+
+    def test_route_and_compare_share_delta(self, tmp_path, capsys):
+        scenario = self._iridium_delta_1000(tmp_path)
+        delays = []
+        for command in ("route", "compare"):
+            out = tmp_path / command
+            rc = main([command, str(scenario), "--methods", "equal_time",
+                       "--polar-border", "60", "--duration", "3000",
+                       "--output-dir", str(out)])
+            assert rc == 0
+            delays.append((out / "iridium_equal_time_60_delay.csv").read_bytes())
+        assert delays[0] == delays[1]
 
 
 class TestTopologyExport:
@@ -164,6 +193,19 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "polar_border_deg" in err and "line 7" in err
+
+    @pytest.mark.parametrize("argv,field", [
+        (["route", "--interval", "-5"], "interval_s"),
+        (["route", "--duration", "0"], "duration_s"),
+        (["compare", "--polar-border", "95"], "polar_border_deg"),
+        (["route", "--methods", "bogus"], "methods"),
+    ])
+    def test_bad_override_reported_cleanly(self, argv, field, tmp_path, capsys):
+        rc = main([argv[0], str(SCENARIOS / "iridium.scenario"), *argv[1:],
+                   "--output-dir", str(tmp_path)])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_compare_subset_omits_baselines(self, tmp_path, capsys):
         rc = main([

@@ -3,11 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from polarsnap.geometry import make_visibility_model, orbit_period
+from polarsnap.geometry import (
+    class_phase_deg,
+    make_visibility_model,
+    orbit_period,
+    phase_latitude_deg,
+)
 from polarsnap.snapshots import (
     METHOD_EQUAL_TIME,
     METHOD_FIXED,
     METHOD_REASSIGNMENT,
+    PolarCrossing,
     analytic_summary,
     enumerate_events,
     partition,
@@ -63,6 +69,85 @@ def fixed_nisl_oracle(spec, border):
     return {n1 * 2 * q, n1 * (2 * q + 2)}
 
 
+_ROOT_TOL_S = 1e-6
+
+
+def sampled_row_crossings(spec, phase_class, polar_border_deg, horizon_s):
+    """Crossing times of one row against the +-border reference latitudes.
+
+    Samples the border-distance function |lat_ref(u(t))| - L_pa on a grid
+    of T / (200*M) and bisects each sign change to 1e-6 s.
+    """
+    period = orbit_period(spec)
+
+    def dist(t: float) -> float:
+        u = class_phase_deg(spec, phase_class, t)
+        return abs(phase_latitude_deg(u)) - polar_border_deg
+
+    step = period / (200.0 * spec.sats_per_plane)
+    n_steps = int(math.ceil(horizon_s / step))
+    crossings = []
+    prev_t, prev_d = 0.0, dist(0.0)
+    if abs(prev_d) < 1e-12:
+        crossings.append(0.0)
+    for k in range(1, n_steps + 1):
+        t = min(k * step, horizon_s)
+        d = dist(t)
+        if abs(d) < 1e-12:
+            crossings.append(t)
+        elif prev_d * d < 0.0:
+            lo, hi = prev_t, t
+            dlo = prev_d
+            while hi - lo > _ROOT_TOL_S:
+                mid = 0.5 * (lo + hi)
+                dm = dist(mid)
+                if dm == 0.0:
+                    lo = hi = mid
+                    break
+                if dlo * dm < 0.0:
+                    hi = mid
+                else:
+                    lo, dlo = mid, dm
+            crossings.append(0.5 * (lo + hi))
+        prev_t, prev_d = t, d
+
+    out = []
+    for tc in crossings:
+        if not 0.0 <= tc < horizon_s:
+            continue
+        after = dist(tc + 10.0 * _ROOT_TOL_S)
+        kind = "enter" if after > 0.0 else "exit"
+        u = class_phase_deg(spec, phase_class, tc + 10.0 * _ROOT_TOL_S)
+        hemisphere = "north" if phase_latitude_deg(u) > 0.0 else "south"
+        out.append((tc, kind, hemisphere))
+    return out
+
+
+def sampled_events(spec, polar_border_deg, horizon_s, kinds):
+    """Independent oracle for ``enumerate_events``: every row's crossings
+    root-solved on a sampled grid, simultaneous same-kind crossings merged."""
+    raw = []
+    for c in range(spec.row_count):
+        for tc, kind, hemisphere in sampled_row_crossings(
+                spec, c, polar_border_deg, horizon_s):
+            if kind in kinds:
+                raw.append((tc, kind, c, hemisphere))
+    raw.sort(key=lambda r: (r[0], r[1], r[2]))
+
+    merged = []
+    merge_tol = 1e-4
+    for tc, kind, c, hemisphere in raw:
+        if merged and kind == merged[-1].kind and abs(tc - merged[-1].time_s) < merge_tol:
+            merged[-1] = PolarCrossing(
+                time_s=merged[-1].time_s,
+                kind=kind,
+                rows=merged[-1].rows + ((c, hemisphere),),
+            )
+        else:
+            merged.append(PolarCrossing(time_s=tc, kind=kind, rows=((c, hemisphere),)))
+    return merged
+
+
 class TestAnalyticSummary:
     @pytest.mark.parametrize("fixture,border", [
         (s, b) for s in ("iridium", "teledesic") for b in (60.0, 65.0, 70.0, 75.0)])
@@ -114,17 +199,29 @@ class TestEnumerateEvents:
             hemis = {h for _, h in e.rows}
             assert hemis == {"north", "south"}
 
-    def test_root_times_against_closed_form(self, iridium):
-        # closed form: class c enters the north cap when
-        # c * wf + 360 t / T = border (mod 360)
-        period = orbit_period(iridium)
-        wf = iridium.phase_offset_deg
-        expected = sorted(((60.0 - c * wf) % 360.0) / 360.0 * period
-                          for c in range(22))
-        events = enumerate_events(iridium, 60.0, period, kinds=("enter",))
-        for ev, t_exp in zip(events, expected):
-            assert ev.time_s == pytest.approx(t_exp, abs=1e-5)
+    @pytest.mark.parametrize("fixture", ["iridium", "teledesic", "toy"])
+    @pytest.mark.parametrize("border", [60.0, 62.5, 65.0, 70.0, 75.0])
+    @pytest.mark.parametrize("kind", ["enter", "exit"])
+    def test_matches_sampled_oracle(self, fixture, border, kind, request):
+        spec = request.getfixturevalue(fixture)
+        horizon = 1.5 * orbit_period(spec)
+        events = enumerate_events(spec, border, horizon, kinds=(kind,))
+        oracle = sampled_events(spec, border, horizon, kinds=(kind,))
+        times = [e.time_s for e in events]
+        assert times == sorted(times)
+        assert all(e.kind == kind for e in events)
 
+        def by_rows(evs):
+            # crossing times of each (row, hemisphere) set, in order
+            out = {}
+            for e in evs:
+                out.setdefault(frozenset(e.rows), []).append(e.time_s)
+            return out
+
+        got, want = by_rows(events), by_rows(oracle)
+        assert got.keys() == want.keys()
+        for rows, t_want in want.items():
+            assert got[rows] == pytest.approx(t_want, abs=1e-6)
 
 class TestPartitionReassignment:
     @pytest.mark.parametrize("fixture,border", [
