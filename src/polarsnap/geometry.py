@@ -338,17 +338,19 @@ def satellite_state(spec: ConstellationSpec, sat: SatId, t: float) -> SatState:
     )
 
 
-def all_positions_km(spec: ConstellationSpec, t: float) -> np.ndarray:
+def all_positions_km(spec: ConstellationSpec, t) -> np.ndarray:
     """ECI positions of every satellite at time t, plane-major order.
 
-    Returns an (N*M, 3) array indexed by ``sat_to_index``.
+    Returns an (N*M, 3) array indexed by ``sat_to_index``. For an array of
+    times of shape S the result has shape S + (N*M, 3).
     """
+    t = np.asarray(t, dtype=float)
     period = orbit_period(spec)
     planes = np.arange(spec.plane_count)
     slots = np.arange(spec.sats_per_plane)
     u0 = (planes[:, None] * spec.phase_offset_deg
           + slots[None, :] * spec.intra_plane_spacing_deg)
-    u = np.radians(u0 + 360.0 * t / period)
+    u = np.radians(u0 + 360.0 * t[..., None, None] / period)
     raan = np.radians(planes * spec.plane_spacing_deg)[:, None]
     inc = math.radians(spec.inclination_deg)
     r = spec.orbit_radius_km
@@ -356,7 +358,7 @@ def all_positions_km(spec: ConstellationSpec, t: float) -> np.ndarray:
     x = r * (np.cos(raan) * cu - np.sin(raan) * su * math.cos(inc))
     y = r * (np.sin(raan) * cu + np.cos(raan) * su * math.cos(inc))
     z = r * su * math.sin(inc)
-    return np.stack([x, y, z], axis=-1).reshape(-1, 3)
+    return np.stack([x, y, z], axis=-1).reshape(t.shape + (-1, 3))
 
 
 def geocentric_angle_deg(a, b) -> float:

@@ -3,6 +3,9 @@
 Routing runs on a snapshot's frozen edge set with edge weights equal to
 the straight-line propagation delay between the endpoint positions at the
 packet send time, so latency variation inside a snapshot is captured.
+Each snapshot's edges are compiled once, on its first route, into integer
+endpoint arrays and a CSR neighbour table; every route then computes all
+edge weights in one array expression and runs Dijkstra over integers.
 End-to-end totals include both up/down links; queueing and processing are
 out of scope.
 """
@@ -20,10 +23,13 @@ from .geometry import (
     all_positions_km,
     ground_position_km,
     index_to_sat,
-    orbit_period,
     sat_to_index,
 )
 from .snapshots import SnapshotSequence, TopologySnapshot, partition
+
+# Sends whose satellite positions the delay experiment evaluates in one
+# call; bounds the (block, N*M, 3) position array.
+_SEND_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -39,6 +45,38 @@ class PathResult:
     reachable: bool
     delay_s: float
     path: tuple[SatId, ...]
+
+
+@dataclass(frozen=True)
+class _RoutingGraph:
+    """A snapshot's edges as integer arrays, nodes in ``sat_to_index`` order.
+
+    Edge e joins ``a[e]`` and ``b[e]``. Node u's neighbours are
+    ``neighbour[indptr[u]:indptr[u + 1]]``, reached over the edges
+    ``edge_id`` holds in the same slots.
+    """
+    a: np.ndarray
+    b: np.ndarray
+    indptr: np.ndarray
+    neighbour: np.ndarray
+    edge_id: np.ndarray
+
+
+def _routing_graph(snapshot: TopologySnapshot, spec: ConstellationSpec) -> _RoutingGraph:
+    """The snapshot's compiled graph, built on first use and cached on it."""
+    if snapshot.routing_graph is not None:
+        return snapshot.routing_graph
+    edges = snapshot.edges.edges
+    a = np.array([sat_to_index(spec, e.endpoint_a) for e in edges], dtype=np.int32)
+    b = np.array([sat_to_index(spec, e.endpoint_b) for e in edges], dtype=np.int32)
+    ends = np.concatenate([a, b])
+    order = np.argsort(ends, kind="stable")
+    indptr = np.zeros(spec.total_satellites + 1, dtype=np.int32)
+    np.cumsum(np.bincount(ends, minlength=spec.total_satellites), out=indptr[1:])
+    edge_id = np.tile(np.arange(len(a), dtype=np.int32), 2)[order]
+    graph = _RoutingGraph(a, b, indptr, np.concatenate([b, a])[order], edge_id)
+    object.__setattr__(snapshot, "routing_graph", graph)
+    return graph
 
 
 @dataclass(frozen=True)
@@ -127,7 +165,11 @@ def shortest_delay(
     """Minimum-propagation-delay path over the snapshot's edges.
 
     Edge weights are evaluated from satellite positions at time t, which
-    must fall inside the snapshot interval.
+    must fall inside the snapshot interval. ``positions`` may be those of
+    any time congruent to t modulo the orbit period, since positions
+    repeat every period; when omitted they are computed at t. The
+    snapshot's edges are compiled into integer arrays on the first call
+    and cached on the snapshot.
 
     Raises:
         ValueError: If t is outside [start, end).
@@ -143,33 +185,33 @@ def shortest_delay(
     if src_i == dst_i:
         return PathResult(True, 0.0, (src,))
 
-    adjacency: dict[int, list[tuple[int, float]]] = {}
-    for edge in snapshot.edges.edges:
-        a = sat_to_index(spec, edge.endpoint_a)
-        b = sat_to_index(spec, edge.endpoint_b)
-        w = float(np.linalg.norm(positions[a] - positions[b])) / SPEED_OF_LIGHT_KM_S
-        adjacency.setdefault(a, []).append((b, w))
-        adjacency.setdefault(b, []).append((a, w))
+    graph = _routing_graph(snapshot, spec)
+    weight = np.sqrt(((positions[graph.a] - positions[graph.b]) ** 2).sum(1))
+    weight = (weight / SPEED_OF_LIGHT_KM_S)[graph.edge_id].tolist()
+    indptr = graph.indptr.tolist()
+    neighbour = graph.neighbour.tolist()
 
-    dist = {src_i: 0.0}
-    prev: dict[int, int] = {}
+    dist = [math.inf] * spec.total_satellites
+    dist[src_i] = 0.0
+    prev = [-1] * spec.total_satellites
+    visited = bytearray(spec.total_satellites)
     heap = [(0.0, src_i)]
-    visited: set[int] = set()
     while heap:
         d, node = heapq.heappop(heap)
-        if node in visited:
+        if visited[node]:
             continue
-        visited.add(node)
+        visited[node] = 1
         if node == dst_i:
             break
-        for nbr, w in adjacency.get(node, ()):
-            nd = d + w
-            if nd < dist.get(nbr, math.inf):
+        for k in range(indptr[node], indptr[node + 1]):
+            nbr = neighbour[k]
+            nd = d + weight[k]
+            if nd < dist[nbr]:
                 dist[nbr] = nd
                 prev[nbr] = node
                 heapq.heappush(heap, (nd, nbr))
 
-    if dst_i not in visited:
+    if not visited[dst_i]:
         return PathResult(False, math.inf, ())
     path = [dst_i]
     while path[-1] != src_i:
@@ -196,7 +238,8 @@ def delay_experiment(
     (the one-period sequence repeats cyclically), both stations attach to
     their highest-elevation satellites, and the total is up-link + path +
     down-link delay. Samples with no attachment or no path are flagged
-    unreachable and excluded from the average.
+    unreachable and excluded from the average. Satellite positions are
+    evaluated once per send, for a block of sends per call.
 
     Raises:
         ValueError: On non-positive duration or interval.
@@ -211,30 +254,29 @@ def delay_experiment(
 
     samples = []
     n_sends = int(duration_s // interval_s)
-    for k in range(n_sends):
-        t = k * interval_s
-        positions = all_positions_km(spec, t)
-        src_sat = attach_ground(src_gs, t, spec, positions)
-        dst_sat = attach_ground(dst_gs, t, spec, positions)
-        if src_sat is None or dst_sat is None:
-            samples.append(DelaySample(t, False, math.nan, 0))
-            continue
+    for first in range(0, n_sends, _SEND_BLOCK):
+        times = [k * interval_s for k in range(first, min(first + _SEND_BLOCK, n_sends))]
+        for t, positions in zip(times, all_positions_km(spec, np.array(times))):
+            src_sat = attach_ground(src_gs, t, spec, positions)
+            dst_sat = attach_ground(dst_gs, t, spec, positions)
+            if src_sat is None or dst_sat is None:
+                samples.append(DelaySample(t, False, math.nan, 0))
+                continue
 
-        snap = sequence.snapshot_at(t)
-        tau = sequence.start_s + (t - sequence.start_s) % sequence.period_s
-        # Positions at the cyclic time equal those at t up to full periods;
-        # evaluate at tau so the snapshot interval check holds.
-        pos_tau = all_positions_km(spec, tau)
-        result = shortest_delay(snap, tau, src_sat, dst_sat, spec, pos_tau)
-        if not result.reachable:
-            samples.append(DelaySample(t, False, math.nan, 0))
-            continue
+            snap = sequence.snapshot_at(t)
+            # The snapshot interval check needs the cyclic time; positions
+            # repeat every period, so those at t serve for it.
+            tau = sequence.start_s + (t - sequence.start_s) % sequence.period_s
+            result = shortest_delay(snap, tau, src_sat, dst_sat, spec, positions)
+            if not result.reachable:
+                samples.append(DelaySample(t, False, math.nan, 0))
+                continue
 
-        up = _udl_delay(src_gs, src_sat, t, spec, positions)
-        down = _udl_delay(dst_gs, dst_sat, t, spec, positions)
-        total = up + result.delay_s + down
-        hops = (len(result.path) - 1) + 2
-        samples.append(DelaySample(t, True, total, hops))
+            up = _udl_delay(src_gs, src_sat, t, spec, positions)
+            down = _udl_delay(dst_gs, dst_sat, t, spec, positions)
+            total = up + result.delay_s + down
+            hops = (len(result.path) - 1) + 2
+            samples.append(DelaySample(t, True, total, hops))
 
     return DelaySeries(
         source=src_gs,

@@ -19,7 +19,7 @@ rows and edges independently, so the two act as cross-checking oracles.
 The tests check the crossing times against a sampled root-solver.
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .geometry import (
     ConstellationSpec,
@@ -70,6 +70,9 @@ class TopologySnapshot:
     end_s: float
     edges: TopologyEdgeSet
     n_inter_plane: int
+    # Integer edge arrays compiled by ``routing`` on the first route over
+    # this snapshot; a cache, so it takes no part in equality or repr.
+    routing_graph: object = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def duration_s(self) -> float:
@@ -258,7 +261,8 @@ def partition_equal_time(
 
     Intervals are anchored at t=0. When delta does not divide the period
     to within one part in 1e6 the final snapshot is truncated and the
-    sequence flagged.
+    sequence flagged; otherwise the final snapshot still ends at exactly
+    the period, so the sequence tiles [0, T) either way.
     """
     if delta_s <= 0.0:
         raise ValueError(f"delta_s must be positive, got {delta_s}")
@@ -272,9 +276,10 @@ def partition_equal_time(
     event_times = [e.time_s for e in enumerate_events(spec, polar_border_deg, period)]
 
     snapshots = []
-    bounds = [(k * delta_s, (k + 1) * delta_s) for k in range(n_full)]
-    if truncated:
-        bounds.append((n_full * delta_s, period))
+    starts = [k * delta_s for k in range(n_full + 1 if truncated else n_full)]
+    # The last snapshot ends at the period itself: n * delta may miss it by
+    # up to the tolerance.
+    bounds = list(zip(starts, starts[1:] + [period]))
     for start, end in bounds:
         couples = active_couples(spec, polar_border_deg, start + _EVENT_EPS_S)
         for te in event_times:

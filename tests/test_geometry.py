@@ -11,6 +11,7 @@ from polarsnap.geometry import (
     GroundStation,
     SatId,
     SatState,
+    all_positions_km,
     build_ls_state,
     elevation_angle_deg,
     geocentric_angle_deg,
@@ -220,6 +221,24 @@ class TestHorizontalSurvivalLatitude:
             spec = dataclasses.replace(iridium, inter_plane_spacing_deg=float(s))
             vals.append(horizontal_survival_latitude_deg(spec, 52.0))
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+class TestAllPositions:
+    def test_time_array_stacks_scalar_calls(self, iridium):
+        times = [0.0, 60.0, 1234.5, 6026.999, 86340.0]
+        batch = all_positions_km(iridium, np.array(times))
+        assert batch.shape == (5, 66, 3)
+        stacked = np.stack([all_positions_km(iridium, t) for t in times])
+        assert np.max(np.abs(batch - stacked)) <= 1e-9
+
+    def test_scalar_matches_position_km(self, iridium):
+        positions = all_positions_km(iridium, 777.0)
+        assert positions.shape == (66, 3)
+        assert positions[13] == pytest.approx(position_km(iridium, SatId(2, 3), 777.0),
+                                              abs=1e-9)
+
+    def test_times_keep_their_shape(self, teledesic):
+        assert all_positions_km(teledesic, np.zeros((2, 3))).shape == (2, 3, 288, 3)
 
 
 class TestPropagationDelay:

@@ -1,5 +1,7 @@
+import heapq
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,15 +11,18 @@ from polarsnap.geometry import (
     SPEED_OF_LIGHT_KM_S,
     SatId,
     all_positions_km,
+    ground_position_km,
+    index_to_sat,
     orbit_period,
     position_km,
     sat_to_index,
     satellite_state,
 )
-from polarsnap.links import HORIZONTAL, TopologyEdgeSet
+from polarsnap.links import HORIZONTAL, INTRA_PLANE, TopologyEdgeSet
 from polarsnap.routing import (
     DelaySample,
     DelaySeries,
+    PathResult,
     attach_ground,
     delay_experiment,
     shortest_delay,
@@ -58,6 +63,90 @@ def brute_force_delay(snapshot, t, src, dst, spec):
 
     walk(src_i, {src_i}, 0.0)
     return best
+
+
+def reference_shortest_delay(snapshot, t, src, dst, spec, positions=None):
+    """Dijkstra over a dict adjacency rebuilt from the edge set on every
+    call, one ``np.linalg.norm`` per edge: the router as it was before
+    snapshots were compiled to integer arrays, kept as a reference."""
+    if not snapshot.covers(t):
+        raise ValueError(
+            f"t={t} outside snapshot [{snapshot.start_s}, {snapshot.end_s})")
+    if positions is None:
+        positions = all_positions_km(spec, t)
+
+    src_i = sat_to_index(spec, src)
+    dst_i = sat_to_index(spec, dst)
+    if src_i == dst_i:
+        return PathResult(True, 0.0, (src,))
+
+    adjacency: dict[int, list[tuple[int, float]]] = {}
+    for edge in snapshot.edges.edges:
+        a = sat_to_index(spec, edge.endpoint_a)
+        b = sat_to_index(spec, edge.endpoint_b)
+        w = float(np.linalg.norm(positions[a] - positions[b])) / SPEED_OF_LIGHT_KM_S
+        adjacency.setdefault(a, []).append((b, w))
+        adjacency.setdefault(b, []).append((a, w))
+
+    dist = {src_i: 0.0}
+    prev: dict[int, int] = {}
+    heap = [(0.0, src_i)]
+    visited: set[int] = set()
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node in visited:
+            continue
+        visited.add(node)
+        if node == dst_i:
+            break
+        for nbr, w in adjacency.get(node, ()):
+            nd = d + w
+            if nd < dist.get(nbr, math.inf):
+                dist[nbr] = nd
+                prev[nbr] = node
+                heapq.heappush(heap, (nd, nbr))
+
+    if dst_i not in visited:
+        return PathResult(False, math.inf, ())
+    path = [dst_i]
+    while path[-1] != src_i:
+        path.append(prev[path[-1]])
+    path.reverse()
+    return PathResult(True, dist[dst_i], tuple(index_to_sat(spec, i) for i in path))
+
+
+def reference_delay_experiment(spec, seq, src_gs, dst_gs, duration_s, interval_s):
+    """One send at a time: fresh positions at t and at the cyclic time tau,
+    and the reference router."""
+    samples = []
+    for k in range(int(duration_s // interval_s)):
+        t = k * interval_s
+        positions = all_positions_km(spec, t)
+        src_sat = attach_ground(src_gs, t, spec, positions)
+        dst_sat = attach_ground(dst_gs, t, spec, positions)
+        if src_sat is None or dst_sat is None:
+            samples.append(DelaySample(t, False, math.nan, 0))
+            continue
+        tau = seq.start_s + (t - seq.start_s) % seq.period_s
+        result = reference_shortest_delay(
+            seq.snapshot_at(t), tau, src_sat, dst_sat, spec, all_positions_km(spec, tau))
+        if not result.reachable:
+            samples.append(DelaySample(t, False, math.nan, 0))
+            continue
+        ground = 0.0
+        for gs, sat in ((src_gs, src_sat), (dst_gs, dst_sat)):
+            gpos = np.asarray(ground_position_km(gs, t, spec.earth_radius_km))
+            spos = positions[sat_to_index(spec, sat)]
+            ground += float(np.linalg.norm(spos - gpos)) / SPEED_OF_LIGHT_KM_S
+        samples.append(DelaySample(t, True, ground + result.delay_s, len(result.path) + 1))
+    return samples
+
+
+def assert_same_route(got, want):
+    assert got.reachable == want.reachable
+    assert len(got.path) == len(want.path)
+    if want.reachable:
+        assert got.delay_s == pytest.approx(want.delay_s, rel=1e-12, abs=0.0)
 
 
 class TestUtilization:
@@ -202,6 +291,58 @@ class TestShortestDelay:
         assert used
 
 
+class TestReferenceRouter:
+    PAIRS_PER_SNAPSHOT = 3
+
+    @pytest.mark.parametrize("system", ["iridium", "teledesic"])
+    @pytest.mark.parametrize("border", [60.0, 75.0])
+    @pytest.mark.parametrize("method", ["reassignment", "fixed", "equal_time"])
+    def test_matches_reference_on_every_snapshot(self, system, border, method, request):
+        spec = request.getfixturevalue(system)
+        seq = partition(spec, method, border)
+        rng = random.Random(f"{system}:{border}:{method}")
+        sats = [index_to_sat(spec, i) for i in range(spec.total_satellites)]
+        for snap in seq.snapshots:
+            t = snap.start_s + rng.uniform(0.01, 0.99) * snap.duration_s
+            positions = all_positions_km(spec, t)
+            for _ in range(self.PAIRS_PER_SNAPSHOT):
+                src, dst = rng.sample(sats, 2)
+                assert_same_route(
+                    shortest_delay(snap, t, src, dst, spec, positions),
+                    reference_shortest_delay(snap, t, src, dst, spec, positions))
+
+        # without its inter-plane links a snapshot splits into one ring per plane
+        snap = seq.snapshots[0]
+        rings = frozenset(e for e in snap.edges.edges if e.kind == INTRA_PLANE)
+        cut = TopologySnapshot(snap.start_s, snap.end_s,
+                               TopologyEdgeSet(rings, snap.start_s, "synthetic"), 0)
+        t = snap.start_s + 0.5 * snap.duration_s
+        for src, dst in ((SatId(1, 1), SatId(2, 1)), (SatId(1, 1), SatId(1, 3))):
+            want = reference_shortest_delay(cut, t, src, dst, spec)
+            assert want.reachable == (src.plane == dst.plane)
+            assert_same_route(shortest_delay(cut, t, src, dst, spec), want)
+
+    def test_empty_edge_set(self, iridium):
+        topo = TopologyEdgeSet(frozenset(), 0.0, "synthetic")
+        snap = TopologySnapshot(0.0, 6027.0, topo, 0)
+        res = shortest_delay(snap, 10.0, SatId(1, 1), SatId(1, 2), iridium)
+        assert not res.reachable
+        assert res.path == ()
+
+    def test_compiled_graph_is_cached_outside_equality(self, iridium):
+        snap = partition_reassignment(iridium, None, 60.0).snapshots[0]
+        twin = partition_reassignment(iridium, None, 60.0).snapshots[0]
+        t = snap.start_s + 1.0
+        shortest_delay(snap, t, SatId(1, 1), SatId(4, 6), iridium)
+        graph = snap.routing_graph
+        assert graph is not None
+        shortest_delay(snap, t, SatId(2, 2), SatId(5, 5), iridium)
+        assert snap.routing_graph is graph
+        assert twin.routing_graph is None
+        assert snap == twin and hash(snap) == hash(twin)
+        assert repr(snap) == repr(twin)
+
+
 class TestDelayExperiment:
     def test_sample_count(self, iridium, beijing, london):
         series = delay_experiment(
@@ -228,3 +369,17 @@ class TestDelayExperiment:
         a = delay_experiment(iridium, "fixed", 65.0, beijing, london, 1800.0, 60.0)
         b = delay_experiment(iridium, "fixed", 65.0, beijing, london, 1800.0, 60.0)
         assert a.samples == b.samples
+
+    @pytest.mark.parametrize("method", ["reassignment", "fixed", "equal_time"])
+    def test_matches_per_send_reference(self, iridium, beijing, london, method):
+        # 301 sends over one period: three position blocks, the last partial
+        seq = partition(iridium, method, 60.0)
+        series = delay_experiment(iridium, method, 60.0, beijing, london,
+                                  6027.0, 20.0, sequence=seq)
+        want = reference_delay_experiment(iridium, seq, beijing, london, 6027.0, 20.0)
+        assert len(series.samples) == len(want) == 301
+        for got, ref in zip(series.samples, want):
+            assert (got.send_time_s, got.reachable, got.hops) == (
+                ref.send_time_s, ref.reachable, ref.hops)
+            if ref.reachable:
+                assert got.delay_s == pytest.approx(ref.delay_s, rel=1e-12, abs=0.0)

@@ -9,6 +9,7 @@ from polarsnap.geometry import (
     orbit_period,
     phase_latitude_deg,
 )
+from polarsnap.routing import delay_experiment
 from polarsnap.snapshots import (
     METHOD_EQUAL_TIME,
     METHOD_FIXED,
@@ -339,6 +340,18 @@ class TestPartitionEqualTime:
         assert seq.truncated_final
         assert seq.snapshots[-1].end_s == pytest.approx(6027.0)
         assert sum(s.duration_s for s in seq.snapshots) == pytest.approx(6027.0, abs=1e-6)
+
+    @pytest.mark.parametrize("nudge", [0.0005, -0.0005])
+    def test_near_divisor_delta_ends_at_period(self, iridium, beijing, london, nudge):
+        # 7 * delta misses the period by 0.0035 s, inside the 1e-6 tolerance
+        seq = partition_equal_time(iridium, None, 60.0, 6027.0 / 7 + nudge)
+        assert (seq.count, seq.truncated_final) == (7, False)
+        assert seq.snapshots[-1].end_s == 6027.0
+        assert sum(s.duration_s for s in seq.snapshots) == pytest.approx(6027.0, abs=1e-9)
+        assert seq.snapshot_at(6026.999).covers(6026.999)
+        series = delay_experiment(iridium, METHOD_EQUAL_TIME, 60.0, beijing, london,
+                                  18081.0, 6026.999, sequence=seq)
+        assert len(series.samples) == 3
 
     def test_rejects_nonpositive_delta(self, iridium):
         with pytest.raises(ValueError):
