@@ -268,19 +268,23 @@ def is_ascending(u_deg: float) -> bool:
     return u < 90.0 or u >= 270.0
 
 
-def in_polar_band(u_deg: float, polar_border_deg: float) -> bool:
+def in_polar_band(
+    u_deg: float | np.ndarray, polar_border_deg: float,
+) -> bool | np.ndarray:
     """Polar-cap membership of a phase position, on the ideal reference.
 
     The caps are half-open along the direction of motion: a row exactly on
     the entry border is inside, a row exactly on the exit border is
-    outside.
+    outside. Takes a float or an array of them, and returns a bool or a
+    boolean array.
     """
     u = u_deg % 360.0
     north_entry = polar_border_deg
     north_exit = 180.0 - polar_border_deg
     south_entry = 180.0 + polar_border_deg
     south_exit = 360.0 - polar_border_deg
-    return (north_entry <= u < north_exit) or (south_entry <= u < south_exit)
+    return (((north_entry <= u) & (u < north_exit))
+            | ((south_entry <= u) & (u < south_exit)))
 
 
 def true_latitude_deg(spec: ConstellationSpec, u_deg: float) -> float:

@@ -13,9 +13,20 @@ Three generators:
   links two planes apart between its own members.
 
 No link ever connects the first and last planes (the counter-rotating
-seam): chains step through planes 1..N only.
+seam): chains step through planes 1..N only. The ring, chain and
+horizontal edges of a constellation are built once and shared by every
+edge set that uses them.
+
+Each edge set is compiled once, on first use, into integer arrays in
+canonical order (``TopologyEdgeSet.compiled``); the validator, the
+topology export and the router all read those arrays.
 """
-from dataclasses import dataclass
+import functools
+import itertools
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .geometry import (
     ConstellationSpec,
@@ -23,15 +34,13 @@ from .geometry import (
     SatId,
     VisibilityModel,
     all_positions_km,
-    argument_of_latitude_deg,
     class_member,
     class_phase_deg,
     class_planes,
-    geocentric_angle_deg,
     in_polar_band,
+    index_to_sat,
     is_uniform_row_distribution,
-    sat_to_index,
-    true_latitude_deg,
+    orbit_period,
 )
 
 INTRA_PLANE = "intra_plane"
@@ -57,21 +66,72 @@ def make_edge(a: SatId, b: SatId, kind: str) -> IslEdge:
 
 
 @dataclass(frozen=True)
+class EdgeArrays:
+    """An edge set as integer arrays, edges in canonical order.
+
+    Edge i joins satellites ``a[i]`` and ``b[i]`` (``sat_to_index`` order,
+    from ``endpoint_a`` and ``endpoint_b``) and has kind ``kinds[kind[i]]``.
+    ``kinds`` is sorted, so canonical order, by kind name and then by the
+    endpoints' (plane, index) pairs, is the order of (kind, a, b).
+    """
+    shape: tuple[int, int]
+    kinds: tuple[str, ...]
+    kind: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+    def of_kind(self, name: str) -> np.ndarray:
+        """Boolean mask of the edges of one kind."""
+        if name not in self.kinds:
+            return np.zeros(len(self.kind), dtype=bool)
+        return self.kind == self.kinds.index(name)
+
+
+def _compile(edges: frozenset[IslEdge], shape: tuple[int, int]) -> EdgeArrays:
+    n_planes, m = shape
+    kinds = tuple(sorted({e.kind for e in edges}))
+    code = {k: i for i, k in enumerate(kinds)}
+    rows = [(code[e.kind], e.endpoint_a.plane, e.endpoint_a.index_in_plane,
+             e.endpoint_b.plane, e.endpoint_b.index_in_plane) for e in edges]
+    raw = np.fromiter(itertools.chain.from_iterable(rows), np.int64,
+                      5 * len(rows)).reshape(-1, 5)
+    planes, slots = raw[:, 1::2], raw[:, 2::2]
+    if ((planes < 1) | (planes > n_planes) | (slots < 1) | (slots > m)).any():
+        raise ValueError(f"edge endpoint outside the {n_planes}x{m} constellation")
+    ends = ((planes - 1) * m + slots - 1).astype(np.int32)
+    order = np.lexsort((ends[:, 1], ends[:, 0], raw[:, 0]))
+    return EdgeArrays(shape, kinds, raw[order, 0].astype(np.int32),
+                      ends[order, 0], ends[order, 1])
+
+
+@dataclass(frozen=True)
 class TopologyEdgeSet:
     edges: frozenset[IslEdge]
     generated_at_s: float
     method: str
+    # Compiled by ``compiled`` on first use; a cache, so it takes no part
+    # in equality, hashing or repr.
+    _arrays: EdgeArrays | None = field(default=None, init=False, compare=False,
+                                       repr=False)
 
     def count(self, kind: str) -> int:
         return sum(1 for e in self.edges if e.kind == kind)
 
     @property
-    def inter_plane_edges(self) -> frozenset[IslEdge]:
-        return frozenset(e for e in self.edges if e.kind != INTRA_PLANE)
-
-    @property
     def n_inter_plane(self) -> int:
         return sum(1 for e in self.edges if e.kind != INTRA_PLANE)
+
+    def compiled(self, spec: ConstellationSpec) -> EdgeArrays:
+        """The edges as integer arrays for this constellation, built on
+        first use and cached on the set.
+
+        Raises:
+            ValueError: If an endpoint lies outside the constellation.
+        """
+        shape = (spec.plane_count, spec.sats_per_plane)
+        if self._arrays is None or self._arrays.shape != shape:
+            object.__setattr__(self, "_arrays", _compile(self.edges, shape))
+        return self._arrays
 
 
 @dataclass(frozen=True)
@@ -83,12 +143,7 @@ class TopologyViolation:
 
 def intra_plane_edges(spec: ConstellationSpec) -> TopologyEdgeSet:
     """The N*M permanent ring edges (time-invariant)."""
-    edges = set()
-    for p in range(1, spec.plane_count + 1):
-        for j in range(1, spec.sats_per_plane + 1):
-            nxt = j % spec.sats_per_plane + 1
-            edges.add(make_edge(SatId(p, j), SatId(p, nxt), INTRA_PLANE))
-    return TopologyEdgeSet(frozenset(edges), 0.0, "intra")
+    return TopologyEdgeSet(_wiring(spec).rings, 0.0, "intra")
 
 
 def chain_edges(spec: ConstellationSpec, lower_class: int) -> list[IslEdge]:
@@ -124,6 +179,33 @@ def horizontal_edges(spec: ConstellationSpec, phase_class: int) -> list[IslEdge]
     ]
 
 
+@dataclass(frozen=True)
+class _Wiring:
+    """Every edge a constellation's topologies are drawn from."""
+    rings: frozenset[IslEdge]
+    chains: tuple[tuple[IslEdge, ...], ...]  # by lower phase class
+    horizontals: tuple[tuple[IslEdge, ...], ...]  # by phase class
+
+
+@functools.lru_cache(maxsize=8)
+def _wiring(spec: ConstellationSpec) -> _Wiring:
+    """The ring edges and each phase class's chain and horizontal edges.
+
+    They depend only on the constellation, so they are built once per spec
+    and every edge set drawn from them shares the same ``IslEdge`` objects.
+    """
+    rings = frozenset(
+        make_edge(SatId(p, j), SatId(p, j % spec.sats_per_plane + 1), INTRA_PLANE)
+        for p in range(1, spec.plane_count + 1)
+        for j in range(1, spec.sats_per_plane + 1))
+    classes = range(spec.row_count)
+    return _Wiring(
+        rings,
+        tuple(tuple(chain_edges(spec, c)) for c in classes),
+        tuple(tuple(horizontal_edges(spec, c)) for c in classes),
+    )
+
+
 def active_couples(
     spec: ConstellationSpec, polar_border_deg: float, t: float,
 ) -> frozenset[int]:
@@ -141,10 +223,8 @@ def active_couples(
 
 def couple_edges(spec: ConstellationSpec, couples: frozenset[int]) -> frozenset[IslEdge]:
     """The intra-plane rings plus the chain edges of the given couples."""
-    edges = set(intra_plane_edges(spec).edges)
-    for lo in couples:
-        edges.update(chain_edges(spec, lo))
-    return frozenset(edges)
+    wiring = _wiring(spec)
+    return wiring.rings.union(*(wiring.chains[lo] for lo in couples))
 
 
 def fixed_topology(
@@ -204,7 +284,8 @@ def reassign_topology(
             f"ls_state has {ls_state.n_rows} rows, expected {spec.row_count}")
 
     uniform = is_uniform_row_distribution(spec, vis.polar_border_deg)
-    edges = set(intra_plane_edges(spec).edges)
+    wiring = _wiring(spec)
+    edges = set(wiring.rings)
     for ascending in (True, False):
         band = _band_rows(ls_state, ascending)
         if trigger == TRIGGER_EXIT and not uniform and band:
@@ -216,35 +297,10 @@ def reassign_topology(
                 raise ValueError(
                     "inconsistent ls_state: band rows are not consecutive phase "
                     f"classes ({lower.phase_class}, {upper.phase_class})")
-            edges.update(chain_edges(spec, lower.phase_class))
+            edges.update(wiring.chains[lower.phase_class])
         if len(band) % 2 == 1:
-            edges.update(horizontal_edges(spec, band[-1].phase_class))
+            edges.update(wiring.horizontals[band[-1].phase_class])
     return TopologyEdgeSet(frozenset(edges), ls_state.time_s, "reassignment")
-
-
-def _structural_violations(spec: ConstellationSpec, edge: IslEdge) -> list[TopologyViolation]:
-    a, b = edge.endpoint_a, edge.endpoint_b
-    found = []
-    dplane = abs(a.plane - b.plane)
-    if edge.kind == INTRA_PLANE:
-        dj = abs(a.index_in_plane - b.index_in_plane)
-        ring_adjacent = dj == 1 or dj == spec.sats_per_plane - 1
-        if dplane != 0 or not ring_adjacent:
-            found.append(TopologyViolation(
-                "structure", edge, "intra-plane edge must join ring neighbours"))
-    elif edge.kind == OBLIQUE:
-        if dplane != 1:
-            found.append(TopologyViolation(
-                "structure", edge,
-                f"oblique edge spans {dplane} planes (seam crossing or bad kind)"))
-    elif edge.kind == HORIZONTAL:
-        if dplane != 2:
-            found.append(TopologyViolation(
-                "structure", edge,
-                f"horizontal edge spans {dplane} planes (seam crossing or bad kind)"))
-    else:
-        found.append(TopologyViolation("structure", edge, f"unknown kind {edge.kind!r}"))
-    return found
 
 
 def validate_topology(
@@ -260,75 +316,86 @@ def validate_topology(
     two inter-plane edges, horizontal edges below the survival latitude,
     and structurally invalid edges (seam crossings, wrong plane spans).
     An empty list means the topology is valid.
+
+    Works on the set's cached integer arrays (``TopologyEdgeSet.compiled``):
+    each rule is one array expression over all edges, and violations are
+    built only for flagged edges and satellites. They are listed edge by
+    edge in canonical order, each edge's in the order structure,
+    visibility, polar (endpoint a, then b), same row, survival latitude
+    (a, then b); then one per over-degree satellite in index order.
+
+    Raises:
+        ValueError: If an endpoint lies outside the constellation.
     """
+    arr = topo.compiled(spec)
+    m = spec.sats_per_plane
+    a, b = arr.a, arr.b
+    intra, oblique, horizontal = (arr.of_kind(k) for k in (INTRA_PLANE, OBLIQUE, HORIZONTAL))
+    inter = ~intra
+
     positions = all_positions_km(spec, t)
-    violations: list[TopologyViolation] = []
-    inter_degree: dict[SatId, int] = {}
+    pa, pb = positions[a], positions[b]
+    cos = (pa * pb).sum(1) / (np.sqrt((pa * pa).sum(1)) * np.sqrt((pb * pb).sum(1)))
+    angle = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
 
-    for edge in sorted(topo.edges, key=lambda e: (e.kind, (e.endpoint_a.plane,
-                       e.endpoint_a.index_in_plane, e.endpoint_b.plane,
-                       e.endpoint_b.index_in_plane))):
-        violations.extend(_structural_violations(spec, edge))
-        a, b = edge.endpoint_a, edge.endpoint_b
-        pa = positions[sat_to_index(spec, a)]
-        pb = positions[sat_to_index(spec, b)]
+    # Phase and true latitude of every satellite, as argument_of_latitude_deg
+    # and true_latitude_deg compute them.
+    index = np.arange(spec.total_satellites)
+    u = ((index // m) * spec.phase_offset_deg + (index % m) * spec.intra_plane_spacing_deg
+         + 360.0 * t / orbit_period(spec)) % 360.0
+    lat = np.degrees(np.arcsin(np.clip(
+        math.sin(math.radians(spec.inclination_deg)) * np.sin(np.radians(u)), -1.0, 1.0)))
+    polar = in_polar_band(u, vis.polar_border_deg)
+    below = np.abs(lat) < vis.horizontal_min_latitude_deg - 1e-9
 
-        angle = geocentric_angle_deg(pa, pb)
-        if angle > vis.max_link_angle_deg + 1e-9:
+    dplane = np.abs(a // m - b // m)
+    dslot = np.abs(a % m - b % m)
+    flags = np.stack([
+        (intra & ((dplane != 0) | ((dslot != 1) & (dslot != m - 1))))
+        | (oblique & (dplane != 1)) | (horizontal & (dplane != 2))
+        | ~(intra | oblique | horizontal),
+        angle > vis.max_link_angle_deg + 1e-9,
+        inter & polar[a],
+        inter & polar[b],
+        horizontal & (np.abs(((u[a] - u[b]) + 180.0) % 360.0 - 180.0) > 1e-6),
+        horizontal & below[a],
+        horizontal & below[b],
+    ], axis=1)
+
+    violations = []
+    for i, rule in zip(*(x.tolist() for x in np.nonzero(flags))):
+        ends = (int(a[i]), int(b[i]))
+        sats = tuple(index_to_sat(spec, e) for e in ends)
+        kind = arr.kinds[arr.kind[i]]
+        edge = IslEdge(*sats, kind)
+        if rule == 0:
+            if kind == INTRA_PLANE:
+                detail = "intra-plane edge must join ring neighbours"
+            elif kind in (OBLIQUE, HORIZONTAL):
+                detail = f"{kind} edge spans {dplane[i]} planes (seam crossing or bad kind)"
+            else:
+                detail = f"unknown kind {kind!r}"
+            violations.append(TopologyViolation("structure", edge, detail))
+        elif rule == 1:
             violations.append(TopologyViolation(
                 "visibility", edge,
-                f"geocentric angle {angle:.3f} exceeds {vis.max_link_angle_deg:.3f}"))
-
-        if edge.kind == INTRA_PLANE:
-            continue
-        inter_degree[a] = inter_degree.get(a, 0) + 1
-        inter_degree[b] = inter_degree.get(b, 0) + 1
-
-        for sat in (a, b):
-            u = argument_of_latitude_deg(spec, sat, t)
-            if in_polar_band(u, vis.polar_border_deg):
-                violations.append(TopologyViolation(
-                    "polar", edge, f"{sat} is inside a polar cap"))
-
-        if edge.kind == HORIZONTAL:
-            ua = argument_of_latitude_deg(spec, a, t)
-            ub = argument_of_latitude_deg(spec, b, t)
-            if abs(((ua - ub) + 180.0) % 360.0 - 180.0) > 1e-6:
-                violations.append(TopologyViolation(
-                    "structure", edge, "horizontal endpoints are not in the same row"))
-            for sat, u in ((a, ua), (b, ub)):
-                lat = true_latitude_deg(spec, u)
-                if abs(lat) < vis.horizontal_min_latitude_deg - 1e-9:
-                    violations.append(TopologyViolation(
-                        "horizontal_range", edge,
-                        f"{sat} at latitude {lat:.3f} below survival latitude "
-                        f"{vis.horizontal_min_latitude_deg:.3f}"))
-
-    for sat, deg in sorted(inter_degree.items(),
-                           key=lambda kv: (kv[0].plane, kv[0].index_in_plane)):
-        if deg > 2:
+                f"geocentric angle {angle[i]:.3f} exceeds {vis.max_link_angle_deg:.3f}"))
+        elif rule in (2, 3):
             violations.append(TopologyViolation(
-                "degree", None, f"{sat} carries {deg} inter-plane edges (max 2)"))
+                "polar", edge, f"{sats[rule - 2]} is inside a polar cap"))
+        elif rule == 4:
+            violations.append(TopologyViolation(
+                "structure", edge, "horizontal endpoints are not in the same row"))
+        else:
+            violations.append(TopologyViolation(
+                "horizontal_range", edge,
+                f"{sats[rule - 5]} at latitude {lat[ends[rule - 5]]:.3f} below survival "
+                f"latitude {vis.horizontal_min_latitude_deg:.3f}"))
+
+    degree = np.bincount(np.concatenate([a[inter], b[inter]]),
+                         minlength=spec.total_satellites)
+    for s in np.flatnonzero(degree > 2).tolist():
+        violations.append(TopologyViolation(
+            "degree", None,
+            f"{index_to_sat(spec, s)} carries {degree[s]} inter-plane edges (max 2)"))
     return violations
-
-
-def validate_topology_over(
-    spec: ConstellationSpec,
-    vis: VisibilityModel,
-    topo: TopologyEdgeSet,
-    start_s: float,
-    end_s: float,
-    step_s: float = 1.0,
-) -> list[TopologyViolation]:
-    """Validate a frozen edge set at sampled instants of [start, end).
-
-    Returns the violations of the first offending instant (empty when the
-    set stays valid over the whole interval).
-    """
-    t = start_s
-    while t < end_s:
-        violations = validate_topology(spec, vis, topo, t)
-        if violations:
-            return violations
-        t += step_s
-    return []

@@ -52,11 +52,6 @@ class ComparisonReport:
         return not self.validation_failures
 
 
-def _edge_key(edge: IslEdge):
-    return (edge.kind, edge.endpoint_a.plane, edge.endpoint_a.index_in_plane,
-            edge.endpoint_b.plane, edge.endpoint_b.index_in_plane)
-
-
 def write_snapshot_csv(seq: SnapshotSequence, path: Path) -> None:
     """One row per snapshot: bounds, duration, and edge counts by kind."""
     lines = ["method,index,start_s,end_s,duration_s,n_intra,n_oblique,"
@@ -86,15 +81,18 @@ def export_topology(
 ) -> None:
     """Write a sequence as a single JSON document.
 
-    Byte-stable for identical inputs; round-trips through
-    ``load_topology``.
+    The layout is that of ``json.dumps(doc, indent=1, sort_keys=True)``
+    plus a newline, edges listed in canonical order. The snapshots are
+    written from their edge sets' compiled arrays, each distinct edge's
+    text made once per export. Byte-stable for identical inputs;
+    round-trips through ``load_topology``.
 
     Raises:
         ValueError: On an empty sequence.
     """
     if not seq.snapshots:
         raise ValueError("refusing to export an empty snapshot sequence")
-    doc = {
+    head = json.dumps({
         "format": _EXPORT_FORMAT,
         "constellation": {
             "name": spec.name,
@@ -112,28 +110,40 @@ def export_topology(
         "trigger": seq.trigger,
         "period_s": seq.period_s,
         "truncated_final": seq.truncated_final,
-        "snapshots": [
-            {
-                "index": i,
-                "start_s": snap.start_s,
-                "end_s": snap.end_s,
-                "edges": [
-                    {
-                        "kind": e.kind,
-                        "a": [e.endpoint_a.plane, e.endpoint_a.index_in_plane],
-                        "b": [e.endpoint_b.plane, e.endpoint_b.index_in_plane],
-                    }
-                    for e in sorted(snap.edges.edges, key=_edge_key)
-                ],
-            }
-            for i, snap in enumerate(seq.snapshots)
-        ],
-    }
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        "snapshots": [],
+    }, indent=1, sort_keys=True)
+    # The snapshots go where json.dumps put an empty list, written with the
+    # indentation it uses at that depth.
+    before, _, after = head.partition('\n "snapshots": []')
+
+    m = spec.sats_per_plane
+    edge_text: dict[tuple[str, int, int], str] = {}
+    snapshots = []
+    for i, snap in enumerate(seq.snapshots):
+        arr = snap.edges.compiled(spec)
+        keys = list(zip([arr.kinds[k] for k in arr.kind.tolist()],
+                        arr.a.tolist(), arr.b.tolist()))
+        for key in keys:
+            if key not in edge_text:
+                kind, a, b = key
+                text = json.dumps({"kind": kind, "a": [a // m + 1, a % m + 1],
+                                   "b": [b // m + 1, b % m + 1]}, indent=1, sort_keys=True)
+                edge_text[key] = "    " + text.replace("\n", "\n    ")
+        edges = ",\n".join(edge_text[k] for k in keys)
+        edges = f"[\n{edges}\n   ]" if keys else "[]"
+        snapshots.append(
+            f'  {{\n   "edges": {edges},\n   "end_s": {json.dumps(snap.end_s)},\n'
+            f'   "index": {i},\n   "start_s": {json.dumps(snap.start_s)}\n  }}')
+    path.write_text(f'{before}\n "snapshots": [\n' + ",\n".join(snapshots)
+                    + f"\n ]{after}\n")
 
 
 def load_topology(path: Path) -> tuple[ConstellationSpec, SnapshotSequence]:
-    """Parse a topology export back into a snapshot sequence."""
+    """Parse a topology export back into a snapshot sequence.
+
+    Each distinct edge is built once per file and shared by the snapshots
+    that list it.
+    """
     doc = json.loads(Path(path).read_text())
     if doc.get("format") != _EXPORT_FORMAT:
         raise ValueError(f"unrecognised topology format in {path}")
@@ -149,13 +159,17 @@ def load_topology(path: Path) -> tuple[ConstellationSpec, SnapshotSequence]:
         grazing_altitude_km=c["grazing_altitude_km"],
         name=c["name"],
     )
+    edge_of: dict[tuple, IslEdge] = {}
     snapshots = []
     for entry in doc["snapshots"]:
-        edges = frozenset(
-            IslEdge(SatId(*e["a"]), SatId(*e["b"]), e["kind"])
-            for e in entry["edges"]
-        )
-        topo = TopologyEdgeSet(edges, entry["start_s"], doc["method"])
+        edges = []
+        for e in entry["edges"]:
+            key = (e["kind"], *e["a"], *e["b"])
+            edge = edge_of.get(key)
+            if edge is None:
+                edge = edge_of[key] = IslEdge(SatId(*e["a"]), SatId(*e["b"]), e["kind"])
+            edges.append(edge)
+        topo = TopologyEdgeSet(frozenset(edges), entry["start_s"], doc["method"])
         snapshots.append(TopologySnapshot(
             entry["start_s"], entry["end_s"], topo, topo.n_inter_plane))
     seq = SnapshotSequence(

@@ -3,9 +3,9 @@
 Routing runs on a snapshot's frozen edge set with edge weights equal to
 the straight-line propagation delay between the endpoint positions at the
 packet send time, so latency variation inside a snapshot is captured.
-Each snapshot's edges are compiled once, on its first route, into integer
-endpoint arrays and a CSR neighbour table; every route then computes all
-edge weights in one array expression and runs Dijkstra over integers.
+On its first route a snapshot gets a CSR neighbour table built from its
+edge set's compiled integer arrays; every route then computes all edge
+weights in one array expression and runs Dijkstra over integers.
 End-to-end totals include both up/down links; queueing and processing are
 out of scope.
 """
@@ -66,9 +66,8 @@ def _routing_graph(snapshot: TopologySnapshot, spec: ConstellationSpec) -> _Rout
     """The snapshot's compiled graph, built on first use and cached on it."""
     if snapshot.routing_graph is not None:
         return snapshot.routing_graph
-    edges = snapshot.edges.edges
-    a = np.array([sat_to_index(spec, e.endpoint_a) for e in edges], dtype=np.int32)
-    b = np.array([sat_to_index(spec, e.endpoint_b) for e in edges], dtype=np.int32)
+    arrays = snapshot.edges.compiled(spec)
+    a, b = arrays.a, arrays.b
     ends = np.concatenate([a, b])
     order = np.argsort(ends, kind="stable")
     indptr = np.zeros(spec.total_satellites + 1, dtype=np.int32)
@@ -168,8 +167,8 @@ def shortest_delay(
     must fall inside the snapshot interval. ``positions`` may be those of
     any time congruent to t modulo the orbit period, since positions
     repeat every period; when omitted they are computed at t. The
-    snapshot's edges are compiled into integer arrays on the first call
-    and cached on the snapshot.
+    snapshot's neighbour table is built from its edge set's compiled
+    arrays on the first call and cached on the snapshot.
 
     Raises:
         ValueError: If t is outside [start, end).

@@ -70,8 +70,8 @@ class TopologySnapshot:
     end_s: float
     edges: TopologyEdgeSet
     n_inter_plane: int
-    # Integer edge arrays compiled by ``routing`` on the first route over
-    # this snapshot; a cache, so it takes no part in equality or repr.
+    # The neighbour table ``routing`` builds on the first route over this
+    # snapshot; a cache, so it takes no part in equality or repr.
     routing_graph: object = field(default=None, init=False, compare=False, repr=False)
 
     @property

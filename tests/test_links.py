@@ -1,13 +1,24 @@
 import collections
+import random
 
 import numpy as np
 import pytest
 
 from polarsnap.geometry import (
+    ConstellationSpec,
     SatId,
+    VisibilityModel,
+    all_positions_km,
+    argument_of_latitude_deg,
     build_ls_state,
+    class_member,
+    class_phase_deg,
+    geocentric_angle_deg,
+    in_polar_band,
     make_visibility_model,
     orbit_period,
+    sat_to_index,
+    true_latitude_deg,
 )
 from polarsnap.links import (
     HORIZONTAL,
@@ -15,12 +26,14 @@ from polarsnap.links import (
     OBLIQUE,
     IslEdge,
     TopologyEdgeSet,
+    TopologyViolation,
     fixed_topology,
     intra_plane_edges,
     make_edge,
     reassign_topology,
     validate_topology,
 )
+from polarsnap.snapshots import partition
 
 
 def first_event_time(spec, border, kind):
@@ -34,6 +47,98 @@ def first_event_time(spec, border, kind):
     target = border if kind == "enter" else 360.0 - border
     return min(((target - c * wf) % 360.0) / 360.0 * period
                for c in range(spec.row_count))
+
+
+def _structural_violations(spec: ConstellationSpec, edge: IslEdge) -> list[TopologyViolation]:
+    a, b = edge.endpoint_a, edge.endpoint_b
+    found = []
+    dplane = abs(a.plane - b.plane)
+    if edge.kind == INTRA_PLANE:
+        dj = abs(a.index_in_plane - b.index_in_plane)
+        ring_adjacent = dj == 1 or dj == spec.sats_per_plane - 1
+        if dplane != 0 or not ring_adjacent:
+            found.append(TopologyViolation(
+                "structure", edge, "intra-plane edge must join ring neighbours"))
+    elif edge.kind == OBLIQUE:
+        if dplane != 1:
+            found.append(TopologyViolation(
+                "structure", edge,
+                f"oblique edge spans {dplane} planes (seam crossing or bad kind)"))
+    elif edge.kind == HORIZONTAL:
+        if dplane != 2:
+            found.append(TopologyViolation(
+                "structure", edge,
+                f"horizontal edge spans {dplane} planes (seam crossing or bad kind)"))
+    else:
+        found.append(TopologyViolation("structure", edge, f"unknown kind {edge.kind!r}"))
+    return found
+
+
+def reference_validate_topology(
+    spec: ConstellationSpec,
+    vis: VisibilityModel,
+    topo: TopologyEdgeSet,
+    t: float,
+) -> list[TopologyViolation]:
+    """Per-edge validator kept as the oracle for ``validate_topology``.
+
+    Check an edge set against the link rules at time t.
+
+    Reported violations: inter-plane edges with an endpoint inside a polar
+    cap, edges longer than the visibility limit, satellites with more than
+    two inter-plane edges, horizontal edges below the survival latitude,
+    and structurally invalid edges (seam crossings, wrong plane spans).
+    An empty list means the topology is valid.
+    """
+    positions = all_positions_km(spec, t)
+    violations: list[TopologyViolation] = []
+    inter_degree: dict[SatId, int] = {}
+
+    for edge in sorted(topo.edges, key=lambda e: (e.kind, (e.endpoint_a.plane,
+                       e.endpoint_a.index_in_plane, e.endpoint_b.plane,
+                       e.endpoint_b.index_in_plane))):
+        violations.extend(_structural_violations(spec, edge))
+        a, b = edge.endpoint_a, edge.endpoint_b
+        pa = positions[sat_to_index(spec, a)]
+        pb = positions[sat_to_index(spec, b)]
+
+        angle = geocentric_angle_deg(pa, pb)
+        if angle > vis.max_link_angle_deg + 1e-9:
+            violations.append(TopologyViolation(
+                "visibility", edge,
+                f"geocentric angle {angle:.3f} exceeds {vis.max_link_angle_deg:.3f}"))
+
+        if edge.kind == INTRA_PLANE:
+            continue
+        inter_degree[a] = inter_degree.get(a, 0) + 1
+        inter_degree[b] = inter_degree.get(b, 0) + 1
+
+        for sat in (a, b):
+            u = argument_of_latitude_deg(spec, sat, t)
+            if in_polar_band(u, vis.polar_border_deg):
+                violations.append(TopologyViolation(
+                    "polar", edge, f"{sat} is inside a polar cap"))
+
+        if edge.kind == HORIZONTAL:
+            ua = argument_of_latitude_deg(spec, a, t)
+            ub = argument_of_latitude_deg(spec, b, t)
+            if abs(((ua - ub) + 180.0) % 360.0 - 180.0) > 1e-6:
+                violations.append(TopologyViolation(
+                    "structure", edge, "horizontal endpoints are not in the same row"))
+            for sat, u in ((a, ua), (b, ub)):
+                lat = true_latitude_deg(spec, u)
+                if abs(lat) < vis.horizontal_min_latitude_deg - 1e-9:
+                    violations.append(TopologyViolation(
+                        "horizontal_range", edge,
+                        f"{sat} at latitude {lat:.3f} below survival latitude "
+                        f"{vis.horizontal_min_latitude_deg:.3f}"))
+
+    for sat, deg in sorted(inter_degree.items(),
+                           key=lambda kv: (kv[0].plane, kv[0].index_in_plane)):
+        if deg > 2:
+            violations.append(TopologyViolation(
+                "degree", None, f"{sat} carries {deg} inter-plane edges (max 2)"))
+    return violations
 
 
 def inter_plane_degrees(topo: TopologyEdgeSet) -> dict:
@@ -101,7 +206,7 @@ class TestFixedTopology:
         t = 1000.0
         full = {e for k in range(iridium.sats_per_plane)
                 for e in _couple_chain(iridium, k)}
-        active = fixed_topology(iridium, vis, t).inter_plane_edges
+        active = {e for e in fixed_topology(iridium, vis, t).edges if e.kind != INTRA_PLANE}
         dropped = full - active
         ls = build_ls_state(iridium, vis, t)
         polar_sats = {m for r in ls.rows if r.in_polar for m in r.members}
@@ -235,3 +340,102 @@ class TestValidator:
         violations = validate_topology(teledesic, vis, topo, 0.0)
         assert any(v.rule == "visibility" for v in violations)
         assert any(v.rule == "structure" for v in violations)
+    def test_endpoint_outside_constellation_rejected(self, iridium):
+        vis = make_visibility_model(iridium, 60.0)
+        edge = make_edge(SatId(1, 1), SatId(1, 12), INTRA_PLANE)
+        topo = TopologyEdgeSet(frozenset({edge}), 0.0, "handmade")
+        with pytest.raises(ValueError, match="outside"):
+            validate_topology(iridium, vis, topo, 0.0)
+
+
+def corrupted(spec, vis, topo, t, rng):
+    """The edge set plus a seam edge, an edge of unknown kind, a non-ring
+    intra-plane edge, a satellite of degree 3, an equatorial horizontal
+    edge and an edge inside a cap."""
+    n, m = spec.plane_count, spec.sats_per_plane
+    p, j = rng.randint(2, n - 1), rng.randint(1, m)
+    y1, y2 = rng.sample(range(1, m + 1), 2)
+    hub = SatId(p, j)
+    # the class nearest the equator at t, between its members in planes 1 and 3
+    c = min(range(spec.row_count),
+            key=lambda c: abs((class_phase_deg(spec, c, t) + 90.0) % 180.0 - 90.0))
+    capped = rng.choice([
+        SatId(q, k) for q in range(1, n + 1) for k in range(1, m + 1)
+        if in_polar_band(argument_of_latitude_deg(spec, SatId(q, k), t),
+                         vis.polar_border_deg)])
+    q = capped.plane + 1 if capped.plane < n else capped.plane - 1
+    bad = {
+        make_edge(SatId(1, rng.randint(1, m)), SatId(n, rng.randint(1, m)), OBLIQUE),
+        IslEdge(SatId(p + 1, j), SatId(p, j), "laser"),
+        make_edge(SatId(p, j), SatId(p, (j + 1) % m + 1), INTRA_PLANE),
+        make_edge(hub, SatId(p - 1, rng.randint(1, m)), OBLIQUE),
+        make_edge(hub, SatId(p + 1, y1), OBLIQUE),
+        make_edge(hub, SatId(p + 1, y2), OBLIQUE),
+        make_edge(class_member(spec, c, 1 + c % 2), class_member(spec, c, 3 + c % 2),
+                  HORIZONTAL),
+        make_edge(capped, SatId(q, rng.randint(1, m)), OBLIQUE),
+    }
+    return TopologyEdgeSet(topo.edges | bad, topo.generated_at_s, "corrupted")
+
+
+class TestReferenceValidator:
+    """``validate_topology`` lists the per-edge oracle's violations, in order."""
+
+    @pytest.mark.parametrize("system", ["iridium", "teledesic"])
+    @pytest.mark.parametrize("border", [60.0, 75.0])
+    def test_every_snapshot(self, system, border, request):
+        spec = request.getfixturevalue(system)
+        vis = make_visibility_model(spec, border)
+        period = orbit_period(spec)
+        rules = collections.Counter()
+        for method in ("reassignment", "fixed", "equal_time"):
+            for snap in partition(spec, method, border).snapshots:
+                # just past the set's interval, and far from it (the set
+                # stays valid inside it: test_snapshots)
+                for t in (snap.end_s + 1e-3, snap.start_s + period / 3.0):
+                    got = validate_topology(spec, vis, snap.edges, t)
+                    assert got == reference_validate_topology(spec, vis, snap.edges, t)
+                    rules.update(v.rule for v in got)
+        assert rules["polar"] > 0
+
+    @pytest.mark.parametrize("system", ["iridium", "teledesic"])
+    def test_corrupted_edge_sets(self, system, request):
+        spec = request.getfixturevalue(system)
+        rng = random.Random(system)
+        rules = collections.Counter()
+        for border in (60.0, 75.0):
+            vis = make_visibility_model(spec, border)
+            for snap in partition(spec, "reassignment", border).snapshots:
+                t = snap.start_s + rng.uniform(0.0, snap.duration_s)
+                topo = corrupted(spec, vis, snap.edges, t, rng)
+                got = validate_topology(spec, vis, topo, t)
+                assert got == reference_validate_topology(spec, vis, topo, t)
+                rules.update(v.rule for v in got)
+        # teledesic's horizontal links clear the Earth at every latitude
+        ranged = {"horizontal_range"} if vis.horizontal_min_latitude_deg > 0.0 else set()
+        assert set(rules) == {"structure", "visibility", "polar", "degree"} | ranged
+        empty = TopologyEdgeSet(frozenset(), 0.0, "handmade")
+        assert validate_topology(spec, vis, empty, 0.0) == []
+
+
+class TestCompiledEdges:
+    def test_canonical_order_and_cache(self, iridium):
+        topo = partition(iridium, "reassignment", 75.0).snapshots[0].edges
+        twin = partition(iridium, "reassignment", 75.0).snapshots[0].edges
+        arrays = topo.compiled(iridium)
+        assert topo.compiled(iridium) is arrays
+        assert topo == twin and hash(topo) == hash(twin) and repr(topo) == repr(twin)
+        listed = [(arrays.kinds[k], a, b) for k, a, b in
+                  zip(arrays.kind.tolist(), arrays.a.tolist(), arrays.b.tolist())]
+        want = sorted(topo.edges, key=lambda e: (e.kind, e.endpoint_a, e.endpoint_b))
+        assert listed == [(e.kind, sat_to_index(iridium, e.endpoint_a),
+                           sat_to_index(iridium, e.endpoint_b)) for e in want]
+        assert arrays.of_kind(HORIZONTAL).sum() == topo.count(HORIZONTAL) == 4
+        assert not arrays.of_kind("laser").any()
+
+    def test_recompiled_for_another_shape(self, iridium):
+        topo = intra_plane_edges(iridium)
+        longer = ConstellationSpec(6, 12, 86.4, 780.0)
+        for spec in (iridium, longer, iridium):
+            assert sorted(topo.compiled(spec).a.tolist()) == sorted(
+                sat_to_index(spec, e.endpoint_a) for e in topo.edges)

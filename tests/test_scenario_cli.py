@@ -1,15 +1,68 @@
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from polarsnap.cli import main
 from polarsnap.errors import ScenarioError
+from polarsnap.geometry import SatId, orbit_period
+from polarsnap.links import IslEdge, TopologyEdgeSet, make_edge
 from polarsnap.report import export_topology, load_topology, run_compare
 from polarsnap.scenario import load_scenario
-from polarsnap.snapshots import SnapshotSequence, partition_reassignment
+from polarsnap.snapshots import (
+    SnapshotSequence,
+    TopologySnapshot,
+    partition,
+    partition_reassignment,
+)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def reference_export_topology(seq, spec, path):
+    """The dict-plus-``json.dumps`` exporter kept as the oracle for
+    ``export_topology``."""
+    def edge_key(edge):
+        return (edge.kind, edge.endpoint_a.plane, edge.endpoint_a.index_in_plane,
+                edge.endpoint_b.plane, edge.endpoint_b.index_in_plane)
+
+    doc = {
+        "format": "polarsnap-topology/1",
+        "constellation": {
+            "name": spec.name,
+            "plane_count": spec.plane_count,
+            "sats_per_plane": spec.sats_per_plane,
+            "inclination_deg": spec.inclination_deg,
+            "altitude_km": spec.altitude_km,
+            "period_s": orbit_period(spec),
+            "inter_plane_spacing_deg": spec.plane_spacing_deg,
+            "earth_radius_km": spec.earth_radius_km,
+            "grazing_altitude_km": spec.grazing_altitude_km,
+        },
+        "method": seq.method,
+        "polar_border_deg": seq.polar_border_deg,
+        "trigger": seq.trigger,
+        "period_s": seq.period_s,
+        "truncated_final": seq.truncated_final,
+        "snapshots": [
+            {
+                "index": i,
+                "start_s": snap.start_s,
+                "end_s": snap.end_s,
+                "edges": [
+                    {
+                        "kind": e.kind,
+                        "a": [e.endpoint_a.plane, e.endpoint_a.index_in_plane],
+                        "b": [e.endpoint_b.plane, e.endpoint_b.index_in_plane],
+                    }
+                    for e in sorted(snap.edges.edges, key=edge_key)
+                ],
+            }
+            for i, snap in enumerate(seq.snapshots)
+        ],
+    }
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 class TestLoadScenario:
@@ -147,6 +200,41 @@ class TestTopologyExport:
         export_topology(seq, iridium, p1)
         export_topology(seq, iridium, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("system", ["iridium", "teledesic"])
+    @pytest.mark.parametrize("border", [60.0, 75.0])
+    def test_matches_reference_exporter(self, system, border, request, tmp_path):
+        spec = request.getfixturevalue(system)
+        for method in ("reassignment", "fixed", "equal_time"):
+            seq = partition(spec, method, border)
+            self.assert_matches_reference(seq, spec, tmp_path)
+
+    def test_handmade_sequence_matches_reference_exporter(self, iridium, tmp_path):
+        # horizontal edges, an empty edge set, an unknown kind (given once
+        # with its endpoints out of canonical order, once on a ring edge's
+        # endpoints), no trigger, truncated final snapshot
+        snaps = partition_reassignment(iridium, None, 75.0).snapshots[:2]
+        odd = snaps[1].edges.edges | {IslEdge(SatId(4, 2), SatId(3, 7), "laser"),
+                                      IslEdge(SatId(1, 1), SatId(1, 2), "laser"),
+                                      make_edge(SatId(1, 1), SatId(6, 1), "oblique")}
+        snaps = (snaps[0],
+                 TopologySnapshot(1.0e3, 2.5e3, TopologyEdgeSet(frozenset(), 1.0e3, "x"), 0),
+                 TopologySnapshot(2.5e3, 6027.0, TopologyEdgeSet(odd, 2.5e3, "x"), 42))
+        seq = SnapshotSequence("handmade", snaps, 6027.0, 75.0, trigger=None,
+                               truncated_final=True)
+        assert any(e.kind == "horizontal" for e in snaps[0].edges.edges)
+        self.assert_matches_reference(seq, iridium, tmp_path)
+
+    @staticmethod
+    def assert_matches_reference(seq, spec, tmp_path):
+        got, want = tmp_path / "got.json", tmp_path / "want.json"
+        export_topology(seq, spec, got)
+        reference_export_topology(seq, spec, want)
+        assert got.read_bytes() == want.read_bytes(), (spec.name, seq.method)
+        spec2, seq2 = load_topology(got)
+        assert spec2 == spec
+        assert [(s.start_s, s.end_s, s.edges.edges) for s in seq2.snapshots] == \
+            [(s.start_s, s.end_s, s.edges.edges) for s in seq.snapshots]
 
     def test_empty_sequence_rejected(self, iridium, tmp_path):
         seq = SnapshotSequence("reassignment", (), 6027.0, 60.0)

@@ -9,6 +9,7 @@ from polarsnap.geometry import (
     orbit_period,
     phase_latitude_deg,
 )
+from polarsnap.links import INTRA_PLANE, validate_topology
 from polarsnap.routing import delay_experiment
 from polarsnap.snapshots import (
     METHOD_EQUAL_TIME,
@@ -149,6 +150,25 @@ def sampled_events(spec, polar_border_deg, horizon_s, kinds):
     return merged
 
 
+def validate_topology_over(spec, vis, topo, start_s, end_s, step_s=1.0):
+    """Validate a frozen edge set at sampled instants of [start, end).
+
+    Returns the violations of the first offending instant (empty when the
+    set stays valid over the whole interval).
+    """
+    t = start_s
+    while t < end_s:
+        violations = validate_topology(spec, vis, topo, t)
+        if violations:
+            return violations
+        t += step_s
+    return []
+
+
+def inter_plane(snap):
+    return {e for e in snap.edges.edges if e.kind != INTRA_PLANE}
+
+
 class TestAnalyticSummary:
     @pytest.mark.parametrize("fixture,border", [
         (s, b) for s in ("iridium", "teledesic") for b in (60.0, 65.0, 70.0, 75.0)])
@@ -267,14 +287,17 @@ class TestPartitionReassignment:
             assert snap.edges.count("oblique") == a.n_oblique
             assert snap.edges.count("horizontal") == a.n_horizontal
 
-    def test_snapshots_stay_valid_until_next_event(self, iridium):
-        from polarsnap.links import validate_topology_over
-        vis = make_visibility_model(iridium, 60.0)
-        seq = partition_reassignment(iridium, None, 60.0)
-        for snap in seq.snapshots[:3]:
-            assert validate_topology_over(
-                iridium, vis, snap.edges, snap.start_s + 1e-3, snap.end_s,
-                step_s=1.0) == []
+    def test_snapshots_stay_valid_until_next_event(self, iridium, teledesic):
+        # each frozen edge set stays valid over its whole interval, not only
+        # where it was generated
+        for spec in (iridium, teledesic):
+            for border in (60.0, 75.0):
+                vis = make_visibility_model(spec, border)
+                for method in (METHOD_REASSIGNMENT, METHOD_FIXED, METHOD_EQUAL_TIME):
+                    for snap in partition(spec, method, border).snapshots:
+                        assert validate_topology_over(
+                            spec, vis, snap.edges, snap.start_s + 1e-3, snap.end_s,
+                            step_s=10.0) == [], (spec.name, border, method, snap.start_s)
 
 
 class TestPartitionFixed:
@@ -333,7 +356,7 @@ class TestPartitionEqualTime:
                 lo = max(es.start_s, fs.start_s % 6027.0)
                 hi = min(es.end_s, (fs.start_s % 6027.0) + fs.duration_s)
                 if hi - lo > 1e-6:
-                    assert es.edges.inter_plane_edges <= fs.edges.inter_plane_edges
+                    assert inter_plane(es) <= inter_plane(fs)
 
     def test_truncation_flag(self, iridium):
         seq = partition_equal_time(iridium, None, 60.0, 1000.0)
