@@ -37,6 +37,7 @@ from .links import (
     validate_topology,
 )
 from .routing import (
+    Attachment,
     DelaySample,
     DelaySeries,
     PathResult,

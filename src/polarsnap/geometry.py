@@ -538,16 +538,19 @@ def build_ls_state(
 
 
 def ground_position_km(
-    gs: GroundStation, t: float, earth_radius_km: float = EARTH_RADIUS_KM,
-) -> tuple[float, float, float]:
-    """ECI position of a ground station, rotating at the sidereal rate."""
+    gs: GroundStation, t, earth_radius_km: float = EARTH_RADIUS_KM,
+) -> np.ndarray:
+    """ECI position of a ground station, rotating at the sidereal rate.
+
+    Returns a (3,) array. For an array of times of shape S the result has
+    shape S + (3,).
+    """
     lat = math.radians(gs.latitude_deg)
-    lon = math.radians(gs.longitude_deg) + 2.0 * math.pi * t / SIDEREAL_DAY_S
-    return (
-        earth_radius_km * math.cos(lat) * math.cos(lon),
-        earth_radius_km * math.cos(lat) * math.sin(lon),
-        earth_radius_km * math.sin(lat),
-    )
+    lon = (math.radians(gs.longitude_deg)
+           + 2.0 * math.pi * np.asarray(t, dtype=float) / SIDEREAL_DAY_S)
+    ring = earth_radius_km * math.cos(lat)
+    z = np.full_like(lon, earth_radius_km * math.sin(lat))
+    return np.stack([ring * np.cos(lon), ring * np.sin(lon), z], axis=-1)
 
 
 def elevation_angle_deg(
@@ -561,7 +564,7 @@ def elevation_angle_deg(
     Negative below the horizon; t drives the station's rotation and should
     match the satellite state's time.
     """
-    gpos = np.asarray(ground_position_km(gs, t, earth_radius_km))
+    gpos = ground_position_km(gs, t, earth_radius_km)
     spos = np.asarray(sat_state.position_km)
     los = spos - gpos
     rng = float(np.linalg.norm(los))

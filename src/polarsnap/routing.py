@@ -8,10 +8,16 @@ edge set's compiled integer arrays; every route then computes all edge
 weights in one array expression and runs Dijkstra over integers.
 End-to-end totals include both up/down links; queueing and processing are
 out of scope.
+
+The delay experiment works on blocks of sends as arrays: one position
+evaluation, one ground attachment per station (satellite, mask flag and
+slant range for every send) and one snapshot lookup per block. Only the
+Dijkstra search runs once per send.
 """
 import heapq
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +29,9 @@ from .geometry import (
     all_positions_km,
     ground_position_km,
     index_to_sat,
+    orbit_period,
     sat_to_index,
+    validate_sat_id,
 )
 from .snapshots import SnapshotSequence, TopologySnapshot, partition
 
@@ -47,18 +55,29 @@ class PathResult:
     path: tuple[SatId, ...]
 
 
+class Attachment(NamedTuple):
+    """Ground attachment for a block of K send times, as (K,) arrays."""
+    index: np.ndarray
+    """Highest-elevation satellite, in ``sat_to_index`` order."""
+    visible: np.ndarray
+    """Whether that satellite clears the station's minimum elevation."""
+    range_km: np.ndarray
+    """Slant range from the station to that satellite."""
+
+
 @dataclass(frozen=True)
 class _RoutingGraph:
-    """A snapshot's edges as integer arrays, nodes in ``sat_to_index`` order.
+    """A snapshot's edges as integers, nodes in ``sat_to_index`` order.
 
     Edge e joins ``a[e]`` and ``b[e]``. Node u's neighbours are
     ``neighbour[indptr[u]:indptr[u + 1]]``, reached over the edges
-    ``edge_id`` holds in the same slots.
+    ``edge_id`` holds in the same slots. The search reads ``indptr`` and
+    ``neighbour`` item by item, so they are Python lists.
     """
     a: np.ndarray
     b: np.ndarray
-    indptr: np.ndarray
-    neighbour: np.ndarray
+    indptr: list[int]
+    neighbour: list[int]
     edge_id: np.ndarray
 
 
@@ -73,7 +92,8 @@ def _routing_graph(snapshot: TopologySnapshot, spec: ConstellationSpec) -> _Rout
     indptr = np.zeros(spec.total_satellites + 1, dtype=np.int32)
     np.cumsum(np.bincount(ends, minlength=spec.total_satellites), out=indptr[1:])
     edge_id = np.tile(np.arange(len(a), dtype=np.int32), 2)[order]
-    graph = _RoutingGraph(a, b, indptr, np.concatenate([b, a])[order], edge_id)
+    neighbour = np.concatenate([b, a])[order]
+    graph = _RoutingGraph(a, b, indptr.tolist(), neighbour.tolist(), edge_id)
     object.__setattr__(snapshot, "routing_graph", graph)
     return graph
 
@@ -123,34 +143,37 @@ def utilization(seq: SnapshotSequence, spec: ConstellationSpec) -> UtilizationRe
     return UtilizationReport(seq.method, seq.polar_border_deg, total / budget)
 
 
-def _station_elevations(
-    gs: GroundStation, t: float, spec: ConstellationSpec, positions: np.ndarray,
-) -> np.ndarray:
-    gpos = np.asarray(ground_position_km(gs, t, spec.earth_radius_km))
-    los = positions - gpos
-    rng = np.linalg.norm(los, axis=1)
-    sin_el = (los @ gpos) / (np.maximum(rng, 1e-12) * spec.earth_radius_km)
-    return np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
-
-
 def attach_ground(
     gs: GroundStation,
-    t: float,
+    t,
     spec: ConstellationSpec,
     positions: np.ndarray | None = None,
-) -> SatId | None:
+) -> SatId | None | Attachment:
     """Satellite with the highest elevation above the station's mask.
 
-    Returns None when no satellite clears the minimum elevation. Exact
-    ties resolve to the lower satellite id (plane-major order).
+    For a scalar t, returns that satellite, or None when it does not clear
+    the minimum elevation. For a (K,) array of times, with positions of
+    shape (K, N*M, 3), returns an ``Attachment`` holding each time's
+    satellite index, mask flag and slant range. A scalar t is attached as
+    a block of one. Positions are computed when omitted. Exact ties
+    resolve to the lower satellite id (plane-major order).
     """
+    times = np.asarray(t, dtype=float)
     if positions is None:
-        positions = all_positions_km(spec, t)
-    elev = _station_elevations(gs, t, spec, positions)
-    best = int(np.argmax(elev))
-    if elev[best] < gs.min_elevation_deg:
-        return None
-    return index_to_sat(spec, best)
+        positions = all_positions_km(spec, times)
+    gpos = ground_position_km(gs, times.reshape(-1), spec.earth_radius_km)
+    los = np.reshape(positions, (len(gpos), -1, 3)) - gpos[:, None, :]
+    rng = np.linalg.norm(los, axis=2)
+    sin_el = ((los @ gpos[:, :, None])[..., 0]
+              / (np.maximum(rng, 1e-12) * spec.earth_radius_km))
+    elev = np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
+    best = np.argmax(elev, axis=1)
+    sends = np.arange(len(best))
+    block = Attachment(best, elev[sends, best] >= gs.min_elevation_deg,
+                       rng[sends, best])
+    if times.ndim:
+        return block
+    return index_to_sat(spec, int(best[0])) if block.visible[0] else None
 
 
 def shortest_delay(
@@ -171,11 +194,14 @@ def shortest_delay(
     arrays on the first call and cached on the snapshot.
 
     Raises:
-        ValueError: If t is outside [start, end).
+        ValueError: If t is outside [start, end), or src or dst is not a
+            satellite of the constellation.
     """
     if not snapshot.covers(t):
         raise ValueError(
             f"t={t} outside snapshot [{snapshot.start_s}, {snapshot.end_s})")
+    validate_sat_id(spec, src)
+    validate_sat_id(spec, dst)
     if positions is None:
         positions = all_positions_km(spec, t)
 
@@ -187,8 +213,7 @@ def shortest_delay(
     graph = _routing_graph(snapshot, spec)
     weight = np.sqrt(((positions[graph.a] - positions[graph.b]) ** 2).sum(1))
     weight = (weight / SPEED_OF_LIGHT_KM_S)[graph.edge_id].tolist()
-    indptr = graph.indptr.tolist()
-    neighbour = graph.neighbour.tolist()
+    indptr, neighbour = graph.indptr, graph.neighbour
 
     dist = [math.inf] * spec.total_satellites
     dist[src_i] = 0.0
@@ -237,11 +262,14 @@ def delay_experiment(
     (the one-period sequence repeats cyclically), both stations attach to
     their highest-elevation satellites, and the total is up-link + path +
     down-link delay. Samples with no attachment or no path are flagged
-    unreachable and excluded from the average. Satellite positions are
-    evaluated once per send, for a block of sends per call.
+    unreachable and excluded from the average. Sends are taken in blocks:
+    positions, attachments and snapshot lookups are evaluated once per
+    block as arrays, and each attached send is routed on its own.
 
     Raises:
-        ValueError: On non-positive duration or interval.
+        ValueError: On non-positive duration or interval, or a
+            ``sequence`` whose method, polar border or period does not
+            match the other arguments.
     """
     if duration_s <= 0.0 or interval_s <= 0.0:
         raise ValueError("duration_s and interval_s must be positive")
@@ -250,30 +278,42 @@ def delay_experiment(
             spec, method, polar_border_deg,
             trigger=trigger, equal_time_delta_s=equal_time_delta_s,
         )
+    elif sequence.method != method:
+        raise ValueError(
+            f"sequence.method is {sequence.method!r}, expected {method!r}")
+    elif sequence.polar_border_deg != polar_border_deg:
+        raise ValueError(f"sequence.polar_border_deg is "
+                         f"{sequence.polar_border_deg}, expected {polar_border_deg}")
+    elif abs(sequence.period_s - orbit_period(spec)) > 1e-6:
+        raise ValueError(f"sequence.period_s is {sequence.period_s}, expected "
+                         f"{orbit_period(spec)} for {spec.name}")
 
     samples = []
     n_sends = int(duration_s // interval_s)
     for first in range(0, n_sends, _SEND_BLOCK):
         times = [k * interval_s for k in range(first, min(first + _SEND_BLOCK, n_sends))]
-        for t, positions in zip(times, all_positions_km(spec, np.array(times))):
-            src_sat = attach_ground(src_gs, t, spec, positions)
-            dst_sat = attach_ground(dst_gs, t, spec, positions)
-            if src_sat is None or dst_sat is None:
+        block = np.array(times)
+        positions = all_positions_km(spec, block)
+        up = attach_ground(src_gs, block, spec, positions)
+        down = attach_ground(dst_gs, block, spec, positions)
+        attached = (up.visible & down.visible).tolist()
+        src_i, dst_i = up.index.tolist(), down.index.tolist()
+        up_s = (up.range_km / SPEED_OF_LIGHT_KM_S).tolist()
+        down_s = (down.range_km / SPEED_OF_LIGHT_KM_S).tolist()
+        # The snapshot interval check needs the cyclic time; positions
+        # repeat every period, so those at t serve for it.
+        taus, snap_index = (a.tolist() for a in sequence.lookup(block))
+        for k, t in enumerate(times):
+            if not attached[k]:
                 samples.append(DelaySample(t, False, math.nan, 0))
                 continue
-
-            snap = sequence.snapshot_at(t)
-            # The snapshot interval check needs the cyclic time; positions
-            # repeat every period, so those at t serve for it.
-            tau = sequence.start_s + (t - sequence.start_s) % sequence.period_s
-            result = shortest_delay(snap, tau, src_sat, dst_sat, spec, positions)
+            result = shortest_delay(
+                sequence.snapshots[snap_index[k]], taus[k], index_to_sat(spec, src_i[k]),
+                index_to_sat(spec, dst_i[k]), spec, positions[k])
             if not result.reachable:
                 samples.append(DelaySample(t, False, math.nan, 0))
                 continue
-
-            up = _udl_delay(src_gs, src_sat, t, spec, positions)
-            down = _udl_delay(dst_gs, dst_sat, t, spec, positions)
-            total = up + result.delay_s + down
+            total = up_s[k] + result.delay_s + down_s[k]
             hops = (len(result.path) - 1) + 2
             samples.append(DelaySample(t, True, total, hops))
 
@@ -284,12 +324,3 @@ def delay_experiment(
         polar_border_deg=polar_border_deg,
         samples=tuple(samples),
     )
-
-
-def _udl_delay(
-    gs: GroundStation, sat: SatId, t: float,
-    spec: ConstellationSpec, positions: np.ndarray,
-) -> float:
-    gpos = np.asarray(ground_position_km(gs, t, spec.earth_radius_km))
-    spos = positions[sat_to_index(spec, sat)]
-    return float(np.linalg.norm(spos - gpos)) / SPEED_OF_LIGHT_KM_S

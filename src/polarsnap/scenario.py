@@ -30,6 +30,7 @@ Unknown sections or keys are rejected with their line number. Comments
 start with '#'. Command-line overrides (``apply_overrides``) go through the
 same per-field checks.
 """
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -83,10 +84,10 @@ class ScenarioConfig:
         return float(self.equal_time_delta)
 
 
-def _parse_sections(path: Path) -> dict[str, dict[str, tuple[str, int]]]:
+def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     sections: dict[str, dict[str, tuple[str, int]]] = {}
     current: str | None = None
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -161,8 +162,8 @@ def _trigger(value: str, lineno: int | None = None) -> str:
 
 
 def _positive(key: str, value: float, lineno: int | None = None) -> float:
-    if value <= 0:
-        raise ScenarioError(f"{key} must be positive, got {value}", lineno)
+    if not (value > 0 and math.isfinite(value)):
+        raise ScenarioError(f"{key} must be positive and finite, got {value}", lineno)
     return value
 
 
@@ -195,14 +196,21 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     """Parse and validate a scenario file.
 
     Raises:
-        ScenarioError: Missing file, malformed line, unknown key, or a
-            field value outside its valid range (reported with the line
-            number where available).
+        ScenarioError: Missing or unreadable file, text that is not UTF-8,
+            malformed line, unknown key, or a field value outside its valid
+            range (reported with the line number where available).
     """
     path = Path(path)
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
-    sections = _parse_sections(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file {path} is not UTF-8 text: byte "
+                            f"{exc.start} is {exc.object[exc.start]:#04x}") from None
+    sections = _parse_sections(text)
 
     if "constellation" not in sections:
         raise ScenarioError("missing [constellation] section")

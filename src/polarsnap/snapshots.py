@@ -21,6 +21,8 @@ The tests check the crossing times against a sampled root-solver.
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .geometry import (
     ConstellationSpec,
     VisibilityModel,
@@ -101,11 +103,25 @@ class SnapshotSequence:
 
     def snapshot_at(self, t: float) -> TopologySnapshot:
         """Governing snapshot for any time, repeating the period cyclically."""
-        tau = self.start_s + (t - self.start_s) % self.period_s
-        for snap in self.snapshots:
-            if snap.covers(tau):
-                return snap
-        return self.snapshots[-1]
+        return self.snapshots[int(self.lookup(t)[1])]
+
+    def lookup(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Cyclic times and governing snapshot indices for a time or an
+        array of times.
+
+        The cyclic time is t folded into [start_s, start_s + period_s).
+        Its snapshot is the one whose interval holds it, or the last one
+        when none does. Snapshots must be in time order and must not
+        overlap, as every partition builds them.
+        """
+        tau = self.start_s + np.mod(np.asarray(t, dtype=float) - self.start_s,
+                                    self.period_s)
+        starts = np.array([s.start_s for s in self.snapshots])
+        ends = np.array([s.end_s for s in self.snapshots])
+        last = len(self.snapshots) - 1
+        index = np.minimum(np.searchsorted(ends, tau, side="right"), last)
+        covered = (starts[index] <= tau) & (tau < ends[index])
+        return tau, np.where(covered, index, last)
 
 
 @dataclass(frozen=True)

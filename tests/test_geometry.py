@@ -289,6 +289,14 @@ class TestElevation:
         assert p0[0] == pytest.approx(6378.137)
         assert p_quarter[1] == pytest.approx(6378.137, rel=1e-9)
 
+    def test_station_time_array_stacks_scalar_calls(self):
+        gs = GroundStation("gs", -33.9, 18.4)
+        times = np.array([[0.0, 60.0, 1234.5], [6026.999, 43082.0, 86340.0]])
+        batch = ground_position_km(gs, times)
+        assert batch.shape == (2, 3, 3)
+        stacked = np.array([[ground_position_km(gs, t) for t in row] for row in times])
+        assert np.array_equal(batch, stacked)
+
 
 class TestVisibilityModelConstruction:
     def test_max_link_angle_from_grazing(self, iridium):

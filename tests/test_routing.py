@@ -8,6 +8,7 @@ import pytest
 
 from polarsnap.geometry import (
     GroundStation,
+    SIDEREAL_DAY_S,
     SPEED_OF_LIGHT_KM_S,
     SatId,
     all_positions_km,
@@ -115,31 +116,81 @@ def reference_shortest_delay(snapshot, t, src, dst, spec, positions=None):
     return PathResult(True, dist[dst_i], tuple(index_to_sat(spec, i) for i in path))
 
 
+def reference_ground_position_km(gs, t, earth_radius_km):
+    """One station at one time, with ``math`` functions."""
+    lat = math.radians(gs.latitude_deg)
+    lon = math.radians(gs.longitude_deg) + 2.0 * math.pi * t / SIDEREAL_DAY_S
+    return np.array([
+        earth_radius_km * math.cos(lat) * math.cos(lon),
+        earth_radius_km * math.cos(lat) * math.sin(lon),
+        earth_radius_km * math.sin(lat),
+    ])
+
+
+def reference_station_elevations(gs, t, spec, positions):
+    gpos = reference_ground_position_km(gs, t, spec.earth_radius_km)
+    los = positions - gpos
+    rng = np.linalg.norm(los, axis=1)
+    sin_el = (los @ gpos) / (np.maximum(rng, 1e-12) * spec.earth_radius_km)
+    return np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
+
+
+def reference_attach_ground(gs, t, spec, positions):
+    """One station at one send time: the attachment as it was before it
+    took blocks of sends, kept as a reference."""
+    elev = reference_station_elevations(gs, t, spec, positions)
+    best = int(np.argmax(elev))
+    if elev[best] < gs.min_elevation_deg:
+        return None
+    return index_to_sat(spec, best)
+
+
+def reference_udl_delay(gs, sat, t, spec, positions):
+    gpos = reference_ground_position_km(gs, t, spec.earth_radius_km)
+    spos = positions[sat_to_index(spec, sat)]
+    return float(np.linalg.norm(spos - gpos)) / SPEED_OF_LIGHT_KM_S
+
+
+def reference_snapshot_at(seq, t):
+    """Linear scan for the snapshot covering the cyclic time, else the last."""
+    tau = seq.start_s + (t - seq.start_s) % seq.period_s
+    for snap in seq.snapshots:
+        if snap.covers(tau):
+            return snap, tau
+    return seq.snapshots[-1], tau
+
+
 def reference_delay_experiment(spec, seq, src_gs, dst_gs, duration_s, interval_s):
     """One send at a time: fresh positions at t and at the cyclic time tau,
-    and the reference router."""
+    a linear snapshot scan, scalar attachment and up/down links, and the
+    reference router."""
     samples = []
     for k in range(int(duration_s // interval_s)):
         t = k * interval_s
         positions = all_positions_km(spec, t)
-        src_sat = attach_ground(src_gs, t, spec, positions)
-        dst_sat = attach_ground(dst_gs, t, spec, positions)
+        src_sat = reference_attach_ground(src_gs, t, spec, positions)
+        dst_sat = reference_attach_ground(dst_gs, t, spec, positions)
         if src_sat is None or dst_sat is None:
             samples.append(DelaySample(t, False, math.nan, 0))
             continue
-        tau = seq.start_s + (t - seq.start_s) % seq.period_s
+        snap, tau = reference_snapshot_at(seq, t)
         result = reference_shortest_delay(
-            seq.snapshot_at(t), tau, src_sat, dst_sat, spec, all_positions_km(spec, tau))
+            snap, tau, src_sat, dst_sat, spec, all_positions_km(spec, tau))
         if not result.reachable:
             samples.append(DelaySample(t, False, math.nan, 0))
             continue
-        ground = 0.0
-        for gs, sat in ((src_gs, src_sat), (dst_gs, dst_sat)):
-            gpos = np.asarray(ground_position_km(gs, t, spec.earth_radius_km))
-            spos = positions[sat_to_index(spec, sat)]
-            ground += float(np.linalg.norm(spos - gpos)) / SPEED_OF_LIGHT_KM_S
-        samples.append(DelaySample(t, True, ground + result.delay_s, len(result.path) + 1))
+        up = reference_udl_delay(src_gs, src_sat, t, spec, positions)
+        down = reference_udl_delay(dst_gs, dst_sat, t, spec, positions)
+        samples.append(DelaySample(t, True, up + result.delay_s + down, len(result.path) + 1))
     return samples
+
+
+def assert_same_samples(got, want):
+    assert len(got) == len(want)
+    for g, r in zip(got, want):
+        assert (g.send_time_s, g.reachable, g.hops) == (r.send_time_s, r.reachable, r.hops)
+        if r.reachable:
+            assert g.delay_s == pytest.approx(r.delay_s, rel=1e-12, abs=0.0)
 
 
 def assert_same_route(got, want):
@@ -194,17 +245,46 @@ class TestAttachGround:
         gs = GroundStation("strict", 40.0, 10.0, 90.0)
         assert attach_ground(gs, 123.0, iridium) is None
 
+    @staticmethod
+    def plant_tie(spec, gs, positions):
+        """Two identical satellites straight above the station at t = 0."""
+        gpos = ground_position_km(gs, 0.0)
+        overhead = gpos / np.linalg.norm(gpos) * spec.orbit_radius_km
+        positions[sat_to_index(spec, SatId(2, 3))] = overhead
+        positions[sat_to_index(spec, SatId(5, 1))] = overhead
+
     def test_exact_tie_breaks_to_lower_id(self, iridium):
-        from polarsnap.geometry import ground_position_km
         gs = GroundStation("gs", 23.0, 47.0, 0.0)
         positions = all_positions_km(iridium, 0.0)
-        # plant two identical satellites straight above the station
-        gpos = np.array(ground_position_km(gs, 0.0))
-        overhead = gpos / np.linalg.norm(gpos) * iridium.orbit_radius_km
-        positions[sat_to_index(iridium, SatId(2, 3))] = overhead
-        positions[sat_to_index(iridium, SatId(5, 1))] = overhead
+        self.plant_tie(iridium, gs, positions)
         sat = attach_ground(gs, 0.0, iridium, positions)
         assert sat == SatId(2, 3)
+
+    def test_block_matches_scalar_calls(self, iridium, beijing):
+        tie = GroundStation("gs", 23.0, 47.0, 0.0)
+        stations = (tie, beijing, GroundStation("Longyearbyen", 78.2, 15.6, 10.0),
+                    GroundStation("strict", -33.9, 18.4, 40.0))
+        times = np.arange(0.0, 6027.0, 37.0)
+        positions = all_positions_km(iridium, times)
+        self.plant_tie(iridium, tie, positions[0])
+        visible = []
+        for gs in stations:
+            block = attach_ground(gs, times, iridium, positions)
+            assert all(a.shape == times.shape for a in block)
+            for k, t in enumerate(times.tolist()):
+                want = reference_attach_ground(gs, t, iridium, positions[k])
+                assert attach_ground(gs, t, iridium, positions[k]) == want
+                assert bool(block.visible[k]) == (want is not None)
+                visible.append(want is not None)
+                if want is None:
+                    continue
+                assert index_to_sat(iridium, int(block.index[k])) == want
+                assert block.range_km[k] / SPEED_OF_LIGHT_KM_S == pytest.approx(
+                    reference_udl_delay(gs, want, t, iridium, positions[k]),
+                    rel=1e-12, abs=0.0)
+        assert index_to_sat(iridium, int(attach_ground(tie, times, iridium, positions)
+                                         .index[0])) == SatId(2, 3)
+        assert any(visible) and not all(visible)
 
 
 class TestShortestDelay:
@@ -222,6 +302,14 @@ class TestShortestDelay:
         res = shortest_delay(snap, t, SatId(1, 1), SatId(1, 2), iridium)
         chord = 2.0 * iridium.orbit_radius_km * math.sin(math.radians(180.0 / 11))
         assert res.delay_s == pytest.approx(chord / SPEED_OF_LIGHT_KM_S, rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [SatId(1, 12), SatId(0, 0), SatId(7, 1), SatId(6, 12)])
+    def test_satellite_outside_constellation_rejected(self, iridium, bad):
+        snap = partition_reassignment(iridium, None, 60.0).snapshots[0]
+        t = snap.start_s + 1.0
+        for src, dst in ((bad, SatId(3, 3)), (SatId(3, 3), bad)):
+            with pytest.raises(ValueError, match="outside 6x11 constellation"):
+                shortest_delay(snap, t, src, dst, iridium)
 
     def test_time_outside_snapshot_rejected(self, iridium):
         seq = partition_reassignment(iridium, None, 60.0)
@@ -371,15 +459,69 @@ class TestDelayExperiment:
         assert a.samples == b.samples
 
     @pytest.mark.parametrize("method", ["reassignment", "fixed", "equal_time"])
-    def test_matches_per_send_reference(self, iridium, beijing, london, method):
-        # 301 sends over one period: three position blocks, the last partial
-        seq = partition(iridium, method, 60.0)
-        series = delay_experiment(iridium, method, 60.0, beijing, london,
-                                  6027.0, 20.0, sequence=seq)
-        want = reference_delay_experiment(iridium, seq, beijing, london, 6027.0, 20.0)
-        assert len(series.samples) == len(want) == 301
-        for got, ref in zip(series.samples, want):
-            assert (got.send_time_s, got.reachable, got.hops) == (
-                ref.send_time_s, ref.reachable, ref.hops)
-            if ref.reachable:
-                assert got.delay_s == pytest.approx(ref.delay_s, rel=1e-12, abs=0.0)
+    def test_matches_per_send_reference(self, iridium, teledesic, beijing, london, method):
+        # sends every 20 s over one period: three send blocks, the last partial
+        for spec, n_sends in ((iridium, 301), (teledesic, 339)):
+            period = orbit_period(spec)
+            seq = partition(spec, method, 60.0)
+            series = delay_experiment(spec, method, 60.0, beijing, london,
+                                      period, 20.0, sequence=seq)
+            want = reference_delay_experiment(spec, seq, beijing, london, period, 20.0)
+            assert len(want) == n_sends
+            assert_same_samples(series.samples, want)
+
+    @pytest.mark.parametrize("n_sends", [1, 128, 129])
+    def test_block_boundaries(self, iridium, beijing, london, n_sends):
+        seq = partition(iridium, "reassignment", 60.0)
+        series = delay_experiment(iridium, "reassignment", 60.0, beijing, london,
+                                  n_sends * 47.0, 47.0, sequence=seq)
+        assert_same_samples(series.samples, reference_delay_experiment(
+            iridium, seq, beijing, london, n_sends * 47.0, 47.0))
+
+    def test_co_located_pair_shares_a_satellite(self, iridium, beijing):
+        twin = GroundStation("Beijing-2", beijing.latitude_deg, beijing.longitude_deg,
+                             beijing.min_elevation_deg)
+        seq = partition(iridium, "fixed", 60.0)
+        series = delay_experiment(iridium, "fixed", 60.0, beijing, twin,
+                                  6027.0, 30.0, sequence=seq)
+        assert all(s.reachable and s.hops == 2 for s in series.samples)
+        assert_same_samples(series.samples, reference_delay_experiment(
+            iridium, seq, beijing, twin, 6027.0, 30.0))
+
+    def test_mask_leaves_sends_without_uplink(self, iridium, london):
+        strict = GroundStation("strict", -33.9, 18.4, 40.0)
+        seq = partition(iridium, "equal_time", 60.0)
+        series = delay_experiment(iridium, "equal_time", 60.0, strict, london,
+                                  6027.0, 30.0, sequence=seq)
+        reachable = [s.reachable for s in series.samples]
+        assert any(reachable) and not all(reachable)
+        assert_same_samples(series.samples, reference_delay_experiment(
+            iridium, seq, strict, london, 6027.0, 30.0))
+
+    def test_cut_snapshots_leave_sends_without_path(self, iridium, beijing, london):
+        # every other snapshot keeps only its rings, so planes are disconnected
+        seq = partition(iridium, "reassignment", 60.0)
+        snaps = list(seq.snapshots)
+        for i in range(0, len(snaps), 2):
+            rings = frozenset(e for e in snaps[i].edges.edges if e.kind == INTRA_PLANE)
+            snaps[i] = TopologySnapshot(snaps[i].start_s, snaps[i].end_s,
+                                        TopologyEdgeSet(rings, snaps[i].start_s, "synthetic"), 0)
+        cut = SnapshotSequence(seq.method, tuple(snaps), seq.period_s, seq.polar_border_deg)
+        series = delay_experiment(iridium, "reassignment", 60.0, beijing, london,
+                                  6027.0, 30.0, sequence=cut)
+        reachable = [s.reachable for s in series.samples]
+        assert any(reachable) and not all(reachable)
+        assert_same_samples(series.samples, reference_delay_experiment(
+            iridium, cut, beijing, london, 6027.0, 30.0))
+
+    def test_rejects_sequence_of_other_arguments(self, iridium, teledesic, beijing, london):
+        seq = partition(iridium, "reassignment", 60.0)
+        with pytest.raises(ValueError, match="sequence.method"):
+            delay_experiment(iridium, "fixed", 60.0, beijing, london, 600.0, 60.0,
+                             sequence=seq)
+        with pytest.raises(ValueError, match="sequence.polar_border_deg"):
+            delay_experiment(iridium, "reassignment", 65.0, beijing, london, 600.0, 60.0,
+                             sequence=seq)
+        with pytest.raises(ValueError, match="sequence.period_s"):
+            delay_experiment(teledesic, "reassignment", 60.0, beijing, london, 600.0,
+                             60.0, sequence=seq)

@@ -18,6 +18,8 @@ from polarsnap.snapshots import (
 )
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+IRIDIUM_HEAD = (b"[constellation]\nplanes = 6\nsats_per_plane = 11\n"
+                b"inclination_deg = 86.4\naltitude_km = 780\n")
 
 
 def reference_export_topology(seq, spec, path):
@@ -89,6 +91,24 @@ class TestLoadScenario:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):
             load_scenario(tmp_path / "nope.scenario")
+
+    @pytest.mark.parametrize("key,value", [("duration_s", "nan"), ("interval_s", "inf"),
+                                           ("duration_s", "-inf")])
+    def test_non_finite_value_names_field(self, tmp_path, key, value):
+        p = tmp_path / "bad.scenario"
+        p.write_bytes(IRIDIUM_HEAD + f"[experiment]\n{key} = {value}\n".encode())
+        with pytest.raises(ScenarioError, match=f"line 7: {key} must be positive and finite"):
+            load_scenario(p)
+
+    def test_directory_rejected(self, tmp_path):
+        with pytest.raises(ScenarioError, match="cannot read scenario file"):
+            load_scenario(tmp_path)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        p = tmp_path / "latin1.scenario"
+        p.write_bytes("[constellation]\nname = M\xfcnchen\n".encode("latin-1"))
+        with pytest.raises(ScenarioError, match="not UTF-8 text: byte 24 is 0xfc"):
+            load_scenario(p)
 
     def test_out_of_range_border_names_field(self, tmp_path):
         p = tmp_path / "bad.scenario"
@@ -282,11 +302,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert "polar_border_deg" in err and "line 7" in err
 
+    @pytest.mark.parametrize("contents,message", [
+        (IRIDIUM_HEAD + b"[experiment]\nduration_s = nan\n",
+         "duration_s must be positive and finite"),
+        (IRIDIUM_HEAD + b"[experiment]\ninterval_s = inf\n",
+         "interval_s must be positive and finite"),
+        (b"[constellation]\nname = M\xfcnchen\n", "not UTF-8 text"),
+        (None, "cannot read scenario file"),
+    ])
+    def test_bad_scenario_file_reported_cleanly(self, contents, message, tmp_path, capsys):
+        path = tmp_path / "in"
+        if contents is None:
+            path.mkdir()
+        else:
+            path.write_bytes(contents)
+        out = tmp_path / "out"
+        rc = main(["route", str(path), "--output-dir", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,field", [
         (["route", "--interval", "-5"], "interval_s"),
         (["route", "--duration", "0"], "duration_s"),
         (["compare", "--polar-border", "95"], "polar_border_deg"),
         (["route", "--methods", "bogus"], "methods"),
+        (["route", "--duration", "nan"], "duration_s"),
+        (["route", "--interval", "inf"], "interval_s"),
     ])
     def test_bad_override_reported_cleanly(self, argv, field, tmp_path, capsys):
         rc = main([argv[0], str(SCENARIOS / "iridium.scenario"), *argv[1:],

@@ -16,6 +16,7 @@ from polarsnap.snapshots import (
     METHOD_FIXED,
     METHOD_REASSIGNMENT,
     PolarCrossing,
+    SnapshotSequence,
     analytic_summary,
     enumerate_events,
     partition,
@@ -397,3 +398,23 @@ class TestDispatch:
         seq = partition(iridium, METHOD_REASSIGNMENT, 60.0)
         snap = seq.snapshot_at(seq.start_s + 3.5 * 6027.0)
         assert snap.covers(seq.start_s + 0.5 * 6027.0)
+
+    @pytest.mark.parametrize("method", [METHOD_REASSIGNMENT, METHOD_FIXED, METHOD_EQUAL_TIME])
+    def test_array_lookup_matches_linear_scan(self, iridium, method):
+        seq = partition(iridium, method, 60.0)
+        # a sequence without one of its middle snapshots has a gap, where
+        # the lookup falls back to the last snapshot
+        mid = len(seq.snapshots) // 2
+        gapped = SnapshotSequence(seq.method, seq.snapshots[:mid] + seq.snapshots[mid + 1:],
+                                  seq.period_s, seq.polar_border_deg)
+        for s in (seq, gapped):
+            bounds = [x for snap in seq.snapshots for x in (snap.start_s, snap.end_s)]
+            times = np.array([b + d + k * s.period_s for b in bounds
+                              for d in (-1e-9, 0.0, 1e-9) for k in (0, 2)])
+            taus, index = s.lookup(times)
+            for t, tau, i in zip(times.tolist(), taus.tolist(), index.tolist()):
+                want = s.start_s + (t - s.start_s) % s.period_s
+                scan = next((j for j, snap in enumerate(s.snapshots) if snap.covers(want)),
+                            len(s.snapshots) - 1)
+                assert (tau, i) == (want, scan)
+                assert s.snapshot_at(t) is s.snapshots[scan]
