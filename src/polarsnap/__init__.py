@@ -32,7 +32,6 @@ from .links import (
     TopologyEdgeSet,
     TopologyViolation,
     fixed_topology,
-    intra_plane_edges,
     reassign_topology,
     validate_topology,
 )

@@ -68,6 +68,8 @@ class ConstellationSpec:
     name: str = "constellation"
 
     def __post_init__(self):
+        _require_finite(self, "altitude_km", "period_s", "inter_plane_spacing_deg",
+                        "earth_radius_km", "grazing_altitude_km")
         if self.plane_count < 2:
             raise UnsupportedConfigurationError(
                 f"plane_count must be >= 2, got {self.plane_count}")
@@ -146,31 +148,21 @@ class SatState:
 
 @dataclass(frozen=True)
 class LsRow:
-    """One same-latitude, same-direction row of satellites."""
+    """One same-latitude, same-direction row: the members of a phase class."""
     phase_class: int
     u_deg: float
-    latitude_deg: float
     ascending: bool
     in_polar: bool
-    members: tuple[SatId, ...]
 
 
 @dataclass(frozen=True)
 class LsState:
     """All 2*M rows at one instant, ordered from the south apex in the
-    direction of ascending motion.
-
-    ``n_rows_nonpolar``/``n_rows_polar`` are the nominal per-arc counts
-    floor(2*L_pa / phase_offset) and M minus that; the instantaneous
-    membership (which briefly holds one extra non-polar row after an exit
-    in non-uniform configurations) is carried per row by ``in_polar``.
-    """
+    direction of ascending motion. Just after an exit in non-uniform
+    configurations one extra row is non-polar (``LsRow.in_polar``)."""
     time_s: float
     rows: tuple[LsRow, ...]
     n_rows: int
-    n_rows_polar: int
-    n_rows_nonpolar: int
-    anchor_index: int
 
 
 @dataclass(frozen=True)
@@ -205,11 +197,19 @@ class GroundStation:
     min_elevation_deg: float = 10.0
 
     def __post_init__(self):
+        _require_finite(self, "latitude_deg", "longitude_deg", "min_elevation_deg")
         if abs(self.latitude_deg) > 90.0:
             raise ValueError(f"latitude_deg out of range: {self.latitude_deg}")
         if self.min_elevation_deg < 0.0:
             raise ValueError(
                 f"min_elevation_deg must be >= 0, got {self.min_elevation_deg}")
+
+
+def _require_finite(obj, *names: str) -> None:
+    """Raise ValueError naming the first given field set to a non-finite value."""
+    for name, value in ((name, getattr(obj, name)) for name in names):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def orbit_period(spec: ConstellationSpec) -> float:
@@ -246,20 +246,6 @@ def initial_phase_deg(spec: ConstellationSpec, sat: SatId) -> float:
 def argument_of_latitude_deg(spec: ConstellationSpec, sat: SatId, t: float) -> float:
     period = orbit_period(spec)
     return (initial_phase_deg(spec, sat) + 360.0 * t / period) % 360.0
-
-
-def phase_latitude_deg(u_deg: float) -> float:
-    """Latitude an argument-of-latitude value maps to on an ideal polar orbit.
-
-    Folds u into [-90, 90]: the reference used for row ordering and
-    polar-border logic.
-    """
-    u = u_deg % 360.0
-    if u < 90.0:
-        return u
-    if u < 270.0:
-        return 180.0 - u
-    return u - 360.0
 
 
 def is_ascending(u_deg: float) -> bool:
@@ -466,20 +452,6 @@ def is_uniform_row_distribution(spec: ConstellationSpec, polar_border_deg: float
     return abs(slots - round(slots)) < _SLOT_EPS
 
 
-def class_planes(spec: ConstellationSpec, phase_class: int) -> list[int]:
-    """Planes populated by a phase class: every other plane, parity-matched."""
-    start = 1 if phase_class % 2 == 0 else 2
-    return list(range(start, spec.plane_count + 1, 2))
-
-
-def class_member(spec: ConstellationSpec, phase_class: int, plane: int) -> SatId:
-    """The satellite of a phase class sitting in a given plane."""
-    if (plane - 1) % 2 != phase_class % 2:
-        raise ValueError(f"plane {plane} holds no member of class {phase_class}")
-    j = ((phase_class - (plane - 1)) // 2) % spec.sats_per_plane
-    return SatId(plane, j + 1)
-
-
 def class_phase_deg(spec: ConstellationSpec, phase_class: int, t: float) -> float:
     """Argument of latitude shared by all members of a phase class."""
     period = orbit_period(spec)
@@ -489,52 +461,14 @@ def class_phase_deg(spec: ConstellationSpec, phase_class: int, t: float) -> floa
 def build_ls_state(
     spec: ConstellationSpec, vis: VisibilityModel, t: float,
 ) -> LsState:
-    """Group every satellite into its row and classify the rows at time t.
-
-    Rows are ordered starting from the south apex in the direction of
-    ascending motion. The anchor row is the non-polar row that most
-    recently exited a polar cap; the simultaneous north/south exit tie is
-    broken toward the lower-ordered (ascending-arc) row.
-    """
-    border = vis.polar_border_deg
+    """Classify every row at time t, ordered starting from the south apex
+    in the direction of ascending motion."""
     rows = []
     for c in range(spec.row_count):
         u = class_phase_deg(spec, c, t)
-        members = tuple(
-            class_member(spec, c, p) for p in class_planes(spec, c)
-        )
-        rows.append(LsRow(
-            phase_class=c,
-            u_deg=u,
-            latitude_deg=true_latitude_deg(spec, u),
-            ascending=is_ascending(u),
-            in_polar=in_polar_band(u, border),
-            members=members,
-        ))
+        rows.append(LsRow(c, u, is_ascending(u), in_polar_band(u, vis.polar_border_deg)))
     rows.sort(key=lambda r: (r.u_deg + 90.0) % 360.0)
-
-    anchor_index = -1
-    best_since_exit = math.inf
-    for i, row in enumerate(rows):
-        if row.in_polar:
-            continue
-        if row.ascending:
-            since_exit = (row.u_deg - (360.0 - border)) % 360.0
-        else:
-            since_exit = (row.u_deg - (180.0 - border)) % 360.0
-        if since_exit < best_since_exit - 1e-12:
-            best_since_exit = since_exit
-            anchor_index = i
-
-    n_npa = nonpolar_row_count(spec, border)
-    return LsState(
-        time_s=t,
-        rows=tuple(rows),
-        n_rows=spec.row_count,
-        n_rows_polar=spec.sats_per_plane - n_npa,
-        n_rows_nonpolar=n_npa,
-        anchor_index=anchor_index,
-    )
+    return LsState(time_s=t, rows=tuple(rows), n_rows=spec.row_count)
 
 
 def ground_position_km(

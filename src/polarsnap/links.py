@@ -1,30 +1,29 @@
 """Inter-satellite link edge sets.
 
-Three generators:
+Every link a topology can use belongs to its constellation's edge universe
+(``_wiring``), built once per shape as integer arrays: the N*M ring links
+inside the planes, per phase class c the zigzag chain of N-1 links pairing
+it with class c+1, and per phase class its N/2-1 horizontal links, two
+planes apart. No link crosses the counter-rotating seam between the first
+and last planes. The generators draw edge sets from it as sorted ids:
 
-* ``intra_plane_edges``: the permanent ring links inside each plane.
-* ``fixed_topology``: the static baseline. Adjacent phase-class rows are
-  paired once and for all into M couples, each couple wired as a zigzag
-  chain of N-1 single-plane-step links spanning all planes; a chain link
-  is active only while both endpoints are outside the polar caps.
+* ``fixed_topology``: the static baseline. Classes 2k and 2k+1 are paired
+  once and for all; a couple's chain is active only while both rows are
+  outside the polar caps.
 * ``reassign_topology``: the event-driven assignment. At each polar-cap
   crossing the non-polar rows of each hemisphere are re-paired starting
-  from the most recently exited row; a leftover unpaired row receives
-  links two planes apart between its own members.
+  from the most recently exited row; a leftover unpaired row gets its
+  horizontal links.
 
-No link ever connects the first and last planes (the counter-rotating
-seam): chains step through planes 1..N only. The ring, chain and
-horizontal edges of a constellation are built once and shared by every
-edge set that uses them.
-
-Each edge set is compiled once, on first use, into integer arrays in
-canonical order (``TopologyEdgeSet.compiled``); the validator, the
-topology export and the router all read those arrays.
+The validator, the export and the router read an edge set's arrays
+(``TopologyEdgeSet.compiled``); ``IslEdge`` objects exist only at the API
+edge.
 """
+import collections
+import copy
 import functools
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +33,6 @@ from .geometry import (
     SatId,
     VisibilityModel,
     all_positions_km,
-    class_member,
-    class_phase_deg,
-    class_planes,
     in_polar_band,
     index_to_sat,
     is_uniform_row_distribution,
@@ -87,39 +83,130 @@ class EdgeArrays:
         return self.kind == self.kinds.index(name)
 
 
-def _compile(edges: frozenset[IslEdge], shape: tuple[int, int]) -> EdgeArrays:
+def canonical_arrays(shape: tuple[int, int], kinds: tuple[str, ...],
+                     rows: np.ndarray) -> EdgeArrays:
+    """Edge arrays from an (E, 5) integer array of rows (kind code, plane a,
+    index a, plane b, index b), 1-based as in ``SatId``, duplicates dropped.
+
+    Raises:
+        ValueError: If an endpoint lies outside the constellation.
+    """
     n_planes, m = shape
-    kinds = tuple(sorted({e.kind for e in edges}))
-    code = {k: i for i, k in enumerate(kinds)}
-    rows = [(code[e.kind], e.endpoint_a.plane, e.endpoint_a.index_in_plane,
-             e.endpoint_b.plane, e.endpoint_b.index_in_plane) for e in edges]
-    raw = np.fromiter(itertools.chain.from_iterable(rows), np.int64,
-                      5 * len(rows)).reshape(-1, 5)
-    planes, slots = raw[:, 1::2], raw[:, 2::2]
+    planes, slots = rows[:, 1::2], rows[:, 2::2]
     if ((planes < 1) | (planes > n_planes) | (slots < 1) | (slots > m)).any():
         raise ValueError(f"edge endpoint outside the {n_planes}x{m} constellation")
-    ends = ((planes - 1) * m + slots - 1).astype(np.int32)
-    order = np.lexsort((ends[:, 1], ends[:, 0], raw[:, 0]))
-    return EdgeArrays(shape, kinds, raw[order, 0].astype(np.int32),
-                      ends[order, 0], ends[order, 1])
+    n = n_planes * m
+    ends = (planes - 1) * m + slots - 1
+    key = np.sort((rows[:, 0] * n + ends[:, 0]) * n + ends[:, 1])
+    key = key[np.diff(key, prepend=-1) != 0]  # np.unique would load numpy.ma, 1 MB
+    return EdgeArrays(shape, kinds, (key // (n * n)).astype(np.int32),
+                      (key // n % n).astype(np.int32), (key % n).astype(np.int32))
 
 
 @dataclass(frozen=True)
-class TopologyEdgeSet:
-    edges: frozenset[IslEdge]
-    generated_at_s: float
-    method: str
-    # Compiled by ``compiled`` on first use; a cache, so it takes no part
-    # in equality, hashing or repr.
-    _arrays: EdgeArrays | None = field(default=None, init=False, compare=False,
-                                       repr=False)
+class _Wiring:
+    """A shape's edge universe: edge id i is edge i of ``edges`` (canonical order)."""
+    edges: EdgeArrays
+    rings: np.ndarray  # ids of the ring edges
+    chains: np.ndarray  # (2M, N-1) ids, by lower phase class
+    horizontals: np.ndarray  # (2M, N/2-1) ids, by phase class
 
-    def count(self, kind: str) -> int:
-        return sum(1 for e in self.edges if e.kind == kind)
+    def select(self, chains, horizontals) -> np.ndarray:
+        """Sorted ids of the rings and the given classes' chains and horizontals."""
+        return np.sort(np.concatenate([self.rings, self.chains[list(chains)].ravel(),
+                                       self.horizontals[list(horizontals)].ravel()]))
+
+    def rotated(self, ids: np.ndarray, k: int) -> np.ndarray:
+        """The ids with each phase class c's chain and horizontal edges
+        replaced by those of class c - k, sorted."""
+        perm = np.arange(len(self.edges.a))
+        for table in (self.chains, self.horizontals):
+            perm[table] = np.roll(table, k, axis=0)
+        return np.sort(perm[ids])
+
+    def draw(self, ids: np.ndarray, t: float, method: str) -> "TopologyEdgeSet":
+        """The edge set of the given sorted ids."""
+        e = self.edges
+        topo = TopologyEdgeSet(EdgeArrays(e.shape, e.kinds, e.kind[ids], e.a[ids], e.b[ids]),
+                               t, method)
+        topo._ids = ids
+        return topo
+
+
+@functools.lru_cache(maxsize=8)
+def _wiring(shape: tuple[int, int]) -> _Wiring:
+    """The edge universe of an N x M constellation, built once per shape.
+
+    Phase class c has a member in every plane q (0-based) of its parity, at
+    slot ((c - q) // 2) mod M. The chain of lower class c alternates between
+    classes c and c+1 so that it takes one satellite from every plane; the
+    horizontal edges of class c join its members in planes q and q+2.
+    """
+    n, m = shape
+    r = 2 * m
+
+    def member(c, q):
+        return q * m + ((c - q) // 2) % m
+
+    sat = np.arange(n * m)
+    ring = (sat, sat - sat % m + (sat + 1) % m)
+    c = np.arange(r)[:, None]
+    q = np.arange(n - 1)[None, :]
+    here = np.where(q % 2 == c % 2, c, (c + 1) % r)
+    chain = (member(here, q), member(np.where(here == c, (c + 1) % r, c), q + 1))
+    q = c % 2 + 2 * np.arange(n // 2 - 1)[None, :]
+    horizontal = (member(c, q), member(c, q + 2))
+
+    kinds = (HORIZONTAL, INTRA_PLANE, OBLIQUE)
+    blocks = [(1, ring), (2, chain), (0, horizontal)]
+    kind = np.concatenate([np.full(ends[0].size, code) for code, ends in blocks])
+    a, b = (np.concatenate([ends[i].ravel() for _, ends in blocks]) for i in (0, 1))
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    order = np.argsort((kind * n * m + a) * n * m + b)
+    ids = np.empty_like(order)
+    ids[order] = np.arange(len(order))
+    edges = EdgeArrays(shape, kinds, *(x[order].astype(np.int32) for x in (kind, a, b)))
+    rings, chains, horizontals = np.split(ids, [n * m, n * m + r * (n - 1)])
+    return _Wiring(edges, rings, chains.reshape(r, n - 1), horizontals.reshape(r, n // 2 - 1))
+
+
+class TopologyEdgeSet:
+    """A set of links with the time and the method that produced it, built
+    from ``IslEdge`` objects or from compiled arrays. The generators draw
+    theirs from the edge universe (``_Wiring.draw``), which keeps their ids.
+    Sets are equal when their edges, times and methods are; drawn sets
+    compare ids. The hash reads only the time, the method and the size."""
+    _ids: np.ndarray | None = None
+
+    def __init__(self, edges: frozenset[IslEdge] | EdgeArrays, generated_at_s: float,
+                 method: str):
+        self.generated_at_s, self.method = generated_at_s, method
+        compiled = isinstance(edges, EdgeArrays)
+        self._edges = None if compiled else frozenset(edges)
+        self._arrays = edges if compiled else None
+
+    def relabeled(self, generated_at_s: float, method: str) -> "TopologyEdgeSet":
+        """The same edges under another time and method."""
+        topo = copy.copy(self)
+        topo.generated_at_s, topo.method = generated_at_s, method
+        return topo
+
+    def rotated(self, k: int, generated_at_s: float) -> "TopologyEdgeSet":
+        """A drawn set with every phase class c's edges moved to class c - k:
+        what the same rule draws once the rows have advanced k slots."""
+        wiring = _wiring(self._arrays.shape)
+        return wiring.draw(wiring.rotated(self._ids, k), generated_at_s, self.method)
 
     @property
-    def n_inter_plane(self) -> int:
-        return sum(1 for e in self.edges if e.kind != INTRA_PLANE)
+    def edges(self) -> frozenset[IslEdge]:
+        """The edges as ``IslEdge`` objects, built on first read."""
+        if self._edges is None:
+            arr, m = self._arrays, self._arrays.shape[1]
+            self._edges = frozenset(
+                IslEdge(SatId(a // m + 1, a % m + 1), SatId(b // m + 1, b % m + 1),
+                        arr.kinds[k])
+                for k, a, b in zip(arr.kind.tolist(), arr.a.tolist(), arr.b.tolist()))
+        return self._edges
 
     def compiled(self, spec: ConstellationSpec) -> EdgeArrays:
         """The edges as integer arrays for this constellation, built on
@@ -129,9 +216,47 @@ class TopologyEdgeSet:
             ValueError: If an endpoint lies outside the constellation.
         """
         shape = (spec.plane_count, spec.sats_per_plane)
-        if self._arrays is None or self._arrays.shape != shape:
-            object.__setattr__(self, "_arrays", _compile(self.edges, shape))
-        return self._arrays
+        if self._arrays is not None and self._arrays.shape == shape:
+            return self._arrays
+        kinds = tuple(sorted({e.kind for e in self.edges}))
+        code = {k: i for i, k in enumerate(kinds)}
+        rows = [(code[e.kind], e.endpoint_a.plane, e.endpoint_a.index_in_plane,
+                 e.endpoint_b.plane, e.endpoint_b.index_in_plane) for e in self.edges]
+        arrays = canonical_arrays(shape, kinds, np.array(rows, dtype=np.int64).reshape(-1, 5))
+        if self._arrays is None:
+            self._arrays = arrays
+        return arrays
+
+    def _counts(self) -> dict[str, int]:
+        if (arr := self._arrays) is None:
+            return collections.Counter(e.kind for e in self._edges)
+        return dict(zip(arr.kinds, np.bincount(arr.kind, minlength=len(arr.kinds)).tolist()))
+
+    def count(self, kind: str) -> int:
+        return self._counts().get(kind, 0)
+
+    @property
+    def n_inter_plane(self) -> int:
+        return sum(n for kind, n in self._counts().items() if kind != INTRA_PLANE)
+
+    def __len__(self) -> int:
+        return sum(self._counts().values())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TopologyEdgeSet):
+            return NotImplemented
+        if (self.generated_at_s, self.method) != (other.generated_at_s, other.method):
+            return False
+        if (self._ids is not None and other._ids is not None
+                and self._arrays.shape == other._arrays.shape):
+            return np.array_equal(self._ids, other._ids)
+        return self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.generated_at_s, self.method, len(self)))
+
+    def __repr__(self) -> str:
+        return f"TopologyEdgeSet({len(self)} edges, {self.generated_at_s!r}, {self.method!r})"
 
 
 @dataclass(frozen=True)
@@ -139,71 +264,6 @@ class TopologyViolation:
     rule: str
     edge: IslEdge | None
     detail: str
-
-
-def intra_plane_edges(spec: ConstellationSpec) -> TopologyEdgeSet:
-    """The N*M permanent ring edges (time-invariant)."""
-    return TopologyEdgeSet(_wiring(spec).rings, 0.0, "intra")
-
-
-def chain_edges(spec: ConstellationSpec, lower_class: int) -> list[IslEdge]:
-    """Zigzag chain between two adjacent phase classes.
-
-    One edge per adjacent plane pair (p, p+1); the two classes alternate
-    planes, so the chain visits one satellite in every plane without
-    crossing the seam. N-1 edges.
-    """
-    upper_class = (lower_class + 1) % spec.row_count
-    edges = []
-    for p in range(1, spec.plane_count):
-        c_here = lower_class if (p - 1) % 2 == lower_class % 2 else upper_class
-        c_next = upper_class if c_here == lower_class else lower_class
-        edges.append(make_edge(
-            class_member(spec, c_here, p),
-            class_member(spec, c_next, p + 1),
-            OBLIQUE,
-        ))
-    return edges
-
-
-def horizontal_edges(spec: ConstellationSpec, phase_class: int) -> list[IslEdge]:
-    """Links between consecutive same-class members, two planes apart."""
-    planes = class_planes(spec, phase_class)
-    return [
-        make_edge(
-            class_member(spec, phase_class, planes[i]),
-            class_member(spec, phase_class, planes[i + 1]),
-            HORIZONTAL,
-        )
-        for i in range(len(planes) - 1)
-    ]
-
-
-@dataclass(frozen=True)
-class _Wiring:
-    """Every edge a constellation's topologies are drawn from."""
-    rings: frozenset[IslEdge]
-    chains: tuple[tuple[IslEdge, ...], ...]  # by lower phase class
-    horizontals: tuple[tuple[IslEdge, ...], ...]  # by phase class
-
-
-@functools.lru_cache(maxsize=8)
-def _wiring(spec: ConstellationSpec) -> _Wiring:
-    """The ring edges and each phase class's chain and horizontal edges.
-
-    They depend only on the constellation, so they are built once per spec
-    and every edge set drawn from them shares the same ``IslEdge`` objects.
-    """
-    rings = frozenset(
-        make_edge(SatId(p, j), SatId(p, j % spec.sats_per_plane + 1), INTRA_PLANE)
-        for p in range(1, spec.plane_count + 1)
-        for j in range(1, spec.sats_per_plane + 1))
-    classes = range(spec.row_count)
-    return _Wiring(
-        rings,
-        tuple(tuple(chain_edges(spec, c)) for c in classes),
-        tuple(tuple(horizontal_edges(spec, c)) for c in classes),
-    )
 
 
 def active_couples(
@@ -215,16 +275,17 @@ def active_couples(
     its lower class 2k, is active exactly while both rows sit outside the
     polar caps.
     """
-    outside = [not in_polar_band(class_phase_deg(spec, c, t), polar_border_deg)
-               for c in range(spec.row_count)]
-    return frozenset(lo for lo in range(0, spec.row_count, 2)
-                     if outside[lo] and outside[lo + 1])
+    phase = (np.arange(spec.row_count) * spec.phase_offset_deg
+             + 360.0 * t / orbit_period(spec)) % 360.0
+    outside = ~in_polar_band(phase, polar_border_deg)
+    return frozenset((2 * np.flatnonzero(outside[0::2] & outside[1::2])).tolist())
 
 
-def couple_edges(spec: ConstellationSpec, couples: frozenset[int]) -> frozenset[IslEdge]:
+def couple_edges(spec: ConstellationSpec, couples: frozenset[int], t: float,
+                 method: str) -> TopologyEdgeSet:
     """The intra-plane rings plus the chain edges of the given couples."""
-    wiring = _wiring(spec)
-    return wiring.rings.union(*(wiring.chains[lo] for lo in couples))
+    wiring = _wiring((spec.plane_count, spec.sats_per_plane))
+    return wiring.draw(wiring.select(couples, ()), t, method)
 
 
 def fixed_topology(
@@ -235,8 +296,7 @@ def fixed_topology(
     Each active couple (see ``active_couples``) contributes its chain
     edges. No horizontal links.
     """
-    couples = active_couples(spec, vis.polar_border_deg, t)
-    return TopologyEdgeSet(couple_edges(spec, couples), t, "fixed")
+    return couple_edges(spec, active_couples(spec, vis.polar_border_deg, t), t, "fixed")
 
 
 def _band_rows(ls_state: LsState, ascending: bool) -> list:
@@ -284,23 +344,21 @@ def reassign_topology(
             f"ls_state has {ls_state.n_rows} rows, expected {spec.row_count}")
 
     uniform = is_uniform_row_distribution(spec, vis.polar_border_deg)
-    wiring = _wiring(spec)
-    edges = set(wiring.rings)
+    chains, horizontals = [], []
     for ascending in (True, False):
         band = _band_rows(ls_state, ascending)
         if trigger == TRIGGER_EXIT and not uniform and band:
             band = band[:-1]
-        n_pairs = len(band) // 2
-        for i in range(n_pairs):
-            lower, upper = band[2 * i], band[2 * i + 1]
+        for lower, upper in zip(band[0::2], band[1::2]):
             if upper.phase_class != (lower.phase_class + 1) % spec.row_count:
                 raise ValueError(
                     "inconsistent ls_state: band rows are not consecutive phase "
                     f"classes ({lower.phase_class}, {upper.phase_class})")
-            edges.update(wiring.chains[lower.phase_class])
+            chains.append(lower.phase_class)
         if len(band) % 2 == 1:
-            edges.update(wiring.horizontals[band[-1].phase_class])
-    return TopologyEdgeSet(frozenset(edges), ls_state.time_s, "reassignment")
+            horizontals.append(band[-1].phase_class)
+    wiring = _wiring((spec.plane_count, spec.sats_per_plane))
+    return wiring.draw(wiring.select(chains, horizontals), ls_state.time_s, "reassignment")
 
 
 def validate_topology(
@@ -317,12 +375,12 @@ def validate_topology(
     and structurally invalid edges (seam crossings, wrong plane spans).
     An empty list means the topology is valid.
 
-    Works on the set's cached integer arrays (``TopologyEdgeSet.compiled``):
-    each rule is one array expression over all edges, and violations are
-    built only for flagged edges and satellites. They are listed edge by
-    edge in canonical order, each edge's in the order structure,
-    visibility, polar (endpoint a, then b), same row, survival latitude
-    (a, then b); then one per over-degree satellite in index order.
+    Each rule is one array expression over the set's integer arrays
+    (``TopologyEdgeSet.compiled``); violations are built only for flagged
+    edges and satellites, edge by edge in canonical order, each edge's in
+    the order structure, visibility, polar (endpoint a, then b), same row,
+    survival latitude (a, then b); then one per over-degree satellite, in
+    index order.
 
     Raises:
         ValueError: If an endpoint lies outside the constellation.

@@ -7,10 +7,14 @@ time, so identical scenarios produce byte-identical files.
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
-from .geometry import ConstellationSpec, SatId, make_visibility_model, orbit_period
-from .links import IslEdge, TopologyEdgeSet, validate_topology
+import numpy as np
+
+from .geometry import ConstellationSpec, make_visibility_model, orbit_period
+from .links import TopologyEdgeSet, canonical_arrays, validate_topology
 from .routing import DelaySeries, delay_experiment, utilization
 from .scenario import ScenarioConfig
 from .snapshots import (
@@ -116,21 +120,27 @@ def export_topology(
     # indentation it uses at that depth.
     before, _, after = head.partition('\n "snapshots": []')
 
-    m = spec.sats_per_plane
-    edge_text: dict[tuple[str, int, int], str] = {}
+    # One text per distinct (kind, a, b) key; each snapshot joins its edges'.
+    n, m = spec.total_satellites, spec.sats_per_plane
+    arrays = [snap.edges.compiled(spec) for snap in seq.snapshots]
+    kinds = sorted(set().union(*(arr.kinds for arr in arrays)))
+    keys = np.concatenate([(np.array([kinds.index(k) for k in arr.kinds], dtype=np.int64)
+                            [arr.kind] * n + arr.a) * n + arr.b for arr in arrays])
+    unique = np.sort(keys)
+    unique = unique[np.diff(unique, prepend=-1) != 0]
+    inverse = np.searchsorted(unique, keys)
+    kind_text = [json.dumps(k) for k in kinds]
+    texts = np.array([
+        f'    {{\n     "a": [\n      {a // m + 1},\n      {a % m + 1}\n     ],\n'
+        f'     "b": [\n      {b // m + 1},\n      {b % m + 1}\n     ],\n'
+        f'     "kind": {kind_text[k]}\n    }}'
+        for k, a, b in zip(*(x.tolist() for x in (unique // (n * n), unique // n % n,
+                                                   unique % n)))], dtype=object)
+    bounds = np.cumsum([0] + [len(arr.a) for arr in arrays]).tolist()
     snapshots = []
     for i, snap in enumerate(seq.snapshots):
-        arr = snap.edges.compiled(spec)
-        keys = list(zip([arr.kinds[k] for k in arr.kind.tolist()],
-                        arr.a.tolist(), arr.b.tolist()))
-        for key in keys:
-            if key not in edge_text:
-                kind, a, b = key
-                text = json.dumps({"kind": kind, "a": [a // m + 1, a % m + 1],
-                                   "b": [b // m + 1, b % m + 1]}, indent=1, sort_keys=True)
-                edge_text[key] = "    " + text.replace("\n", "\n    ")
-        edges = ",\n".join(edge_text[k] for k in keys)
-        edges = f"[\n{edges}\n   ]" if keys else "[]"
+        edges = ",\n".join(texts[inverse[bounds[i]:bounds[i + 1]]].tolist())
+        edges = f"[\n{edges}\n   ]" if edges else "[]"
         snapshots.append(
             f'  {{\n   "edges": {edges},\n   "end_s": {json.dumps(snap.end_s)},\n'
             f'   "index": {i},\n   "start_s": {json.dumps(snap.start_s)}\n  }}')
@@ -141,35 +151,28 @@ def export_topology(
 def load_topology(path: Path) -> tuple[ConstellationSpec, SnapshotSequence]:
     """Parse a topology export back into a snapshot sequence.
 
-    Each distinct edge is built once per file and shared by the snapshots
-    that list it.
+    The edges of all snapshots are read into one integer array in a single
+    pass, and each snapshot's set holds its slice as compiled arrays.
     """
     doc = json.loads(Path(path).read_text())
     if doc.get("format") != _EXPORT_FORMAT:
         raise ValueError(f"unrecognised topology format in {path}")
-    c = doc["constellation"]
-    spec = ConstellationSpec(
-        plane_count=c["plane_count"],
-        sats_per_plane=c["sats_per_plane"],
-        inclination_deg=c["inclination_deg"],
-        altitude_km=c["altitude_km"],
-        period_s=c["period_s"],
-        inter_plane_spacing_deg=c["inter_plane_spacing_deg"],
-        earth_radius_km=c["earth_radius_km"],
-        grazing_altitude_km=c["grazing_altitude_km"],
-        name=c["name"],
-    )
-    edge_of: dict[tuple, IslEdge] = {}
+    spec = ConstellationSpec(**doc["constellation"])
+    entries = doc["snapshots"]
+    edges = list(chain.from_iterable(entry["edges"] for entry in entries))
+    kind = list(map(itemgetter("kind"), edges))
+    kinds = tuple(sorted(set(kind)))
+    code = {k: i for i, k in enumerate(kinds)}
+    rows = np.empty((len(edges), 5), dtype=np.int64)
+    rows[:, 0] = np.fromiter(map(code.__getitem__, kind), np.int64, len(edges))
+    rows[:, 1:] = np.fromiter(chain.from_iterable(chain.from_iterable(
+        map(itemgetter("a", "b"), edges))), np.int64, 4 * len(edges)).reshape(-1, 4)
+    bounds = np.cumsum([0] + [len(entry["edges"]) for entry in entries]).tolist()
     snapshots = []
-    for entry in doc["snapshots"]:
-        edges = []
-        for e in entry["edges"]:
-            key = (e["kind"], *e["a"], *e["b"])
-            edge = edge_of.get(key)
-            if edge is None:
-                edge = edge_of[key] = IslEdge(SatId(*e["a"]), SatId(*e["b"]), e["kind"])
-            edges.append(edge)
-        topo = TopologyEdgeSet(frozenset(edges), entry["start_s"], doc["method"])
+    for i, entry in enumerate(entries):
+        arrays = canonical_arrays((spec.plane_count, spec.sats_per_plane), kinds,
+                                  rows[bounds[i]:bounds[i + 1]])
+        topo = TopologyEdgeSet(arrays, entry["start_s"], doc["method"])
         snapshots.append(TopologySnapshot(
             entry["start_s"], entry["end_s"], topo, topo.n_inter_plane))
     seq = SnapshotSequence(

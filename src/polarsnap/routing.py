@@ -4,8 +4,9 @@ Routing runs on a snapshot's frozen edge set with edge weights equal to
 the straight-line propagation delay between the endpoint positions at the
 packet send time, so latency variation inside a snapshot is captured.
 On its first route a snapshot gets a CSR neighbour table built from its
-edge set's compiled integer arrays; every route then computes all edge
-weights in one array expression and runs Dijkstra over integers.
+edge set's integer arrays, gathered from the constellation's edge
+universe; every route then computes all edge weights in one array
+expression and runs Dijkstra over integers.
 End-to-end totals include both up/down links; queueing and processing are
 out of scope.
 

@@ -5,7 +5,8 @@ frozen edge set:
 
 * ``partition_reassignment``: one snapshot per polar-cap crossing event of
   the chosen kind; edges re-paired at every boundary. All durations equal
-  T / (2*M) and the inter-plane link count is the same in every snapshot.
+  T / (2*M) and the inter-plane link count is the same in every snapshot:
+  each snapshot is the first one with its phase classes shifted.
 * ``partition_fixed``: boundaries wherever the static baseline's set of
   active couples changes.
 * ``partition_equal_time``: fixed-width intervals anchored at t=0,
@@ -16,7 +17,8 @@ instants have a closed form (``enumerate_events``). Topology states are
 evaluated just after each boundary. ``analytic_summary`` computes the
 reassignment numbers in closed form; the event-driven sequences count
 rows and edges independently, so the two act as cross-checking oracles.
-The tests check the crossing times against a sampled root-solver.
+The tests check the crossing times against a sampled root-solver and each
+reassignment snapshot against one built from its own event's row state.
 """
 import math
 from dataclasses import dataclass, field
@@ -210,21 +212,24 @@ def partition_reassignment(
     """One snapshot per trigger event over one period, re-paired edges.
 
     The sequence starts at the first trigger event at or after t=0 and
-    tiles exactly one period.
+    tiles exactly one period. Between consecutive events every row moves
+    into the place of the row one phase class above it, so only the first
+    event's edges are built from its row state; snapshot i holds them with
+    every class c's edges moved to class c - i.
     """
     vis = _resolve_vis(spec, vis, polar_border_deg)
     period = orbit_period(spec)
     kind = EVENT_KIND_ENTER if trigger == TRIGGER_ENTER else EVENT_KIND_EXIT
     events = enumerate_events(spec, polar_border_deg, period, kinds=(kind,))
     t0 = events[0].time_s
+    first = reassign_topology(spec, vis, build_ls_state(spec, vis, t0 + _EVENT_EPS_S),
+                              trigger)
 
     snapshots = []
     for i, event in enumerate(events):
         start = event.time_s
         end = events[i + 1].time_s if i + 1 < len(events) else t0 + period
-        ls = build_ls_state(spec, vis, start + _EVENT_EPS_S)
-        topo = reassign_topology(spec, vis, ls, trigger)
-        topo = TopologyEdgeSet(topo.edges, start, METHOD_REASSIGNMENT)
+        topo = first.rotated(i, start)
         snapshots.append(TopologySnapshot(start, end, topo, topo.n_inter_plane))
     return SnapshotSequence(
         method=METHOD_REASSIGNMENT,
@@ -256,8 +261,7 @@ def partition_fixed(
     snapshots = []
     for i, start in enumerate(starts):
         end = starts[i + 1] if i + 1 < len(starts) else t0 + period
-        topo = fixed_topology(spec, vis, start + _EVENT_EPS_S)
-        topo = TopologyEdgeSet(topo.edges, start, METHOD_FIXED)
+        topo = fixed_topology(spec, vis, start + _EVENT_EPS_S).relabeled(start, METHOD_FIXED)
         snapshots.append(TopologySnapshot(start, end, topo, topo.n_inter_plane))
     return SnapshotSequence(
         method=METHOD_FIXED,
@@ -301,7 +305,7 @@ def partition_equal_time(
         for te in event_times:
             if start < te < end:
                 couples &= active_couples(spec, polar_border_deg, te + _EVENT_EPS_S)
-        topo = TopologyEdgeSet(couple_edges(spec, couples), start, METHOD_EQUAL_TIME)
+        topo = couple_edges(spec, couples, start, METHOD_EQUAL_TIME)
         snapshots.append(TopologySnapshot(start, end, topo, topo.n_inter_plane))
     return SnapshotSequence(
         method=METHOD_EQUAL_TIME,

@@ -24,6 +24,7 @@ from polarsnap.routing import delay_experiment, shortest_delay, utilization
 from polarsnap.scenario import load_scenario
 from polarsnap.report import run_compare
 from polarsnap.snapshots import analytic_summary, partition
+from tests.oracles import per_event_reassignment
 from tests.test_routing import brute_force_delay
 
 BORDERS = (60.0, 65.0, 70.0, 75.0)
@@ -82,7 +83,12 @@ def test_criterion_2_simulation_matches_analytic(systems, sequences):
         nominal = orbit_period(spec) / spec.row_count
         for border in BORDERS:
             a = analytic_summary(spec, border)
-            seq = sequences[(name, border, "reassignment")]
+            # each snapshot built from the row state after its own event,
+            # which the rotated sequence must equal
+            seq = per_event_reassignment(spec, None, border)
+            if seq != sequences[(name, border, "reassignment")]:
+                failures.append(f"{name}@{border}: rotated sequence differs from "
+                                "the per-event construction")
             if seq.count != a.snapshot_count:
                 failures.append(f"{name}@{border}: S {seq.count} != {a.snapshot_count}")
             bad_nisl = {s.n_inter_plane for s in seq.snapshots} - {a.n_inter_plane}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,13 +20,16 @@ from polarsnap.geometry import (
     horizontal_survival_latitude_deg,
     make_visibility_model,
     max_link_angle_deg,
+    nonpolar_row_count,
     orbit_period,
     position_km,
     propagation_delay_s,
     satellite_state,
+    true_latitude_deg,
     MU_EARTH_KM3_S2,
     SPEED_OF_LIGHT_KM_S,
 )
+from tests.oracles import anchor_index, row_members
 
 
 class TestConstellationSpec:
@@ -40,6 +44,19 @@ class TestConstellationSpec:
     def test_phase_offset_is_half_slot(self, iridium):
         assert iridium.phase_offset_deg == pytest.approx(180.0 / 11, abs=0)
         assert iridium.intra_plane_spacing_deg == pytest.approx(2 * iridium.phase_offset_deg)
+
+    @pytest.mark.parametrize("field", ["altitude_km", "period_s", "inter_plane_spacing_deg",
+                                       "earth_radius_km", "grazing_altitude_km"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, iridium, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            dataclasses.replace(iridium, **{field: value})
+
+    @pytest.mark.parametrize("field", ["latitude_deg", "longitude_deg", "min_elevation_deg"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_station_rejects_non_finite(self, beijing, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            dataclasses.replace(beijing, **{field: value})
 
     def test_default_plane_spacing(self):
         spec = ConstellationSpec(6, 11, 86.4, 780.0)
@@ -107,29 +124,37 @@ class TestSatelliteState:
 class TestLsState:
     @pytest.mark.parametrize("border,n_npa,n_pa", [(60.0, 7, 4), (70.0, 8, 3)])
     def test_iridium_row_counts(self, iridium, border, n_npa, n_pa):
-        # Eq-style arithmetic: floor(2 * border / (180/11))
+        # Eq-style arithmetic: floor(2 * border / (180/11)) non-polar rows per
+        # arc; the rows' own flags hold that many, or one more just after an
+        # exit
+        assert nonpolar_row_count(iridium, border) == n_npa
+        assert iridium.sats_per_plane - n_npa == n_pa
         vis = make_visibility_model(iridium, border)
         for t in (0.0, 137.5, 2718.0, 6000.0):
             ls = build_ls_state(iridium, vis, t)
             assert ls.n_rows == 22
-            assert ls.n_rows_nonpolar == n_npa
-            assert ls.n_rows_polar == n_pa
+            for ascending in (True, False):
+                band = [r for r in ls.rows if r.ascending == ascending and not r.in_polar]
+                assert len(band) in (n_npa, n_npa + 1)
 
     def test_teledesic_row_counts(self, teledesic):
         vis = make_visibility_model(teledesic, 75.0)
         ls = build_ls_state(teledesic, vis, 1234.0)
         assert ls.n_rows == 48
-        assert ls.n_rows_nonpolar == 20
+        assert nonpolar_row_count(teledesic, 75.0) == 20
+        assert sum(not r.in_polar for r in ls.rows) in (40, 41, 42)
 
     @settings(max_examples=25, deadline=None)
     @given(t=st.floats(0.0, 6027.0))
     def test_rows_partition_constellation(self, iridium, t):
         vis = make_visibility_model(iridium, 60.0)
         ls = build_ls_state(iridium, vis, t)
+        assert sorted(r.phase_class for r in ls.rows) == list(range(22))
         seen = set()
         for row in ls.rows:
-            assert len(row.members) == iridium.plane_count // 2
-            seen.update(row.members)
+            members = row_members(iridium, row.phase_class)
+            assert len(members) == iridium.plane_count // 2
+            seen.update(members)
         assert len(seen) == iridium.total_satellites
 
     @settings(max_examples=25, deadline=None)
@@ -138,18 +163,24 @@ class TestLsState:
         vis = make_visibility_model(iridium, 60.0)
         ls = build_ls_state(iridium, vis, t)
         for row in ls.rows:
-            for sat in row.members:
+            latitude = true_latitude_deg(iridium, row.u_deg)
+            for sat in row_members(iridium, row.phase_class):
                 stt = satellite_state(iridium, sat, t)
-                assert stt.latitude_deg == pytest.approx(row.latitude_deg, abs=1e-6)
+                assert stt.latitude_deg == pytest.approx(latitude, abs=1e-6)
                 assert stt.ascending == row.ascending
 
     @settings(max_examples=40, deadline=None)
     @given(border=st.floats(1.0, 89.0))
     def test_row_count_identity(self, iridium, border):
-        # 2 * (nonpolar + polar) must equal 2 * M for every border setting
+        # each arc holds the nominal non-polar rows, or one more just after
+        # an exit, and the polar ones; together M rows
         vis = make_visibility_model(iridium, border)
         ls = build_ls_state(iridium, vis, 0.0)
-        assert 2 * (ls.n_rows_nonpolar + ls.n_rows_polar) == 2 * iridium.sats_per_plane
+        n_npa = nonpolar_row_count(iridium, border)
+        for ascending in (True, False):
+            arc = [r for r in ls.rows if r.ascending == ascending]
+            assert len(arc) == iridium.sats_per_plane
+            assert sum(not r.in_polar for r in arc) in (n_npa, n_npa + 1)
 
     def test_anchor_is_most_recently_exited(self, iridium):
         vis = make_visibility_model(iridium, 60.0)
@@ -158,10 +189,10 @@ class TestLsState:
         t_exit = min(((300.0 - c * iridium.phase_offset_deg) % 360.0) / 360.0 * period
                      for c in range(22))
         ls = build_ls_state(iridium, vis, t_exit + 1e-3)
-        anchor = ls.rows[ls.anchor_index]
+        anchor = ls.rows[anchor_index(ls, 60.0)]
         assert anchor.ascending
         assert not anchor.in_polar
-        assert anchor.latitude_deg == pytest.approx(-59.9, abs=0.5)
+        assert true_latitude_deg(iridium, anchor.u_deg) == pytest.approx(-59.9, abs=0.5)
 
 
 class TestGeocentricAngle:

@@ -11,7 +11,6 @@ from polarsnap.geometry import (
     all_positions_km,
     argument_of_latitude_deg,
     build_ls_state,
-    class_member,
     class_phase_deg,
     geocentric_angle_deg,
     in_polar_band,
@@ -27,13 +26,20 @@ from polarsnap.links import (
     IslEdge,
     TopologyEdgeSet,
     TopologyViolation,
+    _wiring,
     fixed_topology,
-    intra_plane_edges,
     make_edge,
     reassign_topology,
     validate_topology,
 )
 from polarsnap.snapshots import partition
+from tests.oracles import (
+    chain_edges,
+    class_member,
+    horizontal_edges,
+    intra_plane_edges,
+    row_members,
+)
 
 
 def first_event_time(spec, border, kind):
@@ -209,7 +215,8 @@ class TestFixedTopology:
         active = {e for e in fixed_topology(iridium, vis, t).edges if e.kind != INTRA_PLANE}
         dropped = full - active
         ls = build_ls_state(iridium, vis, t)
-        polar_sats = {m for r in ls.rows if r.in_polar for m in r.members}
+        polar_sats = {m for r in ls.rows if r.in_polar
+                      for m in row_members(iridium, r.phase_class)}
         assert dropped == {e for e in full
                            if e.endpoint_a in polar_sats or e.endpoint_b in polar_sats}
 
@@ -220,7 +227,6 @@ class TestFixedTopology:
 
 
 def _couple_chain(spec, k):
-    from polarsnap.links import chain_edges
     return chain_edges(spec, 2 * k)
 
 
@@ -304,7 +310,6 @@ class TestValidator:
         # same row, planes 1 and 3, but at latitude 0 where such links
         # are Earth-blocked
         vis = make_visibility_model(iridium, 60.0)
-        from polarsnap.geometry import class_member
         edge = make_edge(class_member(iridium, 0, 1),
                          class_member(iridium, 0, 3), HORIZONTAL)
         topo = TopologyEdgeSet(frozenset({edge}), 0.0, "handmade")
@@ -439,3 +444,68 @@ class TestCompiledEdges:
         for spec in (iridium, longer, iridium):
             assert sorted(topo.compiled(spec).a.tolist()) == sorted(
                 sat_to_index(spec, e.endpoint_a) for e in topo.edges)
+
+
+SHAPES = [(2, 4), (4, 5), (6, 8), (6, 11), (8, 11), (12, 24)]
+
+
+def drawn_ids(shape, ids, t=0.0, method="drawn"):
+    return _wiring(shape).draw(np.asarray(ids), t, method)
+
+
+def same_arrays(x, y) -> bool:
+    """Same edges in the same order; a drawn set's ``kinds`` also name the
+    universe's kinds it lacks."""
+    return (x.shape == y.shape and np.array_equal(x.a, y.a) and np.array_equal(x.b, y.b)
+            and [x.kinds[k] for k in x.kind] == [y.kinds[k] for k in y.kind])
+
+
+class TestEdgeUniverse:
+    """The integer edge universe and the sets drawn from it, against the
+    wiring built edge by edge."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_object_wiring(self, shape):
+        spec = ConstellationSpec(*shape, 86.4, 780.0)
+        n, m = shape
+        wiring = _wiring(shape)
+        chains = [chain_edges(spec, c) for c in range(2 * m)]
+        horizontals = [horizontal_edges(spec, c) for c in range(2 * m)]
+        rings = intra_plane_edges(spec).edges
+        universe = drawn_ids(shape, np.arange(len(wiring.edges.a)))
+        assert len(universe) == n * m + 2 * m * (n - 1) + 2 * m * (n // 2 - 1)
+        assert universe.edges == rings.union(*chains, *horizontals)
+        objects = TopologyEdgeSet(universe.edges, 0.0, "objects")
+        assert same_arrays(universe.compiled(spec), objects.compiled(spec))
+        assert drawn_ids(shape, wiring.rings).edges == rings
+        for table, oracle in ((wiring.chains, chains), (wiring.horizontals, horizontals)):
+            for c, edges in enumerate(oracle):
+                assert drawn_ids(shape, np.sort(table[c])).edges == frozenset(edges)
+
+    def test_drawn_set_counts_compare_and_hash_like_objects(self, iridium):
+        vis = make_visibility_model(iridium, 75.0)
+        t = first_event_time(iridium, 75.0, "enter") + 1e-3
+        topo = reassign_topology(iridium, vis, build_ls_state(iridium, vis, t), "enter")
+        twin = TopologyEdgeSet(topo.edges, topo.generated_at_s, topo.method)
+        assert topo == twin and twin == topo and hash(topo) == hash(twin)
+        assert same_arrays(topo.compiled(iridium), twin.compiled(iridium))
+        for kind in (INTRA_PLANE, OBLIQUE, HORIZONTAL, "laser"):
+            assert topo.count(kind) == twin.count(kind) == sum(
+                e.kind == kind for e in topo.edges)
+        assert topo.n_inter_plane == twin.n_inter_plane == 44 == len(topo) - 66
+        assert topo != topo.relabeled(t, "fixed")
+        assert topo != topo.rotated(1, t)
+        assert topo.relabeled(0.0, "x").edges == topo.edges
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rotation_is_a_cyclic_class_shift(self, shape):
+        spec = ConstellationSpec(*shape, 86.4, 780.0)
+        wiring = _wiring(shape)
+        topo = drawn_ids(shape, wiring.select([0, 3], [2]))
+        row_count = 2 * shape[1]
+        assert topo.rotated(row_count, 0.0) == topo
+        assert topo.rotated(2, 0.0).rotated(row_count - 2, 0.0) == topo
+        want = intra_plane_edges(spec).edges.union(
+            chain_edges(spec, row_count - 1), chain_edges(spec, 2),
+            horizontal_edges(spec, 1))
+        assert topo.rotated(1, 0.0).edges == want

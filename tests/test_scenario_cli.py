@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from polarsnap import links
 from polarsnap.cli import main
 from polarsnap.errors import ScenarioError
 from polarsnap.geometry import SatId, orbit_period
@@ -20,6 +21,7 @@ from polarsnap.snapshots import (
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 IRIDIUM_HEAD = (b"[constellation]\nplanes = 6\nsats_per_plane = 11\n"
                 b"inclination_deg = 86.4\naltitude_km = 780\n")
+STATIONS = b"source = A, 39.9, 116.4\ndestination = B, 51.5, -0.1\n"
 
 
 def reference_export_topology(seq, spec, path):
@@ -337,6 +339,22 @@ class TestCli:
         assert field in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("head,experiment,field", [
+        (IRIDIUM_HEAD, b"source = A, nan, 10\ndestination = B, 51.5, -0.1\n",
+         "latitude_deg"),
+        (IRIDIUM_HEAD, STATIONS + b"min_elevation_deg = nan\n", "min_elevation_deg"),
+        (IRIDIUM_HEAD.replace(b"780", b"nan"), STATIONS, "altitude_km"),
+    ])
+    def test_non_finite_input_reported_cleanly(self, head, experiment, field, tmp_path,
+                                               capsys):
+        path = tmp_path / "in.scenario"
+        path.write_bytes(head + b"[experiment]\n" + experiment)
+        out = tmp_path / "out"
+        rc = main(["route", str(path), "--duration", "600", "--output-dir", str(out)])
+        assert rc == 2
+        assert f"{field} must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_subset_omits_baselines(self, tmp_path, capsys):
         rc = main([
             "compare", str(SCENARIOS / "iridium.scenario"),
@@ -355,6 +373,32 @@ def _tree_digest(root: Path) -> dict:
         p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(root.rglob("*")) if p.is_file()
     }
+
+
+class TestEdgeObjects:
+    def test_compare_builds_no_edge_objects(self, tmp_path, monkeypatch):
+        # partition, validation, routing and export all work on the edge
+        # universe's integer ids, and the universe itself is built from
+        # integers; IslEdge objects are only for callers
+        config = load_scenario(SCENARIOS / "teledesic.scenario")
+        config.duration_s = 600.0
+        config.output_dir = tmp_path
+        built = []
+        init = links.IslEdge.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(links.IslEdge, "__init__", counted_init)
+        monkeypatch.setattr(links, "make_edge", lambda *args: built.append(args))
+        links._wiring.cache_clear()
+        report = run_compare(config)
+        assert report.ok and len(report.rows) == 12
+        assert built == []
+        # the counter does count
+        links.IslEdge(SatId(1, 1), SatId(1, 2), "intra_plane")
+        assert len(built) == 1
 
 
 class TestDeterminism:

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polarsnap.errors import InfeasibleGeometryError
 from polarsnap.geometry import (
+    ConstellationSpec,
     class_phase_deg,
     make_visibility_model,
     orbit_period,
-    phase_latitude_deg,
 )
 from polarsnap.links import INTRA_PLANE, validate_topology
 from polarsnap.routing import delay_experiment
@@ -24,6 +27,7 @@ from polarsnap.snapshots import (
     partition_fixed,
     partition_reassignment,
 )
+from tests.oracles import per_event_reassignment, phase_latitude_deg
 
 # Reassignment columns: (system, border) -> (count, inter-plane links)
 TABLE_REASSIGNMENT = {
@@ -287,6 +291,27 @@ class TestPartitionReassignment:
         for snap in seq.snapshots:
             assert snap.edges.count("oblique") == a.n_oblique
             assert snap.edges.count("horizontal") == a.n_horizontal
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from([(6, 11, 86.4, 780.0, 6027.0, 31.6),
+                                  (12, 24, 84.7, 1375.0, 6793.8, 15.36),
+                                  (4, 5, 86.4, 780.0, None, None),
+                                  (6, 8, 86.4, 780.0, None, None),
+                                  (8, 11, 86.4, 780.0, None, None)]),
+           border=st.floats(55.0, 80.0),
+           trigger=st.sampled_from(["enter", "exit"]))
+    def test_rotation_matches_per_event_construction(self, shape, border, trigger):
+        # every snapshot is the first one with its phase classes shifted by
+        # the snapshot index: the same edges and bounds as building each
+        # snapshot from its own row state
+        spec = ConstellationSpec(*shape)
+        try:
+            want = per_event_reassignment(spec, None, border, trigger)
+        except InfeasibleGeometryError:
+            return
+        got = partition_reassignment(spec, None, border, trigger)
+        assert got == want
+        assert [s.edges.edges for s in got.snapshots] == [s.edges.edges for s in want.snapshots]
 
     def test_snapshots_stay_valid_until_next_event(self, iridium, teledesic):
         # each frozen edge set stays valid over its whole interval, not only
