@@ -12,17 +12,12 @@ from .geometry import (
     LsRow,
     LsState,
     SatId,
-    SatState,
     VisibilityModel,
     build_ls_state,
-    elevation_angle_deg,
-    geocentric_angle_deg,
     horizontal_survival_latitude_deg,
     make_visibility_model,
     max_link_angle_deg,
     orbit_period,
-    propagation_delay_s,
-    satellite_state,
 )
 from .links import (
     HORIZONTAL,

@@ -18,6 +18,7 @@ Epoch convention: at t=0 the ascending node of plane 1 and the Greenwich
 meridian are both at longitude 0; ground stations rotate at the sidereal
 rate.
 """
+import functools
 import math
 from dataclasses import dataclass
 
@@ -132,21 +133,6 @@ class SatId:
 
 
 @dataclass(frozen=True)
-class SatState:
-    """Instantaneous satellite state.
-
-    Position is Earth-centered inertial (km); longitude is the
-    Earth-fixed sub-satellite longitude.
-    """
-    sat: SatId
-    time_s: float
-    latitude_deg: float
-    longitude_deg: float
-    position_km: tuple[float, float, float]
-    ascending: bool
-
-
-@dataclass(frozen=True)
 class LsRow:
     """One same-latitude, same-direction row: the members of a phase class."""
     phase_class: int
@@ -237,15 +223,12 @@ def index_to_sat(spec: ConstellationSpec, index: int) -> SatId:
     return SatId(plane + 1, j + 1)
 
 
-def initial_phase_deg(spec: ConstellationSpec, sat: SatId) -> float:
-    """Argument of latitude of a satellite at t=0."""
-    return ((sat.plane - 1) * spec.phase_offset_deg
-            + (sat.index_in_plane - 1) * spec.intra_plane_spacing_deg)
-
-
-def argument_of_latitude_deg(spec: ConstellationSpec, sat: SatId, t: float) -> float:
-    period = orbit_period(spec)
-    return (initial_phase_deg(spec, sat) + 360.0 * t / period) % 360.0
+@functools.lru_cache(maxsize=8)
+def satellite_ids(plane_count: int, sats_per_plane: int) -> tuple[SatId, ...]:
+    """Every ``SatId`` of an N x M constellation, in ``sat_to_index`` order;
+    built once per shape, so callers index it instead of making ids."""
+    return tuple(SatId(p, j) for p in range(1, plane_count + 1)
+                 for j in range(1, sats_per_plane + 1))
 
 
 def is_ascending(u_deg: float) -> bool:
@@ -273,61 +256,6 @@ def in_polar_band(
             | ((south_entry <= u) & (u < south_exit)))
 
 
-def true_latitude_deg(spec: ConstellationSpec, u_deg: float) -> float:
-    """Latitude for the configured inclination: asin(sin i * sin u)."""
-    s = math.sin(math.radians(spec.inclination_deg)) * math.sin(math.radians(u_deg))
-    return math.degrees(math.asin(max(-1.0, min(1.0, s))))
-
-
-def _plane_basis(spec: ConstellationSpec, plane: int) -> tuple[float, float]:
-    raan = math.radians((plane - 1) * spec.plane_spacing_deg)
-    return math.cos(raan), math.sin(raan)
-
-
-def position_km(spec: ConstellationSpec, sat: SatId, t: float) -> tuple[float, float, float]:
-    """ECI position on the circular orbit at time t."""
-    u = math.radians(argument_of_latitude_deg(spec, sat, t))
-    inc = math.radians(spec.inclination_deg)
-    cos_raan, sin_raan = _plane_basis(spec, sat.plane)
-    r = spec.orbit_radius_km
-    cu, su = math.cos(u), math.sin(u)
-    x = r * (cos_raan * cu - sin_raan * su * math.cos(inc))
-    y = r * (sin_raan * cu + cos_raan * su * math.cos(inc))
-    z = r * su * math.sin(inc)
-    return (x, y, z)
-
-
-def satellite_state(spec: ConstellationSpec, sat: SatId, t: float) -> SatState:
-    """Propagate one satellite to time t.
-
-    Args:
-        spec: Constellation parameters.
-        sat: Satellite identifier (validated).
-        t: Time in seconds from epoch (any real value).
-
-    Returns:
-        SatState with ECI position, true latitude, Earth-fixed longitude,
-        and the ascending/descending flag.
-
-    Raises:
-        ValueError: If the satellite id is outside the constellation.
-    """
-    validate_sat_id(spec, sat)
-    u = argument_of_latitude_deg(spec, sat, t)
-    pos = position_km(spec, sat, t)
-    lat = true_latitude_deg(spec, u)
-    lon_inertial = math.degrees(math.atan2(pos[1], pos[0]))
-    lon = (lon_inertial - 360.0 * t / SIDEREAL_DAY_S + 180.0) % 360.0 - 180.0
-    return SatState(
-        sat=sat,
-        time_s=t,
-        latitude_deg=lat,
-        longitude_deg=lon,
-        position_km=pos,
-        ascending=is_ascending(u),
-    )
-
-
 def all_positions_km(spec: ConstellationSpec, t) -> np.ndarray:
     """ECI positions of every satellite at time t, plane-major order.
 
@@ -349,29 +277,6 @@ def all_positions_km(spec: ConstellationSpec, t) -> np.ndarray:
     y = r * (np.sin(raan) * cu + np.cos(raan) * su * math.cos(inc))
     z = r * su * math.sin(inc)
     return np.stack([x, y, z], axis=-1).reshape(t.shape + (-1, 3))
-
-
-def geocentric_angle_deg(a, b) -> float:
-    """Angle at Earth center between two position vectors, in [0, 180].
-
-    Raises:
-        ValueError: If either vector is zero.
-    """
-    av = np.asarray(a, dtype=float)
-    bv = np.asarray(b, dtype=float)
-    na = float(np.linalg.norm(av))
-    nb = float(np.linalg.norm(bv))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("geocentric angle undefined for a zero position vector")
-    cosang = float(np.dot(av, bv)) / (na * nb)
-    return math.degrees(math.acos(max(-1.0, min(1.0, cosang))))
-
-
-def propagation_delay_s(a, b) -> float:
-    """Straight-line propagation delay between two points, in seconds."""
-    av = np.asarray(a, dtype=float)
-    bv = np.asarray(b, dtype=float)
-    return float(np.linalg.norm(av - bv)) / SPEED_OF_LIGHT_KM_S
 
 
 def max_link_angle_deg(spec: ConstellationSpec) -> float:
@@ -485,24 +390,3 @@ def ground_position_km(
     ring = earth_radius_km * math.cos(lat)
     z = np.full_like(lon, earth_radius_km * math.sin(lat))
     return np.stack([ring * np.cos(lon), ring * np.sin(lon), z], axis=-1)
-
-
-def elevation_angle_deg(
-    gs: GroundStation,
-    sat_state: SatState,
-    t: float,
-    earth_radius_km: float = EARTH_RADIUS_KM,
-) -> float:
-    """Elevation of a satellite above the station's local horizon.
-
-    Negative below the horizon; t drives the station's rotation and should
-    match the satellite state's time.
-    """
-    gpos = ground_position_km(gs, t, earth_radius_km)
-    spos = np.asarray(sat_state.position_km)
-    los = spos - gpos
-    rng = float(np.linalg.norm(los))
-    if rng == 0.0:
-        return 90.0
-    sin_el = float(np.dot(los, gpos)) / (rng * earth_radius_km)
-    return math.degrees(math.asin(max(-1.0, min(1.0, sin_el))))

@@ -34,9 +34,9 @@ from .geometry import (
     VisibilityModel,
     all_positions_km,
     in_polar_band,
-    index_to_sat,
     is_uniform_row_distribution,
     orbit_period,
+    satellite_ids,
 )
 
 INTRA_PLANE = "intra_plane"
@@ -201,10 +201,10 @@ class TopologyEdgeSet:
     def edges(self) -> frozenset[IslEdge]:
         """The edges as ``IslEdge`` objects, built on first read."""
         if self._edges is None:
-            arr, m = self._arrays, self._arrays.shape[1]
+            arr = self._arrays
+            sats = satellite_ids(*arr.shape)
             self._edges = frozenset(
-                IslEdge(SatId(a // m + 1, a % m + 1), SatId(b // m + 1, b % m + 1),
-                        arr.kinds[k])
+                IslEdge(sats[a], sats[b], arr.kinds[k])
                 for k, a, b in zip(arr.kind.tolist(), arr.a.tolist(), arr.b.tolist()))
         return self._edges
 
@@ -396,8 +396,8 @@ def validate_topology(
     cos = (pa * pb).sum(1) / (np.sqrt((pa * pa).sum(1)) * np.sqrt((pb * pb).sum(1)))
     angle = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
 
-    # Phase and true latitude of every satellite, as argument_of_latitude_deg
-    # and true_latitude_deg compute them.
+    # Phase (argument of latitude) and true latitude, asin(sin i * sin u),
+    # of every satellite.
     index = np.arange(spec.total_satellites)
     u = ((index // m) * spec.phase_offset_deg + (index % m) * spec.intra_plane_spacing_deg
          + 360.0 * t / orbit_period(spec)) % 360.0
@@ -421,9 +421,10 @@ def validate_topology(
     ], axis=1)
 
     violations = []
+    ids = satellite_ids(spec.plane_count, m)
     for i, rule in zip(*(x.tolist() for x in np.nonzero(flags))):
         ends = (int(a[i]), int(b[i]))
-        sats = tuple(index_to_sat(spec, e) for e in ends)
+        sats = (ids[ends[0]], ids[ends[1]])
         kind = arr.kinds[arr.kind[i]]
         edge = IslEdge(*sats, kind)
         if rule == 0:
@@ -455,5 +456,5 @@ def validate_topology(
     for s in np.flatnonzero(degree > 2).tolist():
         violations.append(TopologyViolation(
             "degree", None,
-            f"{index_to_sat(spec, s)} carries {degree[s]} inter-plane edges (max 2)"))
+            f"{ids[s]} carries {degree[s]} inter-plane edges (max 2)"))
     return violations

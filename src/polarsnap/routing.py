@@ -5,15 +5,18 @@ the straight-line propagation delay between the endpoint positions at the
 packet send time, so latency variation inside a snapshot is captured.
 On its first route a snapshot gets a CSR neighbour table built from its
 edge set's integer arrays, gathered from the constellation's edge
-universe; every route then computes all edge weights in one array
-expression and runs Dijkstra over integers.
+universe. Each route is an A* search over that table: the heap is ordered
+by the delay so far plus the straight-line delay to the destination, a
+lower bound on the rest of any path, and an edge's delay is computed only
+when the search relaxes it. Delays and paths are bitwise those of Dijkstra
+over every edge weight.
 End-to-end totals include both up/down links; queueing and processing are
 out of scope.
 
 The delay experiment works on blocks of sends as arrays: one position
 evaluation, one ground attachment per station (satellite, mask flag and
 slant range for every send) and one snapshot lookup per block. Only the
-Dijkstra search runs once per send.
+path search runs once per send.
 """
 import heapq
 import math
@@ -32,6 +35,7 @@ from .geometry import (
     index_to_sat,
     orbit_period,
     sat_to_index,
+    satellite_ids,
     validate_sat_id,
 )
 from .snapshots import SnapshotSequence, TopologySnapshot, partition
@@ -39,6 +43,12 @@ from .snapshots import SnapshotSequence, TopologySnapshot, partition
 # Sends whose satellite positions the delay experiment evaluates in one
 # call; bounds the (block, N*M, 3) position array.
 _SEND_BLOCK = 128
+
+# The straight-line bound, shrunk by 1e-9 of itself: any factor below 1
+# keeps the search exact, and this one leaves a slack far above the float
+# rounding (about 1e-16 relative) of the bound and the path sums, so
+# rounding can never make the bound overestimate.
+_BOUND_SCALE = (1.0 - 1e-9) / SPEED_OF_LIGHT_KM_S
 
 
 @dataclass(frozen=True)
@@ -68,18 +78,15 @@ class Attachment(NamedTuple):
 
 @dataclass(frozen=True)
 class _RoutingGraph:
-    """A snapshot's edges as integers, nodes in ``sat_to_index`` order.
+    """A snapshot's edges as a CSR table, nodes in ``sat_to_index`` order.
 
-    Edge e joins ``a[e]`` and ``b[e]``. Node u's neighbours are
-    ``neighbour[indptr[u]:indptr[u + 1]]``, reached over the edges
-    ``edge_id`` holds in the same slots. The search reads ``indptr`` and
-    ``neighbour`` item by item, so they are Python lists.
+    Node u's neighbours are ``neighbour[indptr[u]:indptr[u + 1]]``. Edge
+    delays depend on the send time, so the table holds none; the search
+    computes each from the positions when it relaxes the edge. The search
+    reads the table item by item, so it is made of Python lists.
     """
-    a: np.ndarray
-    b: np.ndarray
     indptr: list[int]
     neighbour: list[int]
-    edge_id: np.ndarray
 
 
 def _routing_graph(snapshot: TopologySnapshot, spec: ConstellationSpec) -> _RoutingGraph:
@@ -87,14 +94,12 @@ def _routing_graph(snapshot: TopologySnapshot, spec: ConstellationSpec) -> _Rout
     if snapshot.routing_graph is not None:
         return snapshot.routing_graph
     arrays = snapshot.edges.compiled(spec)
-    a, b = arrays.a, arrays.b
-    ends = np.concatenate([a, b])
+    ends = np.concatenate([arrays.a, arrays.b])
     order = np.argsort(ends, kind="stable")
     indptr = np.zeros(spec.total_satellites + 1, dtype=np.int32)
     np.cumsum(np.bincount(ends, minlength=spec.total_satellites), out=indptr[1:])
-    edge_id = np.tile(np.arange(len(a), dtype=np.int32), 2)[order]
-    neighbour = np.concatenate([b, a])[order]
-    graph = _RoutingGraph(a, b, indptr.tolist(), neighbour.tolist(), edge_id)
+    neighbour = np.concatenate([arrays.b, arrays.a])[order]
+    graph = _RoutingGraph(indptr.tolist(), neighbour.tolist())
     object.__setattr__(snapshot, "routing_graph", graph)
     return graph
 
@@ -194,6 +199,18 @@ def shortest_delay(
     snapshot's neighbour table is built from its edge set's compiled
     arrays on the first call and cached on the snapshot.
 
+    The search is A*: the heap is ordered by the delay from src plus the
+    straight-line delay to dst, shrunk by 1e-9 of itself. That bound is
+    consistent (the triangle inequality, with slack for float rounding),
+    so every node leaves the heap with its least delay, as in Dijkstra.
+    Each edge's delay is computed only when the search relaxes it, with
+    the same float operations as the array expression
+    ``sqrt(((pa - pb) ** 2).sum(1)) / c``; a relaxation must strictly
+    improve a delay, and delays are summed from src outwards. Where two
+    predecessors give exactly equal delays, the one Dijkstra settles
+    first (lower delay, then lower index) is kept. So the result, path
+    included, is bitwise that of Dijkstra over every edge weight.
+
     Raises:
         ValueError: If t is outside [start, end), or src or dst is not a
             satellite of the constellation.
@@ -212,37 +229,47 @@ def shortest_delay(
         return PathResult(True, 0.0, (src,))
 
     graph = _routing_graph(snapshot, spec)
-    weight = np.sqrt(((positions[graph.a] - positions[graph.b]) ** 2).sum(1))
-    weight = (weight / SPEED_OF_LIGHT_KM_S)[graph.edge_id].tolist()
     indptr, neighbour = graph.indptr, graph.neighbour
+    pos = positions.tolist()
+    tx, ty, tz = pos[dst_i]
+    sqrt, push, pop = math.sqrt, heapq.heappush, heapq.heappop
 
     dist = [math.inf] * spec.total_satellites
     dist[src_i] = 0.0
     prev = [-1] * spec.total_satellites
-    visited = bytearray(spec.total_satellites)
+    settled = bytearray(spec.total_satellites)
     heap = [(0.0, src_i)]
     while heap:
-        d, node = heapq.heappop(heap)
-        if visited[node]:
+        node = pop(heap)[1]
+        if settled[node]:
             continue
-        visited[node] = 1
+        settled[node] = 1
         if node == dst_i:
             break
+        d = dist[node]
+        x, y, z = pos[node]
         for k in range(indptr[node], indptr[node + 1]):
             nbr = neighbour[k]
-            nd = d + weight[k]
+            if settled[nbr]:
+                continue
+            nx, ny, nz = pos[nbr]
+            dx, dy, dz = x - nx, y - ny, z - nz
+            nd = d + sqrt(dx * dx + dy * dy + dz * dz) / SPEED_OF_LIGHT_KM_S
             if nd < dist[nbr]:
                 dist[nbr] = nd
                 prev[nbr] = node
-                heapq.heappush(heap, (nd, nbr))
+                dx, dy, dz = nx - tx, ny - ty, nz - tz
+                push(heap, (nd + sqrt(dx * dx + dy * dy + dz * dz) * _BOUND_SCALE, nbr))
+            elif nd == dist[nbr] and (d, node) < (dist[prev[nbr]], prev[nbr]):
+                prev[nbr] = node
 
-    if not visited[dst_i]:
+    if not settled[dst_i]:
         return PathResult(False, math.inf, ())
     path = [dst_i]
     while path[-1] != src_i:
         path.append(prev[path[-1]])
-    path.reverse()
-    return PathResult(True, dist[dst_i], tuple(index_to_sat(spec, i) for i in path))
+    sats = satellite_ids(spec.plane_count, spec.sats_per_plane)
+    return PathResult(True, dist[dst_i], tuple(sats[i] for i in reversed(path)))
 
 
 def delay_experiment(
@@ -290,6 +317,7 @@ def delay_experiment(
                          f"{orbit_period(spec)} for {spec.name}")
 
     samples = []
+    sats = satellite_ids(spec.plane_count, spec.sats_per_plane)
     n_sends = int(duration_s // interval_s)
     for first in range(0, n_sends, _SEND_BLOCK):
         times = [k * interval_s for k in range(first, min(first + _SEND_BLOCK, n_sends))]
@@ -308,9 +336,8 @@ def delay_experiment(
             if not attached[k]:
                 samples.append(DelaySample(t, False, math.nan, 0))
                 continue
-            result = shortest_delay(
-                sequence.snapshots[snap_index[k]], taus[k], index_to_sat(spec, src_i[k]),
-                index_to_sat(spec, dst_i[k]), spec, positions[k])
+            result = shortest_delay(sequence.snapshots[snap_index[k]], taus[k],
+                                    sats[src_i[k]], sats[dst_i[k]], spec, positions[k])
             if not result.reachable:
                 samples.append(DelaySample(t, False, math.nan, 0))
                 continue

@@ -4,17 +4,37 @@ The package builds a constellation's edge universe with integer arrays and
 derives every reassignment snapshot from the first one by rotating phase
 classes. The functions here build the same things the slow way, one
 ``SatId`` and ``IslEdge`` at a time and one row state per event, so the
-tests can require equal results from both.
+tests can require equal results from both. ``dijkstra_shortest_delay`` is
+the router that the A* search replaced, for tests that require bitwise
+equal routes.
+
+The scalar geometry below (one satellite, one instant, ``math`` functions)
+is what the package computed before its array paths; it serves as the
+oracle for ``all_positions_km``, ``attach_ground`` and the validator.
 """
+import heapq
 import math
+from dataclasses import dataclass
+
+import numpy as np
 
 from polarsnap.geometry import (
+    EARTH_RADIUS_KM,
+    SIDEREAL_DAY_S,
+    SPEED_OF_LIGHT_KM_S,
     ConstellationSpec,
+    GroundStation,
     LsState,
     SatId,
     VisibilityModel,
+    all_positions_km,
     build_ls_state,
+    ground_position_km,
+    index_to_sat,
+    is_ascending,
     orbit_period,
+    sat_to_index,
+    validate_sat_id,
 )
 from polarsnap.links import (
     HORIZONTAL,
@@ -26,6 +46,7 @@ from polarsnap.links import (
     make_edge,
     reassign_topology,
 )
+from polarsnap.routing import PathResult
 from polarsnap.snapshots import (
     _EVENT_EPS_S,
     EVENT_KIND_ENTER,
@@ -36,6 +57,131 @@ from polarsnap.snapshots import (
     _resolve_vis,
     enumerate_events,
 )
+
+
+@dataclass(frozen=True)
+class SatState:
+    """Instantaneous satellite state.
+
+    Position is Earth-centered inertial (km); longitude is the
+    Earth-fixed sub-satellite longitude.
+    """
+    sat: SatId
+    time_s: float
+    latitude_deg: float
+    longitude_deg: float
+    position_km: tuple[float, float, float]
+    ascending: bool
+
+
+def initial_phase_deg(spec: ConstellationSpec, sat: SatId) -> float:
+    """Argument of latitude of a satellite at t=0."""
+    return ((sat.plane - 1) * spec.phase_offset_deg
+            + (sat.index_in_plane - 1) * spec.intra_plane_spacing_deg)
+
+
+def argument_of_latitude_deg(spec: ConstellationSpec, sat: SatId, t: float) -> float:
+    period = orbit_period(spec)
+    return (initial_phase_deg(spec, sat) + 360.0 * t / period) % 360.0
+
+
+def true_latitude_deg(spec: ConstellationSpec, u_deg: float) -> float:
+    """Latitude for the configured inclination: asin(sin i * sin u)."""
+    s = math.sin(math.radians(spec.inclination_deg)) * math.sin(math.radians(u_deg))
+    return math.degrees(math.asin(max(-1.0, min(1.0, s))))
+
+
+def _plane_basis(spec: ConstellationSpec, plane: int) -> tuple[float, float]:
+    raan = math.radians((plane - 1) * spec.plane_spacing_deg)
+    return math.cos(raan), math.sin(raan)
+
+
+def position_km(spec: ConstellationSpec, sat: SatId, t: float) -> tuple[float, float, float]:
+    """ECI position on the circular orbit at time t."""
+    u = math.radians(argument_of_latitude_deg(spec, sat, t))
+    inc = math.radians(spec.inclination_deg)
+    cos_raan, sin_raan = _plane_basis(spec, sat.plane)
+    r = spec.orbit_radius_km
+    cu, su = math.cos(u), math.sin(u)
+    x = r * (cos_raan * cu - sin_raan * su * math.cos(inc))
+    y = r * (sin_raan * cu + cos_raan * su * math.cos(inc))
+    z = r * su * math.sin(inc)
+    return (x, y, z)
+
+
+def satellite_state(spec: ConstellationSpec, sat: SatId, t: float) -> SatState:
+    """Propagate one satellite to time t.
+
+    Args:
+        spec: Constellation parameters.
+        sat: Satellite identifier (validated).
+        t: Time in seconds from epoch (any real value).
+
+    Returns:
+        SatState with ECI position, true latitude, Earth-fixed longitude,
+        and the ascending/descending flag.
+
+    Raises:
+        ValueError: If the satellite id is outside the constellation.
+    """
+    validate_sat_id(spec, sat)
+    u = argument_of_latitude_deg(spec, sat, t)
+    pos = position_km(spec, sat, t)
+    lat = true_latitude_deg(spec, u)
+    lon_inertial = math.degrees(math.atan2(pos[1], pos[0]))
+    lon = (lon_inertial - 360.0 * t / SIDEREAL_DAY_S + 180.0) % 360.0 - 180.0
+    return SatState(
+        sat=sat,
+        time_s=t,
+        latitude_deg=lat,
+        longitude_deg=lon,
+        position_km=pos,
+        ascending=is_ascending(u),
+    )
+
+
+def geocentric_angle_deg(a, b) -> float:
+    """Angle at Earth center between two position vectors, in [0, 180].
+
+    Raises:
+        ValueError: If either vector is zero.
+    """
+    av = np.asarray(a, dtype=float)
+    bv = np.asarray(b, dtype=float)
+    na = float(np.linalg.norm(av))
+    nb = float(np.linalg.norm(bv))
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("geocentric angle undefined for a zero position vector")
+    cosang = float(np.dot(av, bv)) / (na * nb)
+    return math.degrees(math.acos(max(-1.0, min(1.0, cosang))))
+
+
+def propagation_delay_s(a, b) -> float:
+    """Straight-line propagation delay between two points, in seconds."""
+    av = np.asarray(a, dtype=float)
+    bv = np.asarray(b, dtype=float)
+    return float(np.linalg.norm(av - bv)) / SPEED_OF_LIGHT_KM_S
+
+
+def elevation_angle_deg(
+    gs: GroundStation,
+    sat_state: SatState,
+    t: float,
+    earth_radius_km: float = EARTH_RADIUS_KM,
+) -> float:
+    """Elevation of a satellite above the station's local horizon.
+
+    Negative below the horizon; t drives the station's rotation and should
+    match the satellite state's time.
+    """
+    gpos = ground_position_km(gs, t, earth_radius_km)
+    spos = np.asarray(sat_state.position_km)
+    los = spos - gpos
+    rng = float(np.linalg.norm(los))
+    if rng == 0.0:
+        return 90.0
+    sin_el = float(np.dot(los, gpos)) / (rng * earth_radius_km)
+    return math.degrees(math.asin(max(-1.0, min(1.0, sin_el))))
 
 
 def phase_latitude_deg(u_deg: float) -> float:
@@ -139,3 +285,61 @@ def per_event_reassignment(
         snapshots.append(TopologySnapshot(start, end, topo, topo.n_inter_plane))
     return SnapshotSequence(METHOD_REASSIGNMENT, tuple(snapshots), period,
                             polar_border_deg, trigger=trigger)
+
+
+def dijkstra_shortest_delay(snapshot, t, src, dst, spec, positions=None) -> PathResult:
+    """``routing.shortest_delay`` as Dijkstra: every edge weight of the
+    snapshot in one array expression, then a heap search ordered by the
+    delay from src alone, over the same CSR neighbour order."""
+    if not snapshot.covers(t):
+        raise ValueError(
+            f"t={t} outside snapshot [{snapshot.start_s}, {snapshot.end_s})")
+    validate_sat_id(spec, src)
+    validate_sat_id(spec, dst)
+    if positions is None:
+        positions = all_positions_km(spec, t)
+
+    src_i = sat_to_index(spec, src)
+    dst_i = sat_to_index(spec, dst)
+    if src_i == dst_i:
+        return PathResult(True, 0.0, (src,))
+
+    arrays = snapshot.edges.compiled(spec)
+    a, b = arrays.a, arrays.b
+    ends = np.concatenate([a, b])
+    order = np.argsort(ends, kind="stable")
+    indptr = np.zeros(spec.total_satellites + 1, dtype=np.int32)
+    np.cumsum(np.bincount(ends, minlength=spec.total_satellites), out=indptr[1:])
+    edge_id = np.tile(np.arange(len(a), dtype=np.int32), 2)[order]
+    neighbour = np.concatenate([b, a])[order].tolist()
+    indptr = indptr.tolist()
+    weight = np.sqrt(((positions[a] - positions[b]) ** 2).sum(1))
+    weight = (weight / SPEED_OF_LIGHT_KM_S)[edge_id].tolist()
+
+    dist = [math.inf] * spec.total_satellites
+    dist[src_i] = 0.0
+    prev = [-1] * spec.total_satellites
+    visited = bytearray(spec.total_satellites)
+    heap = [(0.0, src_i)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if visited[node]:
+            continue
+        visited[node] = 1
+        if node == dst_i:
+            break
+        for k in range(indptr[node], indptr[node + 1]):
+            nbr = neighbour[k]
+            nd = d + weight[k]
+            if nd < dist[nbr]:
+                dist[nbr] = nd
+                prev[nbr] = node
+                heapq.heappush(heap, (nd, nbr))
+
+    if not visited[dst_i]:
+        return PathResult(False, math.inf, ())
+    path = [dst_i]
+    while path[-1] != src_i:
+        path.append(prev[path[-1]])
+    path.reverse()
+    return PathResult(True, dist[dst_i], tuple(index_to_sat(spec, i) for i in path))

@@ -11,25 +11,31 @@ from polarsnap.geometry import (
     ConstellationSpec,
     GroundStation,
     SatId,
-    SatState,
     all_positions_km,
     build_ls_state,
-    elevation_angle_deg,
-    geocentric_angle_deg,
     ground_position_km,
     horizontal_survival_latitude_deg,
+    index_to_sat,
     make_visibility_model,
     max_link_angle_deg,
     nonpolar_row_count,
     orbit_period,
-    position_km,
-    propagation_delay_s,
-    satellite_state,
-    true_latitude_deg,
+    sat_to_index,
+    satellite_ids,
     MU_EARTH_KM3_S2,
     SPEED_OF_LIGHT_KM_S,
 )
-from tests.oracles import anchor_index, row_members
+from tests.oracles import (
+    SatState,
+    anchor_index,
+    elevation_angle_deg,
+    geocentric_angle_deg,
+    position_km,
+    propagation_delay_s,
+    row_members,
+    satellite_state,
+    true_latitude_deg,
+)
 
 
 class TestConstellationSpec:
@@ -270,6 +276,15 @@ class TestAllPositions:
 
     def test_times_keep_their_shape(self, teledesic):
         assert all_positions_km(teledesic, np.zeros((2, 3))).shape == (2, 3, 288, 3)
+
+
+class TestSatelliteIds:
+    def test_one_table_in_index_order(self, iridium, teledesic):
+        for spec in (iridium, teledesic):
+            table = satellite_ids(spec.plane_count, spec.sats_per_plane)
+            assert table == tuple(index_to_sat(spec, i) for i in range(spec.total_satellites))
+            assert [sat_to_index(spec, s) for s in table] == list(range(len(table)))
+            assert satellite_ids(spec.plane_count, spec.sats_per_plane) is table
 
 
 class TestPropagationDelay:

@@ -9,15 +9,12 @@ from polarsnap.geometry import (
     SatId,
     VisibilityModel,
     all_positions_km,
-    argument_of_latitude_deg,
     build_ls_state,
     class_phase_deg,
-    geocentric_angle_deg,
     in_polar_band,
     make_visibility_model,
     orbit_period,
     sat_to_index,
-    true_latitude_deg,
 )
 from polarsnap.links import (
     HORIZONTAL,
@@ -34,11 +31,14 @@ from polarsnap.links import (
 )
 from polarsnap.snapshots import partition
 from tests.oracles import (
+    argument_of_latitude_deg,
     chain_edges,
     class_member,
+    geocentric_angle_deg,
     horizontal_edges,
     intra_plane_edges,
     row_members,
+    true_latitude_deg,
 )
 
 

@@ -15,9 +15,8 @@ from polarsnap.geometry import (
     ground_position_km,
     index_to_sat,
     orbit_period,
-    position_km,
     sat_to_index,
-    satellite_state,
+    satellite_ids,
 )
 from polarsnap.links import HORIZONTAL, INTRA_PLANE, TopologyEdgeSet
 from polarsnap.routing import (
@@ -35,6 +34,7 @@ from polarsnap.snapshots import (
     partition,
     partition_reassignment,
 )
+from tests.oracles import dijkstra_shortest_delay, satellite_state
 
 
 def brute_force_delay(snapshot, t, src, dst, spec):
@@ -64,6 +64,22 @@ def brute_force_delay(snapshot, t, src, dst, spec):
 
     walk(src_i, {src_i}, 0.0)
     return best
+
+
+def ring_cut(snapshot):
+    """The snapshot with its inter-plane links removed: one ring per plane."""
+    rings = frozenset(e for e in snapshot.edges.edges if e.kind == INTRA_PLANE)
+    return TopologySnapshot(snapshot.start_s, snapshot.end_s,
+                            TopologyEdgeSet(rings, snapshot.start_s, "synthetic"), 0)
+
+
+def path_delay(path, positions, spec):
+    """A path's delay summed from its source, one edge at a time."""
+    delay = 0.0
+    for a, b in zip(path, path[1:]):
+        pa, pb = positions[sat_to_index(spec, a)], positions[sat_to_index(spec, b)]
+        delay += float(np.sqrt(((pa - pb) ** 2).sum())) / SPEED_OF_LIGHT_KM_S
+    return delay
 
 
 def reference_shortest_delay(snapshot, t, src, dst, spec, positions=None):
@@ -191,6 +207,15 @@ def assert_same_samples(got, want):
         assert (g.send_time_s, g.reachable, g.hops) == (r.send_time_s, r.reachable, r.hops)
         if r.reachable:
             assert g.delay_s == pytest.approx(r.delay_s, rel=1e-12, abs=0.0)
+
+
+def assert_routes_like_oracles(snapshot, t, src, dst, spec, positions):
+    """The router's result, after requiring it to equal Dijkstra's in every
+    field, delay bit for bit, and the dict-adjacency router's within 1e-12."""
+    got = shortest_delay(snapshot, t, src, dst, spec, positions)
+    assert got == dijkstra_shortest_delay(snapshot, t, src, dst, spec, positions)
+    assert_same_route(got, reference_shortest_delay(snapshot, t, src, dst, spec, positions))
+    return got
 
 
 def assert_same_route(got, want):
@@ -380,7 +405,7 @@ class TestShortestDelay:
 
 
 class TestReferenceRouter:
-    PAIRS_PER_SNAPSHOT = 3
+    PAIRS_PER_SNAPSHOT = 5
 
     @pytest.mark.parametrize("system", ["iridium", "teledesic"])
     @pytest.mark.parametrize("border", [60.0, 75.0])
@@ -395,20 +420,18 @@ class TestReferenceRouter:
             positions = all_positions_km(spec, t)
             for _ in range(self.PAIRS_PER_SNAPSHOT):
                 src, dst = rng.sample(sats, 2)
-                assert_same_route(
-                    shortest_delay(snap, t, src, dst, spec, positions),
-                    reference_shortest_delay(snap, t, src, dst, spec, positions))
+                assert_routes_like_oracles(snap, t, src, dst, spec, positions)
 
         # without its inter-plane links a snapshot splits into one ring per plane
         snap = seq.snapshots[0]
-        rings = frozenset(e for e in snap.edges.edges if e.kind == INTRA_PLANE)
-        cut = TopologySnapshot(snap.start_s, snap.end_s,
-                               TopologyEdgeSet(rings, snap.start_s, "synthetic"), 0)
+        cut = ring_cut(snap)
         t = snap.start_s + 0.5 * snap.duration_s
-        for src, dst in ((SatId(1, 1), SatId(2, 1)), (SatId(1, 1), SatId(1, 3))):
-            want = reference_shortest_delay(cut, t, src, dst, spec)
-            assert want.reachable == (src.plane == dst.plane)
-            assert_same_route(shortest_delay(cut, t, src, dst, spec), want)
+        positions = all_positions_km(spec, t)
+        src = SatId(1, 1)
+        for dst in sats[1:]:
+            if dst.plane == 1 or dst.index_in_plane == 1:
+                got = assert_routes_like_oracles(cut, t, src, dst, spec, positions)
+                assert got.reachable == (dst.plane == 1)
 
     def test_empty_edge_set(self, iridium):
         topo = TopologyEdgeSet(frozenset(), 0.0, "synthetic")
@@ -429,6 +452,44 @@ class TestReferenceRouter:
         assert twin.routing_graph is None
         assert snap == twin and hash(snap) == hash(twin)
         assert repr(snap) == repr(twin)
+
+
+class TestDijkstraParity:
+    """Cases where the A* search could part from the Dijkstra it replaced."""
+
+    @pytest.mark.parametrize("system", ["iridium", "teledesic"])
+    def test_ring_neighbours(self, system, request):
+        # one hop along the straight line itself: the bound is at its tightest
+        spec = request.getfixturevalue(system)
+        snap = partition(spec, "reassignment", 60.0).snapshots[0]
+        t = snap.start_s + 0.5 * snap.duration_s
+        positions = all_positions_km(spec, t)
+        m = spec.sats_per_plane
+        for p in range(1, spec.plane_count + 1):
+            for j in range(1, m + 1):
+                a, b = SatId(p, j), SatId(p, j % m + 1)
+                for src, dst in ((a, b), (b, a)):
+                    got = shortest_delay(snap, t, src, dst, spec, positions)
+                    assert got.path == (src, dst)
+                    assert got == dijkstra_shortest_delay(snap, t, src, dst, spec, positions)
+
+    def test_exact_ties_keep_dijkstra_path(self, iridium):
+        # At the start of an equal_time snapshot many pairs have two mirrored
+        # routes of bitwise equal delay, e.g. (1,1) to (2,6) via plane 2 from
+        # (1,2) or via plane 1 up to (1,5). Dijkstra takes the predecessor
+        # it settles first, and the router must take the same one.
+        snap = partition(iridium, "equal_time", 75.0).snapshots[0]
+        t = snap.start_s
+        positions = all_positions_km(iridium, t)
+        src, dst = SatId(1, 1), SatId(2, 6)
+        want = dijkstra_shortest_delay(snap, t, src, dst, iridium, positions)
+        mirror = (src, *(SatId(1, j) for j in range(2, 6)), SatId(2, 5), dst)
+        assert want.path != mirror
+        assert path_delay(mirror, positions, iridium) == want.delay_s
+        for src, dst in itertools.permutations(
+                satellite_ids(iridium.plane_count, iridium.sats_per_plane), 2):
+            assert (shortest_delay(snap, t, src, dst, iridium, positions)
+                    == dijkstra_shortest_delay(snap, t, src, dst, iridium, positions))
 
 
 class TestDelayExperiment:
@@ -503,9 +564,7 @@ class TestDelayExperiment:
         seq = partition(iridium, "reassignment", 60.0)
         snaps = list(seq.snapshots)
         for i in range(0, len(snaps), 2):
-            rings = frozenset(e for e in snaps[i].edges.edges if e.kind == INTRA_PLANE)
-            snaps[i] = TopologySnapshot(snaps[i].start_s, snaps[i].end_s,
-                                        TopologyEdgeSet(rings, snaps[i].start_s, "synthetic"), 0)
+            snaps[i] = ring_cut(snaps[i])
         cut = SnapshotSequence(seq.method, tuple(snaps), seq.period_s, seq.polar_border_deg)
         series = delay_experiment(iridium, "reassignment", 60.0, beijing, london,
                                   6027.0, 30.0, sequence=cut)
