@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import ConstellationSpec, make_visibility_model, orbit_period
-from .links import TopologyEdgeSet, canonical_arrays, validate_topology
+from .links import EdgeArrays, TopologyEdgeSet, canonical_arrays, validate_topology
 from .routing import DelaySeries, delay_experiment, utilization
 from .scenario import ScenarioConfig
 from .snapshots import (
@@ -26,7 +26,10 @@ from .snapshots import (
     partition,
 )
 
-_EXPORT_FORMAT = "polarsnap-topology/1"
+_EXPORT_FORMAT = "polarsnap-topology/2"
+_FORMAT_V1 = "polarsnap-topology/1"
+_HEAD_KEYS = ("constellation", "method", "polar_border_deg", "trigger", "period_s",
+              "truncated_final", "snapshots")
 
 
 @dataclass(frozen=True)
@@ -83,13 +86,15 @@ def write_delay_csv(series: DelaySeries, path: Path) -> None:
 def export_topology(
     seq: SnapshotSequence, spec: ConstellationSpec, path: Path,
 ) -> None:
-    """Write a sequence as a single JSON document.
+    """Write a sequence as a single ``polarsnap-topology/2`` JSON document.
 
-    The layout is that of ``json.dumps(doc, indent=1, sort_keys=True)``
-    plus a newline, edges listed in canonical order. The snapshots are
-    written from their edge sets' compiled arrays, each distinct edge's
-    text made once per export. Byte-stable for identical inputs;
-    round-trips through ``load_topology``.
+    The top-level ``edges`` table lists each distinct edge of the sequence
+    once, in canonical order, as ``[kind, plane_a, index_a, plane_b,
+    index_b]``; each snapshot lists its rows of that table as the strictly
+    increasing ``edge_ids``. The document is indented as by
+    ``json.dumps(doc, indent=1, sort_keys=True)``, except that each table
+    row and each snapshot takes one line. Byte-stable for identical
+    inputs; round-trips through ``load_topology``.
 
     Raises:
         ValueError: On an empty sequence.
@@ -114,13 +119,12 @@ def export_topology(
         "trigger": seq.trigger,
         "period_s": seq.period_s,
         "truncated_final": seq.truncated_final,
+        "edges": [],
         "snapshots": [],
     }, indent=1, sort_keys=True)
-    # The snapshots go where json.dumps put an empty list, written with the
-    # indentation it uses at that depth.
-    before, _, after = head.partition('\n "snapshots": []')
 
-    # One text per distinct (kind, a, b) key; each snapshot joins its edges'.
+    # The table is the sorted distinct (kind, a, b) keys of all snapshots;
+    # a snapshot's canonical edges map to increasing rows.
     n, m = spec.total_satellites, spec.sats_per_plane
     arrays = [snap.edges.compiled(spec) for snap in seq.snapshots]
     kinds = sorted(set().union(*(arr.kinds for arr in arrays)))
@@ -129,61 +133,171 @@ def export_topology(
     unique = np.sort(keys)
     unique = unique[np.diff(unique, prepend=-1) != 0]
     inverse = np.searchsorted(unique, keys)
-    kind_text = [json.dumps(k) for k in kinds]
-    texts = np.array([
-        f'    {{\n     "a": [\n      {a // m + 1},\n      {a % m + 1}\n     ],\n'
-        f'     "b": [\n      {b // m + 1},\n      {b % m + 1}\n     ],\n'
-        f'     "kind": {kind_text[k]}\n    }}'
-        for k, a, b in zip(*(x.tolist() for x in (unique // (n * n), unique // n % n,
-                                                   unique % n)))], dtype=object)
+    table = [json.dumps([kinds[k], a // m + 1, a % m + 1, b // m + 1, b % m + 1])
+             for k, a, b in zip(*(x.tolist() for x in (unique // (n * n), unique // n % n,
+                                                       unique % n)))]
     bounds = np.cumsum([0] + [len(arr.a) for arr in arrays]).tolist()
-    snapshots = []
-    for i, snap in enumerate(seq.snapshots):
-        edges = ",\n".join(texts[inverse[bounds[i]:bounds[i + 1]]].tolist())
-        edges = f"[\n{edges}\n   ]" if edges else "[]"
-        snapshots.append(
-            f'  {{\n   "edges": {edges},\n   "end_s": {json.dumps(snap.end_s)},\n'
-            f'   "index": {i},\n   "start_s": {json.dumps(snap.start_s)}\n  }}')
-    path.write_text(f'{before}\n "snapshots": [\n' + ",\n".join(snapshots)
-                    + f"\n ]{after}\n")
+    snapshots = [json.dumps({"edge_ids": inverse[bounds[i]:bounds[i + 1]].tolist(),
+                             "end_s": snap.end_s, "index": i, "start_s": snap.start_s})
+                 for i, snap in enumerate(seq.snapshots)]
+    for key, lines in (("edges", table), ("snapshots", snapshots)):
+        body = "[\n" + ",\n".join(f"  {line}" for line in lines) + "\n ]" if lines else "[]"
+        head = head.replace(f'\n "{key}": []', f'\n "{key}": {body}', 1)
+    path.write_text(head + "\n")
 
 
 def load_topology(path: Path) -> tuple[ConstellationSpec, SnapshotSequence]:
-    """Parse a topology export back into a snapshot sequence.
+    """Parse a topology export, format 2 or format 1, back into a snapshot
+    sequence.
 
-    The edges of all snapshots are read into one integer array in a single
-    pass, and each snapshot's set holds its slice as compiled arrays.
+    A format 2 file's edge table is parsed once into edge arrays, and each
+    snapshot's set gathers its rows from them; a format 1 file lists each
+    snapshot's edges as objects. The checks work on whole arrays.
+
+    Raises:
+        ValueError: If the file is not a well-formed topology export. The
+            message names the file and, where there is one, the snapshot.
     """
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != _EXPORT_FORMAT:
-        raise ValueError(f"unrecognised topology format in {path}")
-    spec = ConstellationSpec(**doc["constellation"])
-    entries = doc["snapshots"]
-    edges = list(chain.from_iterable(entry["edges"] for entry in entries))
-    kind = list(map(itemgetter("kind"), edges))
-    kinds = tuple(sorted(set(kind)))
-    code = {k: i for i, k in enumerate(kinds)}
-    rows = np.empty((len(edges), 5), dtype=np.int64)
-    rows[:, 0] = np.fromiter(map(code.__getitem__, kind), np.int64, len(edges))
-    rows[:, 1:] = np.fromiter(chain.from_iterable(chain.from_iterable(
-        map(itemgetter("a", "b"), edges))), np.int64, 4 * len(edges)).reshape(-1, 4)
-    bounds = np.cumsum([0] + [len(entry["edges"]) for entry in entries]).tolist()
-    snapshots = []
+    try:
+        return _parse_topology(json.loads(Path(path).read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _parse_topology(doc) -> tuple[ConstellationSpec, SnapshotSequence]:
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt not in (_EXPORT_FORMAT, _FORMAT_V1):
+        raise ValueError(f"unrecognised topology format {fmt!r}")
+    v1 = fmt == _FORMAT_V1
+    key = "edges" if v1 else "edge_ids"
+    _require_keys(doc, _HEAD_KEYS if v1 else _HEAD_KEYS + ("edges",), "")
+    try:
+        spec = ConstellationSpec(**doc["constellation"])
+    except TypeError as exc:
+        raise ValueError(f"bad constellation: {exc}") from exc
+    shape = (spec.plane_count, spec.sats_per_plane)
+    period, entries = doc["period_s"], doc["snapshots"]
+    if not all(type(x) is int for x in shape):
+        raise ValueError(f"plane_count and sats_per_plane must be integers, got {shape}")
+    if not (_is_number(period) and period > 0):
+        raise ValueError(f"period_s must be a positive number, got {period!r}")
+    if not _is_number(doc["polar_border_deg"]):
+        raise ValueError(f"polar_border_deg must be a number, got {doc['polar_border_deg']!r}")
+    if type(entries) is not list or not entries:
+        raise ValueError("snapshots must be a non-empty list")
+    table = None if v1 else _v2_table(shape, doc["edges"])
+
+    parts = []
     for i, entry in enumerate(entries):
-        arrays = canonical_arrays((spec.plane_count, spec.sats_per_plane), kinds,
-                                  rows[bounds[i]:bounds[i + 1]])
-        topo = TopologyEdgeSet(arrays, entry["start_s"], doc["method"])
-        snapshots.append(TopologySnapshot(
-            entry["start_s"], entry["end_s"], topo, topo.n_inter_plane))
-    seq = SnapshotSequence(
-        method=doc["method"],
-        snapshots=tuple(snapshots),
-        period_s=doc["period_s"],
-        polar_border_deg=doc["polar_border_deg"],
-        trigger=doc["trigger"],
-        truncated_final=doc["truncated_final"],
-    )
+        where = f"snapshot {i}: "
+        _require_keys(entry, ("index", "start_s", "end_s", key), where)
+        if type(entry["index"]) is not int or entry["index"] != i:
+            raise ValueError(f"{where}index {entry['index']!r}, expected {i}")
+        if not (_is_number(entry["start_s"]) and _is_number(entry["end_s"])):
+            raise ValueError(f"{where}bounds must be finite numbers, got "
+                             f"{entry['start_s']!r} and {entry['end_s']!r}")
+        if type(entry[key]) is not list:
+            raise ValueError(f"{where}{key} must be a list")
+        try:
+            parts.append(_v1_edges(shape, entry[key]) if v1
+                         else _gather(table, _integers(entry[key], key)))
+        except ValueError as exc:
+            raise ValueError(where + str(exc)) from exc
+
+    times = np.array([(e["start_s"], e["end_s"]) for e in entries], dtype=float)
+    bad = times[:, 0] > times[:, 1]
+    bad[1:] |= times[1:, 0] < times[:-1, 1]
+    if bad.any():
+        i = int(bad.argmax())
+        start, end = times[i].tolist()
+        raise ValueError(f"snapshot {i}: ends at {end!r}, before its start {start!r}"
+                         if start > end else f"snapshot {i}: starts at {start!r}, before "
+                         f"snapshot {i - 1} ends at {times[i - 1, 1].item()!r}")
+
+    method = doc["method"]
+    snapshots = []
+    for (start, end), arrays in zip(times.tolist(), parts):
+        topo = TopologyEdgeSet(arrays, start, method)
+        snapshots.append(TopologySnapshot(start, end, topo, topo.n_inter_plane))
+    seq = SnapshotSequence(method, tuple(snapshots), period, doc["polar_border_deg"],
+                           trigger=doc["trigger"], truncated_final=doc["truncated_final"])
     return spec, seq
+
+
+def _require_keys(obj, keys: tuple[str, ...], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}expected a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"{where}missing key {missing[0]!r}")
+
+
+def _is_number(x) -> bool:
+    return type(x) in (int, float) and math.isfinite(x)
+
+
+def _integers(values: list, what: str) -> np.ndarray:
+    """The values as an int64 array. Only JSON integers pass: no float,
+    string or boolean is converted."""
+    if not set(map(type, values)) <= {int}:
+        raise ValueError(f"{what} must be integers")
+    try:
+        return np.fromiter(values, np.int64, len(values))
+    except OverflowError:
+        raise ValueError(f"{what} out of range") from None
+
+
+def _edge_arrays(shape: tuple[int, int], names: list,
+                 ends: list) -> tuple[EdgeArrays, np.ndarray]:
+    """Canonical edge arrays from kind names and 1-based endpoints, four
+    integers per edge (plane a, index a, plane b, index b), and the rows
+    that ``canonical_arrays`` read, in input order."""
+    if not set(map(type, names)) <= {str}:
+        raise ValueError("edge kinds must be strings")
+    kinds = tuple(sorted(set(names)))
+    code = {k: i for i, k in enumerate(kinds)}
+    rows = np.empty((len(names), 5), dtype=np.int64)
+    rows[:, 0] = np.fromiter(map(code.__getitem__, names), np.int64, len(names))
+    rows[:, 1:] = _integers(ends, "edge endpoints").reshape(-1, 4)
+    return canonical_arrays(shape, kinds, rows), rows
+
+
+def _v1_edges(shape: tuple[int, int], edges: list) -> EdgeArrays:
+    """One format 1 snapshot's edge objects as edge arrays, duplicates dropped."""
+    try:
+        names = list(map(itemgetter("kind"), edges))
+        ends = list(chain.from_iterable(map(itemgetter("a", "b"), edges)))
+    except (KeyError, TypeError):
+        raise ValueError("edges must be objects with kind, a and b") from None
+    if not (set(map(type, ends)) <= {list} and set(map(len, ends)) <= {2}):
+        raise ValueError("edge endpoints must be [plane, index] pairs")
+    return _edge_arrays(shape, names, list(chain.from_iterable(ends)))[0]
+
+
+def _v2_table(shape: tuple[int, int], table) -> EdgeArrays:
+    """The format 2 edge table as edge arrays; its rows must be distinct and
+    in canonical order, so that row i is edge i of the arrays."""
+    if not (type(table) is list and set(map(type, table)) <= {list}
+            and set(map(len, table)) <= {5}):
+        raise ValueError("edges table rows must be [kind, plane_a, index_a, plane_b, index_b]")
+    try:
+        arrays, rows = _edge_arrays(shape, [r[0] for r in table],
+                                    list(chain.from_iterable(r[1:] for r in table)))
+    except ValueError as exc:
+        raise ValueError(f"edges table: {exc}") from exc
+    ends = (rows[:, 1::2] - 1) * shape[1] + rows[:, 2::2] - 1
+    if not all(map(np.array_equal, (arrays.kind, arrays.a, arrays.b),
+                   (rows[:, 0], ends[:, 0], ends[:, 1]))):
+        raise ValueError("edges table: rows must be distinct and in canonical order")
+    return arrays
+
+
+def _gather(table: EdgeArrays, ids: np.ndarray) -> EdgeArrays:
+    """The table's rows at ids, which must increase strictly and lie in it."""
+    if len(ids) and (ids[0] < 0 or ids[-1] >= len(table.a) or (np.diff(ids) <= 0).any()):
+        raise ValueError(f"edge_ids must be strictly increasing rows of the "
+                         f"{len(table.a)}-row edges table")
+    return EdgeArrays(table.shape, table.kinds, table.kind[ids], table.a[ids], table.b[ids])
 
 
 def _check_sequence(

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
@@ -21,12 +23,16 @@ from polarsnap.snapshots import (
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 IRIDIUM_HEAD = (b"[constellation]\nplanes = 6\nsats_per_plane = 11\n"
                 b"inclination_deg = 86.4\naltitude_km = 780\n")
+# sha256 of the export of iridium's reassignment sequence at 60 degrees
+PINNED_SHA256 = "a7eab5ca79ba7030a6797bedfcc0574f4775444983e83749ce4ff67552e1a57f"
 STATIONS = b"source = A, 39.9, 116.4\ndestination = B, 51.5, -0.1\n"
 
 
 def reference_export_topology(seq, spec, path):
-    """The dict-plus-``json.dumps`` exporter kept as the oracle for
-    ``export_topology``."""
+    """The format 1 (``polarsnap-topology/1``) dict-plus-``json.dumps``
+    writer: every snapshot lists its edges as objects. It makes the v1
+    twins that must load to the same sequences as ``export_topology``'s
+    format 2 files."""
     def edge_key(edge):
         return (edge.kind, edge.endpoint_a.plane, edge.endpoint_a.index_in_plane,
                 edge.endpoint_b.plane, edge.endpoint_b.index_in_plane)
@@ -249,14 +255,44 @@ class TestTopologyExport:
 
     @staticmethod
     def assert_matches_reference(seq, spec, tmp_path):
+        # the format 2 export and its format 1 twin load to the sequence
         got, want = tmp_path / "got.json", tmp_path / "want.json"
         export_topology(seq, spec, got)
         reference_export_topology(seq, spec, want)
-        assert got.read_bytes() == want.read_bytes(), (spec.name, seq.method)
-        spec2, seq2 = load_topology(got)
-        assert spec2 == spec
-        assert [(s.start_s, s.end_s, s.edges.edges) for s in seq2.snapshots] == \
-            [(s.start_s, s.end_s, s.edges.edges) for s in seq.snapshots]
+        assert json.loads(got.read_text())["format"] == "polarsnap-topology/2"
+        expected = [(s.start_s, s.end_s, s.edges.edges) for s in seq.snapshots]
+        for path in (got, want):
+            spec2, seq2 = load_topology(path)
+            assert spec2 == spec, path.name
+            assert (seq2.method, seq2.period_s, seq2.polar_border_deg, seq2.trigger,
+                    seq2.truncated_final) == (seq.method, seq.period_s, seq.polar_border_deg,
+                                              seq.trigger, seq.truncated_final), path.name
+            assert [(s.start_s, s.end_s, s.edges.edges) for s in seq2.snapshots] == expected, \
+                (spec.name, seq.method, path.name)
+            assert [s.n_inter_plane for s in seq2.snapshots] == \
+                [s.edges.n_inter_plane for s in seq.snapshots]
+
+    def test_pinned_bytes(self, iridium, tmp_path):
+        # any change to the bytes the writer produces shows here
+        path = tmp_path / "topo.json"
+        export_topology(partition(iridium, "reassignment", 60.0), iridium, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256
+
+    def test_layout(self, iridium, tmp_path):
+        seq = partition(iridium, "fixed", 60.0)
+        path = tmp_path / "topo.json"
+        export_topology(seq, iridium, path)
+        doc = json.loads(path.read_text())
+        table = [tuple(row) for row in doc["edges"]]
+        assert table == sorted(set(table))
+        assert len(table) == len(set().union(*(s.edges.edges for s in seq.snapshots)))
+        for i, (entry, snap) in enumerate(zip(doc["snapshots"], seq.snapshots)):
+            assert sorted(entry) == ["edge_ids", "end_s", "index", "start_s"]
+            assert entry["index"] == i
+            assert entry["edge_ids"] == sorted(set(entry["edge_ids"]))
+            assert {(table[k][0], SatId(*table[k][1:3]), SatId(*table[k][3:]))
+                    for k in entry["edge_ids"]} == \
+                {(e.kind, e.endpoint_a, e.endpoint_b) for e in snap.edges.edges}
 
     def test_empty_sequence_rejected(self, iridium, tmp_path):
         seq = SnapshotSequence("reassignment", (), 6027.0, 60.0)
@@ -264,6 +300,128 @@ class TestTopologyExport:
         with pytest.raises(ValueError):
             export_topology(seq, iridium, target)
         assert not target.exists()
+
+
+def _put(keys, value):
+    """An edit that sets the value at a path of keys, or deletes it when
+    the value is ``_DROP``."""
+    def edit(doc):
+        *head, last = keys
+        for key in head:
+            doc = doc[key]
+        if value is _DROP:
+            del doc[last]
+        else:
+            doc[last] = value
+    return edit
+
+
+_DROP = object()
+
+
+def _reverse(doc):
+    doc["snapshots"].reverse()
+    for i, entry in enumerate(doc["snapshots"]):
+        entry["index"] = i
+
+
+def _overlap(doc):
+    doc["snapshots"][2]["start_s"] = doc["snapshots"][1]["end_s"] - 1.0
+
+
+def _swap_rows(doc):
+    doc["edges"][0], doc["edges"][1] = doc["edges"][1], doc["edges"][0]
+
+
+def _swap_ids(doc):
+    ids = doc["snapshots"][1]["edge_ids"]
+    ids[0], ids[1] = ids[1], ids[0]
+
+
+# (case, edit, what the message names after the file)
+MALFORMED_EITHER = [
+    ("reverse_order", _reverse, "snapshot 1: "),
+    ("overlapping_bounds", _overlap, "snapshot 2: "),
+    ("nan_end", _put(("snapshots", 3, "end_s"), math.nan), "snapshot 3: "),
+    ("string_start", _put(("snapshots", 3, "start_s"), "10"), "snapshot 3: "),
+    ("end_before_start", _put(("snapshots", 4, "end_s"), 1.0), "snapshot 4: "),
+    ("negative_period", _put(("period_s",), -6027.0), "period_s"),
+    ("empty_snapshots", _put(("snapshots",), []), "snapshots"),
+    ("missing_top_key", _put(("method",), _DROP), "missing key 'method'"),
+    ("missing_snapshot_key", _put(("snapshots", 2, "start_s"), _DROP),
+     "snapshot 2: missing key 'start_s'"),
+    ("index_gap", _put(("snapshots", 2, "index"), 3), "snapshot 2: index 3"),
+    ("unknown_format", _put(("format",), "polarsnap-topology/3"), "format"),
+    ("bad_constellation", _put(("constellation", "planes"), 6), "constellation"),
+]
+MALFORMED_V1 = [
+    ("float_endpoint", _put(("snapshots", 1, "edges", 0, "a"), [1, 1.5]), "snapshot 1: "),
+    ("string_endpoint", _put(("snapshots", 1, "edges", 0, "a"), ["1", "1"]), "snapshot 1: "),
+    ("three_entry_endpoint", _put(("snapshots", 1, "edges", 0, "a"), [1, 1, 1]),
+     "snapshot 1: "),
+    ("endpoint_outside", _put(("snapshots", 1, "edges", 0, "b"), [7, 1]), "snapshot 1: "),
+    ("edge_without_kind", _put(("snapshots", 1, "edges", 0, "kind"), _DROP), "snapshot 1: "),
+]
+MALFORMED_V2 = [
+    ("short_row", _put(("edges", 0), ["horizontal", 1, 2, 3]), "edges table"),
+    ("kind_not_string", _put(("edges", 0, 0), 0), "edges table"),
+    ("float_endpoint", _put(("edges", 0, 2), 2.5), "edges table"),
+    ("string_endpoint", _put(("edges", 0, 2), "2"), "edges table"),
+    ("endpoint_outside", _put(("edges", 0, 3), 7), "edges table"),
+    ("duplicate_rows", lambda doc: doc["edges"].insert(1, doc["edges"][0]), "edges table"),
+    ("rows_out_of_order", _swap_rows, "edges table"),
+    ("ids_not_increasing", _swap_ids, "snapshot 1: "),
+    ("ids_repeated", lambda doc: doc["snapshots"][1]["edge_ids"].insert(1, doc["snapshots"][1]
+                                                                          ["edge_ids"][0]),
+     "snapshot 1: "),
+    ("id_past_table", lambda doc: doc["snapshots"][1]["edge_ids"].append(len(doc["edges"])),
+     "snapshot 1: "),
+    ("negative_id", _put(("snapshots", 1, "edge_ids", 0), -1), "snapshot 1: "),
+    ("float_id", _put(("snapshots", 1, "edge_ids", 0), 1.0), "snapshot 1: "),
+    ("boolean_id", _put(("snapshots", 1, "edge_ids", 0), True), "snapshot 1: "),
+    ("ids_not_a_list", _put(("snapshots", 1, "edge_ids"), {"0": 1}), "snapshot 1: "),
+    ("index_not_integer", _put(("snapshots", 0, "index"), 0.0), "snapshot 0: index"),
+]
+
+
+class TestMalformedTopology:
+    """``load_topology`` rejects malformed files with a ValueError that
+    names the file and, where there is one, the snapshot."""
+
+    @staticmethod
+    def assert_rejected(write, spec, edit, names, tmp_path):
+        path = tmp_path / "topo.json"
+        write(partition(spec, "reassignment", 60.0), spec, path)
+        load_topology(path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load_topology(path)
+        assert str(info.value).startswith(f"{path}: "), info.value
+        assert names in str(info.value), info.value
+
+    @pytest.mark.parametrize("write", [export_topology, reference_export_topology],
+                             ids=["v2", "v1"])
+    @pytest.mark.parametrize("case, edit, names", MALFORMED_EITHER,
+                             ids=[c[0] for c in MALFORMED_EITHER])
+    def test_either_format(self, write, case, edit, names, iridium, tmp_path):
+        self.assert_rejected(write, iridium, edit, names, tmp_path)
+
+    @pytest.mark.parametrize("case, edit, names", MALFORMED_V1, ids=[c[0] for c in MALFORMED_V1])
+    def test_v1(self, case, edit, names, iridium, tmp_path):
+        self.assert_rejected(reference_export_topology, iridium, edit, names, tmp_path)
+
+    @pytest.mark.parametrize("case, edit, names", MALFORMED_V2, ids=[c[0] for c in MALFORMED_V2])
+    def test_v2(self, case, edit, names, iridium, tmp_path):
+        self.assert_rejected(export_topology, iridium, edit, names, tmp_path)
+
+    @pytest.mark.parametrize("text", ["[]", "{", ""])
+    def test_not_a_document(self, text, tmp_path):
+        path = tmp_path / "topo.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            load_topology(path)
 
 
 class TestCli:
