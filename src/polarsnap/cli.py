@@ -1,39 +1,37 @@
-"""Command-line driver.
+"""Command-line driver: argument parsing and printing.
 
 Subcommands:
     analyze   closed-form snapshot figures per polar border
-    simulate  event-driven partitions, snapshot CSVs and topology exports
-    route     ground-pair delay experiment
-    compare   full pipeline: analytics, all partitions, utilization,
-              delay experiments, summary and comparison files
+    simulate  all partitions, validated: snapshot CSVs, topology exports,
+              summary and comparison files
+    route     the same plus the ground-pair delay experiment and its
+              delay CSVs
+    compare   the same files as route, with the summary table as output
 
-Flags override the corresponding scenario values. ``compare`` exits with
-status 1 when any internal validation oracle fails.
+``simulate``, ``route`` and ``compare`` all run ``report.run_compare``;
+``simulate`` runs it with the scenario's stations cleared, so it routes
+nothing. Flags override the corresponding scenario values. All three exit
+with status 1 when any internal validation oracle fails, and every
+command exits with status 2 on a scenario error.
 """
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 from .errors import ScenarioError
-from .report import (
-    format_summary,
-    run_compare,
-    write_delay_csv,
-    write_snapshot_csv,
-    export_topology,
-)
-from .routing import delay_experiment, utilization
-from .scenario import ScenarioConfig, apply_overrides, load_scenario
-from .snapshots import analytic_summary, partition
 from .geometry import orbit_period
+from .report import ComparisonReport, format_summary, run_compare
+from .scenario import ScenarioConfig, apply_overrides, load_scenario
+from .snapshots import analytic_summary
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("scenario", help="path to a scenario file")
-    parser.add_argument("--polar-border", type=float, action="append",
-                        dest="polar_borders",
-                        help="override polar border latitude (repeatable)")
-    parser.add_argument("--output-dir", type=Path, help="override output directory")
+# Subcommand flags past the shared ones, in the order they are added.
+_FLAGS = (
+    ("--methods", dict(help="comma-separated method subset")),
+    ("--trigger", dict(choices=("enter", "exit"))),
+    ("--duration", dict(type=float, help="experiment length (s)")),
+    ("--interval", dict(type=float, help="send interval (s)")),
+)
 
 
 def _load(args: argparse.Namespace) -> ScenarioConfig:
@@ -48,6 +46,13 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
         interval_s=getattr(args, "interval", None),
     )
     return config
+
+
+def _status(report: ComparisonReport) -> int:
+    if report.ok:
+        return 0
+    print(f"{len(report.validation_failures)} validation failures", file=sys.stderr)
+    return 1
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -65,56 +70,36 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load(args)
-    spec = config.constellation
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    for border in config.polar_borders_deg:
-        for method in config.methods:
-            seq = partition(spec, method, border, trigger=config.trigger,
-                            equal_time_delta_s=config.equal_time_delta_s)
-            util = utilization(seq, spec)
-            stem = f"{spec.name}_{method}_{border:g}"
-            write_snapshot_csv(seq, config.output_dir / f"{stem}_snapshots.csv")
-            export_topology(seq, spec, config.output_dir / f"{stem}_topology.json")
-            durations = [s.duration_s for s in seq.snapshots]
-            print(f"{spec.name} {method} L_pa={border:g}: {seq.count} snapshots, "
-                  f"duration {min(durations):.2f}..{max(durations):.2f} s, "
-                  f"utilization {util.value:.4f}")
+    config = dataclasses.replace(_load(args), source=None, destination=None)
+    report = run_compare(config)
+    for row in report.rows:
+        print(f"{report.scenario_name} {row.method} L_pa={row.polar_border_deg:g}: "
+              f"{row.snapshot_count} snapshots, duration {row.duration_min_s:.2f}.."
+              f"{row.duration_max_s:.2f} s, utilization {row.utilization:.4f}")
     print(f"artifacts written to {config.output_dir}")
-    return 0
+    return _status(report)
 
 
 def cmd_route(args: argparse.Namespace) -> int:
     config = _load(args)
-    spec = config.constellation
     if config.source is None or config.destination is None:
         print("scenario has no [experiment] source/destination", file=sys.stderr)
         return 2
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    for border in config.polar_borders_deg:
-        for method in config.methods:
-            series = delay_experiment(
-                spec, method, border, config.source, config.destination,
-                config.duration_s, config.interval_s, trigger=config.trigger,
-                equal_time_delta_s=config.equal_time_delta_s)
-            stem = f"{spec.name}_{method}_{border:g}"
-            write_delay_csv(series, config.output_dir / f"{stem}_delay.csv")
-            print(f"{spec.name} {method} L_pa={border:g}: "
-                  f"avg delay {1000.0 * series.average_delay_s:.3f} ms over "
-                  f"{len(series.samples)} sends "
-                  f"({series.unreachable_fraction:.1%} unreachable)")
-    return 0
+    report = run_compare(config)
+    # the number of sends delay_experiment makes
+    sends = int(config.duration_s // config.interval_s)
+    for row in report.rows:
+        print(f"{report.scenario_name} {row.method} L_pa={row.polar_border_deg:g}: "
+              f"avg delay {1000.0 * row.average_delay_s:.3f} ms over {sends} sends "
+              f"({row.unreachable_fraction:.1%} unreachable)")
+    return _status(report)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _load(args)
     report = run_compare(config)
     print(format_summary(config.constellation, report), end="")
-    if not report.ok:
-        print(f"{len(report.validation_failures)} validation failures",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _status(report)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -123,32 +108,21 @@ def main(argv: list[str] | None = None) -> int:
         description="Snapshot partition and routing-delay analysis for "
                     "polar-orbit LEO constellations")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_analyze = sub.add_parser("analyze", help="closed-form snapshot figures")
-    _add_common(p_analyze)
-    p_analyze.set_defaults(func=cmd_analyze)
-
-    p_sim = sub.add_parser("simulate", help="event-driven snapshot partitions")
-    _add_common(p_sim)
-    p_sim.add_argument("--methods", help="comma-separated method subset")
-    p_sim.add_argument("--trigger", choices=("enter", "exit"))
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_route = sub.add_parser("route", help="ground-pair delay experiment")
-    _add_common(p_route)
-    p_route.add_argument("--methods", help="comma-separated method subset")
-    p_route.add_argument("--trigger", choices=("enter", "exit"))
-    p_route.add_argument("--duration", type=float, help="experiment length (s)")
-    p_route.add_argument("--interval", type=float, help="send interval (s)")
-    p_route.set_defaults(func=cmd_route)
-
-    p_cmp = sub.add_parser("compare", help="full comparison pipeline")
-    _add_common(p_cmp)
-    p_cmp.add_argument("--methods", help="comma-separated method subset")
-    p_cmp.add_argument("--trigger", choices=("enter", "exit"))
-    p_cmp.add_argument("--duration", type=float, help="experiment length (s)")
-    p_cmp.add_argument("--interval", type=float, help="send interval (s)")
-    p_cmp.set_defaults(func=cmd_compare)
+    for name, func, n_flags, help_text in (
+        ("analyze", cmd_analyze, 0, "closed-form snapshot figures"),
+        ("simulate", cmd_simulate, 2, "event-driven snapshot partitions"),
+        ("route", cmd_route, 4, "ground-pair delay experiment"),
+        ("compare", cmd_compare, 4, "full comparison pipeline"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("scenario", help="path to a scenario file")
+        p.add_argument("--polar-border", type=float, action="append",
+                       dest="polar_borders",
+                       help="override polar border latitude (repeatable)")
+        p.add_argument("--output-dir", type=Path, help="override output directory")
+        for flag, kwargs in _FLAGS[:n_flags]:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
 
     args = parser.parse_args(argv)
     try:

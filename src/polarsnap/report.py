@@ -326,13 +326,14 @@ def _check_sequence(
 
 
 def run_compare(config: ScenarioConfig) -> ComparisonReport:
-    """Execute the full pipeline for a scenario.
+    """Execute the full pipeline for a scenario: the one behind the
+    ``simulate``, ``route`` and ``compare`` commands.
 
     For every (method, polar border): build the snapshot sequence, run the
-    internal validation oracles, compute utilization, optionally run the
-    ground-pair delay experiment, and write snapshot CSVs plus topology
-    exports under the configured output directory. A summary table and a
-    comparison CSV are written at the end.
+    internal validation oracles, compute utilization, run the ground-pair
+    delay experiment when the scenario names both stations, and write
+    snapshot CSVs plus topology exports under the configured output
+    directory. A summary table and a comparison CSV are written at the end.
     """
     spec = config.constellation
     outdir = config.output_dir

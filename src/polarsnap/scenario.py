@@ -135,10 +135,18 @@ def _station(value: str, lineno: int, key: str, min_elevation: float) -> GroundS
 
 
 def _borders(borders: list[float], lineno: int | None = None) -> list[float]:
+    # Artifact file names hold a border as f"{border:g}", so two borders
+    # with the same such name would write to the same files.
+    names: dict[str, float] = {}
     for border in borders:
         if not 0.0 < border < 90.0:
             raise ScenarioError(
                 f"polar_border_deg must be in (0, 90), got {border}", lineno)
+        name = f"{border:g}"
+        if name in names:
+            raise ScenarioError(f"polar_border_deg values {names[name]!r} and {border!r} "
+                                f"share the file name part {name}", lineno)
+        names[name] = border
     if not borders:
         raise ScenarioError("polar_border_deg lists no values", lineno)
     return borders
@@ -150,6 +158,8 @@ def _methods(value: str, lineno: int | None = None) -> list[str]:
         if m not in _VALID_METHODS:
             raise ScenarioError(
                 f"methods must be among {_VALID_METHODS}, got {m!r}", lineno)
+    if len(set(methods)) < len(methods):
+        raise ScenarioError(f"methods lists a method twice: {value!r}", lineno)
     if not methods:
         raise ScenarioError("methods lists no values", lineno)
     return methods

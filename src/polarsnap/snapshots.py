@@ -27,7 +27,6 @@ import numpy as np
 
 from .geometry import (
     ConstellationSpec,
-    VisibilityModel,
     build_ls_state,
     make_visibility_model,
     nonpolar_row_count,
@@ -191,21 +190,8 @@ def enumerate_events(
     return events
 
 
-def _resolve_vis(
-    spec: ConstellationSpec, vis: VisibilityModel | None, polar_border_deg: float,
-) -> VisibilityModel:
-    if vis is None:
-        return make_visibility_model(spec, polar_border_deg)
-    if abs(vis.polar_border_deg - polar_border_deg) > 1e-12:
-        raise ValueError(
-            f"visibility model built for border {vis.polar_border_deg}, "
-            f"requested {polar_border_deg}")
-    return vis
-
-
 def partition_reassignment(
     spec: ConstellationSpec,
-    vis: VisibilityModel | None,
     polar_border_deg: float,
     trigger: str = TRIGGER_ENTER,
 ) -> SnapshotSequence:
@@ -217,7 +203,7 @@ def partition_reassignment(
     event's edges are built from its row state; snapshot i holds them with
     every class c's edges moved to class c - i.
     """
-    vis = _resolve_vis(spec, vis, polar_border_deg)
+    vis = make_visibility_model(spec, polar_border_deg)
     period = orbit_period(spec)
     kind = EVENT_KIND_ENTER if trigger == TRIGGER_ENTER else EVENT_KIND_EXIT
     events = enumerate_events(spec, polar_border_deg, period, kinds=(kind,))
@@ -242,12 +228,11 @@ def partition_reassignment(
 
 def partition_fixed(
     spec: ConstellationSpec,
-    vis: VisibilityModel | None,
     polar_border_deg: float,
 ) -> SnapshotSequence:
     """Snapshot boundaries wherever the static baseline's set of active
     couples changes."""
-    vis = _resolve_vis(spec, vis, polar_border_deg)
+    vis = make_visibility_model(spec, polar_border_deg)
     period = orbit_period(spec)
     events = enumerate_events(spec, polar_border_deg, period)
     states = [active_couples(spec, polar_border_deg, e.time_s + _EVENT_EPS_S)
@@ -273,7 +258,6 @@ def partition_fixed(
 
 def partition_equal_time(
     spec: ConstellationSpec,
-    vis: VisibilityModel | None,
     polar_border_deg: float,
     delta_s: float,
 ) -> SnapshotSequence:
@@ -286,7 +270,6 @@ def partition_equal_time(
     """
     if delta_s <= 0.0:
         raise ValueError(f"delta_s must be positive, got {delta_s}")
-    _resolve_vis(spec, vis, polar_border_deg)
     period = orbit_period(spec)
 
     n_exact = period / delta_s
@@ -322,16 +305,15 @@ def partition(
     polar_border_deg: float,
     trigger: str = TRIGGER_ENTER,
     equal_time_delta_s: float | None = None,
-    vis: VisibilityModel | None = None,
 ) -> SnapshotSequence:
     """Dispatch to the partition method by name."""
     if method == METHOD_REASSIGNMENT:
-        return partition_reassignment(spec, vis, polar_border_deg, trigger)
+        return partition_reassignment(spec, polar_border_deg, trigger)
     if method == METHOD_FIXED:
-        return partition_fixed(spec, vis, polar_border_deg)
+        return partition_fixed(spec, polar_border_deg)
     if method == METHOD_EQUAL_TIME:
         delta = equal_time_delta_s
         if delta is None:
             delta = orbit_period(spec) / spec.row_count
-        return partition_equal_time(spec, vis, polar_border_deg, delta)
+        return partition_equal_time(spec, polar_border_deg, delta)
     raise ValueError(f"unknown partition method {method!r}")

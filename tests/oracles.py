@@ -26,12 +26,12 @@ from polarsnap.geometry import (
     GroundStation,
     LsState,
     SatId,
-    VisibilityModel,
     all_positions_km,
     build_ls_state,
     ground_position_km,
     index_to_sat,
     is_ascending,
+    make_visibility_model,
     orbit_period,
     sat_to_index,
     validate_sat_id,
@@ -54,7 +54,6 @@ from polarsnap.snapshots import (
     METHOD_REASSIGNMENT,
     SnapshotSequence,
     TopologySnapshot,
-    _resolve_vis,
     enumerate_events,
 )
 
@@ -265,13 +264,12 @@ def horizontal_edges(spec: ConstellationSpec, phase_class: int) -> list[IslEdge]
 
 def per_event_reassignment(
     spec: ConstellationSpec,
-    vis: VisibilityModel | None,
     polar_border_deg: float,
     trigger: str = TRIGGER_ENTER,
 ) -> SnapshotSequence:
     """``partition_reassignment`` with every snapshot's edges built from the
     row state just after its own event, instead of rotated from the first."""
-    vis = _resolve_vis(spec, vis, polar_border_deg)
+    vis = make_visibility_model(spec, polar_border_deg)
     period = orbit_period(spec)
     kind = EVENT_KIND_ENTER if trigger == TRIGGER_ENTER else EVENT_KIND_EXIT
     events = enumerate_events(spec, polar_border_deg, period, kinds=(kind,))

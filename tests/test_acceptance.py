@@ -85,7 +85,7 @@ def test_criterion_2_simulation_matches_analytic(systems, sequences):
             a = analytic_summary(spec, border)
             # each snapshot built from the row state after its own event,
             # which the rotated sequence must equal
-            seq = per_event_reassignment(spec, None, border)
+            seq = per_event_reassignment(spec, border)
             if seq != sequences[(name, border, "reassignment")]:
                 failures.append(f"{name}@{border}: rotated sequence differs from "
                                 "the per-event construction")

@@ -227,14 +227,14 @@ def assert_same_route(got, want):
 
 class TestUtilization:
     def test_reassignment_closed_form(self, iridium):
-        seq = partition_reassignment(iridium, None, 60.0)
+        seq = partition_reassignment(iridium, 60.0)
         report = utilization(seq, iridium)
         assert report.value == pytest.approx(34.0 / 55.0, abs=1e-9)
 
     @pytest.mark.parametrize("border,inter", [(60.0, 34), (65.0, 34),
                                               (70.0, 40), (75.0, 44)])
     def test_collapse_to_count_ratio(self, iridium, border, inter):
-        seq = partition_reassignment(iridium, None, border)
+        seq = partition_reassignment(iridium, border)
         report = utilization(seq, iridium)
         assert abs(report.value - inter / 55.0) < 1e-9
 
@@ -314,14 +314,14 @@ class TestAttachGround:
 
 class TestShortestDelay:
     def test_src_equals_dst(self, iridium):
-        seq = partition_reassignment(iridium, None, 60.0)
+        seq = partition_reassignment(iridium, 60.0)
         snap = seq.snapshots[0]
         res = shortest_delay(snap, snap.start_s + 1.0, SatId(3, 3), SatId(3, 3), iridium)
         assert res.delay_s == 0.0
         assert res.path == (SatId(3, 3),)
 
     def test_adjacent_intra_plane_hop(self, iridium):
-        seq = partition_reassignment(iridium, None, 60.0)
+        seq = partition_reassignment(iridium, 60.0)
         snap = seq.snapshots[0]
         t = snap.start_s + 1.0
         res = shortest_delay(snap, t, SatId(1, 1), SatId(1, 2), iridium)
@@ -330,14 +330,14 @@ class TestShortestDelay:
 
     @pytest.mark.parametrize("bad", [SatId(1, 12), SatId(0, 0), SatId(7, 1), SatId(6, 12)])
     def test_satellite_outside_constellation_rejected(self, iridium, bad):
-        snap = partition_reassignment(iridium, None, 60.0).snapshots[0]
+        snap = partition_reassignment(iridium, 60.0).snapshots[0]
         t = snap.start_s + 1.0
         for src, dst in ((bad, SatId(3, 3)), (SatId(3, 3), bad)):
             with pytest.raises(ValueError, match="outside 6x11 constellation"):
                 shortest_delay(snap, t, src, dst, iridium)
 
     def test_time_outside_snapshot_rejected(self, iridium):
-        seq = partition_reassignment(iridium, None, 60.0)
+        seq = partition_reassignment(iridium, 60.0)
         snap = seq.snapshots[0]
         with pytest.raises(ValueError):
             shortest_delay(snap, snap.end_s + 1.0, SatId(1, 1), SatId(2, 1), iridium)
@@ -357,7 +357,7 @@ class TestShortestDelay:
                 assert got.delay_s == pytest.approx(expected, rel=1e-12)
 
     def test_path_uses_snapshot_edges_only(self, iridium):
-        seq = partition_reassignment(iridium, None, 75.0)
+        seq = partition_reassignment(iridium, 75.0)
         snap = seq.snapshots[0]
         t = snap.start_s + 10.0
         pairs = {frozenset((e.endpoint_a, e.endpoint_b)) for e in snap.edges.edges}
@@ -367,7 +367,7 @@ class TestShortestDelay:
             assert frozenset((a, b)) in pairs
 
     def test_triangle_inequality(self, iridium):
-        seq = partition_reassignment(iridium, None, 60.0)
+        seq = partition_reassignment(iridium, 60.0)
         snap = seq.snapshots[0]
         t = snap.start_s + 1.0
         src, dst = SatId(1, 1), SatId(4, 6)
@@ -380,7 +380,7 @@ class TestShortestDelay:
     def test_horizontal_links_used_at_75(self, iridium, beijing, london):
         # with an odd non-polar row count the leftover row's two-planes-apart
         # links shorten at least some east-west paths
-        seq = partition_reassignment(iridium, None, 75.0)
+        seq = partition_reassignment(iridium, 75.0)
         used = False
         for k in range(120):
             t = 60.0 * k
@@ -441,8 +441,8 @@ class TestReferenceRouter:
         assert res.path == ()
 
     def test_compiled_graph_is_cached_outside_equality(self, iridium):
-        snap = partition_reassignment(iridium, None, 60.0).snapshots[0]
-        twin = partition_reassignment(iridium, None, 60.0).snapshots[0]
+        snap = partition_reassignment(iridium, 60.0).snapshots[0]
+        twin = partition_reassignment(iridium, 60.0).snapshots[0]
         t = snap.start_s + 1.0
         shortest_delay(snap, t, SatId(1, 1), SatId(4, 6), iridium)
         graph = snap.routing_graph

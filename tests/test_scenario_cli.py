@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from polarsnap import links
+from polarsnap import cli, links
 from polarsnap.cli import main
 from polarsnap.errors import ScenarioError
 from polarsnap.geometry import SatId, orbit_period
@@ -26,6 +26,11 @@ IRIDIUM_HEAD = (b"[constellation]\nplanes = 6\nsats_per_plane = 11\n"
 # sha256 of the export of iridium's reassignment sequence at 60 degrees
 PINNED_SHA256 = "a7eab5ca79ba7030a6797bedfcc0574f4775444983e83749ce4ff67552e1a57f"
 STATIONS = b"source = A, 39.9, 116.4\ndestination = B, 51.5, -0.1\n"
+# 2x3 at 60 degrees: its links span 120 degrees, past the 58.8 degree
+# visibility limit, so every snapshot of every method fails validation
+TINY = (b"[constellation]\nname = tiny\nplanes = 2\nsats_per_plane = 3\n"
+        b"inclination_deg = 86\naltitude_km = 1000\n[partition]\npolar_border_deg = 60\n"
+        b"[experiment]\n" + STATIONS + b"duration_s = 600\n")
 
 
 def reference_export_topology(seq, spec, path):
@@ -156,6 +161,18 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="methods"):
             load_scenario(p)
 
+    @pytest.mark.parametrize("line,field", [
+        (b"polar_border_deg = 65, 70, 65.000001", "polar_border_deg values 65.0 and 65.000001"),
+        (b"polar_border_deg = 60, 60", "polar_border_deg values 60.0 and 60.0"),
+        (b"methods = fixed, reassignment, fixed", "methods lists a method twice"),
+    ])
+    def test_colliding_file_names_rejected(self, tmp_path, line, field):
+        # artifact names hold the method and the border as f"{border:g}"
+        p = tmp_path / "bad.scenario"
+        p.write_bytes(IRIDIUM_HEAD + b"[partition]\n" + line + b"\n")
+        with pytest.raises(ScenarioError, match=f"line 7: {field}"):
+            load_scenario(p)
+
     def test_defaults_without_optional_sections(self, tmp_path):
         p = tmp_path / "min.scenario"
         p.write_text("[constellation]\nplanes = 6\nsats_per_plane = 11\n"
@@ -194,22 +211,38 @@ class TestEqualTimeDeltaPolicy:
         csv = tmp_path / "sim" / "iridium_equal_time_60_snapshots.csv"
         assert len(csv.read_text().splitlines()) == 1 + 7
 
-    def test_route_and_compare_share_delta(self, tmp_path, capsys):
+    def test_route_and_compare_share_delta(self, tmp_path, capsys, monkeypatch):
+        # simulate, route and compare each run the pipeline once, and the
+        # files they have in common are byte-identical
         scenario = self._iridium_delta_1000(tmp_path)
-        delays = []
-        for command in ("route", "compare"):
+        calls = []
+
+        def counted_run_compare(config):
+            calls.append(config)
+            return run_compare(config)
+
+        monkeypatch.setattr(cli, "run_compare", counted_run_compare)
+        commands = ("simulate", "route", "compare")
+        trees = {}
+        for command in commands:
             out = tmp_path / command
+            duration = [] if command == "simulate" else ["--duration", "3000"]
             rc = main([command, str(scenario), "--methods", "equal_time",
-                       "--polar-border", "60", "--duration", "3000",
-                       "--output-dir", str(out)])
+                       "--polar-border", "60", *duration, "--output-dir", str(out)])
             assert rc == 0
-            delays.append((out / "iridium_equal_time_60_delay.csv").read_bytes())
-        assert delays[0] == delays[1]
+            assert len(calls) == 1, command
+            calls.clear()
+            trees[command] = {p.name: p.read_bytes() for p in out.iterdir()}
+        stem = "iridium_equal_time_60_"
+        assert stem + "delay.csv" not in trees["simulate"]
+        for suffix, sharing in (("snapshots.csv", commands), ("topology.json", commands),
+                                ("delay.csv", commands[1:])):
+            assert len({trees[c][stem + suffix] for c in sharing}) == 1, suffix
 
 
 class TestTopologyExport:
     def test_round_trip(self, iridium, tmp_path):
-        seq = partition_reassignment(iridium, None, 60.0)
+        seq = partition_reassignment(iridium, 60.0)
         path = tmp_path / "topo.json"
         export_topology(seq, iridium, path)
         spec2, seq2 = load_topology(path)
@@ -223,7 +256,7 @@ class TestTopologyExport:
             assert a.n_inter_plane == b.n_inter_plane
 
     def test_re_export_is_byte_identical(self, iridium, tmp_path):
-        seq = partition_reassignment(iridium, None, 65.0)
+        seq = partition_reassignment(iridium, 65.0)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         export_topology(seq, iridium, p1)
         export_topology(seq, iridium, p2)
@@ -241,7 +274,7 @@ class TestTopologyExport:
         # horizontal edges, an empty edge set, an unknown kind (given once
         # with its endpoints out of canonical order, once on a ring edge's
         # endpoints), no trigger, truncated final snapshot
-        snaps = partition_reassignment(iridium, None, 75.0).snapshots[:2]
+        snaps = partition_reassignment(iridium, 75.0).snapshots[:2]
         odd = snaps[1].edges.edges | {IslEdge(SatId(4, 2), SatId(3, 7), "laser"),
                                       IslEdge(SatId(1, 1), SatId(1, 2), "laser"),
                                       make_edge(SatId(1, 1), SatId(6, 1), "oblique")}
@@ -438,8 +471,9 @@ class TestCli:
             "--output-dir", str(tmp_path),
         ])
         assert rc == 0
-        assert (tmp_path / "iridium_reassignment_60_snapshots.csv").exists()
-        assert (tmp_path / "iridium_reassignment_60_topology.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "comparison_iridium.csv", "iridium_reassignment_60_snapshots.csv",
+            "iridium_reassignment_60_topology.json", "summary_iridium.txt"]
 
     def test_route_runs(self, tmp_path, capsys):
         rc = main([
@@ -451,6 +485,34 @@ class TestCli:
         assert (tmp_path / "iridium_reassignment_60_delay.csv").exists()
         out = capsys.readouterr().out
         assert "avg delay" in out
+
+    @pytest.mark.parametrize("command", ["simulate", "route", "compare"])
+    def test_validation_failures_exit_1(self, command, tmp_path, capsys):
+        path = tmp_path / "tiny.scenario"
+        path.write_bytes(TINY)
+        out = tmp_path / "out"
+        rc = main([command, str(path), "--output-dir", str(out)])
+        assert rc == 1
+        assert "18 validation failures" in capsys.readouterr().err
+        written = {p.name for p in out.iterdir()}
+        for method in ("reassignment", "fixed", "equal_time"):
+            assert {f"tiny_{method}_60_snapshots.csv",
+                    f"tiny_{method}_60_topology.json"} <= written
+            assert (f"tiny_{method}_60_delay.csv" in written) == (command != "simulate")
+        assert {"summary_tiny.txt", "comparison_tiny.csv"} <= written
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--polar-border", "60", "--polar-border", "60.0000001"],
+         "polar_border_deg values 60.0 and 60.0000001 share the file name part 60"),
+        (["--polar-border", "75", "--polar-border", "75"], "polar_border_deg values 75.0"),
+        (["--methods", "fixed,equal_time,fixed"], "methods lists a method twice"),
+    ])
+    def test_colliding_file_names_rejected(self, argv, message, tmp_path, capsys):
+        rc = main(["compare", str(SCENARIOS / "iridium.scenario"), *argv,
+                   "--duration", "600", "--output-dir", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_scenario_error_reported_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.scenario"

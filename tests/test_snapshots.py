@@ -256,26 +256,26 @@ class TestPartitionReassignment:
     def test_agrees_with_analytic(self, fixture, border, trigger, request):
         spec = request.getfixturevalue(fixture)
         a = analytic_summary(spec, border)
-        seq = partition_reassignment(spec, None, border, trigger)
+        seq = partition_reassignment(spec, border, trigger)
         assert seq.count == a.snapshot_count
         assert {s.n_inter_plane for s in seq.snapshots} == {a.n_inter_plane}
         for snap in seq.snapshots:
             assert snap.duration_s == pytest.approx(a.snapshot_duration_s, rel=5e-3)
 
     def test_constant_duration_property(self, iridium):
-        seq = partition_reassignment(iridium, None, 65.0)
+        seq = partition_reassignment(iridium, 65.0)
         durations = [s.duration_s for s in seq.snapshots]
         assert max(durations) - min(durations) < 1e-3
 
     def test_duration_same_across_borders(self, iridium):
         values = []
         for border in (60.0, 65.0, 70.0, 75.0):
-            seq = partition_reassignment(iridium, None, border)
+            seq = partition_reassignment(iridium, border)
             values.append(seq.snapshots[0].duration_s)
         assert max(values) - min(values) < 1e-3
 
     def test_tiles_period(self, teledesic):
-        seq = partition_reassignment(teledesic, None, 65.0)
+        seq = partition_reassignment(teledesic, 65.0)
         assert sum(s.duration_s for s in seq.snapshots) == pytest.approx(
             orbit_period(teledesic), abs=1e-6)
         for a, b in zip(seq.snapshots, seq.snapshots[1:]):
@@ -287,7 +287,7 @@ class TestPartitionReassignment:
         # with an odd row count, N-2 horizontal ones
         spec = request.getfixturevalue(fixture)
         a = analytic_summary(spec, border)
-        seq = partition_reassignment(spec, None, border)
+        seq = partition_reassignment(spec, border)
         for snap in seq.snapshots:
             assert snap.edges.count("oblique") == a.n_oblique
             assert snap.edges.count("horizontal") == a.n_horizontal
@@ -306,10 +306,10 @@ class TestPartitionReassignment:
         # snapshot from its own row state
         spec = ConstellationSpec(*shape)
         try:
-            want = per_event_reassignment(spec, None, border, trigger)
+            want = per_event_reassignment(spec, border, trigger)
         except InfeasibleGeometryError:
             return
-        got = partition_reassignment(spec, None, border, trigger)
+        got = partition_reassignment(spec, border, trigger)
         assert got == want
         assert [s.edges.edges for s in got.snapshots] == [s.edges.edges for s in want.snapshots]
 
@@ -331,14 +331,14 @@ class TestPartitionFixed:
     @pytest.mark.parametrize("border", [60.0, 65.0, 70.0, 75.0])
     def test_snapshot_counts(self, fixture, expected, border, request):
         spec = request.getfixturevalue(fixture)
-        seq = partition_fixed(spec, None, border)
+        seq = partition_fixed(spec, border)
         assert seq.count == expected
 
     @pytest.mark.parametrize("fixture", ["iridium", "teledesic"])
     @pytest.mark.parametrize("border", [60.0, 65.0, 70.0, 75.0])
     def test_durations_and_counts_match_oracles(self, fixture, border, request):
         spec = request.getfixturevalue(fixture)
-        seq = partition_fixed(spec, None, border)
+        seq = partition_fixed(spec, border)
         durations = sorted({round(s.duration_s, 6) for s in seq.snapshots})
         expected = sorted(round(d, 6) for d in fixed_duration_oracle(spec, border))
         assert durations == pytest.approx(expected, abs=1e-4)
@@ -346,37 +346,37 @@ class TestPartitionFixed:
 
     def test_iridium_60_reference_extremes(self, iridium):
         # reference extremes 179.90 / 92.10 within 2 percent
-        seq = partition_fixed(iridium, None, 60.0)
+        seq = partition_fixed(iridium, 60.0)
         durations = [s.duration_s for s in seq.snapshots]
         assert max(durations) == pytest.approx(179.90, rel=0.02)
         assert min(durations) == pytest.approx(92.10, rel=0.02)
         assert {s.n_inter_plane for s in seq.snapshots} == {30, 35}
 
     def test_tiles_period(self, iridium):
-        seq = partition_fixed(iridium, None, 70.0)
+        seq = partition_fixed(iridium, 70.0)
         assert sum(s.duration_s for s in seq.snapshots) == pytest.approx(
             6027.0, abs=1e-6)
 
 
 class TestPartitionEqualTime:
     def test_snapshot_count_at_reassignment_delta(self, iridium):
-        seq = partition_equal_time(iridium, None, 60.0, 6027.0 / 22.0)
+        seq = partition_equal_time(iridium, 60.0, 6027.0 / 22.0)
         assert seq.count == 22
         assert not seq.truncated_final
 
     def test_full_period_interval_eliminates_everything(self, iridium):
-        seq = partition_equal_time(iridium, None, 60.0, 6027.0)
+        seq = partition_equal_time(iridium, 60.0, 6027.0)
         assert seq.count == 1
         assert seq.snapshots[0].n_inter_plane == 0
 
     def test_alternating_count_set(self, iridium):
         # soft reference target: counts drawn from {25, 30}
-        seq = partition_equal_time(iridium, None, 60.0, 6027.0 / 22.0)
+        seq = partition_equal_time(iridium, 60.0, 6027.0 / 22.0)
         assert {s.n_inter_plane for s in seq.snapshots} <= {25, 30}
 
     def test_subset_of_overlapping_fixed_sets(self, iridium):
-        fixed = partition_fixed(iridium, None, 60.0)
-        equal = partition_equal_time(iridium, None, 60.0, 6027.0 / 22.0)
+        fixed = partition_fixed(iridium, 60.0)
+        equal = partition_equal_time(iridium, 60.0, 6027.0 / 22.0)
         for es in equal.snapshots:
             for fs in fixed.snapshots:
                 lo = max(es.start_s, fs.start_s % 6027.0)
@@ -385,7 +385,7 @@ class TestPartitionEqualTime:
                     assert inter_plane(es) <= inter_plane(fs)
 
     def test_truncation_flag(self, iridium):
-        seq = partition_equal_time(iridium, None, 60.0, 1000.0)
+        seq = partition_equal_time(iridium, 60.0, 1000.0)
         assert seq.truncated_final
         assert seq.snapshots[-1].end_s == pytest.approx(6027.0)
         assert sum(s.duration_s for s in seq.snapshots) == pytest.approx(6027.0, abs=1e-6)
@@ -393,7 +393,7 @@ class TestPartitionEqualTime:
     @pytest.mark.parametrize("nudge", [0.0005, -0.0005])
     def test_near_divisor_delta_ends_at_period(self, iridium, beijing, london, nudge):
         # 7 * delta misses the period by 0.0035 s, inside the 1e-6 tolerance
-        seq = partition_equal_time(iridium, None, 60.0, 6027.0 / 7 + nudge)
+        seq = partition_equal_time(iridium, 60.0, 6027.0 / 7 + nudge)
         assert (seq.count, seq.truncated_final) == (7, False)
         assert seq.snapshots[-1].end_s == 6027.0
         assert sum(s.duration_s for s in seq.snapshots) == pytest.approx(6027.0, abs=1e-9)
@@ -404,7 +404,7 @@ class TestPartitionEqualTime:
 
     def test_rejects_nonpositive_delta(self, iridium):
         with pytest.raises(ValueError):
-            partition_equal_time(iridium, None, 60.0, 0.0)
+            partition_equal_time(iridium, 60.0, 0.0)
 
 
 class TestDispatch:
