@@ -35,6 +35,7 @@ from .routing import (
     DelaySample,
     DelaySeries,
     PathResult,
+    SendGrid,
     UtilizationReport,
     attach_ground,
     delay_experiment,

@@ -186,9 +186,9 @@ class GroundStation:
         _require_finite(self, "latitude_deg", "longitude_deg", "min_elevation_deg")
         if abs(self.latitude_deg) > 90.0:
             raise ValueError(f"latitude_deg out of range: {self.latitude_deg}")
-        if self.min_elevation_deg < 0.0:
+        if not 0.0 <= self.min_elevation_deg <= 90.0:
             raise ValueError(
-                f"min_elevation_deg must be >= 0, got {self.min_elevation_deg}")
+                f"min_elevation_deg must be in [0, 90], got {self.min_elevation_deg}")
 
 
 def _require_finite(obj, *names: str) -> None:

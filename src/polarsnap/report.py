@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import ConstellationSpec, make_visibility_model, orbit_period
 from .links import EdgeArrays, TopologyEdgeSet, canonical_arrays, validate_topology
-from .routing import DelaySeries, delay_experiment, utilization
+from .routing import DelaySeries, SendGrid, delay_experiment, utilization
 from .scenario import ScenarioConfig
 from .snapshots import (
     METHOD_REASSIGNMENT,
@@ -334,6 +334,8 @@ def run_compare(config: ScenarioConfig) -> ComparisonReport:
     delay experiment when the scenario names both stations, and write
     snapshot CSVs plus topology exports under the configured output
     directory. A summary table and a comparison CSV are written at the end.
+    All delay experiments share one ``SendGrid``: the stations attach once
+    per send, and each distinct (edge set, send) pair is routed once.
     """
     spec = config.constellation
     outdir = config.output_dir
@@ -341,6 +343,10 @@ def run_compare(config: ScenarioConfig) -> ComparisonReport:
 
     rows: list[ComparisonRow] = []
     failures: list[str] = []
+    grid = None
+    if config.source is not None and config.destination is not None:
+        grid = SendGrid(spec, config.source, config.destination,
+                        config.duration_s, config.interval_s)
     for border in config.polar_borders_deg:
         analytic = analytic_summary(spec, border)
         for method in config.methods:
@@ -353,11 +359,11 @@ def run_compare(config: ScenarioConfig) -> ComparisonReport:
             util = utilization(seq, spec)
 
             series = None
-            if config.source is not None and config.destination is not None:
+            if grid is not None:
                 series = delay_experiment(
                     spec, method, border, config.source, config.destination,
                     config.duration_s, config.interval_s,
-                    trigger=config.trigger, sequence=seq,
+                    trigger=config.trigger, sequence=seq, grid=grid,
                 )
                 write_delay_csv(series, outdir / _name(spec, method, border, "delay.csv"))
 

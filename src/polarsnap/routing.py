@@ -13,10 +13,15 @@ over every edge weight.
 End-to-end totals include both up/down links; queueing and processing are
 out of scope.
 
-The delay experiment works on blocks of sends as arrays: one position
-evaluation, one ground attachment per station (satellite, mask flag and
-slant range for every send) and one snapshot lookup per block. Only the
-path search runs once per send.
+The delay experiment is a send grid plus one routing pass per snapshot
+sequence. A ``SendGrid`` holds what every sequence shares for one pair of
+stations: the send times and both attachments (satellite, mask flag and
+up- or down-link delay for every send), evaluated block by block as
+arrays. It also holds a memo of routes keyed on (edge set, send), so the
+experiments of one ``compare`` route each distinct pair once. The pass
+looks up each block's snapshots as an array and evaluates satellite
+positions for a block only when one of its attached sends is not in the
+memo; the grid keeps no positions.
 """
 import heapq
 import math
@@ -38,11 +43,15 @@ from .geometry import (
     satellite_ids,
     validate_sat_id,
 )
+from .links import TopologyEdgeSet
 from .snapshots import SnapshotSequence, TopologySnapshot, partition
 
 # Sends whose satellite positions the delay experiment evaluates in one
 # call; bounds the (block, N*M, 3) position array.
 _SEND_BLOCK = 128
+
+# The memo value of a send that attaches but finds no path.
+_NO_PATH = (math.nan, 0)
 
 # The straight-line bound, shrunk by 1e-9 of itself: any factor below 1
 # keeps the search exact, and this one leaves a slack far above the float
@@ -272,6 +281,61 @@ def shortest_delay(
     return PathResult(True, dist[dst_i], tuple(sats[i] for i in reversed(path)))
 
 
+class SendGrid:
+    """The sends of a delay experiment and what every sequence shares.
+
+    For each send k, at k * interval_s: whether both stations attach,
+    their satellites' indices in ``sat_to_index`` order and the up- and
+    down-link delays, as lists. Attachments are evaluated once, block by
+    block. The grid also memoises routes for ``delay_experiment``: a
+    drawn edge set gets a small integer token from its universe ids, and
+    the route of send k over it is stored under ``token * n_sends + k``
+    as (path delay, path hops), or ``_NO_PATH``. Sets without ids are
+    routed without the memo.
+
+    Raises:
+        ValueError: On non-positive duration or interval, or a duration
+            shorter than the interval, which leaves no sends.
+    """
+
+    def __init__(self, spec: ConstellationSpec, src_gs: GroundStation,
+                 dst_gs: GroundStation, duration_s: float, interval_s: float):
+        if duration_s <= 0.0 or interval_s <= 0.0:
+            raise ValueError("duration_s and interval_s must be positive")
+        n_sends = int(duration_s // interval_s)
+        if n_sends == 0:
+            raise ValueError(f"duration_s {duration_s} is shorter than interval_s "
+                             f"{interval_s}: no sends")
+        self.spec, self.src_gs, self.dst_gs = spec, src_gs, dst_gs
+        self.duration_s, self.interval_s = duration_s, interval_s
+        self.times = [k * interval_s for k in range(n_sends)]
+        self.attached: list[bool] = []
+        self.src_index: list[int] = []
+        self.dst_index: list[int] = []
+        self.up_s: list[float] = []
+        self.down_s: list[float] = []
+        for first in range(0, n_sends, _SEND_BLOCK):
+            block = np.array(self.times[first:first + _SEND_BLOCK])
+            positions = all_positions_km(spec, block)
+            up = attach_ground(src_gs, block, spec, positions)
+            down = attach_ground(dst_gs, block, spec, positions)
+            self.attached += (up.visible & down.visible).tolist()
+            self.src_index += up.index.tolist()
+            self.dst_index += down.index.tolist()
+            self.up_s += (up.range_km / SPEED_OF_LIGHT_KM_S).tolist()
+            self.down_s += (down.range_km / SPEED_OF_LIGHT_KM_S).tolist()
+        self.routes: dict[int, tuple[float, int]] = {}
+        self._tokens: dict[bytes, int] = {}
+
+    def token(self, edges: TopologyEdgeSet) -> int | None:
+        """The memo token of a set drawn from this constellation's edge
+        universe; None for a set without universe ids."""
+        shape = (self.spec.plane_count, self.spec.sats_per_plane)
+        if edges._ids is None or edges._arrays.shape != shape:
+            return None
+        return self._tokens.setdefault(edges._ids.tobytes(), len(self._tokens))
+
+
 def delay_experiment(
     spec: ConstellationSpec,
     method: str,
@@ -283,6 +347,7 @@ def delay_experiment(
     trigger: str = "enter",
     equal_time_delta_s: float | None = None,
     sequence: SnapshotSequence | None = None,
+    grid: SendGrid | None = None,
 ) -> DelaySeries:
     """Sample end-to-end delay between two ground stations.
 
@@ -290,17 +355,29 @@ def delay_experiment(
     (the one-period sequence repeats cyclically), both stations attach to
     their highest-elevation satellites, and the total is up-link + path +
     down-link delay. Samples with no attachment or no path are flagged
-    unreachable and excluded from the average. Sends are taken in blocks:
-    positions, attachments and snapshot lookups are evaluated once per
-    block as arrays, and each attached send is routed on its own.
+    unreachable and excluded from the average.
+
+    The sends and their attachments come from ``grid``, which is built
+    here when omitted; pass one grid to several calls over the same sends
+    to share them. Sends are taken in blocks: snapshot lookups are
+    evaluated once per block as an array, and each attached send is
+    routed on its own unless the grid's memo already holds its route over
+    the same drawn edge set. Satellite positions are evaluated for a block
+    only when one of its routes is not in the memo.
 
     Raises:
-        ValueError: On non-positive duration or interval, or a
-            ``sequence`` whose method, polar border or period does not
-            match the other arguments.
+        ValueError: On non-positive duration or interval, a duration
+            shorter than the interval, a ``sequence`` whose method, polar
+            border or period does not match the other arguments, or a
+            ``grid`` built for another constellation, station, duration or
+            interval.
     """
-    if duration_s <= 0.0 or interval_s <= 0.0:
-        raise ValueError("duration_s and interval_s must be positive")
+    if grid is None:
+        grid = SendGrid(spec, src_gs, dst_gs, duration_s, interval_s)
+    for name, want in (("spec", spec), ("src_gs", src_gs), ("dst_gs", dst_gs),
+                       ("duration_s", duration_s), ("interval_s", interval_s)):
+        if getattr(grid, name) != want:
+            raise ValueError(f"grid.{name} is {getattr(grid, name)!r}, expected {want!r}")
     if sequence is None:
         sequence = partition(
             spec, method, polar_border_deg,
@@ -318,32 +395,38 @@ def delay_experiment(
 
     samples = []
     sats = satellite_ids(spec.plane_count, spec.sats_per_plane)
-    n_sends = int(duration_s // interval_s)
+    times, n_sends, routes = grid.times, len(grid.times), grid.routes
+    tokens: dict[int, int | None] = {}
     for first in range(0, n_sends, _SEND_BLOCK):
-        times = [k * interval_s for k in range(first, min(first + _SEND_BLOCK, n_sends))]
-        block = np.array(times)
-        positions = all_positions_km(spec, block)
-        up = attach_ground(src_gs, block, spec, positions)
-        down = attach_ground(dst_gs, block, spec, positions)
-        attached = (up.visible & down.visible).tolist()
-        src_i, dst_i = up.index.tolist(), down.index.tolist()
-        up_s = (up.range_km / SPEED_OF_LIGHT_KM_S).tolist()
-        down_s = (down.range_km / SPEED_OF_LIGHT_KM_S).tolist()
+        block = np.array(times[first:first + _SEND_BLOCK])
+        positions = None
         # The snapshot interval check needs the cyclic time; positions
         # repeat every period, so those at t serve for it.
         taus, snap_index = (a.tolist() for a in sequence.lookup(block))
-        for k, t in enumerate(times):
-            if not attached[k]:
+        for i, t in enumerate(times[first:first + _SEND_BLOCK]):
+            k = first + i
+            if not grid.attached[k]:
                 samples.append(DelaySample(t, False, math.nan, 0))
                 continue
-            result = shortest_delay(sequence.snapshots[snap_index[k]], taus[k],
-                                    sats[src_i[k]], sats[dst_i[k]], spec, positions[k])
-            if not result.reachable:
+            j = snap_index[i]
+            if j not in tokens:
+                tokens[j] = grid.token(sequence.snapshots[j].edges)
+            key = None if tokens[j] is None else tokens[j] * n_sends + k
+            route = routes.get(key)  # None when unkeyed or not yet routed
+            if route is None:
+                if positions is None:
+                    positions = all_positions_km(spec, block)
+                result = shortest_delay(sequence.snapshots[j], taus[i],
+                                        sats[grid.src_index[k]], sats[grid.dst_index[k]],
+                                        spec, positions[i])
+                route = (result.delay_s, len(result.path) - 1) if result.reachable else _NO_PATH
+                if key is not None:
+                    routes[key] = route
+            if route is _NO_PATH:
                 samples.append(DelaySample(t, False, math.nan, 0))
                 continue
-            total = up_s[k] + result.delay_s + down_s[k]
-            hops = (len(result.path) - 1) + 2
-            samples.append(DelaySample(t, True, total, hops))
+            total = grid.up_s[k] + route[0] + grid.down_s[k]
+            samples.append(DelaySample(t, True, total, route[1] + 2))
 
     return DelaySeries(
         source=src_gs,

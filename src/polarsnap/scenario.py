@@ -123,6 +123,13 @@ def _number(value: str, lineno: int, key: str) -> float:
         raise ScenarioError(f"{key} must be a number, got {value!r}", lineno) from None
 
 
+def _whole(value: str, lineno: int, key: str) -> int:
+    number = _number(value, lineno, key)
+    if not (math.isfinite(number) and number == int(number)):
+        raise ScenarioError(f"{key} must be a whole number, got {value!r}", lineno)
+    return int(number)
+
+
 def _station(value: str, lineno: int, key: str, min_elevation: float) -> GroundStation:
     parts = [p.strip() for p in value.split(",")]
     if len(parts) != 3:
@@ -177,6 +184,12 @@ def _positive(key: str, value: float, lineno: int | None = None) -> float:
     return value
 
 
+def _sends(duration_s: float, interval_s: float, lineno: int | None = None) -> None:
+    if duration_s < interval_s:
+        raise ScenarioError(f"duration_s {duration_s} is shorter than interval_s "
+                            f"{interval_s}, which leaves no sends", lineno)
+
+
 # Per-field checks shared by scenario files and command-line overrides.
 _CHECKS = {
     "polar_borders_deg": _borders,
@@ -194,12 +207,14 @@ def apply_overrides(config: ScenarioConfig, **overrides) -> None:
     keeps the scenario's own.
 
     Raises:
-        ScenarioError: A value outside its field's valid range.
+        ScenarioError: A value outside its field's valid range, or a
+            duration shorter than the interval once all are applied.
     """
     for name, value in overrides.items():
         if value is not None:
             check = _CHECKS.get(name)
             setattr(config, name, check(value) if check else value)
+    _sends(config.duration_s, config.interval_s)
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -226,17 +241,18 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ScenarioError("missing [constellation] section")
     con = sections["constellation"]
 
-    def con_num(key: str, required: bool = False, default: float | None = None):
+    def con_num(key: str, required: bool = False, default: float | None = None,
+                parse=_number):
         if key not in con:
             if required:
                 _need(con, key, "constellation")
             return default
         value, lineno = con[key]
-        return _number(value, lineno, key)
+        return parse(value, lineno, key)
 
     kwargs = dict(
-        plane_count=int(con_num("planes", required=True)),
-        sats_per_plane=int(con_num("sats_per_plane", required=True)),
+        plane_count=con_num("planes", required=True, parse=_whole),
+        sats_per_plane=con_num("sats_per_plane", required=True, parse=_whole),
         inclination_deg=con_num("inclination_deg", required=True),
         altitude_km=con_num("altitude_km", required=True),
         period_s=con_num("period_s"),
@@ -286,12 +302,16 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         destination = _station(*exp["destination"], key="destination",
                                min_elevation=min_el)
     duration_s, interval_s = 86400.0, 60.0
+    send_line = None
     if "duration_s" in exp:
-        value, lineno = exp["duration_s"]
-        duration_s = _positive("duration_s", _number(value, lineno, "duration_s"), lineno)
+        value, send_line = exp["duration_s"]
+        duration_s = _positive("duration_s", _number(value, send_line, "duration_s"),
+                               send_line)
     if "interval_s" in exp:
-        value, lineno = exp["interval_s"]
-        interval_s = _positive("interval_s", _number(value, lineno, "interval_s"), lineno)
+        value, send_line = exp["interval_s"]
+        interval_s = _positive("interval_s", _number(value, send_line, "interval_s"),
+                               send_line)
+    _sends(duration_s, interval_s, send_line)
 
     out = sections.get("output", {})
     output_dir = Path(out["directory"][0]) if "directory" in out else Path("out")

@@ -64,6 +64,15 @@ class TestConstellationSpec:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             dataclasses.replace(beijing, **{field: value})
 
+    @pytest.mark.parametrize("value", [-0.5, 90.5, 95.0])
+    def test_station_rejects_elevation_outside_0_90(self, beijing, value):
+        with pytest.raises(ValueError, match=r"min_elevation_deg must be in \[0, 90\]"):
+            dataclasses.replace(beijing, min_elevation_deg=value)
+
+    def test_station_accepts_elevation_bounds(self, beijing):
+        for value in (0.0, 90.0):
+            assert dataclasses.replace(beijing, min_elevation_deg=value).min_elevation_deg == value
+
     def test_default_plane_spacing(self):
         spec = ConstellationSpec(6, 11, 86.4, 780.0)
         assert spec.plane_spacing_deg == pytest.approx(30.0)

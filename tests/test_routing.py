@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from polarsnap import report, routing
 from polarsnap.geometry import (
     GroundStation,
     SIDEREAL_DAY_S,
@@ -23,11 +24,14 @@ from polarsnap.routing import (
     DelaySample,
     DelaySeries,
     PathResult,
+    SendGrid,
     attach_ground,
     delay_experiment,
     shortest_delay,
     utilization,
 )
+from polarsnap.report import export_topology, load_topology, run_compare
+from polarsnap.scenario import ScenarioConfig
 from polarsnap.snapshots import (
     SnapshotSequence,
     TopologySnapshot,
@@ -584,3 +588,137 @@ class TestDelayExperiment:
         with pytest.raises(ValueError, match="sequence.period_s"):
             delay_experiment(teledesic, "reassignment", 60.0, beijing, london, 600.0,
                              60.0, sequence=seq)
+
+
+class TestSendGrid:
+    # 180 sends every 10 s: two blocks, the second partial, inside one period
+    DURATION_S, INTERVAL_S = 1800.0, 10.0
+
+    def compare_series(self, spec, stations, borders, tmp_path, monkeypatch):
+        """run_compare's delay series in call order, with the grids it passed."""
+        calls = []
+        experiment = report.delay_experiment
+
+        def record(*args, **kwargs):
+            series = experiment(*args, **kwargs)
+            calls.append((series, kwargs["grid"]))
+            return series
+
+        monkeypatch.setattr(report, "delay_experiment", record)
+        config = ScenarioConfig(spec, list(borders), ["reassignment", "fixed", "equal_time"],
+                                source=stations[0], destination=stations[1],
+                                duration_s=self.DURATION_S, interval_s=self.INTERVAL_S,
+                                output_dir=tmp_path)
+        assert run_compare(config).ok
+        return calls
+
+    @pytest.mark.parametrize("system", ["iridium", "teledesic"])
+    def test_compare_matches_independent_experiments(self, system, request, beijing,
+                                                     london, tmp_path, monkeypatch):
+        spec = request.getfixturevalue(system)
+        borders = (60.0, 65.0)
+        calls = self.compare_series(spec, (beijing, london), borders, tmp_path, monkeypatch)
+        assert len(calls) == 6
+        assert all(grid is calls[0][1] for _, grid in calls)
+        i = 0
+        for border in borders:
+            for method in ("reassignment", "fixed", "equal_time"):
+                want = delay_experiment(spec, method, border, beijing, london,
+                                        self.DURATION_S, self.INTERVAL_S,
+                                        sequence=partition(spec, method, border))
+                assert (calls[i][0].method, calls[i][0].polar_border_deg) == (method, border)
+                assert calls[i][0].samples == want.samples
+                i += 1
+
+    def test_teledesic_fixed_and_equal_time_share_routes(self, teledesic, beijing,
+                                                         london):
+        grid = SendGrid(teledesic, beijing, london, self.DURATION_S, self.INTERVAL_S)
+        for method in ("fixed", "equal_time"):
+            series = delay_experiment(teledesic, method, 60.0, beijing, london,
+                                      self.DURATION_S, self.INTERVAL_S, grid=grid)
+            if method == "fixed":
+                routed = len(grid.routes)
+        # equal_time at 60 degrees draws edge sets that fixed drew too
+        assert len(grid.routes) < 2 * routed
+        assert series.samples == delay_experiment(
+            teledesic, "equal_time", 60.0, beijing, london,
+            self.DURATION_S, self.INTERVAL_S).samples
+
+    def test_routes_each_distinct_pair_once(self, teledesic, beijing, london, tmp_path,
+                                            monkeypatch):
+        # a send is named by its position array, unique inside one period
+        routed = []
+        route = routing.shortest_delay
+
+        def record(snapshot, t, src, dst, spec, positions):
+            routed.append((snapshot.edges._ids.tobytes(), positions.tobytes()))
+            return route(snapshot, t, src, dst, spec, positions)
+
+        monkeypatch.setattr(routing, "shortest_delay", record)
+        borders = (60.0, 65.0)
+        self.compare_series(teledesic, (beijing, london), borders, tmp_path, monkeypatch)
+        times = [k * self.INTERVAL_S for k in range(int(self.DURATION_S // self.INTERVAL_S))]
+        attached = [k for k, t in enumerate(times)
+                    if attach_ground(beijing, t, teledesic) is not None
+                    and attach_ground(london, t, teledesic) is not None]
+        pairs = set()
+        for border in borders:
+            for method in ("reassignment", "fixed", "equal_time"):
+                seq = partition(teledesic, method, border)
+                index = seq.lookup(np.array(times))[1]
+                pairs.update((seq.snapshots[index[k]].edges._ids.tobytes(), k)
+                             for k in attached)
+        assert len(routed) == len(set(routed)) == len(pairs)
+        assert len(pairs) < len(borders) * 3 * len(attached)
+
+    def test_loaded_sequence_routes_without_memo(self, iridium, beijing, london,
+                                                 tmp_path):
+        seq = partition(iridium, "fixed", 60.0)
+        export_topology(seq, iridium, tmp_path / "fixed.json")
+        loaded = load_topology(tmp_path / "fixed.json")[1]
+        assert all(snap.edges._ids is None for snap in loaded.snapshots)
+        grid = SendGrid(iridium, beijing, london, self.DURATION_S, self.INTERVAL_S)
+        drawn = delay_experiment(iridium, "fixed", 60.0, beijing, london,
+                                 self.DURATION_S, self.INTERVAL_S, sequence=seq, grid=grid)
+        routed = len(grid.routes)
+        with_grid = delay_experiment(iridium, "fixed", 60.0, beijing, london,
+                                     self.DURATION_S, self.INTERVAL_S, sequence=loaded,
+                                     grid=grid)
+        without = delay_experiment(iridium, "fixed", 60.0, beijing, london,
+                                   self.DURATION_S, self.INTERVAL_S, sequence=loaded)
+        assert len(grid.routes) == routed
+        assert with_grid.samples == without.samples == drawn.samples
+
+    def test_cut_snapshots_route_without_memo(self, iridium, beijing, london):
+        seq = partition(iridium, "reassignment", 60.0)
+        cut = SnapshotSequence(seq.method, tuple(ring_cut(s) for s in seq.snapshots),
+                               seq.period_s, seq.polar_border_deg)
+        grid = SendGrid(iridium, beijing, london, self.DURATION_S, self.INTERVAL_S)
+        series = delay_experiment(iridium, "reassignment", 60.0, beijing, london,
+                                  self.DURATION_S, self.INTERVAL_S, sequence=cut, grid=grid)
+        assert not grid.routes
+        assert not any(s.reachable for s in series.samples)
+
+    def test_rejects_grid_of_other_arguments(self, iridium, teledesic, beijing, london):
+        grid = SendGrid(iridium, beijing, london, 600.0, 60.0)
+        seq = partition(iridium, "fixed", 60.0)
+        for args, field in (
+            ((iridium, beijing, beijing, 600.0, 60.0), "grid.dst_gs"),
+            ((iridium, london, london, 600.0, 60.0), "grid.src_gs"),
+            ((iridium, beijing, london, 1200.0, 60.0), "grid.duration_s"),
+            ((iridium, beijing, london, 600.0, 30.0), "grid.interval_s"),
+        ):
+            spec, src, dst, duration, interval = args
+            with pytest.raises(ValueError, match=field):
+                delay_experiment(spec, "fixed", 60.0, src, dst, duration, interval,
+                                 sequence=seq, grid=grid)
+        with pytest.raises(ValueError, match="grid.spec"):
+            delay_experiment(teledesic, "fixed", 60.0, beijing, london, 600.0, 60.0,
+                             grid=grid)
+
+    def test_rejects_zero_sends(self, iridium, beijing, london):
+        with pytest.raises(ValueError, match="no sends"):
+            SendGrid(iridium, beijing, london, 30.0, 60.0)
+        with pytest.raises(ValueError, match="no sends"):
+            delay_experiment(iridium, "fixed", 60.0, beijing, london, 30.0, 60.0)
+        assert len(SendGrid(iridium, beijing, london, 60.0, 60.0).times) == 1

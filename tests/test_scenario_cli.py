@@ -153,6 +153,32 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="even"):
             load_scenario(p)
 
+    @pytest.mark.parametrize("key,line", [("planes", 2), ("sats_per_plane", 3)])
+    @pytest.mark.parametrize("value", ["6.5", "nan", "inf", "-inf", "1e400"])
+    def test_non_whole_count_names_key_and_line(self, tmp_path, key, line, value):
+        p = tmp_path / "bad.scenario"
+        head = IRIDIUM_HEAD.decode().replace(f"{key} = {'6' if key == 'planes' else '11'}",
+                                             f"{key} = {value}")
+        p.write_text(head)
+        with pytest.raises(ScenarioError, match=f"line {line}: {key} must be a whole number"):
+            load_scenario(p)
+
+    def test_whole_count_written_as_float_accepted(self, tmp_path):
+        p = tmp_path / "ok.scenario"
+        p.write_bytes(IRIDIUM_HEAD.replace(b"planes = 6", b"planes = 6.0"))
+        assert load_scenario(p).constellation.plane_count == 6
+
+    @pytest.mark.parametrize("experiment,line", [
+        (b"duration_s = 30\ninterval_s = 60\n", 8),
+        (b"duration_s = 30\n", 7),
+        (b"interval_s = 90000\n", 7),
+    ])
+    def test_zero_sends_rejected(self, tmp_path, experiment, line):
+        p = tmp_path / "bad.scenario"
+        p.write_bytes(IRIDIUM_HEAD + b"[experiment]\n" + experiment)
+        with pytest.raises(ScenarioError, match=f"line {line}: .* leaves no sends"):
+            load_scenario(p)
+
     def test_unknown_method_rejected(self, tmp_path):
         p = tmp_path / "bad.scenario"
         p.write_text("[constellation]\nplanes = 6\nsats_per_plane = 11\n"
@@ -573,6 +599,45 @@ class TestCli:
         rc = main(["route", str(path), "--duration", "600", "--output-dir", str(out)])
         assert rc == 2
         assert f"{field} must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "route"])
+    @pytest.mark.parametrize("value", [b"6.5", b"nan", b"1e400"])
+    def test_non_whole_plane_count_reported_cleanly(self, command, value, tmp_path,
+                                                    capsys):
+        path = tmp_path / "in.scenario"
+        path.write_bytes(IRIDIUM_HEAD.replace(b"planes = 6", b"planes = " + value)
+                         + b"[experiment]\n" + STATIONS)
+        out = tmp_path / "out"
+        assert main([command, str(path), "--output-dir", str(out)]) == 2
+        assert "line 2: planes must be a whole number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_sends_in_file_reported_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "in.scenario"
+        path.write_bytes(IRIDIUM_HEAD + b"[experiment]\n" + STATIONS
+                         + b"duration_s = 30\ninterval_s = 60\n")
+        out = tmp_path / "out"
+        assert main(["route", str(path), "--output-dir", str(out)]) == 2
+        assert "leaves no sends" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--duration", "30"], ["--interval", "90000"],
+                                      ["--duration", "50", "--interval", "60"]])
+    def test_zero_sends_from_flags_reported_cleanly(self, argv, tmp_path, capsys):
+        rc = main(["route", str(SCENARIOS / "iridium.scenario"), *argv,
+                   "--output-dir", str(tmp_path)])
+        assert rc == 2
+        assert "leaves no sends" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_elevation_above_90_reported_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "in.scenario"
+        path.write_bytes(IRIDIUM_HEAD + b"[experiment]\n" + STATIONS
+                         + b"min_elevation_deg = 95\n")
+        out = tmp_path / "out"
+        assert main(["route", str(path), "--duration", "600", "--output-dir", str(out)]) == 2
+        assert "min_elevation_deg must be in [0, 90], got 95.0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_compare_subset_omits_baselines(self, tmp_path, capsys):
