@@ -366,6 +366,7 @@ def validate_topology(
     vis: VisibilityModel,
     topo: TopologyEdgeSet,
     t: float,
+    positions: np.ndarray | None = None,
 ) -> list[TopologyViolation]:
     """Check an edge set against the link rules at time t.
 
@@ -375,9 +376,12 @@ def validate_topology(
     and structurally invalid edges (seam crossings, wrong plane spans).
     An empty list means the topology is valid.
 
-    Each rule is one array expression over the set's integer arrays
-    (``TopologyEdgeSet.compiled``); violations are built only for flagged
-    edges and satellites, edge by edge in canonical order, each edge's in
+    ``positions`` are those at t (``all_positions_km``), computed when
+    omitted. Each rule is one array expression over the set's integer
+    arrays (``TopologyEdgeSet.compiled``), evaluated once, latitudes only
+    for a set with horizontal edges; a set on which none fires returns at
+    once. Otherwise violations are built only for flagged edges and
+    satellites, edge by edge in canonical order, each edge's in
     the order structure, visibility, polar (endpoint a, then b), same row,
     survival latitude (a, then b); then one per over-degree satellite, in
     index order.
@@ -391,24 +395,21 @@ def validate_topology(
     intra, oblique, horizontal = (arr.of_kind(k) for k in (INTRA_PLANE, OBLIQUE, HORIZONTAL))
     inter = ~intra
 
-    positions = all_positions_km(spec, t)
+    if positions is None:
+        positions = all_positions_km(spec, t)
     pa, pb = positions[a], positions[b]
     cos = (pa * pb).sum(1) / (np.sqrt((pa * pa).sum(1)) * np.sqrt((pb * pb).sum(1)))
     angle = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
 
-    # Phase (argument of latitude) and true latitude, asin(sin i * sin u),
-    # of every satellite.
+    # Phase (argument of latitude) of every satellite.
     index = np.arange(spec.total_satellites)
     u = ((index // m) * spec.phase_offset_deg + (index % m) * spec.intra_plane_spacing_deg
          + 360.0 * t / orbit_period(spec)) % 360.0
-    lat = np.degrees(np.arcsin(np.clip(
-        math.sin(math.radians(spec.inclination_deg)) * np.sin(np.radians(u)), -1.0, 1.0)))
     polar = in_polar_band(u, vis.polar_border_deg)
-    below = np.abs(lat) < vis.horizontal_min_latitude_deg - 1e-9
 
     dplane = np.abs(a // m - b // m)
     dslot = np.abs(a % m - b % m)
-    flags = np.stack([
+    rules = [
         (intra & ((dplane != 0) | ((dslot != 1) & (dslot != m - 1))))
         | (oblique & (dplane != 1)) | (horizontal & (dplane != 2))
         | ~(intra | oblique | horizontal),
@@ -416,9 +417,19 @@ def validate_topology(
         inter & polar[a],
         inter & polar[b],
         horizontal & (np.abs(((u[a] - u[b]) + 180.0) % 360.0 - 180.0) > 1e-6),
-        horizontal & below[a],
-        horizontal & below[b],
-    ], axis=1)
+    ]
+    if horizontal.any():
+        # True latitude, asin(sin i * sin u), of every satellite.
+        lat = np.degrees(np.arcsin(np.clip(
+            math.sin(math.radians(spec.inclination_deg)) * np.sin(np.radians(u)), -1.0, 1.0)))
+        below = np.abs(lat) < vis.horizontal_min_latitude_deg - 1e-9
+        rules += [horizontal & below[a], horizontal & below[b]]
+    flags = np.stack(rules, axis=1)
+    degree = np.bincount(np.concatenate([a[inter], b[inter]]),
+                         minlength=spec.total_satellites)
+    over = np.flatnonzero(degree > 2).tolist()
+    if not over and not flags.any():
+        return []
 
     violations = []
     ids = satellite_ids(spec.plane_count, m)
@@ -451,9 +462,7 @@ def validate_topology(
                 f"{sats[rule - 5]} at latitude {lat[ends[rule - 5]]:.3f} below survival "
                 f"latitude {vis.horizontal_min_latitude_deg:.3f}"))
 
-    degree = np.bincount(np.concatenate([a[inter], b[inter]]),
-                         minlength=spec.total_satellites)
-    for s in np.flatnonzero(degree > 2).tolist():
+    for s in over:
         violations.append(TopologyViolation(
             "degree", None,
             f"{ids[s]} carries {degree[s]} inter-plane edges (max 2)"))

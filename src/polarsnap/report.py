@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import ConstellationSpec, make_visibility_model, orbit_period
+from .geometry import ConstellationSpec, all_positions_km, make_visibility_model, orbit_period
 from .links import EdgeArrays, TopologyEdgeSet, canonical_arrays, validate_topology
 from .routing import DelaySeries, SendGrid, delay_experiment, utilization
 from .scenario import ScenarioConfig
@@ -133,7 +133,8 @@ def export_topology(
     unique = np.sort(keys)
     unique = unique[np.diff(unique, prepend=-1) != 0]
     inverse = np.searchsorted(unique, keys)
-    table = [json.dumps([kinds[k], a // m + 1, a % m + 1, b // m + 1, b % m + 1])
+    names = [json.dumps(kind) for kind in kinds]
+    table = [f"[{names[k]}, {a // m + 1}, {a % m + 1}, {b // m + 1}, {b % m + 1}]"
              for k, a, b in zip(*(x.tolist() for x in (unique // (n * n), unique // n % n,
                                                        unique % n)))]
     bounds = np.cumsum([0] + [len(arr.a) for arr in arrays]).tolist()
@@ -303,7 +304,8 @@ def _gather(table: EdgeArrays, ids: np.ndarray) -> EdgeArrays:
 def _check_sequence(
     spec: ConstellationSpec, seq: SnapshotSequence, failures: list[str],
 ) -> None:
-    """Internal oracles: tiling and per-snapshot link validity."""
+    """Internal oracles: tiling and per-snapshot link validity, with the
+    positions of every snapshot's validation instant evaluated in one call."""
     period = orbit_period(spec)
     total = sum(s.duration_s for s in seq.snapshots)
     if abs(total - period) > 1e-6:
@@ -316,8 +318,10 @@ def _check_sequence(
                 f"{spec.name} {seq.method} {seq.polar_border_deg}: snapshots "
                 f"{i} and {i + 1} are not contiguous")
     vis = make_visibility_model(spec, seq.polar_border_deg)
-    for i, snap in enumerate(seq.snapshots):
-        violations = validate_topology(spec, vis, snap.edges, snap.start_s + 1e-3)
+    times = [snap.start_s + 1e-3 for snap in seq.snapshots]
+    positions = all_positions_km(spec, np.array(times))
+    for i, (snap, t) in enumerate(zip(seq.snapshots, times)):
+        violations = validate_topology(spec, vis, snap.edges, t, positions[i])
         if violations:
             first = violations[0]
             failures.append(

@@ -19,9 +19,9 @@ stations: the send times and both attachments (satellite, mask flag and
 up- or down-link delay for every send), evaluated block by block as
 arrays. It also holds a memo of routes keyed on (edge set, send), so the
 experiments of one ``compare`` route each distinct pair once. The pass
-looks up each block's snapshots as an array and evaluates satellite
-positions for a block only when one of its attached sends is not in the
-memo; the grid keeps no positions.
+looks up each block's snapshots as an array, finds the attached sends
+whose route is not in the memo, and evaluates satellite positions for
+exactly those sends, in one call per block; the grid keeps no positions.
 """
 import heapq
 import math
@@ -362,8 +362,8 @@ def delay_experiment(
     to share them. Sends are taken in blocks: snapshot lookups are
     evaluated once per block as an array, and each attached send is
     routed on its own unless the grid's memo already holds its route over
-    the same drawn edge set. Satellite positions are evaluated for a block
-    only when one of its routes is not in the memo.
+    the same drawn edge set. Satellite positions are evaluated in one call
+    per block, for exactly the sends routed in it.
 
     Raises:
         ValueError: On non-positive duration or interval, a duration
@@ -398,34 +398,40 @@ def delay_experiment(
     times, n_sends, routes = grid.times, len(grid.times), grid.routes
     tokens: dict[int, int | None] = {}
     for first in range(0, n_sends, _SEND_BLOCK):
-        block = np.array(times[first:first + _SEND_BLOCK])
-        positions = None
+        block = times[first:first + _SEND_BLOCK]
         # The snapshot interval check needs the cyclic time; positions
         # repeat every period, so those at t serve for it.
-        taus, snap_index = (a.tolist() for a in sequence.lookup(block))
-        for i, t in enumerate(times[first:first + _SEND_BLOCK]):
-            k = first + i
-            if not grid.attached[k]:
-                samples.append(DelaySample(t, False, math.nan, 0))
+        taus, snap_index = (a.tolist() for a in sequence.lookup(np.array(block)))
+        # The attached sends' routes from the memo; the others (a None key,
+        # for a set without ids, is never in it) are routed below.
+        found, todo = {}, []
+        for i, j in enumerate(snap_index):
+            if not grid.attached[first + i]:
                 continue
-            j = snap_index[i]
             if j not in tokens:
                 tokens[j] = grid.token(sequence.snapshots[j].edges)
-            key = None if tokens[j] is None else tokens[j] * n_sends + k
-            route = routes.get(key)  # None when unkeyed or not yet routed
-            if route is None:
-                if positions is None:
-                    positions = all_positions_km(spec, block)
-                result = shortest_delay(sequence.snapshots[j], taus[i],
+            key = None if tokens[j] is None else tokens[j] * n_sends + first + i
+            if key in routes:
+                found[i] = routes[key]
+            else:
+                todo.append((i, key))
+        if todo:
+            positions = all_positions_km(spec, np.array([block[i] for i, _ in todo]))
+            for (i, key), pos in zip(todo, positions):
+                k = first + i
+                result = shortest_delay(sequence.snapshots[snap_index[i]], taus[i],
                                         sats[grid.src_index[k]], sats[grid.dst_index[k]],
-                                        spec, positions[i])
+                                        spec, pos)
                 route = (result.delay_s, len(result.path) - 1) if result.reachable else _NO_PATH
+                found[i] = route
                 if key is not None:
                     routes[key] = route
+        for i, t in enumerate(block):
+            route = found.get(i, _NO_PATH)
             if route is _NO_PATH:
                 samples.append(DelaySample(t, False, math.nan, 0))
                 continue
-            total = grid.up_s[k] + route[0] + grid.down_s[k]
+            total = grid.up_s[first + i] + route[0] + grid.down_s[first + i]
             samples.append(DelaySample(t, True, total, route[1] + 2))
 
     return DelaySeries(

@@ -295,6 +295,10 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     if "min_elevation_deg" in exp:
         value, lineno = exp["min_elevation_deg"]
         min_el = _number(value, lineno, "min_elevation_deg")
+        if not math.isfinite(min_el):
+            raise ScenarioError(f"min_elevation_deg must be finite, got {min_el}", lineno)
+        if not 0.0 <= min_el <= 90.0:
+            raise ScenarioError(f"min_elevation_deg must be in [0, 90], got {min_el}", lineno)
     source = destination = None
     if "source" in exp:
         source = _station(*exp["source"], key="source", min_elevation=min_el)

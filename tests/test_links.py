@@ -423,6 +423,53 @@ class TestReferenceValidator:
         assert validate_topology(spec, vis, empty, 0.0) == []
 
 
+def sweep_case(rule, spec, border):
+    """(edge set, instant) pairs of one sweep constellation at one border on
+    which the rule fires. No generated set carries a satellite of degree 3,
+    so that case joins consecutive reassignment sets; structure adds a seam
+    edge and an edge of unknown kind to each set."""
+    method = "fixed" if rule == "polar" else "reassignment"
+    snaps = partition(spec, method, border).snapshots
+    if rule == "degree":
+        return [(TopologyEdgeSet(s.edges.edges | n.edges.edges, s.start_s, "joined"),
+                 s.start_s + 1e-3) for s, n in zip(snaps, snaps[1:])]
+    if rule == "structure":
+        n = spec.plane_count
+        bad = {make_edge(SatId(1, 1), SatId(n, 1), OBLIQUE),
+               IslEdge(SatId(1, 2), SatId(2, 2), "laser")}
+        return [(TopologyEdgeSet(s.edges.edges | bad, s.start_s, "handmade"), s.start_s + 1e-3)
+                for s in snaps]
+    # the polar caps catch fixed links just past their interval
+    return [(s.edges, (s.end_s if rule == "polar" else s.start_s) + 1e-3) for s in snaps]
+
+
+class TestValidatorPositions:
+    """Given a row of one ``all_positions_km`` call over many instants,
+    ``validate_topology`` lists what it lists without positions, and what
+    the per-edge oracle lists, on sweep constellations where each rule
+    fires."""
+
+    @pytest.mark.parametrize("rule,shape,border", [
+        ("structure", (4, 5), 60.0),
+        ("visibility", (2, 3), 30.0),
+        ("polar", (4, 8), 60.0),
+        ("horizontal_range", (4, 5), 30.0),
+        ("degree", (6, 8), 60.0),
+    ])
+    def test_positions_row_matches_oracle(self, rule, shape, border):
+        spec = ConstellationSpec(*shape, 86.0, 1000.0)
+        vis = make_visibility_model(spec, border)
+        case = sweep_case(rule, spec, border)
+        positions = all_positions_km(spec, np.array([t for _, t in case]))
+        fired = collections.Counter()
+        for (topo, t), row in zip(case, positions):
+            got = validate_topology(spec, vis, topo, t, row)
+            assert got == validate_topology(spec, vis, topo, t)
+            assert got == reference_validate_topology(spec, vis, topo, t)
+            fired.update(v.rule for v in got)
+        assert fired[rule] > 0
+
+
 class TestCompiledEdges:
     def test_canonical_order_and_cache(self, iridium):
         topo = partition(iridium, "reassignment", 75.0).snapshots[0].edges

@@ -689,6 +689,44 @@ class TestSendGrid:
         assert len(grid.routes) == routed
         assert with_grid.samples == without.samples == drawn.samples
 
+    def test_positions_only_for_routed_sends(self, iridium, beijing, london, tmp_path,
+                                             monkeypatch):
+        seq = partition(iridium, "reassignment", 60.0)
+        export_topology(seq, iridium, tmp_path / "topo.json")
+        loaded = load_topology(tmp_path / "topo.json")[1]
+        # a 30 degree mask leaves some sends unattached
+        strict = GroundStation("strict", beijing.latitude_deg, beijing.longitude_deg, 30.0)
+        grid = SendGrid(iridium, strict, london, self.DURATION_S, self.INTERVAL_S)
+        counts = {"instants": 0, "routes": 0}
+        positions, route = routing.all_positions_km, routing.shortest_delay
+
+        def count_positions(spec, t):
+            counts["instants"] += np.size(t)
+            return positions(spec, t)
+
+        def count_routes(*args):
+            counts["routes"] += 1
+            return route(*args)
+
+        monkeypatch.setattr(routing, "all_positions_km", count_positions)
+        monkeypatch.setattr(routing, "shortest_delay", count_routes)
+
+        def run(sequence):
+            counts.update(instants=0, routes=0)
+            series = delay_experiment(iridium, "reassignment", 60.0, strict, london,
+                                      self.DURATION_S, self.INTERVAL_S, sequence=sequence,
+                                      grid=grid)
+            return series.samples, counts["instants"], counts["routes"]
+
+        attached = sum(grid.attached)
+        assert 0 < attached < len(grid.times)
+        first = run(seq)
+        assert first[1:] == (attached, attached)
+        assert run(seq) == (first[0], 0, 0)
+        # a loaded set has no memo key: every attached send is routed again
+        assert run(loaded) == (first[0], attached, attached)
+        assert run(loaded) == (first[0], attached, attached)
+
     def test_cut_snapshots_route_without_memo(self, iridium, beijing, london):
         seq = partition(iridium, "reassignment", 60.0)
         cut = SnapshotSequence(seq.method, tuple(ring_cut(s) for s in seq.snapshots),

@@ -199,6 +199,17 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=f"line 7: {field}"):
             load_scenario(p)
 
+    @pytest.mark.parametrize("value,message", [
+        ("95", r"in \[0, 90\], got 95.0"), ("-0.5", r"in \[0, 90\], got -0.5"),
+        ("nan", "finite, got nan"), ("inf", "finite, got inf")])
+    def test_elevation_checked_on_its_own_line(self, tmp_path, value, message):
+        # the stations follow on line 8, but the error names line 7
+        p = tmp_path / "bad.scenario"
+        p.write_bytes(IRIDIUM_HEAD + f"[experiment]\nmin_elevation_deg = {value}\n".encode()
+                      + STATIONS)
+        with pytest.raises(ScenarioError, match=f"^line 7: min_elevation_deg must be {message}$"):
+            load_scenario(p)
+
     def test_defaults_without_optional_sections(self, tmp_path):
         p = tmp_path / "min.scenario"
         p.write_text("[constellation]\nplanes = 6\nsats_per_plane = 11\n"
@@ -352,6 +363,26 @@ class TestTopologyExport:
             assert {(table[k][0], SatId(*table[k][1:3]), SatId(*table[k][3:]))
                     for k in entry["edge_ids"]} == \
                 {(e.kind, e.endpoint_a, e.endpoint_b) for e in snap.edges.edges}
+
+    @pytest.mark.parametrize("system", ["iridium", "teledesic"])
+    def test_table_rows_are_json_dumps(self, system, request, tmp_path):
+        # each row is written as json.dumps of its list would write it, also
+        # for kind names that JSON escapes
+        spec = request.getfixturevalue(system)
+        snaps = partition_reassignment(spec, 75.0).snapshots
+        odd = snaps[-1].edges.edges | {IslEdge(SatId(1, 1), SatId(2, 1), 'we"ird'),
+                                       IslEdge(SatId(2, 2), SatId(3, 5), "m\u00fcnchen\\\t")}
+        last = TopologySnapshot(snaps[-1].start_s, snaps[-1].end_s,
+                                TopologyEdgeSet(odd, snaps[-1].start_s, "x"), 0)
+        handmade = SnapshotSequence("handmade", snaps[:-1] + (last,), orbit_period(spec), 75.0)
+        path = tmp_path / "topo.json"
+        for seq in (*(partition(spec, m, 60.0) for m in ("reassignment", "fixed")), handmade):
+            export_topology(seq, spec, path)
+            text = path.read_text()
+            rows = text.split('\n "edges": [\n', 1)[1].split("\n ],\n", 1)[0].split(",\n")
+            table = json.loads(text)["edges"]
+            assert [row.removeprefix("  ") for row in rows] == list(map(json.dumps, table))
+        assert {'we"ird', "m\u00fcnchen\\\t"} <= {row[0] for row in table}
 
     def test_empty_sequence_rejected(self, iridium, tmp_path):
         seq = SnapshotSequence("reassignment", (), 6027.0, 60.0)
@@ -639,6 +670,13 @@ class TestCli:
         assert main(["route", str(path), "--duration", "600", "--output-dir", str(out)]) == 2
         assert "min_elevation_deg must be in [0, 90], got 95.0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_elevation_above_90_without_stations_reported_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "in.scenario"
+        path.write_bytes(IRIDIUM_HEAD + b"[experiment]\nmin_elevation_deg = 95\n")
+        assert main(["analyze", str(path)]) == 2
+        assert "line 7: min_elevation_deg must be in [0, 90], got 95.0" in \
+            capsys.readouterr().err
 
     def test_compare_subset_omits_baselines(self, tmp_path, capsys):
         rc = main([
