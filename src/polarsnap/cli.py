@@ -10,14 +10,14 @@ Subcommands:
 
 ``simulate``, ``route`` and ``compare`` all run ``report.run_compare``;
 ``simulate`` runs it with the scenario's stations cleared, so it routes
-nothing. Flags override the corresponding scenario values. All three exit
-with status 1 when any internal validation oracle fails, and every
-command exits with status 2 on a scenario error.
+nothing. Flags override the corresponding scenario values; their text goes
+through the parser of the scenario key, so it is checked as in a file. All
+three exit with status 1 when any internal validation oracle fails, and
+every command exits with status 2 on a scenario error.
 """
 import argparse
 import dataclasses
 import sys
-from pathlib import Path
 
 from .errors import ScenarioError
 from .geometry import orbit_period
@@ -28,9 +28,9 @@ from .snapshots import analytic_summary
 # Subcommand flags past the shared ones, in the order they are added.
 _FLAGS = (
     ("--methods", dict(help="comma-separated method subset")),
-    ("--trigger", dict(choices=("enter", "exit"))),
-    ("--duration", dict(type=float, help="experiment length (s)")),
-    ("--interval", dict(type=float, help="send interval (s)")),
+    ("--trigger", dict(help="enter or exit")),
+    ("--duration", dict(help="experiment length (s)")),
+    ("--interval", dict(help="send interval (s)")),
 )
 
 
@@ -38,7 +38,7 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
     config = load_scenario(args.scenario)
     apply_overrides(
         config,
-        polar_borders_deg=args.polar_borders,
+        polar_borders_deg=args.polar_borders and ",".join(args.polar_borders),
         output_dir=args.output_dir,
         methods=getattr(args, "methods", None),
         trigger=getattr(args, "trigger", None),
@@ -116,10 +116,10 @@ def main(argv: list[str] | None = None) -> int:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("scenario", help="path to a scenario file")
-        p.add_argument("--polar-border", type=float, action="append",
+        p.add_argument("--polar-border", action="append",
                        dest="polar_borders",
                        help="override polar border latitude (repeatable)")
-        p.add_argument("--output-dir", type=Path, help="override output directory")
+        p.add_argument("--output-dir", help="override output directory")
         for flag, kwargs in _FLAGS[:n_flags]:
             p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)

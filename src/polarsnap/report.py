@@ -2,17 +2,18 @@
 
 All outputs are deterministic: edges are sorted canonically, floats are
 serialised with repr round-tripping, and nothing depends on wall-clock
-time, so identical scenarios produce byte-identical files.
+time, so identical scenarios produce byte-identical files. Topology
+exports are written and read in format 2 (``polarsnap-topology/2``) only.
 """
 import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
+from .errors import ScenarioError
 from .geometry import ConstellationSpec, all_positions_km, make_visibility_model, orbit_period
 from .links import EdgeArrays, TopologyEdgeSet, canonical_arrays, validate_topology
 from .routing import DelaySeries, SendGrid, delay_experiment, utilization
@@ -27,9 +28,8 @@ from .snapshots import (
 )
 
 _EXPORT_FORMAT = "polarsnap-topology/2"
-_FORMAT_V1 = "polarsnap-topology/1"
 _HEAD_KEYS = ("constellation", "method", "polar_border_deg", "trigger", "period_s",
-              "truncated_final", "snapshots")
+              "truncated_final", "snapshots", "edges")
 
 
 @dataclass(frozen=True)
@@ -148,12 +148,11 @@ def export_topology(
 
 
 def load_topology(path: Path) -> tuple[ConstellationSpec, SnapshotSequence]:
-    """Parse a topology export, format 2 or format 1, back into a snapshot
-    sequence.
+    """Parse a topology export back into a snapshot sequence.
 
-    A format 2 file's edge table is parsed once into edge arrays, and each
-    snapshot's set gathers its rows from them; a format 1 file lists each
-    snapshot's edges as objects. The checks work on whole arrays.
+    Only format 2 is read. Its edge table is parsed once into edge arrays,
+    and each snapshot's set gathers its rows from them. The checks work on
+    whole arrays.
 
     Raises:
         ValueError: If the file is not a well-formed topology export. The
@@ -167,11 +166,9 @@ def load_topology(path: Path) -> tuple[ConstellationSpec, SnapshotSequence]:
 
 def _parse_topology(doc) -> tuple[ConstellationSpec, SnapshotSequence]:
     fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt not in (_EXPORT_FORMAT, _FORMAT_V1):
+    if fmt != _EXPORT_FORMAT:
         raise ValueError(f"unrecognised topology format {fmt!r}")
-    v1 = fmt == _FORMAT_V1
-    key = "edges" if v1 else "edge_ids"
-    _require_keys(doc, _HEAD_KEYS if v1 else _HEAD_KEYS + ("edges",), "")
+    _require_keys(doc, _HEAD_KEYS, "")
     try:
         spec = ConstellationSpec(**doc["constellation"])
     except TypeError as exc:
@@ -186,22 +183,21 @@ def _parse_topology(doc) -> tuple[ConstellationSpec, SnapshotSequence]:
         raise ValueError(f"polar_border_deg must be a number, got {doc['polar_border_deg']!r}")
     if type(entries) is not list or not entries:
         raise ValueError("snapshots must be a non-empty list")
-    table = None if v1 else _v2_table(shape, doc["edges"])
+    table = _v2_table(shape, doc["edges"])
 
     parts = []
     for i, entry in enumerate(entries):
         where = f"snapshot {i}: "
-        _require_keys(entry, ("index", "start_s", "end_s", key), where)
+        _require_keys(entry, ("index", "start_s", "end_s", "edge_ids"), where)
         if type(entry["index"]) is not int or entry["index"] != i:
             raise ValueError(f"{where}index {entry['index']!r}, expected {i}")
         if not (_is_number(entry["start_s"]) and _is_number(entry["end_s"])):
             raise ValueError(f"{where}bounds must be finite numbers, got "
                              f"{entry['start_s']!r} and {entry['end_s']!r}")
-        if type(entry[key]) is not list:
-            raise ValueError(f"{where}{key} must be a list")
+        if type(entry["edge_ids"]) is not list:
+            raise ValueError(f"{where}edge_ids must be a list")
         try:
-            parts.append(_v1_edges(shape, entry[key]) if v1
-                         else _gather(table, _integers(entry[key], key)))
+            parts.append(_gather(table, _integers(entry["edge_ids"], "edge_ids")))
         except ValueError as exc:
             raise ValueError(where + str(exc)) from exc
 
@@ -248,42 +244,23 @@ def _integers(values: list, what: str) -> np.ndarray:
         raise ValueError(f"{what} out of range") from None
 
 
-def _edge_arrays(shape: tuple[int, int], names: list,
-                 ends: list) -> tuple[EdgeArrays, np.ndarray]:
-    """Canonical edge arrays from kind names and 1-based endpoints, four
-    integers per edge (plane a, index a, plane b, index b), and the rows
-    that ``canonical_arrays`` read, in input order."""
-    if not set(map(type, names)) <= {str}:
-        raise ValueError("edge kinds must be strings")
-    kinds = tuple(sorted(set(names)))
-    code = {k: i for i, k in enumerate(kinds)}
-    rows = np.empty((len(names), 5), dtype=np.int64)
-    rows[:, 0] = np.fromiter(map(code.__getitem__, names), np.int64, len(names))
-    rows[:, 1:] = _integers(ends, "edge endpoints").reshape(-1, 4)
-    return canonical_arrays(shape, kinds, rows), rows
-
-
-def _v1_edges(shape: tuple[int, int], edges: list) -> EdgeArrays:
-    """One format 1 snapshot's edge objects as edge arrays, duplicates dropped."""
-    try:
-        names = list(map(itemgetter("kind"), edges))
-        ends = list(chain.from_iterable(map(itemgetter("a", "b"), edges)))
-    except (KeyError, TypeError):
-        raise ValueError("edges must be objects with kind, a and b") from None
-    if not (set(map(type, ends)) <= {list} and set(map(len, ends)) <= {2}):
-        raise ValueError("edge endpoints must be [plane, index] pairs")
-    return _edge_arrays(shape, names, list(chain.from_iterable(ends)))[0]
-
-
 def _v2_table(shape: tuple[int, int], table) -> EdgeArrays:
     """The format 2 edge table as edge arrays; its rows must be distinct and
     in canonical order, so that row i is edge i of the arrays."""
     if not (type(table) is list and set(map(type, table)) <= {list}
             and set(map(len, table)) <= {5}):
         raise ValueError("edges table rows must be [kind, plane_a, index_a, plane_b, index_b]")
+    names = [r[0] for r in table]
+    if not set(map(type, names)) <= {str}:
+        raise ValueError("edges table: edge kinds must be strings")
+    kinds = tuple(sorted(set(names)))
+    code = {k: i for i, k in enumerate(kinds)}
+    rows = np.empty((len(table), 5), dtype=np.int64)
+    rows[:, 0] = np.fromiter(map(code.__getitem__, names), np.int64, len(table))
     try:
-        arrays, rows = _edge_arrays(shape, [r[0] for r in table],
-                                    list(chain.from_iterable(r[1:] for r in table)))
+        rows[:, 1:] = _integers(list(chain.from_iterable(r[1:] for r in table)),
+                                "edge endpoints").reshape(-1, 4)
+        arrays = canonical_arrays(shape, kinds, rows)
     except ValueError as exc:
         raise ValueError(f"edges table: {exc}") from exc
     ends = (rows[:, 1::2] - 1) * shape[1] + rows[:, 2::2] - 1
@@ -340,10 +317,17 @@ def run_compare(config: ScenarioConfig) -> ComparisonReport:
     directory. A summary table and a comparison CSV are written at the end.
     All delay experiments share one ``SendGrid``: the stations attach once
     per send, and each distinct (edge set, send) pair is routed once.
+
+    Raises:
+        ScenarioError: If the output directory cannot be created, for
+            instance because its path names an existing file.
     """
     spec = config.constellation
     outdir = config.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"cannot create output directory {outdir}: {exc.strerror}") from None
 
     rows: list[ComparisonRow] = []
     failures: list[str] = []

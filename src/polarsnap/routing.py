@@ -18,10 +18,12 @@ sequence. A ``SendGrid`` holds what every sequence shares for one pair of
 stations: the send times and both attachments (satellite, mask flag and
 up- or down-link delay for every send), evaluated block by block as
 arrays. It also holds a memo of routes keyed on (edge set, send), so the
-experiments of one ``compare`` route each distinct pair once. The pass
-looks up each block's snapshots as an array, finds the attached sends
-whose route is not in the memo, and evaluates satellite positions for
-exactly those sends, in one call per block; the grid keeps no positions.
+experiments of one ``compare`` route each distinct pair once. A set is
+known by its compiled endpoints, so drawn, loaded and hand-made sets with
+the same links share memo entries. The pass looks up each block's
+snapshots as an array, finds the attached sends whose route is not in the
+memo, and evaluates satellite positions for exactly those sends, in one
+call per block; the grid keeps no positions.
 """
 import heapq
 import math
@@ -287,11 +289,11 @@ class SendGrid:
     For each send k, at k * interval_s: whether both stations attach,
     their satellites' indices in ``sat_to_index`` order and the up- and
     down-link delays, as lists. Attachments are evaluated once, block by
-    block. The grid also memoises routes for ``delay_experiment``: a
-    drawn edge set gets a small integer token from its universe ids, and
-    the route of send k over it is stored under ``token * n_sends + k``
-    as (path delay, path hops), or ``_NO_PATH``. Sets without ids are
-    routed without the memo.
+    block. The grid also memoises routes for ``delay_experiment``: an
+    edge set gets a small integer token from its compiled endpoint arrays
+    (routes do not depend on edge kinds), and the route of send k over it
+    is stored under ``token * n_sends + k`` as (path delay, path hops), or
+    ``_NO_PATH``.
 
     Raises:
         ValueError: On non-positive duration or interval, or a duration
@@ -327,13 +329,12 @@ class SendGrid:
         self.routes: dict[int, tuple[float, int]] = {}
         self._tokens: dict[bytes, int] = {}
 
-    def token(self, edges: TopologyEdgeSet) -> int | None:
-        """The memo token of a set drawn from this constellation's edge
-        universe; None for a set without universe ids."""
-        shape = (self.spec.plane_count, self.spec.sats_per_plane)
-        if edges._ids is None or edges._arrays.shape != shape:
-            return None
-        return self._tokens.setdefault(edges._ids.tobytes(), len(self._tokens))
+    def token(self, edges: TopologyEdgeSet) -> int:
+        """The memo token of an edge set: the same for every set with the
+        same compiled endpoints, drawn, loaded or hand-made."""
+        arrays = edges.compiled(self.spec)
+        return self._tokens.setdefault(arrays.a.tobytes() + arrays.b.tobytes(),
+                                       len(self._tokens))
 
 
 def delay_experiment(
@@ -362,8 +363,8 @@ def delay_experiment(
     to share them. Sends are taken in blocks: snapshot lookups are
     evaluated once per block as an array, and each attached send is
     routed on its own unless the grid's memo already holds its route over
-    the same drawn edge set. Satellite positions are evaluated in one call
-    per block, for exactly the sends routed in it.
+    an edge set with the same endpoints. Satellite positions are evaluated
+    in one call per block, for exactly the sends routed in it.
 
     Raises:
         ValueError: On non-positive duration or interval, a duration
@@ -396,21 +397,20 @@ def delay_experiment(
     samples = []
     sats = satellite_ids(spec.plane_count, spec.sats_per_plane)
     times, n_sends, routes = grid.times, len(grid.times), grid.routes
-    tokens: dict[int, int | None] = {}
+    tokens: dict[int, int] = {}
     for first in range(0, n_sends, _SEND_BLOCK):
         block = times[first:first + _SEND_BLOCK]
         # The snapshot interval check needs the cyclic time; positions
         # repeat every period, so those at t serve for it.
         taus, snap_index = (a.tolist() for a in sequence.lookup(np.array(block)))
-        # The attached sends' routes from the memo; the others (a None key,
-        # for a set without ids, is never in it) are routed below.
+        # The attached sends' routes from the memo; the others are routed below.
         found, todo = {}, []
         for i, j in enumerate(snap_index):
             if not grid.attached[first + i]:
                 continue
             if j not in tokens:
                 tokens[j] = grid.token(sequence.snapshots[j].edges)
-            key = None if tokens[j] is None else tokens[j] * n_sends + first + i
+            key = tokens[j] * n_sends + first + i
             if key in routes:
                 found[i] = routes[key]
             else:
@@ -422,10 +422,8 @@ def delay_experiment(
                 result = shortest_delay(sequence.snapshots[snap_index[i]], taus[i],
                                         sats[grid.src_index[k]], sats[grid.dst_index[k]],
                                         spec, pos)
-                route = (result.delay_s, len(result.path) - 1) if result.reachable else _NO_PATH
-                found[i] = route
-                if key is not None:
-                    routes[key] = route
+                found[i] = routes[key] = ((result.delay_s, len(result.path) - 1)
+                                          if result.reachable else _NO_PATH)
         for i, t in enumerate(block):
             route = found.get(i, _NO_PATH)
             if route is _NO_PATH:

@@ -26,13 +26,18 @@ Example::
     [output]
     directory = out
 
-Unknown sections or keys are rejected with their line number. Comments
-start with '#'. Command-line overrides (``apply_overrides``) go through the
-same per-field checks.
+Every key is one entry of ``_KEYS``: the field it sets and the parser that
+reads and checks its text. Unknown sections or keys are rejected with
+their line number, and the ``ConstellationSpec`` fields without a default
+are required keys. Defaults are those of ``ScenarioConfig``,
+``ConstellationSpec`` and ``GroundStation``. Command-line overrides
+(``apply_overrides``) pass their text to the same parsers, so a bad value
+gives the same message, without a line number. The constellation ``name``
+starts every artifact's file name, so it may not be empty, ``.`` or ``..``,
+or hold ``/`` or ``\\``. Comments start with '#'.
 """
 import math
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import MISSING, dataclass, field, replace
 from pathlib import Path
 
 from .errors import ScenarioError
@@ -43,29 +48,13 @@ MATCH_REASSIGNMENT = "match_reassignment"
 
 _VALID_METHODS = (METHOD_REASSIGNMENT, METHOD_FIXED, METHOD_EQUAL_TIME)
 
-_KNOWN_KEYS = {
-    "constellation": {
-        "name", "planes", "sats_per_plane", "inclination_deg", "altitude_km",
-        "period_s", "inter_plane_spacing_deg", "earth_radius_km",
-        "grazing_altitude_km",
-    },
-    "partition": {
-        "polar_border_deg", "methods", "trigger", "equal_time_delta",
-    },
-    "experiment": {
-        "source", "destination", "min_elevation_deg", "duration_s",
-        "interval_s",
-    },
-    "output": {"directory"},
-}
-
 
 @dataclass
 class ScenarioConfig:
     """Validated scenario: constellation plus run parameters."""
     constellation: ConstellationSpec
-    polar_borders_deg: list[float]
-    methods: list[str]
+    polar_borders_deg: list[float] = field(default_factory=lambda: [60.0, 65.0, 70.0, 75.0])
+    methods: list[str] = field(default_factory=lambda: list(_VALID_METHODS))
     trigger: str = "enter"
     equal_time_delta: str | float = MATCH_REASSIGNMENT
     source: GroundStation | None = None
@@ -84,6 +73,134 @@ class ScenarioConfig:
         return float(self.equal_time_delta)
 
 
+# The parsers below take (key, text, line), with line None for a
+# command-line flag, and return the field value or raise ScenarioError.
+
+def _number(key: str, text: str, lineno: int | None) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ScenarioError(f"{key} must be a number, got {text!r}", lineno) from None
+
+
+def _whole(key: str, text: str, lineno: int | None) -> int:
+    number = _number(key, text, lineno)
+    if not (math.isfinite(number) and number == int(number)):
+        raise ScenarioError(f"{key} must be a whole number, got {text!r}", lineno)
+    return int(number)
+
+
+def _positive(key: str, text: str, lineno: int | None) -> float:
+    number = _number(key, text, lineno)
+    if not (number > 0 and math.isfinite(number)):
+        raise ScenarioError(f"{key} must be positive and finite, got {number}", lineno)
+    return number
+
+
+def _delta(key: str, text: str, lineno: int | None) -> str | float:
+    return text if text == MATCH_REASSIGNMENT else _positive(key, text, lineno)
+
+
+def _elevation(key: str, text: str, lineno: int | None) -> float:
+    number = _number(key, text, lineno)
+    if not 0.0 <= number <= 90.0:
+        rule = "in [0, 90]" if math.isfinite(number) else "finite"
+        raise ScenarioError(f"{key} must be {rule}, got {number}", lineno)
+    return number
+
+
+def _name(key: str, text: str, lineno: int | None) -> str:
+    # Artifact file names start with the name, so it must stay one path part.
+    if text in ("", ".", "..") or "/" in text or "\\" in text:
+        raise ScenarioError(f"{key} must be a file name part: not empty, '.' or '..', "
+                            f"and without '/' or '\\', got {text!r}", lineno)
+    return text
+
+
+def _station(key: str, text: str, lineno: int | None) -> GroundStation:
+    parts = [p.strip() for p in text.split(",")]
+    if len(parts) != 3:
+        raise ScenarioError(
+            f"{key} must be 'name, latitude, longitude', got {text!r}", lineno)
+    try:
+        return GroundStation(parts[0], float(parts[1]), float(parts[2]))
+    except ValueError as exc:
+        raise ScenarioError(f"{key}: {exc}", lineno) from None
+
+
+def _borders(key: str, text: str, lineno: int | None) -> list[float]:
+    # Artifact file names hold a border as f"{border:g}", so two borders
+    # with the same such name would write to the same files.
+    names: dict[str, float] = {}
+    for border in (_number(key, v.strip(), lineno) for v in text.split(",") if v.strip()):
+        if not 0.0 < border < 90.0:
+            raise ScenarioError(f"{key} must be in (0, 90), got {border}", lineno)
+        name = f"{border:g}"
+        if name in names:
+            raise ScenarioError(f"{key} values {names[name]!r} and {border!r} "
+                                f"share the file name part {name}", lineno)
+        names[name] = border
+    if not names:
+        raise ScenarioError(f"{key} lists no values", lineno)
+    return list(names.values())
+
+
+def _methods(key: str, text: str, lineno: int | None) -> list[str]:
+    methods = [m.strip() for m in text.split(",") if m.strip()]
+    for m in methods:
+        if m not in _VALID_METHODS:
+            raise ScenarioError(f"{key} must be among {_VALID_METHODS}, got {m!r}", lineno)
+    if len(set(methods)) < len(methods):
+        raise ScenarioError(f"{key} lists a method twice: {text!r}", lineno)
+    if not methods:
+        raise ScenarioError(f"{key} lists no values", lineno)
+    return methods
+
+
+def _trigger(key: str, text: str, lineno: int | None) -> str:
+    if text not in ("enter", "exit"):
+        raise ScenarioError(f"{key} must be enter or exit, got {text!r}", lineno)
+    return text
+
+
+def _path(key: str, text: str, lineno: int | None) -> Path:
+    return Path(text)
+
+
+# Every scenario key, by (section, key): the field it sets and its parser.
+# [constellation] keys set ConstellationSpec fields; the others set
+# ScenarioConfig fields, except min_elevation_deg, which sets both
+# stations' field of that name.
+_KEYS = {
+    ("constellation", "name"): ("name", _name),
+    ("constellation", "planes"): ("plane_count", _whole),
+    ("constellation", "sats_per_plane"): ("sats_per_plane", _whole),
+    ("constellation", "inclination_deg"): ("inclination_deg", _number),
+    ("constellation", "altitude_km"): ("altitude_km", _number),
+    ("constellation", "period_s"): ("period_s", _number),
+    ("constellation", "inter_plane_spacing_deg"): ("inter_plane_spacing_deg", _number),
+    ("constellation", "earth_radius_km"): ("earth_radius_km", _number),
+    ("constellation", "grazing_altitude_km"): ("grazing_altitude_km", _number),
+    ("partition", "polar_border_deg"): ("polar_borders_deg", _borders),
+    ("partition", "methods"): ("methods", _methods),
+    ("partition", "trigger"): ("trigger", _trigger),
+    ("partition", "equal_time_delta"): ("equal_time_delta", _delta),
+    ("experiment", "source"): ("source", _station),
+    ("experiment", "destination"): ("destination", _station),
+    ("experiment", "min_elevation_deg"): ("min_elevation_deg", _elevation),
+    ("experiment", "duration_s"): ("duration_s", _positive),
+    ("experiment", "interval_s"): ("interval_s", _positive),
+    ("output", "directory"): ("output_dir", _path),
+}
+
+_REQUIRED = [key for (section, key), (name, _) in _KEYS.items() if section == "constellation"
+             and ConstellationSpec.__dataclass_fields__[name].default is MISSING]
+
+# The ScenarioConfig fields that apply_overrides sets: name -> (key, parser).
+_OVERRIDES = {name: (key, parse) for (_, key), (name, parse) in _KEYS.items()
+              if name in ScenarioConfig.__dataclass_fields__}
+
+
 def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     sections: dict[str, dict[str, tuple[str, int]]] = {}
     current: str | None = None
@@ -93,7 +210,7 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
-            if current not in _KNOWN_KEYS:
+            if current not in {section for section, _ in _KEYS}:
                 raise ScenarioError(f"unknown section [{current}]", lineno)
             sections.setdefault(current, {})
             continue
@@ -102,7 +219,7 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
         if current is None:
             raise ScenarioError("key outside any [section]", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS[current]:
+        if (current, key) not in _KEYS:
             raise ScenarioError(f"unknown key {key!r} in section [{current}]", lineno)
         if key in sections[current]:
             raise ScenarioError(f"duplicate key {key!r}", lineno)
@@ -110,111 +227,28 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
-def _need(section: dict, key: str, section_name: str) -> tuple[str, int]:
-    if key not in section:
-        raise ScenarioError(f"missing required key {key!r} in [{section_name}]")
-    return section[key]
+def _sends(config: ScenarioConfig, lineno: int | None = None) -> None:
+    if config.duration_s < config.interval_s:
+        raise ScenarioError(f"duration_s {config.duration_s} is shorter than interval_s "
+                            f"{config.interval_s}, which leaves no sends", lineno)
 
 
-def _number(value: str, lineno: int, key: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ScenarioError(f"{key} must be a number, got {value!r}", lineno) from None
+def apply_overrides(config: ScenarioConfig, **overrides: str | None) -> None:
+    """Replace fields of a loaded scenario from the text of command-line
+    flags, through the parser of the field's scenario key.
 
-
-def _whole(value: str, lineno: int, key: str) -> int:
-    number = _number(value, lineno, key)
-    if not (math.isfinite(number) and number == int(number)):
-        raise ScenarioError(f"{key} must be a whole number, got {value!r}", lineno)
-    return int(number)
-
-
-def _station(value: str, lineno: int, key: str, min_elevation: float) -> GroundStation:
-    parts = [p.strip() for p in value.split(",")]
-    if len(parts) != 3:
-        raise ScenarioError(
-            f"{key} must be 'name, latitude, longitude', got {value!r}", lineno)
-    try:
-        return GroundStation(parts[0], float(parts[1]), float(parts[2]), min_elevation)
-    except ValueError as exc:
-        raise ScenarioError(f"{key}: {exc}", lineno) from None
-
-
-def _borders(borders: list[float], lineno: int | None = None) -> list[float]:
-    # Artifact file names hold a border as f"{border:g}", so two borders
-    # with the same such name would write to the same files.
-    names: dict[str, float] = {}
-    for border in borders:
-        if not 0.0 < border < 90.0:
-            raise ScenarioError(
-                f"polar_border_deg must be in (0, 90), got {border}", lineno)
-        name = f"{border:g}"
-        if name in names:
-            raise ScenarioError(f"polar_border_deg values {names[name]!r} and {border!r} "
-                                f"share the file name part {name}", lineno)
-        names[name] = border
-    if not borders:
-        raise ScenarioError("polar_border_deg lists no values", lineno)
-    return borders
-
-
-def _methods(value: str, lineno: int | None = None) -> list[str]:
-    methods = [m.strip() for m in value.split(",") if m.strip()]
-    for m in methods:
-        if m not in _VALID_METHODS:
-            raise ScenarioError(
-                f"methods must be among {_VALID_METHODS}, got {m!r}", lineno)
-    if len(set(methods)) < len(methods):
-        raise ScenarioError(f"methods lists a method twice: {value!r}", lineno)
-    if not methods:
-        raise ScenarioError("methods lists no values", lineno)
-    return methods
-
-
-def _trigger(value: str, lineno: int | None = None) -> str:
-    if value not in ("enter", "exit"):
-        raise ScenarioError(f"trigger must be enter or exit, got {value!r}", lineno)
-    return value
-
-
-def _positive(key: str, value: float, lineno: int | None = None) -> float:
-    if not (value > 0 and math.isfinite(value)):
-        raise ScenarioError(f"{key} must be positive and finite, got {value}", lineno)
-    return value
-
-
-def _sends(duration_s: float, interval_s: float, lineno: int | None = None) -> None:
-    if duration_s < interval_s:
-        raise ScenarioError(f"duration_s {duration_s} is shorter than interval_s "
-                            f"{interval_s}, which leaves no sends", lineno)
-
-
-# Per-field checks shared by scenario files and command-line overrides.
-_CHECKS = {
-    "polar_borders_deg": _borders,
-    "methods": _methods,
-    "trigger": _trigger,
-    "duration_s": partial(_positive, "duration_s"),
-    "interval_s": partial(_positive, "interval_s"),
-}
-
-
-def apply_overrides(config: ScenarioConfig, **overrides) -> None:
-    """Replace fields of a loaded scenario, checked as in a scenario file.
-
-    ``methods`` takes the file's comma-separated form. A value of None
-    keeps the scenario's own.
+    ``polar_borders_deg`` and ``methods`` take the file's comma-separated
+    form. A value of None keeps the scenario's own.
 
     Raises:
-        ScenarioError: A value outside its field's valid range, or a
-            duration shorter than the interval once all are applied.
+        ScenarioError: A value its key's parser rejects, or a duration
+            shorter than the interval once all are applied.
     """
-    for name, value in overrides.items():
-        if value is not None:
-            check = _CHECKS.get(name)
-            setattr(config, name, check(value) if check else value)
-    _sends(config.duration_s, config.interval_s)
+    for name, text in overrides.items():
+        if text is not None:
+            key, parse = _OVERRIDES[name]
+            setattr(config, name, parse(key, text, None))
+    _sends(config)
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -236,99 +270,26 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ScenarioError(f"scenario file {path} is not UTF-8 text: byte "
                             f"{exc.start} is {exc.object[exc.start]:#04x}") from None
     sections = _parse_sections(text)
+    for key in _REQUIRED:
+        if key not in sections.get("constellation", {}):
+            raise ScenarioError(f"missing required key {key!r} in [constellation]")
 
-    if "constellation" not in sections:
-        raise ScenarioError("missing [constellation] section")
-    con = sections["constellation"]
+    spec_args, config_args = {}, {}
+    for section, entries in sections.items():
+        for key, (value, lineno) in entries.items():
+            name, parse = _KEYS[section, key]
+            args = spec_args if section == "constellation" else config_args
+            args[name] = parse(key, value, lineno)
 
-    def con_num(key: str, required: bool = False, default: float | None = None,
-                parse=_number):
-        if key not in con:
-            if required:
-                _need(con, key, "constellation")
-            return default
-        value, lineno = con[key]
-        return parse(value, lineno, key)
-
-    kwargs = dict(
-        plane_count=con_num("planes", required=True, parse=_whole),
-        sats_per_plane=con_num("sats_per_plane", required=True, parse=_whole),
-        inclination_deg=con_num("inclination_deg", required=True),
-        altitude_km=con_num("altitude_km", required=True),
-        period_s=con_num("period_s"),
-        inter_plane_spacing_deg=con_num("inter_plane_spacing_deg"),
-        name=con.get("name", ("constellation", 0))[0],
-    )
-    if "earth_radius_km" in con:
-        kwargs["earth_radius_km"] = con_num("earth_radius_km")
-    if "grazing_altitude_km" in con:
-        kwargs["grazing_altitude_km"] = con_num("grazing_altitude_km")
     try:
-        spec = ConstellationSpec(**kwargs)
+        spec = ConstellationSpec(**spec_args)
     except ValueError as exc:
         raise ScenarioError(f"[constellation]: {exc}") from None
-
-    part = sections.get("partition", {})
-    borders = [60.0, 65.0, 70.0, 75.0]
-    if "polar_border_deg" in part:
-        value, lineno = part["polar_border_deg"]
-        borders = _borders([_number(v.strip(), lineno, "polar_border_deg")
-                            for v in value.split(",") if v.strip()], lineno)
-
-    methods = list(_VALID_METHODS)
-    if "methods" in part:
-        methods = _methods(*part["methods"])
-
-    trigger = "enter"
-    if "trigger" in part:
-        trigger = _trigger(*part["trigger"])
-
-    equal_delta: str | float = MATCH_REASSIGNMENT
-    if "equal_time_delta" in part:
-        value, lineno = part["equal_time_delta"]
-        if value != MATCH_REASSIGNMENT:
-            equal_delta = _positive(
-                "equal_time_delta", _number(value, lineno, "equal_time_delta"), lineno)
-
+    elevation = config_args.pop("min_elevation_deg", None)
+    for station in ("source", "destination"):
+        if elevation is not None and station in config_args:
+            config_args[station] = replace(config_args[station], min_elevation_deg=elevation)
+    config = ScenarioConfig(spec, **config_args)
     exp = sections.get("experiment", {})
-    min_el = 10.0
-    if "min_elevation_deg" in exp:
-        value, lineno = exp["min_elevation_deg"]
-        min_el = _number(value, lineno, "min_elevation_deg")
-        if not math.isfinite(min_el):
-            raise ScenarioError(f"min_elevation_deg must be finite, got {min_el}", lineno)
-        if not 0.0 <= min_el <= 90.0:
-            raise ScenarioError(f"min_elevation_deg must be in [0, 90], got {min_el}", lineno)
-    source = destination = None
-    if "source" in exp:
-        source = _station(*exp["source"], key="source", min_elevation=min_el)
-    if "destination" in exp:
-        destination = _station(*exp["destination"], key="destination",
-                               min_elevation=min_el)
-    duration_s, interval_s = 86400.0, 60.0
-    send_line = None
-    if "duration_s" in exp:
-        value, send_line = exp["duration_s"]
-        duration_s = _positive("duration_s", _number(value, send_line, "duration_s"),
-                               send_line)
-    if "interval_s" in exp:
-        value, send_line = exp["interval_s"]
-        interval_s = _positive("interval_s", _number(value, send_line, "interval_s"),
-                               send_line)
-    _sends(duration_s, interval_s, send_line)
-
-    out = sections.get("output", {})
-    output_dir = Path(out["directory"][0]) if "directory" in out else Path("out")
-
-    return ScenarioConfig(
-        constellation=spec,
-        polar_borders_deg=borders,
-        methods=methods,
-        trigger=trigger,
-        equal_time_delta=equal_delta,
-        source=source,
-        destination=destination,
-        duration_s=duration_s,
-        interval_s=interval_s,
-        output_dir=output_dir,
-    )
+    _sends(config, exp.get("interval_s", exp.get("duration_s", ("", None)))[1])
+    return config

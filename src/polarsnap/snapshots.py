@@ -171,7 +171,12 @@ def enumerate_events(
     c + M, 180 degrees behind, crosses 180 + L and 360 - L in the south at
     the same instants. In uniform configurations an enter and an exit
     event share the same instant but stay separate records.
+
+    Raises:
+        ValueError: If the border is not in (0, 90).
     """
+    if not 0.0 < polar_border_deg < 90.0:
+        raise ValueError(f"polar_border_deg must be in (0, 90), got {polar_border_deg}")
     period = orbit_period(spec)
     targets = {EVENT_KIND_ENTER: polar_border_deg, EVENT_KIND_EXIT: 180.0 - polar_border_deg}
     events = []

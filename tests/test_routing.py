@@ -723,19 +723,32 @@ class TestSendGrid:
         first = run(seq)
         assert first[1:] == (attached, attached)
         assert run(seq) == (first[0], 0, 0)
-        # a loaded set has no memo key: every attached send is routed again
+        # a loaded set has the drawn set's endpoints, so it hits the same memo
+        # entries, whichever of the two routes first
+        assert run(loaded) == (first[0], 0, 0)
+        grid = SendGrid(iridium, strict, london, self.DURATION_S, self.INTERVAL_S)
         assert run(loaded) == (first[0], attached, attached)
-        assert run(loaded) == (first[0], attached, attached)
+        assert run(seq) == (first[0], 0, 0)
 
-    def test_cut_snapshots_route_without_memo(self, iridium, beijing, london):
+    def test_cut_snapshots_route_without_memo(self, iridium, beijing, london, monkeypatch):
+        # hand-made sets use the memo too: every cut snapshot has the same
+        # rings, so one token, and a send without a path is stored as such
+        # and not routed again
         seq = partition(iridium, "reassignment", 60.0)
         cut = SnapshotSequence(seq.method, tuple(ring_cut(s) for s in seq.snapshots),
                                seq.period_s, seq.polar_border_deg)
         grid = SendGrid(iridium, beijing, london, self.DURATION_S, self.INTERVAL_S)
-        series = delay_experiment(iridium, "reassignment", 60.0, beijing, london,
-                                  self.DURATION_S, self.INTERVAL_S, sequence=cut, grid=grid)
-        assert not grid.routes
-        assert not any(s.reachable for s in series.samples)
+        routed, route = [], routing.shortest_delay
+        monkeypatch.setattr(routing, "shortest_delay",
+                            lambda *args: routed.append(args) or route(*args))
+        first, second = (delay_experiment(iridium, "reassignment", 60.0, beijing, london,
+                                          self.DURATION_S, self.INTERVAL_S, sequence=cut,
+                                          grid=grid) for _ in range(2))
+        assert 0 < len(routed) == len(grid.routes) == sum(grid.attached)
+        assert set(grid.routes.values()) == {routing._NO_PATH}
+        assert len(grid._tokens) == 1
+        assert first.samples == second.samples
+        assert not any(s.reachable for s in first.samples)
 
     def test_rejects_grid_of_other_arguments(self, iridium, teledesic, beijing, london):
         grid = SendGrid(iridium, beijing, london, 600.0, 60.0)

@@ -35,9 +35,8 @@ TINY = (b"[constellation]\nname = tiny\nplanes = 2\nsats_per_plane = 3\n"
 
 def reference_export_topology(seq, spec, path):
     """The format 1 (``polarsnap-topology/1``) dict-plus-``json.dumps``
-    writer: every snapshot lists its edges as objects. It makes the v1
-    twins that must load to the same sequences as ``export_topology``'s
-    format 2 files."""
+    writer: every snapshot lists its edges as objects. ``load_topology``
+    reads only format 2, and must reject its files by their format."""
     def edge_key(edge):
         return (edge.kind, edge.endpoint_a.plane, edge.endpoint_a.index_in_plane,
                 edge.endpoint_b.plane, edge.endpoint_b.index_in_plane)
@@ -210,6 +209,22 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=f"^line 7: min_elevation_deg must be {message}$"):
             load_scenario(p)
 
+    @pytest.mark.parametrize("name", ["", "sub/iridium", "../escaped", "..\\escaped",
+                                      "a\\b", ".", ".."])
+    def test_name_must_be_a_file_name_part(self, tmp_path, name):
+        p = tmp_path / "bad.scenario"
+        p.write_bytes(IRIDIUM_HEAD + f"name = {name}\n".encode())
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"line 6: name must be a file name part: not empty, '.' or '..', and "
+                f"without '/' or '\\', got {name!r}")):
+            load_scenario(p)
+
+    @pytest.mark.parametrize("name", ["iridium.2", "...", "M\u00fcnchen 66"])
+    def test_name_with_dots_or_spaces_accepted(self, tmp_path, name):
+        p = tmp_path / "ok.scenario"
+        p.write_bytes(IRIDIUM_HEAD + f"name = {name}\n".encode())
+        assert load_scenario(p).constellation.name == name
+
     def test_defaults_without_optional_sections(self, tmp_path):
         p = tmp_path / "min.scenario"
         p.write_text("[constellation]\nplanes = 6\nsats_per_plane = 11\n"
@@ -325,22 +340,19 @@ class TestTopologyExport:
 
     @staticmethod
     def assert_matches_reference(seq, spec, tmp_path):
-        # the format 2 export and its format 1 twin load to the sequence
-        got, want = tmp_path / "got.json", tmp_path / "want.json"
-        export_topology(seq, spec, got)
-        reference_export_topology(seq, spec, want)
-        assert json.loads(got.read_text())["format"] == "polarsnap-topology/2"
-        expected = [(s.start_s, s.end_s, s.edges.edges) for s in seq.snapshots]
-        for path in (got, want):
-            spec2, seq2 = load_topology(path)
-            assert spec2 == spec, path.name
-            assert (seq2.method, seq2.period_s, seq2.polar_border_deg, seq2.trigger,
-                    seq2.truncated_final) == (seq.method, seq.period_s, seq.polar_border_deg,
-                                              seq.trigger, seq.truncated_final), path.name
-            assert [(s.start_s, s.end_s, s.edges.edges) for s in seq2.snapshots] == expected, \
-                (spec.name, seq.method, path.name)
-            assert [s.n_inter_plane for s in seq2.snapshots] == \
-                [s.edges.n_inter_plane for s in seq.snapshots]
+        # the format 2 export loads to the sequence
+        path = tmp_path / "got.json"
+        export_topology(seq, spec, path)
+        assert json.loads(path.read_text())["format"] == "polarsnap-topology/2"
+        spec2, seq2 = load_topology(path)
+        assert spec2 == spec
+        assert (seq2.method, seq2.period_s, seq2.polar_border_deg, seq2.trigger,
+                seq2.truncated_final) == (seq.method, seq.period_s, seq.polar_border_deg,
+                                          seq.trigger, seq.truncated_final)
+        assert [(s.start_s, s.end_s, s.edges.edges) for s in seq2.snapshots] == \
+            [(s.start_s, s.end_s, s.edges.edges) for s in seq.snapshots], (spec.name, seq.method)
+        assert [s.n_inter_plane for s in seq2.snapshots] == \
+            [s.edges.n_inter_plane for s in seq.snapshots]
 
     def test_pinned_bytes(self, iridium, tmp_path):
         # any change to the bytes the writer produces shows here
@@ -444,14 +456,6 @@ MALFORMED_EITHER = [
     ("unknown_format", _put(("format",), "polarsnap-topology/3"), "format"),
     ("bad_constellation", _put(("constellation", "planes"), 6), "constellation"),
 ]
-MALFORMED_V1 = [
-    ("float_endpoint", _put(("snapshots", 1, "edges", 0, "a"), [1, 1.5]), "snapshot 1: "),
-    ("string_endpoint", _put(("snapshots", 1, "edges", 0, "a"), ["1", "1"]), "snapshot 1: "),
-    ("three_entry_endpoint", _put(("snapshots", 1, "edges", 0, "a"), [1, 1, 1]),
-     "snapshot 1: "),
-    ("endpoint_outside", _put(("snapshots", 1, "edges", 0, "b"), [7, 1]), "snapshot 1: "),
-    ("edge_without_kind", _put(("snapshots", 1, "edges", 0, "kind"), _DROP), "snapshot 1: "),
-]
 MALFORMED_V2 = [
     ("short_row", _put(("edges", 0), ["horizontal", 1, 2, 3]), "edges table"),
     ("kind_not_string", _put(("edges", 0, 0), 0), "edges table"),
@@ -491,16 +495,18 @@ class TestMalformedTopology:
         assert str(info.value).startswith(f"{path}: "), info.value
         assert names in str(info.value), info.value
 
-    @pytest.mark.parametrize("write", [export_topology, reference_export_topology],
-                             ids=["v2", "v1"])
+    @pytest.mark.parametrize("write", [export_topology], ids=["v2"])
     @pytest.mark.parametrize("case, edit, names", MALFORMED_EITHER,
                              ids=[c[0] for c in MALFORMED_EITHER])
     def test_either_format(self, write, case, edit, names, iridium, tmp_path):
         self.assert_rejected(write, iridium, edit, names, tmp_path)
 
-    @pytest.mark.parametrize("case, edit, names", MALFORMED_V1, ids=[c[0] for c in MALFORMED_V1])
-    def test_v1(self, case, edit, names, iridium, tmp_path):
-        self.assert_rejected(reference_export_topology, iridium, edit, names, tmp_path)
+    def test_format_1_rejected(self, iridium, tmp_path):
+        path = tmp_path / "topo.json"
+        reference_export_topology(partition(iridium, "reassignment", 60.0), iridium, path)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: unrecognised topology format 'polarsnap-topology/1'")):
+            load_topology(path)
 
     @pytest.mark.parametrize("case, edit, names", MALFORMED_V2, ids=[c[0] for c in MALFORMED_V2])
     def test_v2(self, case, edit, names, iridium, tmp_path):
@@ -677,6 +683,53 @@ class TestCli:
         assert main(["analyze", str(path)]) == 2
         assert "line 7: min_elevation_deg must be in [0, 90], got 95.0" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["sub/iridium", "../escaped"])
+    def test_bad_name_reported_cleanly(self, name, tmp_path, capsys):
+        path = tmp_path / "in.scenario"
+        path.write_bytes(IRIDIUM_HEAD + f"name = {name}\n".encode())
+        out = tmp_path / "run" / "out"
+        assert main(["simulate", str(path), "--output-dir", str(out)]) == 2
+        assert "line 6: name must be a file name part" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("below,reason", [("", "File exists"), ("sub", "Not a directory")])
+    def test_output_dir_through_a_file_reported_cleanly(self, below, reason, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / below if below else taken
+        rc = main(["simulate", str(SCENARIOS / "iridium.scenario"), "--polar-border", "60",
+                   "--methods", "fixed", "--output-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"scenario error: cannot create output directory {out}: {reason}\n"
+        assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("section,key,flag,text", [
+        (section, key, flag, text) for section, key, flag, texts in (
+            ("partition", "polar_border_deg", "--polar-border",
+             ("95", "0", "nan", "sixty", "", "60, 60", "65, 70, 65.000001")),
+            ("partition", "methods", "--methods", ("dijkstra", "fixed, fixed", "")),
+            ("partition", "trigger", "--trigger", ("both", "")),
+            ("experiment", "duration_s", "--duration", ("0", "-5", "nan", "inf", "day", "30")),
+            ("experiment", "interval_s", "--interval", ("0", "-inf", "nan", "x", "90000")),
+        ) for text in texts])
+    def test_flag_and_file_give_the_same_message(self, section, key, flag, text, tmp_path,
+                                                  capsys):
+        # every field a flag overrides, except output_dir (any text is a
+        # path): the flag's text goes through the key's parser, so only the
+        # line number tells the two apart
+        path = tmp_path / "in.scenario"
+        path.write_bytes(IRIDIUM_HEAD + f"[{section}]\n{key} = {text}\n".encode())
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        assert str(info.value).startswith("line 7: ")
+        message = str(info.value).removeprefix("line 7: ")
+        rc = main(["route", str(SCENARIOS / "iridium.scenario"), f"{flag}={text}",
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"scenario error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_compare_subset_omits_baselines(self, tmp_path, capsys):
         rc = main([

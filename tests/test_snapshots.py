@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -418,6 +419,17 @@ class TestDispatch:
     def test_unknown_method(self, iridium):
         with pytest.raises(ValueError):
             partition(iridium, "adaptive", 60.0)
+
+    @pytest.mark.parametrize("method", [METHOD_REASSIGNMENT, METHOD_FIXED, METHOD_EQUAL_TIME])
+    @pytest.mark.parametrize("border", [95.0, 90.0, 0.0, -5.0, math.nan])
+    def test_border_outside_0_90_rejected(self, iridium, method, border):
+        # equal_time builds no visibility model; the event enumeration that
+        # every partition calls checks the border
+        with pytest.raises(ValueError, match=re.escape(
+                f"polar_border_deg must be in (0, 90), got {border}")):
+            partition(iridium, method, border)
+        with pytest.raises(ValueError, match="polar_border_deg must be in"):
+            enumerate_events(iridium, border, 6027.0)
 
     def test_snapshot_lookup_is_cyclic(self, iridium):
         seq = partition(iridium, METHOD_REASSIGNMENT, 60.0)
