@@ -12,10 +12,8 @@ from .geometry import (
     LsRow,
     LsState,
     SatId,
-    VisibilityModel,
     build_ls_state,
     horizontal_survival_latitude_deg,
-    make_visibility_model,
     max_link_angle_deg,
     orbit_period,
 )

@@ -6,7 +6,7 @@ class UnsupportedConfigurationError(ValueError):
 
 
 class InfeasibleGeometryError(ValueError):
-    """Link geometry has no survival-latitude solution (always or never visible)."""
+    """Link geometry under which a link class can never be used."""
 
 
 class ScenarioError(ValueError):

@@ -14,6 +14,10 @@ done on the ideal-polar reference where the argument of latitude maps
 directly to latitude; true latitudes from the configured inclination are
 used for positions, elevations, and link lengths.
 
+Link limits depend on the constellation alone (``max_link_angle_deg``,
+``horizontal_survival_latitude_deg``). The polar border is a plain number
+that each function reading it takes; ``check_polar_border`` bounds it.
+
 Epoch convention: at t=0 the ascending node of plane 1 and the Greenwich
 meridian are both at longitude 0; ground stations rotate at the sidereal
 rate.
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleGeometryError, UnsupportedConfigurationError
+from .errors import UnsupportedConfigurationError
 
 EARTH_RADIUS_KM = 6378.137
 MU_EARTH_KM3_S2 = 398600.4418
@@ -146,33 +150,8 @@ class LsState:
     """All 2*M rows at one instant, ordered from the south apex in the
     direction of ascending motion. Just after an exit in non-uniform
     configurations one extra row is non-polar (``LsRow.in_polar``)."""
-    time_s: float
     rows: tuple[LsRow, ...]
     n_rows: int
-
-
-@dataclass(frozen=True)
-class VisibilityModel:
-    """Link-visibility parameters for one polar-border setting.
-
-    ``horizontal_min_latitude_deg`` is 0 when two-planes-apart links are
-    never Earth-blocked (high-altitude constellations). A border at or
-    below the survival latitude leaves no window in which horizontal
-    links are usable; the state is representable and the topology
-    validator rejects any horizontal edge placed there.
-    """
-    max_link_angle_deg: float
-    horizontal_min_latitude_deg: float
-    polar_border_deg: float
-
-    def __post_init__(self):
-        if not 0.0 < self.polar_border_deg < 90.0:
-            raise ValueError(
-                f"polar_border_deg must be in (0, 90), got {self.polar_border_deg}")
-        if not 0.0 <= self.horizontal_min_latitude_deg < 90.0:
-            raise ValueError(
-                "horizontal_min_latitude_deg must be in [0, 90), got "
-                f"{self.horizontal_min_latitude_deg}")
 
 
 @dataclass(frozen=True)
@@ -296,50 +275,23 @@ def horizontal_survival_latitude_deg(
     """Lowest latitude at which two-planes-apart links clear the Earth.
 
     Solves sin^2(L) = (cos(theta_max) - cos(2*dOmega)) / (1 - cos(2*dOmega))
-    for the configured plane spacing.
-
-    Raises:
-        InfeasibleGeometryError: If the expression has no solution in
-            [0, 1]; below zero means such links are visible at every
-            latitude, at/above one means they are never visible.
+    for the configured plane spacing. Where the right side is negative, or
+    the two planes coincide (a 180 degree spacing), such links are visible
+    at every latitude and the result is 0. It never exceeds 1, since
+    cos(theta_max) <= 1, so the result is in [0, 90].
     """
     theta = max_angle_deg if max_angle_deg is not None else max_link_angle_deg(spec)
-    two_domega = 2.0 * spec.plane_spacing_deg
-    denom = 1.0 - math.cos(math.radians(two_domega))
-    if denom <= 0.0:
-        raise InfeasibleGeometryError("plane spacing too small for a survival latitude")
-    arg = (math.cos(math.radians(theta)) - math.cos(math.radians(two_domega))) / denom
-    if arg < 0.0:
-        raise InfeasibleGeometryError(
-            f"links two planes apart are visible at all latitudes "
-            f"(max link angle {theta:.2f} deg exceeds {two_domega:.2f} deg)")
-    if arg > 1.0:
-        raise InfeasibleGeometryError(
-            "links two planes apart are never visible at this geometry")
-    return math.degrees(math.asin(math.sqrt(arg)))
+    cos_two_domega = math.cos(math.radians(2.0 * spec.plane_spacing_deg))
+    if cos_two_domega == 1.0:
+        return 0.0
+    arg = (math.cos(math.radians(theta)) - cos_two_domega) / (1.0 - cos_two_domega)
+    return math.degrees(math.asin(math.sqrt(max(arg, 0.0))))
 
 
-def make_visibility_model(
-    spec: ConstellationSpec, polar_border_deg: float,
-) -> VisibilityModel:
-    """Build the visibility model for one polar-border setting.
-
-    An always-visible horizontal geometry maps to a survival latitude of
-    zero rather than an error.
-    """
-    theta = max_link_angle_deg(spec)
-    try:
-        l_horizontal = horizontal_survival_latitude_deg(spec, theta)
-    except InfeasibleGeometryError:
-        if math.cos(math.radians(theta)) < math.cos(math.radians(2.0 * spec.plane_spacing_deg)):
-            l_horizontal = 0.0
-        else:
-            raise
-    return VisibilityModel(
-        max_link_angle_deg=theta,
-        horizontal_min_latitude_deg=l_horizontal,
-        polar_border_deg=polar_border_deg,
-    )
+def check_polar_border(polar_border_deg: float) -> None:
+    """Raise ValueError unless the polar border is in (0, 90)."""
+    if not 0.0 < polar_border_deg < 90.0:
+        raise ValueError(f"polar_border_deg must be in (0, 90), got {polar_border_deg}")
 
 
 def nonpolar_row_count(spec: ConstellationSpec, polar_border_deg: float) -> int:
@@ -364,16 +316,16 @@ def class_phase_deg(spec: ConstellationSpec, phase_class: int, t: float) -> floa
 
 
 def build_ls_state(
-    spec: ConstellationSpec, vis: VisibilityModel, t: float,
+    spec: ConstellationSpec, polar_border_deg: float, t: float,
 ) -> LsState:
     """Classify every row at time t, ordered starting from the south apex
     in the direction of ascending motion."""
     rows = []
     for c in range(spec.row_count):
         u = class_phase_deg(spec, c, t)
-        rows.append(LsRow(c, u, is_ascending(u), in_polar_band(u, vis.polar_border_deg)))
+        rows.append(LsRow(c, u, is_ascending(u), in_polar_band(u, polar_border_deg)))
     rows.sort(key=lambda r: (r.u_deg + 90.0) % 360.0)
-    return LsState(time_s=t, rows=tuple(rows), n_rows=spec.row_count)
+    return LsState(rows=tuple(rows), n_rows=spec.row_count)
 
 
 def ground_position_km(

@@ -15,12 +15,15 @@ and last planes. The generators draw edge sets from it as sorted ids:
   from the most recently exited row; a leftover unpaired row gets its
   horizontal links.
 
-The validator, the export and the router read an edge set's arrays
+An edge set is its links and nothing else: one ``EdgeArrays`` of its
+constellation's shape, whether drawn from the universe, read from a
+topology export or built from ``IslEdge`` objects
+(``TopologyEdgeSet.from_edges``). The link rules take the polar border as
+a number and read the link limits from the ``ConstellationSpec``. The
+validator, the export and the router read an edge set's arrays
 (``TopologyEdgeSet.compiled``); ``IslEdge`` objects exist only at the API
 edge.
 """
-import collections
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -31,10 +34,12 @@ from .geometry import (
     ConstellationSpec,
     LsState,
     SatId,
-    VisibilityModel,
     all_positions_km,
+    check_polar_border,
+    horizontal_survival_latitude_deg,
     in_polar_band,
     is_uniform_row_distribution,
+    max_link_angle_deg,
     orbit_period,
     satellite_ids,
 )
@@ -82,22 +87,29 @@ class EdgeArrays:
             return np.zeros(len(self.kind), dtype=bool)
         return self.kind == self.kinds.index(name)
 
+    def names(self) -> list[str]:
+        """Each edge's kind name, in edge order."""
+        return [self.kinds[k] for k in self.kind.tolist()]
 
-def canonical_arrays(shape: tuple[int, int], kinds: tuple[str, ...],
-                     rows: np.ndarray) -> EdgeArrays:
-    """Edge arrays from an (E, 5) integer array of rows (kind code, plane a,
-    index a, plane b, index b), 1-based as in ``SatId``, duplicates dropped.
+
+def canonical_arrays(shape: tuple[int, int], names: list[str], rows: np.ndarray) -> EdgeArrays:
+    """Edge arrays from each edge's kind name and its row of an (E, 4)
+    integer array (plane a, index a, plane b, index b), 1-based as in
+    ``SatId``, duplicates dropped.
 
     Raises:
         ValueError: If an endpoint lies outside the constellation.
     """
     n_planes, m = shape
-    planes, slots = rows[:, 1::2], rows[:, 2::2]
+    planes, slots = rows[:, 0::2], rows[:, 1::2]
     if ((planes < 1) | (planes > n_planes) | (slots < 1) | (slots > m)).any():
         raise ValueError(f"edge endpoint outside the {n_planes}x{m} constellation")
+    kinds = tuple(sorted(set(names)))
+    code = np.fromiter(map(dict(zip(kinds, range(len(kinds)))).__getitem__, names),
+                       np.int64, len(names))
     n = n_planes * m
     ends = (planes - 1) * m + slots - 1
-    key = np.sort((rows[:, 0] * n + ends[:, 0]) * n + ends[:, 1])
+    key = np.sort((code * n + ends[:, 0]) * n + ends[:, 1])
     key = key[np.diff(key, prepend=-1) != 0]  # np.unique would load numpy.ma, 1 MB
     return EdgeArrays(shape, kinds, (key // (n * n)).astype(np.int32),
                       (key // n % n).astype(np.int32), (key % n).astype(np.int32))
@@ -124,13 +136,10 @@ class _Wiring:
             perm[table] = np.roll(table, k, axis=0)
         return np.sort(perm[ids])
 
-    def draw(self, ids: np.ndarray, t: float, method: str) -> "TopologyEdgeSet":
+    def draw(self, ids: np.ndarray) -> "TopologyEdgeSet":
         """The edge set of the given sorted ids."""
         e = self.edges
-        topo = TopologyEdgeSet(EdgeArrays(e.shape, e.kinds, e.kind[ids], e.a[ids], e.b[ids]),
-                               t, method)
-        topo._ids = ids
-        return topo
+        return TopologyEdgeSet(EdgeArrays(e.shape, e.kinds, e.kind[ids], e.a[ids], e.b[ids]), ids)
 
 
 @functools.lru_cache(maxsize=8)
@@ -171,92 +180,81 @@ def _wiring(shape: tuple[int, int]) -> _Wiring:
 
 
 class TopologyEdgeSet:
-    """A set of links with the time and the method that produced it, built
-    from ``IslEdge`` objects or from compiled arrays. The generators draw
-    theirs from the edge universe (``_Wiring.draw``), which keeps their ids.
-    Sets are equal when their edges, times and methods are; drawn sets
-    compare ids. The hash reads only the time, the method and the size."""
-    _ids: np.ndarray | None = None
+    """A set of links: one ``EdgeArrays`` of a fixed constellation shape.
 
-    def __init__(self, edges: frozenset[IslEdge] | EdgeArrays, generated_at_s: float,
-                 method: str):
-        self.generated_at_s, self.method = generated_at_s, method
-        compiled = isinstance(edges, EdgeArrays)
-        self._edges = None if compiled else frozenset(edges)
-        self._arrays = edges if compiled else None
+    The generators draw theirs from the edge universe (``_Wiring.draw``),
+    which passes their universe ids; ``from_edges`` builds one from
+    ``IslEdge`` objects. Sets are equal, and hash equal, when they hold the
+    same links in the same shape, however they were built.
+    """
 
-    def relabeled(self, generated_at_s: float, method: str) -> "TopologyEdgeSet":
-        """The same edges under another time and method."""
-        topo = copy.copy(self)
-        topo.generated_at_s, topo.method = generated_at_s, method
-        return topo
+    def __init__(self, arrays: EdgeArrays, ids: np.ndarray | None = None):
+        self._arrays, self._ids = arrays, ids
 
-    def rotated(self, k: int, generated_at_s: float) -> "TopologyEdgeSet":
-        """A drawn set with every phase class c's edges moved to class c - k:
-        what the same rule draws once the rows have advanced k slots."""
-        wiring = _wiring(self._arrays.shape)
-        return wiring.draw(wiring.rotated(self._ids, k), generated_at_s, self.method)
-
-    @property
-    def edges(self) -> frozenset[IslEdge]:
-        """The edges as ``IslEdge`` objects, built on first read."""
-        if self._edges is None:
-            arr = self._arrays
-            sats = satellite_ids(*arr.shape)
-            self._edges = frozenset(
-                IslEdge(sats[a], sats[b], arr.kinds[k])
-                for k, a, b in zip(arr.kind.tolist(), arr.a.tolist(), arr.b.tolist()))
-        return self._edges
-
-    def compiled(self, spec: ConstellationSpec) -> EdgeArrays:
-        """The edges as integer arrays for this constellation, built on
-        first use and cached on the set.
+    @classmethod
+    def from_edges(cls, spec: ConstellationSpec, edges) -> "TopologyEdgeSet":
+        """The set of the given ``IslEdge`` objects, duplicates dropped.
 
         Raises:
             ValueError: If an endpoint lies outside the constellation.
         """
-        shape = (spec.plane_count, spec.sats_per_plane)
-        if self._arrays is not None and self._arrays.shape == shape:
-            return self._arrays
-        kinds = tuple(sorted({e.kind for e in self.edges}))
-        code = {k: i for i, k in enumerate(kinds)}
-        rows = [(code[e.kind], e.endpoint_a.plane, e.endpoint_a.index_in_plane,
-                 e.endpoint_b.plane, e.endpoint_b.index_in_plane) for e in self.edges]
-        arrays = canonical_arrays(shape, kinds, np.array(rows, dtype=np.int64).reshape(-1, 5))
-        if self._arrays is None:
-            self._arrays = arrays
-        return arrays
+        edges = list(edges)
+        rows = [(e.endpoint_a.plane, e.endpoint_a.index_in_plane,
+                 e.endpoint_b.plane, e.endpoint_b.index_in_plane) for e in edges]
+        return cls(canonical_arrays((spec.plane_count, spec.sats_per_plane),
+                                    [e.kind for e in edges],
+                                    np.array(rows, dtype=np.int64).reshape(-1, 4)))
 
-    def _counts(self) -> dict[str, int]:
-        if (arr := self._arrays) is None:
-            return collections.Counter(e.kind for e in self._edges)
-        return dict(zip(arr.kinds, np.bincount(arr.kind, minlength=len(arr.kinds)).tolist()))
+    def rotated(self, k: int) -> "TopologyEdgeSet":
+        """A drawn set with every phase class c's edges moved to class c - k:
+        what the same rule draws once the rows have advanced k slots."""
+        wiring = _wiring(self._arrays.shape)
+        return wiring.draw(wiring.rotated(self._ids, k))
+
+    @functools.cached_property
+    def edges(self) -> frozenset[IslEdge]:
+        """The edges as ``IslEdge`` objects, built on first read."""
+        arr = self._arrays
+        sats = satellite_ids(*arr.shape)
+        return frozenset(IslEdge(sats[a], sats[b], arr.kinds[k])
+                         for k, a, b in zip(arr.kind.tolist(), arr.a.tolist(), arr.b.tolist()))
+
+    def compiled(self, spec: ConstellationSpec) -> EdgeArrays:
+        """The edges as integer arrays.
+
+        Raises:
+            ValueError: If the set belongs to a constellation of another shape.
+        """
+        shape = (spec.plane_count, spec.sats_per_plane)
+        if self._arrays.shape != shape:
+            raise ValueError(f"edge set of a {self._arrays.shape[0]}x{self._arrays.shape[1]} "
+                             f"constellation used with a {shape[0]}x{shape[1]} one")
+        return self._arrays
 
     def count(self, kind: str) -> int:
-        return self._counts().get(kind, 0)
+        return int(self._arrays.of_kind(kind).sum())
 
     @property
     def n_inter_plane(self) -> int:
-        return sum(n for kind, n in self._counts().items() if kind != INTRA_PLANE)
+        return len(self) - self.count(INTRA_PLANE)
 
     def __len__(self) -> int:
-        return sum(self._counts().values())
+        return len(self._arrays.a)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TopologyEdgeSet):
             return NotImplemented
-        if (self.generated_at_s, self.method) != (other.generated_at_s, other.method):
-            return False
-        if (self._ids is not None and other._ids is not None
-                and self._arrays.shape == other._arrays.shape):
-            return np.array_equal(self._ids, other._ids)
-        return self.edges == other.edges
+        # Kind codes index each set's own ``kinds``, so compare kind names.
+        x, y = self._arrays, other._arrays
+        return (x.shape == y.shape and np.array_equal(x.a, y.a) and np.array_equal(x.b, y.b)
+                and x.names() == y.names())
 
     def __hash__(self) -> int:
-        return hash((self.generated_at_s, self.method, len(self)))
+        return hash((self._arrays.shape, self._arrays.a.tobytes(), self._arrays.b.tobytes()))
 
     def __repr__(self) -> str:
-        return f"TopologyEdgeSet({len(self)} edges, {self.generated_at_s!r}, {self.method!r})"
+        n, m = self._arrays.shape
+        return f"TopologyEdgeSet({len(self)} edges, {n}x{m})"
 
 
 @dataclass(frozen=True)
@@ -281,22 +279,21 @@ def active_couples(
     return frozenset((2 * np.flatnonzero(outside[0::2] & outside[1::2])).tolist())
 
 
-def couple_edges(spec: ConstellationSpec, couples: frozenset[int], t: float,
-                 method: str) -> TopologyEdgeSet:
+def couple_edges(spec: ConstellationSpec, couples: frozenset[int]) -> TopologyEdgeSet:
     """The intra-plane rings plus the chain edges of the given couples."""
     wiring = _wiring((spec.plane_count, spec.sats_per_plane))
-    return wiring.draw(wiring.select(couples, ()), t, method)
+    return wiring.draw(wiring.select(couples, ()))
 
 
 def fixed_topology(
-    spec: ConstellationSpec, vis: VisibilityModel, t: float,
+    spec: ConstellationSpec, polar_border_deg: float, t: float,
 ) -> TopologyEdgeSet:
     """Static baseline assignment with polar shutdown.
 
     Each active couple (see ``active_couples``) contributes its chain
     edges. No horizontal links.
     """
-    return couple_edges(spec, active_couples(spec, vis.polar_border_deg, t), t, "fixed")
+    return couple_edges(spec, active_couples(spec, polar_border_deg, t))
 
 
 def _band_rows(ls_state: LsState, ascending: bool) -> list:
@@ -312,7 +309,7 @@ def _band_rows(ls_state: LsState, ascending: bool) -> list:
 
 def reassign_topology(
     spec: ConstellationSpec,
-    vis: VisibilityModel,
+    polar_border_deg: float,
     ls_state: LsState,
     trigger: str,
 ) -> TopologyEdgeSet:
@@ -326,7 +323,7 @@ def reassign_topology(
 
     Args:
         spec: Constellation parameters.
-        vis: Visibility model carrying the polar border.
+        polar_border_deg: Polar-cap border latitude.
         ls_state: Row state at the trigger instant.
         trigger: ``"enter"`` or ``"exit"``.
 
@@ -343,7 +340,7 @@ def reassign_topology(
         raise ValueError(
             f"ls_state has {ls_state.n_rows} rows, expected {spec.row_count}")
 
-    uniform = is_uniform_row_distribution(spec, vis.polar_border_deg)
+    uniform = is_uniform_row_distribution(spec, polar_border_deg)
     chains, horizontals = [], []
     for ascending in (True, False):
         band = _band_rows(ls_state, ascending)
@@ -358,12 +355,12 @@ def reassign_topology(
         if len(band) % 2 == 1:
             horizontals.append(band[-1].phase_class)
     wiring = _wiring((spec.plane_count, spec.sats_per_plane))
-    return wiring.draw(wiring.select(chains, horizontals), ls_state.time_s, "reassignment")
+    return wiring.draw(wiring.select(chains, horizontals))
 
 
 def validate_topology(
     spec: ConstellationSpec,
-    vis: VisibilityModel,
+    polar_border_deg: float,
     topo: TopologyEdgeSet,
     t: float,
     positions: np.ndarray | None = None,
@@ -374,22 +371,27 @@ def validate_topology(
     cap, edges longer than the visibility limit, satellites with more than
     two inter-plane edges, horizontal edges below the survival latitude,
     and structurally invalid edges (seam crossings, wrong plane spans).
-    An empty list means the topology is valid.
+    An empty list means the topology is valid. The visibility limit
+    (``max_link_angle_deg``) and the survival latitude
+    (``horizontal_survival_latitude_deg``) come from ``spec``.
 
     ``positions`` are those at t (``all_positions_km``), computed when
     omitted. Each rule is one array expression over the set's integer
-    arrays (``TopologyEdgeSet.compiled``), evaluated once, latitudes only
-    for a set with horizontal edges; a set on which none fires returns at
-    once. Otherwise violations are built only for flagged edges and
-    satellites, edge by edge in canonical order, each edge's in
-    the order structure, visibility, polar (endpoint a, then b), same row,
-    survival latitude (a, then b); then one per over-degree satellite, in
-    index order.
+    arrays (``TopologyEdgeSet.compiled``), evaluated once, latitudes and
+    the survival latitude only for a set with horizontal edges; a set on
+    which none fires returns at once. Otherwise violations are built only
+    for flagged edges and satellites, edge by edge in canonical order, each
+    edge's in the order structure, visibility, polar (endpoint a, then b),
+    same row, survival latitude (a, then b); then one per over-degree
+    satellite, in index order.
 
     Raises:
-        ValueError: If an endpoint lies outside the constellation.
+        ValueError: If the border is not in (0, 90), or the set belongs
+            to a constellation of another shape.
     """
+    check_polar_border(polar_border_deg)
     arr = topo.compiled(spec)
+    max_angle = max_link_angle_deg(spec)
     m = spec.sats_per_plane
     a, b = arr.a, arr.b
     intra, oblique, horizontal = (arr.of_kind(k) for k in (INTRA_PLANE, OBLIQUE, HORIZONTAL))
@@ -405,7 +407,7 @@ def validate_topology(
     index = np.arange(spec.total_satellites)
     u = ((index // m) * spec.phase_offset_deg + (index % m) * spec.intra_plane_spacing_deg
          + 360.0 * t / orbit_period(spec)) % 360.0
-    polar = in_polar_band(u, vis.polar_border_deg)
+    polar = in_polar_band(u, polar_border_deg)
 
     dplane = np.abs(a // m - b // m)
     dslot = np.abs(a % m - b % m)
@@ -413,7 +415,7 @@ def validate_topology(
         (intra & ((dplane != 0) | ((dslot != 1) & (dslot != m - 1))))
         | (oblique & (dplane != 1)) | (horizontal & (dplane != 2))
         | ~(intra | oblique | horizontal),
-        angle > vis.max_link_angle_deg + 1e-9,
+        angle > max_angle + 1e-9,
         inter & polar[a],
         inter & polar[b],
         horizontal & (np.abs(((u[a] - u[b]) + 180.0) % 360.0 - 180.0) > 1e-6),
@@ -422,7 +424,8 @@ def validate_topology(
         # True latitude, asin(sin i * sin u), of every satellite.
         lat = np.degrees(np.arcsin(np.clip(
             math.sin(math.radians(spec.inclination_deg)) * np.sin(np.radians(u)), -1.0, 1.0)))
-        below = np.abs(lat) < vis.horizontal_min_latitude_deg - 1e-9
+        min_lat = horizontal_survival_latitude_deg(spec, max_angle)
+        below = np.abs(lat) < min_lat - 1e-9
         rules += [horizontal & below[a], horizontal & below[b]]
     flags = np.stack(rules, axis=1)
     degree = np.bincount(np.concatenate([a[inter], b[inter]]),
@@ -449,7 +452,7 @@ def validate_topology(
         elif rule == 1:
             violations.append(TopologyViolation(
                 "visibility", edge,
-                f"geocentric angle {angle[i]:.3f} exceeds {vis.max_link_angle_deg:.3f}"))
+                f"geocentric angle {angle[i]:.3f} exceeds {max_angle:.3f}"))
         elif rule in (2, 3):
             violations.append(TopologyViolation(
                 "polar", edge, f"{sats[rule - 2]} is inside a polar cap"))
@@ -460,7 +463,7 @@ def validate_topology(
             violations.append(TopologyViolation(
                 "horizontal_range", edge,
                 f"{sats[rule - 5]} at latitude {lat[ends[rule - 5]]:.3f} below survival "
-                f"latitude {vis.horizontal_min_latitude_deg:.3f}"))
+                f"latitude {min_lat:.3f}"))
 
     for s in over:
         violations.append(TopologyViolation(

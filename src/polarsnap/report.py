@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ScenarioError
-from .geometry import ConstellationSpec, all_positions_km, make_visibility_model, orbit_period
+from .geometry import ConstellationSpec, all_positions_km, orbit_period
 from .links import EdgeArrays, TopologyEdgeSet, canonical_arrays, validate_topology
 from .routing import DelaySeries, SendGrid, delay_experiment, utilization
 from .scenario import ScenarioConfig
@@ -211,12 +211,9 @@ def _parse_topology(doc) -> tuple[ConstellationSpec, SnapshotSequence]:
                          if start > end else f"snapshot {i}: starts at {start!r}, before "
                          f"snapshot {i - 1} ends at {times[i - 1, 1].item()!r}")
 
-    method = doc["method"]
-    snapshots = []
-    for (start, end), arrays in zip(times.tolist(), parts):
-        topo = TopologyEdgeSet(arrays, start, method)
-        snapshots.append(TopologySnapshot(start, end, topo, topo.n_inter_plane))
-    seq = SnapshotSequence(method, tuple(snapshots), period, doc["polar_border_deg"],
+    snapshots = tuple(TopologySnapshot(start, end, TopologyEdgeSet(arrays))
+                      for (start, end), arrays in zip(times.tolist(), parts))
+    seq = SnapshotSequence(doc["method"], snapshots, period, doc["polar_border_deg"],
                            trigger=doc["trigger"], truncated_final=doc["truncated_final"])
     return spec, seq
 
@@ -253,19 +250,15 @@ def _v2_table(shape: tuple[int, int], table) -> EdgeArrays:
     names = [r[0] for r in table]
     if not set(map(type, names)) <= {str}:
         raise ValueError("edges table: edge kinds must be strings")
-    kinds = tuple(sorted(set(names)))
-    code = {k: i for i, k in enumerate(kinds)}
-    rows = np.empty((len(table), 5), dtype=np.int64)
-    rows[:, 0] = np.fromiter(map(code.__getitem__, names), np.int64, len(table))
     try:
-        rows[:, 1:] = _integers(list(chain.from_iterable(r[1:] for r in table)),
-                                "edge endpoints").reshape(-1, 4)
-        arrays = canonical_arrays(shape, kinds, rows)
+        rows = _integers(list(chain.from_iterable(r[1:] for r in table)),
+                         "edge endpoints").reshape(-1, 4)
+        arrays = canonical_arrays(shape, names, rows)
     except ValueError as exc:
         raise ValueError(f"edges table: {exc}") from exc
-    ends = (rows[:, 1::2] - 1) * shape[1] + rows[:, 2::2] - 1
-    if not all(map(np.array_equal, (arrays.kind, arrays.a, arrays.b),
-                   (rows[:, 0], ends[:, 0], ends[:, 1]))):
+    ends = (rows[:, 0::2] - 1) * shape[1] + rows[:, 1::2] - 1
+    if not (np.array_equal(arrays.a, ends[:, 0]) and np.array_equal(arrays.b, ends[:, 1])
+            and arrays.names() == names):
         raise ValueError("edges table: rows must be distinct and in canonical order")
     return arrays
 
@@ -294,11 +287,10 @@ def _check_sequence(
             failures.append(
                 f"{spec.name} {seq.method} {seq.polar_border_deg}: snapshots "
                 f"{i} and {i + 1} are not contiguous")
-    vis = make_visibility_model(spec, seq.polar_border_deg)
     times = [snap.start_s + 1e-3 for snap in seq.snapshots]
     positions = all_positions_km(spec, np.array(times))
     for i, (snap, t) in enumerate(zip(seq.snapshots, times)):
-        violations = validate_topology(spec, vis, snap.edges, t, positions[i])
+        violations = validate_topology(spec, seq.polar_border_deg, snap.edges, t, positions[i])
         if violations:
             first = violations[0]
             failures.append(

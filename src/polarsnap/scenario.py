@@ -34,7 +34,8 @@ are required keys. Defaults are those of ``ScenarioConfig``,
 (``apply_overrides``) pass their text to the same parsers, so a bad value
 gives the same message, without a line number. The constellation ``name``
 starts every artifact's file name, so it may not be empty, ``.`` or ``..``,
-or hold ``/`` or ``\\``. Comments start with '#'.
+or hold ``/``, ``\\`` or NUL, and ``directory`` may not hold NUL either.
+Comments start with '#'.
 """
 import math
 from dataclasses import MISSING, dataclass, field, replace
@@ -114,6 +115,7 @@ def _name(key: str, text: str, lineno: int | None) -> str:
     if text in ("", ".", "..") or "/" in text or "\\" in text:
         raise ScenarioError(f"{key} must be a file name part: not empty, '.' or '..', "
                             f"and without '/' or '\\', got {text!r}", lineno)
+    _path(key, text, lineno)  # rejects NUL
     return text
 
 
@@ -164,6 +166,9 @@ def _trigger(key: str, text: str, lineno: int | None) -> str:
 
 
 def _path(key: str, text: str, lineno: int | None) -> Path:
+    # No file system call takes a path with a NUL character.
+    if "\0" in text:
+        raise ScenarioError(f"{key} must not hold a NUL character, got {text!r}", lineno)
     return Path(text)
 
 

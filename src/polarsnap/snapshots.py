@@ -1,7 +1,8 @@
 """Snapshot sequences over one orbit period.
 
 Three partition methods produce a sequence of time intervals, each with a
-frozen edge set:
+frozen edge set. A snapshot holds only its bounds and its set; its
+inter-plane link count is the set's.
 
 * ``partition_reassignment``: one snapshot per polar-cap crossing event of
   the chosen kind; edges re-paired at every boundary. All durations equal
@@ -28,7 +29,7 @@ import numpy as np
 from .geometry import (
     ConstellationSpec,
     build_ls_state,
-    make_visibility_model,
+    check_polar_border,
     nonpolar_row_count,
     orbit_period,
 )
@@ -72,7 +73,6 @@ class TopologySnapshot:
     start_s: float
     end_s: float
     edges: TopologyEdgeSet
-    n_inter_plane: int
     # The neighbour table ``routing`` builds on the first route over this
     # snapshot; a cache, so it takes no part in equality or repr.
     routing_graph: object = field(default=None, init=False, compare=False, repr=False)
@@ -80,6 +80,10 @@ class TopologySnapshot:
     @property
     def duration_s(self) -> float:
         return self.end_s - self.start_s
+
+    @property
+    def n_inter_plane(self) -> int:
+        return self.edges.n_inter_plane
 
     def covers(self, t: float) -> bool:
         return self.start_s <= t < self.end_s
@@ -175,8 +179,7 @@ def enumerate_events(
     Raises:
         ValueError: If the border is not in (0, 90).
     """
-    if not 0.0 < polar_border_deg < 90.0:
-        raise ValueError(f"polar_border_deg must be in (0, 90), got {polar_border_deg}")
+    check_polar_border(polar_border_deg)
     period = orbit_period(spec)
     targets = {EVENT_KIND_ENTER: polar_border_deg, EVENT_KIND_EXIT: 180.0 - polar_border_deg}
     events = []
@@ -208,23 +211,19 @@ def partition_reassignment(
     event's edges are built from its row state; snapshot i holds them with
     every class c's edges moved to class c - i.
     """
-    vis = make_visibility_model(spec, polar_border_deg)
     period = orbit_period(spec)
     kind = EVENT_KIND_ENTER if trigger == TRIGGER_ENTER else EVENT_KIND_EXIT
     events = enumerate_events(spec, polar_border_deg, period, kinds=(kind,))
     t0 = events[0].time_s
-    first = reassign_topology(spec, vis, build_ls_state(spec, vis, t0 + _EVENT_EPS_S),
-                              trigger)
-
-    snapshots = []
-    for i, event in enumerate(events):
-        start = event.time_s
-        end = events[i + 1].time_s if i + 1 < len(events) else t0 + period
-        topo = first.rotated(i, start)
-        snapshots.append(TopologySnapshot(start, end, topo, topo.n_inter_plane))
+    first = reassign_topology(
+        spec, polar_border_deg, build_ls_state(spec, polar_border_deg, t0 + _EVENT_EPS_S),
+        trigger)
+    ends = [e.time_s for e in events[1:]] + [t0 + period]
+    snapshots = tuple(TopologySnapshot(event.time_s, end, first.rotated(i))
+                      for i, (event, end) in enumerate(zip(events, ends)))
     return SnapshotSequence(
         method=METHOD_REASSIGNMENT,
-        snapshots=tuple(snapshots),
+        snapshots=snapshots,
         period_s=period,
         polar_border_deg=polar_border_deg,
         trigger=trigger,
@@ -237,7 +236,6 @@ def partition_fixed(
 ) -> SnapshotSequence:
     """Snapshot boundaries wherever the static baseline's set of active
     couples changes."""
-    vis = make_visibility_model(spec, polar_border_deg)
     period = orbit_period(spec)
     events = enumerate_events(spec, polar_border_deg, period)
     states = [active_couples(spec, polar_border_deg, e.time_s + _EVENT_EPS_S)
@@ -246,16 +244,12 @@ def partition_fixed(
     # earlier. A baseline that never changes is one snapshot from t=0.
     starts = [e.time_s for i, e in enumerate(events)
               if states[i] != states[i - 1]] or [0.0]
-
-    t0 = starts[0]
-    snapshots = []
-    for i, start in enumerate(starts):
-        end = starts[i + 1] if i + 1 < len(starts) else t0 + period
-        topo = fixed_topology(spec, vis, start + _EVENT_EPS_S).relabeled(start, METHOD_FIXED)
-        snapshots.append(TopologySnapshot(start, end, topo, topo.n_inter_plane))
+    snapshots = tuple(
+        TopologySnapshot(start, end, fixed_topology(spec, polar_border_deg, start + _EVENT_EPS_S))
+        for start, end in zip(starts, starts[1:] + [starts[0] + period]))
     return SnapshotSequence(
         method=METHOD_FIXED,
-        snapshots=tuple(snapshots),
+        snapshots=snapshots,
         period_s=period,
         polar_border_deg=polar_border_deg,
     )
@@ -293,8 +287,7 @@ def partition_equal_time(
         for te in event_times:
             if start < te < end:
                 couples &= active_couples(spec, polar_border_deg, te + _EVENT_EPS_S)
-        topo = couple_edges(spec, couples, start, METHOD_EQUAL_TIME)
-        snapshots.append(TopologySnapshot(start, end, topo, topo.n_inter_plane))
+        snapshots.append(TopologySnapshot(start, end, couple_edges(spec, couples)))
     return SnapshotSequence(
         method=METHOD_EQUAL_TIME,
         snapshots=tuple(snapshots),

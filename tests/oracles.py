@@ -11,6 +11,9 @@ equal routes.
 The scalar geometry below (one satellite, one instant, ``math`` functions)
 is what the package computed before its array paths; it serves as the
 oracle for ``all_positions_km``, ``attach_ground`` and the validator.
+``survival_latitude_deg`` is the survival latitude as the validator got
+it before ``horizontal_survival_latitude_deg`` returned 0 for an
+always-visible geometry itself: a formula that raises, and a mapping.
 """
 import heapq
 import math
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from polarsnap.errors import InfeasibleGeometryError
 from polarsnap.geometry import (
     EARTH_RADIUS_KM,
     SIDEREAL_DAY_S,
@@ -31,7 +35,7 @@ from polarsnap.geometry import (
     ground_position_km,
     index_to_sat,
     is_ascending,
-    make_visibility_model,
+    max_link_angle_deg,
     orbit_period,
     sat_to_index,
     validate_sat_id,
@@ -155,6 +159,33 @@ def geocentric_angle_deg(a, b) -> float:
     return math.degrees(math.acos(max(-1.0, min(1.0, cosang))))
 
 
+def raising_survival_latitude_deg(spec: ConstellationSpec, max_angle_deg: float) -> float:
+    """sin^2(L) = (cos(theta_max) - cos(2*dOmega)) / (1 - cos(2*dOmega)),
+    raising where the right side has no solution in [0, 1]."""
+    two_domega = 2.0 * spec.plane_spacing_deg
+    denom = 1.0 - math.cos(math.radians(two_domega))
+    if denom <= 0.0:
+        raise InfeasibleGeometryError("plane spacing too small for a survival latitude")
+    arg = (math.cos(math.radians(max_angle_deg)) - math.cos(math.radians(two_domega))) / denom
+    if arg < 0.0:
+        raise InfeasibleGeometryError("links two planes apart are visible at all latitudes")
+    if arg > 1.0:
+        raise InfeasibleGeometryError("links two planes apart are never visible")
+    return math.degrees(math.asin(math.sqrt(arg)))
+
+
+def survival_latitude_deg(spec: ConstellationSpec) -> float:
+    """The survival latitude at the spec's own link angle, an always-visible
+    geometry mapped to 0 and any other raise passed on."""
+    theta = max_link_angle_deg(spec)
+    try:
+        return raising_survival_latitude_deg(spec, theta)
+    except InfeasibleGeometryError:
+        if math.cos(math.radians(theta)) < math.cos(math.radians(2.0 * spec.plane_spacing_deg)):
+            return 0.0
+        raise
+
+
 def propagation_delay_s(a, b) -> float:
     """Straight-line propagation delay between two points, in seconds."""
     av = np.asarray(a, dtype=float)
@@ -234,9 +265,9 @@ def anchor_index(ls: LsState, polar_border_deg: float) -> int:
 def intra_plane_edges(spec: ConstellationSpec) -> TopologyEdgeSet:
     """The N*M permanent ring edges (time-invariant)."""
     m = spec.sats_per_plane
-    return TopologyEdgeSet(frozenset(
+    return TopologyEdgeSet.from_edges(spec, (
         make_edge(SatId(p, j), SatId(p, j % m + 1), INTRA_PLANE)
-        for p in range(1, spec.plane_count + 1) for j in range(1, m + 1)), 0.0, "intra")
+        for p in range(1, spec.plane_count + 1) for j in range(1, m + 1)))
 
 
 def chain_edges(spec: ConstellationSpec, lower_class: int) -> list[IslEdge]:
@@ -269,7 +300,6 @@ def per_event_reassignment(
 ) -> SnapshotSequence:
     """``partition_reassignment`` with every snapshot's edges built from the
     row state just after its own event, instead of rotated from the first."""
-    vis = make_visibility_model(spec, polar_border_deg)
     period = orbit_period(spec)
     kind = EVENT_KIND_ENTER if trigger == TRIGGER_ENTER else EVENT_KIND_EXIT
     events = enumerate_events(spec, polar_border_deg, period, kinds=(kind,))
@@ -278,9 +308,9 @@ def per_event_reassignment(
     for i, event in enumerate(events):
         start = event.time_s
         end = events[i + 1].time_s if i + 1 < len(events) else t0 + period
-        ls = build_ls_state(spec, vis, start + _EVENT_EPS_S)
-        topo = reassign_topology(spec, vis, ls, trigger).relabeled(start, METHOD_REASSIGNMENT)
-        snapshots.append(TopologySnapshot(start, end, topo, topo.n_inter_plane))
+        ls = build_ls_state(spec, polar_border_deg, start + _EVENT_EPS_S)
+        snapshots.append(TopologySnapshot(
+            start, end, reassign_topology(spec, polar_border_deg, ls, trigger)))
     return SnapshotSequence(METHOD_REASSIGNMENT, tuple(snapshots), period,
                             polar_border_deg, trigger=trigger)
 

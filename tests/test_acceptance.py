@@ -15,7 +15,6 @@ import pytest
 
 from polarsnap.geometry import (
     horizontal_survival_latitude_deg,
-    make_visibility_model,
     orbit_period,
     SatId,
 )
@@ -213,9 +212,8 @@ def test_criterion_7_oracle_suites(systems, sequences, toy):
     # (a) validator clean for every generated snapshot
     for (name, border, method), seq in sequences.items():
         spec = systems[name]
-        vis = make_visibility_model(spec, border)
         for i, snap in enumerate(seq.snapshots):
-            violations = validate_topology(spec, vis, snap.edges, snap.start_s + 1e-3)
+            violations = validate_topology(spec, border, snap.edges, snap.start_s + 1e-3)
             if violations:
                 failures.append(f"{name} {method}@{border} snapshot {i}: "
                                 f"{violations[0].rule}")

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polarsnap.errors import InfeasibleGeometryError, UnsupportedConfigurationError
@@ -16,7 +16,6 @@ from polarsnap.geometry import (
     ground_position_km,
     horizontal_survival_latitude_deg,
     index_to_sat,
-    make_visibility_model,
     max_link_angle_deg,
     nonpolar_row_count,
     orbit_period,
@@ -32,8 +31,10 @@ from tests.oracles import (
     geocentric_angle_deg,
     position_km,
     propagation_delay_s,
+    raising_survival_latitude_deg,
     row_members,
     satellite_state,
+    survival_latitude_deg,
     true_latitude_deg,
 )
 
@@ -144,17 +145,15 @@ class TestLsState:
         # exit
         assert nonpolar_row_count(iridium, border) == n_npa
         assert iridium.sats_per_plane - n_npa == n_pa
-        vis = make_visibility_model(iridium, border)
         for t in (0.0, 137.5, 2718.0, 6000.0):
-            ls = build_ls_state(iridium, vis, t)
+            ls = build_ls_state(iridium, border, t)
             assert ls.n_rows == 22
             for ascending in (True, False):
                 band = [r for r in ls.rows if r.ascending == ascending and not r.in_polar]
                 assert len(band) in (n_npa, n_npa + 1)
 
     def test_teledesic_row_counts(self, teledesic):
-        vis = make_visibility_model(teledesic, 75.0)
-        ls = build_ls_state(teledesic, vis, 1234.0)
+        ls = build_ls_state(teledesic, 75.0, 1234.0)
         assert ls.n_rows == 48
         assert nonpolar_row_count(teledesic, 75.0) == 20
         assert sum(not r.in_polar for r in ls.rows) in (40, 41, 42)
@@ -162,8 +161,7 @@ class TestLsState:
     @settings(max_examples=25, deadline=None)
     @given(t=st.floats(0.0, 6027.0))
     def test_rows_partition_constellation(self, iridium, t):
-        vis = make_visibility_model(iridium, 60.0)
-        ls = build_ls_state(iridium, vis, t)
+        ls = build_ls_state(iridium, 60.0, t)
         assert sorted(r.phase_class for r in ls.rows) == list(range(22))
         seen = set()
         for row in ls.rows:
@@ -175,8 +173,7 @@ class TestLsState:
     @settings(max_examples=25, deadline=None)
     @given(t=st.floats(0.0, 6027.0))
     def test_row_members_share_latitude_and_direction(self, iridium, t):
-        vis = make_visibility_model(iridium, 60.0)
-        ls = build_ls_state(iridium, vis, t)
+        ls = build_ls_state(iridium, 60.0, t)
         for row in ls.rows:
             latitude = true_latitude_deg(iridium, row.u_deg)
             for sat in row_members(iridium, row.phase_class):
@@ -189,8 +186,7 @@ class TestLsState:
     def test_row_count_identity(self, iridium, border):
         # each arc holds the nominal non-polar rows, or one more just after
         # an exit, and the polar ones; together M rows
-        vis = make_visibility_model(iridium, border)
-        ls = build_ls_state(iridium, vis, 0.0)
+        ls = build_ls_state(iridium, border, 0.0)
         n_npa = nonpolar_row_count(iridium, border)
         for ascending in (True, False):
             arc = [r for r in ls.rows if r.ascending == ascending]
@@ -198,12 +194,11 @@ class TestLsState:
             assert sum(not r.in_polar for r in arc) in (n_npa, n_npa + 1)
 
     def test_anchor_is_most_recently_exited(self, iridium):
-        vis = make_visibility_model(iridium, 60.0)
         period = orbit_period(iridium)
         # just after the first exit event the anchor sits at the south exit border
         t_exit = min(((300.0 - c * iridium.phase_offset_deg) % 360.0) / 360.0 * period
                      for c in range(22))
-        ls = build_ls_state(iridium, vis, t_exit + 1e-3)
+        ls = build_ls_state(iridium, 60.0, t_exit + 1e-3)
         anchor = ls.rows[anchor_index(ls, 60.0)]
         assert anchor.ascending
         assert not anchor.in_polar
@@ -247,11 +242,36 @@ class TestHorizontalSurvivalLatitude:
             iridium, max_angle_deg=2 * 31.6) == pytest.approx(0.0, abs=1e-12)
 
     def test_teledesic_always_visible(self, teledesic):
-        # direct evaluation: cos(68.0 deg) < cos(30.72 deg), argument negative
-        with pytest.raises(InfeasibleGeometryError):
-            horizontal_survival_latitude_deg(teledesic)
-        vis = make_visibility_model(teledesic, 60.0)
-        assert vis.horizontal_min_latitude_deg == 0.0
+        # cos(68.0 deg) < cos(30.72 deg): the argument is negative, and such
+        # links clear the Earth at every latitude
+        with pytest.raises(InfeasibleGeometryError, match="visible at all latitudes"):
+            raising_survival_latitude_deg(teledesic, max_link_angle_deg(teledesic))
+        assert horizontal_survival_latitude_deg(teledesic) == 0.0
+        assert survival_latitude_deg(teledesic) == 0.0
+
+    def test_coinciding_planes_always_visible(self, iridium):
+        # a 180 degree spacing puts the planes two apart in one plane
+        spec = dataclasses.replace(iridium, inter_plane_spacing_deg=180.0)
+        with pytest.raises(InfeasibleGeometryError, match="spacing"):
+            raising_survival_latitude_deg(spec, max_link_angle_deg(spec))
+        assert horizontal_survival_latitude_deg(spec) == survival_latitude_deg(spec) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(altitude=st.floats(200.0, 40000.0),
+           grazing=st.floats(0.0, 1.0),
+           spacing=st.floats(0.0, 180.0, exclude_min=True))
+    @example(altitude=780.0, grazing=49.0 / 779.0, spacing=180.0)
+    @example(altitude=780.0, grazing=49.0 / 779.0, spacing=1e-300)
+    @example(altitude=780.0, grazing=49.0 / 779.0, spacing=31.6)
+    @example(altitude=1375.0, grazing=49.0 / 1374.0, spacing=15.36)
+    def test_matches_raising_formula_and_mapping(self, altitude, grazing, spacing):
+        # the grazing altitude, a fraction of [0, altitude - 1 km], stays
+        # 1 km or more below the orbit, so the link angle is not rounded to 0
+        spec = ConstellationSpec(6, 11, 86.4, altitude, inter_plane_spacing_deg=spacing,
+                                 grazing_altitude_km=grazing * (altitude - 1.0))
+        value = horizontal_survival_latitude_deg(spec)
+        assert value == survival_latitude_deg(spec)
+        assert math.isfinite(value) and 0.0 <= value < 90.0
 
     def test_monotonicity_sweep(self, iridium):
         # larger visibility angle -> lower survival latitude;
@@ -353,14 +373,9 @@ class TestElevation:
         assert np.array_equal(batch, stacked)
 
 
-class TestVisibilityModelConstruction:
+class TestLinkLimits:
     def test_max_link_angle_from_grazing(self, iridium):
         expected = 2.0 * math.degrees(math.acos(
             (6378.137 + 49.0) / (6378.137 + 780.0)))
         assert max_link_angle_deg(iridium) == pytest.approx(expected, rel=1e-12)
 
-    def test_border_bounds_enforced(self, iridium):
-        with pytest.raises(ValueError):
-            make_visibility_model(iridium, 95.0)
-        with pytest.raises(ValueError):
-            make_visibility_model(iridium, 0.0)

@@ -1,5 +1,7 @@
 import collections
+import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -7,12 +9,12 @@ import pytest
 from polarsnap.geometry import (
     ConstellationSpec,
     SatId,
-    VisibilityModel,
     all_positions_km,
     build_ls_state,
     class_phase_deg,
+    horizontal_survival_latitude_deg,
     in_polar_band,
-    make_visibility_model,
+    max_link_angle_deg,
     orbit_period,
     sat_to_index,
 )
@@ -29,7 +31,8 @@ from polarsnap.links import (
     reassign_topology,
     validate_topology,
 )
-from polarsnap.snapshots import partition
+from polarsnap.report import export_topology, load_topology
+from polarsnap.snapshots import SnapshotSequence, TopologySnapshot, partition
 from tests.oracles import (
     argument_of_latitude_deg,
     chain_edges,
@@ -38,6 +41,7 @@ from tests.oracles import (
     horizontal_edges,
     intra_plane_edges,
     row_members,
+    survival_latitude_deg,
     true_latitude_deg,
 )
 
@@ -82,7 +86,7 @@ def _structural_violations(spec: ConstellationSpec, edge: IslEdge) -> list[Topol
 
 def reference_validate_topology(
     spec: ConstellationSpec,
-    vis: VisibilityModel,
+    polar_border_deg: float,
     topo: TopologyEdgeSet,
     t: float,
 ) -> list[TopologyViolation]:
@@ -94,8 +98,9 @@ def reference_validate_topology(
     cap, edges longer than the visibility limit, satellites with more than
     two inter-plane edges, horizontal edges below the survival latitude,
     and structurally invalid edges (seam crossings, wrong plane spans).
-    An empty list means the topology is valid.
+    An empty list means the topology is valid. The limits come from spec.
     """
+    max_angle, min_latitude = max_link_angle_deg(spec), survival_latitude_deg(spec)
     positions = all_positions_km(spec, t)
     violations: list[TopologyViolation] = []
     inter_degree: dict[SatId, int] = {}
@@ -109,10 +114,10 @@ def reference_validate_topology(
         pb = positions[sat_to_index(spec, b)]
 
         angle = geocentric_angle_deg(pa, pb)
-        if angle > vis.max_link_angle_deg + 1e-9:
+        if angle > max_angle + 1e-9:
             violations.append(TopologyViolation(
                 "visibility", edge,
-                f"geocentric angle {angle:.3f} exceeds {vis.max_link_angle_deg:.3f}"))
+                f"geocentric angle {angle:.3f} exceeds {max_angle:.3f}"))
 
         if edge.kind == INTRA_PLANE:
             continue
@@ -121,7 +126,7 @@ def reference_validate_topology(
 
         for sat in (a, b):
             u = argument_of_latitude_deg(spec, sat, t)
-            if in_polar_band(u, vis.polar_border_deg):
+            if in_polar_band(u, polar_border_deg):
                 violations.append(TopologyViolation(
                     "polar", edge, f"{sat} is inside a polar cap"))
 
@@ -133,11 +138,11 @@ def reference_validate_topology(
                     "structure", edge, "horizontal endpoints are not in the same row"))
             for sat, u in ((a, ua), (b, ub)):
                 lat = true_latitude_deg(spec, u)
-                if abs(lat) < vis.horizontal_min_latitude_deg - 1e-9:
+                if abs(lat) < min_latitude - 1e-9:
                     violations.append(TopologyViolation(
                         "horizontal_range", edge,
                         f"{sat} at latitude {lat:.3f} below survival latitude "
-                        f"{vis.horizontal_min_latitude_deg:.3f}"))
+                        f"{min_latitude:.3f}"))
 
     for sat, deg in sorted(inter_degree.items(),
                            key=lambda kv: (kv[0].plane, kv[0].index_in_plane)):
@@ -184,12 +189,11 @@ class TestIntraPlaneEdges:
 class TestFixedTopology:
     def test_full_visibility_count(self, toy):
         # all couples active: (N-1) * M inter-plane edges
-        vis = make_visibility_model(toy, 89.0)
         period = orbit_period(toy)
         for t in np.linspace(0, period, 50, endpoint=False):
-            topo = fixed_topology(toy, vis, float(t))
+            topo = fixed_topology(toy, 89.0, float(t))
             if not any(
-                r.in_polar for r in build_ls_state(toy, vis, float(t)).rows
+                r.in_polar for r in build_ls_state(toy, 89.0, float(t)).rows
             ):
                 assert topo.n_inter_plane == (toy.plane_count - 1) * toy.sats_per_plane
                 break
@@ -197,10 +201,9 @@ class TestFixedTopology:
             pytest.fail("no full-visibility instant found")
 
     def test_iridium_60_value_set(self, iridium):
-        vis = make_visibility_model(iridium, 60.0)
         period = orbit_period(iridium)
         counts = {
-            fixed_topology(iridium, vis, float(t)).n_inter_plane
+            fixed_topology(iridium, 60.0, float(t)).n_inter_plane
             for t in np.linspace(0.0, period, 900, endpoint=False)
         }
         assert counts == {30, 35}
@@ -208,22 +211,20 @@ class TestFixedTopology:
     def test_polar_rows_lose_exactly_their_edges(self, iridium):
         # dropped edges relative to the never-shutdown wiring are exactly
         # the ones incident to satellites inside a cap
-        vis = make_visibility_model(iridium, 60.0)
         t = 1000.0
         full = {e for k in range(iridium.sats_per_plane)
                 for e in _couple_chain(iridium, k)}
-        active = {e for e in fixed_topology(iridium, vis, t).edges if e.kind != INTRA_PLANE}
+        active = {e for e in fixed_topology(iridium, 60.0, t).edges if e.kind != INTRA_PLANE}
         dropped = full - active
-        ls = build_ls_state(iridium, vis, t)
+        ls = build_ls_state(iridium, 60.0, t)
         polar_sats = {m for r in ls.rows if r.in_polar
                       for m in row_members(iridium, r.phase_class)}
         assert dropped == {e for e in full
                            if e.endpoint_a in polar_sats or e.endpoint_b in polar_sats}
 
     def test_deterministic(self, iridium):
-        vis = make_visibility_model(iridium, 65.0)
-        assert fixed_topology(iridium, vis, 321.0).edges == \
-            fixed_topology(iridium, vis, 321.0).edges
+        assert fixed_topology(iridium, 65.0, 321.0).edges == \
+            fixed_topology(iridium, 65.0, 321.0).edges
 
 
 def _couple_chain(spec, k):
@@ -243,10 +244,9 @@ class TestReassignTopology:
     def test_link_counts(self, fixture, border, n_oblique, n_horizontal,
                          trigger, request):
         spec = request.getfixturevalue(fixture)
-        vis = make_visibility_model(spec, border)
         t = first_event_time(spec, border, trigger) + 1e-3
-        ls = build_ls_state(spec, vis, t)
-        topo = reassign_topology(spec, vis, ls, trigger)
+        ls = build_ls_state(spec, border, t)
+        topo = reassign_topology(spec, border, ls, trigger)
         assert topo.count(OBLIQUE) == n_oblique
         assert topo.count(HORIZONTAL) == n_horizontal
 
@@ -254,9 +254,8 @@ class TestReassignTopology:
     def test_degree_bounds_and_chain_shape(self, fixture, border, n_oblique,
                                            n_horizontal, request):
         spec = request.getfixturevalue(fixture)
-        vis = make_visibility_model(spec, border)
         t = first_event_time(spec, border, "enter") + 1e-3
-        topo = reassign_topology(spec, vis, build_ls_state(spec, vis, t), "enter")
+        topo = reassign_topology(spec, border, build_ls_state(spec, border, t), "enter")
         deg = inter_plane_degrees(topo)
         assert all(d <= 2 for d in deg.values())
         # each oblique chain spans all planes: its two degree-1 nodes sit in
@@ -270,90 +269,90 @@ class TestReassignTopology:
         assert {s.plane for s in ends} <= {1, spec.plane_count}
 
     def test_no_seam_edges(self, iridium):
-        vis = make_visibility_model(iridium, 60.0)
         t = first_event_time(iridium, 60.0, "enter") + 1e-3
-        topo = reassign_topology(iridium, vis, build_ls_state(iridium, vis, t), "enter")
+        topo = reassign_topology(iridium, 60.0, build_ls_state(iridium, 60.0, t), "enter")
         for e in topo.edges:
             assert {e.endpoint_a.plane, e.endpoint_b.plane} != {1, iridium.plane_count}
 
     def test_deterministic(self, iridium):
-        vis = make_visibility_model(iridium, 75.0)
         t = first_event_time(iridium, 75.0, "exit") + 1e-3
-        ls = build_ls_state(iridium, vis, t)
-        assert reassign_topology(iridium, vis, ls, "exit").edges == \
-            reassign_topology(iridium, vis, ls, "exit").edges
+        ls = build_ls_state(iridium, 75.0, t)
+        assert reassign_topology(iridium, 75.0, ls, "exit").edges == \
+            reassign_topology(iridium, 75.0, ls, "exit").edges
 
     def test_bad_trigger_rejected(self, iridium):
-        vis = make_visibility_model(iridium, 60.0)
-        ls = build_ls_state(iridium, vis, 0.0)
+        ls = build_ls_state(iridium, 60.0, 0.0)
         with pytest.raises(ValueError):
-            reassign_topology(iridium, vis, ls, "both")
+            reassign_topology(iridium, 60.0, ls, "both")
 
     def test_validator_clean_at_generation(self, iridium):
-        vis = make_visibility_model(iridium, 75.0)
         for trigger in ("enter", "exit"):
             t = first_event_time(iridium, 75.0, trigger) + 1e-3
             topo = reassign_topology(
-                iridium, vis, build_ls_state(iridium, vis, t), trigger)
-            assert validate_topology(iridium, vis, topo, t) == []
+                iridium, 75.0, build_ls_state(iridium, 75.0, t), trigger)
+            assert validate_topology(iridium, 75.0, topo, t) == []
 
 
 class TestValidator:
     def test_seam_edge_flagged(self, iridium):
-        vis = make_visibility_model(iridium, 60.0)
         seam = make_edge(SatId(1, 1), SatId(6, 1), OBLIQUE)
-        topo = TopologyEdgeSet(frozenset({seam}), 0.0, "handmade")
-        violations = validate_topology(iridium, vis, topo, 0.0)
+        topo = TopologyEdgeSet.from_edges(iridium, {seam})
+        violations = validate_topology(iridium, 60.0, topo, 0.0)
         assert any(v.rule == "structure" for v in violations)
 
     def test_equatorial_horizontal_flagged(self, iridium):
         # same row, planes 1 and 3, but at latitude 0 where such links
         # are Earth-blocked
-        vis = make_visibility_model(iridium, 60.0)
         edge = make_edge(class_member(iridium, 0, 1),
                          class_member(iridium, 0, 3), HORIZONTAL)
-        topo = TopologyEdgeSet(frozenset({edge}), 0.0, "handmade")
-        violations = validate_topology(iridium, vis, topo, 0.0)
+        topo = TopologyEdgeSet.from_edges(iridium, {edge})
+        violations = validate_topology(iridium, 60.0, topo, 0.0)
         assert any(v.rule == "horizontal_range" for v in violations)
 
     def test_polar_endpoint_flagged(self, iridium):
-        vis = make_visibility_model(iridium, 60.0)
         # quarter period in, satellite (1,1) is at the apex, inside a cap
         t = orbit_period(iridium) / 4.0
         edge = make_edge(SatId(1, 1), SatId(2, 1), OBLIQUE)
-        topo = TopologyEdgeSet(frozenset({edge}), t, "handmade")
-        violations = validate_topology(iridium, vis, topo, t)
+        topo = TopologyEdgeSet.from_edges(iridium, {edge})
+        violations = validate_topology(iridium, 60.0, topo, t)
         assert any(v.rule == "polar" for v in violations)
 
     def test_over_degree_flagged(self, iridium):
-        vis = make_visibility_model(iridium, 60.0)
         centre = SatId(3, 1)
         edges = {
             make_edge(centre, SatId(2, 1), OBLIQUE),
             make_edge(centre, SatId(2, 2), OBLIQUE),
             make_edge(centre, SatId(4, 1), OBLIQUE),
         }
-        topo = TopologyEdgeSet(frozenset(edges), 0.0, "handmade")
-        violations = validate_topology(iridium, vis, topo, 0.0)
+        topo = TopologyEdgeSet.from_edges(iridium, edges)
+        violations = validate_topology(iridium, 60.0, topo, 0.0)
         assert any(v.rule == "degree" for v in violations)
 
     def test_long_link_flagged(self, teledesic):
-        vis = make_visibility_model(teledesic, 60.0)
         # same plane, opposite sides of the orbit: far beyond visibility
         edge = IslEdge(SatId(1, 1), SatId(1, 13), INTRA_PLANE)
-        topo = TopologyEdgeSet(frozenset({edge}), 0.0, "handmade")
-        violations = validate_topology(teledesic, vis, topo, 0.0)
+        topo = TopologyEdgeSet.from_edges(teledesic, {edge})
+        violations = validate_topology(teledesic, 60.0, topo, 0.0)
         assert any(v.rule == "visibility" for v in violations)
         assert any(v.rule == "structure" for v in violations)
+
     def test_endpoint_outside_constellation_rejected(self, iridium):
-        vis = make_visibility_model(iridium, 60.0)
+        # at construction, before any rule reads the set
         edge = make_edge(SatId(1, 1), SatId(1, 12), INTRA_PLANE)
-        topo = TopologyEdgeSet(frozenset({edge}), 0.0, "handmade")
+        with pytest.raises(ValueError, match="outside the 6x11 constellation"):
+            TopologyEdgeSet.from_edges(iridium, {edge})
         with pytest.raises(ValueError, match="outside"):
-            validate_topology(iridium, vis, topo, 0.0)
+            TopologyEdgeSet.from_edges(iridium, {make_edge(SatId(0, 1), SatId(1, 1), OBLIQUE)})
+
+    @pytest.mark.parametrize("border", [95.0, 90.0, 0.0, -5.0, math.nan])
+    def test_border_outside_open_interval_rejected(self, iridium, border):
+        topo = partition(iridium, "reassignment", 60.0).snapshots[0].edges
+        with pytest.raises(ValueError, match=re.escape(
+                f"polar_border_deg must be in (0, 90), got {border}")):
+            validate_topology(iridium, border, topo, 0.0)
 
 
-def corrupted(spec, vis, topo, t, rng):
+def corrupted(spec, polar_border_deg, topo, t, rng):
     """The edge set plus a seam edge, an edge of unknown kind, a non-ring
     intra-plane edge, a satellite of degree 3, an equatorial horizontal
     edge and an edge inside a cap."""
@@ -367,7 +366,7 @@ def corrupted(spec, vis, topo, t, rng):
     capped = rng.choice([
         SatId(q, k) for q in range(1, n + 1) for k in range(1, m + 1)
         if in_polar_band(argument_of_latitude_deg(spec, SatId(q, k), t),
-                         vis.polar_border_deg)])
+                         polar_border_deg)])
     q = capped.plane + 1 if capped.plane < n else capped.plane - 1
     bad = {
         make_edge(SatId(1, rng.randint(1, m)), SatId(n, rng.randint(1, m)), OBLIQUE),
@@ -380,7 +379,7 @@ def corrupted(spec, vis, topo, t, rng):
                   HORIZONTAL),
         make_edge(capped, SatId(q, rng.randint(1, m)), OBLIQUE),
     }
-    return TopologyEdgeSet(topo.edges | bad, topo.generated_at_s, "corrupted")
+    return TopologyEdgeSet.from_edges(spec, topo.edges | bad)
 
 
 class TestReferenceValidator:
@@ -390,7 +389,6 @@ class TestReferenceValidator:
     @pytest.mark.parametrize("border", [60.0, 75.0])
     def test_every_snapshot(self, system, border, request):
         spec = request.getfixturevalue(system)
-        vis = make_visibility_model(spec, border)
         period = orbit_period(spec)
         rules = collections.Counter()
         for method in ("reassignment", "fixed", "equal_time"):
@@ -398,8 +396,8 @@ class TestReferenceValidator:
                 # just past the set's interval, and far from it (the set
                 # stays valid inside it: test_snapshots)
                 for t in (snap.end_s + 1e-3, snap.start_s + period / 3.0):
-                    got = validate_topology(spec, vis, snap.edges, t)
-                    assert got == reference_validate_topology(spec, vis, snap.edges, t)
+                    got = validate_topology(spec, border, snap.edges, t)
+                    assert got == reference_validate_topology(spec, border, snap.edges, t)
                     rules.update(v.rule for v in got)
         assert rules["polar"] > 0
 
@@ -409,18 +407,17 @@ class TestReferenceValidator:
         rng = random.Random(system)
         rules = collections.Counter()
         for border in (60.0, 75.0):
-            vis = make_visibility_model(spec, border)
             for snap in partition(spec, "reassignment", border).snapshots:
                 t = snap.start_s + rng.uniform(0.0, snap.duration_s)
-                topo = corrupted(spec, vis, snap.edges, t, rng)
-                got = validate_topology(spec, vis, topo, t)
-                assert got == reference_validate_topology(spec, vis, topo, t)
+                topo = corrupted(spec, border, snap.edges, t, rng)
+                got = validate_topology(spec, border, topo, t)
+                assert got == reference_validate_topology(spec, border, topo, t)
                 rules.update(v.rule for v in got)
         # teledesic's horizontal links clear the Earth at every latitude
-        ranged = {"horizontal_range"} if vis.horizontal_min_latitude_deg > 0.0 else set()
+        ranged = {"horizontal_range"} if horizontal_survival_latitude_deg(spec) > 0.0 else set()
         assert set(rules) == {"structure", "visibility", "polar", "degree"} | ranged
-        empty = TopologyEdgeSet(frozenset(), 0.0, "handmade")
-        assert validate_topology(spec, vis, empty, 0.0) == []
+        empty = TopologyEdgeSet.from_edges(spec, ())
+        assert validate_topology(spec, border, empty, 0.0) == []
 
 
 def sweep_case(rule, spec, border):
@@ -431,13 +428,13 @@ def sweep_case(rule, spec, border):
     method = "fixed" if rule == "polar" else "reassignment"
     snaps = partition(spec, method, border).snapshots
     if rule == "degree":
-        return [(TopologyEdgeSet(s.edges.edges | n.edges.edges, s.start_s, "joined"),
+        return [(TopologyEdgeSet.from_edges(spec, s.edges.edges | n.edges.edges),
                  s.start_s + 1e-3) for s, n in zip(snaps, snaps[1:])]
     if rule == "structure":
         n = spec.plane_count
         bad = {make_edge(SatId(1, 1), SatId(n, 1), OBLIQUE),
                IslEdge(SatId(1, 2), SatId(2, 2), "laser")}
-        return [(TopologyEdgeSet(s.edges.edges | bad, s.start_s, "handmade"), s.start_s + 1e-3)
+        return [(TopologyEdgeSet.from_edges(spec, s.edges.edges | bad), s.start_s + 1e-3)
                 for s in snaps]
     # the polar caps catch fixed links just past their interval
     return [(s.edges, (s.end_s if rule == "polar" else s.start_s) + 1e-3) for s in snaps]
@@ -458,14 +455,13 @@ class TestValidatorPositions:
     ])
     def test_positions_row_matches_oracle(self, rule, shape, border):
         spec = ConstellationSpec(*shape, 86.0, 1000.0)
-        vis = make_visibility_model(spec, border)
         case = sweep_case(rule, spec, border)
         positions = all_positions_km(spec, np.array([t for _, t in case]))
         fired = collections.Counter()
         for (topo, t), row in zip(case, positions):
-            got = validate_topology(spec, vis, topo, t, row)
-            assert got == validate_topology(spec, vis, topo, t)
-            assert got == reference_validate_topology(spec, vis, topo, t)
+            got = validate_topology(spec, border, topo, t, row)
+            assert got == validate_topology(spec, border, topo, t)
+            assert got == reference_validate_topology(spec, border, topo, t)
             fired.update(v.rule for v in got)
         assert fired[rule] > 0
 
@@ -485,19 +481,22 @@ class TestCompiledEdges:
         assert arrays.of_kind(HORIZONTAL).sum() == topo.count(HORIZONTAL) == 4
         assert not arrays.of_kind("laser").any()
 
-    def test_recompiled_for_another_shape(self, iridium):
+    def test_another_shape_rejected(self, iridium):
+        # a set's arrays index its own shape's satellites
         topo = intra_plane_edges(iridium)
         longer = ConstellationSpec(6, 12, 86.4, 780.0)
-        for spec in (iridium, longer, iridium):
-            assert sorted(topo.compiled(spec).a.tolist()) == sorted(
-                sat_to_index(spec, e.endpoint_a) for e in topo.edges)
+        assert topo.compiled(iridium) is topo.compiled(iridium)
+        with pytest.raises(ValueError, match="6x11 constellation used with a 6x12"):
+            topo.compiled(longer)
+        with pytest.raises(ValueError, match="6x11 constellation used with a 6x12"):
+            validate_topology(longer, 60.0, topo, 0.0)
 
 
 SHAPES = [(2, 4), (4, 5), (6, 8), (6, 11), (8, 11), (12, 24)]
 
 
-def drawn_ids(shape, ids, t=0.0, method="drawn"):
-    return _wiring(shape).draw(np.asarray(ids), t, method)
+def drawn_ids(shape, ids):
+    return _wiring(shape).draw(np.asarray(ids))
 
 
 def same_arrays(x, y) -> bool:
@@ -522,7 +521,7 @@ class TestEdgeUniverse:
         universe = drawn_ids(shape, np.arange(len(wiring.edges.a)))
         assert len(universe) == n * m + 2 * m * (n - 1) + 2 * m * (n // 2 - 1)
         assert universe.edges == rings.union(*chains, *horizontals)
-        objects = TopologyEdgeSet(universe.edges, 0.0, "objects")
+        objects = TopologyEdgeSet.from_edges(spec, universe.edges)
         assert same_arrays(universe.compiled(spec), objects.compiled(spec))
         assert drawn_ids(shape, wiring.rings).edges == rings
         for table, oracle in ((wiring.chains, chains), (wiring.horizontals, horizontals)):
@@ -530,19 +529,16 @@ class TestEdgeUniverse:
                 assert drawn_ids(shape, np.sort(table[c])).edges == frozenset(edges)
 
     def test_drawn_set_counts_compare_and_hash_like_objects(self, iridium):
-        vis = make_visibility_model(iridium, 75.0)
         t = first_event_time(iridium, 75.0, "enter") + 1e-3
-        topo = reassign_topology(iridium, vis, build_ls_state(iridium, vis, t), "enter")
-        twin = TopologyEdgeSet(topo.edges, topo.generated_at_s, topo.method)
+        topo = reassign_topology(iridium, 75.0, build_ls_state(iridium, 75.0, t), "enter")
+        twin = TopologyEdgeSet.from_edges(iridium, topo.edges)
         assert topo == twin and twin == topo and hash(topo) == hash(twin)
         assert same_arrays(topo.compiled(iridium), twin.compiled(iridium))
         for kind in (INTRA_PLANE, OBLIQUE, HORIZONTAL, "laser"):
             assert topo.count(kind) == twin.count(kind) == sum(
                 e.kind == kind for e in topo.edges)
         assert topo.n_inter_plane == twin.n_inter_plane == 44 == len(topo) - 66
-        assert topo != topo.relabeled(t, "fixed")
-        assert topo != topo.rotated(1, t)
-        assert topo.relabeled(0.0, "x").edges == topo.edges
+        assert topo != topo.rotated(1)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_rotation_is_a_cyclic_class_shift(self, shape):
@@ -550,9 +546,54 @@ class TestEdgeUniverse:
         wiring = _wiring(shape)
         topo = drawn_ids(shape, wiring.select([0, 3], [2]))
         row_count = 2 * shape[1]
-        assert topo.rotated(row_count, 0.0) == topo
-        assert topo.rotated(2, 0.0).rotated(row_count - 2, 0.0) == topo
+        assert topo.rotated(row_count) == topo
+        assert topo.rotated(2).rotated(row_count - 2) == topo
         want = intra_plane_edges(spec).edges.union(
             chain_edges(spec, row_count - 1), chain_edges(spec, 2),
             horizontal_edges(spec, 1))
-        assert topo.rotated(1, 0.0).edges == want
+        assert topo.rotated(1).edges == want
+
+
+class TestEdgeSetIdentity:
+    """A set is its links: drawn, loaded from an export or built from
+    ``IslEdge`` objects, sets with the same links are equal and hash equal."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_same_links_equal_however_built(self, shape, tmp_path):
+        spec = ConstellationSpec(*shape, 86.4, 780.0)
+        wiring = _wiring(shape)
+        drawn = [wiring.draw(wiring.select((), ())), wiring.draw(wiring.select([0, 3], [1])),
+                 drawn_ids(shape, np.arange(len(wiring.edges.a)))]
+        seq = SnapshotSequence("drawn", tuple(
+            TopologySnapshot(float(i), i + 1.0, topo) for i, topo in enumerate(drawn)),
+            3.0, 60.0)
+        export_topology(seq, spec, tmp_path / "topology.json")
+        _, loaded = load_topology(tmp_path / "topology.json")
+        for topo, snap in zip(drawn, loaded.snapshots):
+            built = TopologyEdgeSet.from_edges(spec, topo.edges)
+            for twin in (snap.edges, built, TopologyEdgeSet.from_edges(spec, built.edges)):
+                assert topo == twin and twin == topo and hash(topo) == hash(twin)
+                assert twin.edges == topo.edges and len(twin) == len(topo)
+                assert twin.n_inter_plane == topo.n_inter_plane
+        assert len({*drawn, *(s.edges for s in loaded.snapshots)}) == 3
+        assert drawn[0] != drawn[1] != drawn[2]
+
+    def test_kind_names_compared_not_codes(self, iridium):
+        # one link under two kinds: the same endpoint arrays, different sets
+        a, b = class_member(iridium, 0, 1), class_member(iridium, 0, 3)
+        oblique = TopologyEdgeSet.from_edges(iridium, [make_edge(a, b, OBLIQUE)])
+        horizontal = TopologyEdgeSet.from_edges(iridium, [make_edge(a, b, HORIZONTAL)])
+        assert oblique.compiled(iridium).kind.tolist() == [0]
+        assert horizontal.compiled(iridium).kind.tolist() == [0]
+        assert oblique != horizontal
+        # a drawn set's kinds name all three kinds, a built set's only its own
+        rings = intra_plane_edges(iridium)
+        wiring = _wiring((6, 11))
+        drawn = wiring.draw(wiring.select((), ()))
+        assert rings.compiled(iridium).kinds != drawn.compiled(iridium).kinds
+        assert rings == drawn and hash(rings) == hash(drawn)
+
+    def test_duplicates_dropped(self, iridium):
+        edge = make_edge(SatId(1, 1), SatId(2, 1), OBLIQUE)
+        twice = TopologyEdgeSet.from_edges(iridium, [edge, edge])
+        assert len(twice) == 1 and twice == TopologyEdgeSet.from_edges(iridium, {edge})

@@ -19,7 +19,7 @@ from polarsnap.geometry import (
     sat_to_index,
     satellite_ids,
 )
-from polarsnap.links import HORIZONTAL, INTRA_PLANE, TopologyEdgeSet
+from polarsnap.links import HORIZONTAL, INTRA_PLANE, TopologyEdgeSet, couple_edges
 from polarsnap.routing import (
     DelaySample,
     DelaySeries,
@@ -70,11 +70,11 @@ def brute_force_delay(snapshot, t, src, dst, spec):
     return best
 
 
-def ring_cut(snapshot):
+def ring_cut(snapshot, spec):
     """The snapshot with its inter-plane links removed: one ring per plane."""
     rings = frozenset(e for e in snapshot.edges.edges if e.kind == INTRA_PLANE)
     return TopologySnapshot(snapshot.start_s, snapshot.end_s,
-                            TopologyEdgeSet(rings, snapshot.start_s, "synthetic"), 0)
+                            TopologyEdgeSet.from_edges(spec, rings))
 
 
 def path_delay(path, positions, spec):
@@ -243,15 +243,15 @@ class TestUtilization:
         assert abs(report.value - inter / 55.0) < 1e-9
 
     def test_saturated_sequence(self, iridium):
-        full = (iridium.plane_count - 1) * iridium.sats_per_plane
-        topo = TopologyEdgeSet(frozenset(), 0.0, "synthetic")
-        snaps = (TopologySnapshot(0.0, 6027.0, topo, full),)
+        # every couple's chain: (N-1) * M inter-plane links, the budget
+        topo = couple_edges(iridium, frozenset(range(0, iridium.row_count, 2)))
+        assert topo.n_inter_plane == (iridium.plane_count - 1) * iridium.sats_per_plane
+        snaps = (TopologySnapshot(0.0, 6027.0, topo),)
         seq = SnapshotSequence("synthetic", snaps, 6027.0, 60.0)
         assert utilization(seq, iridium).value == pytest.approx(1.0)
 
     def test_zero_inter_plane(self, iridium):
-        topo = TopologyEdgeSet(frozenset(), 0.0, "synthetic")
-        snaps = (TopologySnapshot(0.0, 6027.0, topo, 0),)
+        snaps = (TopologySnapshot(0.0, 6027.0, TopologyEdgeSet.from_edges(iridium, ())),)
         seq = SnapshotSequence("synthetic", snaps, 6027.0, 60.0)
         assert utilization(seq, iridium).value == 0.0
 
@@ -428,7 +428,7 @@ class TestReferenceRouter:
 
         # without its inter-plane links a snapshot splits into one ring per plane
         snap = seq.snapshots[0]
-        cut = ring_cut(snap)
+        cut = ring_cut(snap, spec)
         t = snap.start_s + 0.5 * snap.duration_s
         positions = all_positions_km(spec, t)
         src = SatId(1, 1)
@@ -438,8 +438,7 @@ class TestReferenceRouter:
                 assert got.reachable == (dst.plane == 1)
 
     def test_empty_edge_set(self, iridium):
-        topo = TopologyEdgeSet(frozenset(), 0.0, "synthetic")
-        snap = TopologySnapshot(0.0, 6027.0, topo, 0)
+        snap = TopologySnapshot(0.0, 6027.0, TopologyEdgeSet.from_edges(iridium, ()))
         res = shortest_delay(snap, 10.0, SatId(1, 1), SatId(1, 2), iridium)
         assert not res.reachable
         assert res.path == ()
@@ -568,7 +567,7 @@ class TestDelayExperiment:
         seq = partition(iridium, "reassignment", 60.0)
         snaps = list(seq.snapshots)
         for i in range(0, len(snaps), 2):
-            snaps[i] = ring_cut(snaps[i])
+            snaps[i] = ring_cut(snaps[i], iridium)
         cut = SnapshotSequence(seq.method, tuple(snaps), seq.period_s, seq.polar_border_deg)
         series = delay_experiment(iridium, "reassignment", 60.0, beijing, london,
                                   6027.0, 30.0, sequence=cut)
@@ -735,7 +734,7 @@ class TestSendGrid:
         # rings, so one token, and a send without a path is stored as such
         # and not routed again
         seq = partition(iridium, "reassignment", 60.0)
-        cut = SnapshotSequence(seq.method, tuple(ring_cut(s) for s in seq.snapshots),
+        cut = SnapshotSequence(seq.method, tuple(ring_cut(s, iridium) for s in seq.snapshots),
                                seq.period_s, seq.polar_border_deg)
         grid = SendGrid(iridium, beijing, london, self.DURATION_S, self.INTERVAL_S)
         routed, route = [], routing.shortest_delay

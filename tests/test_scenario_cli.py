@@ -12,7 +12,7 @@ from polarsnap.errors import ScenarioError
 from polarsnap.geometry import SatId, orbit_period
 from polarsnap.links import IslEdge, TopologyEdgeSet, make_edge
 from polarsnap.report import export_topology, load_topology, run_compare
-from polarsnap.scenario import load_scenario
+from polarsnap.scenario import apply_overrides, load_scenario
 from polarsnap.snapshots import (
     SnapshotSequence,
     TopologySnapshot,
@@ -331,8 +331,8 @@ class TestTopologyExport:
                                       IslEdge(SatId(1, 1), SatId(1, 2), "laser"),
                                       make_edge(SatId(1, 1), SatId(6, 1), "oblique")}
         snaps = (snaps[0],
-                 TopologySnapshot(1.0e3, 2.5e3, TopologyEdgeSet(frozenset(), 1.0e3, "x"), 0),
-                 TopologySnapshot(2.5e3, 6027.0, TopologyEdgeSet(odd, 2.5e3, "x"), 42))
+                 TopologySnapshot(1.0e3, 2.5e3, TopologyEdgeSet.from_edges(iridium, ())),
+                 TopologySnapshot(2.5e3, 6027.0, TopologyEdgeSet.from_edges(iridium, odd)))
         seq = SnapshotSequence("handmade", snaps, 6027.0, 75.0, trigger=None,
                                truncated_final=True)
         assert any(e.kind == "horizontal" for e in snaps[0].edges.edges)
@@ -385,7 +385,7 @@ class TestTopologyExport:
         odd = snaps[-1].edges.edges | {IslEdge(SatId(1, 1), SatId(2, 1), 'we"ird'),
                                        IslEdge(SatId(2, 2), SatId(3, 5), "m\u00fcnchen\\\t")}
         last = TopologySnapshot(snaps[-1].start_s, snaps[-1].end_s,
-                                TopologyEdgeSet(odd, snaps[-1].start_s, "x"), 0)
+                                TopologyEdgeSet.from_edges(spec, odd))
         handmade = SnapshotSequence("handmade", snaps[:-1] + (last,), orbit_period(spec), 75.0)
         path = tmp_path / "topo.json"
         for seq in (*(partition(spec, m, 60.0) for m in ("reassignment", "fixed")), handmade):
@@ -692,6 +692,28 @@ class TestCli:
         assert main(["simulate", str(path), "--output-dir", str(out)]) == 2
         assert "line 6: name must be a file name part" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("lines,message", [
+        (b"name = a\0b\n", "line 6: name must not hold a NUL character, got 'a\\x00b'"),
+        (b"[output]\ndirectory = o\0p\n",
+         "line 7: directory must not hold a NUL character, got 'o\\x00p'")],
+        ids=["name", "directory"])
+    def test_nul_in_file_name_or_directory_reported_cleanly(self, lines, message, tmp_path,
+                                                            capsys, monkeypatch):
+        # no file system call takes the byte, so it is a scenario error
+        path = tmp_path / "in.scenario"
+        path.write_bytes(IRIDIUM_HEAD + lines)
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_nul_in_output_dir_override_rejected(self):
+        # argv cannot carry the byte, so the override is checked directly
+        config = load_scenario(SCENARIOS / "iridium.scenario")
+        with pytest.raises(ScenarioError, match=re.escape(
+                "directory must not hold a NUL character, got 'o\\x00p'")):
+            apply_overrides(config, output_dir="o\0p")
 
     @pytest.mark.parametrize("below,reason", [("", "File exists"), ("sub", "Not a directory")])
     def test_output_dir_through_a_file_reported_cleanly(self, below, reason, tmp_path, capsys):

@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarsnap.errors import InfeasibleGeometryError
-from polarsnap.geometry import (
-    ConstellationSpec,
-    class_phase_deg,
-    make_visibility_model,
-    orbit_period,
-)
+from polarsnap.geometry import ConstellationSpec, class_phase_deg, orbit_period
 from polarsnap.links import INTRA_PLANE, validate_topology
 from polarsnap.routing import delay_experiment
 from polarsnap.snapshots import (
@@ -156,7 +150,7 @@ def sampled_events(spec, polar_border_deg, horizon_s, kinds):
     return merged
 
 
-def validate_topology_over(spec, vis, topo, start_s, end_s, step_s=1.0):
+def validate_topology_over(spec, polar_border_deg, topo, start_s, end_s, step_s=1.0):
     """Validate a frozen edge set at sampled instants of [start, end).
 
     Returns the violations of the first offending instant (empty when the
@@ -164,7 +158,7 @@ def validate_topology_over(spec, vis, topo, start_s, end_s, step_s=1.0):
     """
     t = start_s
     while t < end_s:
-        violations = validate_topology(spec, vis, topo, t)
+        violations = validate_topology(spec, polar_border_deg, topo, t)
         if violations:
             return violations
         t += step_s
@@ -306,10 +300,7 @@ class TestPartitionReassignment:
         # the snapshot index: the same edges and bounds as building each
         # snapshot from its own row state
         spec = ConstellationSpec(*shape)
-        try:
-            want = per_event_reassignment(spec, border, trigger)
-        except InfeasibleGeometryError:
-            return
+        want = per_event_reassignment(spec, border, trigger)
         got = partition_reassignment(spec, border, trigger)
         assert got == want
         assert [s.edges.edges for s in got.snapshots] == [s.edges.edges for s in want.snapshots]
@@ -319,11 +310,10 @@ class TestPartitionReassignment:
         # where it was generated
         for spec in (iridium, teledesic):
             for border in (60.0, 75.0):
-                vis = make_visibility_model(spec, border)
                 for method in (METHOD_REASSIGNMENT, METHOD_FIXED, METHOD_EQUAL_TIME):
                     for snap in partition(spec, method, border).snapshots:
                         assert validate_topology_over(
-                            spec, vis, snap.edges, snap.start_s + 1e-3, snap.end_s,
+                            spec, border, snap.edges, snap.start_s + 1e-3, snap.end_s,
                             step_s=10.0) == [], (spec.name, border, method, snap.start_s)
 
 
