@@ -99,6 +99,15 @@ class ConstellationSpec:
                 f"{self.inter_plane_spacing_deg}")
         if self.grazing_altitude_km >= self.altitude_km:
             raise ValueError("grazing_altitude_km must be below altitude_km")
+        if self.earth_radius_km <= 0.0:
+            raise ValueError(f"earth_radius_km must be positive, got {self.earth_radius_km}")
+        try:
+            period = orbit_period(self)
+        except OverflowError:  # the derived period cubes the orbit radius
+            period = math.inf
+        if not (math.isfinite(self.orbit_radius_km) and 0.0 < period < math.inf):
+            raise ValueError(f"orbit radius ({self.orbit_radius_km} km) and period ({period} s) "
+                             "must be positive and finite")
 
     @property
     def intra_plane_spacing_deg(self) -> float:
@@ -197,11 +206,6 @@ def sat_to_index(spec: ConstellationSpec, sat: SatId) -> int:
     return (sat.plane - 1) * spec.sats_per_plane + (sat.index_in_plane - 1)
 
 
-def index_to_sat(spec: ConstellationSpec, index: int) -> SatId:
-    plane, j = divmod(index, spec.sats_per_plane)
-    return SatId(plane + 1, j + 1)
-
-
 @functools.lru_cache(maxsize=8)
 def satellite_ids(plane_count: int, sats_per_plane: int) -> tuple[SatId, ...]:
     """Every ``SatId`` of an N x M constellation, in ``sat_to_index`` order;
@@ -227,12 +231,8 @@ def in_polar_band(
     boolean array.
     """
     u = u_deg % 360.0
-    north_entry = polar_border_deg
-    north_exit = 180.0 - polar_border_deg
-    south_entry = 180.0 + polar_border_deg
-    south_exit = 360.0 - polar_border_deg
-    return (((north_entry <= u) & (u < north_exit))
-            | ((south_entry <= u) & (u < south_exit)))
+    return (((polar_border_deg <= u) & (u < 180.0 - polar_border_deg))
+            | ((180.0 + polar_border_deg <= u) & (u < 360.0 - polar_border_deg)))
 
 
 def all_positions_km(spec: ConstellationSpec, t) -> np.ndarray:

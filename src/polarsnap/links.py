@@ -60,12 +60,6 @@ class IslEdge:
     kind: str
 
 
-def make_edge(a: SatId, b: SatId, kind: str) -> IslEdge:
-    if (b.plane, b.index_in_plane) < (a.plane, a.index_in_plane):
-        a, b = b, a
-    return IslEdge(a, b, kind)
-
-
 @dataclass(frozen=True)
 class EdgeArrays:
     """An edge set as integer arrays, edges in canonical order.
@@ -264,25 +258,24 @@ class TopologyViolation:
     detail: str
 
 
-def active_couples(
-    spec: ConstellationSpec, polar_border_deg: float, t: float,
-) -> frozenset[int]:
-    """Fixed-baseline couples that are active at time t.
+def active_couples(spec: ConstellationSpec, polar_border_deg: float, t) -> np.ndarray:
+    """Which fixed-baseline couples are active at time t.
 
-    Phase classes (2k, 2k+1) are permanently coupled; a couple, named by
-    its lower class 2k, is active exactly while both rows sit outside the
-    polar caps.
+    Phase classes 2k and 2k+1 are permanently coupled; couple k is active
+    exactly while both rows sit outside the polar caps. For times of shape
+    S the result is a boolean array of shape S + (M,).
     """
     phase = (np.arange(spec.row_count) * spec.phase_offset_deg
-             + 360.0 * t / orbit_period(spec)) % 360.0
+             + 360.0 * np.asarray(t, dtype=float)[..., None] / orbit_period(spec)) % 360.0
     outside = ~in_polar_band(phase, polar_border_deg)
-    return frozenset((2 * np.flatnonzero(outside[0::2] & outside[1::2])).tolist())
+    return outside[..., 0::2] & outside[..., 1::2]
 
 
-def couple_edges(spec: ConstellationSpec, couples: frozenset[int]) -> TopologyEdgeSet:
-    """The intra-plane rings plus the chain edges of the given couples."""
+def couple_edges(spec: ConstellationSpec, active: np.ndarray) -> TopologyEdgeSet:
+    """The intra-plane rings plus the chain edges of the couples whose
+    entry of the (M,) mask is set."""
     wiring = _wiring((spec.plane_count, spec.sats_per_plane))
-    return wiring.draw(wiring.select(couples, ()))
+    return wiring.draw(wiring.select(2 * np.flatnonzero(active), ()))
 
 
 def fixed_topology(

@@ -330,21 +330,17 @@ def run_compare(config: ScenarioConfig) -> ComparisonReport:
     for border in config.polar_borders_deg:
         analytic = analytic_summary(spec, border)
         for method in config.methods:
-            seq = partition(
-                spec, method, border,
-                trigger=config.trigger,
-                equal_time_delta_s=config.equal_time_delta_s,
-            )
+            seq = partition(spec, method, border, trigger=config.trigger,
+                            equal_time_delta_s=config.equal_time_delta_s)
             _check_sequence(spec, seq, failures)
             util = utilization(seq, spec)
 
             series = None
             if grid is not None:
-                series = delay_experiment(
-                    spec, method, border, config.source, config.destination,
-                    config.duration_s, config.interval_s,
-                    trigger=config.trigger, sequence=seq, grid=grid,
-                )
+                series = delay_experiment(spec, method, border, config.source,
+                                          config.destination, config.duration_s,
+                                          config.interval_s, trigger=config.trigger,
+                                          sequence=seq, grid=grid)
                 write_delay_csv(series, outdir / _name(spec, method, border, "delay.csv"))
 
             write_snapshot_csv(seq, outdir / _name(spec, method, border, "snapshots.csv"))
@@ -353,18 +349,12 @@ def run_compare(config: ScenarioConfig) -> ComparisonReport:
             durations = [s.duration_s for s in seq.snapshots]
             inters = [s.n_inter_plane for s in seq.snapshots]
             rows.append(ComparisonRow(
-                method=method,
-                polar_border_deg=border,
-                snapshot_count=seq.count,
-                duration_min_s=min(durations),
-                duration_max_s=max(durations),
-                n_inter_min=min(inters),
-                n_inter_max=max(inters),
-                utilization=util.value,
+                method=method, polar_border_deg=border, snapshot_count=seq.count,
+                duration_min_s=min(durations), duration_max_s=max(durations),
+                n_inter_min=min(inters), n_inter_max=max(inters), utilization=util.value,
                 average_delay_s=series.average_delay_s if series else None,
                 unreachable_fraction=series.unreachable_fraction if series else None,
-                analytic=analytic if method == METHOD_REASSIGNMENT else None,
-            ))
+                analytic=analytic if method == METHOD_REASSIGNMENT else None))
 
     report = ComparisonReport(spec.name, rows, failures)
     (outdir / f"summary_{spec.name}.txt").write_text(format_summary(spec, report))
@@ -389,20 +379,16 @@ def format_summary(spec: ConstellationSpec, report: ComparisonReport) -> str:
         f"{'n_inter':>12}{'util':>9}{'avg_delay_ms':>14}",
     ]
     for row in report.rows:
+        inter = (str(row.n_inter_min) if row.n_inter_min == row.n_inter_max
+                 else f"{row.n_inter_min}-{row.n_inter_max}")
+        cells = [str(row.snapshot_count), f"{row.duration_min_s:.2f}",
+                 f"{row.duration_max_s:.2f}", inter]
         if row.analytic is not None:
-            s_txt = f"{row.analytic.snapshot_count}/{row.snapshot_count}"
-            inter_txt = (f"{row.analytic.n_inter_plane}/"
-                         f"{row.n_inter_min}" if row.n_inter_min == row.n_inter_max
-                         else f"{row.analytic.n_inter_plane}/"
-                              f"{row.n_inter_min}-{row.n_inter_max}")
-            dmin = f"{row.analytic.snapshot_duration_s:.2f}/{row.duration_min_s:.2f}"
-            dmax = f"{row.analytic.snapshot_duration_s:.2f}/{row.duration_max_s:.2f}"
-        else:
-            s_txt = str(row.snapshot_count)
-            inter_txt = (str(row.n_inter_min) if row.n_inter_min == row.n_inter_max
-                         else f"{row.n_inter_min}-{row.n_inter_max}")
-            dmin = f"{row.duration_min_s:.2f}"
-            dmax = f"{row.duration_max_s:.2f}"
+            a = row.analytic
+            calc = (a.snapshot_count, f"{a.snapshot_duration_s:.2f}",
+                    f"{a.snapshot_duration_s:.2f}", a.n_inter_plane)
+            cells = [f"{c}/{sim}" for c, sim in zip(calc, cells)]
+        s_txt, dmin, dmax, inter_txt = cells
         delay_txt = ("-" if row.average_delay_s is None
                      or math.isnan(row.average_delay_s)
                      else f"{1000.0 * row.average_delay_s:.3f}")

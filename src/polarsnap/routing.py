@@ -39,7 +39,6 @@ from .geometry import (
     SatId,
     all_positions_km,
     ground_position_km,
-    index_to_sat,
     orbit_period,
     sat_to_index,
     satellite_ids,
@@ -162,35 +161,27 @@ def utilization(seq: SnapshotSequence, spec: ConstellationSpec) -> UtilizationRe
 
 def attach_ground(
     gs: GroundStation,
-    t,
+    t: np.ndarray,
     spec: ConstellationSpec,
-    positions: np.ndarray | None = None,
-) -> SatId | None | Attachment:
-    """Satellite with the highest elevation above the station's mask.
+    positions: np.ndarray,
+) -> Attachment:
+    """Satellite with the highest elevation above the station's mask, for
+    a block of K send times.
 
-    For a scalar t, returns that satellite, or None when it does not clear
-    the minimum elevation. For a (K,) array of times, with positions of
-    shape (K, N*M, 3), returns an ``Attachment`` holding each time's
-    satellite index, mask flag and slant range. A scalar t is attached as
-    a block of one. Positions are computed when omitted. Exact ties
-    resolve to the lower satellite id (plane-major order).
+    Takes a (K,) array of times and their (K, N*M, 3) satellite positions
+    (``all_positions_km``), and returns each time's satellite index, mask
+    flag and slant range. Exact ties resolve to the lower satellite id
+    (plane-major order).
     """
-    times = np.asarray(t, dtype=float)
-    if positions is None:
-        positions = all_positions_km(spec, times)
-    gpos = ground_position_km(gs, times.reshape(-1), spec.earth_radius_km)
-    los = np.reshape(positions, (len(gpos), -1, 3)) - gpos[:, None, :]
+    gpos = ground_position_km(gs, t, spec.earth_radius_km)
+    los = positions - gpos[:, None, :]
     rng = np.linalg.norm(los, axis=2)
     sin_el = ((los @ gpos[:, :, None])[..., 0]
               / (np.maximum(rng, 1e-12) * spec.earth_radius_km))
     elev = np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
     best = np.argmax(elev, axis=1)
     sends = np.arange(len(best))
-    block = Attachment(best, elev[sends, best] >= gs.min_elevation_deg,
-                       rng[sends, best])
-    if times.ndim:
-        return block
-    return index_to_sat(spec, int(best[0])) if block.visible[0] else None
+    return Attachment(best, elev[sends, best] >= gs.min_elevation_deg, rng[sends, best])
 
 
 def shortest_delay(
@@ -432,10 +423,4 @@ def delay_experiment(
             total = grid.up_s[first + i] + route[0] + grid.down_s[first + i]
             samples.append(DelaySample(t, True, total, route[1] + 2))
 
-    return DelaySeries(
-        source=src_gs,
-        destination=dst_gs,
-        method=method,
-        polar_border_deg=polar_border_deg,
-        samples=tuple(samples),
-    )
+    return DelaySeries(src_gs, dst_gs, method, polar_border_deg, tuple(samples))

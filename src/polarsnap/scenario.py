@@ -43,9 +43,12 @@ from pathlib import Path
 
 from .errors import ScenarioError
 from .geometry import ConstellationSpec, GroundStation, orbit_period
-from .snapshots import METHOD_EQUAL_TIME, METHOD_FIXED, METHOD_REASSIGNMENT
+from .snapshots import METHOD_EQUAL_TIME, METHOD_FIXED, METHOD_REASSIGNMENT, equal_time_count
 
 MATCH_REASSIGNMENT = "match_reassignment"
+
+# The most sends one delay experiment may make: duration_s // interval_s.
+MAX_SENDS = 100_000
 
 _VALID_METHODS = (METHOD_REASSIGNMENT, METHOD_FIXED, METHOD_EQUAL_TIME)
 
@@ -236,6 +239,11 @@ def _sends(config: ScenarioConfig, lineno: int | None = None) -> None:
     if config.duration_s < config.interval_s:
         raise ScenarioError(f"duration_s {config.duration_s} is shorter than interval_s "
                             f"{config.interval_s}, which leaves no sends", lineno)
+    sends = config.duration_s // config.interval_s
+    if sends > MAX_SENDS:
+        raise ScenarioError(f"duration_s {config.duration_s} over interval_s "
+                            f"{config.interval_s} makes {sends:.6g} sends, above the "
+                            f"limit of {MAX_SENDS}", lineno)
 
 
 def apply_overrides(config: ScenarioConfig, **overrides: str | None) -> None:
@@ -246,8 +254,8 @@ def apply_overrides(config: ScenarioConfig, **overrides: str | None) -> None:
     form. A value of None keeps the scenario's own.
 
     Raises:
-        ScenarioError: A value its key's parser rejects, or a duration
-            shorter than the interval once all are applied.
+        ScenarioError: A value its key's parser rejects, or a duration and
+            interval that leave no sends or more than ``MAX_SENDS``.
     """
     for name, text in overrides.items():
         if text is not None:
@@ -261,8 +269,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
     Raises:
         ScenarioError: Missing or unreadable file, text that is not UTF-8,
-            malformed line, unknown key, or a field value outside its valid
-            range (reported with the line number where available).
+            malformed line, unknown key, a field value outside its valid
+            range, or an equal_time delta or a send count outside its
+            limits (reported with the line number where available).
     """
     path = Path(path)
     if not path.exists():
@@ -295,6 +304,11 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         if elevation is not None and station in config_args:
             config_args[station] = replace(config_args[station], min_elevation_deg=elevation)
     config = ScenarioConfig(spec, **config_args)
+    try:
+        equal_time_count(orbit_period(spec), config.equal_time_delta_s)
+    except ValueError as exc:
+        line = sections.get("partition", {}).get("equal_time_delta", ("", None))[1]
+        raise ScenarioError(f"equal_time_delta: {exc}", line) from None
     exp = sections.get("experiment", {})
     _sends(config, exp.get("interval_s", exp.get("duration_s", ("", None)))[1])
     return config

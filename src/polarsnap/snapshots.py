@@ -13,6 +13,9 @@ inter-plane link count is the set's.
 * ``partition_equal_time``: fixed-width intervals anchored at t=0,
   keeping only baseline links that stay active through the whole interval.
 
+Both baselines read one boolean table of active couples, a row per instant
+and a column per couple (``active_couples``).
+
 Every row's phase grows linearly with time, so the border-crossing
 instants have a closed form (``enumerate_events``). Topology states are
 evaluated just after each boundary. ``analytic_summary`` computes the
@@ -55,17 +58,16 @@ EVENT_KIND_EXIT = "exit"
 # separation.
 _EVENT_EPS_S = 1e-3
 
+# The most snapshots an equal_time partition may cut one period into.
+MAX_EQUAL_TIME_SNAPSHOTS = 10_000
+
 
 @dataclass(frozen=True)
 class PolarCrossing:
-    """A north/south border-crossing event.
-
-    ``rows`` lists (phase_class, hemisphere) for the two rows, half a
-    period apart, that cross simultaneously.
-    """
+    """A border-crossing event: two rows, half a period apart, cross the
+    border of one kind in opposite hemispheres at the same instant."""
     time_s: float
     kind: str
-    rows: tuple[tuple[int, str], ...]
 
 
 @dataclass(frozen=True)
@@ -106,21 +108,19 @@ class SnapshotSequence:
     def start_s(self) -> float:
         return self.snapshots[0].start_s
 
-    def snapshot_at(self, t: float) -> TopologySnapshot:
-        """Governing snapshot for any time, repeating the period cyclically."""
-        return self.snapshots[int(self.lookup(t)[1])]
-
     def lookup(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Cyclic times and governing snapshot indices for a time or an
         array of times.
 
-        The cyclic time is t folded into [start_s, start_s + period_s).
-        Its snapshot is the one whose interval holds it, or the last one
-        when none does. Snapshots must be in time order and must not
-        overlap, as every partition builds them.
+        The cyclic time is t folded into [start_s, start_s + period_s); a
+        fold that rounds up to the end takes the float below it. Its
+        snapshot is the one whose interval holds it, or the last one when
+        none does. Snapshots must be in time order and must not overlap,
+        as every partition builds them.
         """
-        tau = self.start_s + np.mod(np.asarray(t, dtype=float) - self.start_s,
-                                    self.period_s)
+        tau = np.minimum(self.start_s + np.mod(np.asarray(t, dtype=float) - self.start_s,
+                                               self.period_s),
+                         np.nextafter(self.start_s + self.period_s, -np.inf))
         starts = np.array([s.start_s for s in self.snapshots])
         ends = np.array([s.end_s for s in self.snapshots])
         last = len(self.snapshots) - 1
@@ -152,13 +152,9 @@ def analytic_summary(spec: ConstellationSpec, polar_border_deg: float) -> Analyt
     n_oblique = 2 * (n_rows // 2) * (spec.plane_count - 1)
     n_horizontal = spec.plane_count - 2 if n_rows % 2 == 1 else 0
     return AnalyticSummary(
-        snapshot_duration_s=period / spec.row_count,
-        snapshot_count=spec.row_count,
-        n_inter_plane=n_oblique + n_horizontal,
-        n_oblique=n_oblique,
-        n_horizontal=n_horizontal,
-        n_rows_nonpolar=n_rows,
-    )
+        snapshot_duration_s=period / spec.row_count, snapshot_count=spec.row_count,
+        n_inter_plane=n_oblique + n_horizontal, n_oblique=n_oblique,
+        n_horizontal=n_horizontal, n_rows_nonpolar=n_rows)
 
 
 def enumerate_events(
@@ -188,11 +184,9 @@ def enumerate_events(
             continue
         for c in range(spec.row_count):
             first = ((target - c * spec.phase_offset_deg) % 360.0) * period / 360.0
-            south = (c + spec.sats_per_plane) % spec.row_count
-            rows = tuple(sorted(((c, "north"), (south, "south"))))
             k = 0
             while first + k * period < horizon_s:
-                events.append(PolarCrossing(first + k * period, kind, rows))
+                events.append(PolarCrossing(first + k * period, kind))
                 k += 1
     events.sort(key=lambda e: (e.time_s, e.kind))
     return events
@@ -221,13 +215,8 @@ def partition_reassignment(
     ends = [e.time_s for e in events[1:]] + [t0 + period]
     snapshots = tuple(TopologySnapshot(event.time_s, end, first.rotated(i))
                       for i, (event, end) in enumerate(zip(events, ends)))
-    return SnapshotSequence(
-        method=METHOD_REASSIGNMENT,
-        snapshots=snapshots,
-        period_s=period,
-        polar_border_deg=polar_border_deg,
-        trigger=trigger,
-    )
+    return SnapshotSequence(METHOD_REASSIGNMENT, snapshots, period, polar_border_deg,
+                            trigger=trigger)
 
 
 def partition_fixed(
@@ -237,22 +226,27 @@ def partition_fixed(
     """Snapshot boundaries wherever the static baseline's set of active
     couples changes."""
     period = orbit_period(spec)
-    events = enumerate_events(spec, polar_border_deg, period)
-    states = [active_couples(spec, polar_border_deg, e.time_s + _EVENT_EPS_S)
-              for e in events]
+    times = np.array([e.time_s for e in enumerate_events(spec, polar_border_deg, period)])
+    active = active_couples(spec, polar_border_deg, times + _EVENT_EPS_S)
     # The state before the first event is the one after the last, a period
     # earlier. A baseline that never changes is one snapshot from t=0.
-    starts = [e.time_s for i, e in enumerate(events)
-              if states[i] != states[i - 1]] or [0.0]
+    starts = times[(active != np.roll(active, 1, axis=0)).any(axis=1)].tolist() or [0.0]
     snapshots = tuple(
         TopologySnapshot(start, end, fixed_topology(spec, polar_border_deg, start + _EVENT_EPS_S))
         for start, end in zip(starts, starts[1:] + [starts[0] + period]))
-    return SnapshotSequence(
-        method=METHOD_FIXED,
-        snapshots=snapshots,
-        period_s=period,
-        polar_border_deg=polar_border_deg,
-    )
+    return SnapshotSequence(METHOD_FIXED, snapshots, period, polar_border_deg)
+
+
+def equal_time_count(period_s: float, delta_s: float) -> float:
+    """period_s / delta_s; a ValueError unless delta_s is positive and
+    finite and the count in (0, ``MAX_EQUAL_TIME_SNAPSHOTS``]."""
+    if not (delta_s > 0.0 and math.isfinite(delta_s)):
+        raise ValueError(f"equal_time delta must be positive and finite, got {delta_s} s")
+    count = period_s / delta_s
+    if not 0.0 < count <= MAX_EQUAL_TIME_SNAPSHOTS:
+        raise ValueError(f"equal_time delta {delta_s} s cuts the {period_s} s period into "
+                         f"{count:.6g} snapshots, outside (0, {MAX_EQUAL_TIME_SNAPSHOTS}]")
+    return count
 
 
 def partition_equal_time(
@@ -265,36 +259,31 @@ def partition_equal_time(
     Intervals are anchored at t=0. When delta does not divide the period
     to within one part in 1e6 the final snapshot is truncated and the
     sequence flagged; otherwise the final snapshot still ends at exactly
-    the period, so the sequence tiles [0, T) either way.
+    the period, so the sequence tiles [0, T) either way. A couple is kept
+    when it is active just after the interval's start and just after
+    every event inside the interval.
+
+    Raises:
+        ValueError: As ``equal_time_count``, or if the border is not in
+            (0, 90).
     """
-    if delta_s <= 0.0:
-        raise ValueError(f"delta_s must be positive, got {delta_s}")
     period = orbit_period(spec)
-
-    n_exact = period / delta_s
+    n_exact = equal_time_count(period, delta_s)
     truncated = abs(n_exact - round(n_exact)) > 1e-6 * n_exact
-    n_full = int(round(n_exact)) if not truncated else int(math.floor(n_exact))
-
-    event_times = [e.time_s for e in enumerate_events(spec, polar_border_deg, period)]
-
-    snapshots = []
-    starts = [k * delta_s for k in range(n_full + 1 if truncated else n_full)]
+    n = int(math.floor(n_exact)) + 1 if truncated else int(round(n_exact))
+    starts = np.arange(n) * delta_s
+    times = np.array([e.time_s for e in enumerate_events(spec, polar_border_deg, period)])
+    active = active_couples(spec, polar_border_deg, np.concatenate([starts, times]) + _EVENT_EPS_S)
+    couples = active[:n]
+    # Each event's row is ANDed into the interval holding it. An event at
+    # an interval's start changes nothing: its row is the start's own.
+    np.logical_and.at(couples, np.searchsorted(starts, times, side="right") - 1, active[n:])
     # The last snapshot ends at the period itself: n * delta may miss it by
     # up to the tolerance.
-    bounds = list(zip(starts, starts[1:] + [period]))
-    for start, end in bounds:
-        couples = active_couples(spec, polar_border_deg, start + _EVENT_EPS_S)
-        for te in event_times:
-            if start < te < end:
-                couples &= active_couples(spec, polar_border_deg, te + _EVENT_EPS_S)
-        snapshots.append(TopologySnapshot(start, end, couple_edges(spec, couples)))
-    return SnapshotSequence(
-        method=METHOD_EQUAL_TIME,
-        snapshots=tuple(snapshots),
-        period_s=period,
-        polar_border_deg=polar_border_deg,
-        truncated_final=truncated,
-    )
+    snapshots = tuple(TopologySnapshot(start, end, couple_edges(spec, row)) for start, end, row
+                      in zip(starts.tolist(), starts[1:].tolist() + [period], couples))
+    return SnapshotSequence(METHOD_EQUAL_TIME, snapshots, period, polar_border_deg,
+                            truncated_final=truncated)
 
 
 def partition(

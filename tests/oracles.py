@@ -6,7 +6,11 @@ classes. The functions here build the same things the slow way, one
 ``SatId`` and ``IslEdge`` at a time and one row state per event, so the
 tests can require equal results from both. ``dijkstra_shortest_delay`` is
 the router that the A* search replaced, for tests that require bitwise
-equal routes.
+equal routes. ``fixed_per_instant`` and ``equal_time_per_instant`` are the
+baseline partitions as they were before they read one table of active
+couples: a frozenset of active couples per instant, one instant at a time.
+``reference_attach_ground`` attaches one station at one send time, and
+``scan_lookup`` finds a send's snapshot by a linear scan.
 
 The scalar geometry below (one satellite, one instant, ``math`` functions)
 is what the package computed before its array paths; it serves as the
@@ -33,7 +37,7 @@ from polarsnap.geometry import (
     all_positions_km,
     build_ls_state,
     ground_position_km,
-    index_to_sat,
+    in_polar_band,
     is_ascending,
     max_link_angle_deg,
     orbit_period,
@@ -47,7 +51,7 @@ from polarsnap.links import (
     TRIGGER_ENTER,
     IslEdge,
     TopologyEdgeSet,
-    make_edge,
+    _wiring,
     reassign_topology,
 )
 from polarsnap.routing import PathResult
@@ -55,11 +59,26 @@ from polarsnap.snapshots import (
     _EVENT_EPS_S,
     EVENT_KIND_ENTER,
     EVENT_KIND_EXIT,
+    METHOD_EQUAL_TIME,
+    METHOD_FIXED,
     METHOD_REASSIGNMENT,
     SnapshotSequence,
     TopologySnapshot,
     enumerate_events,
 )
+
+
+def make_edge(a: SatId, b: SatId, kind: str) -> IslEdge:
+    """An edge with its endpoints in canonical (sorted) order."""
+    if (b.plane, b.index_in_plane) < (a.plane, a.index_in_plane):
+        a, b = b, a
+    return IslEdge(a, b, kind)
+
+
+def index_to_sat(spec: ConstellationSpec, index: int) -> SatId:
+    """The satellite at a dense plane-major index (``sat_to_index``)."""
+    plane, j = divmod(index, spec.sats_per_plane)
+    return SatId(plane + 1, j + 1)
 
 
 @dataclass(frozen=True)
@@ -371,3 +390,116 @@ def dijkstra_shortest_delay(snapshot, t, src, dst, spec, positions=None) -> Path
         path.append(prev[path[-1]])
     path.reverse()
     return PathResult(True, dist[dst_i], tuple(index_to_sat(spec, i) for i in path))
+
+
+def crossing_rows(
+    spec: ConstellationSpec, polar_border_deg: float, event,
+) -> tuple[tuple[int, str], ...]:
+    """The (phase_class, hemisphere) rows that cross the border at an event,
+    derived from its time and kind and sorted, as ``PolarCrossing.rows``
+    held them. The northern row is the class whose phase is the kind's
+    northern border phase at that instant; the southern one is M classes,
+    half a period, behind it. Raises AssertionError when no class sits on
+    the border at that instant."""
+    target = polar_border_deg if event.kind == EVENT_KIND_ENTER else 180.0 - polar_border_deg
+    slots = ((target - 360.0 * event.time_s / orbit_period(spec)) % 360.0
+             / spec.phase_offset_deg)
+    nearest = round(slots)
+    assert abs(slots - nearest) < 1e-6, (event, slots)
+    north = nearest % spec.row_count
+    south = (north + spec.sats_per_plane) % spec.row_count
+    return tuple(sorted(((north, "north"), (south, "south"))))
+
+
+def active_couple_set(spec: ConstellationSpec, polar_border_deg: float, t: float) -> frozenset:
+    """The lower classes 2k of the couples active at time t: both rows of
+    the couple outside the polar caps."""
+    phase = (np.arange(spec.row_count) * spec.phase_offset_deg
+             + 360.0 * t / orbit_period(spec)) % 360.0
+    outside = ~in_polar_band(phase, polar_border_deg)
+    return frozenset((2 * np.flatnonzero(outside[0::2] & outside[1::2])).tolist())
+
+
+def couple_set_edges(spec: ConstellationSpec, couples: frozenset) -> TopologyEdgeSet:
+    """The rings plus the chains of the given lower classes, drawn from the
+    edge universe."""
+    wiring = _wiring((spec.plane_count, spec.sats_per_plane))
+    return wiring.draw(wiring.select(sorted(couples), ()))
+
+
+def fixed_per_instant(spec: ConstellationSpec, polar_border_deg: float) -> SnapshotSequence:
+    """``partition_fixed`` with one frozenset of active couples per event."""
+    period = orbit_period(spec)
+    events = enumerate_events(spec, polar_border_deg, period)
+    states = [active_couple_set(spec, polar_border_deg, e.time_s + _EVENT_EPS_S)
+              for e in events]
+    starts = [e.time_s for i, e in enumerate(events)
+              if states[i] != states[i - 1]] or [0.0]
+    snapshots = tuple(
+        TopologySnapshot(start, end, couple_set_edges(
+            spec, active_couple_set(spec, polar_border_deg, start + _EVENT_EPS_S)))
+        for start, end in zip(starts, starts[1:] + [starts[0] + period]))
+    return SnapshotSequence(METHOD_FIXED, snapshots, period, polar_border_deg)
+
+
+def equal_time_per_instant(
+    spec: ConstellationSpec, polar_border_deg: float, delta_s: float,
+) -> SnapshotSequence:
+    """``partition_equal_time`` interval by interval: the couples active
+    just after the start, intersected with those active just after every
+    event strictly inside the interval."""
+    period = orbit_period(spec)
+    n_exact = period / delta_s
+    truncated = abs(n_exact - round(n_exact)) > 1e-6 * n_exact
+    n_full = int(round(n_exact)) if not truncated else int(math.floor(n_exact))
+    event_times = [e.time_s for e in enumerate_events(spec, polar_border_deg, period)]
+    starts = [k * delta_s for k in range(n_full + 1 if truncated else n_full)]
+    snapshots = []
+    for start, end in zip(starts, starts[1:] + [period]):
+        couples = active_couple_set(spec, polar_border_deg, start + _EVENT_EPS_S)
+        for te in event_times:
+            if start < te < end:
+                couples &= active_couple_set(spec, polar_border_deg, te + _EVENT_EPS_S)
+        snapshots.append(TopologySnapshot(start, end, couple_set_edges(spec, couples)))
+    return SnapshotSequence(METHOD_EQUAL_TIME, tuple(snapshots), period, polar_border_deg,
+                            truncated_final=truncated)
+
+
+def scan_lookup(seq: SnapshotSequence, t: float) -> tuple[float, int]:
+    """The cyclic time of t and the index of the first snapshot covering it,
+    else the last one, by a linear scan. A fold that rounds up to the
+    period's end takes the float below it, as in ``SnapshotSequence.lookup``."""
+    end = seq.start_s + seq.period_s
+    tau = min(seq.start_s + (t - seq.start_s) % seq.period_s, math.nextafter(end, -math.inf))
+    return tau, next((i for i, snap in enumerate(seq.snapshots) if snap.covers(tau)),
+                     len(seq.snapshots) - 1)
+
+
+def reference_ground_position_km(gs: GroundStation, t: float, earth_radius_km: float):
+    """One station at one time, with ``math`` functions."""
+    lat = math.radians(gs.latitude_deg)
+    lon = math.radians(gs.longitude_deg) + 2.0 * math.pi * t / SIDEREAL_DAY_S
+    return np.array([
+        earth_radius_km * math.cos(lat) * math.cos(lon),
+        earth_radius_km * math.cos(lat) * math.sin(lon),
+        earth_radius_km * math.sin(lat),
+    ])
+
+
+def reference_station_elevations(gs, t, spec, positions):
+    gpos = reference_ground_position_km(gs, t, spec.earth_radius_km)
+    los = positions - gpos
+    rng = np.linalg.norm(los, axis=1)
+    sin_el = (los @ gpos) / (np.maximum(rng, 1e-12) * spec.earth_radius_km)
+    return np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
+
+
+def reference_attach_ground(gs, t, spec, positions):
+    """One station at one send time, positions of shape (N*M, 3): the
+    satellite of highest elevation, or None when it does not clear the
+    mask. The attachment as it was before it took blocks of sends."""
+    elev = reference_station_elevations(gs, t, spec, positions)
+    best = int(np.argmax(elev))
+    if elev[best] < gs.min_elevation_deg:
+        return None
+    return index_to_sat(spec, best)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from polarsnap.geometry import (
     build_ls_state,
     ground_position_km,
     horizontal_survival_latitude_deg,
-    index_to_sat,
     max_link_angle_deg,
     nonpolar_row_count,
     orbit_period,
@@ -29,6 +29,7 @@ from tests.oracles import (
     anchor_index,
     elevation_angle_deg,
     geocentric_angle_deg,
+    index_to_sat,
     position_km,
     propagation_delay_s,
     raising_survival_latitude_deg,
@@ -77,6 +78,28 @@ class TestConstellationSpec:
     def test_default_plane_spacing(self):
         spec = ConstellationSpec(6, 11, 86.4, 780.0)
         assert spec.plane_spacing_deg == pytest.approx(30.0)
+
+    @pytest.mark.parametrize("value", [0.0, -6378.137, -1e300])
+    def test_rejects_non_positive_earth_radius(self, iridium, value):
+        with pytest.raises(ValueError, match=re.escape(f"earth_radius_km must be positive, got {value}")):
+            dataclasses.replace(iridium, earth_radius_km=value)
+
+    @pytest.mark.parametrize("fields,match", [
+        # the radius overflows
+        (dict(altitude_km=1e308, earth_radius_km=1e308), r"orbit radius \(inf km\)"),
+        # the derived period overflows, or underflows to 0
+        (dict(altitude_km=1e200), r"period \(inf s\)"),
+        (dict(altitude_km=1e-120, earth_radius_km=1e-120, grazing_altitude_km=1e-121),
+         r"period \(0.0 s\)"),
+    ])
+    def test_rejects_non_finite_orbit(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            ConstellationSpec(6, 11, 86.4, **{"altitude_km": 780.0, **fields})
+
+    def test_configured_period_needs_no_derivation(self):
+        # a radius whose Keplerian period would overflow, with a period given
+        spec = ConstellationSpec(6, 11, 86.4, 1e200, period_s=6027.0)
+        assert orbit_period(spec) == 6027.0
 
 
 class TestOrbitPeriod:

@@ -26,20 +26,23 @@ from polarsnap.links import (
     TopologyEdgeSet,
     TopologyViolation,
     _wiring,
+    active_couples,
     fixed_topology,
-    make_edge,
     reassign_topology,
     validate_topology,
 )
 from polarsnap.report import export_topology, load_topology
 from polarsnap.snapshots import SnapshotSequence, TopologySnapshot, partition
 from tests.oracles import (
+    active_couple_set,
     argument_of_latitude_deg,
     chain_edges,
     class_member,
+    couple_set_edges,
     geocentric_angle_deg,
     horizontal_edges,
     intra_plane_edges,
+    make_edge,
     row_members,
     survival_latitude_deg,
     true_latitude_deg,
@@ -225,6 +228,19 @@ class TestFixedTopology:
     def test_deterministic(self, iridium):
         assert fixed_topology(iridium, 65.0, 321.0).edges == \
             fixed_topology(iridium, 65.0, 321.0).edges
+
+    @pytest.mark.parametrize("fixture", ["iridium", "teledesic", "toy"])
+    def test_active_couple_table_matches_frozensets(self, fixture, request):
+        # one row per instant, in the shape of the times, one column per couple
+        spec = request.getfixturevalue(fixture)
+        times = np.linspace(0.0, 2.0 * orbit_period(spec), 60).reshape(3, 4, 5)
+        table = active_couples(spec, 65.0, times)
+        assert table.shape == (3, 4, 5, spec.sats_per_plane) and table.dtype == bool
+        for t, row in zip(times.ravel().tolist(), table.reshape(-1, spec.sats_per_plane)):
+            couples = active_couple_set(spec, 65.0, t)
+            assert set((2 * np.flatnonzero(row)).tolist()) == couples
+            assert np.array_equal(active_couples(spec, 65.0, t), row)
+            assert fixed_topology(spec, 65.0, t) == couple_set_edges(spec, couples)
 
 
 def _couple_chain(spec, k):

@@ -9,12 +9,10 @@ import pytest
 from polarsnap import report, routing
 from polarsnap.geometry import (
     GroundStation,
-    SIDEREAL_DAY_S,
     SPEED_OF_LIGHT_KM_S,
     SatId,
     all_positions_km,
     ground_position_km,
-    index_to_sat,
     orbit_period,
     sat_to_index,
     satellite_ids,
@@ -38,7 +36,14 @@ from polarsnap.snapshots import (
     partition,
     partition_reassignment,
 )
-from tests.oracles import dijkstra_shortest_delay, satellite_state
+from tests.oracles import (
+    dijkstra_shortest_delay,
+    index_to_sat,
+    reference_attach_ground,
+    reference_ground_position_km,
+    satellite_state,
+    scan_lookup,
+)
 
 
 def brute_force_delay(snapshot, t, src, dst, spec):
@@ -136,48 +141,19 @@ def reference_shortest_delay(snapshot, t, src, dst, spec, positions=None):
     return PathResult(True, dist[dst_i], tuple(index_to_sat(spec, i) for i in path))
 
 
-def reference_ground_position_km(gs, t, earth_radius_km):
-    """One station at one time, with ``math`` functions."""
-    lat = math.radians(gs.latitude_deg)
-    lon = math.radians(gs.longitude_deg) + 2.0 * math.pi * t / SIDEREAL_DAY_S
-    return np.array([
-        earth_radius_km * math.cos(lat) * math.cos(lon),
-        earth_radius_km * math.cos(lat) * math.sin(lon),
-        earth_radius_km * math.sin(lat),
-    ])
-
-
-def reference_station_elevations(gs, t, spec, positions):
-    gpos = reference_ground_position_km(gs, t, spec.earth_radius_km)
-    los = positions - gpos
-    rng = np.linalg.norm(los, axis=1)
-    sin_el = (los @ gpos) / (np.maximum(rng, 1e-12) * spec.earth_radius_km)
-    return np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
-
-
-def reference_attach_ground(gs, t, spec, positions):
-    """One station at one send time: the attachment as it was before it
-    took blocks of sends, kept as a reference."""
-    elev = reference_station_elevations(gs, t, spec, positions)
-    best = int(np.argmax(elev))
-    if elev[best] < gs.min_elevation_deg:
-        return None
-    return index_to_sat(spec, best)
+def attach_one(gs, t, spec, positions=None):
+    """``attach_ground`` on a block of one send: the satellite, or None
+    when it does not clear the mask."""
+    if positions is None:
+        positions = all_positions_km(spec, t)
+    block = attach_ground(gs, np.array([t]), spec, positions[None])
+    return index_to_sat(spec, int(block.index[0])) if block.visible[0] else None
 
 
 def reference_udl_delay(gs, sat, t, spec, positions):
     gpos = reference_ground_position_km(gs, t, spec.earth_radius_km)
     spos = positions[sat_to_index(spec, sat)]
     return float(np.linalg.norm(spos - gpos)) / SPEED_OF_LIGHT_KM_S
-
-
-def reference_snapshot_at(seq, t):
-    """Linear scan for the snapshot covering the cyclic time, else the last."""
-    tau = seq.start_s + (t - seq.start_s) % seq.period_s
-    for snap in seq.snapshots:
-        if snap.covers(tau):
-            return snap, tau
-    return seq.snapshots[-1], tau
 
 
 def reference_delay_experiment(spec, seq, src_gs, dst_gs, duration_s, interval_s):
@@ -193,7 +169,8 @@ def reference_delay_experiment(spec, seq, src_gs, dst_gs, duration_s, interval_s
         if src_sat is None or dst_sat is None:
             samples.append(DelaySample(t, False, math.nan, 0))
             continue
-        snap, tau = reference_snapshot_at(seq, t)
+        tau, i = scan_lookup(seq, t)
+        snap = seq.snapshots[i]
         result = reference_shortest_delay(
             snap, tau, src_sat, dst_sat, spec, all_positions_km(spec, tau))
         if not result.reachable:
@@ -244,7 +221,7 @@ class TestUtilization:
 
     def test_saturated_sequence(self, iridium):
         # every couple's chain: (N-1) * M inter-plane links, the budget
-        topo = couple_edges(iridium, frozenset(range(0, iridium.row_count, 2)))
+        topo = couple_edges(iridium, np.ones(iridium.sats_per_plane, dtype=bool))
         assert topo.n_inter_plane == (iridium.plane_count - 1) * iridium.sats_per_plane
         snaps = (TopologySnapshot(0.0, 6027.0, topo),)
         seq = SnapshotSequence("synthetic", snaps, 6027.0, 60.0)
@@ -265,14 +242,18 @@ class TestAttachGround:
     def test_north_pole_gets_near_polar_satellite(self, iridium):
         pole = GroundStation("pole", 90.0, 0.0, 10.0)
         for t in (0.0, 500.0, 1234.5, 3000.0):
-            sat = attach_ground(pole, t, iridium)
+            positions = all_positions_km(iridium, t)
+            sat = attach_one(pole, t, iridium, positions)
             assert sat is not None
+            assert sat == reference_attach_ground(pole, t, iridium, positions)
             state = satellite_state(iridium, sat, t)
             assert abs(state.latitude_deg) > 80.0
 
     def test_impossible_mask_unreachable(self, iridium):
         gs = GroundStation("strict", 40.0, 10.0, 90.0)
-        assert attach_ground(gs, 123.0, iridium) is None
+        positions = all_positions_km(iridium, 123.0)
+        assert attach_one(gs, 123.0, iridium, positions) is None
+        assert reference_attach_ground(gs, 123.0, iridium, positions) is None
 
     @staticmethod
     def plant_tie(spec, gs, positions):
@@ -286,10 +267,10 @@ class TestAttachGround:
         gs = GroundStation("gs", 23.0, 47.0, 0.0)
         positions = all_positions_km(iridium, 0.0)
         self.plant_tie(iridium, gs, positions)
-        sat = attach_ground(gs, 0.0, iridium, positions)
-        assert sat == SatId(2, 3)
+        assert attach_one(gs, 0.0, iridium, positions) == SatId(2, 3)
+        assert reference_attach_ground(gs, 0.0, iridium, positions) == SatId(2, 3)
 
-    def test_block_matches_scalar_calls(self, iridium, beijing):
+    def test_block_matches_one_send_calls(self, iridium, beijing):
         tie = GroundStation("gs", 23.0, 47.0, 0.0)
         stations = (tie, beijing, GroundStation("Longyearbyen", 78.2, 15.6, 10.0),
                     GroundStation("strict", -33.9, 18.4, 40.0))
@@ -302,7 +283,7 @@ class TestAttachGround:
             assert all(a.shape == times.shape for a in block)
             for k, t in enumerate(times.tolist()):
                 want = reference_attach_ground(gs, t, iridium, positions[k])
-                assert attach_ground(gs, t, iridium, positions[k]) == want
+                assert attach_one(gs, t, iridium, positions[k]) == want
                 assert bool(block.visible[k]) == (want is not None)
                 visible.append(want is not None)
                 if want is None:
@@ -389,12 +370,12 @@ class TestShortestDelay:
         for k in range(120):
             t = 60.0 * k
             pos = all_positions_km(iridium, t)
-            a = attach_ground(beijing, t, iridium, pos)
-            b = attach_ground(london, t, iridium, pos)
+            a = attach_one(beijing, t, iridium, pos)
+            b = attach_one(london, t, iridium, pos)
             if a is None or b is None:
                 continue
-            tau = seq.start_s + (t - seq.start_s) % seq.period_s
-            snap = seq.snapshot_at(t)
+            tau, i = scan_lookup(seq, t)
+            snap = seq.snapshots[i]
             res = shortest_delay(snap, tau, a, b, iridium, all_positions_km(iridium, tau))
             if not res.reachable:
                 continue
@@ -658,8 +639,8 @@ class TestSendGrid:
         self.compare_series(teledesic, (beijing, london), borders, tmp_path, monkeypatch)
         times = [k * self.INTERVAL_S for k in range(int(self.DURATION_S // self.INTERVAL_S))]
         attached = [k for k, t in enumerate(times)
-                    if attach_ground(beijing, t, teledesic) is not None
-                    and attach_ground(london, t, teledesic) is not None]
+                    if attach_one(beijing, t, teledesic) is not None
+                    and attach_one(london, t, teledesic) is not None]
         pairs = set()
         for border in borders:
             for method in ("reassignment", "fixed", "equal_time"):

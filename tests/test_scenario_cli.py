@@ -10,15 +10,16 @@ from polarsnap import cli, links
 from polarsnap.cli import main
 from polarsnap.errors import ScenarioError
 from polarsnap.geometry import SatId, orbit_period
-from polarsnap.links import IslEdge, TopologyEdgeSet, make_edge
+from polarsnap.links import IslEdge, TopologyEdgeSet
 from polarsnap.report import export_topology, load_topology, run_compare
-from polarsnap.scenario import apply_overrides, load_scenario
+from polarsnap.scenario import MAX_SENDS, apply_overrides, load_scenario
 from polarsnap.snapshots import (
     SnapshotSequence,
     TopologySnapshot,
     partition,
     partition_reassignment,
 )
+from tests.oracles import make_edge
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 IRIDIUM_HEAD = (b"[constellation]\nplanes = 6\nsats_per_plane = 11\n"
@@ -668,6 +669,51 @@ class TestCli:
         assert "leaves no sends" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_route_at_period_end_fold(self, tmp_path, capsys):
+        # 6 x 33 at 60 degrees: the reassignment and fixed sequences start at
+        # 1.2e-13 s, and the send at t = 0 folds onto the period's end
+        text = (SCENARIOS / "iridium.scenario").read_text()
+        path = tmp_path / "m33.scenario"
+        path.write_text(text.replace("sats_per_plane = 11", "sats_per_plane = 33"))
+        rc = main(["route", str(path), "--polar-border", "60", "--duration", "600",
+                   "--output-dir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == 0, err
+        assert out.count("over 10 sends (0.0% unreachable)") == 3
+
+    @pytest.mark.parametrize("lines,message", [
+        (b"period_s = 6027\n[partition]\nequal_time_delta = 1e-9\n",
+         "line 8: equal_time_delta: equal_time delta 1e-09 s cuts the 6027.0 s period into "
+         "6.027e+12 snapshots, outside (0, 10000]"),
+        (b"[partition]\nequal_time_delta = 5e-324\n", "into inf snapshots"),
+        (b"period_s = 6027\n[partition]\nequal_time_delta = 0.6\n", "into 10045 snapshots"),
+        (b"period_s = 5e-324\n",
+         "equal_time_delta: equal_time delta must be positive and finite, got 0.0 s"),
+        (b"[experiment]\ninterval_s = 1e-6\n",
+         "line 7: duration_s 86400.0 over interval_s 1e-06 makes 8.64e+10 sends, above the "
+         "limit of 100000"),
+        (b"[experiment]\nduration_s = 1e308\ninterval_s = 1e-300\n", "makes inf sends"),
+        (b"earth_radius_km = 0\n", "earth_radius_km must be positive, got 0.0"),
+    ], ids=["delta-1e-9", "delta-5e-324", "delta-over-limit", "period-5e-324",
+            "interval-1e-6", "inf-sends", "earth-radius-0"])
+    def test_hostile_values_reported_before_any_work(self, lines, message, tmp_path, capsys):
+        # analyze loads and checks the file but partitions and routes nothing,
+        # so a missing check fails here without allocating
+        path = tmp_path / "in.scenario"
+        path.write_bytes(IRIDIUM_HEAD + lines)
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1 and err.startswith("scenario error: ")
+
+    def test_send_limit_from_flags(self):
+        # checked on the overrides directly, before any send is made
+        config = load_scenario(SCENARIOS / "iridium.scenario")
+        with pytest.raises(ScenarioError, match=re.escape(
+                "duration_s 86400.0 over interval_s 1e-06 makes 8.64e+10 sends")):
+            apply_overrides(config, interval_s="1e-6")
+        apply_overrides(config, interval_s="0.864")
+        assert int(config.duration_s // config.interval_s) == MAX_SENDS
+
     def test_elevation_above_90_reported_cleanly(self, tmp_path, capsys):
         path = tmp_path / "in.scenario"
         path.write_bytes(IRIDIUM_HEAD + b"[experiment]\n" + STATIONS
@@ -789,7 +835,6 @@ class TestEdgeObjects:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(links.IslEdge, "__init__", counted_init)
-        monkeypatch.setattr(links, "make_edge", lambda *args: built.append(args))
         links._wiring.cache_clear()
         report = run_compare(config)
         assert report.ok and len(report.rows) == 12

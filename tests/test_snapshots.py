@@ -3,18 +3,19 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polarsnap.geometry import ConstellationSpec, class_phase_deg, orbit_period
-from polarsnap.links import INTRA_PLANE, validate_topology
+from polarsnap.links import INTRA_PLANE, TopologyEdgeSet, validate_topology
 from polarsnap.routing import delay_experiment
 from polarsnap.snapshots import (
+    MAX_EQUAL_TIME_SNAPSHOTS,
     METHOD_EQUAL_TIME,
     METHOD_FIXED,
     METHOD_REASSIGNMENT,
-    PolarCrossing,
     SnapshotSequence,
+    TopologySnapshot,
     analytic_summary,
     enumerate_events,
     partition,
@@ -22,7 +23,14 @@ from polarsnap.snapshots import (
     partition_fixed,
     partition_reassignment,
 )
-from tests.oracles import per_event_reassignment, phase_latitude_deg
+from tests.oracles import (
+    crossing_rows,
+    equal_time_per_instant,
+    fixed_per_instant,
+    per_event_reassignment,
+    phase_latitude_deg,
+    scan_lookup,
+)
 
 # Reassignment columns: (system, border) -> (count, inter-plane links)
 TABLE_REASSIGNMENT = {
@@ -127,7 +135,8 @@ def sampled_row_crossings(spec, phase_class, polar_border_deg, horizon_s):
 
 def sampled_events(spec, polar_border_deg, horizon_s, kinds):
     """Independent oracle for ``enumerate_events``: every row's crossings
-    root-solved on a sampled grid, simultaneous same-kind crossings merged."""
+    root-solved on a sampled grid, simultaneous same-kind crossings merged
+    into one (time_s, kind, rows) record."""
     raw = []
     for c in range(spec.row_count):
         for tc, kind, hemisphere in sampled_row_crossings(
@@ -139,14 +148,10 @@ def sampled_events(spec, polar_border_deg, horizon_s, kinds):
     merged = []
     merge_tol = 1e-4
     for tc, kind, c, hemisphere in raw:
-        if merged and kind == merged[-1].kind and abs(tc - merged[-1].time_s) < merge_tol:
-            merged[-1] = PolarCrossing(
-                time_s=merged[-1].time_s,
-                kind=kind,
-                rows=merged[-1].rows + ((c, hemisphere),),
-            )
+        if merged and kind == merged[-1][1] and abs(tc - merged[-1][0]) < merge_tol:
+            merged[-1] = (merged[-1][0], kind, merged[-1][2] + ((c, hemisphere),))
         else:
-            merged.append(PolarCrossing(time_s=tc, kind=kind, rows=((c, hemisphere),)))
+            merged.append((tc, kind, ((c, hemisphere),)))
     return merged
 
 
@@ -213,12 +218,18 @@ class TestEnumerateEvents:
     def test_zero_horizon(self, iridium):
         assert enumerate_events(iridium, 60.0, 0.0) == []
 
-    def test_events_merge_north_south_pairs(self, iridium):
+    def test_events_pair_a_north_and_a_south_row(self, iridium):
+        # at each event one row sits on the kind's northern border phase and
+        # the row half a period behind it on the southern one
         events = enumerate_events(iridium, 65.0, orbit_period(iridium))
-        assert all(len(e.rows) == 2 for e in events)
         for e in events:
-            hemis = {h for _, h in e.rows}
-            assert hemis == {"north", "south"}
+            (c, hemi_c), (d, hemi_d) = crossing_rows(iridium, 65.0, e)
+            assert {hemi_c, hemi_d} == {"north", "south"}
+            north, south = (c, d) if hemi_c == "north" else (d, c)
+            target = 65.0 if e.kind == "enter" else 115.0
+            for row, phase in ((north, target), (south, target + 180.0)):
+                u = class_phase_deg(iridium, row, e.time_s)
+                assert abs((u - phase + 180.0) % 360.0 - 180.0) < 1e-9
 
     @pytest.mark.parametrize("fixture", ["iridium", "teledesic", "toy"])
     @pytest.mark.parametrize("border", [60.0, 62.5, 65.0, 70.0, 75.0])
@@ -232,14 +243,12 @@ class TestEnumerateEvents:
         assert times == sorted(times)
         assert all(e.kind == kind for e in events)
 
-        def by_rows(evs):
-            # crossing times of each (row, hemisphere) set, in order
-            out = {}
-            for e in evs:
-                out.setdefault(frozenset(e.rows), []).append(e.time_s)
-            return out
-
-        got, want = by_rows(events), by_rows(oracle)
+        # crossing times of each (row, hemisphere) set, in order
+        got, want = {}, {}
+        for e in events:
+            got.setdefault(frozenset(crossing_rows(spec, border, e)), []).append(e.time_s)
+        for time_s, _, rows in oracle:
+            want.setdefault(frozenset(rows), []).append(time_s)
         assert got.keys() == want.keys()
         for rows, t_want in want.items():
             assert got[rows] == pytest.approx(t_want, abs=1e-6)
@@ -388,7 +397,7 @@ class TestPartitionEqualTime:
         assert (seq.count, seq.truncated_final) == (7, False)
         assert seq.snapshots[-1].end_s == 6027.0
         assert sum(s.duration_s for s in seq.snapshots) == pytest.approx(6027.0, abs=1e-9)
-        assert seq.snapshot_at(6026.999).covers(6026.999)
+        assert seq.snapshots[int(seq.lookup(6026.999)[1])].covers(6026.999)
         series = delay_experiment(iridium, METHOD_EQUAL_TIME, 60.0, beijing, london,
                                   18081.0, 6026.999, sequence=seq)
         assert len(series.samples) == 3
@@ -396,6 +405,27 @@ class TestPartitionEqualTime:
     def test_rejects_nonpositive_delta(self, iridium):
         with pytest.raises(ValueError):
             partition_equal_time(iridium, 60.0, 0.0)
+
+    @pytest.mark.parametrize("delta,match", [
+        (-1.0, "positive and finite, got -1.0 s"),
+        (math.inf, "positive and finite, got inf s"),
+        (math.nan, "positive and finite, got nan s"),
+        (5e-324, "into inf snapshots"),
+        (1e-9, "into 6.027e[+]12 snapshots"),
+        (6027.0 / (MAX_EQUAL_TIME_SNAPSHOTS + 1), "into 10001 snapshots"),
+    ])
+    def test_rejects_degenerate_delta_before_allocating(self, iridium, delta, match):
+        with pytest.raises(ValueError, match=match):
+            partition_equal_time(iridium, 60.0, delta)
+
+    def test_snapshot_limit_itself_accepted(self, iridium):
+        seq = partition_equal_time(iridium, 60.0, 6027.0 / MAX_EQUAL_TIME_SNAPSHOTS)
+        assert seq.count == MAX_EQUAL_TIME_SNAPSHOTS and not seq.truncated_final
+
+    def test_default_delta_underflow_rejected(self):
+        spec = ConstellationSpec(6, 11, 86.4, 780.0, period_s=5e-324)
+        with pytest.raises(ValueError, match="positive and finite, got 0.0 s"):
+            partition(spec, METHOD_EQUAL_TIME, 60.0)
 
 
 class TestDispatch:
@@ -423,7 +453,7 @@ class TestDispatch:
 
     def test_snapshot_lookup_is_cyclic(self, iridium):
         seq = partition(iridium, METHOD_REASSIGNMENT, 60.0)
-        snap = seq.snapshot_at(seq.start_s + 3.5 * 6027.0)
+        snap = seq.snapshots[int(seq.lookup(seq.start_s + 3.5 * 6027.0)[1])]
         assert snap.covers(seq.start_s + 0.5 * 6027.0)
 
     @pytest.mark.parametrize("method", [METHOD_REASSIGNMENT, METHOD_FIXED, METHOD_EQUAL_TIME])
@@ -440,8 +470,53 @@ class TestDispatch:
                               for d in (-1e-9, 0.0, 1e-9) for k in (0, 2)])
             taus, index = s.lookup(times)
             for t, tau, i in zip(times.tolist(), taus.tolist(), index.tolist()):
-                want = s.start_s + (t - s.start_s) % s.period_s
-                scan = next((j for j, snap in enumerate(s.snapshots) if snap.covers(want)),
-                            len(s.snapshots) - 1)
-                assert (tau, i) == (want, scan)
-                assert s.snapshot_at(t) is s.snapshots[scan]
+                assert (tau, i) == scan_lookup(s, t)
+                assert (tau, i) == tuple(x.item() for x in s.lookup(t))
+
+    # Two snapshots tiling one period from a start time that may be tiny.
+    @settings(max_examples=300, deadline=None)
+    @given(start=st.one_of(st.just(5e-324), st.floats(5e-324, 1e-6), st.floats(5e-324, 1e4)),
+           period=st.one_of(st.just(6027.0), st.floats(1e-3, 1e6)),
+           k=st.integers(-3, 3), frac=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    @example(start=1.189566963451701e-13, period=6027.0, k=0, frac=0.0)  # 6 x 33 at 60
+    def test_cyclic_time_stays_in_period(self, start, period, k, frac):
+        empty = TopologyEdgeSet.from_edges(ConstellationSpec(2, 3, 86.4, 780.0), ())
+        mid, end = start + 0.5 * period, start + period
+        seq = SnapshotSequence("synthetic", (TopologySnapshot(start, mid, empty),
+                                             TopologySnapshot(mid, end, empty)), period, 60.0)
+        times = np.array([0.0, k * period, start + k * period, (k + frac) * period])
+        taus, index = seq.lookup(times)
+        assert ((start <= taus) & (taus < end)).all(), (taus, end)
+        for tau, i in zip(taus.tolist(), index.tolist()):
+            assert seq.snapshots[i].covers(tau)
+
+
+class TestBaselineTable:
+    """Both baseline partitions read one table of active couples; they must
+    equal the per-instant constructions, bounds bit for bit and edge ids
+    exactly, over a sweep of shapes, borders and deltas (truncated final
+    snapshots included)."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got == want
+        assert [(s.start_s, s.end_s) for s in got.snapshots] == [
+            (s.start_s, s.end_s) for s in want.snapshots]
+        for g, w in zip(got.snapshots, want.snapshots):
+            assert np.array_equal(g.edges._ids, w.edges._ids)
+
+    @pytest.mark.parametrize("planes", [2, 4, 6, 8, 12])
+    def test_matches_per_instant_partitions(self, planes):
+        truncated = 0
+        for m in (3, 5, 8, 11, 16, 24):
+            spec = ConstellationSpec(planes, m, 86.4, 780.0)
+            slot = orbit_period(spec) / spec.row_count
+            for border in np.arange(30.0, 86.0, 5.0).tolist():
+                self.assert_same(partition_fixed(spec, border), fixed_per_instant(spec, border))
+                self.assert_same(partition(spec, METHOD_EQUAL_TIME, border),
+                                 equal_time_per_instant(spec, border, slot))
+                for scale in (0.37, 1.0, 1.7):
+                    got = partition_equal_time(spec, border, scale * slot)
+                    self.assert_same(got, equal_time_per_instant(spec, border, scale * slot))
+                    truncated += got.truncated_final
+        assert truncated > 0
