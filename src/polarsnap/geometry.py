@@ -39,6 +39,12 @@ SIDEREAL_DAY_S = 86164.0905
 # blocked by Earth and atmosphere.
 DEFAULT_GRAZING_ALTITUDE_KM = 49.0
 
+# Bounds on the orbit radius (km) and period (s), given or derived: link
+# lengths sum squared position differences, up to 12 * r**2, and phases
+# are 360 * t / period; both must stay finite floats.
+MAX_ORBIT_RADIUS_KM = 1e150
+ORBIT_PERIOD_RANGE_S = (1e-3, 1e12)
+
 # Tolerance for deciding that 2*L_pa is an exact multiple of the row
 # spacing (the uniform-distribution case).
 _SLOT_EPS = 1e-9
@@ -90,8 +96,6 @@ class ConstellationSpec:
                 f"inclination_deg must be in (0, 180), got {self.inclination_deg}")
         if self.altitude_km <= 0.0:
             raise ValueError(f"altitude_km must be positive, got {self.altitude_km}")
-        if self.period_s is not None and self.period_s <= 0.0:
-            raise ValueError(f"period_s must be positive, got {self.period_s}")
         if self.inter_plane_spacing_deg is not None and not (
                 0.0 < self.inter_plane_spacing_deg <= 180.0):
             raise ValueError(
@@ -105,9 +109,11 @@ class ConstellationSpec:
             period = orbit_period(self)
         except OverflowError:  # the derived period cubes the orbit radius
             period = math.inf
-        if not (math.isfinite(self.orbit_radius_km) and 0.0 < period < math.inf):
-            raise ValueError(f"orbit radius ({self.orbit_radius_km} km) and period ({period} s) "
-                             "must be positive and finite")
+        low, high = ORBIT_PERIOD_RANGE_S
+        if not (0.0 < self.orbit_radius_km <= MAX_ORBIT_RADIUS_KM and low <= period <= high):
+            raise ValueError(f"orbit radius ({self.orbit_radius_km} km) must be positive and at "
+                             f"most {MAX_ORBIT_RADIUS_KM:g}, and period ({period} s) in "
+                             f"[{low:g}, {high:g}]")
 
     @property
     def intra_plane_spacing_deg(self) -> float:

@@ -408,7 +408,7 @@ def validate_topology(
         (intra & ((dplane != 0) | ((dslot != 1) & (dslot != m - 1))))
         | (oblique & (dplane != 1)) | (horizontal & (dplane != 2))
         | ~(intra | oblique | horizontal),
-        angle > max_angle + 1e-9,
+        ~(angle <= max_angle + 1e-9),  # a NaN angle fails too
         inter & polar[a],
         inter & polar[b],
         horizontal & (np.abs(((u[a] - u[b]) + 180.0) % 360.0 - 180.0) > 1e-6),

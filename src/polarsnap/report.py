@@ -3,7 +3,8 @@
 All outputs are deterministic: edges are sorted canonically, floats are
 serialised with repr round-tripping, and nothing depends on wall-clock
 time, so identical scenarios produce byte-identical files. Topology
-exports are written and read in format 2 (``polarsnap-topology/2``) only.
+exports are written and read in format 3 (``polarsnap-topology/3``) only:
+an edge table, and each snapshot's rows of it as a hex bit mask.
 """
 import json
 import math
@@ -27,7 +28,7 @@ from .snapshots import (
     partition,
 )
 
-_EXPORT_FORMAT = "polarsnap-topology/2"
+_EXPORT_FORMAT = "polarsnap-topology/3"
 _HEAD_KEYS = ("constellation", "method", "polar_border_deg", "trigger", "period_s",
               "truncated_final", "snapshots", "edges")
 
@@ -63,13 +64,11 @@ def write_snapshot_csv(seq: SnapshotSequence, path: Path) -> None:
     """One row per snapshot: bounds, duration, and edge counts by kind."""
     lines = ["method,index,start_s,end_s,duration_s,n_intra,n_oblique,"
              "n_horizontal,n_inter_total"]
+    kinds = ("intra_plane", "oblique", "horizontal")
     for i, snap in enumerate(seq.snapshots):
-        n_intra = snap.edges.count("intra_plane")
-        n_obl = snap.edges.count("oblique")
-        n_hor = snap.edges.count("horizontal")
-        lines.append(
-            f"{seq.method},{i},{snap.start_s!r},{snap.end_s!r},"
-            f"{snap.duration_s!r},{n_intra},{n_obl},{n_hor},{snap.n_inter_plane}")
+        counts = ",".join(str(snap.edges.count(kind)) for kind in kinds)
+        lines.append(f"{seq.method},{i},{snap.start_s!r},{snap.end_s!r},{snap.duration_s!r},"
+                     f"{counts},{snap.n_inter_plane}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -86,15 +85,17 @@ def write_delay_csv(series: DelaySeries, path: Path) -> None:
 def export_topology(
     seq: SnapshotSequence, spec: ConstellationSpec, path: Path,
 ) -> None:
-    """Write a sequence as a single ``polarsnap-topology/2`` JSON document.
+    """Write a sequence as a single ``polarsnap-topology/3`` JSON document.
 
     The top-level ``edges`` table lists each distinct edge of the sequence
     once, in canonical order, as ``[kind, plane_a, index_a, plane_b,
-    index_b]``; each snapshot lists its rows of that table as the strictly
-    increasing ``edge_ids``. The document is indented as by
-    ``json.dumps(doc, indent=1, sort_keys=True)``, except that each table
-    row and each snapshot takes one line. Byte-stable for identical
-    inputs; round-trips through ``load_topology``.
+    index_b]``. Each snapshot holds its rows of that R-row table as
+    ``edge_mask``: 2 * ceil(R / 8) lowercase hex digits whose bit i
+    (``np.packbits`` order, most significant bit first) is set exactly
+    when row i is in the snapshot; the padding bits are zero. The document
+    is indented as by ``json.dumps(doc, indent=1, sort_keys=True)``, except
+    that each table row and each snapshot takes one line. Byte-stable for
+    identical inputs; round-trips through ``load_topology``.
 
     Raises:
         ValueError: On an empty sequence.
@@ -124,7 +125,7 @@ def export_topology(
     }, indent=1, sort_keys=True)
 
     # The table is the sorted distinct (kind, a, b) keys of all snapshots;
-    # a snapshot's canonical edges map to increasing rows.
+    # member[i, r] marks row r in snapshot i.
     n, m = spec.total_satellites, spec.sats_per_plane
     arrays = [snap.edges.compiled(spec) for snap in seq.snapshots]
     kinds = sorted(set().union(*(arr.kinds for arr in arrays)))
@@ -137,10 +138,12 @@ def export_topology(
     table = [f"[{names[k]}, {a // m + 1}, {a % m + 1}, {b // m + 1}, {b % m + 1}]"
              for k, a, b in zip(*(x.tolist() for x in (unique // (n * n), unique // n % n,
                                                        unique % n)))]
-    bounds = np.cumsum([0] + [len(arr.a) for arr in arrays]).tolist()
-    snapshots = [json.dumps({"edge_ids": inverse[bounds[i]:bounds[i + 1]].tolist(),
-                             "end_s": snap.end_s, "index": i, "start_s": snap.start_s})
-                 for i, snap in enumerate(seq.snapshots)]
+    member = np.zeros((len(arrays), len(unique)), dtype=bool)
+    member[np.repeat(np.arange(len(arrays)), [len(arr.a) for arr in arrays]), inverse] = True
+    masks = np.packbits(member, axis=1)
+    snapshots = [json.dumps({"edge_mask": mask.tobytes().hex(), "end_s": snap.end_s,
+                             "index": i, "start_s": snap.start_s})
+                 for i, (snap, mask) in enumerate(zip(seq.snapshots, masks))]
     for key, lines in (("edges", table), ("snapshots", snapshots)):
         body = "[\n" + ",\n".join(f"  {line}" for line in lines) + "\n ]" if lines else "[]"
         head = head.replace(f'\n "{key}": []', f'\n "{key}": {body}', 1)
@@ -150,9 +153,9 @@ def export_topology(
 def load_topology(path: Path) -> tuple[ConstellationSpec, SnapshotSequence]:
     """Parse a topology export back into a snapshot sequence.
 
-    Only format 2 is read. Its edge table is parsed once into edge arrays,
-    and each snapshot's set gathers its rows from them. The checks work on
-    whole arrays.
+    Only format 3 is read. Its edge table is parsed once into edge arrays,
+    the snapshots' masks are unpacked into one (snapshots x rows) table, and
+    each snapshot's set gathers its rows from the edge arrays.
 
     Raises:
         ValueError: If the file is not a well-formed topology export. The
@@ -183,23 +186,34 @@ def _parse_topology(doc) -> tuple[ConstellationSpec, SnapshotSequence]:
         raise ValueError(f"polar_border_deg must be a number, got {doc['polar_border_deg']!r}")
     if type(entries) is not list or not entries:
         raise ValueError("snapshots must be a non-empty list")
-    table = _v2_table(shape, doc["edges"])
+    table = _edge_table(shape, doc["edges"])
+    rows = len(table.a)
+    width = (rows + 7) // 8
 
-    parts = []
+    masks = []
     for i, entry in enumerate(entries):
         where = f"snapshot {i}: "
-        _require_keys(entry, ("index", "start_s", "end_s", "edge_ids"), where)
+        _require_keys(entry, ("index", "start_s", "end_s", "edge_mask"), where)
         if type(entry["index"]) is not int or entry["index"] != i:
             raise ValueError(f"{where}index {entry['index']!r}, expected {i}")
         if not (_is_number(entry["start_s"]) and _is_number(entry["end_s"])):
             raise ValueError(f"{where}bounds must be finite numbers, got "
                              f"{entry['start_s']!r} and {entry['end_s']!r}")
-        if type(entry["edge_ids"]) is not list:
-            raise ValueError(f"{where}edge_ids must be a list")
-        try:
-            parts.append(_gather(table, _integers(entry["edge_ids"], "edge_ids")))
-        except ValueError as exc:
-            raise ValueError(where + str(exc)) from exc
+        text = entry["edge_mask"]
+        try:  # fromhex skips whitespace, so the decoded length is checked too
+            mask = bytes.fromhex(text) if type(text) is str and len(text) == 2 * width else None
+        except ValueError:
+            mask = None
+        if mask is None or len(mask) != width:
+            raise ValueError(f"{where}edge_mask must be {2 * width} hex digits for the "
+                             f"{rows}-row edges table")
+        masks.append(mask)
+    packed = np.frombuffer(b"".join(masks), np.uint8).reshape(len(entries), width)
+    member = np.unpackbits(packed, axis=1, count=rows).view(bool)
+    padded = (np.packbits(member, axis=1) != packed).any(1)
+    if padded.any():
+        raise ValueError(f"snapshot {int(padded.argmax())}: edge_mask sets a bit past the "
+                         f"{rows}-row edges table")
 
     times = np.array([(e["start_s"], e["end_s"]) for e in entries], dtype=float)
     bad = times[:, 0] > times[:, 1]
@@ -211,8 +225,10 @@ def _parse_topology(doc) -> tuple[ConstellationSpec, SnapshotSequence]:
                          if start > end else f"snapshot {i}: starts at {start!r}, before "
                          f"snapshot {i - 1} ends at {times[i - 1, 1].item()!r}")
 
-    snapshots = tuple(TopologySnapshot(start, end, TopologyEdgeSet(arrays))
-                      for (start, end), arrays in zip(times.tolist(), parts))
+    snapshots = tuple(
+        TopologySnapshot(start, end, TopologyEdgeSet(EdgeArrays(
+            table.shape, table.kinds, table.kind[row], table.a[row], table.b[row])))
+        for (start, end), row in zip(times.tolist(), member))
     seq = SnapshotSequence(doc["method"], snapshots, period, doc["polar_border_deg"],
                            trigger=doc["trigger"], truncated_final=doc["truncated_final"])
     return spec, seq
@@ -230,45 +246,25 @@ def _is_number(x) -> bool:
     return type(x) in (int, float) and math.isfinite(x)
 
 
-def _integers(values: list, what: str) -> np.ndarray:
-    """The values as an int64 array. Only JSON integers pass: no float,
-    string or boolean is converted."""
-    if not set(map(type, values)) <= {int}:
-        raise ValueError(f"{what} must be integers")
-    try:
-        return np.fromiter(values, np.int64, len(values))
-    except OverflowError:
-        raise ValueError(f"{what} out of range") from None
-
-
-def _v2_table(shape: tuple[int, int], table) -> EdgeArrays:
-    """The format 2 edge table as edge arrays; its rows must be distinct and
+def _edge_table(shape: tuple[int, int], table) -> EdgeArrays:
+    """The export's edge table as edge arrays; its rows must be distinct and
     in canonical order, so that row i is edge i of the arrays."""
     if not (type(table) is list and set(map(type, table)) <= {list}
             and set(map(len, table)) <= {5}):
         raise ValueError("edges table rows must be [kind, plane_a, index_a, plane_b, index_b]")
-    names = [r[0] for r in table]
-    if not set(map(type, names)) <= {str}:
-        raise ValueError("edges table: edge kinds must be strings")
+    names, values = [r[0] for r in table], list(chain.from_iterable(r[1:] for r in table))
+    if not (set(map(type, names)) <= {str} and set(map(type, values)) <= {int}):
+        raise ValueError("edges table: kinds must be strings and endpoints integers")
     try:
-        rows = _integers(list(chain.from_iterable(r[1:] for r in table)),
-                         "edge endpoints").reshape(-1, 4)
+        rows = np.fromiter(values, np.int64, len(values)).reshape(-1, 4)
         arrays = canonical_arrays(shape, names, rows)
-    except ValueError as exc:
+    except (OverflowError, ValueError) as exc:
         raise ValueError(f"edges table: {exc}") from exc
     ends = (rows[:, 0::2] - 1) * shape[1] + rows[:, 1::2] - 1
     if not (np.array_equal(arrays.a, ends[:, 0]) and np.array_equal(arrays.b, ends[:, 1])
             and arrays.names() == names):
         raise ValueError("edges table: rows must be distinct and in canonical order")
     return arrays
-
-
-def _gather(table: EdgeArrays, ids: np.ndarray) -> EdgeArrays:
-    """The table's rows at ids, which must increase strictly and lie in it."""
-    if len(ids) and (ids[0] < 0 or ids[-1] >= len(table.a) or (np.diff(ids) <= 0).any()):
-        raise ValueError(f"edge_ids must be strictly increasing rows of the "
-                         f"{len(table.a)}-row edges table")
-    return EdgeArrays(table.shape, table.kinds, table.kind[ids], table.a[ids], table.b[ids])
 
 
 def _check_sequence(
@@ -278,24 +274,20 @@ def _check_sequence(
     positions of every snapshot's validation instant evaluated in one call."""
     period = orbit_period(spec)
     total = sum(s.duration_s for s in seq.snapshots)
+    name = f"{spec.name} {seq.method} {seq.polar_border_deg}"
     if abs(total - period) > 1e-6:
-        failures.append(
-            f"{spec.name} {seq.method} {seq.polar_border_deg}: snapshots cover "
-            f"{total!r} s of a {period!r} s period")
+        failures.append(f"{name}: snapshots cover {total!r} s of a {period!r} s period")
     for i in range(len(seq.snapshots) - 1):
         if abs(seq.snapshots[i].end_s - seq.snapshots[i + 1].start_s) > 1e-9:
-            failures.append(
-                f"{spec.name} {seq.method} {seq.polar_border_deg}: snapshots "
-                f"{i} and {i + 1} are not contiguous")
+            failures.append(f"{name}: snapshots {i} and {i + 1} are not contiguous")
     times = [snap.start_s + 1e-3 for snap in seq.snapshots]
     positions = all_positions_km(spec, np.array(times))
     for i, (snap, t) in enumerate(zip(seq.snapshots, times)):
         violations = validate_topology(spec, seq.polar_border_deg, snap.edges, t, positions[i])
         if violations:
             first = violations[0]
-            failures.append(
-                f"{spec.name} {seq.method} {seq.polar_border_deg} snapshot {i}: "
-                f"{len(violations)} violations, first: {first.rule} {first.detail}")
+            failures.append(f"{name} snapshot {i}: {len(violations)} violations, "
+                            f"first: {first.rule} {first.detail}")
 
 
 def run_compare(config: ScenarioConfig) -> ComparisonReport:
@@ -408,16 +400,10 @@ def _write_comparison_csv(report: ComparisonReport, path: Path) -> None:
              "unreachable_fraction,analytic_duration_s,analytic_n_inter,"
              "analytic_snapshot_count"]
     for row in report.rows:
-        delay = "" if row.average_delay_s is None else repr(row.average_delay_s)
-        unreach = ("" if row.unreachable_fraction is None
-                   else repr(row.unreachable_fraction))
-        if row.analytic is not None:
-            extra = (f"{row.analytic.snapshot_duration_s!r},"
-                     f"{row.analytic.n_inter_plane},{row.analytic.snapshot_count}")
-        else:
-            extra = ",,"
-        lines.append(
-            f"{row.method},{row.polar_border_deg!r},{row.snapshot_count},"
-            f"{row.duration_min_s!r},{row.duration_max_s!r},{row.n_inter_min},"
-            f"{row.n_inter_max},{row.utilization!r},{delay},{unreach},{extra}")
+        a = row.analytic
+        analytic = (a.snapshot_duration_s, a.n_inter_plane, a.snapshot_count) if a else (None,) * 3
+        cells = (row.polar_border_deg, row.snapshot_count, row.duration_min_s, row.duration_max_s,
+                 row.n_inter_min, row.n_inter_max, row.utilization, row.average_delay_s,
+                 row.unreachable_fraction, *analytic)
+        lines.append(",".join([row.method] + ["" if x is None else repr(x) for x in cells]))
     path.write_text("\n".join(lines) + "\n")

@@ -49,6 +49,9 @@ MATCH_REASSIGNMENT = "match_reassignment"
 
 # The most sends one delay experiment may make: duration_s // interval_s.
 MAX_SENDS = 100_000
+# The most satellites, planes * sats_per_plane: arrays grow with satellites
+# times snapshots (2 * sats_per_plane). Iridium has 66, OneWeb 648.
+MAX_SATELLITES = 2_000
 
 _VALID_METHODS = (METHOD_REASSIGNMENT, METHOD_FIXED, METHOD_EQUAL_TIME)
 
@@ -270,8 +273,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     Raises:
         ScenarioError: Missing or unreadable file, text that is not UTF-8,
             malformed line, unknown key, a field value outside its valid
-            range, or an equal_time delta or a send count outside its
-            limits (reported with the line number where available).
+            range, or a satellite count, an equal_time delta or a send count
+            outside its limits (reported with the line number where available).
     """
     path = Path(path)
     if not path.exists():
@@ -295,6 +298,11 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             args = spec_args if section == "constellation" else config_args
             args[name] = parse(key, value, lineno)
 
+    n, m = spec_args["plane_count"], spec_args["sats_per_plane"]
+    if n * m > MAX_SATELLITES:
+        raise ScenarioError(f"planes x sats_per_plane = {n:g} x {m:g} satellites, above the "
+                            f"limit of {MAX_SATELLITES}",
+                            sections["constellation"]["sats_per_plane"][1])
     try:
         spec = ConstellationSpec(**spec_args)
     except ValueError as exc:

@@ -21,6 +21,7 @@ from polarsnap.geometry import (
     orbit_period,
     sat_to_index,
     satellite_ids,
+    MAX_ORBIT_RADIUS_KM,
     MU_EARTH_KM3_S2,
     SPEED_OF_LIGHT_KM_S,
 )
@@ -98,8 +99,14 @@ class TestConstellationSpec:
 
     def test_configured_period_needs_no_derivation(self):
         # a radius whose Keplerian period would overflow, with a period given
-        spec = ConstellationSpec(6, 11, 86.4, 1e200, period_s=6027.0)
+        spec = ConstellationSpec(6, 11, 86.4, 1e120, period_s=6027.0)
         assert orbit_period(spec) == 6027.0
+
+    @pytest.mark.parametrize("altitude", [1e300, 2 * MAX_ORBIT_RADIUS_KM])
+    def test_rejects_radius_past_bound(self, altitude):
+        # with a period given nothing overflows here, but squared positions would
+        with pytest.raises(ValueError, match=re.escape(f"at most {MAX_ORBIT_RADIUS_KM:g}")):
+            ConstellationSpec(6, 11, 86.4, altitude, period_s=6027.0)
 
 
 class TestOrbitPeriod:

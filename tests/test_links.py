@@ -352,6 +352,15 @@ class TestValidator:
         assert any(v.rule == "visibility" for v in violations)
         assert any(v.rule == "structure" for v in violations)
 
+    def test_non_finite_angle_flagged(self, iridium):
+        # positions whose squares overflow give NaN angles, which fail visibility
+        edges = partition(iridium, "reassignment", 60.0).snapshots[0].edges
+        positions = all_positions_km(iridium, 100.0) * 1e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            violations = validate_topology(iridium, 60.0, edges, 100.0, positions)
+        assert [v.rule for v in violations] == ["visibility"] * len(edges)
+        assert all("angle nan" in v.detail for v in violations)
+
     def test_endpoint_outside_constellation_rejected(self, iridium):
         # at construction, before any rule reads the set
         edge = make_edge(SatId(1, 1), SatId(1, 12), INTRA_PLANE)

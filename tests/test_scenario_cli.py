@@ -1,18 +1,25 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
+import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from polarsnap import cli, links
+from polarsnap import cli, links, scenario
 from polarsnap.cli import main
 from polarsnap.errors import ScenarioError
-from polarsnap.geometry import SatId, orbit_period
+from polarsnap.geometry import SatId, orbit_period, satellite_ids
 from polarsnap.links import IslEdge, TopologyEdgeSet
 from polarsnap.report import export_topology, load_topology, run_compare
-from polarsnap.scenario import MAX_SENDS, apply_overrides, load_scenario
+from polarsnap.scenario import MAX_SATELLITES, MAX_SENDS, apply_overrides, load_scenario
 from polarsnap.snapshots import (
     SnapshotSequence,
     TopologySnapshot,
@@ -25,7 +32,9 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 IRIDIUM_HEAD = (b"[constellation]\nplanes = 6\nsats_per_plane = 11\n"
                 b"inclination_deg = 86.4\naltitude_km = 780\n")
 # sha256 of the export of iridium's reassignment sequence at 60 degrees
-PINNED_SHA256 = "a7eab5ca79ba7030a6797bedfcc0574f4775444983e83749ce4ff67552e1a57f"
+PINNED_SHA256 = "133e4c2f0630b35a82653c8da6770a6b3f7e944e07904db1e56baa991b3705ee"
+# sha256 of the same export in format 2, which versions before format 3 wrote
+PINNED_V2_SHA256 = "a7eab5ca79ba7030a6797bedfcc0574f4775444983e83749ce4ff67552e1a57f"
 STATIONS = b"source = A, 39.9, 116.4\ndestination = B, 51.5, -0.1\n"
 # 2x3 at 60 degrees: its links span 120 degrees, past the 58.8 degree
 # visibility limit, so every snapshot of every method fails validation
@@ -37,7 +46,7 @@ TINY = (b"[constellation]\nname = tiny\nplanes = 2\nsats_per_plane = 3\n"
 def reference_export_topology(seq, spec, path):
     """The format 1 (``polarsnap-topology/1``) dict-plus-``json.dumps``
     writer: every snapshot lists its edges as objects. ``load_topology``
-    reads only format 2, and must reject its files by their format."""
+    reads only format 3, and must reject its files by their format."""
     def edge_key(edge):
         return (edge.kind, edge.endpoint_a.plane, edge.endpoint_a.index_in_plane,
                 edge.endpoint_b.plane, edge.endpoint_b.index_in_plane)
@@ -78,6 +87,21 @@ def reference_export_topology(seq, spec, path):
         ],
     }
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+
+def mask_rows(mask: str, rows: int) -> list[int]:
+    """The rows an ``edge_mask`` sets, read digit by digit: bit i is bit
+    3 - i % 4 of hex digit i // 4."""
+    return [i for i in range(rows) if int(mask[i // 4], 16) >> (3 - i % 4) & 1]
+
+
+def format_2_text(text: str) -> str:
+    """A format 3 export rewritten as the format 2 writer wrote it: the
+    same document with each ``edge_mask`` spelt out as ``edge_ids``."""
+    rows = len(json.loads(text)["edges"])
+    text = text.replace('"polarsnap-topology/3"', '"polarsnap-topology/2"', 1)
+    return re.sub(r'\{"edge_mask": "([0-9a-f]*)",',
+                  lambda match: f'{{"edge_ids": {mask_rows(match[1], rows)},', text)
 
 
 class TestLoadScenario:
@@ -341,10 +365,10 @@ class TestTopologyExport:
 
     @staticmethod
     def assert_matches_reference(seq, spec, tmp_path):
-        # the format 2 export loads to the sequence
+        # the format 3 export loads to the sequence
         path = tmp_path / "got.json"
         export_topology(seq, spec, path)
-        assert json.loads(path.read_text())["format"] == "polarsnap-topology/2"
+        assert json.loads(path.read_text())["format"] == "polarsnap-topology/3"
         spec2, seq2 = load_topology(path)
         assert spec2 == spec
         assert (seq2.method, seq2.period_s, seq2.polar_border_deg, seq2.trigger,
@@ -360,6 +384,9 @@ class TestTopologyExport:
         path = tmp_path / "topo.json"
         export_topology(partition(iridium, "reassignment", 60.0), iridium, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256
+        # format 3 differs from format 2 only in how a snapshot names its rows
+        assert hashlib.sha256(format_2_text(path.read_text()).encode()).hexdigest() == \
+            PINNED_V2_SHA256
 
     def test_layout(self, iridium, tmp_path):
         seq = partition(iridium, "fixed", 60.0)
@@ -369,13 +396,42 @@ class TestTopologyExport:
         table = [tuple(row) for row in doc["edges"]]
         assert table == sorted(set(table))
         assert len(table) == len(set().union(*(s.edges.edges for s in seq.snapshots)))
+        assert len(table) % 8 != 0  # so the masks have padding bits
         for i, (entry, snap) in enumerate(zip(doc["snapshots"], seq.snapshots)):
-            assert sorted(entry) == ["edge_ids", "end_s", "index", "start_s"]
+            assert list(entry) == ["edge_mask", "end_s", "index", "start_s"]
             assert entry["index"] == i
-            assert entry["edge_ids"] == sorted(set(entry["edge_ids"]))
+            mask = entry["edge_mask"]
+            assert re.fullmatch("[0-9a-f]*", mask) and len(mask) == 2 * math.ceil(len(table) / 8)
             assert {(table[k][0], SatId(*table[k][1:3]), SatId(*table[k][3:]))
-                    for k in entry["edge_ids"]} == \
+                    for k in mask_rows(mask, len(table))} == \
                 {(e.kind, e.endpoint_a, e.endpoint_b) for e in snap.edges.edges}
+            assert mask_rows(mask, 4 * len(mask)) == mask_rows(mask, len(table))  # padding
+
+    @pytest.mark.parametrize("rows", [0, 1, 7, 8, 9, 670])
+    def test_random_subsets_round_trip(self, rows, teledesic, tmp_path):
+        # a table of the given size, snapshots drawing random subsets of it,
+        # one of them empty, and every row in some snapshot
+        rng = np.random.default_rng(rows)
+        n, kinds = teledesic.total_satellites, ("oblique", "laser", "intra_plane")
+        sats = satellite_ids(teledesic.plane_count, teledesic.sats_per_plane)
+        universe = [IslEdge(sats[key // n % n], sats[key % n], kinds[key // (n * n)])
+                    for key in rng.choice(3 * n * n, rows, replace=False).tolist()]
+        picks = rng.random((5, rows)) < [[0.0], [0.5], [0.9], [0.1], [0.5]]
+        picks[-1] |= ~picks.any(0)
+        snaps = tuple(TopologySnapshot(100.0 * i, 100.0 * (i + 1), TopologyEdgeSet.from_edges(
+            teledesic, [e for e, pick in zip(universe, row) if pick]))
+            for i, row in enumerate(picks))
+        seq = SnapshotSequence("handmade", snaps, 500.0, 60.0)
+        path = tmp_path / "topo.json"
+        export_topology(seq, teledesic, path)
+        doc = json.loads(path.read_text())
+        assert len(doc["edges"]) == rows
+        assert doc["snapshots"][0]["edge_mask"] == "0" * 2 * math.ceil(rows / 8)
+        for entry, snap in zip(doc["snapshots"], snaps):
+            assert len(mask_rows(entry["edge_mask"], rows)) == len(snap.edges)
+        _, loaded = load_topology(path)
+        assert [(s.start_s, s.end_s, s.edges) for s in loaded.snapshots] == \
+            [(s.start_s, s.end_s, s.edges) for s in snaps]
 
     @pytest.mark.parametrize("system", ["iridium", "teledesic"])
     def test_table_rows_are_json_dumps(self, system, request, tmp_path):
@@ -436,9 +492,11 @@ def _swap_rows(doc):
     doc["edges"][0], doc["edges"][1] = doc["edges"][1], doc["edges"][0]
 
 
-def _swap_ids(doc):
-    ids = doc["snapshots"][1]["edge_ids"]
-    ids[0], ids[1] = ids[1], ids[0]
+def _mask(edit):
+    """An edit of snapshot 1's ``edge_mask`` text."""
+    def apply(doc):
+        doc["snapshots"][1]["edge_mask"] = edit(doc["snapshots"][1]["edge_mask"])
+    return apply
 
 
 # (case, edit, what the message names after the file)
@@ -454,10 +512,10 @@ MALFORMED_EITHER = [
     ("missing_snapshot_key", _put(("snapshots", 2, "start_s"), _DROP),
      "snapshot 2: missing key 'start_s'"),
     ("index_gap", _put(("snapshots", 2, "index"), 3), "snapshot 2: index 3"),
-    ("unknown_format", _put(("format",), "polarsnap-topology/3"), "format"),
+    ("unknown_format", _put(("format",), "polarsnap-topology/4"), "format"),
     ("bad_constellation", _put(("constellation", "planes"), 6), "constellation"),
 ]
-MALFORMED_V2 = [
+MALFORMED_V3 = [
     ("short_row", _put(("edges", 0), ["horizontal", 1, 2, 3]), "edges table"),
     ("kind_not_string", _put(("edges", 0, 0), 0), "edges table"),
     ("float_endpoint", _put(("edges", 0, 2), 2.5), "edges table"),
@@ -465,16 +523,16 @@ MALFORMED_V2 = [
     ("endpoint_outside", _put(("edges", 0, 3), 7), "edges table"),
     ("duplicate_rows", lambda doc: doc["edges"].insert(1, doc["edges"][0]), "edges table"),
     ("rows_out_of_order", _swap_rows, "edges table"),
-    ("ids_not_increasing", _swap_ids, "snapshot 1: "),
-    ("ids_repeated", lambda doc: doc["snapshots"][1]["edge_ids"].insert(1, doc["snapshots"][1]
-                                                                          ["edge_ids"][0]),
-     "snapshot 1: "),
-    ("id_past_table", lambda doc: doc["snapshots"][1]["edge_ids"].append(len(doc["edges"])),
-     "snapshot 1: "),
-    ("negative_id", _put(("snapshots", 1, "edge_ids", 0), -1), "snapshot 1: "),
-    ("float_id", _put(("snapshots", 1, "edge_ids", 0), 1.0), "snapshot 1: "),
-    ("boolean_id", _put(("snapshots", 1, "edge_ids", 0), True), "snapshot 1: "),
-    ("ids_not_a_list", _put(("snapshots", 1, "edge_ids"), {"0": 1}), "snapshot 1: "),
+    ("mask_too_short", _mask(lambda mask: mask[:-2]), "snapshot 1: edge_mask"),
+    ("mask_too_long", _mask(lambda mask: mask + "00"), "snapshot 1: edge_mask"),
+    ("mask_non_hex", _mask(lambda mask: "g" + mask[1:]), "snapshot 1: edge_mask"),
+    # bytes.fromhex skips the spaces, so only the decoded length shows them
+    ("mask_inner_space", _mask(lambda mask: mask[:2] + "  " + mask[4:]), "snapshot 1: edge_mask"),
+    # the 220-row table leaves the mask's last digit 4 padding bits
+    ("mask_padding_bit", _mask(lambda mask: mask[:-1] + "1"), "snapshot 1: edge_mask"),
+    ("mask_not_a_string", _put(("snapshots", 1, "edge_mask"), 0), "snapshot 1: edge_mask"),
+    ("mask_missing", _put(("snapshots", 1, "edge_mask"), _DROP),
+     "snapshot 1: missing key 'edge_mask'"),
     ("index_not_integer", _put(("snapshots", 0, "index"), 0.0), "snapshot 0: index"),
 ]
 
@@ -496,7 +554,7 @@ class TestMalformedTopology:
         assert str(info.value).startswith(f"{path}: "), info.value
         assert names in str(info.value), info.value
 
-    @pytest.mark.parametrize("write", [export_topology], ids=["v2"])
+    @pytest.mark.parametrize("write", [export_topology], ids=["v3"])
     @pytest.mark.parametrize("case, edit, names", MALFORMED_EITHER,
                              ids=[c[0] for c in MALFORMED_EITHER])
     def test_either_format(self, write, case, edit, names, iridium, tmp_path):
@@ -509,8 +567,18 @@ class TestMalformedTopology:
                 f"{path}: unrecognised topology format 'polarsnap-topology/1'")):
             load_topology(path)
 
-    @pytest.mark.parametrize("case, edit, names", MALFORMED_V2, ids=[c[0] for c in MALFORMED_V2])
-    def test_v2(self, case, edit, names, iridium, tmp_path):
+    def test_format_2_rejected(self, iridium, tmp_path):
+        path = tmp_path / "topo.json"
+        export_topology(partition(iridium, "reassignment", 60.0), iridium, path)
+        text = format_2_text(path.read_text())
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_V2_SHA256
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: unrecognised topology format 'polarsnap-topology/2'")):
+            load_topology(path)
+
+    @pytest.mark.parametrize("case, edit, names", MALFORMED_V3, ids=[c[0] for c in MALFORMED_V3])
+    def test_v3(self, case, edit, names, iridium, tmp_path):
         self.assert_rejected(export_topology, iridium, edit, names, tmp_path)
 
     @pytest.mark.parametrize("text", ["[]", "{", ""])
@@ -687,8 +755,7 @@ class TestCli:
          "6.027e+12 snapshots, outside (0, 10000]"),
         (b"[partition]\nequal_time_delta = 5e-324\n", "into inf snapshots"),
         (b"period_s = 6027\n[partition]\nequal_time_delta = 0.6\n", "into 10045 snapshots"),
-        (b"period_s = 5e-324\n",
-         "equal_time_delta: equal_time delta must be positive and finite, got 0.0 s"),
+        (b"period_s = 5e-324\n", "period (5e-324 s) in [0.001, 1e+12]"),
         (b"[experiment]\ninterval_s = 1e-6\n",
          "line 7: duration_s 86400.0 over interval_s 1e-06 makes 8.64e+10 sends, above the "
          "limit of 100000"),
@@ -704,6 +771,40 @@ class TestCli:
         assert main(["analyze", str(path)]) == 2
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1 and err.startswith("scenario error: ")
+
+    @pytest.mark.parametrize("planes, sats", [("2", "1001"), ("40", "51"), ("1e300", "3")])
+    def test_satellite_limit_before_any_work(self, planes, sats, tmp_path, capsys,
+                                             monkeypatch):
+        # rejected before the ConstellationSpec, let alone any array, is built
+        def refuse(**fields):
+            raise AssertionError("ConstellationSpec built")
+
+        monkeypatch.setattr(scenario, "ConstellationSpec", refuse)
+        path = tmp_path / "in.scenario"
+        path.write_text(f"[constellation]\nplanes = {planes}\nsats_per_plane = {sats}\n"
+                        "inclination_deg = 86.4\naltitude_km = 780\n")
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: line 3: planes x sats_per_plane = ")
+        assert f"satellites, above the limit of {MAX_SATELLITES}" in err
+
+    def test_satellite_limit_itself_accepted(self, tmp_path):
+        path = tmp_path / "in.scenario"
+        path.write_text(f"[constellation]\nplanes = 2\nsats_per_plane = {MAX_SATELLITES // 2}\n"
+                        "inclination_deg = 86.4\naltitude_km = 780\n")
+        assert load_scenario(path).constellation.total_satellites == MAX_SATELLITES
+
+    def test_huge_orbit_radius_reported_cleanly(self, tmp_path, capsys):
+        # with period_s given, nothing overflowed until positions were squared
+        path = tmp_path / "in.scenario"
+        path.write_text((SCENARIOS / "iridium.scenario").read_text()
+                        .replace("altitude_km = 780\n", "altitude_km = 1e300\n"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["route", str(path), "--duration", "600", "--output-dir", str(out)]) == 2
+        assert "must be positive and at most 1e+150" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_send_limit_from_flags(self):
         # checked on the overrides directly, before any send is made
@@ -810,6 +911,47 @@ class TestCli:
         assert "reassignment" in out
         assert "fixed" not in out
         assert not list(tmp_path.glob("*fixed*"))
+
+
+# One value of a shipped file replaced by hostile text: float extremes,
+# non-finite values, empty text, commas, non-ASCII text and NUL.
+HOSTILE_TEXT = ["1.7976931348623157e308", "-1.7976931348623157e308", "5e-324", "-5e-324",
+                "2.2250738585072014e-308", "1e300", "1e150", "1e-300", "0", "-0.0", "-1",
+                "nan", "-nan", "inf", "-inf", "", "1,2", ",", "x, 1e308, -1e308", "x, nan, 0",
+                "x, 90, 5e-324", "Z\u00fcrich", "\u6771\u4eac", "\0", "6\0"]
+IRIDIUM_TEXT = (SCENARIOS / "iridium.scenario").read_text()
+# [constellation] keys the iridium file leaves at their defaults; they are added
+ADDED_KEYS = ["earth_radius_km", "grazing_altitude_km"]
+IRIDIUM_KEYS = [line.split(" = ")[0] for line in IRIDIUM_TEXT.splitlines() if " = " in line]
+
+
+class TestHostileScenario:
+    @settings(max_examples=100, deadline=None)
+    @given(key=st.sampled_from(IRIDIUM_KEYS + ADDED_KEYS), text=st.sampled_from(HOSTILE_TEXT))
+    # values that once ended in a traceback or a numpy warning
+    @example(key="period_s", text="1.7976931348623157e308")
+    @example(key="period_s", text="2.2250738585072014e-308")
+    @example(key="altitude_km", text="1e300")
+    @example(key="sats_per_plane", text="1.7976931348623157e308")
+    def test_one_hostile_value(self, key, text):
+        # analyze and a short route end with a status, never a traceback or
+        # a numpy warning, which the filter turns into an exception
+        line = f"{key} = {text}\n"
+        if key in ADDED_KEYS:
+            edited = IRIDIUM_TEXT.replace("[constellation]\n", "[constellation]\n" + line, 1)
+        else:
+            edited = re.sub(rf"^{key} = .*\n", lambda _: line, IRIDIUM_TEXT, count=1, flags=re.M)
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = Path(tmp) / "in.scenario"
+            path.write_text(edited, encoding="utf-8")
+            for argv in (["analyze", str(path)],
+                         ["route", str(path), "--duration", "600", "--output-dir", tmp + "/out"]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    status = main(argv)
+                assert status in (0, 1, 2), (argv[0], status)
+                assert "Traceback" not in err.getvalue()
 
 
 def _tree_digest(root: Path) -> dict:

@@ -423,9 +423,14 @@ class TestPartitionEqualTime:
         assert seq.count == MAX_EQUAL_TIME_SNAPSHOTS and not seq.truncated_final
 
     def test_default_delta_underflow_rejected(self):
-        spec = ConstellationSpec(6, 11, 86.4, 780.0, period_s=5e-324)
-        with pytest.raises(ValueError, match="positive and finite, got 0.0 s"):
+        # a period for which T / (2M) underflows to 0 is rejected with the
+        # spec; the shortest accepted one over 2 * 10**306 rows leaves a
+        # subnormal delta, which the snapshot limit rejects
+        spec = ConstellationSpec(6, 10**306, 86.4, 780.0, period_s=1e-3)
+        with pytest.raises(ValueError, match="into 2e\\+306 snapshots"):
             partition(spec, METHOD_EQUAL_TIME, 60.0)
+        with pytest.raises(ValueError, match=re.escape("period (5e-324 s) in [0.001, 1e+12]")):
+            ConstellationSpec(6, 11, 86.4, 780.0, period_s=5e-324)
 
 
 class TestDispatch:
