@@ -18,15 +18,18 @@ and last planes. The generators draw edge sets from it as sorted ids:
 An edge set is its links and nothing else: one ``EdgeArrays`` of its
 constellation's shape, whether drawn from the universe, read from a
 topology export or built from ``IslEdge`` objects
-(``TopologyEdgeSet.from_edges``). The link rules take the polar border as
-a number and read the link limits from the ``ConstellationSpec``. The
-validator, the export and the router read an edge set's arrays
-(``TopologyEdgeSet.compiled``); ``IslEdge`` objects exist only at the API
-edge.
+(``TopologyEdgeSet.from_edges``); its arrays are read-only. The universe
+hands out one set per distinct id array, and what depends on the links
+alone is computed once per set (``TopologyEdgeSet.derived``). The link
+rules take the polar border as a number and read the link limits from the
+``ConstellationSpec``. The validator, the export and the router read an
+edge set's arrays (``TopologyEdgeSet.compiled``); ``IslEdge`` objects
+exist only at the API edge.
 """
 import functools
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,6 +78,10 @@ class EdgeArrays:
     a: np.ndarray
     b: np.ndarray
 
+    def __post_init__(self):
+        for x in (self.kind, self.a, self.b):
+            x.setflags(write=False)
+
     def of_kind(self, name: str) -> np.ndarray:
         """Boolean mask of the edges of one kind."""
         if name not in self.kinds:
@@ -116,6 +123,7 @@ class _Wiring:
     rings: np.ndarray  # ids of the ring edges
     chains: np.ndarray  # (2M, N-1) ids, by lower phase class
     horizontals: np.ndarray  # (2M, N/2-1) ids, by phase class
+    drawn: dict = field(default_factory=weakref.WeakValueDictionary)  # live sets, by ids
 
     def select(self, chains, horizontals) -> np.ndarray:
         """Sorted ids of the rings and the given classes' chains and horizontals."""
@@ -131,9 +139,12 @@ class _Wiring:
         return np.sort(perm[ids])
 
     def draw(self, ids: np.ndarray) -> "TopologyEdgeSet":
-        """The edge set of the given sorted ids."""
-        e = self.edges
-        return TopologyEdgeSet(EdgeArrays(e.shape, e.kinds, e.kind[ids], e.a[ids], e.b[ids]), ids)
+        """The edge set of the given sorted ids: one object per ids while it lives."""
+        if (topo := self.drawn.get(key := ids.tobytes())) is None:
+            e = self.edges
+            topo = self.drawn[key] = TopologyEdgeSet(
+                EdgeArrays(e.shape, e.kinds, e.kind[ids], e.a[ids], e.b[ids]), ids)
+        return topo
 
 
 @functools.lru_cache(maxsize=8)
@@ -184,6 +195,7 @@ class TopologyEdgeSet:
 
     def __init__(self, arrays: EdgeArrays, ids: np.ndarray | None = None):
         self._arrays, self._ids = arrays, ids
+        self._derived: dict = {}
 
     @classmethod
     def from_edges(cls, spec: ConstellationSpec, edges) -> "TopologyEdgeSet":
@@ -225,8 +237,20 @@ class TopologyEdgeSet:
                              f"constellation used with a {shape[0]}x{shape[1]} one")
         return self._arrays
 
+    def derived(self, spec: ConstellationSpec, build):
+        """``build(self.compiled(spec))``, built once and kept on the set, so
+        ``build`` must read nothing but the arrays; raises as ``compiled``."""
+        arrays = self.compiled(spec)
+        if build not in self._derived:
+            self._derived[build] = build(arrays)
+        return self._derived[build]
+
+    @functools.cached_property
+    def _counts(self) -> dict[str, int]:
+        return dict(zip(self._arrays.kinds, np.bincount(self._arrays.kind).tolist()))
+
     def count(self, kind: str) -> int:
-        return int(self._arrays.of_kind(kind).sum())
+        return self._counts.get(kind, 0)
 
     @property
     def n_inter_plane(self) -> int:
@@ -351,6 +375,36 @@ def reassign_topology(
     return wiring.draw(wiring.select(chains, horizontals))
 
 
+def _set_rules(arr: EdgeArrays) -> tuple:
+    """What the link rules read of a set alone: structure flags, inter-plane and
+    horizontal masks (None if empty), plane spans, (satellite, degree) past 2."""
+    m, a, b = arr.shape[1], arr.a, arr.b
+    intra, oblique, horizontal = (arr.of_kind(k) for k in (INTRA_PLANE, OBLIQUE, HORIZONTAL))
+    dplane, dslot = np.abs(a // m - b // m), np.abs(a % m - b % m)
+    structure = ((intra & ((dplane != 0) | ((dslot != 1) & (dslot != m - 1))))
+                 | (oblique & (dplane != 1)) | (horizontal & (dplane != 2))
+                 | ~(intra | oblique | horizontal))
+    inter = ~intra
+    degree = np.bincount(np.concatenate([a[inter], b[inter]]), minlength=arr.shape[0] * m)
+    for x in (structure, inter, horizontal, dplane):
+        x.setflags(write=False)
+    return (structure, inter, horizontal if horizontal.any() else None, dplane,
+            [(s, degree[s]) for s in np.flatnonzero(degree > 2).tolist()])
+
+
+@functools.lru_cache(maxsize=8)
+def _spec_limits(spec: ConstellationSpec) -> tuple[np.ndarray, float, float, float, float]:
+    """Each satellite's phase at t=0, the period, the visibility limit, the
+    survival latitude and sin(inclination) of a spec."""
+    index, m = np.arange(spec.total_satellites), spec.sats_per_plane
+    phase = (index // m) * spec.phase_offset_deg + (index % m) * spec.intra_plane_spacing_deg
+    phase.setflags(write=False)
+    max_angle = max_link_angle_deg(spec)
+    return (phase, orbit_period(spec), max_angle,
+            horizontal_survival_latitude_deg(spec, max_angle),
+            math.sin(math.radians(spec.inclination_deg)))
+
+
 def validate_topology(
     spec: ConstellationSpec,
     polar_border_deg: float,
@@ -369,14 +423,14 @@ def validate_topology(
     (``horizontal_survival_latitude_deg``) come from ``spec``.
 
     ``positions`` are those at t (``all_positions_km``), computed when
-    omitted. Each rule is one array expression over the set's integer
-    arrays (``TopologyEdgeSet.compiled``), evaluated once, latitudes and
-    the survival latitude only for a set with horizontal edges; a set on
-    which none fires returns at once. Otherwise violations are built only
-    for flagged edges and satellites, edge by edge in canonical order, each
-    edge's in the order structure, visibility, polar (endpoint a, then b),
-    same row, survival latitude (a, then b); then one per over-degree
-    satellite, in index order.
+    omitted. The set's own rules (kind masks, structure, degrees) are kept
+    on the set and the spec's constants cached per spec; each call
+    evaluates the time-dependent rules over the set's arrays, latitudes
+    only for a set with horizontal edges, and returns at once when none
+    fires. Otherwise violations are built only for flagged edges and
+    satellites, edge by edge in canonical order, each edge's in the order
+    structure, visibility, polar (endpoint a, then b), same row, survival
+    latitude (a, then b); then one per over-degree satellite, in index order.
 
     Raises:
         ValueError: If the border is not in (0, 90), or the set belongs
@@ -384,82 +438,50 @@ def validate_topology(
     """
     check_polar_border(polar_border_deg)
     arr = topo.compiled(spec)
-    max_angle = max_link_angle_deg(spec)
-    m = spec.sats_per_plane
+    structure, inter, horizontal, dplane, over = topo.derived(spec, _set_rules)
+    phase0, period, max_angle, min_lat, sin_inc = _spec_limits(spec)
     a, b = arr.a, arr.b
-    intra, oblique, horizontal = (arr.of_kind(k) for k in (INTRA_PLANE, OBLIQUE, HORIZONTAL))
-    inter = ~intra
-
     if positions is None:
         positions = all_positions_km(spec, t)
-    pa, pb = positions[a], positions[b]
-    cos = (pa * pb).sum(1) / (np.sqrt((pa * pa).sum(1)) * np.sqrt((pb * pb).sum(1)))
+    norm = np.sqrt((positions * positions).sum(1))
+    cos = (positions[a] * positions[b]).sum(1) / (norm[a] * norm[b])
     angle = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
-
-    # Phase (argument of latitude) of every satellite.
-    index = np.arange(spec.total_satellites)
-    u = ((index // m) * spec.phase_offset_deg + (index % m) * spec.intra_plane_spacing_deg
-         + 360.0 * t / orbit_period(spec)) % 360.0
+    u = (phase0 + 360.0 * t / period) % 360.0  # phase (argument of latitude)
     polar = in_polar_band(u, polar_border_deg)
-
-    dplane = np.abs(a // m - b // m)
-    dslot = np.abs(a % m - b % m)
-    rules = [
-        (intra & ((dplane != 0) | ((dslot != 1) & (dslot != m - 1))))
-        | (oblique & (dplane != 1)) | (horizontal & (dplane != 2))
-        | ~(intra | oblique | horizontal),
-        ~(angle <= max_angle + 1e-9),  # a NaN angle fails too
-        inter & polar[a],
-        inter & polar[b],
-        horizontal & (np.abs(((u[a] - u[b]) + 180.0) % 360.0 - 180.0) > 1e-6),
-    ]
-    if horizontal.any():
+    flags = [structure, ~(angle <= max_angle + 1e-9),  # a NaN angle fails too
+             inter & polar[a], inter & polar[b]]
+    if horizontal is not None:
         # True latitude, asin(sin i * sin u), of every satellite.
-        lat = np.degrees(np.arcsin(np.clip(
-            math.sin(math.radians(spec.inclination_deg)) * np.sin(np.radians(u)), -1.0, 1.0)))
-        min_lat = horizontal_survival_latitude_deg(spec, max_angle)
+        lat = np.degrees(np.arcsin(np.clip(sin_inc * np.sin(np.radians(u)), -1.0, 1.0)))
         below = np.abs(lat) < min_lat - 1e-9
-        rules += [horizontal & below[a], horizontal & below[b]]
-    flags = np.stack(rules, axis=1)
-    degree = np.bincount(np.concatenate([a[inter], b[inter]]),
-                         minlength=spec.total_satellites)
-    over = np.flatnonzero(degree > 2).tolist()
-    if not over and not flags.any():
+        flags += [horizontal & (np.abs(((u[a] - u[b]) + 180.0) % 360.0 - 180.0) > 1e-6),
+                  horizontal & below[a], horizontal & below[b]]
+    if not over and not any(f.any() for f in flags):
         return []
 
     violations = []
-    ids = satellite_ids(spec.plane_count, m)
-    for i, rule in zip(*(x.tolist() for x in np.nonzero(flags))):
+    ids = satellite_ids(spec.plane_count, spec.sats_per_plane)
+    for i, rule in zip(*(x.tolist() for x in np.nonzero(np.stack(flags, axis=1)))):
         ends = (int(a[i]), int(b[i]))
         sats = (ids[ends[0]], ids[ends[1]])
         kind = arr.kinds[arr.kind[i]]
-        edge = IslEdge(*sats, kind)
-        if rule == 0:
-            if kind == INTRA_PLANE:
-                detail = "intra-plane edge must join ring neighbours"
-            elif kind in (OBLIQUE, HORIZONTAL):
-                detail = f"{kind} edge spans {dplane[i]} planes (seam crossing or bad kind)"
-            else:
-                detail = f"unknown kind {kind!r}"
-            violations.append(TopologyViolation("structure", edge, detail))
+        if rule == 0 and kind == INTRA_PLANE:
+            name, detail = "structure", "intra-plane edge must join ring neighbours"
+        elif rule == 0 and kind in (OBLIQUE, HORIZONTAL):
+            name, detail = "structure", (f"{kind} edge spans {dplane[i]} planes "
+                                         "(seam crossing or bad kind)")
+        elif rule == 0:
+            name, detail = "structure", f"unknown kind {kind!r}"
         elif rule == 1:
-            violations.append(TopologyViolation(
-                "visibility", edge,
-                f"geocentric angle {angle[i]:.3f} exceeds {max_angle:.3f}"))
+            name, detail = "visibility", f"geocentric angle {angle[i]:.3f} exceeds {max_angle:.3f}"
         elif rule in (2, 3):
-            violations.append(TopologyViolation(
-                "polar", edge, f"{sats[rule - 2]} is inside a polar cap"))
+            name, detail = "polar", f"{sats[rule - 2]} is inside a polar cap"
         elif rule == 4:
-            violations.append(TopologyViolation(
-                "structure", edge, "horizontal endpoints are not in the same row"))
+            name, detail = "structure", "horizontal endpoints are not in the same row"
         else:
-            violations.append(TopologyViolation(
-                "horizontal_range", edge,
-                f"{sats[rule - 5]} at latitude {lat[ends[rule - 5]]:.3f} below survival "
-                f"latitude {min_lat:.3f}"))
-
-    for s in over:
-        violations.append(TopologyViolation(
-            "degree", None,
-            f"{ids[s]} carries {degree[s]} inter-plane edges (max 2)"))
-    return violations
+            name, detail = "horizontal_range", (f"{sats[rule - 5]} at latitude "
+                                                f"{lat[ends[rule - 5]]:.3f} below survival "
+                                                f"latitude {min_lat:.3f}")
+        violations.append(TopologyViolation(name, IslEdge(*sats, kind), detail))
+    return violations + [TopologyViolation("degree", None, f"{ids[s]} carries {degree} "
+                                           "inter-plane edges (max 2)") for s, degree in over]

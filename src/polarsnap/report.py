@@ -29,6 +29,7 @@ from .snapshots import (
 )
 
 _EXPORT_FORMAT = "polarsnap-topology/3"
+_VALIDATION_ROWS = 1 << 16  # most satellite rows per position call in _check_sequence
 _HEAD_KEYS = ("constellation", "method", "polar_border_deg", "trigger", "period_s",
               "truncated_final", "snapshots", "edges")
 
@@ -155,7 +156,7 @@ def load_topology(path: Path) -> tuple[ConstellationSpec, SnapshotSequence]:
 
     Only format 3 is read. Its edge table is parsed once into edge arrays,
     the snapshots' masks are unpacked into one (snapshots x rows) table, and
-    each snapshot's set gathers its rows from the edge arrays.
+    each distinct mask's set gathers its rows from the edge arrays once.
 
     Raises:
         ValueError: If the file is not a well-formed topology export. The
@@ -225,10 +226,11 @@ def _parse_topology(doc) -> tuple[ConstellationSpec, SnapshotSequence]:
                          if start > end else f"snapshot {i}: starts at {start!r}, before "
                          f"snapshot {i - 1} ends at {times[i - 1, 1].item()!r}")
 
-    snapshots = tuple(
-        TopologySnapshot(start, end, TopologyEdgeSet(EdgeArrays(
-            table.shape, table.kinds, table.kind[row], table.a[row], table.b[row])))
-        for (start, end), row in zip(times.tolist(), member))
+    sets = {mask: TopologyEdgeSet(EdgeArrays(table.shape, table.kinds, table.kind[row],
+                                             table.a[row], table.b[row]))
+            for mask, row in dict(zip(masks, member)).items()}  # one per distinct mask
+    snapshots = tuple(TopologySnapshot(start, end, sets[mask])
+                      for (start, end), mask in zip(times.tolist(), masks))
     seq = SnapshotSequence(doc["method"], snapshots, period, doc["polar_border_deg"],
                            trigger=doc["trigger"], truncated_final=doc["truncated_final"])
     return spec, seq
@@ -270,8 +272,8 @@ def _edge_table(shape: tuple[int, int], table) -> EdgeArrays:
 def _check_sequence(
     spec: ConstellationSpec, seq: SnapshotSequence, failures: list[str],
 ) -> None:
-    """Internal oracles: tiling and per-snapshot link validity, with the
-    positions of every snapshot's validation instant evaluated in one call."""
+    """Internal oracles: tiling and per-snapshot link validity, positions
+    evaluated in blocks of at most ``_VALIDATION_ROWS`` satellite rows."""
     period = orbit_period(spec)
     total = sum(s.duration_s for s in seq.snapshots)
     name = f"{spec.name} {seq.method} {seq.polar_border_deg}"
@@ -281,9 +283,12 @@ def _check_sequence(
         if abs(seq.snapshots[i].end_s - seq.snapshots[i + 1].start_s) > 1e-9:
             failures.append(f"{name}: snapshots {i} and {i + 1} are not contiguous")
     times = [snap.start_s + 1e-3 for snap in seq.snapshots]
-    positions = all_positions_km(spec, np.array(times))
+    block = max(1, _VALIDATION_ROWS // spec.total_satellites)
     for i, (snap, t) in enumerate(zip(seq.snapshots, times)):
-        violations = validate_topology(spec, seq.polar_border_deg, snap.edges, t, positions[i])
+        if i % block == 0:
+            positions = all_positions_km(spec, np.array(times[i:i + block]))
+        violations = validate_topology(spec, seq.polar_border_deg, snap.edges, t,
+                                       positions[i % block])
         if violations:
             first = violations[0]
             failures.append(f"{name} snapshot {i}: {len(violations)} violations, "

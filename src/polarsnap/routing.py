@@ -3,13 +3,13 @@
 Routing runs on a snapshot's frozen edge set with edge weights equal to
 the straight-line propagation delay between the endpoint positions at the
 packet send time, so latency variation inside a snapshot is captured.
-On its first route a snapshot gets a CSR neighbour table built from its
-edge set's integer arrays, gathered from the constellation's edge
-universe. Each route is an A* search over that table: the heap is ordered
-by the delay so far plus the straight-line delay to the destination, a
-lower bound on the rest of any path, and an edge's delay is computed only
-when the search relaxes it. Delays and paths are bitwise those of Dijkstra
-over every edge weight.
+On its first route an edge set gets a CSR neighbour table built from its
+integer arrays and kept on the set, so every snapshot and sequence that
+shares the set shares the table. Each route is an A* search over that
+table: the heap is ordered by the delay so far plus the straight-line
+delay to the destination, a lower bound on the rest of any path, and an
+edge's delay is computed only when the search relaxes it. Delays and
+paths are bitwise those of Dijkstra over every edge weight.
 End-to-end totals include both up/down links; queueing and processing are
 out of scope.
 
@@ -44,7 +44,7 @@ from .geometry import (
     satellite_ids,
     validate_sat_id,
 )
-from .links import TopologyEdgeSet
+from .links import EdgeArrays, TopologyEdgeSet
 from .snapshots import SnapshotSequence, TopologySnapshot, partition
 
 # Sends whose satellite positions the delay experiment evaluates in one
@@ -88,7 +88,7 @@ class Attachment(NamedTuple):
 
 @dataclass(frozen=True)
 class _RoutingGraph:
-    """A snapshot's edges as a CSR table, nodes in ``sat_to_index`` order.
+    """An edge set as a CSR table, nodes in ``sat_to_index`` order.
 
     Node u's neighbours are ``neighbour[indptr[u]:indptr[u + 1]]``. Edge
     delays depend on the send time, so the table holds none; the search
@@ -99,19 +99,14 @@ class _RoutingGraph:
     neighbour: list[int]
 
 
-def _routing_graph(snapshot: TopologySnapshot, spec: ConstellationSpec) -> _RoutingGraph:
-    """The snapshot's compiled graph, built on first use and cached on it."""
-    if snapshot.routing_graph is not None:
-        return snapshot.routing_graph
-    arrays = snapshot.edges.compiled(spec)
+def _routing_graph(arrays: EdgeArrays) -> _RoutingGraph:
+    """The set's neighbour table, built once per set (``TopologyEdgeSet.derived``)."""
+    n = arrays.shape[0] * arrays.shape[1]
     ends = np.concatenate([arrays.a, arrays.b])
-    order = np.argsort(ends, kind="stable")
-    indptr = np.zeros(spec.total_satellites + 1, dtype=np.int32)
-    np.cumsum(np.bincount(ends, minlength=spec.total_satellites), out=indptr[1:])
-    neighbour = np.concatenate([arrays.b, arrays.a])[order]
-    graph = _RoutingGraph(indptr.tolist(), neighbour.tolist())
-    object.__setattr__(snapshot, "routing_graph", graph)
-    return graph
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+    neighbour = np.concatenate([arrays.b, arrays.a])[np.argsort(ends, kind="stable")]
+    return _RoutingGraph(indptr.tolist(), neighbour.tolist())
 
 
 @dataclass(frozen=True)
@@ -198,8 +193,8 @@ def shortest_delay(
     must fall inside the snapshot interval. ``positions`` may be those of
     any time congruent to t modulo the orbit period, since positions
     repeat every period; when omitted they are computed at t. The
-    snapshot's neighbour table is built from its edge set's compiled
-    arrays on the first call and cached on the snapshot.
+    neighbour table is built from the edge set's compiled arrays on the
+    first route over the set and cached on its edge set.
 
     The search is A*: the heap is ordered by the delay from src plus the
     straight-line delay to dst, shrunk by 1e-9 of itself. That bound is
@@ -230,7 +225,7 @@ def shortest_delay(
     if src_i == dst_i:
         return PathResult(True, 0.0, (src,))
 
-    graph = _routing_graph(snapshot, spec)
+    graph = snapshot.edges.derived(spec, _routing_graph)
     indptr, neighbour = graph.indptr, graph.neighbour
     pos = positions.tolist()
     tx, ty, tz = pos[dst_i]

@@ -25,7 +25,7 @@ The tests check the crossing times against a sampled root-solver and each
 reassignment snapshot against one built from its own event's row state.
 """
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,9 +75,6 @@ class TopologySnapshot:
     start_s: float
     end_s: float
     edges: TopologyEdgeSet
-    # The neighbour table ``routing`` builds on the first route over this
-    # snapshot; a cache, so it takes no part in equality or repr.
-    routing_graph: object = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def duration_s(self) -> float:

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 import random
 import re
@@ -18,6 +19,7 @@ from polarsnap.geometry import (
     orbit_period,
     sat_to_index,
 )
+from polarsnap import report
 from polarsnap.links import (
     HORIZONTAL,
     INTRA_PLANE,
@@ -25,6 +27,7 @@ from polarsnap.links import (
     IslEdge,
     TopologyEdgeSet,
     TopologyViolation,
+    _set_rules,
     _wiring,
     active_couples,
     fixed_topology,
@@ -444,6 +447,44 @@ class TestReferenceValidator:
         empty = TopologyEdgeSet.from_edges(spec, ())
         assert validate_topology(spec, border, empty, 0.0) == []
 
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_sweep(self, n):
+        # every method's sets at borders from 30 to 85 degrees, just past
+        # their interval and a third of a period on; drawn sets are shared
+        # across snapshots and methods, so most are validated many times
+        rules = collections.Counter()
+        for m in (3, 5, 11):
+            spec = ConstellationSpec(n, m, 86.0, 1000.0)
+            period = orbit_period(spec)
+            for border in (30.0, 60.0, 85.0):
+                for method in ("reassignment", "fixed", "equal_time"):
+                    for snap in partition(spec, method, border).snapshots:
+                        for t in (snap.end_s + 1e-3, snap.start_s + period / 3.0):
+                            got = validate_topology(spec, border, snap.edges, t)
+                            assert got == reference_validate_topology(spec, border,
+                                                                      snap.edges, t)
+                            rules.update(v.rule for v in got)
+        assert {"polar", "visibility"} <= set(rules)
+
+    def test_one_set_under_two_specs(self, iridium):
+        # the same drawn set under specs of one shape: the set's own rules
+        # are shared, the limits are each spec's own
+        lower = dataclasses.replace(iridium, altitude_km=500.0)
+        tilted = dataclasses.replace(iridium, inclination_deg=45.0)
+        seq = partition(iridium, "reassignment", 60.0)
+        topo = seq.snapshots[0].edges
+        assert partition(lower, "reassignment", 60.0).snapshots[0].edges is topo
+        for t in (seq.snapshots[0].start_s + 1e-3, seq.snapshots[0].start_s + seq.period_s / 4):
+            got = {}
+            for spec in (iridium, lower, tilted, iridium):
+                got[spec] = validate_topology(spec, 60.0, topo, t)
+                assert got[spec] == reference_validate_topology(spec, 60.0, topo, t)
+            assert len({repr(v) for v in got.values()}) == 3
+            assert {v.rule for v in got[lower]} - {v.rule for v in got[iridium]} \
+                == {"visibility", "horizontal_range"}
+            assert {v.rule for v in got[tilted]} - {v.rule for v in got[iridium]} \
+                == {"visibility", "horizontal_range"}
+
 
 def sweep_case(rule, spec, border):
     """(edge set, instant) pairs of one sweep constellation at one border on
@@ -490,6 +531,33 @@ class TestValidatorPositions:
             fired.update(v.rule for v in got)
         assert fired[rule] > 0
 
+    def test_sequence_positions_in_bounded_blocks(self, monkeypatch):
+        # 600 snapshots of 600 satellites: the sequence check evaluates
+        # positions in several calls, each within the row bound, and lists
+        # what one call over all instants gives
+        spec = ConstellationSpec(2, 300, 86.0, 1000.0, name="wide")
+        seq = partition(spec, "reassignment", 60.0)
+        rows = []
+
+        def recording(spec, t):
+            rows.append(np.size(t) * spec.total_satellites)
+            return all_positions_km(spec, t)
+
+        monkeypatch.setattr(report, "all_positions_km", recording)
+        failures = []
+        report._check_sequence(spec, seq, failures)
+        assert len(rows) > 1 and max(rows) <= report._VALIDATION_ROWS
+        assert sum(rows) == len(seq.snapshots) * spec.total_satellites
+        times = [snap.start_s + 1e-3 for snap in seq.snapshots]
+        want = []
+        for i, (snap, t, row) in enumerate(zip(seq.snapshots, times,
+                                               all_positions_km(spec, np.array(times)))):
+            got = validate_topology(spec, 60.0, snap.edges, t, row)
+            if got:
+                want.append(f"wide reassignment 60.0 snapshot {i}: {len(got)} violations, "
+                            f"first: {got[0].rule} {got[0].detail}")
+        assert failures == want and len(want) == len(seq.snapshots)
+
 
 class TestCompiledEdges:
     def test_canonical_order_and_cache(self, iridium):
@@ -505,6 +573,28 @@ class TestCompiledEdges:
                            sat_to_index(iridium, e.endpoint_b)) for e in want]
         assert arrays.of_kind(HORIZONTAL).sum() == topo.count(HORIZONTAL) == 4
         assert not arrays.of_kind("laser").any()
+
+    def test_shared_arrays_are_read_only(self, iridium, tmp_path):
+        # drawn sets are shared by snapshots, sequences and partitions
+        seq = partition(iridium, "reassignment", 75.0)
+        snap = seq.snapshots[0]
+        arrays = snap.edges.compiled(iridium)
+        with pytest.raises(ValueError):
+            snap.edges.compiled(iridium).a[0] = 1
+        validate_topology(iridium, 75.0, snap.edges, snap.start_s)
+        structure, inter, horizontal, dplane, _ = snap.edges.derived(iridium, _set_rules)
+        export_topology(seq, iridium, tmp_path / "topology.json")
+        _, loaded = load_topology(tmp_path / "topology.json")
+        built = TopologyEdgeSet.from_edges(iridium, snap.edges.edges)
+        for x in (arrays.kind, arrays.b, structure, inter, horizontal, dplane,
+                  loaded.snapshots[0].edges.compiled(iridium).a, built.compiled(iridium).b):
+            with pytest.raises(ValueError):
+                x[0] = x[1]
+        assert built == snap.edges == loaded.snapshots[0].edges
+        # the loader, too, builds one object per distinct set
+        objects = {id(s.edges): s.edges for s in loaded.snapshots}
+        drawn = {id(s.edges) for s in seq.snapshots}
+        assert len(objects) == len(set(objects.values())) == len(drawn) < len(seq.snapshots)
 
     def test_another_shape_rejected(self, iridium):
         # a set's arrays index its own shape's satellites

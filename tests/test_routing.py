@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import heapq
 import itertools
 import math
@@ -424,18 +426,42 @@ class TestReferenceRouter:
         assert not res.reachable
         assert res.path == ()
 
-    def test_compiled_graph_is_cached_outside_equality(self, iridium):
-        snap = partition_reassignment(iridium, 60.0).snapshots[0]
-        twin = partition_reassignment(iridium, 60.0).snapshots[0]
-        t = snap.start_s + 1.0
-        shortest_delay(snap, t, SatId(1, 1), SatId(4, 6), iridium)
-        graph = snap.routing_graph
-        assert graph is not None
-        shortest_delay(snap, t, SatId(2, 2), SatId(5, 5), iridium)
-        assert snap.routing_graph is graph
-        assert twin.routing_graph is None
-        assert snap == twin and hash(snap) == hash(twin)
-        assert repr(snap) == repr(twin)
+    def test_compiled_graph_is_cached_outside_equality(self, iridium, monkeypatch):
+        # the neighbour table is kept on the edge set, built once per
+        # distinct set; twin partitions draw the same set objects and share
+        # it, and snapshots still compare, hash and print by value
+        built = collections.Counter()
+        build = routing._routing_graph
+
+        def counted(arrays):
+            built[id(arrays)] += 1
+            return build(arrays)
+
+        monkeypatch.setattr(routing, "_routing_graph", counted)
+        seq = partition_reassignment(iridium, 60.0)
+        twin = partition_reassignment(iridium, 60.0)
+        for snap in seq.snapshots + twin.snapshots:
+            t = snap.start_s + 1.0
+            for src, dst in ((SatId(1, 1), SatId(4, 6)), (SatId(2, 2), SatId(5, 5))):
+                got = shortest_delay(snap, t, src, dst, iridium)
+                assert got == dijkstra_shortest_delay(snap, t, src, dst, iridium)
+        assert all(a.edges is b.edges for a, b in zip(seq.snapshots, twin.snapshots))
+        distinct = {id(s.edges.compiled(iridium)) for s in seq.snapshots}
+        assert len(distinct) < len(seq.snapshots)
+        assert built == dict.fromkeys(distinct, 1)
+        snap = seq.snapshots[0]
+        graph = snap.edges.derived(iridium, counted)
+        assert twin.snapshots[0].edges.derived(iridium, counted) is graph
+        assert [f.name for f in dataclasses.fields(TopologySnapshot)] == [
+            "start_s", "end_s", "edges"]
+        # a set with the same links built from objects is another object
+        rebuilt = TopologySnapshot(snap.start_s, snap.end_s,
+                                   TopologyEdgeSet.from_edges(iridium, snap.edges.edges))
+        for other in (twin.snapshots[0], rebuilt):
+            assert snap == other and hash(snap) == hash(other)
+            assert repr(snap) == repr(other)
+        assert rebuilt.edges.derived(iridium, counted) is not graph
+        assert rebuilt.edges.derived(iridium, counted) == graph
 
 
 class TestDijkstraParity:

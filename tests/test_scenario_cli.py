@@ -985,6 +985,19 @@ class TestEdgeObjects:
         links.IslEdge(SatId(1, 1), SatId(1, 2), "intra_plane")
         assert len(built) == 1
 
+    @pytest.mark.parametrize("name,snapshots,distinct", [
+        ("teledesic", 576, 108), ("iridium", 352, 88)])
+    def test_compare_draws_one_object_per_distinct_set(self, name, snapshots, distinct):
+        # the partitions of a compare reuse a few link patterns; each is one
+        # object, so what is computed once per set is computed once per pattern
+        config = load_scenario(SCENARIOS / f"{name}.scenario")
+        sets = [snap.edges for border in config.polar_borders_deg for method in config.methods
+                for snap in partition(config.constellation, method, border,
+                                      trigger=config.trigger,
+                                      equal_time_delta_s=config.equal_time_delta_s).snapshots]
+        assert len(sets) == snapshots
+        assert len({id(topo) for topo in sets}) == len(set(sets)) == distinct
+
 
 class TestDeterminism:
     def test_compare_twice_is_byte_identical(self, tmp_path):
