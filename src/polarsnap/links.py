@@ -124,6 +124,7 @@ class _Wiring:
     chains: np.ndarray  # (2M, N-1) ids, by lower phase class
     horizontals: np.ndarray  # (2M, N/2-1) ids, by phase class
     drawn: dict = field(default_factory=weakref.WeakValueDictionary)  # live sets, by ids
+    rows: dict = field(default_factory=dict)  # routing neighbour rows, interned
 
     def select(self, chains, horizontals) -> np.ndarray:
         """Sorted ids of the rings and the given classes' chains and horizontals."""

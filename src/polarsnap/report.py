@@ -30,6 +30,7 @@ from .snapshots import (
 
 _EXPORT_FORMAT = "polarsnap-topology/3"
 _VALIDATION_ROWS = 1 << 16  # most satellite rows per position call in _check_sequence
+_ROUTING_EDGES = 1 << 20  # most snapshot edges run_compare keeps waiting for a routing pass
 _HEAD_KEYS = ("constellation", "method", "polar_border_deg", "trigger", "period_s",
               "truncated_final", "snapshots", "edges")
 
@@ -125,26 +126,32 @@ def export_topology(
         "snapshots": [],
     }, indent=1, sort_keys=True)
 
-    # The table is the sorted distinct (kind, a, b) keys of all snapshots;
-    # member[i, r] marks row r in snapshot i.
+    # The table is the sorted distinct (kind, a, b) keys, merged set by set so
+    # no array spans every snapshot's edges; each distinct set's mask is built once.
     n, m = spec.total_satellites, spec.sats_per_plane
-    arrays = [snap.edges.compiled(spec) for snap in seq.snapshots]
-    kinds = sorted(set().union(*(arr.kinds for arr in arrays)))
-    keys = np.concatenate([(np.array([kinds.index(k) for k in arr.kinds], dtype=np.int64)
-                            [arr.kind] * n + arr.a) * n + arr.b for arr in arrays])
-    unique = np.sort(keys)
-    unique = unique[np.diff(unique, prepend=-1) != 0]
-    inverse = np.searchsorted(unique, keys)
+    sets = {id(snap.edges): snap.edges.compiled(spec) for snap in seq.snapshots}
+    kinds = sorted(set().union(*(arr.kinds for arr in sets.values())))
+
+    def keys(arr: EdgeArrays) -> np.ndarray:
+        code = np.array([kinds.index(k) for k in arr.kinds], dtype=np.int64)
+        return (code[arr.kind] * n + arr.a) * n + arr.b
+
+    unique = np.empty(0, dtype=np.int64)
+    for arr in sets.values():
+        unique = np.sort(np.concatenate([unique, keys(arr)]))
+        unique = unique[np.diff(unique, prepend=-1) != 0]
     names = [json.dumps(kind) for kind in kinds]
     table = [f"[{names[k]}, {a // m + 1}, {a % m + 1}, {b // m + 1}, {b % m + 1}]"
              for k, a, b in zip(*(x.tolist() for x in (unique // (n * n), unique // n % n,
                                                        unique % n)))]
-    member = np.zeros((len(arrays), len(unique)), dtype=bool)
-    member[np.repeat(np.arange(len(arrays)), [len(arr.a) for arr in arrays]), inverse] = True
-    masks = np.packbits(member, axis=1)
-    snapshots = [json.dumps({"edge_mask": mask.tobytes().hex(), "end_s": snap.end_s,
+    masks = {}
+    for key, arr in sets.items():
+        member = np.zeros(len(unique), dtype=bool)
+        member[np.searchsorted(unique, keys(arr))] = True
+        masks[key] = np.packbits(member).tobytes().hex()
+    snapshots = [json.dumps({"edge_mask": masks[id(snap.edges)], "end_s": snap.end_s,
                              "index": i, "start_s": snap.start_s})
-                 for i, (snap, mask) in enumerate(zip(seq.snapshots, masks))]
+                 for i, snap in enumerate(seq.snapshots)]
     for key, lines in (("edges", table), ("snapshots", snapshots)):
         body = "[\n" + ",\n".join(f"  {line}" for line in lines) + "\n ]" if lines else "[]"
         head = head.replace(f'\n "{key}": []', f'\n "{key}": {body}', 1)
@@ -305,7 +312,8 @@ def run_compare(config: ScenarioConfig) -> ComparisonReport:
     snapshot CSVs plus topology exports under the configured output
     directory. A summary table and a comparison CSV are written at the end.
     All delay experiments share one ``SendGrid``: the stations attach once
-    per send, and each distinct (edge set, send) pair is routed once.
+    per send, and each distinct (edge set, send) pair is routed once. The
+    sequences wait for one routing pass until their edges exceed ``_ROUTING_EDGES``.
 
     Raises:
         ScenarioError: If the output directory cannot be created, for
@@ -324,14 +332,10 @@ def run_compare(config: ScenarioConfig) -> ComparisonReport:
     if config.source is not None and config.destination is not None:
         grid = SendGrid(spec, config.source, config.destination,
                         config.duration_s, config.interval_s)
-    for border in config.polar_borders_deg:
-        analytic = analytic_summary(spec, border)
-        for method in config.methods:
-            seq = partition(spec, method, border, trigger=config.trigger,
-                            equal_time_delta_s=config.equal_time_delta_s)
-            _check_sequence(spec, seq, failures)
-            util = utilization(seq, spec)
+    waiting, held = [], 0  # sequences still to route, and their snapshots' edges
 
+    def finish() -> None:
+        for method, border, seq, analytic in waiting:
             series = None
             if grid is not None:
                 series = delay_experiment(spec, method, border, config.source,
@@ -339,19 +343,34 @@ def run_compare(config: ScenarioConfig) -> ComparisonReport:
                                           config.interval_s, trigger=config.trigger,
                                           sequence=seq, grid=grid)
                 write_delay_csv(series, outdir / _name(spec, method, border, "delay.csv"))
-
-            write_snapshot_csv(seq, outdir / _name(spec, method, border, "snapshots.csv"))
-            export_topology(seq, spec, outdir / _name(spec, method, border, "topology.json"))
-
             durations = [s.duration_s for s in seq.snapshots]
             inters = [s.n_inter_plane for s in seq.snapshots]
             rows.append(ComparisonRow(
                 method=method, polar_border_deg=border, snapshot_count=seq.count,
                 duration_min_s=min(durations), duration_max_s=max(durations),
-                n_inter_min=min(inters), n_inter_max=max(inters), utilization=util.value,
+                n_inter_min=min(inters), n_inter_max=max(inters),
+                utilization=utilization(seq, spec).value,
                 average_delay_s=series.average_delay_s if series else None,
                 unreachable_fraction=series.unreachable_fraction if series else None,
                 analytic=analytic if method == METHOD_REASSIGNMENT else None))
+        waiting.clear()
+
+    for border in config.polar_borders_deg:
+        analytic = analytic_summary(spec, border)
+        for method in config.methods:
+            seq = partition(spec, method, border, trigger=config.trigger,
+                            equal_time_delta_s=config.equal_time_delta_s)
+            _check_sequence(spec, seq, failures)
+            write_snapshot_csv(seq, outdir / _name(spec, method, border, "snapshots.csv"))
+            export_topology(seq, spec, outdir / _name(spec, method, border, "topology.json"))
+            waiting.append((method, border, seq, analytic))
+            if grid is not None:
+                grid.register(seq)
+                held += sum(len(snap.edges) for snap in seq.snapshots)
+            if grid is None or held > _ROUTING_EDGES:
+                finish()
+                held = 0
+    finish()
 
     report = ComparisonReport(spec.name, rows, failures)
     (outdir / f"summary_{spec.name}.txt").write_text(format_summary(spec, report))

@@ -3,29 +3,29 @@
 Routing runs on a snapshot's frozen edge set with edge weights equal to
 the straight-line propagation delay between the endpoint positions at the
 packet send time, so latency variation inside a snapshot is captured.
-On its first route an edge set gets a CSR neighbour table built from its
-integer arrays and kept on the set, so every snapshot and sequence that
-shares the set shares the table. Each route is an A* search over that
-table: the heap is ordered by the delay so far plus the straight-line
-delay to the destination, a lower bound on the rest of any path, and an
-edge's delay is computed only when the search relaxes it. Delays and
-paths are bitwise those of Dijkstra over every edge weight.
-End-to-end totals include both up/down links; queueing and processing are
-out of scope.
+On its first route an edge set gets a neighbour table, one tuple per
+satellite (equal rows shared by every set of a shape), kept on the set, so
+every snapshot and sequence that shares the set shares the table. Each
+route is an A* search over that table: the heap is ordered by the delay so
+far plus the straight-line delay to the destination, a lower bound on the
+rest of any path, and an edge's delay is computed only when the search
+relaxes it. Delays and paths are bitwise those of Dijkstra over every edge
+weight. End-to-end totals include both up/down links; queueing and
+processing are out of scope.
 
-The delay experiment is a send grid plus one routing pass per snapshot
-sequence. A ``SendGrid`` holds what every sequence shares for one pair of
-stations: the send times and both attachments (satellite, mask flag and
-up- or down-link delay for every send), evaluated block by block as
-arrays. It also holds a memo of routes keyed on (edge set, send), so the
-experiments of one ``compare`` route each distinct pair once. A set is
-known by its compiled endpoints, so drawn, loaded and hand-made sets with
-the same links share memo entries. The pass looks up each block's
-snapshots as an array, finds the attached sends whose route is not in the
-memo, and evaluates satellite positions for exactly those sends, in one
-call per block; the grid keeps no positions.
+The delay experiment is a send grid plus one routing pass. A ``SendGrid``
+holds what every sequence shares for one pair of stations: the send times
+and both attachments (satellite, mask flag and up- or down-link delay for
+every send), evaluated block by block as arrays, and a memo of routes
+keyed on (edge set, send). A set is known by its compiled endpoints, so
+drawn, loaded and hand-made sets with the same links share memo entries.
+The pass routes every sequence registered with the grid together: block
+by block of sends, it looks up their snapshots as arrays, gathers the
+distinct (edge set, send) pairs not in the memo, and evaluates satellite
+positions once per send it routes, in chunks; the grid keeps no positions.
 """
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -44,12 +44,13 @@ from .geometry import (
     satellite_ids,
     validate_sat_id,
 )
-from .links import EdgeArrays, TopologyEdgeSet
+from .links import EdgeArrays, _wiring
 from .snapshots import SnapshotSequence, TopologySnapshot, partition
 
-# Sends whose satellite positions the delay experiment evaluates in one
-# call; bounds the (block, N*M, 3) position array.
+# Sends whose attachments the grid, and whose snapshot lookups the routing
+# pass, evaluate in one call.
 _SEND_BLOCK = 128
+_POSITION_ROWS = 1 << 12  # most satellite rows per position call of the routing pass
 
 # The memo value of a send that attaches but finds no path.
 _NO_PATH = (math.nan, 0)
@@ -86,27 +87,17 @@ class Attachment(NamedTuple):
     """Slant range from the station to that satellite."""
 
 
-@dataclass(frozen=True)
-class _RoutingGraph:
-    """An edge set as a CSR table, nodes in ``sat_to_index`` order.
-
-    Node u's neighbours are ``neighbour[indptr[u]:indptr[u + 1]]``. Edge
-    delays depend on the send time, so the table holds none; the search
-    computes each from the positions when it relaxes the edge. The search
-    reads the table item by item, so it is made of Python lists.
-    """
-    indptr: list[int]
-    neighbour: list[int]
-
-
-def _routing_graph(arrays: EdgeArrays) -> _RoutingGraph:
-    """The set's neighbour table, built once per set (``TopologyEdgeSet.derived``)."""
-    n = arrays.shape[0] * arrays.shape[1]
+def _routing_graph(arrays: EdgeArrays) -> tuple[tuple[int, ...], ...]:
+    """Each node's neighbours, nodes in ``sat_to_index`` order, built once per
+    set (``TopologyEdgeSet.derived``); equal rows are one tuple, interned on
+    the shape's edge universe. Edge delays depend on the send time: none here."""
     ends = np.concatenate([arrays.a, arrays.b])
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
-    neighbour = np.concatenate([arrays.b, arrays.a])[np.argsort(ends, kind="stable")]
-    return _RoutingGraph(indptr.tolist(), neighbour.tolist())
+    order = np.argsort(ends, kind="stable")
+    neighbour = iter(np.concatenate([arrays.b, arrays.a])[order].tolist())
+    degree = np.bincount(ends, minlength=arrays.shape[0] * arrays.shape[1]).tolist()
+    intern = _wiring(arrays.shape).rows.setdefault
+    return tuple(intern(row, row) for row in
+                 (tuple(itertools.islice(neighbour, d)) for d in degree))
 
 
 @dataclass(frozen=True)
@@ -225,10 +216,9 @@ def shortest_delay(
     if src_i == dst_i:
         return PathResult(True, 0.0, (src,))
 
-    graph = snapshot.edges.derived(spec, _routing_graph)
-    indptr, neighbour = graph.indptr, graph.neighbour
-    pos = positions.tolist()
-    tx, ty, tz = pos[dst_i]
+    neighbours = snapshot.edges.derived(spec, _routing_graph)
+    xs, ys, zs = positions.T.tolist()
+    tx, ty, tz = xs[dst_i], ys[dst_i], zs[dst_i]
     sqrt, push, pop = math.sqrt, heapq.heappush, heapq.heappop
 
     dist = [math.inf] * spec.total_satellites
@@ -244,12 +234,11 @@ def shortest_delay(
         if node == dst_i:
             break
         d = dist[node]
-        x, y, z = pos[node]
-        for k in range(indptr[node], indptr[node + 1]):
-            nbr = neighbour[k]
+        x, y, z = xs[node], ys[node], zs[node]
+        for nbr in neighbours[node]:
             if settled[nbr]:
                 continue
-            nx, ny, nz = pos[nbr]
+            nx, ny, nz = xs[nbr], ys[nbr], zs[nbr]
             dx, dy, dz = x - nx, y - ny, z - nz
             nd = d + sqrt(dx * dx + dy * dy + dz * dz) / SPEED_OF_LIGHT_KM_S
             if nd < dist[nbr]:
@@ -270,7 +259,8 @@ def shortest_delay(
 
 
 class SendGrid:
-    """The sends of a delay experiment and what every sequence shares.
+    """The sends of a delay experiment, what every sequence shares, and
+    the routing pass.
 
     For each send k, at k * interval_s: whether both stations attach,
     their satellites' indices in ``sat_to_index`` order and the up- and
@@ -279,7 +269,8 @@ class SendGrid:
     edge set gets a small integer token from its compiled endpoint arrays
     (routes do not depend on edge kinds), and the route of send k over it
     is stored under ``token * n_sends + k`` as (path delay, path hops), or
-    ``_NO_PATH``.
+    ``_NO_PATH``. Sequences given to ``register`` wait for the next
+    routing pass, which routes them together; ``delay_experiment`` runs it.
 
     Raises:
         ValueError: On non-positive duration or interval, or a duration
@@ -314,13 +305,54 @@ class SendGrid:
             self.down_s += (down.range_km / SPEED_OF_LIGHT_KM_S).tolist()
         self.routes: dict[int, tuple[float, int]] = {}
         self._tokens: dict[bytes, int] = {}
+        self._waiting: list[SnapshotSequence] = []
+        self._routed: dict[int, tuple[SnapshotSequence, np.ndarray]] = {}
 
-    def token(self, edges: TopologyEdgeSet) -> int:
-        """The memo token of an edge set: the same for every set with the
-        same compiled endpoints, drawn, loaded or hand-made."""
-        arrays = edges.compiled(self.spec)
-        return self._tokens.setdefault(arrays.a.tobytes() + arrays.b.tobytes(),
-                                       len(self._tokens))
+    def register(self, sequence: SnapshotSequence) -> None:
+        """Queue a sequence for the next routing pass; kept until its samples are read."""
+        self._waiting.append(sequence)
+
+    def _keys(self, sequence: SnapshotSequence) -> list[int]:
+        """Each send's memo key over the sequence (-1 if unattached), routed first if need be."""
+        if id(sequence) not in self._routed:
+            self._route(sequence)
+        return self._routed.pop(id(sequence))[1].tolist()
+
+    def _route(self, sequence: SnapshotSequence) -> None:
+        """The routing pass over a sequence and every queued one, send-major."""
+        waiting, self._waiting = list({id(s): s for s in self._waiting + [sequence]}.values()), []
+        spec, times, n_sends, routes = self.spec, self.times, len(self.times), self.routes
+        sats = satellite_ids(spec.plane_count, spec.sats_per_plane)
+        tokens = [np.full(len(seq.snapshots), -1) for seq in waiting]  # taken as sends hit them
+        keys: list[list[np.ndarray]] = [[] for _ in waiting]
+        attached = np.array(self.attached)
+        chunk = max(1, _POSITION_ROWS // spec.total_satellites)
+        for first in range(0, n_sends, _SEND_BLOCK):
+            sends = np.arange(first, min(first + _SEND_BLOCK, n_sends))
+            # Pairs to route, by send; positions repeat, so tau serves only the snapshot check.
+            todo: dict[int, dict[int, tuple[TopologySnapshot, float]]] = {}
+            for seq, token, out in zip(waiting, tokens, keys):
+                taus, index = seq.lookup(sends * self.interval_s)  # the send times
+                hit = index[attached[sends]]
+                for j in set(hit[token[hit] < 0].tolist()):
+                    arrays = seq.snapshots[j].edges.compiled(spec)
+                    token[j] = self._tokens.setdefault(arrays.a.tobytes() + arrays.b.tobytes(),
+                                                       len(self._tokens))
+                out.append(np.where(attached[sends], token[index] * n_sends + sends, -1))
+                for k, tau, j in zip(out[-1].tolist(), taus.tolist(), index.tolist()):
+                    if k >= 0 and k not in routes:
+                        todo.setdefault(k % n_sends, {}).setdefault(k, (seq.snapshots[j], tau))
+            routed = sorted(todo)
+            for batch in (routed[c:c + chunk] for c in range(0, len(routed), chunk)):
+                positions = all_positions_km(spec, np.array([times[k] for k in batch]))
+                for k, pos in zip(batch, positions):
+                    src, dst = sats[self.src_index[k]], sats[self.dst_index[k]]
+                    for key, (snap, tau) in todo[k].items():
+                        result = shortest_delay(snap, tau, src, dst, spec, pos)
+                        routes[key] = ((result.delay_s, len(result.path) - 1)
+                                       if result.reachable else _NO_PATH)
+        self._routed.update((id(seq), (seq, np.concatenate(out)))
+                            for seq, out in zip(waiting, keys))
 
 
 def delay_experiment(
@@ -346,11 +378,10 @@ def delay_experiment(
 
     The sends and their attachments come from ``grid``, which is built
     here when omitted; pass one grid to several calls over the same sends
-    to share them. Sends are taken in blocks: snapshot lookups are
-    evaluated once per block as an array, and each attached send is
-    routed on its own unless the grid's memo already holds its route over
-    an edge set with the same endpoints. Satellite positions are evaluated
-    in one call per block, for exactly the sends routed in it.
+    to share them. The samples are read from the grid's route memo, after a
+    routing pass over the sequence and every sequence registered with the
+    grid (``SendGrid.register``) unless a pass has routed it already, so
+    the experiments of one ``compare`` route each distinct pair once.
 
     Raises:
         ValueError: On non-positive duration or interval, a duration
@@ -381,41 +412,8 @@ def delay_experiment(
                          f"{orbit_period(spec)} for {spec.name}")
 
     samples = []
-    sats = satellite_ids(spec.plane_count, spec.sats_per_plane)
-    times, n_sends, routes = grid.times, len(grid.times), grid.routes
-    tokens: dict[int, int] = {}
-    for first in range(0, n_sends, _SEND_BLOCK):
-        block = times[first:first + _SEND_BLOCK]
-        # The snapshot interval check needs the cyclic time; positions
-        # repeat every period, so those at t serve for it.
-        taus, snap_index = (a.tolist() for a in sequence.lookup(np.array(block)))
-        # The attached sends' routes from the memo; the others are routed below.
-        found, todo = {}, []
-        for i, j in enumerate(snap_index):
-            if not grid.attached[first + i]:
-                continue
-            if j not in tokens:
-                tokens[j] = grid.token(sequence.snapshots[j].edges)
-            key = tokens[j] * n_sends + first + i
-            if key in routes:
-                found[i] = routes[key]
-            else:
-                todo.append((i, key))
-        if todo:
-            positions = all_positions_km(spec, np.array([block[i] for i, _ in todo]))
-            for (i, key), pos in zip(todo, positions):
-                k = first + i
-                result = shortest_delay(sequence.snapshots[snap_index[i]], taus[i],
-                                        sats[grid.src_index[k]], sats[grid.dst_index[k]],
-                                        spec, pos)
-                found[i] = routes[key] = ((result.delay_s, len(result.path) - 1)
-                                          if result.reachable else _NO_PATH)
-        for i, t in enumerate(block):
-            route = found.get(i, _NO_PATH)
-            if route is _NO_PATH:
-                samples.append(DelaySample(t, False, math.nan, 0))
-                continue
-            total = grid.up_s[first + i] + route[0] + grid.down_s[first + i]
-            samples.append(DelaySample(t, True, total, route[1] + 2))
-
+    for t, key, up, down in zip(grid.times, grid._keys(sequence), grid.up_s, grid.down_s):
+        route = grid.routes[key] if key >= 0 else _NO_PATH
+        samples.append(DelaySample(t, False, math.nan, 0) if route is _NO_PATH
+                       else DelaySample(t, True, up + route[0] + down, route[1] + 2))
     return DelaySeries(src_gs, dst_gs, method, polar_border_deg, tuple(samples))

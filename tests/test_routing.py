@@ -7,9 +7,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polarsnap import report, routing
+from polarsnap import links, report, routing
 from polarsnap.geometry import (
+    ConstellationSpec,
     GroundStation,
     SPEED_OF_LIGHT_KM_S,
     SatId,
@@ -462,6 +465,10 @@ class TestReferenceRouter:
             assert repr(snap) == repr(other)
         assert rebuilt.edges.derived(iridium, counted) is not graph
         assert rebuilt.edges.derived(iridium, counted) == graph
+        # equal neighbour rows are one tuple, across sets and snapshots
+        for other in (rebuilt, seq.snapshots[1]):
+            rows = other.edges.derived(iridium, counted)
+            assert all((a is b) == (a == b) for a, b in zip(rows, graph))
 
 
 class TestDijkstraParity:
@@ -779,3 +786,156 @@ class TestSendGrid:
         with pytest.raises(ValueError, match="no sends"):
             delay_experiment(iridium, "fixed", 60.0, beijing, london, 30.0, 60.0)
         assert len(SendGrid(iridium, beijing, london, 60.0, 60.0).times) == 1
+
+    def test_compare_builds_set_caches_once(self, teledesic, beijing, london, tmp_path,
+                                            monkeypatch):
+        # every sequence of a compare lives until the routing pass, so a set
+        # drawn by several sequences is one object: its validator rules and
+        # its neighbour table are built once per distinct set
+        built = {"rules": collections.Counter(), "graph": collections.Counter()}
+        for module, name, counter in ((links, "_set_rules", built["rules"]),
+                                      (routing, "_routing_graph", built["graph"])):
+            def counted(arrays, build=getattr(module, name), counter=counter):
+                counter[arrays.shape, arrays.kind.tobytes(), arrays.a.tobytes(),
+                        arrays.b.tobytes()] += 1
+                return build(arrays)
+
+            monkeypatch.setattr(module, name, counted)
+        borders = (60.0, 65.0, 70.0, 75.0)
+        self.compare_series(teledesic, (beijing, london), borders, tmp_path, monkeypatch)
+        distinct = set()
+        for border in borders:
+            for method in ("reassignment", "fixed", "equal_time"):
+                for snap in partition(teledesic, method, border).snapshots:
+                    arrays = snap.edges.compiled(teledesic)
+                    distinct.add((arrays.shape, arrays.kind.tobytes(), arrays.a.tobytes(),
+                                  arrays.b.tobytes()))
+        assert set(built["rules"]) == distinct
+        assert set(built["graph"]) <= distinct and len(built["graph"]) > 1
+        assert set(built["rules"].values()) == set(built["graph"].values()) == {1}
+
+
+METHODS = ("reassignment", "fixed", "equal_time")
+
+
+class TestRoutingPass:
+    """One send-major pass over several sequences gives each the samples of
+    its own fresh grid, and the routes Dijkstra finds."""
+    STATION = st.builds(GroundStation, st.sampled_from(["A", "B"]),
+                        st.floats(-80.0, 80.0), st.floats(-180.0, 180.0),
+                        st.sampled_from([0.0, 10.0, 30.0]))
+    IRIDIUM_33 = ConstellationSpec(6, 33, 86.4, 780.0, period_s=6027.0,
+                                   inter_plane_spacing_deg=31.6, name="iridium")
+    STRICT = GroundStation("strict", -33.9, 18.4, 40.0)
+    LONDON = GroundStation("London", 51.507, -0.128, 10.0)
+
+    @staticmethod
+    def check(spec, borders, src, dst, duration_s, interval_s, unregistered=0):
+        """Register every (border, method) sequence but the last
+        ``unregistered`` with one grid, read each one's samples, and check
+        them against a fresh grid per sequence and, on a sample of sends,
+        against Dijkstra; returns the grid."""
+        seqs = [partition(spec, method, border) for border in borders for method in METHODS]
+        grid = SendGrid(spec, src, dst, duration_s, interval_s)
+        for seq in seqs[:len(seqs) - unregistered]:
+            grid.register(seq)
+        got = [delay_experiment(spec, seq.method, seq.polar_border_deg, src, dst,
+                                duration_s, interval_s, sequence=seq, grid=grid)
+               for seq in seqs]
+        assert not grid._waiting and not grid._routed
+        sats = satellite_ids(spec.plane_count, spec.sats_per_plane)
+        rng = random.Random(f"{spec}:{borders}:{src}:{dst}")
+        for seq, series in zip(seqs, got):
+            fresh = delay_experiment(spec, seq.method, seq.polar_border_deg, src, dst,
+                                     duration_s, interval_s, sequence=seq)
+            assert series.samples == fresh.samples
+            for k in rng.sample(range(len(grid.times)), min(5, len(grid.times))):
+                sample, t = series.samples[k], grid.times[k]
+                if not grid.attached[k]:
+                    assert not sample.reachable
+                    continue
+                tau, j = scan_lookup(seq, t)
+                want = dijkstra_shortest_delay(seq.snapshots[j], tau, sats[grid.src_index[k]],
+                                               sats[grid.dst_index[k]], spec,
+                                               all_positions_km(spec, t))
+                assert sample.reachable == want.reachable
+                if want.reachable:
+                    assert sample.delay_s == grid.up_s[k] + want.delay_s + grid.down_s[k]
+                    assert sample.hops == len(want.path) + 1
+        return grid
+
+    @settings(max_examples=20, deadline=None)
+    @given(planes=st.sampled_from([2, 4, 6]), sats=st.integers(3, 12),
+           borders=st.lists(st.sampled_from([55.0, 60.0, 70.0, 80.0]), min_size=1,
+                            max_size=2, unique=True),
+           src=STATION, dst=STATION, unregistered=st.integers(0, 2),
+           rows=st.sampled_from([1, 100, routing._POSITION_ROWS]))
+    def test_matches_fresh_grids_and_dijkstra(self, planes, sats, borders, src, dst,
+                                              unregistered, rows):
+        # 140 sends every 29 s: two snapshot-lookup blocks; position calls of
+        # one send, a few, or a whole block
+        spec = ConstellationSpec(planes, sats, 86.0, 1000.0, name="small")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(routing, "_POSITION_ROWS", rows)
+            self.check(spec, borders, src, dst, 140 * 29.0, 29.0, unregistered)
+
+    def test_period_end_fold(self):
+        # the sequences start at about 1e-13 s, so the send at 0 folds to
+        # the float below the period's end
+        grid = self.check(self.IRIDIUM_33, (60.0,),
+                          GroundStation("Beijing", 39.904, 116.407, 10.0), self.LONDON,
+                          600.0, 60.0)
+        # ten sends take the memo tokens of the sets they hit, not of every
+        # snapshot's set
+        drawn = {snap.edges for method in METHODS
+                 for snap in partition(self.IRIDIUM_33, method, 60.0).snapshots}
+        assert len(grid._tokens) <= 3 * len(grid.times) < len(drawn)
+
+    def test_strict_mask_leaves_sends_unattached(self, iridium):
+        grid = self.check(iridium, (60.0,), self.STRICT, self.LONDON, 3000.0, 20.0)
+        assert 0 < sum(grid.attached) < len(grid.times)
+
+    def test_unregistered_sequence(self, iridium, beijing):
+        grid = self.check(iridium, (60.0, 75.0), beijing, self.LONDON, 1800.0, 10.0,
+                          unregistered=2)
+        assert len(grid.routes) > 0
+
+    @pytest.mark.parametrize("sequences", [0.5, 2.5])
+    def test_flush_bound(self, iridium, beijing, london, tmp_path, monkeypatch, sequences):
+        # with a bound of half a sequence most sequences are routed alone;
+        # with two and a half, in groups; the samples are those of one pass,
+        # and the sequences waiting when the next one is built stay in the bound
+        def run(out):
+            calls = []
+            monkeypatch.setattr(report, "delay_experiment",
+                                lambda *args, **kwargs: calls.append(
+                                    delay_experiment(*args, **kwargs)) or calls[-1])
+            config = ScenarioConfig(iridium, [60.0, 65.0, 70.0, 75.0], list(METHODS),
+                                    source=beijing, destination=london, duration_s=1800.0,
+                                    interval_s=60.0, output_dir=tmp_path / out)
+            assert run_compare(config).ok
+            return calls
+
+        one_pass = run("one")
+        edges = sum(len(s.edges) for s in partition(iridium, "fixed", 60.0).snapshots)
+        bound = int(sequences * edges)
+        monkeypatch.setattr(report, "_ROUTING_EDGES", bound)
+        held, grids, build = [], [], report.partition
+        grid_class = report.SendGrid
+
+        def grid(*args):
+            grids.append(grid_class(*args))
+            return grids[-1]
+
+        def partitioned(*args, **kwargs):
+            if grids:
+                waiting = grids[0]._waiting + [seq for seq, _ in grids[0]._routed.values()]
+                held.append(sum(len(snap.edges) for seq in waiting for snap in seq.snapshots))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(report, "SendGrid", grid)
+        monkeypatch.setattr(report, "partition", partitioned)
+        bounded = run("bounded")
+        assert [s.samples for s in bounded] == [s.samples for s in one_pass]
+        assert len(held) == 12 and max(held) <= bound
+        assert held.count(0) < 11 if sequences > 1 else held.count(0) > 6

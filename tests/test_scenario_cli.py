@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from polarsnap import cli, links, scenario
 from polarsnap.cli import main
 from polarsnap.errors import ScenarioError
-from polarsnap.geometry import SatId, orbit_period, satellite_ids
+from polarsnap.geometry import ConstellationSpec, SatId, orbit_period, satellite_ids
 from polarsnap.links import IslEdge, TopologyEdgeSet
 from polarsnap.report import export_topology, load_topology, run_compare
 from polarsnap.scenario import MAX_SATELLITES, MAX_SENDS, apply_overrides, load_scenario
@@ -378,6 +379,24 @@ class TestTopologyExport:
             [(s.start_s, s.end_s, s.edges.edges) for s in seq.snapshots], (spec.name, seq.method)
         assert [s.n_inter_plane for s in seq2.snapshots] == \
             [s.edges.n_inter_plane for s in seq.snapshots]
+
+    def test_peak_memory_bounded(self, tmp_path):
+        # 600 snapshots of 800 edges each: the table is merged set by set,
+        # so the export's peak stays far below the 15 MB that keys over
+        # every snapshot's edges at once took
+        spec = ConstellationSpec(2, 300, 86.0, 1000.0, name="wide")
+        seq = partition(spec, "reassignment", 60.0)
+        path = tmp_path / "wide.json"
+        tracemalloc.start()
+        try:
+            export_topology(seq, spec, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        loaded = load_topology(path)[1]
+        assert [(s.start_s, s.end_s, s.edges) for s in loaded.snapshots] == \
+            [(s.start_s, s.end_s, s.edges) for s in seq.snapshots]
 
     def test_pinned_bytes(self, iridium, tmp_path):
         # any change to the bytes the writer produces shows here
