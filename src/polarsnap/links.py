@@ -15,16 +15,18 @@ and last planes. The generators draw edge sets from it as sorted ids:
   from the most recently exited row; a leftover unpaired row gets its
   horizontal links.
 
-An edge set is its links and nothing else: one ``EdgeArrays`` of its
-constellation's shape, whether drawn from the universe, read from a
-topology export or built from ``IslEdge`` objects
-(``TopologyEdgeSet.from_edges``); its arrays are read-only. The universe
-hands out one set per distinct id array, and what depends on the links
-alone is computed once per set (``TopologyEdgeSet.derived``). The link
-rules take the polar border as a number and read the link limits from the
-``ConstellationSpec``. The validator, the export and the router read an
-edge set's arrays (``TopologyEdgeSet.compiled``); ``IslEdge`` objects
-exist only at the API edge.
+An edge set is its links and nothing else: a ``TopologyEdgeSet`` is a
+shape and three read-only arrays (kind code, endpoint a, endpoint b),
+whether drawn from the universe, read from a topology export or built
+from ``IslEdge`` objects (``TopologyEdgeSet.from_edges``). A kind code
+indexes the fixed vocabulary ``KINDS``; no other kind can be built, so
+equal sets hold equal arrays. The universe hands out one set per distinct
+id array, and what depends on the links alone is computed once per set
+(``TopologyEdgeSet.derived``). The link rules take the polar border as a
+number and read the link limits from the ``ConstellationSpec``. The
+validator, the export and the router read a set's arrays once its shape
+is checked (``TopologyEdgeSet.compiled``); ``IslEdge`` objects exist only
+at the API edge.
 """
 import functools
 import math
@@ -50,6 +52,9 @@ from .geometry import (
 INTRA_PLANE = "intra_plane"
 OBLIQUE = "oblique"
 HORIZONTAL = "horizontal"
+# The link kinds: an edge's kind code indexes this tuple. It is sorted, so
+# canonical order, by kind name and then by endpoints, is (kind, a, b) order.
+KINDS = (HORIZONTAL, INTRA_PLANE, OBLIQUE)
 
 TRIGGER_ENTER = "enter"
 TRIGGER_EXIT = "exit"
@@ -63,63 +68,35 @@ class IslEdge:
     kind: str
 
 
-@dataclass(frozen=True)
-class EdgeArrays:
-    """An edge set as integer arrays, edges in canonical order.
-
-    Edge i joins satellites ``a[i]`` and ``b[i]`` (``sat_to_index`` order,
-    from ``endpoint_a`` and ``endpoint_b``) and has kind ``kinds[kind[i]]``.
-    ``kinds`` is sorted, so canonical order, by kind name and then by the
-    endpoints' (plane, index) pairs, is the order of (kind, a, b).
-    """
-    shape: tuple[int, int]
-    kinds: tuple[str, ...]
-    kind: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        for x in (self.kind, self.a, self.b):
-            x.setflags(write=False)
-
-    def of_kind(self, name: str) -> np.ndarray:
-        """Boolean mask of the edges of one kind."""
-        if name not in self.kinds:
-            return np.zeros(len(self.kind), dtype=bool)
-        return self.kind == self.kinds.index(name)
-
-    def names(self) -> list[str]:
-        """Each edge's kind name, in edge order."""
-        return [self.kinds[k] for k in self.kind.tolist()]
-
-
-def canonical_arrays(shape: tuple[int, int], names: list[str], rows: np.ndarray) -> EdgeArrays:
-    """Edge arrays from each edge's kind name and its row of an (E, 4)
+def canonical_arrays(shape: tuple[int, int], names: list[str],
+                     rows: np.ndarray) -> "TopologyEdgeSet":
+    """The edge set of each edge's kind name and its row of an (E, 4)
     integer array (plane a, index a, plane b, index b), 1-based as in
     ``SatId``, duplicates dropped.
 
     Raises:
-        ValueError: If an endpoint lies outside the constellation.
+        ValueError: If a kind is not in ``KINDS`` or an endpoint lies
+            outside the constellation.
     """
+    if unknown := set(names) - set(KINDS):
+        raise ValueError(f"unknown link kind {min(unknown)!r}, expected one of {KINDS}")
     n_planes, m = shape
     planes, slots = rows[:, 0::2], rows[:, 1::2]
     if ((planes < 1) | (planes > n_planes) | (slots < 1) | (slots > m)).any():
         raise ValueError(f"edge endpoint outside the {n_planes}x{m} constellation")
-    kinds = tuple(sorted(set(names)))
-    code = np.fromiter(map(dict(zip(kinds, range(len(kinds)))).__getitem__, names),
-                       np.int64, len(names))
+    code = np.fromiter(map(KINDS.index, names), np.int64, len(names))
     n = n_planes * m
     ends = (planes - 1) * m + slots - 1
     key = np.sort((code * n + ends[:, 0]) * n + ends[:, 1])
     key = key[np.diff(key, prepend=-1) != 0]  # np.unique would load numpy.ma, 1 MB
-    return EdgeArrays(shape, kinds, (key // (n * n)).astype(np.int32),
-                      (key // n % n).astype(np.int32), (key % n).astype(np.int32))
+    return TopologyEdgeSet(shape, *(x.astype(np.int32)
+                                    for x in (key // (n * n), key // n % n, key % n)))
 
 
 @dataclass(frozen=True)
 class _Wiring:
     """A shape's edge universe: edge id i is edge i of ``edges`` (canonical order)."""
-    edges: EdgeArrays
+    edges: "TopologyEdgeSet"
     rings: np.ndarray  # ids of the ring edges
     chains: np.ndarray  # (2M, N-1) ids, by lower phase class
     horizontals: np.ndarray  # (2M, N/2-1) ids, by phase class
@@ -143,8 +120,7 @@ class _Wiring:
         """The edge set of the given sorted ids: one object per ids while it lives."""
         if (topo := self.drawn.get(key := ids.tobytes())) is None:
             e = self.edges
-            topo = self.drawn[key] = TopologyEdgeSet(
-                EdgeArrays(e.shape, e.kinds, e.kind[ids], e.a[ids], e.b[ids]), ids)
+            topo = self.drawn[key] = TopologyEdgeSet(e.shape, e.kind[ids], e.a[ids], e.b[ids], ids)
         return topo
 
 
@@ -172,30 +148,36 @@ def _wiring(shape: tuple[int, int]) -> _Wiring:
     q = c % 2 + 2 * np.arange(n // 2 - 1)[None, :]
     horizontal = (member(c, q), member(c, q + 2))
 
-    kinds = (HORIZONTAL, INTRA_PLANE, OBLIQUE)
-    blocks = [(1, ring), (2, chain), (0, horizontal)]
+    blocks = [(1, ring), (2, chain), (0, horizontal)]  # codes into KINDS
     kind = np.concatenate([np.full(ends[0].size, code) for code, ends in blocks])
     a, b = (np.concatenate([ends[i].ravel() for _, ends in blocks]) for i in (0, 1))
     a, b = np.minimum(a, b), np.maximum(a, b)
     order = np.argsort((kind * n * m + a) * n * m + b)
     ids = np.empty_like(order)
     ids[order] = np.arange(len(order))
-    edges = EdgeArrays(shape, kinds, *(x[order].astype(np.int32) for x in (kind, a, b)))
+    edges = TopologyEdgeSet(shape, *(x[order].astype(np.int32) for x in (kind, a, b)))
     rings, chains, horizontals = np.split(ids, [n * m, n * m + r * (n - 1)])
     return _Wiring(edges, rings, chains.reshape(r, n - 1), horizontals.reshape(r, n // 2 - 1))
 
 
 class TopologyEdgeSet:
-    """A set of links: one ``EdgeArrays`` of a fixed constellation shape.
+    """A set of links of a fixed constellation shape, as read-only integer
+    arrays in canonical order.
 
-    The generators draw theirs from the edge universe (``_Wiring.draw``),
-    which passes their universe ids; ``from_edges`` builds one from
-    ``IslEdge`` objects. Sets are equal, and hash equal, when they hold the
-    same links in the same shape, however they were built.
+    Edge i joins satellites ``a[i]`` and ``b[i]`` (``sat_to_index`` order,
+    from ``endpoint_a`` and ``endpoint_b``) and has kind ``KINDS[kind[i]]``;
+    canonical order, by kind name and then by the endpoints' (plane, index)
+    pairs, is the order of (kind, a, b). The generators draw theirs from
+    the edge universe (``_Wiring.draw``), which passes their universe ids;
+    ``from_edges`` builds one from ``IslEdge`` objects. Sets are equal, and
+    hash equal, exactly when their arrays are, however they were built.
     """
 
-    def __init__(self, arrays: EdgeArrays, ids: np.ndarray | None = None):
-        self._arrays, self._ids = arrays, ids
+    def __init__(self, shape: tuple[int, int], kind: np.ndarray, a: np.ndarray,
+                 b: np.ndarray, ids: np.ndarray | None = None):
+        for x in (kind, a, b):
+            x.setflags(write=False)
+        self.shape, self.kind, self.a, self.b, self._ids = shape, kind, a, b, ids
         self._derived: dict = {}
 
     @classmethod
@@ -203,76 +185,78 @@ class TopologyEdgeSet:
         """The set of the given ``IslEdge`` objects, duplicates dropped.
 
         Raises:
-            ValueError: If an endpoint lies outside the constellation.
+            ValueError: If a kind is not in ``KINDS`` or an endpoint lies
+                outside the constellation.
         """
         edges = list(edges)
         rows = [(e.endpoint_a.plane, e.endpoint_a.index_in_plane,
                  e.endpoint_b.plane, e.endpoint_b.index_in_plane) for e in edges]
-        return cls(canonical_arrays((spec.plane_count, spec.sats_per_plane),
-                                    [e.kind for e in edges],
-                                    np.array(rows, dtype=np.int64).reshape(-1, 4)))
+        return canonical_arrays((spec.plane_count, spec.sats_per_plane),
+                                [e.kind for e in edges],
+                                np.array(rows, dtype=np.int64).reshape(-1, 4))
 
     def rotated(self, k: int) -> "TopologyEdgeSet":
         """A drawn set with every phase class c's edges moved to class c - k:
         what the same rule draws once the rows have advanced k slots."""
-        wiring = _wiring(self._arrays.shape)
+        wiring = _wiring(self.shape)
         return wiring.draw(wiring.rotated(self._ids, k))
 
     @functools.cached_property
     def edges(self) -> frozenset[IslEdge]:
         """The edges as ``IslEdge`` objects, built on first read."""
-        arr = self._arrays
-        sats = satellite_ids(*arr.shape)
-        return frozenset(IslEdge(sats[a], sats[b], arr.kinds[k])
-                         for k, a, b in zip(arr.kind.tolist(), arr.a.tolist(), arr.b.tolist()))
+        sats = satellite_ids(*self.shape)
+        return frozenset(IslEdge(sats[a], sats[b], KINDS[k])
+                         for k, a, b in zip(self.kind.tolist(), self.a.tolist(), self.b.tolist()))
 
-    def compiled(self, spec: ConstellationSpec) -> EdgeArrays:
-        """The edges as integer arrays.
+    def compiled(self, spec: ConstellationSpec) -> "TopologyEdgeSet":
+        """The set itself, once its shape is checked against ``spec``.
 
         Raises:
             ValueError: If the set belongs to a constellation of another shape.
         """
         shape = (spec.plane_count, spec.sats_per_plane)
-        if self._arrays.shape != shape:
-            raise ValueError(f"edge set of a {self._arrays.shape[0]}x{self._arrays.shape[1]} "
+        if self.shape != shape:
+            raise ValueError(f"edge set of a {self.shape[0]}x{self.shape[1]} "
                              f"constellation used with a {shape[0]}x{shape[1]} one")
-        return self._arrays
+        return self
 
     def derived(self, spec: ConstellationSpec, build):
-        """``build(self.compiled(spec))``, built once and kept on the set, so
-        ``build`` must read nothing but the arrays; raises as ``compiled``."""
-        arrays = self.compiled(spec)
+        """``build(self)``, built once and kept on the set, so ``build`` must
+        read nothing but the arrays; raises as ``compiled``."""
+        self.compiled(spec)
         if build not in self._derived:
-            self._derived[build] = build(arrays)
+            self._derived[build] = build(self)
         return self._derived[build]
 
+    def of_kind(self, name: str) -> np.ndarray:
+        """Boolean mask of the edges of one kind."""
+        return self.kind == KINDS.index(name)
+
     @functools.cached_property
-    def _counts(self) -> dict[str, int]:
-        return dict(zip(self._arrays.kinds, np.bincount(self._arrays.kind).tolist()))
+    def _counts(self) -> list[int]:
+        return np.bincount(self.kind, minlength=len(KINDS)).tolist()
 
     def count(self, kind: str) -> int:
-        return self._counts.get(kind, 0)
+        return self._counts[KINDS.index(kind)]
 
     @property
     def n_inter_plane(self) -> int:
         return len(self) - self.count(INTRA_PLANE)
 
     def __len__(self) -> int:
-        return len(self._arrays.a)
+        return len(self.a)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TopologyEdgeSet):
             return NotImplemented
-        # Kind codes index each set's own ``kinds``, so compare kind names.
-        x, y = self._arrays, other._arrays
-        return (x.shape == y.shape and np.array_equal(x.a, y.a) and np.array_equal(x.b, y.b)
-                and x.names() == y.names())
+        return (self.shape == other.shape and np.array_equal(self.kind, other.kind)
+                and np.array_equal(self.a, other.a) and np.array_equal(self.b, other.b))
 
     def __hash__(self) -> int:
-        return hash((self._arrays.shape, self._arrays.a.tobytes(), self._arrays.b.tobytes()))
+        return hash((self.shape, self.a.tobytes(), self.b.tobytes()))
 
     def __repr__(self) -> str:
-        n, m = self._arrays.shape
+        n, m = self.shape
         return f"TopologyEdgeSet({len(self)} edges, {n}x{m})"
 
 
@@ -376,17 +360,16 @@ def reassign_topology(
     return wiring.draw(wiring.select(chains, horizontals))
 
 
-def _set_rules(arr: EdgeArrays) -> tuple:
+def _set_rules(topo: TopologyEdgeSet) -> tuple:
     """What the link rules read of a set alone: structure flags, inter-plane and
     horizontal masks (None if empty), plane spans, (satellite, degree) past 2."""
-    m, a, b = arr.shape[1], arr.a, arr.b
-    intra, oblique, horizontal = (arr.of_kind(k) for k in (INTRA_PLANE, OBLIQUE, HORIZONTAL))
+    m, a, b = topo.shape[1], topo.a, topo.b
+    intra, oblique, horizontal = (topo.of_kind(k) for k in (INTRA_PLANE, OBLIQUE, HORIZONTAL))
     dplane, dslot = np.abs(a // m - b // m), np.abs(a % m - b % m)
     structure = ((intra & ((dplane != 0) | ((dslot != 1) & (dslot != m - 1))))
-                 | (oblique & (dplane != 1)) | (horizontal & (dplane != 2))
-                 | ~(intra | oblique | horizontal))
+                 | (oblique & (dplane != 1)) | (horizontal & (dplane != 2)))
     inter = ~intra
-    degree = np.bincount(np.concatenate([a[inter], b[inter]]), minlength=arr.shape[0] * m)
+    degree = np.bincount(np.concatenate([a[inter], b[inter]]), minlength=topo.shape[0] * m)
     for x in (structure, inter, horizontal, dplane):
         x.setflags(write=False)
     return (structure, inter, horizontal if horizontal.any() else None, dplane,
@@ -438,10 +421,9 @@ def validate_topology(
             to a constellation of another shape.
     """
     check_polar_border(polar_border_deg)
-    arr = topo.compiled(spec)
     structure, inter, horizontal, dplane, over = topo.derived(spec, _set_rules)
     phase0, period, max_angle, min_lat, sin_inc = _spec_limits(spec)
-    a, b = arr.a, arr.b
+    a, b = topo.a, topo.b
     if positions is None:
         positions = all_positions_km(spec, t)
     norm = np.sqrt((positions * positions).sum(1))
@@ -465,14 +447,12 @@ def validate_topology(
     for i, rule in zip(*(x.tolist() for x in np.nonzero(np.stack(flags, axis=1)))):
         ends = (int(a[i]), int(b[i]))
         sats = (ids[ends[0]], ids[ends[1]])
-        kind = arr.kinds[arr.kind[i]]
+        kind = KINDS[topo.kind[i]]
         if rule == 0 and kind == INTRA_PLANE:
             name, detail = "structure", "intra-plane edge must join ring neighbours"
-        elif rule == 0 and kind in (OBLIQUE, HORIZONTAL):
+        elif rule == 0:
             name, detail = "structure", (f"{kind} edge spans {dplane[i]} planes "
                                          "(seam crossing or bad kind)")
-        elif rule == 0:
-            name, detail = "structure", f"unknown kind {kind!r}"
         elif rule == 1:
             name, detail = "visibility", f"geocentric angle {angle[i]:.3f} exceeds {max_angle:.3f}"
         elif rule in (2, 3):

@@ -16,10 +16,12 @@ import numpy as np
 
 from .errors import ScenarioError
 from .geometry import ConstellationSpec, all_positions_km, orbit_period
-from .links import EdgeArrays, TopologyEdgeSet, canonical_arrays, validate_topology
+from .links import (HORIZONTAL, INTRA_PLANE, KINDS, OBLIQUE, TopologyEdgeSet, canonical_arrays,
+                    validate_topology)
 from .routing import DelaySeries, SendGrid, delay_experiment, utilization
-from .scenario import ScenarioConfig
+from .scenario import MAX_SATELLITES, ScenarioConfig
 from .snapshots import (
+    _EVENT_EPS_S,
     METHOD_REASSIGNMENT,
     AnalyticSummary,
     SnapshotSequence,
@@ -66,9 +68,8 @@ def write_snapshot_csv(seq: SnapshotSequence, path: Path) -> None:
     """One row per snapshot: bounds, duration, and edge counts by kind."""
     lines = ["method,index,start_s,end_s,duration_s,n_intra,n_oblique,"
              "n_horizontal,n_inter_total"]
-    kinds = ("intra_plane", "oblique", "horizontal")
     for i, snap in enumerate(seq.snapshots):
-        counts = ",".join(str(snap.edges.count(kind)) for kind in kinds)
+        counts = ",".join(str(snap.edges.count(k)) for k in (INTRA_PLANE, OBLIQUE, HORIZONTAL))
         lines.append(f"{seq.method},{i},{snap.start_s!r},{snap.end_s!r},{snap.duration_s!r},"
                      f"{counts},{snap.n_inter_plane}")
     path.write_text("\n".join(lines) + "\n")
@@ -130,24 +131,22 @@ def export_topology(
     # no array spans every snapshot's edges; each distinct set's mask is built once.
     n, m = spec.total_satellites, spec.sats_per_plane
     sets = {id(snap.edges): snap.edges.compiled(spec) for snap in seq.snapshots}
-    kinds = sorted(set().union(*(arr.kinds for arr in sets.values())))
 
-    def keys(arr: EdgeArrays) -> np.ndarray:
-        code = np.array([kinds.index(k) for k in arr.kinds], dtype=np.int64)
-        return (code[arr.kind] * n + arr.a) * n + arr.b
+    def keys(topo: TopologyEdgeSet) -> np.ndarray:
+        return (topo.kind.astype(np.int64) * n + topo.a) * n + topo.b
 
     unique = np.empty(0, dtype=np.int64)
-    for arr in sets.values():
-        unique = np.sort(np.concatenate([unique, keys(arr)]))
+    for topo in sets.values():
+        unique = np.sort(np.concatenate([unique, keys(topo)]))
         unique = unique[np.diff(unique, prepend=-1) != 0]
-    names = [json.dumps(kind) for kind in kinds]
+    names = [json.dumps(kind) for kind in KINDS]
     table = [f"[{names[k]}, {a // m + 1}, {a % m + 1}, {b // m + 1}, {b % m + 1}]"
              for k, a, b in zip(*(x.tolist() for x in (unique // (n * n), unique // n % n,
                                                        unique % n)))]
     masks = {}
-    for key, arr in sets.items():
+    for key, topo in sets.items():
         member = np.zeros(len(unique), dtype=bool)
-        member[np.searchsorted(unique, keys(arr))] = True
+        member[np.searchsorted(unique, keys(topo))] = True
         masks[key] = np.packbits(member).tobytes().hex()
     snapshots = [json.dumps({"edge_mask": masks[id(snap.edges)], "end_s": snap.end_s,
                              "index": i, "start_s": snap.start_s})
@@ -161,13 +160,14 @@ def export_topology(
 def load_topology(path: Path) -> tuple[ConstellationSpec, SnapshotSequence]:
     """Parse a topology export back into a snapshot sequence.
 
-    Only format 3 is read. Its edge table is parsed once into edge arrays,
+    Only format 3 is read. Its edge table is parsed once into an edge set,
     the snapshots' masks are unpacked into one (snapshots x rows) table, and
-    each distinct mask's set gathers its rows from the edge arrays once.
+    each distinct mask's set gathers its rows from the table's arrays once.
 
     Raises:
-        ValueError: If the file is not a well-formed topology export. The
-            message names the file and, where there is one, the snapshot.
+        ValueError: If the file is not a well-formed topology export, or it
+            names a kind outside ``KINDS`` or more than ``MAX_SATELLITES``
+            satellites. The message names the file and any snapshot.
     """
     try:
         return _parse_topology(json.loads(Path(path).read_text()))
@@ -188,6 +188,9 @@ def _parse_topology(doc) -> tuple[ConstellationSpec, SnapshotSequence]:
     period, entries = doc["period_s"], doc["snapshots"]
     if not all(type(x) is int for x in shape):
         raise ValueError(f"plane_count and sats_per_plane must be integers, got {shape}")
+    if shape[0] * shape[1] > MAX_SATELLITES:
+        raise ValueError(f"plane_count x sats_per_plane = {shape[0]} x {shape[1]} satellites, "
+                         f"above the limit of {MAX_SATELLITES}")
     if not (_is_number(period) and period > 0):
         raise ValueError(f"period_s must be a positive number, got {period!r}")
     if not _is_number(doc["polar_border_deg"]):
@@ -233,8 +236,7 @@ def _parse_topology(doc) -> tuple[ConstellationSpec, SnapshotSequence]:
                          if start > end else f"snapshot {i}: starts at {start!r}, before "
                          f"snapshot {i - 1} ends at {times[i - 1, 1].item()!r}")
 
-    sets = {mask: TopologyEdgeSet(EdgeArrays(table.shape, table.kinds, table.kind[row],
-                                             table.a[row], table.b[row]))
+    sets = {mask: TopologyEdgeSet(table.shape, table.kind[row], table.a[row], table.b[row])
             for mask, row in dict(zip(masks, member)).items()}  # one per distinct mask
     snapshots = tuple(TopologySnapshot(start, end, sets[mask])
                       for (start, end), mask in zip(times.tolist(), masks))
@@ -255,9 +257,9 @@ def _is_number(x) -> bool:
     return type(x) in (int, float) and math.isfinite(x)
 
 
-def _edge_table(shape: tuple[int, int], table) -> EdgeArrays:
-    """The export's edge table as edge arrays; its rows must be distinct and
-    in canonical order, so that row i is edge i of the arrays."""
+def _edge_table(shape: tuple[int, int], table) -> TopologyEdgeSet:
+    """The export's edge table as an edge set; its rows must be distinct and
+    in canonical order, so that row i is edge i of the set."""
     if not (type(table) is list and set(map(type, table)) <= {list}
             and set(map(len, table)) <= {5}):
         raise ValueError("edges table rows must be [kind, plane_a, index_a, plane_b, index_b]")
@@ -271,7 +273,7 @@ def _edge_table(shape: tuple[int, int], table) -> EdgeArrays:
         raise ValueError(f"edges table: {exc}") from exc
     ends = (rows[:, 0::2] - 1) * shape[1] + rows[:, 1::2] - 1
     if not (np.array_equal(arrays.a, ends[:, 0]) and np.array_equal(arrays.b, ends[:, 1])
-            and arrays.names() == names):
+            and [KINDS[k] for k in arrays.kind.tolist()] == names):
         raise ValueError("edges table: rows must be distinct and in canonical order")
     return arrays
 
@@ -289,7 +291,7 @@ def _check_sequence(
     for i in range(len(seq.snapshots) - 1):
         if abs(seq.snapshots[i].end_s - seq.snapshots[i + 1].start_s) > 1e-9:
             failures.append(f"{name}: snapshots {i} and {i + 1} are not contiguous")
-    times = [snap.start_s + 1e-3 for snap in seq.snapshots]
+    times = [snap.start_s + _EVENT_EPS_S for snap in seq.snapshots]
     block = max(1, _VALIDATION_ROWS // spec.total_satellites)
     for i, (snap, t) in enumerate(zip(seq.snapshots, times)):
         if i % block == 0:

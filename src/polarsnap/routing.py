@@ -44,7 +44,7 @@ from .geometry import (
     satellite_ids,
     validate_sat_id,
 )
-from .links import EdgeArrays, _wiring
+from .links import TopologyEdgeSet, _wiring
 from .snapshots import SnapshotSequence, TopologySnapshot, partition
 
 # Sends whose attachments the grid, and whose snapshot lookups the routing
@@ -87,15 +87,15 @@ class Attachment(NamedTuple):
     """Slant range from the station to that satellite."""
 
 
-def _routing_graph(arrays: EdgeArrays) -> tuple[tuple[int, ...], ...]:
+def _routing_graph(topo: TopologyEdgeSet) -> tuple[tuple[int, ...], ...]:
     """Each node's neighbours, nodes in ``sat_to_index`` order, built once per
     set (``TopologyEdgeSet.derived``); equal rows are one tuple, interned on
     the shape's edge universe. Edge delays depend on the send time: none here."""
-    ends = np.concatenate([arrays.a, arrays.b])
+    ends = np.concatenate([topo.a, topo.b])
     order = np.argsort(ends, kind="stable")
-    neighbour = iter(np.concatenate([arrays.b, arrays.a])[order].tolist())
-    degree = np.bincount(ends, minlength=arrays.shape[0] * arrays.shape[1]).tolist()
-    intern = _wiring(arrays.shape).rows.setdefault
+    neighbour = iter(np.concatenate([topo.b, topo.a])[order].tolist())
+    degree = np.bincount(ends, minlength=topo.shape[0] * topo.shape[1]).tolist()
+    intern = _wiring(topo.shape).rows.setdefault
     return tuple(intern(row, row) for row in
                  (tuple(itertools.islice(neighbour, d)) for d in degree))
 
@@ -335,8 +335,8 @@ class SendGrid:
                 taus, index = seq.lookup(sends * self.interval_s)  # the send times
                 hit = index[attached[sends]]
                 for j in set(hit[token[hit] < 0].tolist()):
-                    arrays = seq.snapshots[j].edges.compiled(spec)
-                    token[j] = self._tokens.setdefault(arrays.a.tobytes() + arrays.b.tobytes(),
+                    edges = seq.snapshots[j].edges.compiled(spec)
+                    token[j] = self._tokens.setdefault(edges.a.tobytes() + edges.b.tobytes(),
                                                        len(self._tokens))
                 out.append(np.where(attached[sends], token[index] * n_sends + sends, -1))
                 for k, tau, j in zip(out[-1].tolist(), taus.tolist(), index.tolist()):

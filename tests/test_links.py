@@ -1,11 +1,14 @@
 import collections
 import dataclasses
+import json
 import math
 import random
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarsnap.geometry import (
     ConstellationSpec,
@@ -23,6 +26,7 @@ from polarsnap import report
 from polarsnap.links import (
     HORIZONTAL,
     INTRA_PLANE,
+    KINDS,
     OBLIQUE,
     IslEdge,
     TopologyEdgeSet,
@@ -80,13 +84,10 @@ def _structural_violations(spec: ConstellationSpec, edge: IslEdge) -> list[Topol
             found.append(TopologyViolation(
                 "structure", edge,
                 f"oblique edge spans {dplane} planes (seam crossing or bad kind)"))
-    elif edge.kind == HORIZONTAL:
-        if dplane != 2:
-            found.append(TopologyViolation(
-                "structure", edge,
-                f"horizontal edge spans {dplane} planes (seam crossing or bad kind)"))
-    else:
-        found.append(TopologyViolation("structure", edge, f"unknown kind {edge.kind!r}"))
+    elif dplane != 2:
+        found.append(TopologyViolation(
+            "structure", edge,
+            f"horizontal edge spans {dplane} planes (seam crossing or bad kind)"))
     return found
 
 
@@ -381,9 +382,10 @@ class TestValidator:
 
 
 def corrupted(spec, polar_border_deg, topo, t, rng):
-    """The edge set plus a seam edge, an edge of unknown kind, a non-ring
-    intra-plane edge, a satellite of degree 3, an equatorial horizontal
-    edge and an edge inside a cap."""
+    """The edge set plus a seam edge, a horizontal edge one plane wide (its
+    endpoints out of canonical order), a non-ring intra-plane edge, a
+    satellite of degree 3, an equatorial horizontal edge and an edge inside
+    a cap."""
     n, m = spec.plane_count, spec.sats_per_plane
     p, j = rng.randint(2, n - 1), rng.randint(1, m)
     y1, y2 = rng.sample(range(1, m + 1), 2)
@@ -398,7 +400,7 @@ def corrupted(spec, polar_border_deg, topo, t, rng):
     q = capped.plane + 1 if capped.plane < n else capped.plane - 1
     bad = {
         make_edge(SatId(1, rng.randint(1, m)), SatId(n, rng.randint(1, m)), OBLIQUE),
-        IslEdge(SatId(p + 1, j), SatId(p, j), "laser"),
+        IslEdge(SatId(p + 1, j), SatId(p, j), HORIZONTAL),
         make_edge(SatId(p, j), SatId(p, (j + 1) % m + 1), INTRA_PLANE),
         make_edge(hub, SatId(p - 1, rng.randint(1, m)), OBLIQUE),
         make_edge(hub, SatId(p + 1, y1), OBLIQUE),
@@ -490,7 +492,7 @@ def sweep_case(rule, spec, border):
     """(edge set, instant) pairs of one sweep constellation at one border on
     which the rule fires. No generated set carries a satellite of degree 3,
     so that case joins consecutive reassignment sets; structure adds a seam
-    edge and an edge of unknown kind to each set."""
+    edge and an intra-plane edge between planes to each set."""
     method = "fixed" if rule == "polar" else "reassignment"
     snaps = partition(spec, method, border).snapshots
     if rule == "degree":
@@ -499,7 +501,7 @@ def sweep_case(rule, spec, border):
     if rule == "structure":
         n = spec.plane_count
         bad = {make_edge(SatId(1, 1), SatId(n, 1), OBLIQUE),
-               IslEdge(SatId(1, 2), SatId(2, 2), "laser")}
+               make_edge(SatId(1, 2), SatId(2, 2), INTRA_PLANE)}
         return [(TopologyEdgeSet.from_edges(spec, s.edges.edges | bad), s.start_s + 1e-3)
                 for s in snaps]
     # the polar caps catch fixed links just past their interval
@@ -563,16 +565,18 @@ class TestCompiledEdges:
     def test_canonical_order_and_cache(self, iridium):
         topo = partition(iridium, "reassignment", 75.0).snapshots[0].edges
         twin = partition(iridium, "reassignment", 75.0).snapshots[0].edges
-        arrays = topo.compiled(iridium)
-        assert topo.compiled(iridium) is arrays
+        assert topo.compiled(iridium) is topo
         assert topo == twin and hash(topo) == hash(twin) and repr(topo) == repr(twin)
-        listed = [(arrays.kinds[k], a, b) for k, a, b in
-                  zip(arrays.kind.tolist(), arrays.a.tolist(), arrays.b.tolist())]
+        listed = [(KINDS[k], a, b) for k, a, b in
+                  zip(topo.kind.tolist(), topo.a.tolist(), topo.b.tolist())]
         want = sorted(topo.edges, key=lambda e: (e.kind, e.endpoint_a, e.endpoint_b))
         assert listed == [(e.kind, sat_to_index(iridium, e.endpoint_a),
                            sat_to_index(iridium, e.endpoint_b)) for e in want]
-        assert arrays.of_kind(HORIZONTAL).sum() == topo.count(HORIZONTAL) == 4
-        assert not arrays.of_kind("laser").any()
+        assert topo.of_kind(HORIZONTAL).sum() == topo.count(HORIZONTAL) == 4
+        # a kind outside KINDS names no edge of any set
+        for read in (topo.of_kind, topo.count):
+            with pytest.raises(ValueError):
+                read("laser")
 
     def test_shared_arrays_are_read_only(self, iridium, tmp_path):
         # drawn sets are shared by snapshots, sequences and partitions
@@ -615,10 +619,9 @@ def drawn_ids(shape, ids):
 
 
 def same_arrays(x, y) -> bool:
-    """Same edges in the same order; a drawn set's ``kinds`` also name the
-    universe's kinds it lacks."""
-    return (x.shape == y.shape and np.array_equal(x.a, y.a) and np.array_equal(x.b, y.b)
-            and [x.kinds[k] for k in x.kind] == [y.kinds[k] for k in y.kind])
+    """Same shape and identical kind, a and b arrays."""
+    return x.shape == y.shape and all(np.array_equal(getattr(x, name), getattr(y, name))
+                                      for name in ("kind", "a", "b"))
 
 
 class TestEdgeUniverse:
@@ -649,7 +652,7 @@ class TestEdgeUniverse:
         twin = TopologyEdgeSet.from_edges(iridium, topo.edges)
         assert topo == twin and twin == topo and hash(topo) == hash(twin)
         assert same_arrays(topo.compiled(iridium), twin.compiled(iridium))
-        for kind in (INTRA_PLANE, OBLIQUE, HORIZONTAL, "laser"):
+        for kind in KINDS:
             assert topo.count(kind) == twin.count(kind) == sum(
                 e.kind == kind for e in topo.edges)
         assert topo.n_inter_plane == twin.n_inter_plane == 44 == len(topo) - 66
@@ -693,20 +696,50 @@ class TestEdgeSetIdentity:
         assert len({*drawn, *(s.edges for s in loaded.snapshots)}) == 3
         assert drawn[0] != drawn[1] != drawn[2]
 
-    def test_kind_names_compared_not_codes(self, iridium):
-        # one link under two kinds: the same endpoint arrays, different sets
+    def test_kinds_are_fixed_codes(self, iridium):
+        # one link under two kinds: the same endpoint arrays, different codes and sets
         a, b = class_member(iridium, 0, 1), class_member(iridium, 0, 3)
         oblique = TopologyEdgeSet.from_edges(iridium, [make_edge(a, b, OBLIQUE)])
         horizontal = TopologyEdgeSet.from_edges(iridium, [make_edge(a, b, HORIZONTAL)])
-        assert oblique.compiled(iridium).kind.tolist() == [0]
-        assert horizontal.compiled(iridium).kind.tolist() == [0]
-        assert oblique != horizontal
-        # a drawn set's kinds name all three kinds, a built set's only its own
+        assert oblique.kind.tolist() == [KINDS.index(OBLIQUE)] == [2]
+        assert horizontal.kind.tolist() == [KINDS.index(HORIZONTAL)] == [0]
+        assert oblique.a.tolist() == horizontal.a.tolist() and oblique != horizontal
+        # a built set that lacks some kinds holds the codes a drawn set holds
         rings = intra_plane_edges(iridium)
         wiring = _wiring((6, 11))
         drawn = wiring.draw(wiring.select((), ()))
-        assert rings.compiled(iridium).kinds != drawn.compiled(iridium).kinds
+        assert same_arrays(rings, drawn) and set(rings.kind.tolist()) == {1}
         assert rings == drawn and hash(rings) == hash(drawn)
+        assert KINDS == tuple(sorted(KINDS)) == (HORIZONTAL, INTRA_PLANE, OBLIQUE)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.tuples(st.sampled_from([2, 4, 6]), st.integers(3, 12)), data=st.data())
+    def test_drawn_built_and_loaded_hold_identical_arrays(self, shape, data, tmp_path_factory):
+        # a random subset of the universe, drawn by its ids, built from its
+        # IslEdge objects and exported then loaded: one set, three times
+        spec = ConstellationSpec(*shape, 86.4, 780.0)
+        size = len(_wiring(shape).edges)
+        ids = np.array(sorted(data.draw(st.sets(st.integers(0, size - 1)))), dtype=np.int64)
+        drawn = drawn_ids(shape, ids)
+        built = TopologyEdgeSet.from_edges(spec, drawn.edges)
+        path = tmp_path_factory.mktemp("identity") / "topology.json"
+        export_topology(SnapshotSequence("drawn", (TopologySnapshot(0.0, 1.0, drawn),),
+                                         1.0, 60.0), spec, path)
+        loaded = load_topology(path)[1].snapshots[0].edges
+        for twin in (built, loaded):
+            assert same_arrays(twin, drawn) and twin == drawn and hash(twin) == hash(drawn)
+            assert twin.edges == drawn.edges
+        # a kind outside KINDS is rejected by both builders; the loader names the file
+        name = data.draw(st.text(max_size=6).filter(lambda text: text not in KINDS))
+        unknown = re.escape(f"unknown link kind {name!r}, expected one of {KINDS}")
+        with pytest.raises(ValueError, match=unknown):
+            TopologyEdgeSet.from_edges(spec, [*drawn.edges, IslEdge(SatId(1, 1),
+                                                                     SatId(1, 2), name)])
+        doc = json.loads(path.read_text())
+        doc["edges"].append([name, 1, 1, 1, 2])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: edges table: ") + unknown):
+            load_topology(path)
 
     def test_duplicates_dropped(self, iridium):
         edge = make_edge(SatId(1, 1), SatId(2, 1), OBLIQUE)

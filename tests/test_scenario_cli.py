@@ -18,7 +18,7 @@ from polarsnap import cli, links, scenario
 from polarsnap.cli import main
 from polarsnap.errors import ScenarioError
 from polarsnap.geometry import ConstellationSpec, SatId, orbit_period, satellite_ids
-from polarsnap.links import IslEdge, TopologyEdgeSet
+from polarsnap.links import HORIZONTAL, KINDS, OBLIQUE, IslEdge, TopologyEdgeSet
 from polarsnap.report import export_topology, load_topology, run_compare
 from polarsnap.scenario import MAX_SATELLITES, MAX_SENDS, apply_overrides, load_scenario
 from polarsnap.snapshots import (
@@ -349,13 +349,13 @@ class TestTopologyExport:
             self.assert_matches_reference(seq, spec, tmp_path)
 
     def test_handmade_sequence_matches_reference_exporter(self, iridium, tmp_path):
-        # horizontal edges, an empty edge set, an unknown kind (given once
-        # with its endpoints out of canonical order, once on a ring edge's
-        # endpoints), no trigger, truncated final snapshot
+        # horizontal edges, an empty edge set, odd edges (a horizontal one
+        # with its endpoints out of canonical order, an oblique one on a ring
+        # edge's endpoints, a seam edge), no trigger, truncated final snapshot
         snaps = partition_reassignment(iridium, 75.0).snapshots[:2]
-        odd = snaps[1].edges.edges | {IslEdge(SatId(4, 2), SatId(3, 7), "laser"),
-                                      IslEdge(SatId(1, 1), SatId(1, 2), "laser"),
-                                      make_edge(SatId(1, 1), SatId(6, 1), "oblique")}
+        odd = snaps[1].edges.edges | {IslEdge(SatId(4, 2), SatId(3, 7), HORIZONTAL),
+                                      IslEdge(SatId(1, 1), SatId(1, 2), OBLIQUE),
+                                      make_edge(SatId(1, 1), SatId(6, 1), OBLIQUE)}
         snaps = (snaps[0],
                  TopologySnapshot(1.0e3, 2.5e3, TopologyEdgeSet.from_edges(iridium, ())),
                  TopologySnapshot(2.5e3, 6027.0, TopologyEdgeSet.from_edges(iridium, odd)))
@@ -431,7 +431,7 @@ class TestTopologyExport:
         # a table of the given size, snapshots drawing random subsets of it,
         # one of them empty, and every row in some snapshot
         rng = np.random.default_rng(rows)
-        n, kinds = teledesic.total_satellites, ("oblique", "laser", "intra_plane")
+        n, kinds = teledesic.total_satellites, ("oblique", "horizontal", "intra_plane")
         sats = satellite_ids(teledesic.plane_count, teledesic.sats_per_plane)
         universe = [IslEdge(sats[key // n % n], sats[key % n], kinds[key // (n * n)])
                     for key in rng.choice(3 * n * n, rows, replace=False).tolist()]
@@ -455,11 +455,15 @@ class TestTopologyExport:
     @pytest.mark.parametrize("system", ["iridium", "teledesic"])
     def test_table_rows_are_json_dumps(self, system, request, tmp_path):
         # each row is written as json.dumps of its list would write it, also
-        # for kind names that JSON escapes
+        # for hand-made edges; a kind outside KINDS cannot be exported, as no
+        # set can hold it
         spec = request.getfixturevalue(system)
         snaps = partition_reassignment(spec, 75.0).snapshots
-        odd = snaps[-1].edges.edges | {IslEdge(SatId(1, 1), SatId(2, 1), 'we"ird'),
-                                       IslEdge(SatId(2, 2), SatId(3, 5), "m\u00fcnchen\\\t")}
+        for name in ('we"ird', "m\u00fcnchen\\\t"):
+            with pytest.raises(ValueError, match="unknown link kind"):
+                TopologyEdgeSet.from_edges(spec, [IslEdge(SatId(1, 1), SatId(2, 1), name)])
+        odd = snaps[-1].edges.edges | {IslEdge(SatId(3, 1), SatId(1, 1), HORIZONTAL),
+                                       IslEdge(SatId(2, 2), SatId(3, 5), OBLIQUE)}
         last = TopologySnapshot(snaps[-1].start_s, snaps[-1].end_s,
                                 TopologyEdgeSet.from_edges(spec, odd))
         handmade = SnapshotSequence("handmade", snaps[:-1] + (last,), orbit_period(spec), 75.0)
@@ -470,7 +474,7 @@ class TestTopologyExport:
             rows = text.split('\n "edges": [\n', 1)[1].split("\n ],\n", 1)[0].split(",\n")
             table = json.loads(text)["edges"]
             assert [row.removeprefix("  ") for row in rows] == list(map(json.dumps, table))
-        assert {'we"ird', "m\u00fcnchen\\\t"} <= {row[0] for row in table}
+        assert {row[0] for row in table} == set(KINDS)
 
     def test_empty_sequence_rejected(self, iridium, tmp_path):
         seq = SnapshotSequence("reassignment", (), 6027.0, 60.0)
@@ -537,6 +541,7 @@ MALFORMED_EITHER = [
 MALFORMED_V3 = [
     ("short_row", _put(("edges", 0), ["horizontal", 1, 2, 3]), "edges table"),
     ("kind_not_string", _put(("edges", 0, 0), 0), "edges table"),
+    ("unknown_kind", _put(("edges", 0, 0), "laser"), "edges table: unknown link kind 'laser'"),
     ("float_endpoint", _put(("edges", 0, 2), 2.5), "edges table"),
     ("string_endpoint", _put(("edges", 0, 2), "2"), "edges table"),
     ("endpoint_outside", _put(("edges", 0, 3), 7), "edges table"),
@@ -599,6 +604,25 @@ class TestMalformedTopology:
     @pytest.mark.parametrize("case, edit, names", MALFORMED_V3, ids=[c[0] for c in MALFORMED_V3])
     def test_v3(self, case, edit, names, iridium, tmp_path):
         self.assert_rejected(export_topology, iridium, edit, names, tmp_path)
+
+    def test_satellite_limit(self, iridium, tmp_path):
+        # a header naming more satellites than a scenario may is refused before
+        # any set is built or validated; the limit itself loads
+        path = tmp_path / "topo.json"
+        export_topology(partition(iridium, "fixed", 60.0), iridium, path)
+        doc = json.loads(path.read_text())
+
+        def load(n, m):
+            doc["constellation"].update(plane_count=n, sats_per_plane=m)
+            path.write_text(json.dumps(doc))
+            return load_topology(path)
+
+        assert load(8, MAX_SATELLITES // 8)[0].sats_per_plane == MAX_SATELLITES // 8
+        for n, m in ((2000, 2000), (8, MAX_SATELLITES // 8 + 1)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: plane_count x sats_per_plane = {n} x {m} satellites, "
+                    f"above the limit of {MAX_SATELLITES}")):
+                load(n, m)
 
     @pytest.mark.parametrize("text", ["[]", "{", ""])
     def test_not_a_document(self, text, tmp_path):
