@@ -9,10 +9,7 @@ from .errors import (
 from .geometry import (
     ConstellationSpec,
     GroundStation,
-    LsRow,
-    LsState,
     SatId,
-    build_ls_state,
     horizontal_survival_latitude_deg,
     max_link_angle_deg,
     orbit_period,
@@ -24,8 +21,6 @@ from .links import (
     IslEdge,
     TopologyEdgeSet,
     TopologyViolation,
-    fixed_topology,
-    reassign_topology,
     validate_topology,
 )
 from .routing import (
@@ -34,7 +29,6 @@ from .routing import (
     DelaySeries,
     PathResult,
     SendGrid,
-    UtilizationReport,
     attach_ground,
     delay_experiment,
     shortest_delay,

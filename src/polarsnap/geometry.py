@@ -49,6 +49,10 @@ ORBIT_PERIOD_RANGE_S = (1e-3, 1e12)
 # spacing (the uniform-distribution case).
 _SLOT_EPS = 1e-9
 
+# Bound on the satellite rows (instants x satellites) of one ``all_positions_km`` call:
+# each loop over instants evaluates max(1, bound // total_satellites) per call.
+POSITION_BLOCK_ROWS = 1 << 12
+
 
 @dataclass(frozen=True)
 class ConstellationSpec:

@@ -62,7 +62,7 @@ TRIGGER_EXIT = "exit"
 
 @dataclass(frozen=True)
 class IslEdge:
-    """Undirected link; endpoints are kept in canonical (sorted) order."""
+    """Undirected link; edge sets sort its endpoints, whichever way round."""
     endpoint_a: SatId
     endpoint_b: SatId
     kind: str
@@ -72,7 +72,7 @@ def canonical_arrays(shape: tuple[int, int], names: list[str],
                      rows: np.ndarray) -> "TopologyEdgeSet":
     """The edge set of each edge's kind name and its row of an (E, 4)
     integer array (plane a, index a, plane b, index b), 1-based as in
-    ``SatId``, duplicates dropped.
+    ``SatId``: each row's endpoints sorted, duplicates dropped.
 
     Raises:
         ValueError: If a kind is not in ``KINDS`` or an endpoint lies
@@ -86,7 +86,7 @@ def canonical_arrays(shape: tuple[int, int], names: list[str],
         raise ValueError(f"edge endpoint outside the {n_planes}x{m} constellation")
     code = np.fromiter(map(KINDS.index, names), np.int64, len(names))
     n = n_planes * m
-    ends = (planes - 1) * m + slots - 1
+    ends = np.sort((planes - 1) * m + slots - 1, axis=1)
     key = np.sort((code * n + ends[:, 0]) * n + ends[:, 1])
     key = key[np.diff(key, prepend=-1) != 0]  # np.unique would load numpy.ma, 1 MB
     return TopologyEdgeSet(shape, *(x.astype(np.int32)
@@ -164,13 +164,13 @@ class TopologyEdgeSet:
     """A set of links of a fixed constellation shape, as read-only integer
     arrays in canonical order.
 
-    Edge i joins satellites ``a[i]`` and ``b[i]`` (``sat_to_index`` order,
-    from ``endpoint_a`` and ``endpoint_b``) and has kind ``KINDS[kind[i]]``;
-    canonical order, by kind name and then by the endpoints' (plane, index)
-    pairs, is the order of (kind, a, b). The generators draw theirs from
-    the edge universe (``_Wiring.draw``), which passes their universe ids;
-    ``from_edges`` builds one from ``IslEdge`` objects. Sets are equal, and
-    hash equal, exactly when their arrays are, however they were built.
+    Edge i joins satellites ``a[i] <= b[i]`` (``sat_to_index`` order) and
+    has kind ``KINDS[kind[i]]``; canonical order, by kind name and then by
+    the endpoints' (plane, index) pairs, is the order of (kind, a, b). The
+    generators draw theirs from the edge universe (``_Wiring.draw``), which
+    passes their universe ids; ``from_edges`` builds one from ``IslEdge``
+    objects, either way round. Sets are equal, and hash equal, exactly when
+    their arrays are, however they were built.
     """
 
     def __init__(self, shape: tuple[int, int], kind: np.ndarray, a: np.ndarray,
@@ -298,17 +298,6 @@ def fixed_topology(
     return couple_edges(spec, active_couples(spec, polar_border_deg, t))
 
 
-def _band_rows(ls_state: LsState, ascending: bool) -> list:
-    """Non-polar rows of one hemisphere, ordered from the most recently
-    exited row toward the polar-entry border."""
-    rows = [r for r in ls_state.rows if not r.in_polar and r.ascending == ascending]
-    if ascending:
-        rows.sort(key=lambda r: r.u_deg if r.u_deg < 180.0 else r.u_deg - 360.0)
-    else:
-        rows.sort(key=lambda r: r.u_deg)
-    return rows
-
-
 def reassign_topology(
     spec: ConstellationSpec,
     polar_border_deg: float,
@@ -326,7 +315,8 @@ def reassign_topology(
     Args:
         spec: Constellation parameters.
         polar_border_deg: Polar-cap border latitude.
-        ls_state: Row state at the trigger instant.
+        ls_state: Row state at the trigger instant, rows from the south
+            apex (``build_ls_state`` order): most recently exited first.
         trigger: ``"enter"`` or ``"exit"``.
 
     Returns:
@@ -345,7 +335,7 @@ def reassign_topology(
     uniform = is_uniform_row_distribution(spec, polar_border_deg)
     chains, horizontals = [], []
     for ascending in (True, False):
-        band = _band_rows(ls_state, ascending)
+        band = [r for r in ls_state.rows if not r.in_polar and r.ascending == ascending]
         if trigger == TRIGGER_EXIT and not uniform and band:
             band = band[:-1]
         for lower, upper in zip(band[0::2], band[1::2]):

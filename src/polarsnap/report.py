@@ -4,7 +4,8 @@ All outputs are deterministic: edges are sorted canonically, floats are
 serialised with repr round-tripping, and nothing depends on wall-clock
 time, so identical scenarios produce byte-identical files. Topology
 exports are written and read in format 3 (``polarsnap-topology/3``) only:
-an edge table, and each snapshot's rows of it as a hex bit mask.
+an edge table, and each snapshot's rows of it as a hex bit mask. The
+validation oracles keep each position call within ``POSITION_BLOCK_ROWS``.
 """
 import json
 import math
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ScenarioError
-from .geometry import ConstellationSpec, all_positions_km, orbit_period
+from .geometry import POSITION_BLOCK_ROWS, ConstellationSpec, all_positions_km, orbit_period
 from .links import (HORIZONTAL, INTRA_PLANE, KINDS, OBLIQUE, TopologyEdgeSet, canonical_arrays,
                     validate_topology)
 from .routing import DelaySeries, SendGrid, delay_experiment, utilization
@@ -31,7 +32,6 @@ from .snapshots import (
 )
 
 _EXPORT_FORMAT = "polarsnap-topology/3"
-_VALIDATION_ROWS = 1 << 16  # most satellite rows per position call in _check_sequence
 _ROUTING_EDGES = 1 << 20  # most snapshot edges run_compare keeps waiting for a routing pass
 _HEAD_KEYS = ("constellation", "method", "polar_border_deg", "trigger", "period_s",
               "truncated_final", "snapshots", "edges")
@@ -86,7 +86,7 @@ def write_delay_csv(series: DelaySeries, path: Path) -> None:
 
 
 def export_topology(
-    seq: SnapshotSequence, spec: ConstellationSpec, path: Path,
+    seq: SnapshotSequence, spec: ConstellationSpec, path: str | Path,
 ) -> None:
     """Write a sequence as a single ``polarsnap-topology/3`` JSON document.
 
@@ -154,7 +154,7 @@ def export_topology(
     for key, lines in (("edges", table), ("snapshots", snapshots)):
         body = "[\n" + ",\n".join(f"  {line}" for line in lines) + "\n ]" if lines else "[]"
         head = head.replace(f'\n "{key}": []', f'\n "{key}": {body}', 1)
-    path.write_text(head + "\n")
+    Path(path).write_text(head + "\n")
 
 
 def load_topology(path: Path) -> tuple[ConstellationSpec, SnapshotSequence]:
@@ -281,8 +281,7 @@ def _edge_table(shape: tuple[int, int], table) -> TopologyEdgeSet:
 def _check_sequence(
     spec: ConstellationSpec, seq: SnapshotSequence, failures: list[str],
 ) -> None:
-    """Internal oracles: tiling and per-snapshot link validity, positions
-    evaluated in blocks of at most ``_VALIDATION_ROWS`` satellite rows."""
+    """Internal oracles: tiling and per-snapshot link validity."""
     period = orbit_period(spec)
     total = sum(s.duration_s for s in seq.snapshots)
     name = f"{spec.name} {seq.method} {seq.polar_border_deg}"
@@ -292,7 +291,7 @@ def _check_sequence(
         if abs(seq.snapshots[i].end_s - seq.snapshots[i + 1].start_s) > 1e-9:
             failures.append(f"{name}: snapshots {i} and {i + 1} are not contiguous")
     times = [snap.start_s + _EVENT_EPS_S for snap in seq.snapshots]
-    block = max(1, _VALIDATION_ROWS // spec.total_satellites)
+    block = max(1, POSITION_BLOCK_ROWS // spec.total_satellites)
     for i, (snap, t) in enumerate(zip(seq.snapshots, times)):
         if i % block == 0:
             positions = all_positions_km(spec, np.array(times[i:i + block]))
@@ -351,7 +350,7 @@ def run_compare(config: ScenarioConfig) -> ComparisonReport:
                 method=method, polar_border_deg=border, snapshot_count=seq.count,
                 duration_min_s=min(durations), duration_max_s=max(durations),
                 n_inter_min=min(inters), n_inter_max=max(inters),
-                utilization=utilization(seq, spec).value,
+                utilization=utilization(seq, spec),
                 average_delay_s=series.average_delay_s if series else None,
                 unreachable_fraction=series.unreachable_fraction if series else None,
                 analytic=analytic if method == METHOD_REASSIGNMENT else None))
@@ -385,16 +384,20 @@ def _name(spec: ConstellationSpec, method: str, border: float, suffix: str) -> s
 
 
 def format_summary(spec: ConstellationSpec, report: ComparisonReport) -> str:
-    """Fixed-point summary table; analytic and simulated reassignment
-    figures are printed side by side as calc/sim."""
+    """Fixed-point summary table; analytic and simulated reassignment figures are
+    printed side by side as calc/sim. Cells stay a space apart, however wide."""
+    widths = (6, 9, 16, 16, 12, 9, 14)  # of the columns after the method
+
+    def line(method: str, *cells: str) -> str:
+        return f"{method:<14}" + "".join(f" {c:>{w - 1}}" for c, w in zip(cells, widths))
+
     lines = [
         f"snapshot partition summary: {spec.name} "
         f"({spec.plane_count}x{spec.sats_per_plane}, period "
         f"{orbit_period(spec):.2f} s)",
         "calc/sim columns pair the closed-form value with the simulated one",
         "",
-        f"{'method':<14}{'L_pa':>6}{'S':>9}{'dur_min_s':>16}{'dur_max_s':>16}"
-        f"{'n_inter':>12}{'util':>9}{'avg_delay_ms':>14}",
+        line(*"method L_pa S dur_min_s dur_max_s n_inter util avg_delay_ms".split()),
     ]
     for row in report.rows:
         inter = (str(row.n_inter_min) if row.n_inter_min == row.n_inter_max
@@ -406,13 +409,10 @@ def format_summary(spec: ConstellationSpec, report: ComparisonReport) -> str:
             calc = (a.snapshot_count, f"{a.snapshot_duration_s:.2f}",
                     f"{a.snapshot_duration_s:.2f}", a.n_inter_plane)
             cells = [f"{c}/{sim}" for c, sim in zip(calc, cells)]
-        s_txt, dmin, dmax, inter_txt = cells
-        delay_txt = ("-" if row.average_delay_s is None
-                     or math.isnan(row.average_delay_s)
-                     else f"{1000.0 * row.average_delay_s:.3f}")
-        lines.append(
-            f"{row.method:<14}{row.polar_border_deg:>6g}{s_txt:>9}{dmin:>16}"
-            f"{dmax:>16}{inter_txt:>12}{row.utilization:>9.4f}{delay_txt:>14}")
+        delay = ("-" if row.average_delay_s is None or math.isnan(row.average_delay_s)
+                 else f"{1000.0 * row.average_delay_s:.3f}")
+        lines.append(line(row.method, f"{row.polar_border_deg:g}", *cells,
+                          f"{row.utilization:.4f}", delay))
     if report.validation_failures:
         lines.append("")
         lines.append("VALIDATION FAILURES:")

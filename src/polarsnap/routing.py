@@ -22,7 +22,8 @@ drawn, loaded and hand-made sets with the same links share memo entries.
 The pass routes every sequence registered with the grid together: block
 by block of sends, it looks up their snapshots as arrays, gathers the
 distinct (edge set, send) pairs not in the memo, and evaluates satellite
-positions once per send it routes, in chunks; the grid keeps no positions.
+positions in one call for the sends it routes; the grid keeps no positions.
+Grid and pass take max(1, ``POSITION_BLOCK_ROWS`` // satellites) sends per block.
 """
 import heapq
 import itertools
@@ -35,6 +36,7 @@ import numpy as np
 from .geometry import (
     ConstellationSpec,
     GroundStation,
+    POSITION_BLOCK_ROWS,
     SPEED_OF_LIGHT_KM_S,
     SatId,
     all_positions_km,
@@ -44,13 +46,8 @@ from .geometry import (
     satellite_ids,
     validate_sat_id,
 )
-from .links import TopologyEdgeSet, _wiring
+from .links import TRIGGER_ENTER, TopologyEdgeSet, _wiring
 from .snapshots import SnapshotSequence, TopologySnapshot, partition
-
-# Sends whose attachments the grid, and whose snapshot lookups the routing
-# pass, evaluate in one call.
-_SEND_BLOCK = 128
-_POSITION_ROWS = 1 << 12  # most satellite rows per position call of the routing pass
 
 # The memo value of a send that attaches but finds no path.
 _NO_PATH = (math.nan, 0)
@@ -60,14 +57,6 @@ _NO_PATH = (math.nan, 0)
 # rounding (about 1e-16 relative) of the bound and the path sums, so
 # rounding can never make the bound overestimate.
 _BOUND_SCALE = (1.0 - 1e-9) / SPEED_OF_LIGHT_KM_S
-
-
-@dataclass(frozen=True)
-class UtilizationReport:
-    """Time-weighted fraction of the maximum inter-plane link capacity."""
-    method: str
-    polar_border_deg: float
-    value: float
 
 
 @dataclass(frozen=True)
@@ -131,8 +120,9 @@ class DelaySeries:
         return sum(1 for s in self.samples if not s.reachable) / len(self.samples)
 
 
-def utilization(seq: SnapshotSequence, spec: ConstellationSpec) -> UtilizationReport:
-    """Sum of inter-plane link count times duration, normalised by the
+def utilization(seq: SnapshotSequence, spec: ConstellationSpec) -> float:
+    """Time-weighted fraction of the maximum inter-plane link capacity: the
+    sum of inter-plane link count times duration, normalised by the
     all-links-always-on budget (N-1) * M * T.
 
     Raises:
@@ -142,7 +132,7 @@ def utilization(seq: SnapshotSequence, spec: ConstellationSpec) -> UtilizationRe
         raise ValueError("cannot compute utilization of an empty sequence")
     total = sum(s.n_inter_plane * s.duration_s for s in seq.snapshots)
     budget = (spec.plane_count - 1) * spec.sats_per_plane * seq.period_s
-    return UtilizationReport(seq.method, seq.polar_border_deg, total / budget)
+    return total / budget
 
 
 def attach_ground(
@@ -293,8 +283,9 @@ class SendGrid:
         self.dst_index: list[int] = []
         self.up_s: list[float] = []
         self.down_s: list[float] = []
-        for first in range(0, n_sends, _SEND_BLOCK):
-            block = np.array(self.times[first:first + _SEND_BLOCK])
+        per_call = max(1, POSITION_BLOCK_ROWS // spec.total_satellites)
+        for first in range(0, n_sends, per_call):
+            block = np.array(self.times[first:first + per_call])
             positions = all_positions_km(spec, block)
             up = attach_ground(src_gs, block, spec, positions)
             down = attach_ground(dst_gs, block, spec, positions)
@@ -326,9 +317,9 @@ class SendGrid:
         tokens = [np.full(len(seq.snapshots), -1) for seq in waiting]  # taken as sends hit them
         keys: list[list[np.ndarray]] = [[] for _ in waiting]
         attached = np.array(self.attached)
-        chunk = max(1, _POSITION_ROWS // spec.total_satellites)
-        for first in range(0, n_sends, _SEND_BLOCK):
-            sends = np.arange(first, min(first + _SEND_BLOCK, n_sends))
+        per_call = max(1, POSITION_BLOCK_ROWS // spec.total_satellites)
+        for first in range(0, n_sends, per_call):
+            sends = np.arange(first, min(first + per_call, n_sends))
             # Pairs to route, by send; positions repeat, so tau serves only the snapshot check.
             todo: dict[int, dict[int, tuple[TopologySnapshot, float]]] = {}
             for seq, token, out in zip(waiting, tokens, keys):
@@ -342,15 +333,16 @@ class SendGrid:
                 for k, tau, j in zip(out[-1].tolist(), taus.tolist(), index.tolist()):
                     if k >= 0 and k not in routes:
                         todo.setdefault(k % n_sends, {}).setdefault(k, (seq.snapshots[j], tau))
+            if not todo:
+                continue
             routed = sorted(todo)
-            for batch in (routed[c:c + chunk] for c in range(0, len(routed), chunk)):
-                positions = all_positions_km(spec, np.array([times[k] for k in batch]))
-                for k, pos in zip(batch, positions):
-                    src, dst = sats[self.src_index[k]], sats[self.dst_index[k]]
-                    for key, (snap, tau) in todo[k].items():
-                        result = shortest_delay(snap, tau, src, dst, spec, pos)
-                        routes[key] = ((result.delay_s, len(result.path) - 1)
-                                       if result.reachable else _NO_PATH)
+            positions = all_positions_km(spec, np.array([times[k] for k in routed]))
+            for k, pos in zip(routed, positions):
+                src, dst = sats[self.src_index[k]], sats[self.dst_index[k]]
+                for key, (snap, tau) in todo[k].items():
+                    result = shortest_delay(snap, tau, src, dst, spec, pos)
+                    routes[key] = ((result.delay_s, len(result.path) - 1)
+                                   if result.reachable else _NO_PATH)
         self._routed.update((id(seq), (seq, np.concatenate(out)))
                             for seq, out in zip(waiting, keys))
 
@@ -363,7 +355,7 @@ def delay_experiment(
     dst_gs: GroundStation,
     duration_s: float,
     interval_s: float,
-    trigger: str = "enter",
+    trigger: str = TRIGGER_ENTER,
     equal_time_delta_s: float | None = None,
     sequence: SnapshotSequence | None = None,
     grid: SendGrid | None = None,

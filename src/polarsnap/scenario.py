@@ -43,6 +43,7 @@ from pathlib import Path
 
 from .errors import ScenarioError
 from .geometry import ConstellationSpec, GroundStation, orbit_period
+from .links import TRIGGER_ENTER, TRIGGER_EXIT
 from .snapshots import METHOD_EQUAL_TIME, METHOD_FIXED, METHOD_REASSIGNMENT, equal_time_count
 
 MATCH_REASSIGNMENT = "match_reassignment"
@@ -62,7 +63,7 @@ class ScenarioConfig:
     constellation: ConstellationSpec
     polar_borders_deg: list[float] = field(default_factory=lambda: [60.0, 65.0, 70.0, 75.0])
     methods: list[str] = field(default_factory=lambda: list(_VALID_METHODS))
-    trigger: str = "enter"
+    trigger: str = TRIGGER_ENTER
     equal_time_delta: str | float = MATCH_REASSIGNMENT
     source: GroundStation | None = None
     destination: GroundStation | None = None
@@ -166,7 +167,7 @@ def _methods(key: str, text: str, lineno: int | None) -> list[str]:
 
 
 def _trigger(key: str, text: str, lineno: int | None) -> str:
-    if text not in ("enter", "exit"):
+    if text not in (TRIGGER_ENTER, TRIGGER_EXIT):
         raise ScenarioError(f"{key} must be enter or exit, got {text!r}", lineno)
     return text
 

@@ -38,6 +38,7 @@ from .geometry import (
 )
 from .links import (
     TRIGGER_ENTER,
+    TRIGGER_EXIT,
     TopologyEdgeSet,
     active_couples,
     couple_edges,
@@ -48,9 +49,6 @@ from .links import (
 METHOD_REASSIGNMENT = "reassignment"
 METHOD_FIXED = "fixed"
 METHOD_EQUAL_TIME = "equal_time"
-
-EVENT_KIND_ENTER = "enter"
-EVENT_KIND_EXIT = "exit"
 
 # Offset used to evaluate topology state strictly after a boundary. At the
 # closed-form crossing instant itself, float roundoff puts a few rows on the
@@ -65,7 +63,8 @@ MAX_EQUAL_TIME_SNAPSHOTS = 10_000
 @dataclass(frozen=True)
 class PolarCrossing:
     """A border-crossing event: two rows, half a period apart, cross the
-    border of one kind in opposite hemispheres at the same instant."""
+    border of one kind (``TRIGGER_ENTER`` or ``TRIGGER_EXIT``) in opposite
+    hemispheres at the same instant."""
     time_s: float
     kind: str
 
@@ -134,7 +133,6 @@ class AnalyticSummary:
     n_inter_plane: int
     n_oblique: int
     n_horizontal: int
-    n_rows_nonpolar: int
 
 
 def analytic_summary(spec: ConstellationSpec, polar_border_deg: float) -> AnalyticSummary:
@@ -151,14 +149,14 @@ def analytic_summary(spec: ConstellationSpec, polar_border_deg: float) -> Analyt
     return AnalyticSummary(
         snapshot_duration_s=period / spec.row_count, snapshot_count=spec.row_count,
         n_inter_plane=n_oblique + n_horizontal, n_oblique=n_oblique,
-        n_horizontal=n_horizontal, n_rows_nonpolar=n_rows)
+        n_horizontal=n_horizontal)
 
 
 def enumerate_events(
     spec: ConstellationSpec,
     polar_border_deg: float,
     horizon_s: float,
-    kinds: tuple[str, ...] = (EVENT_KIND_ENTER, EVENT_KIND_EXIT),
+    kinds: tuple[str, ...] = (TRIGGER_ENTER, TRIGGER_EXIT),
 ) -> list[PolarCrossing]:
     """Chronological polar-border crossings over [0, horizon).
 
@@ -174,7 +172,7 @@ def enumerate_events(
     """
     check_polar_border(polar_border_deg)
     period = orbit_period(spec)
-    targets = {EVENT_KIND_ENTER: polar_border_deg, EVENT_KIND_EXIT: 180.0 - polar_border_deg}
+    targets = {TRIGGER_ENTER: polar_border_deg, TRIGGER_EXIT: 180.0 - polar_border_deg}
     events = []
     for kind, target in targets.items():
         if kind not in kinds:
@@ -200,11 +198,13 @@ def partition_reassignment(
     tiles exactly one period. Between consecutive events every row moves
     into the place of the row one phase class above it, so only the first
     event's edges are built from its row state; snapshot i holds them with
-    every class c's edges moved to class c - i.
+    every class c's edges moved to class c - i. An unknown trigger is a
+    ValueError.
     """
+    if trigger not in (TRIGGER_ENTER, TRIGGER_EXIT):
+        raise ValueError(f"unknown trigger {trigger!r}")
     period = orbit_period(spec)
-    kind = EVENT_KIND_ENTER if trigger == TRIGGER_ENTER else EVENT_KIND_EXIT
-    events = enumerate_events(spec, polar_border_deg, period, kinds=(kind,))
+    events = enumerate_events(spec, polar_border_deg, period, kinds=(trigger,))
     t0 = events[0].time_s
     first = reassign_topology(
         spec, polar_border_deg, build_ls_state(spec, polar_border_deg, t0 + _EVENT_EPS_S),

@@ -57,8 +57,6 @@ from polarsnap.links import (
 from polarsnap.routing import PathResult
 from polarsnap.snapshots import (
     _EVENT_EPS_S,
-    EVENT_KIND_ENTER,
-    EVENT_KIND_EXIT,
     METHOD_EQUAL_TIME,
     METHOD_FIXED,
     METHOD_REASSIGNMENT,
@@ -320,8 +318,7 @@ def per_event_reassignment(
     """``partition_reassignment`` with every snapshot's edges built from the
     row state just after its own event, instead of rotated from the first."""
     period = orbit_period(spec)
-    kind = EVENT_KIND_ENTER if trigger == TRIGGER_ENTER else EVENT_KIND_EXIT
-    events = enumerate_events(spec, polar_border_deg, period, kinds=(kind,))
+    events = enumerate_events(spec, polar_border_deg, period, kinds=(trigger,))
     t0 = events[0].time_s
     snapshots = []
     for i, event in enumerate(events):
@@ -401,7 +398,7 @@ def crossing_rows(
     northern border phase at that instant; the southern one is M classes,
     half a period, behind it. Raises AssertionError when no class sits on
     the border at that instant."""
-    target = polar_border_deg if event.kind == EVENT_KIND_ENTER else 180.0 - polar_border_deg
+    target = polar_border_deg if event.kind == TRIGGER_ENTER else 180.0 - polar_border_deg
     slots = ((target - 360.0 * event.time_s / orbit_period(spec)) % 360.0
              / spec.phase_offset_deg)
     nearest = round(slots)

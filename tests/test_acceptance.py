@@ -159,11 +159,11 @@ def test_criterion_5_utilization(systems, sequences):
         budget = (spec.plane_count - 1) * spec.sats_per_plane
         for border in BORDERS:
             a = analytic_summary(spec, border)
-            u_re = utilization(sequences[(name, border, "reassignment")], spec).value
+            u_re = utilization(sequences[(name, border, "reassignment")], spec)
             if abs(u_re - a.n_inter_plane / budget) > 1e-9:
                 failures.append(f"{name}@{border}: U {u_re} vs closed form "
                                 f"{a.n_inter_plane / budget}")
-            u_fx = utilization(sequences[(name, border, "fixed")], spec).value
+            u_fx = utilization(sequences[(name, border, "fixed")], spec)
             if u_re < u_fx and not (name == "iridium" and border == 65.0):
                 failures.append(
                     f"{name}@{border}: U_reassign {u_re:.4f} < U_fixed {u_fx:.4f}")

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarsnap.geometry import (
+    POSITION_BLOCK_ROWS,
     ConstellationSpec,
     SatId,
     all_positions_km,
@@ -548,7 +549,7 @@ class TestValidatorPositions:
         monkeypatch.setattr(report, "all_positions_km", recording)
         failures = []
         report._check_sequence(spec, seq, failures)
-        assert len(rows) > 1 and max(rows) <= report._VALIDATION_ROWS
+        assert len(rows) > 1 and max(rows) <= POSITION_BLOCK_ROWS
         assert sum(rows) == len(seq.snapshots) * spec.total_satellites
         times = [snap.start_s + 1e-3 for snap in seq.snapshots]
         want = []
@@ -745,3 +746,15 @@ class TestEdgeSetIdentity:
         edge = make_edge(SatId(1, 1), SatId(2, 1), OBLIQUE)
         twice = TopologyEdgeSet.from_edges(iridium, [edge, edge])
         assert len(twice) == 1 and twice == TopologyEdgeSet.from_edges(iridium, {edge})
+
+    def test_either_direction_is_one_link(self, iridium):
+        ends = (SatId(1, 1), SatId(2, 1))
+        forward, reverse = (TopologyEdgeSet.from_edges(iridium, [IslEdge(*pair, OBLIQUE)])
+                            for pair in (ends, ends[::-1]))
+        for topo in (forward, reverse):
+            assert (topo.a.tolist(), topo.b.tolist()) == ([0], [11])
+            assert topo.edges == {IslEdge(*ends, OBLIQUE)}
+        assert forward == reverse and hash(forward) == hash(reverse)
+        both = TopologyEdgeSet.from_edges(iridium, [IslEdge(*ends, OBLIQUE),
+                                                    IslEdge(*ends[::-1], OBLIQUE)])
+        assert len(both) == 1 and both == forward

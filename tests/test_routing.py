@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from polarsnap import links, report, routing
 from polarsnap.geometry import (
+    POSITION_BLOCK_ROWS,
     ConstellationSpec,
     GroundStation,
     SPEED_OF_LIGHT_KM_S,
@@ -214,15 +215,13 @@ def assert_same_route(got, want):
 class TestUtilization:
     def test_reassignment_closed_form(self, iridium):
         seq = partition_reassignment(iridium, 60.0)
-        report = utilization(seq, iridium)
-        assert report.value == pytest.approx(34.0 / 55.0, abs=1e-9)
+        assert utilization(seq, iridium) == pytest.approx(34.0 / 55.0, abs=1e-9)
 
     @pytest.mark.parametrize("border,inter", [(60.0, 34), (65.0, 34),
                                               (70.0, 40), (75.0, 44)])
     def test_collapse_to_count_ratio(self, iridium, border, inter):
         seq = partition_reassignment(iridium, border)
-        report = utilization(seq, iridium)
-        assert abs(report.value - inter / 55.0) < 1e-9
+        assert abs(utilization(seq, iridium) - inter / 55.0) < 1e-9
 
     def test_saturated_sequence(self, iridium):
         # every couple's chain: (N-1) * M inter-plane links, the budget
@@ -230,12 +229,12 @@ class TestUtilization:
         assert topo.n_inter_plane == (iridium.plane_count - 1) * iridium.sats_per_plane
         snaps = (TopologySnapshot(0.0, 6027.0, topo),)
         seq = SnapshotSequence("synthetic", snaps, 6027.0, 60.0)
-        assert utilization(seq, iridium).value == pytest.approx(1.0)
+        assert utilization(seq, iridium) == pytest.approx(1.0)
 
     def test_zero_inter_plane(self, iridium):
         snaps = (TopologySnapshot(0.0, 6027.0, TopologyEdgeSet.from_edges(iridium, ())),)
         seq = SnapshotSequence("synthetic", snaps, 6027.0, 60.0)
-        assert utilization(seq, iridium).value == 0.0
+        assert utilization(seq, iridium) == 0.0
 
     def test_empty_sequence_rejected(self, iridium):
         seq = SnapshotSequence("synthetic", (), 6027.0, 60.0)
@@ -743,6 +742,23 @@ class TestSendGrid:
         assert run(loaded) == (first[0], attached, attached)
         assert run(seq) == (first[0], 0, 0)
 
+    def test_position_calls_within_bound(self, teledesic, beijing, london, monkeypatch):
+        # 120 sends over 288 satellites: blocks of 14 sends, one position
+        # call each for the attachments and one for a block's routed sends;
+        # a block whose sends are all in the memo makes none
+        calls = []
+        monkeypatch.setattr(routing, "all_positions_km",
+                            lambda spec, t: calls.append(np.size(t)) or all_positions_km(spec, t))
+        grid = SendGrid(teledesic, beijing, london, 7200.0, 60.0)
+        block = POSITION_BLOCK_ROWS // teledesic.total_satellites
+        assert block == 14 and calls == [block] * 8 + [120 - 8 * block]
+        attached = [sum(grid.attached[first:first + block]) for first in range(0, 120, block)]
+        for want in ([n for n in attached if n], []):
+            calls.clear()
+            delay_experiment(teledesic, "reassignment", 60.0, beijing, london, 7200.0, 60.0,
+                             grid=grid)
+            assert calls == want
+
     def test_cut_snapshots_route_without_memo(self, iridium, beijing, london, monkeypatch):
         # hand-made sets use the memo too: every cut snapshot has the same
         # rings, so one token, and a send without a path is stored as such
@@ -869,14 +885,14 @@ class TestRoutingPass:
            borders=st.lists(st.sampled_from([55.0, 60.0, 70.0, 80.0]), min_size=1,
                             max_size=2, unique=True),
            src=STATION, dst=STATION, unregistered=st.integers(0, 2),
-           rows=st.sampled_from([1, 100, routing._POSITION_ROWS]))
+           rows=st.sampled_from([1, 100, POSITION_BLOCK_ROWS]))
     def test_matches_fresh_grids_and_dijkstra(self, planes, sats, borders, src, dst,
                                               unregistered, rows):
-        # 140 sends every 29 s: two snapshot-lookup blocks; position calls of
-        # one send, a few, or a whole block
+        # 140 sends every 29 s, in blocks (one position call each) of one
+        # send, of a few, or of dozens up to all 140
         spec = ConstellationSpec(planes, sats, 86.0, 1000.0, name="small")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(routing, "_POSITION_ROWS", rows)
+            patch.setattr(routing, "POSITION_BLOCK_ROWS", rows)
             self.check(spec, borders, src, dst, 140 * 29.0, 29.0, unregistered)
 
     def test_period_end_fold(self):

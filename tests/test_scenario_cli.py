@@ -19,11 +19,19 @@ from polarsnap.cli import main
 from polarsnap.errors import ScenarioError
 from polarsnap.geometry import ConstellationSpec, SatId, orbit_period, satellite_ids
 from polarsnap.links import HORIZONTAL, KINDS, OBLIQUE, IslEdge, TopologyEdgeSet
-from polarsnap.report import export_topology, load_topology, run_compare
+from polarsnap.report import (
+    ComparisonReport,
+    ComparisonRow,
+    export_topology,
+    format_summary,
+    load_topology,
+    run_compare,
+)
 from polarsnap.scenario import MAX_SATELLITES, MAX_SENDS, apply_overrides, load_scenario
 from polarsnap.snapshots import (
     SnapshotSequence,
     TopologySnapshot,
+    analytic_summary,
     partition,
     partition_reassignment,
 )
@@ -407,6 +415,12 @@ class TestTopologyExport:
         assert hashlib.sha256(format_2_text(path.read_text()).encode()).hexdigest() == \
             PINNED_V2_SHA256
 
+    def test_str_path(self, iridium, tmp_path):
+        seq = partition(iridium, "fixed", 60.0)
+        export_topology(seq, iridium, str(tmp_path / "str.json"))
+        export_topology(seq, iridium, tmp_path / "path.json")
+        assert (tmp_path / "str.json").read_bytes() == (tmp_path / "path.json").read_bytes()
+
     def test_layout(self, iridium, tmp_path):
         seq = partition(iridium, "fixed", 60.0)
         path = tmp_path / "topo.json"
@@ -431,10 +445,11 @@ class TestTopologyExport:
         # a table of the given size, snapshots drawing random subsets of it,
         # one of them empty, and every row in some snapshot
         rng = np.random.default_rng(rows)
-        n, kinds = teledesic.total_satellites, ("oblique", "horizontal", "intra_plane")
+        kinds = ("oblique", "horizontal", "intra_plane")
         sats = satellite_ids(teledesic.plane_count, teledesic.sats_per_plane)
-        universe = [IslEdge(sats[key // n % n], sats[key % n], kinds[key // (n * n)])
-                    for key in rng.choice(3 * n * n, rows, replace=False).tolist()]
+        a, b = np.triu_indices(teledesic.total_satellites, 1)  # undirected links
+        universe = [IslEdge(sats[a[key % len(a)]], sats[b[key % len(a)]], kinds[key // len(a)])
+                    for key in rng.choice(3 * len(a), rows, replace=False).tolist()]
         picks = rng.random((5, rows)) < [[0.0], [0.5], [0.9], [0.1], [0.5]]
         picks[-1] |= ~picks.any(0)
         snaps = tuple(TopologySnapshot(100.0 * i, 100.0 * (i + 1), TopologyEdgeSet.from_edges(
@@ -515,6 +530,12 @@ def _swap_rows(doc):
     doc["edges"][0], doc["edges"][1] = doc["edges"][1], doc["edges"][0]
 
 
+def _swap_ends(doc):
+    # the last row: read as given, the swapped row would still sort last
+    kind, plane_a, index_a, plane_b, index_b = doc["edges"][-1]
+    doc["edges"][-1] = [kind, plane_b, index_b, plane_a, index_a]
+
+
 def _mask(edit):
     """An edit of snapshot 1's ``edge_mask`` text."""
     def apply(doc):
@@ -547,6 +568,9 @@ MALFORMED_V3 = [
     ("endpoint_outside", _put(("edges", 0, 3), 7), "edges table"),
     ("duplicate_rows", lambda doc: doc["edges"].insert(1, doc["edges"][0]), "edges table"),
     ("rows_out_of_order", _swap_rows, "edges table"),
+    # a link read either way round is one set, so a table row must list it sorted
+    ("endpoints_swapped", _swap_ends,
+     "edges table: rows must be distinct and in canonical order"),
     ("mask_too_short", _mask(lambda mask: mask[:-2]), "snapshot 1: edge_mask"),
     ("mask_too_long", _mask(lambda mask: mask + "00"), "snapshot 1: edge_mask"),
     ("mask_non_hex", _mask(lambda mask: "g" + mask[1:]), "snapshot 1: edge_mask"),
@@ -1040,6 +1064,25 @@ class TestEdgeObjects:
                                       equal_time_delta_s=config.equal_time_delta_s).snapshots]
         assert len(sets) == snapshots
         assert len({id(topo) for topo in sets}) == len(set(sets)) == distinct
+
+
+class TestSummary:
+    def test_wide_cell_keeps_a_space(self):
+        # 2 x 1000 satellites: the reassignment count 2000/2000 fills its
+        # 9-wide column and pushes the rest of its line one place right;
+        # a row whose cells fit lines up with the header
+        spec = ConstellationSpec(2, 1000, 86.4, 780.0, period_s=6027.0, name="wide")
+        rows = [ComparisonRow("reassignment", 60.0, 2000, 3.0135, 3.0135, 666, 666, 0.666,
+                              None, None, analytic_summary(spec, 60.0)),
+                ComparisonRow("fixed", 60.0, 2000, 1.0, 5.02, 664, 666, 0.6657,
+                              None, None, None)]
+        header, wide, fits = format_summary(spec, ComparisonReport("wide", rows, [])
+                                            ).splitlines()[3:]
+        assert wide.split() == ["reassignment", "60", "2000/2000", "3.01/3.01", "3.01/3.01",
+                                "666/666", "0.6660", "-"]
+        assert re.match("reassignment +60 +2000/2000", wide)
+        assert len(wide) == len(header) + 1 and len(fits) == len(header)
+        assert fits.split() == ["fixed", "60", "2000", "1.00", "5.02", "664-666", "0.6657", "-"]
 
 
 class TestDeterminism:

@@ -445,6 +445,12 @@ class TestDispatch:
         with pytest.raises(ValueError):
             partition(iridium, "adaptive", 60.0)
 
+    def test_unknown_trigger(self, iridium):
+        # rejected before the events of that kind, of which there are none,
+        # are enumerated
+        with pytest.raises(ValueError, match=re.escape("unknown trigger 'bogus'")):
+            partition(iridium, METHOD_REASSIGNMENT, 60.0, trigger="bogus")
+
     @pytest.mark.parametrize("method", [METHOD_REASSIGNMENT, METHOD_FIXED, METHOD_EQUAL_TIME])
     @pytest.mark.parametrize("border", [95.0, 90.0, 0.0, -5.0, math.nan])
     def test_border_outside_0_90_rejected(self, iridium, method, border):
