@@ -60,12 +60,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     spec = config.constellation
     print(f"{spec.name}: closed-form reassignment snapshot figures "
           f"(period {orbit_period(spec):.2f} s)")
-    print(f"{'L_pa':>6}{'duration_s':>12}{'count':>7}{'oblique':>9}"
-          f"{'horizontal':>12}{'inter_total':>12}")
+    rows = [("L_pa", "duration_s", "count", "oblique", "horizontal", "inter_total")]
     for border in config.polar_borders_deg:
         a = analytic_summary(spec, border)
-        print(f"{border:>6g}{a.snapshot_duration_s:>12.2f}{a.snapshot_count:>7}"
-              f"{a.n_oblique:>9}{a.n_horizontal:>12}{a.n_inter_plane:>12}")
+        rows.append((f"{border:g}", f"{a.snapshot_duration_s:.2f}", a.snapshot_count,
+                     a.n_oblique, a.n_horizontal, a.n_inter_plane))
+    for first, *cells in rows:  # cells stay a space apart, however wide
+        print(f"{first:>6}" + "".join(f" {c:>{w}}" for c, w in zip(cells, (11, 6, 8, 11, 11))))
     return 0
 
 

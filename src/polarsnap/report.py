@@ -4,8 +4,7 @@ All outputs are deterministic: edges are sorted canonically, floats are
 serialised with repr round-tripping, and nothing depends on wall-clock
 time, so identical scenarios produce byte-identical files. Topology
 exports are written and read in format 3 (``polarsnap-topology/3``) only:
-an edge table, and each snapshot's rows of it as a hex bit mask. The
-validation oracles keep each position call within ``POSITION_BLOCK_ROWS``.
+an edge table, and each snapshot's rows of it as a hex bit mask.
 """
 import json
 import math
@@ -16,23 +15,22 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ScenarioError
-from .geometry import POSITION_BLOCK_ROWS, ConstellationSpec, all_positions_km, orbit_period
-from .links import (HORIZONTAL, INTRA_PLANE, KINDS, OBLIQUE, TopologyEdgeSet, canonical_arrays,
-                    validate_topology)
-from .routing import DelaySeries, SendGrid, delay_experiment, utilization
+from .geometry import ConstellationSpec, orbit_period
+from .links import HORIZONTAL, INTRA_PLANE, KINDS, OBLIQUE, TopologyEdgeSet, canonical_arrays
+from .routing import DelaySeries, SendGrid, delay_experiment, route_sequences, utilization
 from .scenario import MAX_SATELLITES, ScenarioConfig
 from .snapshots import (
-    _EVENT_EPS_S,
     METHOD_REASSIGNMENT,
     AnalyticSummary,
     SnapshotSequence,
     TopologySnapshot,
     analytic_summary,
     partition,
+    validate_sequence,
 )
 
 _EXPORT_FORMAT = "polarsnap-topology/3"
-_ROUTING_EDGES = 1 << 20  # most snapshot edges run_compare keeps waiting for a routing pass
+_ROUTING_EDGES = 1 << 20  # most snapshot edges run_compare holds for one routing pass
 _HEAD_KEYS = ("constellation", "method", "polar_border_deg", "trigger", "period_s",
               "truncated_final", "snapshots", "edges")
 
@@ -278,31 +276,6 @@ def _edge_table(shape: tuple[int, int], table) -> TopologyEdgeSet:
     return arrays
 
 
-def _check_sequence(
-    spec: ConstellationSpec, seq: SnapshotSequence, failures: list[str],
-) -> None:
-    """Internal oracles: tiling and per-snapshot link validity."""
-    period = orbit_period(spec)
-    total = sum(s.duration_s for s in seq.snapshots)
-    name = f"{spec.name} {seq.method} {seq.polar_border_deg}"
-    if abs(total - period) > 1e-6:
-        failures.append(f"{name}: snapshots cover {total!r} s of a {period!r} s period")
-    for i in range(len(seq.snapshots) - 1):
-        if abs(seq.snapshots[i].end_s - seq.snapshots[i + 1].start_s) > 1e-9:
-            failures.append(f"{name}: snapshots {i} and {i + 1} are not contiguous")
-    times = [snap.start_s + _EVENT_EPS_S for snap in seq.snapshots]
-    block = max(1, POSITION_BLOCK_ROWS // spec.total_satellites)
-    for i, (snap, t) in enumerate(zip(seq.snapshots, times)):
-        if i % block == 0:
-            positions = all_positions_km(spec, np.array(times[i:i + block]))
-        violations = validate_topology(spec, seq.polar_border_deg, snap.edges, t,
-                                       positions[i % block])
-        if violations:
-            first = violations[0]
-            failures.append(f"{name} snapshot {i}: {len(violations)} violations, "
-                            f"first: {first.rule} {first.detail}")
-
-
 def run_compare(config: ScenarioConfig) -> ComparisonReport:
     """Execute the full pipeline for a scenario: the one behind the
     ``simulate``, ``route`` and ``compare`` commands.
@@ -313,8 +286,8 @@ def run_compare(config: ScenarioConfig) -> ComparisonReport:
     snapshot CSVs plus topology exports under the configured output
     directory. A summary table and a comparison CSV are written at the end.
     All delay experiments share one ``SendGrid``: the stations attach once
-    per send, and each distinct (edge set, send) pair is routed once. The
-    sequences wait for one routing pass until their edges exceed ``_ROUTING_EDGES``.
+    per send. Sequences are held until their edges exceed ``_ROUTING_EDGES``,
+    routed in one ``route_sequences`` pass, then read from its memo.
 
     Raises:
         ScenarioError: If the output directory cannot be created, for
@@ -336,6 +309,8 @@ def run_compare(config: ScenarioConfig) -> ComparisonReport:
     waiting, held = [], 0  # sequences still to route, and their snapshots' edges
 
     def finish() -> None:
+        if grid is not None and waiting:
+            route_sequences(grid, [seq for _, _, seq, _ in waiting])
         for method, border, seq, analytic in waiting:
             series = None
             if grid is not None:
@@ -361,13 +336,11 @@ def run_compare(config: ScenarioConfig) -> ComparisonReport:
         for method in config.methods:
             seq = partition(spec, method, border, trigger=config.trigger,
                             equal_time_delta_s=config.equal_time_delta_s)
-            _check_sequence(spec, seq, failures)
+            failures += validate_sequence(spec, seq)
             write_snapshot_csv(seq, outdir / _name(spec, method, border, "snapshots.csv"))
             export_topology(seq, spec, outdir / _name(spec, method, border, "topology.json"))
             waiting.append((method, border, seq, analytic))
-            if grid is not None:
-                grid.register(seq)
-                held += sum(len(snap.edges) for snap in seq.snapshots)
+            held += sum(len(snap.edges) for snap in seq.snapshots)
             if grid is None or held > _ROUTING_EDGES:
                 finish()
                 held = 0

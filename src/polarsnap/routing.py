@@ -13,17 +13,17 @@ relaxes it. Delays and paths are bitwise those of Dijkstra over every edge
 weight. End-to-end totals include both up/down links; queueing and
 processing are out of scope.
 
-The delay experiment is a send grid plus one routing pass. A ``SendGrid``
+The delay experiment is a send grid plus a routing pass. A ``SendGrid``
 holds what every sequence shares for one pair of stations: the send times
 and both attachments (satellite, mask flag and up- or down-link delay for
 every send), evaluated block by block as arrays, and a memo of routes
 keyed on (edge set, send). A set is known by its compiled endpoints, so
 drawn, loaded and hand-made sets with the same links share memo entries.
-The pass routes every sequence registered with the grid together: block
-by block of sends, it looks up their snapshots as arrays, gathers the
-distinct (edge set, send) pairs not in the memo, and evaluates satellite
-positions in one call for the sends it routes; the grid keeps no positions.
-Grid and pass take max(1, ``POSITION_BLOCK_ROWS`` // satellites) sends per block.
+``route_sequences`` routes its sequences together: it looks up each one
+once, then block by block of sends gathers the distinct (edge set, send)
+pairs not in the memo and evaluates satellite positions in one call for the
+sends it routes. Grid and pass take max(1, ``POSITION_BLOCK_ROWS`` //
+satellites) sends per block.
 """
 import heapq
 import itertools
@@ -249,18 +249,16 @@ def shortest_delay(
 
 
 class SendGrid:
-    """The sends of a delay experiment, what every sequence shares, and
-    the routing pass.
+    """The sends of a delay experiment and what every sequence shares.
 
     For each send k, at k * interval_s: whether both stations attach,
     their satellites' indices in ``sat_to_index`` order and the up- and
     down-link delays, as lists. Attachments are evaluated once, block by
-    block. The grid also memoises routes for ``delay_experiment``: an
-    edge set gets a small integer token from its compiled endpoint arrays
+    block. The grid also memoises routes for ``route_sequences``: an edge
+    set gets a small integer token from its compiled endpoint arrays
     (routes do not depend on edge kinds), and the route of send k over it
     is stored under ``token * n_sends + k`` as (path delay, path hops), or
-    ``_NO_PATH``. Sequences given to ``register`` wait for the next
-    routing pass, which routes them together; ``delay_experiment`` runs it.
+    ``_NO_PATH``.
 
     Raises:
         ValueError: On non-positive duration or interval, or a duration
@@ -296,55 +294,48 @@ class SendGrid:
             self.down_s += (down.range_km / SPEED_OF_LIGHT_KM_S).tolist()
         self.routes: dict[int, tuple[float, int]] = {}
         self._tokens: dict[bytes, int] = {}
-        self._waiting: list[SnapshotSequence] = []
-        self._routed: dict[int, tuple[SnapshotSequence, np.ndarray]] = {}
 
-    def register(self, sequence: SnapshotSequence) -> None:
-        """Queue a sequence for the next routing pass; kept until its samples are read."""
-        self._waiting.append(sequence)
 
-    def _keys(self, sequence: SnapshotSequence) -> list[int]:
-        """Each send's memo key over the sequence (-1 if unattached), routed first if need be."""
-        if id(sequence) not in self._routed:
-            self._route(sequence)
-        return self._routed.pop(id(sequence))[1].tolist()
-
-    def _route(self, sequence: SnapshotSequence) -> None:
-        """The routing pass over a sequence and every queued one, send-major."""
-        waiting, self._waiting = list({id(s): s for s in self._waiting + [sequence]}.values()), []
-        spec, times, n_sends, routes = self.spec, self.times, len(self.times), self.routes
-        sats = satellite_ids(spec.plane_count, spec.sats_per_plane)
-        tokens = [np.full(len(seq.snapshots), -1) for seq in waiting]  # taken as sends hit them
-        keys: list[list[np.ndarray]] = [[] for _ in waiting]
-        attached = np.array(self.attached)
-        per_call = max(1, POSITION_BLOCK_ROWS // spec.total_satellites)
-        for first in range(0, n_sends, per_call):
-            sends = np.arange(first, min(first + per_call, n_sends))
-            # Pairs to route, by send; positions repeat, so tau serves only the snapshot check.
-            todo: dict[int, dict[int, tuple[TopologySnapshot, float]]] = {}
-            for seq, token, out in zip(waiting, tokens, keys):
-                taus, index = seq.lookup(sends * self.interval_s)  # the send times
-                hit = index[attached[sends]]
-                for j in set(hit[token[hit] < 0].tolist()):
-                    edges = seq.snapshots[j].edges.compiled(spec)
-                    token[j] = self._tokens.setdefault(edges.a.tobytes() + edges.b.tobytes(),
-                                                       len(self._tokens))
-                out.append(np.where(attached[sends], token[index] * n_sends + sends, -1))
-                for k, tau, j in zip(out[-1].tolist(), taus.tolist(), index.tolist()):
-                    if k >= 0 and k not in routes:
-                        todo.setdefault(k % n_sends, {}).setdefault(k, (seq.snapshots[j], tau))
-            if not todo:
-                continue
-            routed = sorted(todo)
-            positions = all_positions_km(spec, np.array([times[k] for k in routed]))
-            for k, pos in zip(routed, positions):
-                src, dst = sats[self.src_index[k]], sats[self.dst_index[k]]
-                for key, (snap, tau) in todo[k].items():
-                    result = shortest_delay(snap, tau, src, dst, spec, pos)
-                    routes[key] = ((result.delay_s, len(result.path) - 1)
-                                   if result.reachable else _NO_PATH)
-        self._routed.update((id(seq), (seq, np.concatenate(out)))
-                            for seq, out in zip(waiting, keys))
+def route_sequences(
+    grid: SendGrid, sequences: list[SnapshotSequence],
+) -> list[list[tuple[float, int]]]:
+    """The routing pass: each sequence's route of every send, as (path
+    delay, path hops) or ``_NO_PATH``. Each sequence is looked up once over
+    all sends; then, block by block of sends, the distinct (edge set, send)
+    pairs missing from the grid's memo are routed, with one position call
+    per block that has any."""
+    spec, times, n_sends, routes = grid.spec, grid.times, len(grid.times), grid.routes
+    sats = satellite_ids(spec.plane_count, spec.sats_per_plane)
+    sends, attached, tokens = np.arange(n_sends), np.array(grid.attached), grid._tokens
+    looked_up = []  # per sequence: cyclic send times, snapshot indices, memo keys (-1 unattached)
+    for seq in sequences:
+        taus, index = seq.lookup(sends * grid.interval_s)  # the send times
+        token = np.full(len(seq.snapshots), -1)
+        for j in set(index[attached].tolist()):
+            edges = seq.snapshots[j].edges.compiled(spec)
+            token[j] = tokens.setdefault(edges.a.tobytes() + edges.b.tobytes(), len(tokens))
+        looked_up.append((seq, taus, index, np.where(attached, token[index] * n_sends + sends, -1)))
+    per_call = max(1, POSITION_BLOCK_ROWS // spec.total_satellites)
+    for first in range(0, n_sends, per_call):
+        block = slice(first, first + per_call)
+        # Pairs to route, by send; positions repeat, so tau serves only the snapshot check.
+        todo: dict[int, dict[int, tuple[TopologySnapshot, float]]] = {}
+        for seq, taus, index, keys in looked_up:
+            for k, tau, j in zip(*(x[block].tolist() for x in (keys, taus, index))):
+                if k >= 0 and k not in routes:
+                    todo.setdefault(k % n_sends, {}).setdefault(k, (seq.snapshots[j], tau))
+        if not todo:
+            continue
+        routed = sorted(todo)
+        positions = all_positions_km(spec, np.array([times[k] for k in routed]))
+        for k, pos in zip(routed, positions):
+            src, dst = sats[grid.src_index[k]], sats[grid.dst_index[k]]
+            for key, (snap, tau) in todo[k].items():
+                result = shortest_delay(snap, tau, src, dst, spec, pos)
+                routes[key] = ((result.delay_s, len(result.path) - 1)
+                               if result.reachable else _NO_PATH)
+    return [[routes[k] if k >= 0 else _NO_PATH for k in keys.tolist()]
+            for *_, keys in looked_up]
 
 
 def delay_experiment(
@@ -356,7 +347,6 @@ def delay_experiment(
     duration_s: float,
     interval_s: float,
     trigger: str = TRIGGER_ENTER,
-    equal_time_delta_s: float | None = None,
     sequence: SnapshotSequence | None = None,
     grid: SendGrid | None = None,
 ) -> DelaySeries:
@@ -368,12 +358,11 @@ def delay_experiment(
     down-link delay. Samples with no attachment or no path are flagged
     unreachable and excluded from the average.
 
-    The sends and their attachments come from ``grid``, which is built
-    here when omitted; pass one grid to several calls over the same sends
-    to share them. The samples are read from the grid's route memo, after a
-    routing pass over the sequence and every sequence registered with the
-    grid (``SendGrid.register``) unless a pass has routed it already, so
-    the experiments of one ``compare`` route each distinct pair once.
+    The sends and their attachments come from ``grid``, built here when
+    omitted; pass one grid to several calls to share them. The samples come
+    from ``route_sequences(grid, [sequence])``: a sequence that a pass over
+    the grid has already routed costs one lookup and no routing. Without a
+    ``sequence``, ``partition`` cuts one with the trigger and its defaults.
 
     Raises:
         ValueError: On non-positive duration or interval, a duration
@@ -389,10 +378,7 @@ def delay_experiment(
         if getattr(grid, name) != want:
             raise ValueError(f"grid.{name} is {getattr(grid, name)!r}, expected {want!r}")
     if sequence is None:
-        sequence = partition(
-            spec, method, polar_border_deg,
-            trigger=trigger, equal_time_delta_s=equal_time_delta_s,
-        )
+        sequence = partition(spec, method, polar_border_deg, trigger=trigger)
     elif sequence.method != method:
         raise ValueError(
             f"sequence.method is {sequence.method!r}, expected {method!r}")
@@ -403,9 +389,8 @@ def delay_experiment(
         raise ValueError(f"sequence.period_s is {sequence.period_s}, expected "
                          f"{orbit_period(spec)} for {spec.name}")
 
-    samples = []
-    for t, key, up, down in zip(grid.times, grid._keys(sequence), grid.up_s, grid.down_s):
-        route = grid.routes[key] if key >= 0 else _NO_PATH
-        samples.append(DelaySample(t, False, math.nan, 0) if route is _NO_PATH
-                       else DelaySample(t, True, up + route[0] + down, route[1] + 2))
-    return DelaySeries(src_gs, dst_gs, method, polar_border_deg, tuple(samples))
+    routes = route_sequences(grid, [sequence])[0]
+    samples = tuple(DelaySample(t, False, math.nan, 0) if route is _NO_PATH
+                    else DelaySample(t, True, up + route[0] + down, route[1] + 2)
+                    for t, route, up, down in zip(grid.times, routes, grid.up_s, grid.down_s))
+    return DelaySeries(src_gs, dst_gs, method, polar_border_deg, samples)

@@ -23,6 +23,8 @@ reassignment numbers in closed form; the event-driven sequences count
 rows and edges independently, so the two act as cross-checking oracles.
 The tests check the crossing times against a sampled root-solver and each
 reassignment snapshot against one built from its own event's row state.
+``validate_sequence`` is the per-sequence validation oracle; it evaluates
+positions a block of snapshots per call, within ``POSITION_BLOCK_ROWS``.
 """
 import math
 from dataclasses import dataclass
@@ -30,7 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    POSITION_BLOCK_ROWS,
     ConstellationSpec,
+    all_positions_km,
     build_ls_state,
     check_polar_border,
     nonpolar_row_count,
@@ -44,6 +48,7 @@ from .links import (
     couple_edges,
     fixed_topology,
     reassign_topology,
+    validate_topology,
 )
 
 METHOD_REASSIGNMENT = "reassignment"
@@ -281,6 +286,32 @@ def partition_equal_time(
                       in zip(starts.tolist(), starts[1:].tolist() + [period], couples))
     return SnapshotSequence(METHOD_EQUAL_TIME, snapshots, period, polar_border_deg,
                             truncated_final=truncated)
+
+
+def validate_sequence(spec: ConstellationSpec, seq: SnapshotSequence) -> list[str]:
+    """Failure lines: a period the snapshots do not tile, each gap, and each
+    snapshot whose links fail ``validate_topology`` just after its start."""
+    failures = []
+    period = orbit_period(spec)
+    total = sum(s.duration_s for s in seq.snapshots)
+    name = f"{spec.name} {seq.method} {seq.polar_border_deg}"
+    if abs(total - period) > 1e-6:
+        failures.append(f"{name}: snapshots cover {total!r} s of a {period!r} s period")
+    for i in range(len(seq.snapshots) - 1):
+        if abs(seq.snapshots[i].end_s - seq.snapshots[i + 1].start_s) > 1e-9:
+            failures.append(f"{name}: snapshots {i} and {i + 1} are not contiguous")
+    times = [snap.start_s + _EVENT_EPS_S for snap in seq.snapshots]
+    block = max(1, POSITION_BLOCK_ROWS // spec.total_satellites)
+    for i, (snap, t) in enumerate(zip(seq.snapshots, times)):
+        if i % block == 0:
+            positions = all_positions_km(spec, np.array(times[i:i + block]))
+        violations = validate_topology(spec, seq.polar_border_deg, snap.edges, t,
+                                       positions[i % block])
+        if violations:
+            first = violations[0]
+            failures.append(f"{name} snapshot {i}: {len(violations)} violations, "
+                            f"first: {first.rule} {first.detail}")
+    return failures
 
 
 def partition(

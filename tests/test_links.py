@@ -23,7 +23,7 @@ from polarsnap.geometry import (
     orbit_period,
     sat_to_index,
 )
-from polarsnap import report
+from polarsnap import snapshots
 from polarsnap.links import (
     HORIZONTAL,
     INTRA_PLANE,
@@ -40,7 +40,7 @@ from polarsnap.links import (
     validate_topology,
 )
 from polarsnap.report import export_topology, load_topology
-from polarsnap.snapshots import SnapshotSequence, TopologySnapshot, partition
+from polarsnap.snapshots import SnapshotSequence, TopologySnapshot, partition, validate_sequence
 from tests.oracles import (
     active_couple_set,
     argument_of_latitude_deg,
@@ -546,9 +546,8 @@ class TestValidatorPositions:
             rows.append(np.size(t) * spec.total_satellites)
             return all_positions_km(spec, t)
 
-        monkeypatch.setattr(report, "all_positions_km", recording)
-        failures = []
-        report._check_sequence(spec, seq, failures)
+        monkeypatch.setattr(snapshots, "all_positions_km", recording)
+        failures = validate_sequence(spec, seq)
         assert len(rows) > 1 and max(rows) <= POSITION_BLOCK_ROWS
         assert sum(rows) == len(seq.snapshots) * spec.total_satellites
         times = [snap.start_s + 1e-3 for snap in seq.snapshots]

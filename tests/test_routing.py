@@ -31,6 +31,7 @@ from polarsnap.routing import (
     SendGrid,
     attach_ground,
     delay_experiment,
+    route_sequences,
     shortest_delay,
     utilization,
 )
@@ -779,6 +780,50 @@ class TestSendGrid:
         assert first.samples == second.samples
         assert not any(s.reachable for s in first.samples)
 
+    def test_routed_sequence_reads_the_memo(self, iridium, beijing, london, monkeypatch):
+        # once a batch pass has routed a sequence, its experiment neither
+        # routes nor evaluates positions, and reads the routes the pass returned
+        seqs = [partition(iridium, method, 60.0) for method in METHODS]
+        grid = SendGrid(iridium, beijing, london, self.DURATION_S, self.INTERVAL_S)
+        batch = route_sequences(grid, seqs)
+        calls = []
+        monkeypatch.setattr(routing, "shortest_delay", lambda *args: calls.append(args))
+        monkeypatch.setattr(routing, "all_positions_km", lambda *args: calls.append(args))
+        for seq, routes in zip(seqs, batch):
+            series = delay_experiment(iridium, seq.method, 60.0, beijing, london,
+                                      self.DURATION_S, self.INTERVAL_S, sequence=seq, grid=grid)
+            assert [s.reachable for s in series.samples] == [r is not routing._NO_PATH
+                                                             for r in routes]
+            assert any(s.reachable for s in series.samples)
+        assert calls == []
+
+    def test_compare_looks_up_each_sequence_once_per_pass(self, iridium, beijing, london,
+                                                           tmp_path, monkeypatch):
+        # 6 h of sends every 60 s are six position blocks; the batch pass
+        # looks each sequence up once over all 360 sends, not once per block,
+        # and each experiment looks it up once more to read the memo
+        assert 360 > POSITION_BLOCK_ROWS // iridium.total_satellites * 5
+        lookups, lookup = [], SnapshotSequence.lookup
+        monkeypatch.setattr(SnapshotSequence, "lookup",
+                            lambda seq, t: lookups.append((id(seq), np.size(t))) or lookup(seq, t))
+        passes, route = [], report.route_sequences
+
+        def record(grid, sequences):
+            lookups.clear()
+            routes = route(grid, sequences)
+            passes.append((len(sequences), sorted(lookups)))
+            lookups.clear()
+            return routes
+
+        monkeypatch.setattr(report, "route_sequences", record)
+        config = ScenarioConfig(iridium, [60.0, 70.0], list(METHODS), source=beijing,
+                                destination=london, duration_s=21600.0, interval_s=60.0,
+                                output_dir=tmp_path)
+        assert run_compare(config).ok
+        assert len(passes) == 1 and passes[0][0] == 6
+        assert passes[0][1] == sorted(lookups) and len(set(lookups)) == 6
+        assert {size for _, size in lookups} == {360}
+
     def test_rejects_grid_of_other_arguments(self, iridium, teledesic, beijing, london):
         grid = SendGrid(iridium, beijing, london, 600.0, 60.0)
         seq = partition(iridium, "fixed", 60.0)
@@ -846,19 +891,25 @@ class TestRoutingPass:
     LONDON = GroundStation("London", 51.507, -0.128, 10.0)
 
     @staticmethod
-    def check(spec, borders, src, dst, duration_s, interval_s, unregistered=0):
-        """Register every (border, method) sequence but the last
-        ``unregistered`` with one grid, read each one's samples, and check
-        them against a fresh grid per sequence and, on a sample of sends,
-        against Dijkstra; returns the grid."""
+    def check(spec, borders, src, dst, duration_s, interval_s, left_out=0):
+        """Route every (border, method) sequence but the last ``left_out``
+        in one ``route_sequences`` pass over one grid, read each one's
+        samples, and check them against the pass, against a fresh grid per
+        sequence and, on a sample of sends, against Dijkstra; returns the grid."""
         seqs = [partition(spec, method, border) for border in borders for method in METHODS]
         grid = SendGrid(spec, src, dst, duration_s, interval_s)
-        for seq in seqs[:len(seqs) - unregistered]:
-            grid.register(seq)
+        batch = route_sequences(grid, seqs[:len(seqs) - left_out])
+        assert len(batch) == len(seqs) - left_out
         got = [delay_experiment(spec, seq.method, seq.polar_border_deg, src, dst,
                                 duration_s, interval_s, sequence=seq, grid=grid)
                for seq in seqs]
-        assert not grid._waiting and not grid._routed
+        for routes, series in zip(batch, got):
+            assert len(routes) == len(series.samples) == len(grid.times)
+            for k, (route, sample) in enumerate(zip(routes, series.samples)):
+                assert sample.reachable == (route is not routing._NO_PATH)
+                if sample.reachable:
+                    assert sample.delay_s == grid.up_s[k] + route[0] + grid.down_s[k]
+                    assert sample.hops == route[1] + 2
         sats = satellite_ids(spec.plane_count, spec.sats_per_plane)
         rng = random.Random(f"{spec}:{borders}:{src}:{dst}")
         for seq, series in zip(seqs, got):
@@ -884,16 +935,16 @@ class TestRoutingPass:
     @given(planes=st.sampled_from([2, 4, 6]), sats=st.integers(3, 12),
            borders=st.lists(st.sampled_from([55.0, 60.0, 70.0, 80.0]), min_size=1,
                             max_size=2, unique=True),
-           src=STATION, dst=STATION, unregistered=st.integers(0, 2),
+           src=STATION, dst=STATION, left_out=st.integers(0, 2),
            rows=st.sampled_from([1, 100, POSITION_BLOCK_ROWS]))
     def test_matches_fresh_grids_and_dijkstra(self, planes, sats, borders, src, dst,
-                                              unregistered, rows):
+                                              left_out, rows):
         # 140 sends every 29 s, in blocks (one position call each) of one
         # send, of a few, or of dozens up to all 140
         spec = ConstellationSpec(planes, sats, 86.0, 1000.0, name="small")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(routing, "POSITION_BLOCK_ROWS", rows)
-            self.check(spec, borders, src, dst, 140 * 29.0, 29.0, unregistered)
+            self.check(spec, borders, src, dst, 140 * 29.0, 29.0, left_out)
 
     def test_period_end_fold(self):
         # the sequences start at about 1e-13 s, so the send at 0 folds to
@@ -911,17 +962,25 @@ class TestRoutingPass:
         grid = self.check(iridium, (60.0,), self.STRICT, self.LONDON, 3000.0, 20.0)
         assert 0 < sum(grid.attached) < len(grid.times)
 
-    def test_unregistered_sequence(self, iridium, beijing):
+    def test_sequences_left_out_of_batch_pass(self, iridium, beijing):
         grid = self.check(iridium, (60.0, 75.0), beijing, self.LONDON, 1800.0, 10.0,
-                          unregistered=2)
+                          left_out=2)
         assert len(grid.routes) > 0
 
     @pytest.mark.parametrize("sequences", [0.5, 2.5])
     def test_flush_bound(self, iridium, beijing, london, tmp_path, monkeypatch, sequences):
         # with a bound of half a sequence most sequences are routed alone;
         # with two and a half, in groups; the samples are those of one pass,
-        # and the sequences waiting when the next one is built stay in the bound
+        # and each batch is the sequences held within the bound plus the one
+        # that crossed it
+        batches, route = [], report.route_sequences
+
+        def record(grid, sequences):
+            batches.append([sum(len(snap.edges) for snap in seq.snapshots) for seq in sequences])
+            return route(grid, sequences)
+
         def run(out):
+            batches.clear()
             calls = []
             monkeypatch.setattr(report, "delay_experiment",
                                 lambda *args, **kwargs: calls.append(
@@ -932,26 +991,15 @@ class TestRoutingPass:
             assert run_compare(config).ok
             return calls
 
+        monkeypatch.setattr(report, "route_sequences", record)
         one_pass = run("one")
+        assert [len(batch) for batch in batches] == [12]
         edges = sum(len(s.edges) for s in partition(iridium, "fixed", 60.0).snapshots)
         bound = int(sequences * edges)
         monkeypatch.setattr(report, "_ROUTING_EDGES", bound)
-        held, grids, build = [], [], report.partition
-        grid_class = report.SendGrid
-
-        def grid(*args):
-            grids.append(grid_class(*args))
-            return grids[-1]
-
-        def partitioned(*args, **kwargs):
-            if grids:
-                waiting = grids[0]._waiting + [seq for seq, _ in grids[0]._routed.values()]
-                held.append(sum(len(snap.edges) for seq in waiting for snap in seq.snapshots))
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(report, "SendGrid", grid)
-        monkeypatch.setattr(report, "partition", partitioned)
         bounded = run("bounded")
         assert [s.samples for s in bounded] == [s.samples for s in one_pass]
-        assert len(held) == 12 and max(held) <= bound
-        assert held.count(0) < 11 if sequences > 1 else held.count(0) > 6
+        assert sum(map(len, batches)) == 12
+        assert all(sum(batch[:-1]) <= bound < sum(batch) for batch in batches[:-1])
+        assert sum(batches[-1][:-1]) <= bound
+        assert (len(batches) > 6) if sequences < 1 else (1 < len(batches) < 6)

@@ -663,6 +663,23 @@ class TestCli:
         assert rc == 0
         assert "34" in out and "44" in out and "22" in out
 
+    def test_analyze_columns_stay_apart(self, tmp_path, capsys):
+        # the shipped table is unchanged; a period of 1e11 s widens the
+        # duration column past its width, and it keeps a space before it
+        assert main(["analyze", str(SCENARIOS / "iridium.scenario")]) == 0
+        assert capsys.readouterr().out.splitlines()[1:3] == [
+            "  L_pa  duration_s  count  oblique  horizontal inter_total",
+            "    60      273.95     22       30           4          34"]
+        path = tmp_path / "slow.scenario"
+        path.write_text((SCENARIOS / "iridium.scenario").read_text().replace(
+            "period_s = 6027\n", "period_s = 1e11\n"))
+        assert main(["analyze", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            f"    {border} 4545454545.45     22       {oblique}           {horizontal}"
+            f"          {oblique + horizontal}"
+            for border, oblique, horizontal in ((60, 30, 4), (65, 30, 4), (70, 40, 0),
+                                                (75, 40, 4))]
+
     def test_simulate_writes_artifacts(self, tmp_path, capsys):
         rc = main([
             "simulate", str(SCENARIOS / "iridium.scenario"),

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,9 @@ from polarsnap.snapshots import (
     partition_equal_time,
     partition_fixed,
     partition_reassignment,
+    validate_sequence,
 )
+from polarsnap.scenario import load_scenario
 from tests.oracles import (
     crossing_rows,
     equal_time_per_instant,
@@ -531,3 +535,34 @@ class TestBaselineTable:
                     self.assert_same(got, equal_time_per_instant(spec, border, scale * slot))
                     truncated += got.truncated_final
         assert truncated > 0
+
+
+class TestValidateSequence:
+    # sha256 of the 600 failure lines, newline-terminated, that ``simulate``
+    # reports for the 2 x 300 reassignment-only file at 60 degrees
+    WIDE_SHA256 = "a90846aae328e10b3ce194c59dacb97fb6aeb9dc3dcc9f2a5cf8c19ffc40fae5"
+
+    def test_shipped_sequences_pass(self):
+        scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+        for name in ("iridium", "teledesic"):
+            config = load_scenario(scenarios / f"{name}.scenario")
+            for border in config.polar_borders_deg:
+                for method in config.methods:
+                    seq = partition(config.constellation, method, border,
+                                    trigger=config.trigger,
+                                    equal_time_delta_s=config.equal_time_delta_s)
+                    assert validate_sequence(config.constellation, seq) == []
+
+    def test_wide_reassignment_lines(self, tmp_path):
+        path = tmp_path / "wide.scenario"
+        path.write_text("[constellation]\nname = wide\nplanes = 2\nsats_per_plane = 300\n"
+                        "inclination_deg = 86\naltitude_km = 1000\n[partition]\n"
+                        "polar_border_deg = 60\nmethods = reassignment\n")
+        config = load_scenario(path)
+        seq = partition(config.constellation, "reassignment", 60.0, trigger=config.trigger)
+        lines = validate_sequence(config.constellation, seq)
+        assert len(lines) == 600
+        assert lines[0] == ("wide reassignment 60.0 snapshot 0: 154 violations, "
+                            "first: visibility geocentric angle 90.042 exceeds 58.825")
+        text = "".join(f"{line}\n" for line in lines)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.WIDE_SHA256
