@@ -19,10 +19,11 @@ An edge set is its links and nothing else: a ``TopologyEdgeSet`` is a
 shape and three read-only arrays (kind code, endpoint a, endpoint b),
 whether drawn from the universe, read from a topology export or built
 from ``IslEdge`` objects (``TopologyEdgeSet.from_edges``). A kind code
-indexes the fixed vocabulary ``KINDS``; no other kind can be built, so
-equal sets hold equal arrays. The universe hands out one set per distinct
-id array, and what depends on the links alone is computed once per set
-(``TopologyEdgeSet.derived``). The link rules take the polar border as a
+indexes the fixed vocabulary ``KINDS``; no other kind can be built, and the
+constructor stores every set's arrays at one width (``int8`` kinds,
+``int16`` endpoints and universe ids), so equal sets hold equal arrays.
+The universe hands out one set per distinct id array, and what depends on
+the links alone is computed once per set (``TopologyEdgeSet.derived``). The link rules take the polar border as a
 number and read the link limits from the ``ConstellationSpec``. The
 validator, the export and the router read a set's arrays once its shape
 is checked (``TopologyEdgeSet.compiled``); ``IslEdge`` objects exist only
@@ -56,8 +57,31 @@ HORIZONTAL = "horizontal"
 # canonical order, by kind name and then by endpoints, is (kind, a, b) order.
 KINDS = (HORIZONTAL, INTRA_PLANE, OBLIQUE)
 
+# The stored widths of a set's arrays: a link is 7 bytes. MAX_SATELLITES
+# (2,000) keeps every endpoint, and every universe id (fewer than 4NM), in
+# int16; a product of them, such as a canonical (kind, a, b) key, is computed
+# in int64.
+KIND_DTYPE, INDEX_DTYPE = np.dtype(np.int8), np.dtype(np.int16)
+
 TRIGGER_ENTER = "enter"
 TRIGGER_EXIT = "exit"
+
+
+def _narrow(values, dtype) -> np.ndarray:
+    """The values as an array of ``dtype``, converted only when they are not one.
+
+    Raises:
+        ValueError: If a value is not an integer that ``dtype`` holds.
+    """
+    values = np.asarray(values)
+    if values.dtype == dtype:
+        return values
+    narrow = values.astype(dtype)
+    if values.size and (values.dtype.kind not in "iu" or not (narrow == values).all()):
+        info = np.iinfo(dtype)
+        raise ValueError(f"link array of {values.dtype} does not fit in {dtype}: "
+                         f"values must be integers in [{info.min}, {info.max}]")
+    return narrow
 
 
 @dataclass(frozen=True)
@@ -86,11 +110,10 @@ def canonical_arrays(shape: tuple[int, int], names: list[str],
         raise ValueError(f"edge endpoint outside the {n_planes}x{m} constellation")
     code = np.fromiter(map(KINDS.index, names), np.int64, len(names))
     n = n_planes * m
-    ends = np.sort((planes - 1) * m + slots - 1, axis=1)
+    ends = np.sort((planes.astype(np.int64) - 1) * m + slots - 1, axis=1)
     key = np.sort((code * n + ends[:, 0]) * n + ends[:, 1])
     key = key[np.diff(key, prepend=-1) != 0]  # np.unique would load numpy.ma, 1 MB
-    return TopologyEdgeSet(shape, *(x.astype(np.int32)
-                                    for x in (key // (n * n), key // n % n, key % n)))
+    return TopologyEdgeSet(shape, key // (n * n), key // n % n, key % n)
 
 
 @dataclass(frozen=True)
@@ -101,7 +124,6 @@ class _Wiring:
     chains: np.ndarray  # (2M, N-1) ids, by lower phase class
     horizontals: np.ndarray  # (2M, N/2-1) ids, by phase class
     drawn: dict = field(default_factory=weakref.WeakValueDictionary)  # live sets, by ids
-    rows: dict = field(default_factory=dict)  # routing neighbour rows, interned
 
     def select(self, chains, horizontals) -> np.ndarray:
         """Sorted ids of the rings and the given classes' chains and horizontals."""
@@ -111,13 +133,18 @@ class _Wiring:
     def rotated(self, ids: np.ndarray, k: int) -> np.ndarray:
         """The ids with each phase class c's chain and horizontal edges
         replaced by those of class c - k, sorted."""
-        perm = np.arange(len(self.edges.a))
+        perm = np.arange(len(self.edges.a), dtype=INDEX_DTYPE)
         for table in (self.chains, self.horizontals):
             perm[table] = np.roll(table, k, axis=0)
         return np.sort(perm[ids])
 
     def draw(self, ids: np.ndarray) -> "TopologyEdgeSet":
-        """The edge set of the given sorted ids: one object per ids while it lives."""
+        """The edge set of the given sorted ids: one object per ids while it lives.
+
+        Raises:
+            ValueError: If an id does not fit in ``INDEX_DTYPE``.
+        """
+        ids = _narrow(ids, INDEX_DTYPE)
         if (topo := self.drawn.get(key := ids.tobytes())) is None:
             e = self.edges
             topo = self.drawn[key] = TopologyEdgeSet(e.shape, e.kind[ids], e.a[ids], e.b[ids], ids)
@@ -155,7 +182,8 @@ def _wiring(shape: tuple[int, int]) -> _Wiring:
     order = np.argsort((kind * n * m + a) * n * m + b)
     ids = np.empty_like(order)
     ids[order] = np.arange(len(order))
-    edges = TopologyEdgeSet(shape, *(x[order].astype(np.int32) for x in (kind, a, b)))
+    ids = _narrow(ids, INDEX_DTYPE)
+    edges = TopologyEdgeSet(shape, kind[order], a[order], b[order])
     rings, chains, horizontals = np.split(ids, [n * m, n * m + r * (n - 1)])
     return _Wiring(edges, rings, chains.reshape(r, n - 1), horizontals.reshape(r, n // 2 - 1))
 
@@ -169,14 +197,23 @@ class TopologyEdgeSet:
     the endpoints' (plane, index) pairs, is the order of (kind, a, b). The
     generators draw theirs from the edge universe (``_Wiring.draw``), which
     passes their universe ids; ``from_edges`` builds one from ``IslEdge``
-    objects, either way round. Sets are equal, and hash equal, exactly when
-    their arrays are, however they were built.
+    objects, either way round. Whatever integer arrays it is given, a set
+    stores ``kind`` as ``KIND_DTYPE`` and ``a``, ``b`` and the ids as
+    ``INDEX_DTYPE``, so sets are equal, and hash equal, exactly when their
+    arrays are, however they were built.
+
+    Raises:
+        ValueError: If a value is not an integer its array's dtype holds;
+            none is wrapped.
     """
 
     def __init__(self, shape: tuple[int, int], kind: np.ndarray, a: np.ndarray,
                  b: np.ndarray, ids: np.ndarray | None = None):
+        kind, a, b = _narrow(kind, KIND_DTYPE), _narrow(a, INDEX_DTYPE), _narrow(b, INDEX_DTYPE)
         for x in (kind, a, b):
             x.setflags(write=False)
+        if ids is not None:
+            ids = _narrow(ids, INDEX_DTYPE)
         self.shape, self.kind, self.a, self.b, self._ids = shape, kind, a, b, ids
         self._derived: dict = {}
 
@@ -220,12 +257,14 @@ class TopologyEdgeSet:
                              f"constellation used with a {shape[0]}x{shape[1]} one")
         return self
 
-    def derived(self, spec: ConstellationSpec, build):
-        """``build(self)``, built once and kept on the set, so ``build`` must
-        read nothing but the arrays; raises as ``compiled``."""
+    def derived(self, spec: ConstellationSpec, build, *args):
+        """``build(self, *args)``, built on the first call and kept on the set,
+        so ``build`` must read nothing of the set but its arrays, and ``args``
+        may change only how the value is stored, never the value; raises as
+        ``compiled``."""
         self.compiled(spec)
         if build not in self._derived:
-            self._derived[build] = build(self)
+            self._derived[build] = build(self, *args)
         return self._derived[build]
 
     def of_kind(self, name: str) -> np.ndarray:

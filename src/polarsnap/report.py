@@ -287,7 +287,8 @@ def run_compare(config: ScenarioConfig) -> ComparisonReport:
     directory. A summary table and a comparison CSV are written at the end.
     All delay experiments share one ``SendGrid``: the stations attach once
     per send. Sequences are held until their edges exceed ``_ROUTING_EDGES``,
-    routed in one ``route_sequences`` pass, then read from its memo.
+    routed in one ``route_sequences`` pass, then read from its memo and
+    released, before the next sequence is partitioned.
 
     Raises:
         ScenarioError: If the output directory cannot be created, for
@@ -341,6 +342,7 @@ def run_compare(config: ScenarioConfig) -> ComparisonReport:
             export_topology(seq, spec, outdir / _name(spec, method, border, "topology.json"))
             waiting.append((method, border, seq, analytic))
             held += sum(len(snap.edges) for snap in seq.snapshots)
+            del seq  # held by waiting alone, so finish() releases it before the next partition
             if grid is None or held > _ROUTING_EDGES:
                 finish()
                 held = 0

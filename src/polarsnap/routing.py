@@ -4,12 +4,12 @@ Routing runs on a snapshot's frozen edge set with edge weights equal to
 the straight-line propagation delay between the endpoint positions at the
 packet send time, so latency variation inside a snapshot is captured.
 On its first route an edge set gets a neighbour table, one tuple per
-satellite (equal rows shared by every set of a shape), kept on the set, so
-every snapshot and sequence that shares the set shares the table. Each
-route is an A* search over that table: the heap is ordered by the delay so
-far plus the straight-line delay to the destination, a lower bound on the
-rest of any path, and an edge's delay is computed only when the search
-relaxes it. Delays and paths are bitwise those of Dijkstra over every edge
+satellite (equal rows shared by the tables one routing pass builds), kept
+on the set, so every snapshot and sequence that shares the set shares the
+table. Each route is an A* search over that table: the heap is ordered by
+the delay so far plus the straight-line delay to the destination, a lower
+bound on the rest of any path, and an edge's delay is computed only when
+the search relaxes it. Delays and paths are bitwise those of Dijkstra over every edge
 weight. End-to-end totals include both up/down links; queueing and
 processing are out of scope.
 
@@ -17,8 +17,9 @@ The delay experiment is a send grid plus a routing pass. A ``SendGrid``
 holds what every sequence shares for one pair of stations: the send times
 and both attachments (satellite, mask flag and up- or down-link delay for
 every send), evaluated block by block as arrays, and a memo of routes
-keyed on (edge set, send). A set is known by its compiled endpoints, so
-drawn, loaded and hand-made sets with the same links share memo entries.
+keyed on (edge set, send). A set is known by a digest of its endpoint
+arrays, so drawn, loaded and hand-made sets with the same links share memo
+entries, and the memo keeps no set's arrays.
 ``route_sequences`` routes its sequences together: it looks up each one
 once, then block by block of sends gathers the distinct (edge set, send)
 pairs not in the memo and evaluates satellite positions in one call for the
@@ -28,6 +29,7 @@ satellites) sends per block.
 import heapq
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,7 +48,7 @@ from .geometry import (
     satellite_ids,
     validate_sat_id,
 )
-from .links import TRIGGER_ENTER, TopologyEdgeSet, _wiring
+from .links import TRIGGER_ENTER, TopologyEdgeSet
 from .snapshots import SnapshotSequence, TopologySnapshot, partition
 
 # The memo value of a send that attaches but finds no path.
@@ -76,17 +78,26 @@ class Attachment(NamedTuple):
     """Slant range from the station to that satellite."""
 
 
-def _routing_graph(topo: TopologyEdgeSet) -> tuple[tuple[int, ...], ...]:
+def _routing_graph(topo: TopologyEdgeSet,
+                   rows: dict | None = None) -> tuple[tuple[int, ...], ...]:
     """Each node's neighbours, nodes in ``sat_to_index`` order, built once per
-    set (``TopologyEdgeSet.derived``); equal rows are one tuple, interned on
-    the shape's edge universe. Edge delays depend on the send time: none here."""
+    set (``TopologyEdgeSet.derived``); equal rows are one tuple, interned in
+    ``rows``, a routing pass's table, when one is given. Edge delays depend
+    on the send time: none here."""
     ends = np.concatenate([topo.a, topo.b])
     order = np.argsort(ends, kind="stable")
     neighbour = iter(np.concatenate([topo.b, topo.a])[order].tolist())
     degree = np.bincount(ends, minlength=topo.shape[0] * topo.shape[1]).tolist()
-    intern = _wiring(topo.shape).rows.setdefault
+    intern = ({} if rows is None else rows).setdefault
     return tuple(intern(row, row) for row in
                  (tuple(itertools.islice(neighbour, d)) for d in degree))
+
+
+def _digest(topo: TopologyEdgeSet) -> tuple[int, int]:
+    """A fixed-size digest of a set's endpoint arrays: their two 64-bit
+    keyed hashes. (hashlib would map OpenSSL into the process, 3.6 MB of
+    resident memory.)"""
+    return hash(topo.a.tobytes()), hash(topo.b.tobytes())
 
 
 @dataclass(frozen=True)
@@ -255,8 +266,8 @@ class SendGrid:
     their satellites' indices in ``sat_to_index`` order and the up- and
     down-link delays, as lists. Attachments are evaluated once, block by
     block. The grid also memoises routes for ``route_sequences``: an edge
-    set gets a small integer token from its compiled endpoint arrays
-    (routes do not depend on edge kinds), and the route of send k over it
+    set gets a small integer token from its endpoint arrays (``_token``;
+    routes do not depend on edge kinds), and the route of send k over it
     is stored under ``token * n_sends + k`` as (path delay, path hops), or
     ``_NO_PATH``.
 
@@ -293,7 +304,27 @@ class SendGrid:
             self.up_s += (up.range_km / SPEED_OF_LIGHT_KM_S).tolist()
             self.down_s += (down.range_km / SPEED_OF_LIGHT_KM_S).tolist()
         self.routes: dict[int, tuple[float, int]] = {}
-        self._tokens: dict[bytes, int] = {}
+        self._tokens: dict[tuple[int, int], int] = {}  # by endpoint digest
+        self._holders = weakref.WeakValueDictionary()  # token -> a live set holding it
+        self._issued = itertools.count()
+
+    def _token(self, edges: TopologyEdgeSet) -> int:
+        """The memo token of a set: one per distinct pair of endpoint arrays.
+
+        The grid keeps each token under the arrays' ``_digest``, for its
+        whole life, and one live set of each token weakly. A set whose
+        digest names a token with a live set of other endpoints (a digest
+        collision) gets a token of its own.
+        """
+        digest = _digest(edges)
+        token = self._tokens.get(digest)
+        holder = None if token is None else self._holders.get(token)
+        if token is None or (holder is not None and holder is not edges and not (
+                np.array_equal(holder.a, edges.a) and np.array_equal(holder.b, edges.b))):
+            token = next(self._issued)
+            self._tokens.setdefault(digest, token)
+        self._holders.setdefault(token, edges)
+        return token
 
 
 def route_sequences(
@@ -303,19 +334,20 @@ def route_sequences(
     delay, path hops) or ``_NO_PATH``. Each sequence is looked up once over
     all sends; then, block by block of sends, the distinct (edge set, send)
     pairs missing from the grid's memo are routed, with one position call
-    per block that has any."""
+    per block that has any. The neighbour tables the pass builds share
+    their equal rows; the intern table ends with the pass."""
     spec, times, n_sends, routes = grid.spec, grid.times, len(grid.times), grid.routes
     sats = satellite_ids(spec.plane_count, spec.sats_per_plane)
-    sends, attached, tokens = np.arange(n_sends), np.array(grid.attached), grid._tokens
+    sends, attached = np.arange(n_sends), np.array(grid.attached)
     looked_up = []  # per sequence: cyclic send times, snapshot indices, memo keys (-1 unattached)
     for seq in sequences:
         taus, index = seq.lookup(sends * grid.interval_s)  # the send times
         token = np.full(len(seq.snapshots), -1)
         for j in set(index[attached].tolist()):
-            edges = seq.snapshots[j].edges.compiled(spec)
-            token[j] = tokens.setdefault(edges.a.tobytes() + edges.b.tobytes(), len(tokens))
+            token[j] = grid._token(seq.snapshots[j].edges.compiled(spec))
         looked_up.append((seq, taus, index, np.where(attached, token[index] * n_sends + sends, -1)))
     per_call = max(1, POSITION_BLOCK_ROWS // spec.total_satellites)
+    rows, tabled = {}, set()  # this pass's neighbour rows, interned; ids of the sets seen
     for first in range(0, n_sends, per_call):
         block = slice(first, first + per_call)
         # Pairs to route, by send; positions repeat, so tau serves only the snapshot check.
@@ -331,6 +363,9 @@ def route_sequences(
         for k, pos in zip(routed, positions):
             src, dst = sats[grid.src_index[k]], sats[grid.dst_index[k]]
             for key, (snap, tau) in todo[k].items():
+                if id(snap.edges) not in tabled:  # build its table, if it has none, with rows
+                    tabled.add(id(snap.edges))
+                    snap.edges.derived(spec, _routing_graph, rows)
                 result = shortest_delay(snap, tau, src, dst, spec, pos)
                 routes[key] = ((result.delay_s, len(result.path) - 1)
                                if result.reachable else _NO_PATH)

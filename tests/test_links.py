@@ -40,6 +40,7 @@ from polarsnap.links import (
     validate_topology,
 )
 from polarsnap.report import export_topology, load_topology
+from polarsnap.routing import _NO_PATH, SendGrid, route_sequences
 from polarsnap.snapshots import SnapshotSequence, TopologySnapshot, partition, validate_sequence
 from tests.oracles import (
     active_couple_set,
@@ -740,6 +741,69 @@ class TestEdgeSetIdentity:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=re.escape(f"{path}: edges table: ") + unknown):
             load_topology(path)
+
+    def test_stored_widths_however_built(self, iridium, beijing, london, tmp_path):
+        # drawn, built from objects, loaded, and built directly from arrays of
+        # other widths: one set, stored at one width, one hash and one memo token
+        drawn = partition(iridium, "reassignment", 60.0).snapshots[3].edges
+        path = tmp_path / "topology.json"
+        export_topology(SnapshotSequence("drawn", (TopologySnapshot(0.0, 1.0, drawn),),
+                                         1.0, 60.0), iridium, path)
+        twins = [TopologyEdgeSet.from_edges(iridium, drawn.edges),
+                 load_topology(path)[1].snapshots[0].edges]
+        for dtype in (np.int64, np.int32, np.uint16):
+            twins.append(TopologyEdgeSet(drawn.shape, *(x.astype(dtype)
+                                                         for x in (drawn.kind, drawn.a, drawn.b))))
+        for topo in (drawn, *twins):
+            assert (topo.kind.dtype, topo.a.dtype, topo.b.dtype) == (np.int8, np.int16, np.int16)
+            assert topo == drawn and hash(topo) == hash(drawn) and same_arrays(topo, drawn)
+        assert drawn._ids.dtype == np.int16
+        assert len({drawn, *twins}) == 1
+        period = orbit_period(iridium)
+        grid = SendGrid(iridium, beijing, london, 1200.0, 60.0)
+        routes = route_sequences(grid, [
+            SnapshotSequence("one", (TopologySnapshot(0.0, period, topo),), period, 60.0)
+            for topo in (drawn, *twins)])
+        assert len(grid._tokens) == 1 and all(r == routes[0] for r in routes)
+        assert any(r is not _NO_PATH for r in routes[0])
+
+    @pytest.mark.parametrize("kind,a,b", [
+        ([128], [0], [1]),  # a kind code past int8
+        ([1], [0], [1 << 15]),  # an endpoint past int16
+        ([1], [(1 << 16) + 1], [2]),  # one that int16 would wrap to 1
+        ([1], [-(1 << 15) - 1], [2]),
+        ([1.0], [0.0], [1.0]),  # not integers
+    ])
+    def test_values_that_do_not_fit_are_rejected(self, kind, a, b):
+        with pytest.raises(ValueError, match="does not fit"):
+            TopologyEdgeSet((6, 11), *map(np.array, (kind, a, b)))
+        with pytest.raises(ValueError, match="does not fit"):
+            _wiring((6, 11)).draw(np.array([(1 << 16) + 1]))
+
+    def test_round_trip_near_the_satellite_limit(self, tmp_path):
+        # 1980 satellites: an edge table key, (kind * n + a) * n + b, needs
+        # 24 bits, so one computed in the stored int16 would wrap
+        shape = (44, 45)
+        spec = ConstellationSpec(*shape, 86.4, 780.0)
+        wiring = _wiring(shape)
+        drawn = [wiring.draw(np.arange(len(wiring.edges), dtype=np.int64)),
+                 wiring.draw(wiring.select(range(0, 90, 2), [1, 50])),
+                 wiring.draw(wiring.select(range(0, 90, 2), [1, 50])).rotated(7)]
+        seq = SnapshotSequence("drawn", tuple(
+            TopologySnapshot(float(i), i + 1.0, topo) for i, topo in enumerate(drawn)), 3.0, 60.0)
+        path = tmp_path / "topology.json"
+        export_topology(seq, spec, path)
+        loaded = load_topology(path)[1]
+        for topo, snap in zip(drawn, loaded.snapshots):
+            assert same_arrays(snap.edges, topo) and snap.edges == topo
+        n, m = spec.total_satellites, shape[1]
+        rows = np.array([[KINDS.index(k), *ends] for k, *ends in json.loads(
+            path.read_text())["edges"]], dtype=np.int64)
+        table = (rows[:, 0] * n + (rows[:, 1] - 1) * m + rows[:, 2] - 1) * n \
+            + (rows[:, 3] - 1) * m + rows[:, 4] - 1
+        want = np.unique(np.concatenate([(t.kind.astype(np.int64) * n + t.a) * n + t.b
+                                         for t in drawn]))
+        assert want.max() >= 1 << 15 and np.array_equal(table, want)
 
     def test_duplicates_dropped(self, iridium):
         edge = make_edge(SatId(1, 1), SatId(2, 1), OBLIQUE)

@@ -1,9 +1,11 @@
 import collections
 import dataclasses
+import gc
 import heapq
 import itertools
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -465,10 +467,13 @@ class TestReferenceRouter:
             assert repr(snap) == repr(other)
         assert rebuilt.edges.derived(iridium, counted) is not graph
         assert rebuilt.edges.derived(iridium, counted) == graph
-        # equal neighbour rows are one tuple, across sets and snapshots
-        for other in (rebuilt, seq.snapshots[1]):
-            rows = other.edges.derived(iridium, counted)
-            assert all((a is b) == (a == b) for a, b in zip(rows, graph))
+        # tables built with one intern table (a routing pass's) share equal rows
+        rows = {}
+        first, *others = (build(s.edges, rows)
+                          for s in (snap, rebuilt, seq.snapshots[1]))
+        assert first == graph
+        for other in others:
+            assert all((a is b) == (a == b) for a, b in zip(other, first))
 
 
 class TestDijkstraParity:
@@ -656,6 +661,81 @@ class TestSendGrid:
         assert series.samples == delay_experiment(
             teledesic, "equal_time", 60.0, beijing, london,
             self.DURATION_S, self.INTERVAL_S).samples
+
+    def test_memo_keeps_digests_not_endpoints(self, teledesic, beijing, london, monkeypatch):
+        # a set's token is kept under a digest of two hashes, whatever its
+        # size, and outlives the set: the same links drawn again after the
+        # first sets died read the memo and route nothing
+        grid = SendGrid(teledesic, beijing, london, self.DURATION_S, self.INTERVAL_S)
+        first = delay_experiment(teledesic, "fixed", 60.0, beijing, london,
+                                 self.DURATION_S, self.INTERVAL_S, grid=grid)
+        gc.collect()
+        assert grid._tokens and all(
+            type(key) is tuple and list(map(type, key)) == [int, int] for key in grid._tokens)
+        assert not grid._holders
+        routed = []
+        monkeypatch.setattr(routing, "shortest_delay", lambda *args: routed.append(args))
+        again = delay_experiment(teledesic, "fixed", 60.0, beijing, london,
+                                 self.DURATION_S, self.INTERVAL_S, grid=grid)
+        assert routed == [] and again.samples == first.samples
+
+    def test_digest_collision_keeps_live_sets_apart(self, iridium, beijing, london,
+                                                    monkeypatch):
+        # with every digest equal, a set whose endpoints differ from the live
+        # holder of the digest's token gets a token of its own
+        seqs = [partition(iridium, method, 60.0) for method in METHODS]
+        want = route_sequences(SendGrid(iridium, beijing, london, self.DURATION_S,
+                                        self.INTERVAL_S), seqs)
+        monkeypatch.setattr(routing, "_digest", lambda topo: (0, 0))
+        grid = SendGrid(iridium, beijing, london, self.DURATION_S, self.INTERVAL_S)
+        assert route_sequences(grid, seqs) == want
+        distinct = {seq.snapshots[j].edges for seq in seqs for j in
+                    set(seq.lookup(np.array(grid.times))[1][np.array(grid.attached)].tolist())}
+        assert len(grid._tokens) == 1 and len(grid._holders) == len(distinct) > 1
+
+    def test_compare_leaves_nothing_routed_on_the_universe(self, teledesic, beijing, london,
+                                                           tmp_path, monkeypatch):
+        # neighbour rows are interned per routing pass: equal rows are one
+        # tuple across the pass's tables, and once the run returns nothing
+        # routing built is reachable from the shape's edge universe
+        tables, build = [], routing._routing_graph
+
+        def record(topo, *args):
+            tables.append(build(topo, *args))
+            return tables[-1]
+
+        monkeypatch.setattr(routing, "_routing_graph", record)
+        self.compare_series(teledesic, (beijing, london), (60.0, 65.0), tmp_path, monkeypatch)
+        rows = [row for table in tables for row in table]
+        interned = {}
+        assert len(tables) > 1 and all(interned.setdefault(row, row) is row for row in rows)
+        seen, todo = set(), [links._wiring((12, 24))]
+        skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType,
+                types.MethodType)
+        while todo:
+            obj = todo.pop()
+            if id(obj) not in seen and not isinstance(obj, skip):
+                seen.add(id(obj))
+                todo += gc.get_referents(obj)
+        assert len(seen) > 10
+        assert not seen & {id(x) for x in (*tables, *rows)}
+
+    def test_finished_sequence_released_before_the_next_partition(
+            self, iridium, beijing, london, tmp_path, monkeypatch):
+        # each sequence routed alone: when the next one is partitioned, no
+        # set of a finished one is live, so the sets live fall back to
+        # where they were before the run
+        live, cut = [], report.partition
+
+        def record(*args, **kwargs):
+            gc.collect()
+            live.append(len(links._wiring((6, 11)).drawn))
+            return cut(*args, **kwargs)
+
+        monkeypatch.setattr(report, "partition", record)
+        monkeypatch.setattr(report, "_ROUTING_EDGES", 0)
+        self.compare_series(iridium, (beijing, london), (60.0, 65.0), tmp_path, monkeypatch)
+        assert live == live[:1] * 6
 
     def test_routes_each_distinct_pair_once(self, teledesic, beijing, london, tmp_path,
                                             monkeypatch):
@@ -856,10 +936,10 @@ class TestSendGrid:
         built = {"rules": collections.Counter(), "graph": collections.Counter()}
         for module, name, counter in ((links, "_set_rules", built["rules"]),
                                       (routing, "_routing_graph", built["graph"])):
-            def counted(arrays, build=getattr(module, name), counter=counter):
+            def counted(arrays, *args, build=getattr(module, name), counter=counter):
                 counter[arrays.shape, arrays.kind.tobytes(), arrays.a.tobytes(),
                         arrays.b.tobytes()] += 1
-                return build(arrays)
+                return build(arrays, *args)
 
             monkeypatch.setattr(module, name, counted)
         borders = (60.0, 65.0, 70.0, 75.0)

@@ -1083,6 +1083,31 @@ class TestEdgeObjects:
         assert len({id(topo) for topo in sets}) == len(set(sets)) == distinct
 
 
+class TestSatelliteLimit:
+    def test_compare_peak_memory_bounded(self, tmp_path):
+        # 2 x 1000 satellites at 60 degrees, 600 s of sends, all three
+        # methods: the traced peak is one sequence's own work, the equal_time
+        # partition's active-couple table, at about 229 MB. It was 321 MB
+        # with 20-byte links and the finished sequence still live while the
+        # next was partitioned.
+        text = (SCENARIOS / "iridium.scenario").read_text()
+        path = tmp_path / "big.scenario"
+        path.write_text(text.replace("\nplanes = 6\n", "\nplanes = 2\n")
+                        .replace("\nsats_per_plane = 11\n", "\nsats_per_plane = 1000\n"))
+        config = load_scenario(path)
+        assert config.constellation.total_satellites == 2000
+        config.polar_borders_deg, config.duration_s = [60.0], 600.0
+        config.output_dir = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            report = run_compare(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and len(report.rows) == 3
+        assert peak < 260e6, f"{peak / 1e6:.1f} MB"
+
+
 class TestSummary:
     def test_wide_cell_keeps_a_space(self):
         # 2 x 1000 satellites: the reassignment count 2000/2000 fills its
