@@ -22,6 +22,7 @@ import sys
 from .errors import ScenarioError
 from .geometry import orbit_period
 from .report import ComparisonReport, format_summary, run_compare
+from .routing import send_count
 from .scenario import ScenarioConfig, apply_overrides, load_scenario
 from .snapshots import analytic_summary
 
@@ -87,8 +88,7 @@ def cmd_route(args: argparse.Namespace) -> int:
         print("scenario has no [experiment] source/destination", file=sys.stderr)
         return 2
     report = run_compare(config)
-    # the number of sends delay_experiment makes
-    sends = int(config.duration_s // config.interval_s)
+    sends = send_count(config.duration_s, config.interval_s)
     for row in report.rows:
         print(f"{report.scenario_name} {row.method} L_pa={row.polar_border_deg:g}: "
               f"avg delay {1000.0 * row.average_delay_s:.3f} ms over {sends} sends "

@@ -49,8 +49,7 @@ ORBIT_PERIOD_RANGE_S = (1e-3, 1e12)
 # spacing (the uniform-distribution case).
 _SLOT_EPS = 1e-9
 
-# Bound on the satellite rows (instants x satellites) of one ``all_positions_km`` call:
-# each loop over instants evaluates max(1, bound // total_satellites) per call.
+# Bound on the rows (instants x rows per instant) of one per-instant array call.
 POSITION_BLOCK_ROWS = 1 << 12
 
 
@@ -266,6 +265,12 @@ def all_positions_km(spec: ConstellationSpec, t) -> np.ndarray:
     y = r * (np.sin(raan) * cu + np.cos(raan) * su * math.cos(inc))
     z = r * su * math.sin(inc)
     return np.stack([x, y, z], axis=-1).reshape(t.shape + (-1, 3))
+
+
+def instant_blocks(n: int, rows_per_instant: int) -> list[slice]:
+    """n instants in slices of max(1, ``POSITION_BLOCK_ROWS`` // rows_per_instant)."""
+    size = max(1, POSITION_BLOCK_ROWS // rows_per_instant)
+    return [slice(first, first + size) for first in range(0, n, size)]
 
 
 def max_link_angle_deg(spec: ConstellationSpec) -> float:

@@ -23,8 +23,8 @@ entries, and the memo keeps no set's arrays.
 ``route_sequences`` routes its sequences together: it looks up each one
 once, then block by block of sends gathers the distinct (edge set, send)
 pairs not in the memo and evaluates satellite positions in one call for the
-sends it routes. Grid and pass take max(1, ``POSITION_BLOCK_ROWS`` //
-satellites) sends per block.
+sends it routes. Grid and pass take their blocks of sends from
+``instant_blocks``. ``send_count`` checks every send count against ``MAX_SENDS``.
 """
 import heapq
 import itertools
@@ -38,11 +38,11 @@ import numpy as np
 from .geometry import (
     ConstellationSpec,
     GroundStation,
-    POSITION_BLOCK_ROWS,
     SPEED_OF_LIGHT_KM_S,
     SatId,
     all_positions_km,
     ground_position_km,
+    instant_blocks,
     orbit_period,
     sat_to_index,
     satellite_ids,
@@ -50,6 +50,8 @@ from .geometry import (
 )
 from .links import TRIGGER_ENTER, TopologyEdgeSet
 from .snapshots import SnapshotSequence, TopologySnapshot, partition
+
+MAX_SENDS = 100_000  # the most sends one delay experiment may make
 
 # The memo value of a send that attaches but finds no path.
 _NO_PATH = (math.nan, 0)
@@ -259,6 +261,21 @@ def shortest_delay(
     return PathResult(True, dist[dst_i], tuple(sats[i] for i in reversed(path)))
 
 
+def send_count(duration_s: float, interval_s: float) -> int:
+    """The sends of a delay experiment, duration_s // interval_s; a ValueError
+    unless both are positive and finite and the count in [1, ``MAX_SENDS``]."""
+    if not (0.0 < duration_s < math.inf and 0.0 < interval_s < math.inf):
+        raise ValueError("duration_s and interval_s must be positive and finite")
+    if duration_s < interval_s:
+        raise ValueError(f"duration_s {duration_s} is shorter than interval_s {interval_s}, "
+                         "which leaves no sends")
+    sends = duration_s // interval_s
+    if sends > MAX_SENDS:
+        raise ValueError(f"duration_s {duration_s} over interval_s {interval_s} makes "
+                         f"{sends:.6g} sends, above the limit of {MAX_SENDS}")
+    return int(sends)
+
+
 class SendGrid:
     """The sends of a delay experiment and what every sequence shares.
 
@@ -272,32 +289,24 @@ class SendGrid:
     ``_NO_PATH``.
 
     Raises:
-        ValueError: On non-positive duration or interval, or a duration
-            shorter than the interval, which leaves no sends.
+        ValueError: On a duration and interval that ``send_count`` rejects.
     """
 
     def __init__(self, spec: ConstellationSpec, src_gs: GroundStation,
                  dst_gs: GroundStation, duration_s: float, interval_s: float):
-        if duration_s <= 0.0 or interval_s <= 0.0:
-            raise ValueError("duration_s and interval_s must be positive")
-        n_sends = int(duration_s // interval_s)
-        if n_sends == 0:
-            raise ValueError(f"duration_s {duration_s} is shorter than interval_s "
-                             f"{interval_s}: no sends")
+        self.times = [k * interval_s for k in range(send_count(duration_s, interval_s))]
         self.spec, self.src_gs, self.dst_gs = spec, src_gs, dst_gs
         self.duration_s, self.interval_s = duration_s, interval_s
-        self.times = [k * interval_s for k in range(n_sends)]
         self.attached: list[bool] = []
         self.src_index: list[int] = []
         self.dst_index: list[int] = []
         self.up_s: list[float] = []
         self.down_s: list[float] = []
-        per_call = max(1, POSITION_BLOCK_ROWS // spec.total_satellites)
-        for first in range(0, n_sends, per_call):
-            block = np.array(self.times[first:first + per_call])
-            positions = all_positions_km(spec, block)
-            up = attach_ground(src_gs, block, spec, positions)
-            down = attach_ground(dst_gs, block, spec, positions)
+        for block in instant_blocks(len(self.times), spec.total_satellites):
+            times = np.array(self.times[block])
+            positions = all_positions_km(spec, times)
+            up = attach_ground(src_gs, times, spec, positions)
+            down = attach_ground(dst_gs, times, spec, positions)
             self.attached += (up.visible & down.visible).tolist()
             self.src_index += up.index.tolist()
             self.dst_index += down.index.tolist()
@@ -346,10 +355,8 @@ def route_sequences(
         for j in set(index[attached].tolist()):
             token[j] = grid._token(seq.snapshots[j].edges.compiled(spec))
         looked_up.append((seq, taus, index, np.where(attached, token[index] * n_sends + sends, -1)))
-    per_call = max(1, POSITION_BLOCK_ROWS // spec.total_satellites)
     rows, tabled = {}, set()  # this pass's neighbour rows, interned; ids of the sets seen
-    for first in range(0, n_sends, per_call):
-        block = slice(first, first + per_call)
+    for block in instant_blocks(n_sends, spec.total_satellites):
         # Pairs to route, by send; positions repeat, so tau serves only the snapshot check.
         todo: dict[int, dict[int, tuple[TopologySnapshot, float]]] = {}
         for seq, taus, index, keys in looked_up:
@@ -400,11 +407,10 @@ def delay_experiment(
     ``sequence``, ``partition`` cuts one with the trigger and its defaults.
 
     Raises:
-        ValueError: On non-positive duration or interval, a duration
-            shorter than the interval, a ``sequence`` whose method, polar
-            border or period does not match the other arguments, or a
-            ``grid`` built for another constellation, station, duration or
-            interval.
+        ValueError: On a duration and interval that ``send_count`` rejects,
+            a ``sequence`` whose method, polar border or period does not
+            match the other arguments, or a ``grid`` built for another
+            constellation, station, duration or interval.
     """
     if grid is None:
         grid = SendGrid(spec, src_gs, dst_gs, duration_s, interval_s)

@@ -44,12 +44,11 @@ from pathlib import Path
 from .errors import ScenarioError
 from .geometry import ConstellationSpec, GroundStation, orbit_period
 from .links import TRIGGER_ENTER, TRIGGER_EXIT
+from .routing import send_count
 from .snapshots import METHOD_EQUAL_TIME, METHOD_FIXED, METHOD_REASSIGNMENT, equal_time_count
 
 MATCH_REASSIGNMENT = "match_reassignment"
 
-# The most sends one delay experiment may make: duration_s // interval_s.
-MAX_SENDS = 100_000
 # The most satellites, planes * sats_per_plane: arrays grow with satellites
 # times snapshots (2 * sats_per_plane). Iridium has 66, OneWeb 648.
 MAX_SATELLITES = 2_000
@@ -240,14 +239,10 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
 
 
 def _sends(config: ScenarioConfig, lineno: int | None = None) -> None:
-    if config.duration_s < config.interval_s:
-        raise ScenarioError(f"duration_s {config.duration_s} is shorter than interval_s "
-                            f"{config.interval_s}, which leaves no sends", lineno)
-    sends = config.duration_s // config.interval_s
-    if sends > MAX_SENDS:
-        raise ScenarioError(f"duration_s {config.duration_s} over interval_s "
-                            f"{config.interval_s} makes {sends:.6g} sends, above the "
-                            f"limit of {MAX_SENDS}", lineno)
+    try:
+        send_count(config.duration_s, config.interval_s)
+    except ValueError as exc:
+        raise ScenarioError(str(exc), lineno) from None
 
 
 def apply_overrides(config: ScenarioConfig, **overrides: str | None) -> None:
@@ -259,7 +254,7 @@ def apply_overrides(config: ScenarioConfig, **overrides: str | None) -> None:
 
     Raises:
         ScenarioError: A value its key's parser rejects, or a duration and
-            interval that leave no sends or more than ``MAX_SENDS``.
+            interval that ``routing.send_count`` rejects.
     """
     for name, text in overrides.items():
         if text is not None:

@@ -14,7 +14,7 @@ inter-plane link count is the set's.
   keeping only baseline links that stay active through the whole interval.
 
 Both baselines read one boolean table of active couples, a row per instant
-and a column per couple (``active_couples``).
+and a column per couple, a block of instants per ``active_couples`` call.
 
 Every row's phase grows linearly with time, so the border-crossing
 instants have a closed form (``enumerate_events``). Topology states are
@@ -24,7 +24,7 @@ rows and edges independently, so the two act as cross-checking oracles.
 The tests check the crossing times against a sampled root-solver and each
 reassignment snapshot against one built from its own event's row state.
 ``validate_sequence`` is the per-sequence validation oracle; it evaluates
-positions a block of snapshots per call, within ``POSITION_BLOCK_ROWS``.
+positions a block of snapshots per call (``instant_blocks``).
 """
 import math
 from dataclasses import dataclass
@@ -32,11 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    POSITION_BLOCK_ROWS,
     ConstellationSpec,
     all_positions_km,
     build_ls_state,
     check_polar_border,
+    instant_blocks,
     nonpolar_row_count,
     orbit_period,
 )
@@ -173,9 +173,11 @@ def enumerate_events(
     event share the same instant but stay separate records.
 
     Raises:
-        ValueError: If the border is not in (0, 90).
+        ValueError: If the border is not in (0, 90) or the horizon is not finite.
     """
     check_polar_border(polar_border_deg)
+    if not math.isfinite(horizon_s):
+        raise ValueError(f"horizon_s must be finite, got {horizon_s}")
     period = orbit_period(spec)
     targets = {TRIGGER_ENTER: polar_border_deg, TRIGGER_EXIT: 180.0 - polar_border_deg}
     events = []
@@ -229,7 +231,8 @@ def partition_fixed(
     couples changes."""
     period = orbit_period(spec)
     times = np.array([e.time_s for e in enumerate_events(spec, polar_border_deg, period)])
-    active = active_couples(spec, polar_border_deg, times + _EVENT_EPS_S)
+    active = np.concatenate([active_couples(spec, polar_border_deg, times[block] + _EVENT_EPS_S)
+                             for block in instant_blocks(len(times), spec.row_count)])
     # The state before the first event is the one after the last, a period
     # earlier. A baseline that never changes is one snapshot from t=0.
     starts = times[(active != np.roll(active, 1, axis=0)).any(axis=1)].tolist() or [0.0]
@@ -275,7 +278,9 @@ def partition_equal_time(
     n = int(math.floor(n_exact)) + 1 if truncated else int(round(n_exact))
     starts = np.arange(n) * delta_s
     times = np.array([e.time_s for e in enumerate_events(spec, polar_border_deg, period)])
-    active = active_couples(spec, polar_border_deg, np.concatenate([starts, times]) + _EVENT_EPS_S)
+    instants = np.concatenate([starts, times]) + _EVENT_EPS_S
+    active = np.concatenate([active_couples(spec, polar_border_deg, instants[block])
+                             for block in instant_blocks(len(instants), spec.row_count)])
     couples = active[:n]
     # Each event's row is ANDed into the interval holding it. An event at
     # an interval's start changes nothing: its row is the start's own.
@@ -300,17 +305,16 @@ def validate_sequence(spec: ConstellationSpec, seq: SnapshotSequence) -> list[st
     for i in range(len(seq.snapshots) - 1):
         if abs(seq.snapshots[i].end_s - seq.snapshots[i + 1].start_s) > 1e-9:
             failures.append(f"{name}: snapshots {i} and {i + 1} are not contiguous")
-    times = [snap.start_s + _EVENT_EPS_S for snap in seq.snapshots]
-    block = max(1, POSITION_BLOCK_ROWS // spec.total_satellites)
-    for i, (snap, t) in enumerate(zip(seq.snapshots, times)):
-        if i % block == 0:
-            positions = all_positions_km(spec, np.array(times[i:i + block]))
-        violations = validate_topology(spec, seq.polar_border_deg, snap.edges, t,
-                                       positions[i % block])
-        if violations:
-            first = violations[0]
-            failures.append(f"{name} snapshot {i}: {len(violations)} violations, "
-                            f"first: {first.rule} {first.detail}")
+    for block in instant_blocks(len(seq.snapshots), spec.total_satellites):
+        snaps = seq.snapshots[block]
+        times = [snap.start_s + _EVENT_EPS_S for snap in snaps]
+        positions = all_positions_km(spec, np.array(times))
+        for i, (snap, t, pos) in enumerate(zip(snaps, times, positions), block.start):
+            violations = validate_topology(spec, seq.polar_border_deg, snap.edges, t, pos)
+            if violations:
+                first = violations[0]
+                failures.append(f"{name} snapshot {i}: {len(violations)} violations, "
+                                f"first: {first.rule} {first.detail}")
     return failures
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarsnap import links, report, routing
+from polarsnap import geometry, links, report, routing, snapshots
 from polarsnap.geometry import (
     POSITION_BLOCK_ROWS,
     ConstellationSpec,
@@ -43,10 +43,14 @@ from polarsnap.snapshots import (
     SnapshotSequence,
     TopologySnapshot,
     partition,
+    partition_fixed,
     partition_reassignment,
+    validate_sequence,
 )
 from tests.oracles import (
     dijkstra_shortest_delay,
+    equal_time_per_instant,
+    fixed_per_instant,
     index_to_sat,
     reference_attach_ground,
     reference_ground_position_km,
@@ -928,6 +932,26 @@ class TestSendGrid:
             delay_experiment(iridium, "fixed", 60.0, beijing, london, 30.0, 60.0)
         assert len(SendGrid(iridium, beijing, london, 60.0, 60.0).times) == 1
 
+    @pytest.mark.parametrize("duration, interval, match", [
+        (math.inf, 60.0, "must be positive and finite"),
+        (600.0, math.inf, "must be positive and finite"),
+        (math.nan, 60.0, "must be positive and finite"),
+        (600.0, math.nan, "must be positive and finite"),
+        (-600.0, 60.0, "must be positive and finite"),
+        (1e300, 1e-300, "makes inf sends, above the limit of 100000"),
+        (routing.MAX_SENDS * 60.0 + 60.0, 60.0, "makes 100001 sends, above the limit"),
+    ])
+    def test_rejects_send_counts_out_of_range(self, iridium, beijing, london, monkeypatch,
+                                               duration, interval, match):
+        # every out-of-range count is a ValueError raised before any send is
+        # made, from the grid and from an experiment that builds its own
+        monkeypatch.setattr(routing, "all_positions_km", None)
+        with pytest.raises(ValueError, match=match):
+            SendGrid(iridium, beijing, london, duration, interval)
+        with pytest.raises(ValueError, match=match):
+            delay_experiment(iridium, "fixed", 60.0, beijing, london, duration, interval)
+        assert routing.send_count(routing.MAX_SENDS * 60.0, 60.0) == routing.MAX_SENDS
+
     def test_compare_builds_set_caches_once(self, teledesic, beijing, london, tmp_path,
                                             monkeypatch):
         # every sequence of a compare lives until the routing pass, so a set
@@ -1020,11 +1044,26 @@ class TestRoutingPass:
     def test_matches_fresh_grids_and_dijkstra(self, planes, sats, borders, src, dst,
                                               left_out, rows):
         # 140 sends every 29 s, in blocks (one position call each) of one
-        # send, of a few, or of dozens up to all 140
+        # send, of a few, or of dozens up to all 140; under the same bound
+        # the baselines still equal their per-instant oracles, with at most
+        # max(1, rows // 2M) instants per call of their couple table, and
+        # the sequence check gives the lines it gives at the default bound
         spec = ConstellationSpec(planes, sats, 86.0, 1000.0, name="small")
+        seqs = [partition(spec, method, border) for border in borders for method in METHODS]
+        lines = [validate_sequence(spec, seq) for seq in seqs]
+        sizes, table = [], snapshots.active_couples
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(routing, "POSITION_BLOCK_ROWS", rows)
+            patch.setattr(geometry, "POSITION_BLOCK_ROWS", rows)
+            patch.setattr(snapshots, "active_couples",
+                          lambda spec, border, t: sizes.append(np.size(t)) or table(spec, border, t))
             self.check(spec, borders, src, dst, 140 * 29.0, 29.0, left_out)
+            slot = orbit_period(spec) / spec.row_count
+            for border in borders:
+                assert partition_fixed(spec, border) == fixed_per_instant(spec, border)
+                assert (partition(spec, "equal_time", border)
+                        == equal_time_per_instant(spec, border, slot))
+            assert [validate_sequence(spec, seq) for seq in seqs] == lines
+        assert sizes and max(sizes) <= max(1, rows // spec.row_count)
 
     def test_period_end_fold(self):
         # the sequences start at about 1e-13 s, so the send at 0 folds to

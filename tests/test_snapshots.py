@@ -222,6 +222,12 @@ class TestEnumerateEvents:
     def test_zero_horizon(self, iridium):
         assert enumerate_events(iridium, 60.0, 0.0) == []
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_horizon(self, iridium, horizon):
+        # NaN used to give no events and inf to append events without end
+        with pytest.raises(ValueError, match=f"horizon_s must be finite, got {horizon}"):
+            enumerate_events(iridium, 60.0, horizon)
+
     def test_events_pair_a_north_and_a_south_row(self, iridium):
         # at each event one row sits on the kind's northern border phase and
         # the row half a period behind it on the southern one
