@@ -84,6 +84,7 @@ class ConstellationSpec:
     def __post_init__(self):
         _require_finite(self, "altitude_km", "period_s", "inter_plane_spacing_deg",
                         "earth_radius_km", "grazing_altitude_km")
+        _require_int(self, "plane_count", "sats_per_plane")
         if self.plane_count < 2:
             raise UnsupportedConfigurationError(
                 f"plane_count must be >= 2, got {self.plane_count}")
@@ -195,6 +196,14 @@ def _require_finite(obj, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _require_int(obj, *names: str) -> None:
+    """Raise ValueError naming the first given field that is not an ``int``
+    (a ``bool`` is not one here)."""
+    for name, value in ((name, getattr(obj, name)) for name in names):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def orbit_period(spec: ConstellationSpec) -> float:
     """Configured orbit period, or the Keplerian period for the altitude."""
     if spec.period_s is not None:
@@ -204,6 +213,9 @@ def orbit_period(spec: ConstellationSpec) -> float:
 
 
 def validate_sat_id(spec: ConstellationSpec, sat: SatId) -> None:
+    """Raise ValueError unless both fields are integers that name a satellite of spec."""
+    if type(sat.plane) is not int or type(sat.index_in_plane) is not int:  # cheap: every route
+        _require_int(sat, "plane", "index_in_plane")
     if not (1 <= sat.plane <= spec.plane_count
             and 1 <= sat.index_in_plane <= spec.sats_per_plane):
         raise ValueError(f"satellite {sat} outside {spec.plane_count}x"

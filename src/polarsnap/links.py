@@ -123,6 +123,7 @@ class _Wiring:
     rings: np.ndarray  # ids of the ring edges
     chains: np.ndarray  # (2M, N-1) ids, by lower phase class
     horizontals: np.ndarray  # (2M, N/2-1) ids, by phase class
+    classes: np.ndarray  # (2M, N-1 + N/2-1): chains beside horizontals, by phase class
     drawn: dict = field(default_factory=weakref.WeakValueDictionary)  # live sets, by ids
 
     def select(self, chains, horizontals) -> np.ndarray:
@@ -133,9 +134,8 @@ class _Wiring:
     def rotated(self, ids: np.ndarray, k: int) -> np.ndarray:
         """The ids with each phase class c's chain and horizontal edges
         replaced by those of class c - k, sorted."""
-        perm = np.arange(len(self.edges.a), dtype=INDEX_DTYPE)
-        for table in (self.chains, self.horizontals):
-            perm[table] = np.roll(table, k, axis=0)
+        perm, rows = np.arange(len(self.edges.a), dtype=INDEX_DTYPE), len(self.classes)
+        perm[self.classes] = self.classes.take(np.arange(-k, rows - k), axis=0, mode="wrap")
         return np.sort(perm[ids])
 
     def draw(self, ids: np.ndarray) -> "TopologyEdgeSet":
@@ -185,7 +185,8 @@ def _wiring(shape: tuple[int, int]) -> _Wiring:
     ids = _narrow(ids, INDEX_DTYPE)
     edges = TopologyEdgeSet(shape, kind[order], a[order], b[order])
     rings, chains, horizontals = np.split(ids, [n * m, n * m + r * (n - 1)])
-    return _Wiring(edges, rings, chains.reshape(r, n - 1), horizontals.reshape(r, n // 2 - 1))
+    classes = np.hstack([chains.reshape(r, n - 1), horizontals.reshape(r, n // 2 - 1)])
+    return _Wiring(edges, rings, classes[:, :n - 1], classes[:, n - 1:], classes)
 
 
 class TopologyEdgeSet:
@@ -437,10 +438,12 @@ def validate_topology(
 
     ``positions`` are those at t (``all_positions_km``), computed when
     omitted. The set's own rules (kind masks, structure, degrees) are kept
-    on the set and the spec's constants cached per spec; each call
-    evaluates the time-dependent rules over the set's arrays, latitudes
-    only for a set with horizontal edges, and returns at once when none
-    fires. Otherwise violations are built only for flagged edges and
+    on the set and the spec's constants cached per spec. Each call gathers
+    the endpoints' x, y, z columns and per-satellite flags with 1-D takes,
+    evaluates the time-dependent rules over the set's arrays (reduced
+    phases and latitudes only for a set with horizontal edges), and returns
+    at once when one combined check finds that no rule fired. Otherwise
+    violations are built only for flagged edges and
     satellites, edge by edge in canonical order, each edge's in the order
     structure, visibility, polar (endpoint a, then b), same row, survival
     latitude (a, then b); then one per over-degree satellite, in index order.
@@ -452,28 +455,33 @@ def validate_topology(
     check_polar_border(polar_border_deg)
     structure, inter, horizontal, dplane, over = topo.derived(spec, _set_rules)
     phase0, period, max_angle, min_lat, sin_inc = _spec_limits(spec)
-    a, b = topo.a, topo.b
+    a, b = topo.a.astype(np.intp), topo.b.astype(np.intp)  # each take then gathers directly
     if positions is None:
         positions = all_positions_km(spec, t)
-    norm = np.sqrt((positions * positions).sum(1))
-    cos = (positions[a] * positions[b]).sum(1) / (norm[a] * norm[b])
+    x, y, z = positions.T
+    norm = np.sqrt((x * x + y * y) + z * z)
+    xa, ya, za, na = (col.take(a) for col in (x, y, z, norm))
+    xb, yb, zb, nb = (col.take(b) for col in (x, y, z, norm))
+    # numpy sums a row of three as (x + y) + z: angles equal the row-wise dot product's
+    cos = ((xa * xb + ya * yb) + za * zb) / (na * nb)
     angle = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
-    u = (phase0 + 360.0 * t / period) % 360.0  # phase (argument of latitude)
-    polar = in_polar_band(u, polar_border_deg)
+    phase = phase0 + 360.0 * t / period  # argument of latitude; in_polar_band reduces it
+    polar = in_polar_band(phase, polar_border_deg)
     flags = [structure, ~(angle <= max_angle + 1e-9),  # a NaN angle fails too
-             inter & polar[a], inter & polar[b]]
+             inter & polar.take(a), inter & polar.take(b)]
     if horizontal is not None:
+        u = phase % 360.0
         # True latitude, asin(sin i * sin u), of every satellite.
         lat = np.degrees(np.arcsin(np.clip(sin_inc * np.sin(np.radians(u)), -1.0, 1.0)))
         below = np.abs(lat) < min_lat - 1e-9
-        flags += [horizontal & (np.abs(((u[a] - u[b]) + 180.0) % 360.0 - 180.0) > 1e-6),
-                  horizontal & below[a], horizontal & below[b]]
-    if not over and not any(f.any() for f in flags):
+        flags += [horizontal & (np.abs(((u.take(a) - u.take(b)) + 180.0) % 360.0 - 180.0) > 1e-6),
+                  horizontal & below.take(a), horizontal & below.take(b)]
+    if not over and not functools.reduce(np.logical_or, flags).any():
         return []
 
     violations = []
     ids = satellite_ids(spec.plane_count, spec.sats_per_plane)
-    for i, rule in zip(*(x.tolist() for x in np.nonzero(np.stack(flags, axis=1)))):
+    for i, rule in zip(*(hit.tolist() for hit in np.nonzero(np.stack(flags, axis=1)))):
         ends = (int(a[i]), int(b[i]))
         sats = (ids[ends[0]], ids[ends[1]])
         kind = KINDS[topo.kind[i]]

@@ -178,14 +178,16 @@ def _parse_topology(doc) -> tuple[ConstellationSpec, SnapshotSequence]:
     if fmt != _EXPORT_FORMAT:
         raise ValueError(f"unrecognised topology format {fmt!r}")
     _require_keys(doc, _HEAD_KEYS, "")
-    try:
-        spec = ConstellationSpec(**doc["constellation"])
-    except TypeError as exc:
-        raise ValueError(f"bad constellation: {exc}") from exc
-    shape = (spec.plane_count, spec.sats_per_plane)
-    period, entries = doc["period_s"], doc["snapshots"]
+    head = doc["constellation"]
+    _require_keys(head, ("plane_count", "sats_per_plane"), "constellation: ")
+    shape = (head["plane_count"], head["sats_per_plane"])
     if not all(type(x) is int for x in shape):
         raise ValueError(f"plane_count and sats_per_plane must be integers, got {shape}")
+    try:
+        spec = ConstellationSpec(**head)
+    except TypeError as exc:
+        raise ValueError(f"bad constellation: {exc}") from exc
+    period, entries = doc["period_s"], doc["snapshots"]
     if shape[0] * shape[1] > MAX_SATELLITES:
         raise ValueError(f"plane_count x sats_per_plane = {shape[0]} x {shape[1]} satellites, "
                          f"above the limit of {MAX_SATELLITES}")

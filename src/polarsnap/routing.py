@@ -4,14 +4,15 @@ Routing runs on a snapshot's frozen edge set with edge weights equal to
 the straight-line propagation delay between the endpoint positions at the
 packet send time, so latency variation inside a snapshot is captured.
 On its first route an edge set gets a neighbour table, one tuple per
-satellite (equal rows shared by the tables one routing pass builds), kept
-on the set, so every snapshot and sequence that shares the set shares the
-table. Each route is an A* search over that table: the heap is ordered by
-the delay so far plus the straight-line delay to the destination, a lower
-bound on the rest of any path, and an edge's delay is computed only when
-the search relaxes it. Delays and paths are bitwise those of Dijkstra over every edge
-weight. End-to-end totals include both up/down links; queueing and
-processing are out of scope.
+satellite sliced from one sorted neighbour list (equal rows shared by the
+tables one routing pass builds), kept on the set, so every snapshot and
+sequence that shares the set shares the table. Each route is an A* search
+over that table: the heap is ordered by the delay so far plus the
+straight-line delay to the destination, a lower bound on the rest of any
+path, and an edge's delay is computed only when the search relaxes it.
+Delays and paths are bitwise those of Dijkstra over every edge weight.
+End-to-end totals include both up/down links; queueing and processing are
+out of scope.
 
 The delay experiment is a send grid plus a routing pass. A ``SendGrid``
 holds what every sequence shares for one pair of stations: the send times
@@ -83,16 +84,16 @@ class Attachment(NamedTuple):
 def _routing_graph(topo: TopologyEdgeSet,
                    rows: dict | None = None) -> tuple[tuple[int, ...], ...]:
     """Each node's neighbours, nodes in ``sat_to_index`` order, built once per
-    set (``TopologyEdgeSet.derived``); equal rows are one tuple, interned in
+    set (``TopologyEdgeSet.derived``): slices of one neighbour tuple sorted by
+    node, cut at the cumulative degrees. Equal rows are one tuple, interned in
     ``rows``, a routing pass's table, when one is given. Edge delays depend
     on the send time: none here."""
     ends = np.concatenate([topo.a, topo.b])
     order = np.argsort(ends, kind="stable")
-    neighbour = iter(np.concatenate([topo.b, topo.a])[order].tolist())
-    degree = np.bincount(ends, minlength=topo.shape[0] * topo.shape[1]).tolist()
-    intern = ({} if rows is None else rows).setdefault
-    return tuple(intern(row, row) for row in
-                 (tuple(itertools.islice(neighbour, d)) for d in degree))
+    neighbour = tuple(np.concatenate([topo.b, topo.a])[order].tolist())
+    stops = np.bincount(ends, minlength=topo.shape[0] * topo.shape[1]).cumsum().tolist()
+    table = [neighbour[start:stop] for start, stop in zip([0, *stops], stops)]
+    return tuple(map(({} if rows is None else rows).setdefault, table, table))
 
 
 def _digest(topo: TopologyEdgeSet) -> tuple[int, int]:

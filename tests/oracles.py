@@ -4,7 +4,9 @@ The package builds a constellation's edge universe with integer arrays and
 derives every reassignment snapshot from the first one by rotating phase
 classes. The functions here build the same things the slow way, one
 ``SatId`` and ``IslEdge`` at a time and one row state per event, so the
-tests can require equal results from both. ``dijkstra_shortest_delay`` is
+tests can require equal results from both; ``rolled_ids`` rotates a drawn
+set's ids with ``np.roll``. ``islice_neighbour_rows`` cuts a set's
+neighbour rows one at a time. ``dijkstra_shortest_delay`` is
 the router that the A* search replaced, for tests that require bitwise
 equal routes. ``fixed_per_instant`` and ``equal_time_per_instant`` are the
 baseline partitions as they were before they read one table of active
@@ -20,6 +22,7 @@ it before ``horizontal_survival_latitude_deg`` returned 0 for an
 always-visible geometry itself: a formula that raises, and a mapping.
 """
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +49,7 @@ from polarsnap.geometry import (
 )
 from polarsnap.links import (
     HORIZONTAL,
+    INDEX_DTYPE,
     INTRA_PLANE,
     OBLIQUE,
     TRIGGER_ENTER,
@@ -329,6 +333,27 @@ def per_event_reassignment(
             start, end, reassign_topology(spec, polar_border_deg, ls, trigger)))
     return SnapshotSequence(METHOD_REASSIGNMENT, tuple(snapshots), period,
                             polar_border_deg, trigger=trigger)
+
+
+def rolled_ids(shape: tuple[int, int], ids: np.ndarray, k: int) -> np.ndarray:
+    """``_Wiring.rotated`` with one ``np.roll`` per class table: the ids with
+    each phase class c's chain and horizontal edges replaced by those of
+    class c - k, sorted."""
+    wiring = _wiring(shape)
+    perm = np.arange(len(wiring.edges.a), dtype=INDEX_DTYPE)
+    for table in (wiring.chains, wiring.horizontals):
+        perm[table] = np.roll(table, k, axis=0)
+    return np.sort(perm[ids])
+
+
+def islice_neighbour_rows(topo: TopologyEdgeSet) -> tuple[tuple[int, ...], ...]:
+    """``routing._routing_graph`` without interning: each node's row cut in
+    turn from the neighbour list sorted by node, as many as its degree."""
+    ends = np.concatenate([topo.a, topo.b])
+    order = np.argsort(ends, kind="stable")
+    neighbour = iter(np.concatenate([topo.b, topo.a])[order].tolist())
+    degree = np.bincount(ends, minlength=topo.shape[0] * topo.shape[1]).tolist()
+    return tuple(tuple(itertools.islice(neighbour, d)) for d in degree)
 
 
 def dijkstra_shortest_delay(snapshot, t, src, dst, spec, positions=None) -> PathResult:

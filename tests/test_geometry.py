@@ -50,6 +50,14 @@ class TestConstellationSpec:
         with pytest.raises(UnsupportedConfigurationError):
             ConstellationSpec(6, 2, 86.4, 780.0)
 
+    @pytest.mark.parametrize("field", ["plane_count", "sats_per_plane"])
+    @pytest.mark.parametrize("value", [11.5, 6.0, True, "6", None])
+    def test_rejects_counts_that_are_not_int(self, iridium, field, value):
+        # a float count used to pass and fail later, in partition or _narrow
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{field} must be an integer, got {value!r}")):
+            dataclasses.replace(iridium, **{field: value})
+
     def test_phase_offset_is_half_slot(self, iridium):
         assert iridium.phase_offset_deg == pytest.approx(180.0 / 11, abs=0)
         assert iridium.intra_plane_spacing_deg == pytest.approx(2 * iridium.phase_offset_deg)

@@ -26,6 +26,7 @@ from polarsnap.geometry import (
 from polarsnap import snapshots
 from polarsnap.links import (
     HORIZONTAL,
+    INDEX_DTYPE,
     INTRA_PLANE,
     KINDS,
     OBLIQUE,
@@ -52,6 +53,7 @@ from tests.oracles import (
     horizontal_edges,
     intra_plane_edges,
     make_edge,
+    rolled_ids,
     row_members,
     survival_latitude_deg,
     true_latitude_deg,
@@ -383,6 +385,75 @@ class TestValidator:
             validate_topology(iridium, border, topo, 0.0)
 
 
+# One validator rule firing, with none beside it: (case, constellation,
+# edges as (endpoint, endpoint, kind), border, phase of satellite (1, 1) at
+# t in degrees, want as (rule, detail prefix) pairs). A NaN angle, visibility
+# alone, is test_non_finite_angle_flagged.
+# Teledesic's horizontal links clear the Earth at every latitude; iridium's
+# survival latitude is 32.8 degrees. The endpoints of a horizontal link in
+# one row share a latitude, so the survival rule fires at one endpoint only
+# beside the same-row rule: one endpoint below it, the other in the next
+# row, above it. At both endpoints it fires alone in
+# test_survival_latitude_alone.
+_SAME_ROW = "horizontal endpoints are not in the same row"
+ONE_RULE = [
+    ("structure_intra_plane", "teledesic", [(SatId(1, 1), SatId(1, 3), INTRA_PLANE)], 60.0,
+     0.0, [("structure", "intra-plane edge must join ring neighbours")]),
+    ("structure_span", "teledesic", [(SatId(1, 1), SatId(3, 1), OBLIQUE)], 60.0, 0.0,
+     [("structure", "oblique edge spans 2 planes")]),
+    ("visibility", "teledesic", [(SatId(1, 1), SatId(2, 13), OBLIQUE)], 60.0, 0.0,
+     [("visibility", "geocentric angle")]),
+    ("polar_a", "teledesic", [(SatId(1, 5), SatId(2, 4), OBLIQUE)], 60.0, 0.0,
+     [("polar", str(SatId(1, 5)))]),
+    ("polar_b", "teledesic", [(SatId(1, 4), SatId(2, 5), OBLIQUE)], 60.0, 0.0,
+     [("polar", str(SatId(2, 5)))]),
+    ("same_row", "teledesic", [(SatId(1, 2), SatId(3, 2), HORIZONTAL)], 60.0, 0.0,
+     [("structure", _SAME_ROW)]),
+    ("survival_latitude_a", "iridium", [(SatId(1, 1), SatId(3, 1), HORIZONTAL)], 75.0, 32.5,
+     [("structure", _SAME_ROW), ("horizontal_range", str(SatId(1, 1)))]),
+    ("survival_latitude_b", "iridium", [(SatId(1, 1), SatId(3, 1), HORIZONTAL)], 75.0, 114.75,
+     [("structure", _SAME_ROW), ("horizontal_range", str(SatId(3, 1)))]),
+    ("degree", "iridium", [(SatId(3, 1), SatId(2, 1), OBLIQUE),
+                           (SatId(3, 1), SatId(2, 2), OBLIQUE),
+                           (SatId(3, 1), SatId(4, 1), OBLIQUE)], 60.0, 0.0,
+     [("degree", str(SatId(3, 1)))]),
+]
+
+
+class TestOneRuleAtATime:
+    """Each rule fires alone (at one endpoint, the survival latitude only
+    beside the same-row rule, see ``ONE_RULE``), so a validator whose check
+    for a clean set leaves out any one rule returns [] on its case. The
+    survival latitude fires alone only at both endpoints of a link, so
+    only a check that leaves out both of its terms fails here."""
+
+    @pytest.mark.parametrize("system, edges, border, phase, want",
+                             [pytest.param(*case[1:], id=case[0]) for case in ONE_RULE])
+    def test_rule_fires_alone(self, system, edges, border, phase, want, request):
+        spec = request.getfixturevalue(system)
+        topo = TopologyEdgeSet.from_edges(spec, [make_edge(*edge) for edge in edges])
+        t = phase / 360.0 * orbit_period(spec)
+        got = validate_topology(spec, border, topo, t)
+        assert got == reference_validate_topology(spec, border, topo, t)
+        assert len(got) == len(want)
+        for violation, (rule, detail) in zip(got, want):
+            assert violation.rule == rule and violation.detail.startswith(detail), violation
+
+    def test_survival_latitude_alone(self):
+        # a link in one row below the survival latitude is out of sight, but
+        # in a polar constellation the survival latitude is exact: 3e-9
+        # degrees below it, the angle here exceeds the limit by 5e-10 degrees
+        # (it grows 0.18 times as fast as the latitude falls), inside the
+        # visibility rule's 1e-9 slack
+        spec = ConstellationSpec(4, 12, 90.0, 250.0, inter_plane_spacing_deg=15.0)
+        topo = TopologyEdgeSet.from_edges(spec, [make_edge(SatId(1, 1), SatId(3, 12), HORIZONTAL)])
+        t = (horizontal_survival_latitude_deg(spec) - 3e-9) / 360.0 * orbit_period(spec)
+        got = validate_topology(spec, 60.0, topo, t)
+        assert got == reference_validate_topology(spec, 60.0, topo, t)
+        assert [(v.rule, v.detail.split(" at ")[0]) for v in got] == [
+            ("horizontal_range", str(SatId(1, 1))), ("horizontal_range", str(SatId(3, 12)))]
+
+
 def corrupted(spec, polar_border_deg, topo, t, rng):
     """The edge set plus a seam edge, a horizontal edge one plane wide (its
     endpoints out of canonical order), a non-ring intra-plane edge, a
@@ -671,6 +742,16 @@ class TestEdgeUniverse:
             chain_edges(spec, row_count - 1), chain_edges(spec, 2),
             horizontal_edges(spec, 1))
         assert topo.rotated(1).edges == want
+
+    @pytest.mark.parametrize("shape", [(6, 11), (12, 24), (2, 1000)])
+    def test_rotation_matches_the_roll_oracle(self, shape):
+        # every shift of a set with chains and horizontals (2 x 1000 has no
+        # horizontal class) is the one np.roll per class table gives
+        wiring, rows = _wiring(shape), 2 * shape[1]
+        ids = wiring.select(range(0, rows, 2), [1, rows - 2] if shape[0] > 2 else [])
+        for k in range(rows):
+            got = wiring.rotated(ids, k)
+            assert got.dtype == INDEX_DTYPE and np.array_equal(got, rolled_ids(shape, ids, k))
 
 
 class TestEdgeSetIdentity:

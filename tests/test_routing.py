@@ -5,6 +5,7 @@ import heapq
 import itertools
 import math
 import random
+import re
 import types
 
 import numpy as np
@@ -25,7 +26,14 @@ from polarsnap.geometry import (
     sat_to_index,
     satellite_ids,
 )
-from polarsnap.links import HORIZONTAL, INTRA_PLANE, TopologyEdgeSet, couple_edges
+from polarsnap.links import (
+    HORIZONTAL,
+    INTRA_PLANE,
+    OBLIQUE,
+    IslEdge,
+    TopologyEdgeSet,
+    couple_edges,
+)
 from polarsnap.routing import (
     DelaySample,
     DelaySeries,
@@ -52,6 +60,7 @@ from tests.oracles import (
     equal_time_per_instant,
     fixed_per_instant,
     index_to_sat,
+    islice_neighbour_rows,
     reference_attach_ground,
     reference_ground_position_km,
     satellite_state,
@@ -332,6 +341,17 @@ class TestShortestDelay:
             with pytest.raises(ValueError, match="outside 6x11 constellation"):
                 shortest_delay(snap, t, src, dst, iridium)
 
+    @pytest.mark.parametrize("bad, field", [
+        (SatId(1.5, 2), "plane"), (SatId(1, 2.0), "index_in_plane"),
+        (SatId(True, 2), "plane"), (SatId(2, False), "index_in_plane")])
+    def test_satellite_fields_must_be_int(self, iridium, bad, field):
+        # a ValueError, not a TypeError from list indexing, and True is not plane 1
+        snap = partition_reassignment(iridium, 60.0).snapshots[0]
+        t = snap.start_s + 1.0
+        for src, dst in ((bad, SatId(3, 3)), (SatId(3, 3), bad)):
+            with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer")):
+                shortest_delay(snap, t, src, dst, iridium)
+
     def test_time_outside_snapshot_rejected(self, iridium):
         seq = partition_reassignment(iridium, 60.0)
         snap = seq.snapshots[0]
@@ -428,6 +448,26 @@ class TestReferenceRouter:
             if dst.plane == 1 or dst.index_in_plane == 1:
                 got = assert_routes_like_oracles(cut, t, src, dst, spec, positions)
                 assert got.reachable == (dst.plane == 1)
+
+    def test_neighbour_rows_match_the_islice_oracle(self, iridium):
+        # rows sliced at the cumulative degrees are the rows cut one by one:
+        # on a drawn set, the empty set, a set that leaves satellites
+        # isolated and one with a satellite of degree 6
+        hub = SatId(3, 1)
+        sets = [partition_reassignment(iridium, 60.0).snapshots[0].edges,
+                TopologyEdgeSet.from_edges(iridium, ()),
+                TopologyEdgeSet.from_edges(iridium, [
+                    IslEdge(SatId(1, 1), SatId(1, 2), INTRA_PLANE),
+                    IslEdge(SatId(1, 2), SatId(2, 2), OBLIQUE)]),
+                TopologyEdgeSet.from_edges(iridium, [
+                    IslEdge(hub, SatId(p, j), INTRA_PLANE if p == 3 else OBLIQUE)
+                    for p, j in ((3, 2), (3, 11), (2, 1), (2, 2), (4, 1), (4, 2))])]
+        for topo in sets:
+            want = islice_neighbour_rows(topo)
+            assert routing._routing_graph(topo) == want
+            assert routing._routing_graph(topo, {}) == want
+        degrees = [[len(row) for row in routing._routing_graph(topo)] for topo in sets]
+        assert degrees[1] == [0] * 66 and 0 in degrees[2] and max(degrees[3]) == 6
 
     def test_empty_edge_set(self, iridium):
         snap = TopologySnapshot(0.0, 6027.0, TopologyEdgeSet.from_edges(iridium, ()))

@@ -559,6 +559,12 @@ MALFORMED_EITHER = [
     ("index_gap", _put(("snapshots", 2, "index"), 3), "snapshot 2: index 3"),
     ("unknown_format", _put(("format",), "polarsnap-topology/4"), "format"),
     ("bad_constellation", _put(("constellation", "planes"), 6), "constellation"),
+    ("float_count", _put(("constellation", "plane_count"), 6.0),
+     "plane_count and sats_per_plane must be integers, got (6.0, 11)"),
+    ("bool_count", _put(("constellation", "sats_per_plane"), True),
+     "plane_count and sats_per_plane must be integers, got (6, True)"),
+    ("missing_count", _put(("constellation", "sats_per_plane"), _DROP),
+     "constellation: missing key 'sats_per_plane'"),
 ]
 MALFORMED_V3 = [
     ("short_row", _put(("edges", 0), ["horizontal", 1, 2, 3]), "edges table"),
