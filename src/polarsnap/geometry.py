@@ -8,11 +8,12 @@ are staggered by half an intra-plane slot.
 
 All satellites sharing one argument-of-latitude value (mod 360) form a
 "row": they sit at the same latitude and move in the same direction,
-occupying every other plane. There are 2*M such rows and each holds N/2
-satellites. Row bookkeeping (polar-cap membership, crossing events) is
-done on the ideal-polar reference where the argument of latitude maps
-directly to latitude; true latitudes from the configured inclination are
-used for positions, elevations, and link lengths.
+occupying every other plane. There are 2*M such rows (phase classes,
+their phases ``row_phase_deg``) and each holds N/2 satellites. Row
+bookkeeping (polar-cap membership, crossing events, the non-polar bands
+of ``build_ls_state``) is done on the ideal-polar reference where the
+argument of latitude maps directly to latitude; true latitudes from the
+configured inclination are used for positions, elevations, and link lengths.
 
 Link limits depend on the constellation alone (``max_link_angle_deg``,
 ``horizontal_survival_latitude_deg``). The polar border is a plain number
@@ -155,21 +156,14 @@ class SatId:
     index_in_plane: int
 
 
-@dataclass(frozen=True)
-class LsRow:
-    """One same-latitude, same-direction row: the members of a phase class."""
-    phase_class: int
-    u_deg: float
-    ascending: bool
-    in_polar: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LsState:
-    """All 2*M rows at one instant, ordered from the south apex in the
-    direction of ascending motion. Just after an exit in non-uniform
-    configurations one extra row is non-polar (``LsRow.in_polar``)."""
-    rows: tuple[LsRow, ...]
+    """The non-polar rows at one instant: per half-orbit, the phase classes
+    of its band outside the polar caps, most recently exited first, so each
+    class is one above the one before it (mod ``n_rows``). Just after an
+    exit in non-uniform configurations a band holds one extra row."""
+    ascending: np.ndarray
+    descending: np.ndarray
     n_rows: int
 
 
@@ -233,12 +227,6 @@ def satellite_ids(plane_count: int, sats_per_plane: int) -> tuple[SatId, ...]:
     built once per shape, so callers index it instead of making ids."""
     return tuple(SatId(p, j) for p in range(1, plane_count + 1)
                  for j in range(1, sats_per_plane + 1))
-
-
-def is_ascending(u_deg: float) -> bool:
-    """True on the half-orbit running from -90 toward +90 of latitude."""
-    u = u_deg % 360.0
-    return u < 90.0 or u >= 270.0
 
 
 def in_polar_band(
@@ -336,23 +324,22 @@ def is_uniform_row_distribution(spec: ConstellationSpec, polar_border_deg: float
     return abs(slots - round(slots)) < _SLOT_EPS
 
 
-def class_phase_deg(spec: ConstellationSpec, phase_class: int, t: float) -> float:
-    """Argument of latitude shared by all members of a phase class."""
-    period = orbit_period(spec)
-    return (phase_class * spec.phase_offset_deg + 360.0 * t / period) % 360.0
+def row_phase_deg(spec: ConstellationSpec, t) -> np.ndarray:
+    """Argument of latitude of every phase class c, c * 180/M ahead of class 0,
+    at time t: a (2M,) array in [0, 360), or S + (2M,) for times of shape S."""
+    return (np.arange(spec.row_count) * spec.phase_offset_deg
+            + 360.0 * np.asarray(t, dtype=float)[..., None] / orbit_period(spec)) % 360.0
 
 
-def build_ls_state(
-    spec: ConstellationSpec, polar_border_deg: float, t: float,
-) -> LsState:
-    """Classify every row at time t, ordered starting from the south apex
-    in the direction of ascending motion."""
-    rows = []
-    for c in range(spec.row_count):
-        u = class_phase_deg(spec, c, t)
-        rows.append(LsRow(c, u, is_ascending(u), in_polar_band(u, polar_border_deg)))
-    rows.sort(key=lambda r: (r.u_deg + 90.0) % 360.0)
-    return LsState(rows=tuple(rows), n_rows=spec.row_count)
+def build_ls_state(spec: ConstellationSpec, polar_border_deg: float, t: float) -> LsState:
+    """The non-polar bands at time t: the classes from the south apex in
+    the direction of ascending motion, consecutive, split by half-orbit."""
+    phase = row_phase_deg(spec, t)
+    order = (np.argmin((phase + 90.0) % 360.0) + np.arange(spec.row_count)) % spec.row_count
+    u = phase[order]
+    band = ~in_polar_band(u, polar_border_deg)
+    ascending = band & ((u < 90.0) | (u >= 270.0))
+    return LsState(order[ascending], order[band & ~ascending], spec.row_count)
 
 
 def ground_position_km(

@@ -11,9 +11,9 @@ and last planes. The generators draw edge sets from it as sorted ids:
   once and for all; a couple's chain is active only while both rows are
   outside the polar caps.
 * ``reassign_topology``: the event-driven assignment. At each polar-cap
-  crossing the non-polar rows of each hemisphere are re-paired starting
-  from the most recently exited row; a leftover unpaired row gets its
-  horizontal links.
+  crossing each half-orbit's non-polar band of classes (``build_ls_state``)
+  is re-paired from the most recently exited one: chains take every other
+  class, and a leftover unpaired class gets its horizontal links.
 
 An edge set is its links and nothing else: a ``TopologyEdgeSet`` is a
 shape and three read-only arrays (kind code, endpoint a, endpoint b),
@@ -47,6 +47,7 @@ from .geometry import (
     is_uniform_row_distribution,
     max_link_angle_deg,
     orbit_period,
+    row_phase_deg,
     satellite_ids,
 )
 
@@ -314,9 +315,7 @@ def active_couples(spec: ConstellationSpec, polar_border_deg: float, t) -> np.nd
     exactly while both rows sit outside the polar caps. For times of shape
     S the result is a boolean array of shape S + (M,).
     """
-    phase = (np.arange(spec.row_count) * spec.phase_offset_deg
-             + 360.0 * np.asarray(t, dtype=float)[..., None] / orbit_period(spec)) % 360.0
-    outside = ~in_polar_band(phase, polar_border_deg)
+    outside = ~in_polar_band(row_phase_deg(spec, t), polar_border_deg)
     return outside[..., 0::2] & outside[..., 1::2]
 
 
@@ -346,17 +345,17 @@ def reassign_topology(
 ) -> TopologyEdgeSet:
     """Re-pair all inter-plane links at a polar-cap crossing event.
 
-    Per hemisphere: consecutive non-polar rows are paired starting at the
-    most recently exited row, each pair wired as a chain. With an exit
-    trigger and a non-uniform row distribution, the row closest to the
-    entry border is skipped entirely (it would enter a cap before the next
-    trigger). An unpaired leftover row receives horizontal links instead.
+    Per half-orbit: the non-polar band's consecutive classes are paired
+    from the most recently exited one, so chains take every other class.
+    With an exit trigger and a non-uniform row distribution, the band's
+    last class, closest to the entry border, is skipped entirely (it would
+    enter a cap before the next trigger). An unpaired leftover class
+    receives horizontal links instead.
 
     Args:
         spec: Constellation parameters.
         polar_border_deg: Polar-cap border latitude.
-        ls_state: Row state at the trigger instant, rows from the south
-            apex (``build_ls_state`` order): most recently exited first.
+        ls_state: Non-polar bands at the trigger instant (``build_ls_state``).
         trigger: ``"enter"`` or ``"exit"``.
 
     Returns:
@@ -372,22 +371,12 @@ def reassign_topology(
         raise ValueError(
             f"ls_state has {ls_state.n_rows} rows, expected {spec.row_count}")
 
-    uniform = is_uniform_row_distribution(spec, polar_border_deg)
-    chains, horizontals = [], []
-    for ascending in (True, False):
-        band = [r for r in ls_state.rows if not r.in_polar and r.ascending == ascending]
-        if trigger == TRIGGER_EXIT and not uniform and band:
-            band = band[:-1]
-        for lower, upper in zip(band[0::2], band[1::2]):
-            if upper.phase_class != (lower.phase_class + 1) % spec.row_count:
-                raise ValueError(
-                    "inconsistent ls_state: band rows are not consecutive phase "
-                    f"classes ({lower.phase_class}, {upper.phase_class})")
-            chains.append(lower.phase_class)
-        if len(band) % 2 == 1:
-            horizontals.append(band[-1].phase_class)
+    skip_last = trigger == TRIGGER_EXIT and not is_uniform_row_distribution(spec, polar_border_deg)
+    bands = [band[:len(band) - skip_last] for band in (ls_state.ascending, ls_state.descending)]
+    # A chain from every other class to the one after it; an odd leftover gets horizontals.
     wiring = _wiring((spec.plane_count, spec.sats_per_plane))
-    return wiring.draw(wiring.select(chains, horizontals))
+    return wiring.draw(wiring.select(np.concatenate([b[0:len(b) - 1:2] for b in bands]),
+                                     np.concatenate([b[len(b) - len(b) % 2:] for b in bands])))
 
 
 def _set_rules(topo: TopologyEdgeSet) -> tuple:

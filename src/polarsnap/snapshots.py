@@ -14,7 +14,8 @@ inter-plane link count is the set's.
   keeping only baseline links that stay active through the whole interval.
 
 Both baselines read one boolean table of active couples, a row per instant
-and a column per couple, a block of instants per ``active_couples`` call.
+and a column per couple, a block of instants per ``active_couples`` call;
+reassignment, the non-polar bands at its first event (``build_ls_state``).
 
 Every row's phase grows linearly with time, so the border-crossing
 instants have a closed form (``enumerate_events``). Topology states are
@@ -266,7 +267,8 @@ def partition_equal_time(
     sequence flagged; otherwise the final snapshot still ends at exactly
     the period, so the sequence tiles [0, T) either way. A couple is kept
     when it is active just after the interval's start and just after
-    every event inside the interval.
+    every event inside the interval; an event less than ``_EVENT_EPS_S`` / 2
+    before an interval's start, as roundoff can put one, is at that start.
 
     Raises:
         ValueError: As ``equal_time_count``, or if the border is not in
@@ -284,7 +286,8 @@ def partition_equal_time(
     couples = active[:n]
     # Each event's row is ANDed into the interval holding it. An event at
     # an interval's start changes nothing: its row is the start's own.
-    np.logical_and.at(couples, np.searchsorted(starts, times, side="right") - 1, active[n:])
+    np.logical_and.at(couples, np.searchsorted(starts, times + _EVENT_EPS_S / 2, side="right") - 1,
+                      active[n:])
     # The last snapshot ends at the period itself: n * delta may miss it by
     # up to the tolerance.
     snapshots = tuple(TopologySnapshot(start, end, couple_edges(spec, row)) for start, end, row

@@ -5,8 +5,12 @@ derives every reassignment snapshot from the first one by rotating phase
 classes. The functions here build the same things the slow way, one
 ``SatId`` and ``IslEdge`` at a time and one row state per event, so the
 tests can require equal results from both; ``rolled_ids`` rotates a drawn
-set's ids with ``np.roll``. ``islice_neighbour_rows`` cuts a set's
-neighbour rows one at a time. ``dijkstra_shortest_delay`` is
+set's ids with ``np.roll``. ``reference_ls_rows`` builds the row state as
+``LsRow`` objects, one class at a time (``class_phase_deg``,
+``is_ascending``), and ``reference_reassign_topology`` pairs them row by
+row: the loop forms of ``build_ls_state`` and ``reassign_topology``.
+``islice_neighbour_rows`` cuts a set's neighbour rows one at a time.
+``dijkstra_shortest_delay`` is
 the router that the A* search replaced, for tests that require bitwise
 equal routes. ``fixed_per_instant`` and ``equal_time_per_instant`` are the
 baseline partitions as they were before they read one table of active
@@ -35,13 +39,11 @@ from polarsnap.geometry import (
     SPEED_OF_LIGHT_KM_S,
     ConstellationSpec,
     GroundStation,
-    LsState,
     SatId,
     all_positions_km,
-    build_ls_state,
     ground_position_km,
     in_polar_band,
-    is_ascending,
+    is_uniform_row_distribution,
     max_link_angle_deg,
     orbit_period,
     sat_to_index,
@@ -53,10 +55,10 @@ from polarsnap.links import (
     INTRA_PLANE,
     OBLIQUE,
     TRIGGER_ENTER,
+    TRIGGER_EXIT,
     IslEdge,
     TopologyEdgeSet,
     _wiring,
-    reassign_topology,
 )
 from polarsnap.routing import PathResult
 from polarsnap.snapshots import (
@@ -268,12 +270,68 @@ def row_members(spec: ConstellationSpec, phase_class: int) -> tuple[SatId, ...]:
     return tuple(class_member(spec, phase_class, p) for p in class_planes(spec, phase_class))
 
 
-def anchor_index(ls: LsState, polar_border_deg: float) -> int:
-    """Index in ``ls.rows`` of the non-polar row that most recently exited
+def is_ascending(u_deg: float) -> bool:
+    """True on the half-orbit running from -90 toward +90 of latitude."""
+    u = u_deg % 360.0
+    return u < 90.0 or u >= 270.0
+
+
+def class_phase_deg(spec: ConstellationSpec, phase_class: int, t: float) -> float:
+    """Argument of latitude shared by all members of a phase class."""
+    period = orbit_period(spec)
+    return (phase_class * spec.phase_offset_deg + 360.0 * t / period) % 360.0
+
+
+@dataclass(frozen=True)
+class LsRow:
+    """One same-latitude, same-direction row: the members of a phase class."""
+    phase_class: int
+    u_deg: float
+    ascending: bool
+    in_polar: bool
+
+
+def reference_ls_rows(
+    spec: ConstellationSpec, polar_border_deg: float, t: float,
+) -> tuple[LsRow, ...]:
+    """Every row at time t, built one at a time and ordered from the south
+    apex in the direction of ascending motion."""
+    rows = []
+    for c in range(spec.row_count):
+        u = class_phase_deg(spec, c, t)
+        rows.append(LsRow(c, u, is_ascending(u), in_polar_band(u, polar_border_deg)))
+    rows.sort(key=lambda r: (r.u_deg + 90.0) % 360.0)
+    return tuple(rows)
+
+
+def reference_reassign_topology(
+    spec: ConstellationSpec, polar_border_deg: float, rows: tuple[LsRow, ...], trigger: str,
+) -> TopologyEdgeSet:
+    """``reassign_topology`` over ``reference_ls_rows``: per half-orbit the
+    non-polar rows in order, the last one dropped after a non-uniform exit,
+    zipped into consecutive pairs; an odd leftover gets horizontals. Raises
+    AssertionError when a pair is not two consecutive phase classes."""
+    uniform = is_uniform_row_distribution(spec, polar_border_deg)
+    chains, horizontals = [], []
+    for ascending in (True, False):
+        band = [r for r in rows if not r.in_polar and r.ascending == ascending]
+        if trigger == TRIGGER_EXIT and not uniform and band:
+            band = band[:-1]
+        for lower, upper in zip(band[0::2], band[1::2]):
+            assert upper.phase_class == (lower.phase_class + 1) % spec.row_count, (lower, upper)
+            chains.append(lower.phase_class)
+        if len(band) % 2 == 1:
+            horizontals.append(band[-1].phase_class)
+    wiring = _wiring((spec.plane_count, spec.sats_per_plane))
+    return wiring.draw(wiring.select(chains, horizontals))
+
+
+def anchor_index(rows: tuple[LsRow, ...], polar_border_deg: float) -> int:
+    """Index in ``rows`` of the non-polar row that most recently exited
     a polar cap; the simultaneous north/south exit tie is broken toward the
     lower-ordered (ascending-arc) row. -1 when every row is polar."""
     anchor, best_since_exit = -1, math.inf
-    for i, row in enumerate(ls.rows):
+    for i, row in enumerate(rows):
         if row.in_polar:
             continue
         exit_phase = 360.0 - polar_border_deg if row.ascending else 180.0 - polar_border_deg
@@ -320,7 +378,8 @@ def per_event_reassignment(
     trigger: str = TRIGGER_ENTER,
 ) -> SnapshotSequence:
     """``partition_reassignment`` with every snapshot's edges built from the
-    row state just after its own event, instead of rotated from the first."""
+    rows just after its own event (``reference_ls_rows`` and
+    ``reference_reassign_topology``), instead of rotated from the first."""
     period = orbit_period(spec)
     events = enumerate_events(spec, polar_border_deg, period, kinds=(trigger,))
     t0 = events[0].time_s
@@ -328,9 +387,9 @@ def per_event_reassignment(
     for i, event in enumerate(events):
         start = event.time_s
         end = events[i + 1].time_s if i + 1 < len(events) else t0 + period
-        ls = build_ls_state(spec, polar_border_deg, start + _EVENT_EPS_S)
+        rows = reference_ls_rows(spec, polar_border_deg, start + _EVENT_EPS_S)
         snapshots.append(TopologySnapshot(
-            start, end, reassign_topology(spec, polar_border_deg, ls, trigger)))
+            start, end, reference_reassign_topology(spec, polar_border_deg, rows, trigger)))
     return SnapshotSequence(METHOD_REASSIGNMENT, tuple(snapshots), period,
                             polar_border_deg, trigger=trigger)
 
@@ -469,7 +528,8 @@ def equal_time_per_instant(
 ) -> SnapshotSequence:
     """``partition_equal_time`` interval by interval: the couples active
     just after the start, intersected with those active just after every
-    event strictly inside the interval."""
+    event inside the interval, where an event less than half of
+    ``_EVENT_EPS_S`` before a start counts as at that start."""
     period = orbit_period(spec)
     n_exact = period / delta_s
     truncated = abs(n_exact - round(n_exact)) > 1e-6 * n_exact
@@ -480,7 +540,7 @@ def equal_time_per_instant(
     for start, end in zip(starts, starts[1:] + [period]):
         couples = active_couple_set(spec, polar_border_deg, start + _EVENT_EPS_S)
         for te in event_times:
-            if start < te < end:
+            if start < te + _EVENT_EPS_S / 2 < end:
                 couples &= active_couple_set(spec, polar_border_deg, te + _EVENT_EPS_S)
         snapshots.append(TopologySnapshot(start, end, couple_set_edges(spec, couples)))
     return SnapshotSequence(METHOD_EQUAL_TIME, tuple(snapshots), period, polar_border_deg,

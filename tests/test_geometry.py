@@ -19,6 +19,7 @@ from polarsnap.geometry import (
     max_link_angle_deg,
     nonpolar_row_count,
     orbit_period,
+    row_phase_deg,
     sat_to_index,
     satellite_ids,
     MAX_ORBIT_RADIUS_KM,
@@ -28,12 +29,15 @@ from polarsnap.geometry import (
 from tests.oracles import (
     SatState,
     anchor_index,
+    class_phase_deg,
     elevation_angle_deg,
     geocentric_angle_deg,
     index_to_sat,
+    is_ascending,
     position_km,
     propagation_delay_s,
     raising_survival_latitude_deg,
+    reference_ls_rows,
     row_members,
     satellite_state,
     survival_latitude_deg,
@@ -179,30 +183,28 @@ class TestLsState:
     @pytest.mark.parametrize("border,n_npa,n_pa", [(60.0, 7, 4), (70.0, 8, 3)])
     def test_iridium_row_counts(self, iridium, border, n_npa, n_pa):
         # Eq-style arithmetic: floor(2 * border / (180/11)) non-polar rows per
-        # arc; the rows' own flags hold that many, or one more just after an
-        # exit
+        # arc; each band holds that many, or one more just after an exit
         assert nonpolar_row_count(iridium, border) == n_npa
         assert iridium.sats_per_plane - n_npa == n_pa
         for t in (0.0, 137.5, 2718.0, 6000.0):
             ls = build_ls_state(iridium, border, t)
             assert ls.n_rows == 22
-            for ascending in (True, False):
-                band = [r for r in ls.rows if r.ascending == ascending and not r.in_polar]
+            for band in (ls.ascending, ls.descending):
                 assert len(band) in (n_npa, n_npa + 1)
 
     def test_teledesic_row_counts(self, teledesic):
         ls = build_ls_state(teledesic, 75.0, 1234.0)
         assert ls.n_rows == 48
         assert nonpolar_row_count(teledesic, 75.0) == 20
-        assert sum(not r.in_polar for r in ls.rows) in (40, 41, 42)
+        assert len(ls.ascending) + len(ls.descending) in (40, 41, 42)
 
     @settings(max_examples=25, deadline=None)
     @given(t=st.floats(0.0, 6027.0))
     def test_rows_partition_constellation(self, iridium, t):
-        ls = build_ls_state(iridium, 60.0, t)
-        assert sorted(r.phase_class for r in ls.rows) == list(range(22))
+        rows = reference_ls_rows(iridium, 60.0, t)
+        assert sorted(r.phase_class for r in rows) == list(range(22))
         seen = set()
-        for row in ls.rows:
+        for row in rows:
             members = row_members(iridium, row.phase_class)
             assert len(members) == iridium.plane_count // 2
             seen.update(members)
@@ -211,36 +213,46 @@ class TestLsState:
     @settings(max_examples=25, deadline=None)
     @given(t=st.floats(0.0, 6027.0))
     def test_row_members_share_latitude_and_direction(self, iridium, t):
-        ls = build_ls_state(iridium, 60.0, t)
-        for row in ls.rows:
-            latitude = true_latitude_deg(iridium, row.u_deg)
-            for sat in row_members(iridium, row.phase_class):
+        phases = row_phase_deg(iridium, t)
+        assert phases.shape == (22,)
+        for c, u in enumerate(phases.tolist()):
+            assert u == class_phase_deg(iridium, c, t)
+            latitude = true_latitude_deg(iridium, u)
+            for sat in row_members(iridium, c):
                 stt = satellite_state(iridium, sat, t)
                 assert stt.latitude_deg == pytest.approx(latitude, abs=1e-6)
-                assert stt.ascending == row.ascending
+                assert stt.ascending == is_ascending(u)
 
     @settings(max_examples=40, deadline=None)
     @given(border=st.floats(1.0, 89.0))
     def test_row_count_identity(self, iridium, border):
         # each arc holds the nominal non-polar rows, or one more just after
-        # an exit, and the polar ones; together M rows
+        # an exit, and the polar ones; together M rows. The bands are the
+        # reference's non-polar rows of each arc, in its order
+        rows = reference_ls_rows(iridium, border, 0.0)
         ls = build_ls_state(iridium, border, 0.0)
         n_npa = nonpolar_row_count(iridium, border)
-        for ascending in (True, False):
-            arc = [r for r in ls.rows if r.ascending == ascending]
+        for ascending, band in ((True, ls.ascending), (False, ls.descending)):
+            arc = [r for r in rows if r.ascending == ascending]
             assert len(arc) == iridium.sats_per_plane
-            assert sum(not r.in_polar for r in arc) in (n_npa, n_npa + 1)
+            assert [r.phase_class for r in arc if not r.in_polar] == band.tolist()
+            assert len(band) in (n_npa, n_npa + 1)
 
     def test_anchor_is_most_recently_exited(self, iridium):
         period = orbit_period(iridium)
         # just after the first exit event the anchor sits at the south exit border
         t_exit = min(((300.0 - c * iridium.phase_offset_deg) % 360.0) / 360.0 * period
                      for c in range(22))
-        ls = build_ls_state(iridium, 60.0, t_exit + 1e-3)
-        anchor = ls.rows[anchor_index(ls, 60.0)]
+        rows = reference_ls_rows(iridium, 60.0, t_exit + 1e-3)
+        anchor = rows[anchor_index(rows, 60.0)]
         assert anchor.ascending
         assert not anchor.in_polar
         assert true_latitude_deg(iridium, anchor.u_deg) == pytest.approx(-59.9, abs=0.5)
+        # the ascending band starts from it, and every band runs up one class at a time
+        ls = build_ls_state(iridium, 60.0, t_exit + 1e-3)
+        assert ls.ascending[0] == anchor.phase_class
+        for band in (ls.ascending, ls.descending):
+            assert (np.diff(band) % 22 == 1).all()
 
 
 class TestGeocentricAngle:

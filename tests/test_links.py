@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -16,11 +17,11 @@ from polarsnap.geometry import (
     SatId,
     all_positions_km,
     build_ls_state,
-    class_phase_deg,
     horizontal_survival_latitude_deg,
     in_polar_band,
     max_link_angle_deg,
     orbit_period,
+    row_phase_deg,
     sat_to_index,
 )
 from polarsnap import snapshots
@@ -53,6 +54,8 @@ from tests.oracles import (
     horizontal_edges,
     intra_plane_edges,
     make_edge,
+    reference_ls_rows,
+    reference_reassign_topology,
     rolled_ids,
     row_members,
     survival_latitude_deg,
@@ -203,9 +206,7 @@ class TestFixedTopology:
         period = orbit_period(toy)
         for t in np.linspace(0, period, 50, endpoint=False):
             topo = fixed_topology(toy, 89.0, float(t))
-            if not any(
-                r.in_polar for r in build_ls_state(toy, 89.0, float(t)).rows
-            ):
+            if not in_polar_band(row_phase_deg(toy, float(t)), 89.0).any():
                 assert topo.n_inter_plane == (toy.plane_count - 1) * toy.sats_per_plane
                 break
         else:
@@ -227,9 +228,8 @@ class TestFixedTopology:
                 for e in _couple_chain(iridium, k)}
         active = {e for e in fixed_topology(iridium, 60.0, t).edges if e.kind != INTRA_PLANE}
         dropped = full - active
-        ls = build_ls_state(iridium, 60.0, t)
-        polar_sats = {m for r in ls.rows if r.in_polar
-                      for m in row_members(iridium, r.phase_class)}
+        polar = np.flatnonzero(in_polar_band(row_phase_deg(iridium, t), 60.0)).tolist()
+        polar_sats = {m for c in polar for m in row_members(iridium, c)}
         assert dropped == {e for e in full
                            if e.endpoint_a in polar_sats or e.endpoint_b in polar_sats}
 
@@ -308,6 +308,23 @@ class TestReassignTopology:
         ls = build_ls_state(iridium, 60.0, 0.0)
         with pytest.raises(ValueError):
             reassign_topology(iridium, 60.0, ls, "both")
+
+    def test_matches_reference_rows(self):
+        # every event of both triggers, at the event itself and just after:
+        # the bands and the array pairing draw the set that the LsRow
+        # objects, built and paired one row at a time, draw
+        states = 0
+        for n, m, border in itertools.product((2, 4, 6, 8), (3, 5, 8, 11, 16), range(30, 90, 5)):
+            spec = ConstellationSpec(n, m, 86.0, 1000.0)
+            for event in snapshots.enumerate_events(spec, border, orbit_period(spec)):
+                for t in (event.time_s, event.time_s + 1e-3):
+                    got = reassign_topology(spec, border, build_ls_state(spec, border, t),
+                                            event.kind)
+                    want = reference_reassign_topology(
+                        spec, border, reference_ls_rows(spec, border, t), event.kind)
+                    assert got == want, (n, m, border, event, t)
+                    states += 1
+        assert states == 16_512
 
     def test_validator_clean_at_generation(self, iridium):
         for trigger in ("enter", "exit"):
@@ -464,8 +481,7 @@ def corrupted(spec, polar_border_deg, topo, t, rng):
     y1, y2 = rng.sample(range(1, m + 1), 2)
     hub = SatId(p, j)
     # the class nearest the equator at t, between its members in planes 1 and 3
-    c = min(range(spec.row_count),
-            key=lambda c: abs((class_phase_deg(spec, c, t) + 90.0) % 180.0 - 90.0))
+    c = int(np.argmin(np.abs((row_phase_deg(spec, t) + 90.0) % 180.0 - 90.0)))
     capped = rng.choice([
         SatId(q, k) for q in range(1, n + 1) for k in range(1, m + 1)
         if in_polar_band(argument_of_latitude_deg(spec, SatId(q, k), t),

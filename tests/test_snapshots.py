@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import re
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polarsnap.geometry import ConstellationSpec, class_phase_deg, orbit_period
+from polarsnap.geometry import ConstellationSpec, orbit_period
 from polarsnap.links import INTRA_PLANE, TopologyEdgeSet, validate_topology
 from polarsnap.routing import delay_experiment
 from polarsnap.snapshots import (
@@ -28,6 +29,7 @@ from polarsnap.snapshots import (
 )
 from polarsnap.scenario import load_scenario
 from tests.oracles import (
+    class_phase_deg,
     crossing_rows,
     equal_time_per_instant,
     fixed_per_instant,
@@ -412,6 +414,13 @@ class TestPartitionEqualTime:
                                   18081.0, 6026.999, sequence=seq)
         assert len(series.samples) == 3
 
+    def test_event_a_roundoff_before_a_start_is_at_that_start(self):
+        # 2 * 45 degrees is 8 row spacings, so crossings fall on interval
+        # starts; two are computed one ulp before snapshot 31's start and
+        # belong to it, not to snapshot 30
+        seq = partition(ConstellationSpec(4, 16, 86.0, 1000.0), METHOD_EQUAL_TIME, 45.0)
+        assert [s.n_inter_plane for s in seq.snapshots] == [24, 18] * 16
+
     def test_rejects_nonpositive_delta(self, iridium):
         with pytest.raises(ValueError):
             partition_equal_time(iridium, 60.0, 0.0)
@@ -541,6 +550,28 @@ class TestBaselineTable:
                     self.assert_same(got, equal_time_per_instant(spec, border, scale * slot))
                     truncated += got.truncated_final
         assert truncated > 0
+
+
+class TestSlotIdentity:
+    def test_one_slot_later_is_two_classes_on(self):
+        # after P/M every satellite stands where its in-plane successor
+        # stood, so snapshot i + n/M holds snapshot i's set moved by two
+        # phase classes; a single-snapshot sequence never changes
+        checked = 0
+        for n, m, border in itertools.product((2, 4, 6, 8), (3, 5, 8, 11, 16), range(30, 90, 5)):
+            spec = ConstellationSpec(n, m, 86.0, 1000.0)
+            for method in (METHOD_REASSIGNMENT, METHOD_FIXED, METHOD_EQUAL_TIME):
+                sets = [snap.edges for snap in partition(spec, method, border).snapshots]
+                if len(sets) == 1:
+                    assert (m, border, method) == (3, 30, METHOD_FIXED)
+                    continue
+                assert len(sets) % m == 0, (n, m, border, method)
+                slot = len(sets) // m
+                for i, edges in enumerate(sets):
+                    assert sets[(i + slot) % len(sets)] == edges.rotated(2), (
+                        n, m, border, method, i)
+                checked += 1
+        assert checked == 716
 
 
 class TestValidateSequence:
