@@ -2,8 +2,8 @@
 LEO constellations."""
 
 from .errors import (
-    InfeasibleGeometryError,
     ScenarioError,
+    SlotFloorError,
     UnsupportedConfigurationError,
 )
 from .geometry import (

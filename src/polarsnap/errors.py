@@ -5,8 +5,8 @@ class UnsupportedConfigurationError(ValueError):
     """Constellation parameters outside the supported model (e.g. odd plane count)."""
 
 
-class InfeasibleGeometryError(ValueError):
-    """Link geometry under which a link class can never be used."""
+class SlotFloorError(UnsupportedConfigurationError):
+    """A snapshot slot or equal_time delta of at most two ties (``geometry.TIE_S``)."""
 
 
 class ScenarioError(ValueError):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedConfigurationError
+from .errors import SlotFloorError, UnsupportedConfigurationError
 
 EARTH_RADIUS_KM = 6378.137
 MU_EARTH_KM3_S2 = 398600.4418
@@ -46,9 +46,9 @@ DEFAULT_GRAZING_ALTITUDE_KM = 49.0
 MAX_ORBIT_RADIUS_KM = 1e150
 ORBIT_PERIOD_RANGE_S = (1e-3, 1e12)
 
-# Tolerance for deciding that 2*L_pa is an exact multiple of the row
-# spacing (the uniform-distribution case).
-_SLOT_EPS = 1e-9
+# The tie: instants less than this apart are one, and a state is evaluated this
+# long after its boundary, clear of the roundoff at the closed-form instant.
+TIE_S = 1e-3
 
 # Bound on the rows (instants x rows per instant) of one per-instant array call.
 POSITION_BLOCK_ROWS = 1 << 12
@@ -119,6 +119,9 @@ class ConstellationSpec:
             raise ValueError(f"orbit radius ({self.orbit_radius_km} km) must be positive and at "
                              f"most {MAX_ORBIT_RADIUS_KM:g}, and period ({period} s) in "
                              f"[{low:g}, {high:g}]")
+        if (slot := period / min(self.row_count, 1 << 1023)) <= 2.0 * TIE_S:  # big ints overflow
+            raise SlotFloorError(f"slot period / (2 * sats_per_plane) = {slot} s must exceed "
+                                 f"{2.0 * TIE_S} s, two {TIE_S} s ties")
 
     @property
     def intra_plane_spacing_deg(self) -> float:
@@ -310,18 +313,16 @@ def check_polar_border(polar_border_deg: float) -> None:
 
 
 def nonpolar_row_count(spec: ConstellationSpec, polar_border_deg: float) -> int:
-    """Nominal rows per non-polar arc: floor(2*L_pa / phase_offset)."""
-    return int(math.floor(2.0 * polar_border_deg / spec.phase_offset_deg + _SLOT_EPS))
+    """Nominal rows per non-polar arc: 2*L_pa / phase_offset, rounded if uniform, else floored."""
+    slots = 2.0 * polar_border_deg / spec.phase_offset_deg
+    return round(slots) if is_uniform_row_distribution(spec, polar_border_deg) else int(slots)
 
 
 def is_uniform_row_distribution(spec: ConstellationSpec, polar_border_deg: float) -> bool:
-    """True when 2*L_pa is an exact multiple of the row spacing.
-
-    In that case every row entering a polar cap coincides with another row
-    exiting one.
-    """
+    """True when every row entering a polar cap crosses less than ``TIE_S``
+    from one exiting: 2*L_pa is a row-spacing multiple to within TIE_S * 2M / T."""
     slots = 2.0 * polar_border_deg / spec.phase_offset_deg
-    return abs(slots - round(slots)) < _SLOT_EPS
+    return abs(slots - round(slots)) < TIE_S * spec.row_count / orbit_period(spec)
 
 
 def row_phase_deg(spec: ConstellationSpec, t) -> np.ndarray:

@@ -427,7 +427,7 @@ def delay_experiment(
     elif sequence.polar_border_deg != polar_border_deg:
         raise ValueError(f"sequence.polar_border_deg is "
                          f"{sequence.polar_border_deg}, expected {polar_border_deg}")
-    elif abs(sequence.period_s - orbit_period(spec)) > 1e-6:
+    elif sequence.period_s != orbit_period(spec):
         raise ValueError(f"sequence.period_s is {sequence.period_s}, expected "
                          f"{orbit_period(spec)} for {spec.name}")
 

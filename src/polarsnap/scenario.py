@@ -41,7 +41,7 @@ import math
 from dataclasses import MISSING, dataclass, field, replace
 from pathlib import Path
 
-from .errors import ScenarioError
+from .errors import ScenarioError, SlotFloorError
 from .geometry import ConstellationSpec, GroundStation, orbit_period
 from .links import TRIGGER_ENTER, TRIGGER_EXIT
 from .routing import send_count
@@ -75,8 +75,7 @@ class ScenarioConfig:
         """The equal_time interval in seconds; ``match_reassignment`` means
         the reassignment snapshot duration T / (2*M)."""
         if self.equal_time_delta == MATCH_REASSIGNMENT:
-            spec = self.constellation
-            return orbit_period(spec) / spec.row_count
+            return orbit_period(self.constellation) / self.constellation.row_count
         return float(self.equal_time_delta)
 
 
@@ -295,14 +294,15 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             args[name] = parse(key, value, lineno)
 
     n, m = spec_args["plane_count"], spec_args["sats_per_plane"]
+    lines = sections["constellation"]
     if n * m > MAX_SATELLITES:
         raise ScenarioError(f"planes x sats_per_plane = {n:g} x {m:g} satellites, above the "
-                            f"limit of {MAX_SATELLITES}",
-                            sections["constellation"]["sats_per_plane"][1])
+                            f"limit of {MAX_SATELLITES}", lines["sats_per_plane"][1])
     try:
         spec = ConstellationSpec(**spec_args)
-    except ValueError as exc:
-        raise ScenarioError(f"[constellation]: {exc}") from None
+    except ValueError as exc:  # a slot floor names the period's line, or else M's
+        floor = isinstance(exc, SlotFloorError) and lines.get("period_s", lines["sats_per_plane"])
+        raise ScenarioError(f"[constellation]: {exc}", floor[1] if floor else None) from None
     elevation = config_args.pop("min_elevation_deg", None)
     for station in ("source", "destination"):
         if elevation is not None and station in config_args:

@@ -19,7 +19,7 @@ reassignment, the non-polar bands at its first event (``build_ls_state``).
 
 Every row's phase grows linearly with time, so the border-crossing
 instants have a closed form (``enumerate_events``). Topology states are
-evaluated just after each boundary. ``analytic_summary`` computes the
+evaluated ``TIE_S`` after each boundary. ``analytic_summary`` computes the
 reassignment numbers in closed form; the event-driven sequences count
 rows and edges independently, so the two act as cross-checking oracles.
 The tests check the crossing times against a sampled root-solver and each
@@ -32,7 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SlotFloorError
 from .geometry import (
+    TIE_S,
     ConstellationSpec,
     all_positions_km,
     build_ls_state,
@@ -55,12 +57,6 @@ from .links import (
 METHOD_REASSIGNMENT = "reassignment"
 METHOD_FIXED = "fixed"
 METHOD_EQUAL_TIME = "equal_time"
-
-# Offset used to evaluate topology state strictly after a boundary. At the
-# closed-form crossing instant itself, float roundoff puts a few rows on the
-# wrong side of the half-open cap; the offset is far smaller than any event
-# separation.
-_EVENT_EPS_S = 1e-3
 
 # The most snapshots an equal_time partition may cut one period into.
 MAX_EQUAL_TIME_SNAPSHOTS = 10_000
@@ -215,7 +211,7 @@ def partition_reassignment(
     events = enumerate_events(spec, polar_border_deg, period, kinds=(trigger,))
     t0 = events[0].time_s
     first = reassign_topology(
-        spec, polar_border_deg, build_ls_state(spec, polar_border_deg, t0 + _EVENT_EPS_S),
+        spec, polar_border_deg, build_ls_state(spec, polar_border_deg, t0 + TIE_S),
         trigger)
     ends = [e.time_s for e in events[1:]] + [t0 + period]
     snapshots = tuple(TopologySnapshot(event.time_s, end, first.rotated(i))
@@ -232,26 +228,29 @@ def partition_fixed(
     couples changes."""
     period = orbit_period(spec)
     times = np.array([e.time_s for e in enumerate_events(spec, polar_border_deg, period)])
-    active = np.concatenate([active_couples(spec, polar_border_deg, times[block] + _EVENT_EPS_S)
+    active = np.concatenate([active_couples(spec, polar_border_deg, times[block] + TIE_S)
                              for block in instant_blocks(len(times), spec.row_count)])
     # The state before the first event is the one after the last, a period
     # earlier. A baseline that never changes is one snapshot from t=0.
     starts = times[(active != np.roll(active, 1, axis=0)).any(axis=1)].tolist() or [0.0]
     snapshots = tuple(
-        TopologySnapshot(start, end, fixed_topology(spec, polar_border_deg, start + _EVENT_EPS_S))
+        TopologySnapshot(start, end, fixed_topology(spec, polar_border_deg, start + TIE_S))
         for start, end in zip(starts, starts[1:] + [starts[0] + period]))
     return SnapshotSequence(METHOD_FIXED, snapshots, period, polar_border_deg)
 
 
 def equal_time_count(period_s: float, delta_s: float) -> float:
-    """period_s / delta_s; a ValueError unless delta_s is positive and
-    finite and the count in (0, ``MAX_EQUAL_TIME_SNAPSHOTS``]."""
+    """period_s / delta_s; a ValueError unless delta_s is finite and over two
+    ties (a ``SlotFloorError``) and the count in (0, ``MAX_EQUAL_TIME_SNAPSHOTS``]."""
     if not (delta_s > 0.0 and math.isfinite(delta_s)):
         raise ValueError(f"equal_time delta must be positive and finite, got {delta_s} s")
     count = period_s / delta_s
     if not 0.0 < count <= MAX_EQUAL_TIME_SNAPSHOTS:
         raise ValueError(f"equal_time delta {delta_s} s cuts the {period_s} s period into "
                          f"{count:.6g} snapshots, outside (0, {MAX_EQUAL_TIME_SNAPSHOTS}]")
+    if delta_s <= 2.0 * TIE_S:
+        raise SlotFloorError(f"equal_time delta {delta_s} s must exceed {2.0 * TIE_S} s, "
+                             f"two {TIE_S} s ties")
     return count
 
 
@@ -266,9 +265,9 @@ def partition_equal_time(
     to within one part in 1e6 the final snapshot is truncated and the
     sequence flagged; otherwise the final snapshot still ends at exactly
     the period, so the sequence tiles [0, T) either way. A couple is kept
-    when it is active just after the interval's start and just after
-    every event inside the interval; an event less than ``_EVENT_EPS_S`` / 2
-    before an interval's start, as roundoff can put one, is at that start.
+    when it is active just after the interval's start and just after every
+    event that falls in the interval one ``TIE_S`` later, an instant past
+    the period's end falling in the first.
 
     Raises:
         ValueError: As ``equal_time_count``, or if the border is not in
@@ -280,13 +279,13 @@ def partition_equal_time(
     n = int(math.floor(n_exact)) + 1 if truncated else int(round(n_exact))
     starts = np.arange(n) * delta_s
     times = np.array([e.time_s for e in enumerate_events(spec, polar_border_deg, period)])
-    instants = np.concatenate([starts, times]) + _EVENT_EPS_S
+    instants = np.concatenate([starts, times]) + TIE_S
     active = np.concatenate([active_couples(spec, polar_border_deg, instants[block])
                              for block in instant_blocks(len(instants), spec.row_count)])
     couples = active[:n]
-    # Each event's row is ANDed into the interval holding it. An event at
-    # an interval's start changes nothing: its row is the start's own.
-    np.logical_and.at(couples, np.searchsorted(starts, times + _EVENT_EPS_S / 2, side="right") - 1,
+    # Each event's row is ANDed into the interval holding it a tie later, mod
+    # the period. An event at an interval's start changes nothing: its row is the start's own.
+    np.logical_and.at(couples, np.searchsorted(starts, (times + TIE_S) % period, side="right") - 1,
                       active[n:])
     # The last snapshot ends at the period itself: n * delta may miss it by
     # up to the tolerance.
@@ -297,20 +296,21 @@ def partition_equal_time(
 
 
 def validate_sequence(spec: ConstellationSpec, seq: SnapshotSequence) -> list[str]:
-    """Failure lines: a period the snapshots do not tile, each gap, and each
-    snapshot whose links fail ``validate_topology`` just after its start."""
-    failures = []
+    """Failure lines: a period other than the spec's or one the snapshots do
+    not tile, bounds compared exactly, each gap, and each snapshot whose
+    links fail ``validate_topology`` just after its start."""
     period = orbit_period(spec)
-    total = sum(s.duration_s for s in seq.snapshots)
     name = f"{spec.name} {seq.method} {seq.polar_border_deg}"
-    if abs(total - period) > 1e-6:
-        failures.append(f"{name}: snapshots cover {total!r} s of a {period!r} s period")
-    for i in range(len(seq.snapshots) - 1):
-        if abs(seq.snapshots[i].end_s - seq.snapshots[i + 1].start_s) > 1e-9:
-            failures.append(f"{name}: snapshots {i} and {i + 1} are not contiguous")
+    failures = ([f"{name}: period_s is {seq.period_s!r}, not the orbit's {period!r} s"]
+                if seq.period_s != period else [])
+    start, end = seq.start_s, seq.snapshots[-1].end_s
+    if end != start + period:
+        failures.append(f"{name}: snapshots cover {end - start!r} s of a {period!r} s period")
+    failures += [f"{name}: snapshots {i} and {i + 1} are not contiguous" for i, (a, b)
+                 in enumerate(zip(seq.snapshots, seq.snapshots[1:])) if a.end_s != b.start_s]
     for block in instant_blocks(len(seq.snapshots), spec.total_satellites):
         snaps = seq.snapshots[block]
-        times = [snap.start_s + _EVENT_EPS_S for snap in snaps]
+        times = [snap.start_s + TIE_S for snap in snaps]
         positions = all_positions_km(spec, np.array(times))
         for i, (snap, t, pos) in enumerate(zip(snaps, times, positions), block.start):
             violations = validate_topology(spec, seq.polar_border_deg, snap.edges, t, pos)
@@ -334,8 +334,7 @@ def partition(
     if method == METHOD_FIXED:
         return partition_fixed(spec, polar_border_deg)
     if method == METHOD_EQUAL_TIME:
-        delta = equal_time_delta_s
-        if delta is None:
-            delta = orbit_period(spec) / spec.row_count
-        return partition_equal_time(spec, polar_border_deg, delta)
+        if equal_time_delta_s is None:
+            equal_time_delta_s = orbit_period(spec) / spec.row_count
+        return partition_equal_time(spec, polar_border_deg, equal_time_delta_s)
     raise ValueError(f"unknown partition method {method!r}")

@@ -32,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from polarsnap.errors import InfeasibleGeometryError
 from polarsnap.geometry import (
     EARTH_RADIUS_KM,
     SIDEREAL_DAY_S,
     SPEED_OF_LIGHT_KM_S,
+    TIE_S,
     ConstellationSpec,
     GroundStation,
     SatId,
@@ -62,7 +62,6 @@ from polarsnap.links import (
 )
 from polarsnap.routing import PathResult
 from polarsnap.snapshots import (
-    _EVENT_EPS_S,
     METHOD_EQUAL_TIME,
     METHOD_FIXED,
     METHOD_REASSIGNMENT,
@@ -180,6 +179,10 @@ def geocentric_angle_deg(a, b) -> float:
         raise ValueError("geocentric angle undefined for a zero position vector")
     cosang = float(np.dot(av, bv)) / (na * nb)
     return math.degrees(math.acos(max(-1.0, min(1.0, cosang))))
+
+
+class InfeasibleGeometryError(ValueError):
+    """Link geometry under which a link class can never be used."""
 
 
 def raising_survival_latitude_deg(spec: ConstellationSpec, max_angle_deg: float) -> float:
@@ -387,7 +390,7 @@ def per_event_reassignment(
     for i, event in enumerate(events):
         start = event.time_s
         end = events[i + 1].time_s if i + 1 < len(events) else t0 + period
-        rows = reference_ls_rows(spec, polar_border_deg, start + _EVENT_EPS_S)
+        rows = reference_ls_rows(spec, polar_border_deg, start + TIE_S)
         snapshots.append(TopologySnapshot(
             start, end, reference_reassign_topology(spec, polar_border_deg, rows, trigger)))
     return SnapshotSequence(METHOD_REASSIGNMENT, tuple(snapshots), period,
@@ -512,13 +515,13 @@ def fixed_per_instant(spec: ConstellationSpec, polar_border_deg: float) -> Snaps
     """``partition_fixed`` with one frozenset of active couples per event."""
     period = orbit_period(spec)
     events = enumerate_events(spec, polar_border_deg, period)
-    states = [active_couple_set(spec, polar_border_deg, e.time_s + _EVENT_EPS_S)
+    states = [active_couple_set(spec, polar_border_deg, e.time_s + TIE_S)
               for e in events]
     starts = [e.time_s for i, e in enumerate(events)
               if states[i] != states[i - 1]] or [0.0]
     snapshots = tuple(
         TopologySnapshot(start, end, couple_set_edges(
-            spec, active_couple_set(spec, polar_border_deg, start + _EVENT_EPS_S)))
+            spec, active_couple_set(spec, polar_border_deg, start + TIE_S)))
         for start, end in zip(starts, starts[1:] + [starts[0] + period]))
     return SnapshotSequence(METHOD_FIXED, snapshots, period, polar_border_deg)
 
@@ -528,8 +531,8 @@ def equal_time_per_instant(
 ) -> SnapshotSequence:
     """``partition_equal_time`` interval by interval: the couples active
     just after the start, intersected with those active just after every
-    event inside the interval, where an event less than half of
-    ``_EVENT_EPS_S`` before a start counts as at that start."""
+    event inside the interval, where an event is inside the interval that
+    holds it plus ``TIE_S``, wrapped past the period's end to t=0."""
     period = orbit_period(spec)
     n_exact = period / delta_s
     truncated = abs(n_exact - round(n_exact)) > 1e-6 * n_exact
@@ -538,10 +541,10 @@ def equal_time_per_instant(
     starts = [k * delta_s for k in range(n_full + 1 if truncated else n_full)]
     snapshots = []
     for start, end in zip(starts, starts[1:] + [period]):
-        couples = active_couple_set(spec, polar_border_deg, start + _EVENT_EPS_S)
+        couples = active_couple_set(spec, polar_border_deg, start + TIE_S)
         for te in event_times:
-            if start < te + _EVENT_EPS_S / 2 < end:
-                couples &= active_couple_set(spec, polar_border_deg, te + _EVENT_EPS_S)
+            if start <= (te + TIE_S) % period < end:
+                couples &= active_couple_set(spec, polar_border_deg, te + TIE_S)
         snapshots.append(TopologySnapshot(start, end, couple_set_edges(spec, couples)))
     return SnapshotSequence(METHOD_EQUAL_TIME, tuple(snapshots), period, polar_border_deg,
                             truncated_final=truncated)

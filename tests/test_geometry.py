@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polarsnap.errors import InfeasibleGeometryError, UnsupportedConfigurationError
+from polarsnap.errors import UnsupportedConfigurationError
 from polarsnap.geometry import (
     ConstellationSpec,
     GroundStation,
@@ -27,6 +27,7 @@ from polarsnap.geometry import (
     SPEED_OF_LIGHT_KM_S,
 )
 from tests.oracles import (
+    InfeasibleGeometryError,
     SatState,
     anchor_index,
     class_phase_deg,

@@ -650,6 +650,10 @@ class TestDelayExperiment:
         with pytest.raises(ValueError, match="sequence.period_s"):
             delay_experiment(teledesic, "reassignment", 60.0, beijing, london, 600.0,
                              60.0, sequence=seq)
+        off = dataclasses.replace(seq, period_s=math.nextafter(6027.0, 0.0))
+        with pytest.raises(ValueError, match="sequence.period_s is 6026.999999999999"):
+            delay_experiment(iridium, "reassignment", 60.0, beijing, london, 600.0,
+                             60.0, sequence=off)
 
 
 class TestSendGrid:

@@ -852,8 +852,13 @@ class TestCli:
          "limit of 100000"),
         (b"[experiment]\nduration_s = 1e308\ninterval_s = 1e-300\n", "makes inf sends"),
         (b"earth_radius_km = 0\n", "earth_radius_km must be positive, got 0.0"),
+        (b"period_s = 0.01\n", "line 6: [constellation]: slot period / (2 * sats_per_plane) = "
+         "0.00045454545454545455 s must exceed 0.002 s, two 0.001 s ties"),
+        (b"period_s = 1\n[partition]\nequal_time_delta = 0.002\n",
+         "line 8: equal_time_delta: equal_time delta 0.002 s must exceed 0.002 s, "
+         "two 0.001 s ties"),
     ], ids=["delta-1e-9", "delta-5e-324", "delta-over-limit", "period-5e-324",
-            "interval-1e-6", "inf-sends", "earth-radius-0"])
+            "interval-1e-6", "inf-sends", "earth-radius-0", "slot-floor", "delta-floor"])
     def test_hostile_values_reported_before_any_work(self, lines, message, tmp_path, capsys):
         # analyze loads and checks the file but partitions and routes nothing,
         # so a missing check fails here without allocating
@@ -862,6 +867,17 @@ class TestCli:
         assert main(["analyze", str(path)]) == 2
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1 and err.startswith("scenario error: ")
+
+    def test_slot_floor_of_derived_period_names_sats_line(self, tmp_path, capsys):
+        # a 3.6 s Keplerian period over 2000 slots: no period_s line to name
+        path = tmp_path / "in.scenario"
+        path.write_bytes(b"[constellation]\nplanes = 2\nsats_per_plane = 1000\n"
+                         b"inclination_deg = 86\naltitude_km = 50\nearth_radius_km = 1\n")
+        assert main(["simulate", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: line 3: [constellation]: slot period")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("planes, sats", [("2", "1001"), ("40", "51"), ("1e300", "3")])
     def test_satellite_limit_before_any_work(self, planes, sats, tmp_path, capsys,

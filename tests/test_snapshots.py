@@ -9,8 +9,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polarsnap.geometry import ConstellationSpec, orbit_period
-from polarsnap.links import INTRA_PLANE, TopologyEdgeSet, validate_topology
+from polarsnap.errors import SlotFloorError
+from polarsnap.geometry import (
+    TIE_S,
+    ConstellationSpec,
+    is_uniform_row_distribution,
+    orbit_period,
+)
+from polarsnap.links import (
+    INTRA_PLANE,
+    TRIGGER_ENTER,
+    TRIGGER_EXIT,
+    TopologyEdgeSet,
+    validate_topology,
+)
 from polarsnap.routing import delay_experiment
 from polarsnap.snapshots import (
     MAX_EQUAL_TIME_SNAPSHOTS,
@@ -21,6 +33,7 @@ from polarsnap.snapshots import (
     TopologySnapshot,
     analytic_summary,
     enumerate_events,
+    equal_time_count,
     partition,
     partition_equal_time,
     partition_fixed,
@@ -442,12 +455,14 @@ class TestPartitionEqualTime:
         assert seq.count == MAX_EQUAL_TIME_SNAPSHOTS and not seq.truncated_final
 
     def test_default_delta_underflow_rejected(self):
-        # a period for which T / (2M) underflows to 0 is rejected with the
-        # spec; the shortest accepted one over 2 * 10**306 rows leaves a
-        # subnormal delta, which the snapshot limit rejects
-        spec = ConstellationSpec(6, 10**306, 86.4, 780.0, period_s=1e-3)
-        with pytest.raises(ValueError, match="into 2e\\+306 snapshots"):
-            partition(spec, METHOD_EQUAL_TIME, 60.0)
+        # a default delta T / (2M) that underflows, as the shortest period
+        # over 2 * 10**306 rows gives, is below the slot floor, so the spec
+        # is rejected, as is a count past any float; so is a period that
+        # underflows itself
+        with pytest.raises(SlotFloorError, match="= 5e-310 s must exceed 0.002 s"):
+            ConstellationSpec(6, 10**306, 86.4, 780.0, period_s=1e-3)
+        with pytest.raises(SlotFloorError):
+            ConstellationSpec(6, 10**400, 86.4, 780.0, period_s=6027.0)
         with pytest.raises(ValueError, match=re.escape("period (5e-324 s) in [0.001, 1e+12]")):
             ConstellationSpec(6, 11, 86.4, 780.0, period_s=5e-324)
 
@@ -572,6 +587,119 @@ class TestSlotIdentity:
                         n, m, border, method, i)
                 checked += 1
         assert checked == 716
+
+
+class TestTieRule:
+    """Instants less than ``TIE_S`` apart are one instant, for the closed
+    form, the partitions and the validator alike."""
+
+    @staticmethod
+    def assert_consistent(spec, border):
+        # analytic equals simulated under both triggers, fixed and
+        # equal_time keep the slot identity, and every sequence validates
+        summary = analytic_summary(spec, border)
+        for trigger in (TRIGGER_ENTER, TRIGGER_EXIT):
+            seq = partition_reassignment(spec, border, trigger)
+            assert seq.count == summary.snapshot_count
+            assert {s.n_inter_plane for s in seq.snapshots} == {summary.n_inter_plane}, (
+                spec, border, trigger)
+            assert validate_sequence(spec, seq) == []
+        for seq in (partition_fixed(spec, border), partition(spec, METHOD_EQUAL_TIME, border)):
+            sets = [snap.edges for snap in seq.snapshots]
+            step = len(sets) // spec.sats_per_plane
+            assert len(sets) == 1 or all(sets[(i + step) % len(sets)] == edges.rotated(2)
+                                         for i, edges in enumerate(sets)), (border, seq.method)
+            assert validate_sequence(spec, seq) == []
+
+    @pytest.mark.parametrize("planes", [2, 4, 6])
+    def test_near_uniform_borders(self, planes):
+        # every uniform border moved so that each crossing shifts by x: an
+        # enter and an exit crossing 2x apart, one instant when 2x < TIE_S;
+        # at 8000 km every link of these shapes validates
+        checked = 0
+        for m in (5, 8, 11, 16):
+            spec = ConstellationSpec(planes, m, 86.0, 8000.0)
+            period = orbit_period(spec)
+            shifts = itertools.product((1e-5, 2.5e-4, 7.5e-4, 2e-3), (-1, 1))
+            for k, (x, sign) in itertools.product(range(1, m), shifts):
+                border = 90.0 * k / m + sign * 360.0 * x / period
+                assert is_uniform_row_distribution(spec, border) == (2.0 * x < TIE_S)
+                self.assert_consistent(spec, border)
+                checked += 1
+        assert checked == 288
+
+    @pytest.mark.parametrize("border, links", [(81.818181, 50), (89.999999, 54)])
+    def test_iridium_near_uniform(self, iridium, border, links):
+        # both borders are a tie or less from uniform; the closed form used
+        # to count one row less than the enter-triggered partition drew
+        assert analytic_summary(iridium, border).n_inter_plane == links
+        self.assert_consistent(iridium, border)
+        slot = orbit_period(iridium) / iridium.row_count
+        assert partition(iridium, METHOD_EQUAL_TIME, border) == equal_time_per_instant(
+            iridium, border, slot)
+
+    def test_event_before_period_end_wraps(self):
+        # a crossing less than a tie before the period's end is at t = 0, so
+        # the last snapshot keeps its 18 links instead of the first's 12
+        spec = ConstellationSpec(4, 8, 86.0, 1000.0)
+        border = 67.50000057078356
+        seq = partition(spec, METHOD_EQUAL_TIME, border)
+        assert [snap.n_inter_plane for snap in seq.snapshots] == [12, 18] * 8
+        assert seq == equal_time_per_instant(spec, border, orbit_period(spec) / spec.row_count)
+
+    def test_long_period_tiles_exactly(self):
+        # at 1e12 s the durations no longer sum to the period, but the last
+        # end is still the first start plus the period
+        spec = ConstellationSpec(6, 11, 86.4, 780.0, period_s=1e12, name="iridium")
+        for border in (60.0, 65.0, 70.0, 75.0):
+            for method in (METHOD_REASSIGNMENT, METHOD_FIXED, METHOD_EQUAL_TIME):
+                assert validate_sequence(spec, partition(spec, method, border)) == []
+
+    @pytest.mark.parametrize("m", range(3, 12))
+    def test_short_period_analytic_equals_simulated(self, m):
+        # at 0.05 s a tie is up to 0.44 of a slot (M = 11)
+        for planes in (2, 4, 6):
+            spec = ConstellationSpec(planes, m, 86.4, 780.0, period_s=0.05)
+            for border in range(5, 90, 5):
+                summary = analytic_summary(spec, border)
+                for trigger in (TRIGGER_ENTER, TRIGGER_EXIT):
+                    seq = partition_reassignment(spec, border, trigger)
+                    assert {s.n_inter_plane for s in seq.snapshots} == {summary.n_inter_plane}, (
+                        planes, m, border, trigger)
+
+    @settings(max_examples=200, deadline=None)
+    @given(period=st.floats(1e-3, 10.0), m=st.integers(3, 3000),
+           delta=st.floats(1e-4, 1e-2))
+    @example(period=0.044, m=11, delta=2 * TIE_S)
+    def test_slot_floor(self, period, m, delta):
+        # a slot T / (2M) or an equal_time delta of at most two ties is rejected
+        if period / (2 * m) <= 2 * TIE_S:
+            with pytest.raises(SlotFloorError, match="must exceed 0.002 s, two 0.001 s ties"):
+                ConstellationSpec(2, m, 86.4, 780.0, period_s=period)
+        else:
+            ConstellationSpec(2, m, 86.4, 780.0, period_s=period)
+        if delta <= 2 * TIE_S:
+            with pytest.raises(SlotFloorError, match=f"delta {delta} s must exceed 0.002 s"):
+                equal_time_count(1.0, delta)
+        else:
+            assert equal_time_count(1.0, delta) == 1.0 / delta
+
+    def test_tiling_compared_exactly(self, iridium):
+        # a one-ulp gap, or a period one ulp off the orbit's, is a failure
+        seq = partition(iridium, METHOD_REASSIGNMENT, 60.0)
+        snaps = list(seq.snapshots)
+        snaps[3] = TopologySnapshot(math.nextafter(snaps[3].start_s, math.inf),
+                                    snaps[3].end_s, snaps[3].edges)
+        gap = SnapshotSequence(seq.method, tuple(snaps), seq.period_s, 60.0)
+        assert validate_sequence(iridium, gap) == [
+            "iridium reassignment 60.0: snapshots 2 and 3 are not contiguous"]
+        off = SnapshotSequence(seq.method, seq.snapshots, math.nextafter(6027.0, 0.0), 60.0)
+        assert validate_sequence(iridium, off) == [
+            "iridium reassignment 60.0: period_s is 6026.999999999999, not the orbit's 6027.0 s"]
+        short = SnapshotSequence(seq.method, seq.snapshots[:-1], seq.period_s, 60.0)
+        covered = seq.snapshots[-1].start_s - seq.start_s
+        assert validate_sequence(iridium, short) == [
+            f"iridium reassignment 60.0: snapshots cover {covered!r} s of a 6027.0 s period"]
 
 
 class TestValidateSequence:
