@@ -21,7 +21,7 @@ import sys
 
 from .errors import ScenarioError
 from .geometry import orbit_period
-from .report import ComparisonReport, format_summary, run_compare
+from .report import ComparisonReport, border_name, format_summary, run_compare
 from .routing import send_count
 from .scenario import ScenarioConfig, apply_overrides, load_scenario
 from .snapshots import analytic_summary
@@ -64,7 +64,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     rows = [("L_pa", "duration_s", "count", "oblique", "horizontal", "inter_total")]
     for border in config.polar_borders_deg:
         a = analytic_summary(spec, border)
-        rows.append((f"{border:g}", f"{a.snapshot_duration_s:.2f}", a.snapshot_count,
+        rows.append((border_name(border), f"{a.snapshot_duration_s:.2f}", a.snapshot_count,
                      a.n_oblique, a.n_horizontal, a.n_inter_plane))
     for first, *cells in rows:  # cells stay a space apart, however wide
         print(f"{first:>6}" + "".join(f" {c:>{w}}" for c, w in zip(cells, (11, 6, 8, 11, 11))))
@@ -75,7 +75,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = dataclasses.replace(_load(args), source=None, destination=None)
     report = run_compare(config)
     for row in report.rows:
-        print(f"{report.scenario_name} {row.method} L_pa={row.polar_border_deg:g}: "
+        print(f"{report.scenario_name} {row.method} L_pa={border_name(row.polar_border_deg)}: "
               f"{row.snapshot_count} snapshots, duration {row.duration_min_s:.2f}.."
               f"{row.duration_max_s:.2f} s, utilization {row.utilization:.4f}")
     print(f"artifacts written to {config.output_dir}")
@@ -90,7 +90,7 @@ def cmd_route(args: argparse.Namespace) -> int:
     report = run_compare(config)
     sends = send_count(config.duration_s, config.interval_s)
     for row in report.rows:
-        print(f"{report.scenario_name} {row.method} L_pa={row.polar_border_deg:g}: "
+        print(f"{report.scenario_name} {row.method} L_pa={border_name(row.polar_border_deg)}: "
               f"avg delay {1000.0 * row.average_delay_s:.3f} ms over {sends} sends "
               f"({row.unreachable_fraction:.1%} unreachable)")
     return _status(report)

@@ -26,7 +26,7 @@ The universe hands out one set per distinct id array, and what depends on
 the links alone is computed once per set (``TopologyEdgeSet.derived``). The link rules take the polar border as a
 number and read the link limits from the ``ConstellationSpec``. The
 validator, the export and the router read a set's arrays once its shape
-is checked (``TopologyEdgeSet.compiled``); ``IslEdge`` objects exist only
+is checked (``TopologyEdgeSet.check_shape``); ``IslEdge`` objects exist only
 at the API edge.
 """
 import functools
@@ -126,6 +126,7 @@ class _Wiring:
     horizontals: np.ndarray  # (2M, N/2-1) ids, by phase class
     classes: np.ndarray  # (2M, N-1 + N/2-1): chains beside horizontals, by phase class
     drawn: dict = field(default_factory=weakref.WeakValueDictionary)  # live sets, by ids
+    shifts: dict = field(default_factory=dict)  # rotation permutations, by k mod 2M
 
     def select(self, chains, horizontals) -> np.ndarray:
         """Sorted ids of the rings and the given classes' chains and horizontals."""
@@ -134,10 +135,16 @@ class _Wiring:
 
     def rotated(self, ids: np.ndarray, k: int) -> np.ndarray:
         """The ids with each phase class c's chain and horizontal edges
-        replaced by those of class c - k, sorted."""
-        perm, rows = np.arange(len(self.edges.a), dtype=INDEX_DTYPE), len(self.classes)
-        perm[self.classes] = self.classes.take(np.arange(-k, rows - k), axis=0, mode="wrap")
-        return np.sort(perm[ids])
+        replaced by those of class c - k, sorted: one gather through the
+        permutation of k mod 2M, built on the first rotation by it and kept
+        (E ids per distinct k asked for)."""
+        rows = len(self.classes)
+        if (perm := self.shifts.get(k % rows)) is None:
+            perm = self.shifts[k % rows] = np.arange(len(self.edges.a), dtype=INDEX_DTYPE)
+            perm[self.classes] = self.classes.take(np.arange(-k, rows - k), axis=0, mode="wrap")
+        moved = perm.take(ids)
+        moved.sort()
+        return moved
 
     def draw(self, ids: np.ndarray) -> "TopologyEdgeSet":
         """The edge set of the given sorted ids: one object per ids while it lives.
@@ -247,24 +254,28 @@ class TopologyEdgeSet:
         return frozenset(IslEdge(sats[a], sats[b], KINDS[k])
                          for k, a, b in zip(self.kind.tolist(), self.a.tolist(), self.b.tolist()))
 
-    def compiled(self, spec: ConstellationSpec) -> "TopologyEdgeSet":
-        """The set itself, once its shape is checked against ``spec``.
-
-        Raises:
-            ValueError: If the set belongs to a constellation of another shape.
-        """
+    def check_shape(self, spec: ConstellationSpec) -> None:
+        """Raises ValueError if the set belongs to a constellation of another
+        shape than ``spec``'s: its arrays index its own shape's satellites."""
         shape = (spec.plane_count, spec.sats_per_plane)
         if self.shape != shape:
             raise ValueError(f"edge set of a {self.shape[0]}x{self.shape[1]} "
                              f"constellation used with a {shape[0]}x{shape[1]} one")
-        return self
+
+    def rotates_to(self, other: "TopologyEdgeSet", k: int) -> bool:
+        """True when both sets were drawn from the universe and ``other``
+        holds exactly this set's links rotated by k (``rotated``), compared
+        as id arrays."""
+        if self._ids is None or other._ids is None or len(self._ids) != len(other._ids):
+            return False
+        return bool((_wiring(self.shape).rotated(self._ids, k) == other._ids).all())
 
     def derived(self, spec: ConstellationSpec, build, *args):
         """``build(self, *args)``, built on the first call and kept on the set,
         so ``build`` must read nothing of the set but its arrays, and ``args``
         may change only how the value is stored, never the value; raises as
-        ``compiled``."""
-        self.compiled(spec)
+        ``check_shape``."""
+        self.check_shape(spec)
         if build not in self._derived:
             self._derived[build] = build(self, *args)
         return self._derived[build]

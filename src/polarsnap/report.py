@@ -128,13 +128,14 @@ def export_topology(
     # The table is the sorted distinct (kind, a, b) keys, merged set by set so
     # no array spans every snapshot's edges; each distinct set's mask is built once.
     n, m = spec.total_satellites, spec.sats_per_plane
-    sets = {id(snap.edges): snap.edges.compiled(spec) for snap in seq.snapshots}
+    sets = {id(snap.edges): snap.edges for snap in seq.snapshots}
 
     def keys(topo: TopologyEdgeSet) -> np.ndarray:
         return (topo.kind.astype(np.int64) * n + topo.a) * n + topo.b
 
     unique = np.empty(0, dtype=np.int64)
     for topo in sets.values():
+        topo.check_shape(spec)
         unique = np.sort(np.concatenate([unique, keys(topo)]))
         unique = unique[np.diff(unique, prepend=-1) != 0]
     names = [json.dumps(kind) for kind in KINDS]
@@ -356,8 +357,16 @@ def run_compare(config: ScenarioConfig) -> ComparisonReport:
     return report
 
 
+def border_name(border: float) -> str:
+    """A border as printed and in file names: ``f"{border:g}"`` when that
+    reads back as the same float, else ``repr(border)``, so distinct
+    borders get distinct names."""
+    name = f"{border:g}"
+    return name if float(name) == border else repr(border)
+
+
 def _name(spec: ConstellationSpec, method: str, border: float, suffix: str) -> str:
-    return f"{spec.name}_{method}_{border:g}_{suffix}"
+    return f"{spec.name}_{method}_{border_name(border)}_{suffix}"
 
 
 def format_summary(spec: ConstellationSpec, report: ComparisonReport) -> str:
@@ -388,7 +397,7 @@ def format_summary(spec: ConstellationSpec, report: ComparisonReport) -> str:
             cells = [f"{c}/{sim}" for c, sim in zip(calc, cells)]
         delay = ("-" if row.average_delay_s is None or math.isnan(row.average_delay_s)
                  else f"{1000.0 * row.average_delay_s:.3f}")
-        lines.append(line(row.method, f"{row.polar_border_deg:g}", *cells,
+        lines.append(line(row.method, border_name(row.polar_border_deg), *cells,
                           f"{row.utilization:.4f}", delay))
     if report.validation_failures:
         lines.append("")

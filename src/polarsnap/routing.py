@@ -188,7 +188,7 @@ def shortest_delay(
     must fall inside the snapshot interval. ``positions`` may be those of
     any time congruent to t modulo the orbit period, since positions
     repeat every period; when omitted they are computed at t. The
-    neighbour table is built from the edge set's compiled arrays on the
+    neighbour table is built from the edge set's arrays on the
     first route over the set and cached on its edge set.
 
     The search is A*: the heap is ordered by the delay from src plus the
@@ -354,7 +354,8 @@ def route_sequences(
         taus, index = seq.lookup(sends * grid.interval_s)  # the send times
         token = np.full(len(seq.snapshots), -1)
         for j in set(index[attached].tolist()):
-            token[j] = grid._token(seq.snapshots[j].edges.compiled(spec))
+            seq.snapshots[j].edges.check_shape(spec)
+            token[j] = grid._token(seq.snapshots[j].edges)
         looked_up.append((seq, taus, index, np.where(attached, token[index] * n_sends + sends, -1)))
     rows, tabled = {}, set()  # this pass's neighbour rows, interned; ids of the sets seen
     for block in instant_blocks(n_sends, spec.total_satellites):

@@ -136,20 +136,15 @@ def _station(key: str, text: str, lineno: int | None) -> GroundStation:
 
 
 def _borders(key: str, text: str, lineno: int | None) -> list[float]:
-    # Artifact file names hold a border as f"{border:g}", so two borders
-    # with the same such name would write to the same files.
-    names: dict[str, float] = {}
-    for border in (_number(key, v.strip(), lineno) for v in text.split(",") if v.strip()):
+    borders = [_number(key, v.strip(), lineno) for v in text.split(",") if v.strip()]
+    for border in borders:
         if not 0.0 < border < 90.0:
             raise ScenarioError(f"{key} must be in (0, 90), got {border}", lineno)
-        name = f"{border:g}"
-        if name in names:
-            raise ScenarioError(f"{key} values {names[name]!r} and {border!r} "
-                                f"share the file name part {name}", lineno)
-        names[name] = border
-    if not names:
+    if len(set(borders)) < len(borders):
+        raise ScenarioError(f"{key} lists a border twice: {text!r}", lineno)
+    if not borders:
         raise ScenarioError(f"{key} lists no values", lineno)
-    return list(names.values())
+    return borders
 
 
 def _methods(key: str, text: str, lineno: int | None) -> list[str]:

@@ -24,8 +24,10 @@ reassignment numbers in closed form; the event-driven sequences count
 rows and edges independently, so the two act as cross-checking oracles.
 The tests check the crossing times against a sampled root-solver and each
 reassignment snapshot against one built from its own event's row state.
-``validate_sequence`` is the per-sequence validation oracle; it evaluates
-positions a block of snapshots per call (``instant_blocks``).
+``validate_sequence`` is the per-sequence validation oracle; it checks the
+first slot period's snapshots of a sequence that repeats every slot, and
+every snapshot of one that does not, positions a block of snapshots per
+call (``instant_blocks``).
 """
 import math
 from dataclasses import dataclass
@@ -214,8 +216,11 @@ def partition_reassignment(
         spec, polar_border_deg, build_ls_state(spec, polar_border_deg, t0 + TIE_S),
         trigger)
     ends = [e.time_s for e in events[1:]] + [t0 + period]
-    snapshots = tuple(TopologySnapshot(event.time_s, end, first.rotated(i))
-                      for i, (event, end) in enumerate(zip(events, ends)))
+    sets = [first]
+    for _ in events[1:]:  # each one class on from the last: one cached permutation
+        sets.append(sets[-1].rotated(1))
+    snapshots = tuple(TopologySnapshot(event.time_s, end, topo)
+                      for event, end, topo in zip(events, ends, sets))
     return SnapshotSequence(METHOD_REASSIGNMENT, snapshots, period, polar_border_deg,
                             trigger=trigger)
 
@@ -295,10 +300,54 @@ def partition_equal_time(
                             truncated_final=truncated)
 
 
+def _slot_count(spec: ConstellationSpec, seq: SnapshotSequence) -> int:
+    """S = n/M when the sequence repeats every slot P/M: for every i,
+    snapshot i + S starts P/M after snapshot i, to within ``TIE_S``, and
+    holds snapshot i's drawn set two phase classes on, compared exactly
+    (``TopologyEdgeSet.rotates_to``) once per distinct pair of set
+    objects; otherwise n, the count."""
+    snaps, m = seq.snapshots, spec.sats_per_plane
+    n = len(snaps)
+    if n % m:
+        return n
+    s = n // m
+    starts = np.array([snap.start_s for snap in snaps])
+    if not (np.abs(starts[s:] - starts[:-s] - orbit_period(spec) / m) < TIE_S).all():
+        return n
+    pairs = {(id(a.edges), id(b.edges)): (a.edges, b.edges) for a, b in zip(snaps, snaps[s:])}
+    return s if all(a.rotates_to(b, 2) for a, b in pairs.values()) else n
+
+
+def _snapshot_failures(spec: ConstellationSpec, seq: SnapshotSequence, name: str,
+                       start: int, stop: int) -> list[str]:
+    """A line for each of snapshots start..stop-1 whose links fail
+    ``validate_topology`` just after its start, positions a block of
+    snapshots per call."""
+    failures, snaps = [], seq.snapshots[start:stop]
+    for block in instant_blocks(len(snaps), spec.total_satellites):
+        times = [snap.start_s + TIE_S for snap in snaps[block]]
+        positions = all_positions_km(spec, np.array(times))
+        for i, (snap, t, pos) in enumerate(zip(snaps[block], times, positions),
+                                           start + block.start):
+            violations = validate_topology(spec, seq.polar_border_deg, snap.edges, t, pos)
+            if violations:
+                first = violations[0]
+                failures.append(f"{name} snapshot {i}: {len(violations)} violations, "
+                                f"first: {first.rule} {first.detail}")
+    return failures
+
+
 def validate_sequence(spec: ConstellationSpec, seq: SnapshotSequence) -> list[str]:
     """Failure lines: a period other than the spec's or one the snapshots do
     not tile, bounds compared exactly, each gap, and each snapshot whose
-    links fail ``validate_topology`` just after its start."""
+    links fail ``validate_topology`` just after its start.
+
+    One slot P/M later every satellite stands where its in-plane successor
+    stood, so when the sequence repeats every slot (``_slot_count``) its
+    first S = n/M snapshots hold all it has to check: when they pass, the
+    sequence does. When one fails, the rest are checked too, so the lines
+    are those of checking every snapshot.
+    """
     period = orbit_period(spec)
     name = f"{spec.name} {seq.method} {seq.polar_border_deg}"
     failures = ([f"{name}: period_s is {seq.period_s!r}, not the orbit's {period!r} s"]
@@ -308,17 +357,11 @@ def validate_sequence(spec: ConstellationSpec, seq: SnapshotSequence) -> list[st
         failures.append(f"{name}: snapshots cover {end - start!r} s of a {period!r} s period")
     failures += [f"{name}: snapshots {i} and {i + 1} are not contiguous" for i, (a, b)
                  in enumerate(zip(seq.snapshots, seq.snapshots[1:])) if a.end_s != b.start_s]
-    for block in instant_blocks(len(seq.snapshots), spec.total_satellites):
-        snaps = seq.snapshots[block]
-        times = [snap.start_s + TIE_S for snap in snaps]
-        positions = all_positions_km(spec, np.array(times))
-        for i, (snap, t, pos) in enumerate(zip(snaps, times, positions), block.start):
-            violations = validate_topology(spec, seq.polar_border_deg, snap.edges, t, pos)
-            if violations:
-                first = violations[0]
-                failures.append(f"{name} snapshot {i}: {len(violations)} violations, "
-                                f"first: {first.rule} {first.detail}")
-    return failures
+    slot = _slot_count(spec, seq)
+    lines = _snapshot_failures(spec, seq, name, 0, slot)
+    if lines:
+        lines += _snapshot_failures(spec, seq, name, slot, seq.count)
+    return failures + lines
 
 
 def partition(

@@ -17,6 +17,8 @@ baseline partitions as they were before they read one table of active
 couples: a frozenset of active couples per instant, one instant at a time.
 ``reference_attach_ground`` attaches one station at one send time, and
 ``scan_lookup`` finds a send's snapshot by a linear scan.
+``reference_validate_sequence`` is the sequence check before it read the
+slot identity: every snapshot through ``validate_topology``.
 
 The scalar geometry below (one satellite, one instant, ``math`` functions)
 is what the package computed before its array paths; it serves as the
@@ -43,6 +45,7 @@ from polarsnap.geometry import (
     all_positions_km,
     ground_position_km,
     in_polar_band,
+    instant_blocks,
     is_uniform_row_distribution,
     max_link_angle_deg,
     orbit_period,
@@ -59,6 +62,7 @@ from polarsnap.links import (
     IslEdge,
     TopologyEdgeSet,
     _wiring,
+    validate_topology,
 )
 from polarsnap.routing import PathResult
 from polarsnap.snapshots import (
@@ -435,8 +439,8 @@ def dijkstra_shortest_delay(snapshot, t, src, dst, spec, positions=None) -> Path
     if src_i == dst_i:
         return PathResult(True, 0.0, (src,))
 
-    arrays = snapshot.edges.compiled(spec)
-    a, b = arrays.a, arrays.b
+    snapshot.edges.check_shape(spec)
+    a, b = snapshot.edges.a, snapshot.edges.b
     ends = np.concatenate([a, b])
     order = np.argsort(ends, kind="stable")
     indptr = np.zeros(spec.total_satellites + 1, dtype=np.int32)
@@ -588,3 +592,28 @@ def reference_attach_ground(gs, t, spec, positions):
     if elev[best] < gs.min_elevation_deg:
         return None
     return index_to_sat(spec, best)
+
+
+def reference_validate_sequence(spec: ConstellationSpec, seq: SnapshotSequence) -> list[str]:
+    """``validate_sequence`` with every snapshot checked by
+    ``validate_topology`` just after its start, in index order."""
+    period = orbit_period(spec)
+    name = f"{spec.name} {seq.method} {seq.polar_border_deg}"
+    failures = ([f"{name}: period_s is {seq.period_s!r}, not the orbit's {period!r} s"]
+                if seq.period_s != period else [])
+    start, end = seq.start_s, seq.snapshots[-1].end_s
+    if end != start + period:
+        failures.append(f"{name}: snapshots cover {end - start!r} s of a {period!r} s period")
+    failures += [f"{name}: snapshots {i} and {i + 1} are not contiguous" for i, (a, b)
+                 in enumerate(zip(seq.snapshots, seq.snapshots[1:])) if a.end_s != b.start_s]
+    for block in instant_blocks(len(seq.snapshots), spec.total_satellites):
+        snaps = seq.snapshots[block]
+        times = [snap.start_s + TIE_S for snap in snaps]
+        positions = all_positions_km(spec, np.array(times))
+        for i, (snap, t, pos) in enumerate(zip(snaps, times, positions), block.start):
+            violations = validate_topology(spec, seq.polar_border_deg, snap.edges, t, pos)
+            if violations:
+                first = violations[0]
+                failures.append(f"{name} snapshot {i}: {len(violations)} violations, "
+                                f"first: {first.rule} {first.detail}")
+    return failures

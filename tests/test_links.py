@@ -649,11 +649,11 @@ class TestValidatorPositions:
         assert failures == want and len(want) == len(seq.snapshots)
 
 
-class TestCompiledEdges:
+class TestEdgeArrays:
     def test_canonical_order_and_cache(self, iridium):
         topo = partition(iridium, "reassignment", 75.0).snapshots[0].edges
         twin = partition(iridium, "reassignment", 75.0).snapshots[0].edges
-        assert topo.compiled(iridium) is topo
+        assert topo.check_shape(iridium) is None
         assert topo == twin and hash(topo) == hash(twin) and repr(topo) == repr(twin)
         listed = [(KINDS[k], a, b) for k, a, b in
                   zip(topo.kind.tolist(), topo.a.tolist(), topo.b.tolist())]
@@ -670,16 +670,16 @@ class TestCompiledEdges:
         # drawn sets are shared by snapshots, sequences and partitions
         seq = partition(iridium, "reassignment", 75.0)
         snap = seq.snapshots[0]
-        arrays = snap.edges.compiled(iridium)
+        arrays = snap.edges
         with pytest.raises(ValueError):
-            snap.edges.compiled(iridium).a[0] = 1
+            snap.edges.a[0] = 1
         validate_topology(iridium, 75.0, snap.edges, snap.start_s)
         structure, inter, horizontal, dplane, _ = snap.edges.derived(iridium, _set_rules)
         export_topology(seq, iridium, tmp_path / "topology.json")
         _, loaded = load_topology(tmp_path / "topology.json")
         built = TopologyEdgeSet.from_edges(iridium, snap.edges.edges)
         for x in (arrays.kind, arrays.b, structure, inter, horizontal, dplane,
-                  loaded.snapshots[0].edges.compiled(iridium).a, built.compiled(iridium).b):
+                  loaded.snapshots[0].edges.a, built.b):
             with pytest.raises(ValueError):
                 x[0] = x[1]
         assert built == snap.edges == loaded.snapshots[0].edges
@@ -688,15 +688,23 @@ class TestCompiledEdges:
         drawn = {id(s.edges) for s in seq.snapshots}
         assert len(objects) == len(set(objects.values())) == len(drawn) < len(seq.snapshots)
 
-    def test_another_shape_rejected(self, iridium):
-        # a set's arrays index its own shape's satellites
+    def test_another_shape_rejected(self, iridium, beijing, london, tmp_path):
+        # a set's arrays index its own shape's satellites: the validator
+        # (through ``derived``), the export and the routing pass check the
+        # shape first
         topo = intra_plane_edges(iridium)
         longer = ConstellationSpec(6, 12, 86.4, 780.0)
-        assert topo.compiled(iridium) is topo.compiled(iridium)
-        with pytest.raises(ValueError, match="6x11 constellation used with a 6x12"):
-            topo.compiled(longer)
-        with pytest.raises(ValueError, match="6x11 constellation used with a 6x12"):
-            validate_topology(longer, 60.0, topo, 0.0)
+        topo.check_shape(iridium)
+        seq = SnapshotSequence("drawn", (TopologySnapshot(0.0, 1.0, topo),), 1.0, 60.0)
+        grid = SendGrid(longer, beijing, london, 6000.0, 60.0)
+        assert any(grid.attached)
+        for check in (lambda: topo.check_shape(longer),
+                      lambda: validate_topology(longer, 60.0, topo, 0.0),
+                      lambda: route_sequences(grid, [seq]),
+                      lambda: export_topology(seq, longer, tmp_path / "topology.json")):
+            with pytest.raises(ValueError, match="6x11 constellation used with a 6x12"):
+                check()
+        assert not (tmp_path / "topology.json").exists()
 
 
 SHAPES = [(2, 4), (4, 5), (6, 8), (6, 11), (8, 11), (12, 24)]
@@ -728,7 +736,7 @@ class TestEdgeUniverse:
         assert len(universe) == n * m + 2 * m * (n - 1) + 2 * m * (n // 2 - 1)
         assert universe.edges == rings.union(*chains, *horizontals)
         objects = TopologyEdgeSet.from_edges(spec, universe.edges)
-        assert same_arrays(universe.compiled(spec), objects.compiled(spec))
+        assert same_arrays(universe, objects)
         assert drawn_ids(shape, wiring.rings).edges == rings
         for table, oracle in ((wiring.chains, chains), (wiring.horizontals, horizontals)):
             for c, edges in enumerate(oracle):
@@ -739,7 +747,7 @@ class TestEdgeUniverse:
         topo = reassign_topology(iridium, 75.0, build_ls_state(iridium, 75.0, t), "enter")
         twin = TopologyEdgeSet.from_edges(iridium, topo.edges)
         assert topo == twin and twin == topo and hash(topo) == hash(twin)
-        assert same_arrays(topo.compiled(iridium), twin.compiled(iridium))
+        assert same_arrays(topo, twin)
         for kind in KINDS:
             assert topo.count(kind) == twin.count(kind) == sum(
                 e.kind == kind for e in topo.edges)
@@ -759,15 +767,19 @@ class TestEdgeUniverse:
             horizontal_edges(spec, 1))
         assert topo.rotated(1).edges == want
 
-    @pytest.mark.parametrize("shape", [(6, 11), (12, 24), (2, 1000)])
+    @pytest.mark.parametrize("shape", [*itertools.product(range(2, 9), range(3, 17)),
+                                       (12, 24), (2, 1000)])
     def test_rotation_matches_the_roll_oracle(self, shape):
-        # every shift of a set with chains and horizontals (2 x 1000 has no
-        # horizontal class) is the one np.roll per class table gives
+        # every shift k in 0..2M of a set with chains and horizontals (two
+        # or three planes have no horizontal class) is the one np.roll per
+        # class table gives, through a permutation cached per k mod 2M
         wiring, rows = _wiring(shape), 2 * shape[1]
-        ids = wiring.select(range(0, rows, 2), [1, rows - 2] if shape[0] > 2 else [])
-        for k in range(rows):
+        ids = wiring.select(range(0, rows, 2), [1, rows - 2] if shape[0] > 3 else [])
+        for k in range(rows + 1):
             got = wiring.rotated(ids, k)
             assert got.dtype == INDEX_DTYPE and np.array_equal(got, rolled_ids(shape, ids, k))
+            assert np.array_equal(wiring.rotated(ids[::2], k), rolled_ids(shape, ids[::2], k))
+        assert sorted(wiring.shifts) == list(range(rows))
 
 
 class TestEdgeSetIdentity:

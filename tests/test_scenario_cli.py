@@ -22,6 +22,7 @@ from polarsnap.links import HORIZONTAL, KINDS, OBLIQUE, IslEdge, TopologyEdgeSet
 from polarsnap.report import (
     ComparisonReport,
     ComparisonRow,
+    border_name,
     export_topology,
     format_summary,
     load_topology,
@@ -222,12 +223,12 @@ class TestLoadScenario:
             load_scenario(p)
 
     @pytest.mark.parametrize("line,field", [
-        (b"polar_border_deg = 65, 70, 65.000001", "polar_border_deg values 65.0 and 65.000001"),
-        (b"polar_border_deg = 60, 60", "polar_border_deg values 60.0 and 60.0"),
+        (b"polar_border_deg = 65, 70, 65.0", "polar_border_deg lists a border twice"),
+        (b"polar_border_deg = 60, 60", "polar_border_deg lists a border twice"),
         (b"methods = fixed, reassignment, fixed", "methods lists a method twice"),
     ])
     def test_colliding_file_names_rejected(self, tmp_path, line, field):
-        # artifact names hold the method and the border as f"{border:g}"
+        # artifact names hold the method and the border (``border_name``)
         p = tmp_path / "bad.scenario"
         p.write_bytes(IRIDIUM_HEAD + b"[partition]\n" + line + b"\n")
         with pytest.raises(ScenarioError, match=f"line 7: {field}"):
@@ -725,9 +726,8 @@ class TestCli:
         assert {"summary_tiny.txt", "comparison_tiny.csv"} <= written
 
     @pytest.mark.parametrize("argv,message", [
-        (["--polar-border", "60", "--polar-border", "60.0000001"],
-         "polar_border_deg values 60.0 and 60.0000001 share the file name part 60"),
-        (["--polar-border", "75", "--polar-border", "75"], "polar_border_deg values 75.0"),
+        (["--polar-border", "75", "--polar-border", "75.0"],
+         "polar_border_deg lists a border twice: '75,75.0'"),
         (["--methods", "fixed,equal_time,fixed"], "methods lists a method twice"),
     ])
     def test_colliding_file_names_rejected(self, argv, message, tmp_path, capsys):
@@ -736,6 +736,33 @@ class TestCli:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_distinct_borders_get_distinct_names(self, tmp_path, capsys):
+        # 60 and 60.0000001 write two file sets; a border that f"{b:g}"
+        # would round, such as 89.999999 (not 90), is printed and named as given
+        argv = ["--polar-border", "60", "--polar-border", "60.0000001",
+                "--polar-border", "89.999999"]
+        assert main(["simulate", str(SCENARIOS / "iridium.scenario"), *argv,
+                     "--methods", "reassignment", "--output-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        names = ("60", "60.0000001", "89.999999")
+        assert [line.split()[2] for line in out.splitlines()[:3]] == [
+            f"L_pa={name}:" for name in names]
+        assert {p.name for p in tmp_path.glob("*_snapshots.csv")} == {
+            f"iridium_reassignment_{name}_snapshots.csv" for name in names}
+        rows = (tmp_path / "summary_iridium.txt").read_text().splitlines()[4:7]
+        assert [row.split()[1] for row in rows] == list(names)
+        assert main(["analyze", str(SCENARIOS / "iridium.scenario"), *argv]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split()[0] for row in rows] == list(names)
+
+    @pytest.mark.parametrize("border,name", [
+        (60.0, "60"), (65.0, "65"), (70.0, "70"), (75.0, "75"), (62.5, "62.5"),
+        (81.818181, "81.818181"), (89.999999, "89.999999"), (1e-05, "1e-05"),
+        (60.0000001, "60.0000001"), (math.nextafter(60.0, 90.0), "60.00000000000001")])
+    def test_border_name(self, border, name):
+        # f"{border:g}" when it reads back as the border, else its repr
+        assert border_name(border) == name and float(name) == border
 
     def test_scenario_error_reported_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.scenario"
@@ -984,7 +1011,7 @@ class TestCli:
     @pytest.mark.parametrize("section,key,flag,text", [
         (section, key, flag, text) for section, key, flag, texts in (
             ("partition", "polar_border_deg", "--polar-border",
-             ("95", "0", "nan", "sixty", "", "60, 60", "65, 70, 65.000001")),
+             ("95", "0", "nan", "sixty", "", "60, 60", "65, 70, 65.0")),
             ("partition", "methods", "--methods", ("dijkstra", "fixed, fixed", "")),
             ("partition", "trigger", "--trigger", ("both", "")),
             ("experiment", "duration_s", "--duration", ("0", "-5", "nan", "inf", "day", "30")),

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polarsnap import snapshots
 from polarsnap.errors import SlotFloorError
 from polarsnap.geometry import (
     TIE_S,
@@ -40,6 +42,7 @@ from polarsnap.snapshots import (
     partition_reassignment,
     validate_sequence,
 )
+from polarsnap.report import export_topology, load_topology
 from polarsnap.scenario import load_scenario
 from tests.oracles import (
     class_phase_deg,
@@ -48,6 +51,7 @@ from tests.oracles import (
     fixed_per_instant,
     per_event_reassignment,
     phase_latitude_deg,
+    reference_validate_sequence,
     scan_lookup,
 )
 
@@ -603,13 +607,13 @@ class TestTieRule:
             assert seq.count == summary.snapshot_count
             assert {s.n_inter_plane for s in seq.snapshots} == {summary.n_inter_plane}, (
                 spec, border, trigger)
-            assert validate_sequence(spec, seq) == []
+            assert validate_sequence(spec, seq) == reference_validate_sequence(spec, seq) == []
         for seq in (partition_fixed(spec, border), partition(spec, METHOD_EQUAL_TIME, border)):
             sets = [snap.edges for snap in seq.snapshots]
             step = len(sets) // spec.sats_per_plane
             assert len(sets) == 1 or all(sets[(i + step) % len(sets)] == edges.rotated(2)
                                          for i, edges in enumerate(sets)), (border, seq.method)
-            assert validate_sequence(spec, seq) == []
+            assert validate_sequence(spec, seq) == reference_validate_sequence(spec, seq) == []
 
     @pytest.mark.parametrize("planes", [2, 4, 6])
     def test_near_uniform_borders(self, planes):
@@ -731,3 +735,117 @@ class TestValidateSequence:
                             "first: visibility geocentric angle 90.042 exceeds 58.825")
         text = "".join(f"{line}\n" for line in lines)
         assert hashlib.sha256(text.encode()).hexdigest() == self.WIDE_SHA256
+
+
+class TestSlotPeriodValidation:
+    """``validate_sequence`` checks the first n/M snapshots of a sequence
+    that repeats every slot, and gives exactly the lines of checking every
+    snapshot (``reference_validate_sequence``)."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Per ``validate_sequence`` run: validate_topology calls and position rows."""
+        work = collections.Counter()
+        check, positions = snapshots.validate_topology, snapshots.all_positions_km
+
+        def counted_check(spec, *args):
+            work["calls"] += 1
+            return check(spec, *args)
+
+        def counted_positions(spec, t):
+            work["rows"] += np.size(t) * spec.total_satellites
+            return positions(spec, t)
+
+        monkeypatch.setattr(snapshots, "validate_topology", counted_check)
+        monkeypatch.setattr(snapshots, "all_positions_km", counted_positions)
+        return work
+
+    def test_sweep_lines_match_reference(self, monkeypatch):
+        # the geometry sweep: 406 of 720 sequences fail, and every one that
+        # passes and has more than one snapshot is checked one slot deep
+        work = self.counted(monkeypatch)
+        failing = fast = 0
+        for n, m, border in itertools.product((2, 4, 6, 8), (3, 5, 8, 11, 16), range(30, 90, 5)):
+            spec = ConstellationSpec(n, m, 86.0, 1000.0)
+            for method in (METHOD_REASSIGNMENT, METHOD_FIXED, METHOD_EQUAL_TIME):
+                seq = partition(spec, method, border)
+                work.clear()
+                lines = validate_sequence(spec, seq)
+                assert lines == reference_validate_sequence(spec, seq), (n, m, border, method)
+                failing += bool(lines)
+                want = seq.count if lines or seq.count == 1 else seq.count // m
+                assert work["calls"] == want and work["rows"] == want * n * m
+                fast += work["calls"] < seq.count
+        assert failing == 406 and fast == 720 - 406
+
+    def test_loaded_exports_checked_in_full(self, tmp_path, monkeypatch):
+        # a loaded set holds no universe ids, so every snapshot is checked
+        work = self.counted(monkeypatch)
+        scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+        for name in ("iridium", "teledesic"):
+            config = load_scenario(scenarios / f"{name}.scenario")
+            spec = config.constellation
+            for border, method in itertools.product(config.polar_borders_deg, config.methods):
+                path = tmp_path / f"{name}_{method}_{border}.json"
+                export_topology(partition(spec, method, border, trigger=config.trigger,
+                                          equal_time_delta_s=config.equal_time_delta_s),
+                                spec, path)
+                loaded = load_topology(path)[1]
+                work.clear()
+                assert validate_sequence(spec, loaded) == []
+                assert work["calls"] == loaded.count
+                assert reference_validate_sequence(spec, loaded) == []
+
+    @staticmethod
+    def mutated(seq, index, start=None, edges=None):
+        snaps = list(seq.snapshots)
+        snap = snaps[index]
+        snaps[index] = TopologySnapshot(snap.start_s if start is None else start, snap.end_s,
+                                        snap.edges if edges is None else edges)
+        return SnapshotSequence(seq.method, tuple(snaps), seq.period_s, seq.polar_border_deg,
+                                seq.trigger, seq.truncated_final)
+
+    @pytest.mark.parametrize("method", [METHOD_REASSIGNMENT, METHOD_FIXED, METHOD_EQUAL_TIME])
+    def test_mutated_sequences_match_reference(self, iridium, method, monkeypatch):
+        # a swapped set, a start moved by more than a tie, or a count that
+        # is not a multiple of M breaks the slot identity: every snapshot is
+        # checked, and a failure past the first slot period is found. A
+        # move of exactly one tie is left to roundoff, as every tie is
+        work = self.counted(monkeypatch)
+        seq = partition(iridium, method, 60.0)
+        n, slot = seq.count, seq.count // iridium.sats_per_plane
+        starts = [snap.start_s for snap in seq.snapshots]
+        cases = [self.mutated(seq, i, edges=seq.snapshots[j].edges)
+                 for i, j in ((n - 1, 0), (slot, 0), (n - 1, n - 2))]
+        cases += [self.mutated(seq, i, start=starts[i] + shift)
+                  for i in (1, n - 1)
+                  for shift in (1.5 * TIE_S, -1.5 * TIE_S, 0.4 * (starts[1] - starts[0]))]
+        cases += [SnapshotSequence(seq.method, seq.snapshots[:-1], seq.period_s, 60.0),
+                  partition_equal_time(iridium, 60.0, orbit_period(iridium) / 23)]
+        failing = 0
+        for case in cases:
+            work.clear()
+            lines = validate_sequence(iridium, case)
+            assert lines == reference_validate_sequence(iridium, case)
+            assert work["calls"] == case.count
+            failing += any("violations" in line for line in lines)
+        assert failing >= 2
+        work.clear()
+        assert validate_sequence(iridium, seq) == [] and work["calls"] == slot
+
+    def test_two_by_thousand_checks_one_slot_period(self, tmp_path, monkeypatch):
+        # the 2 x 1000 file at 60 degrees: each sequence passes with at most
+        # n/M validator calls, and positions for those snapshots alone
+        text = (Path(__file__).resolve().parents[1] / "scenarios" / "iridium.scenario").read_text()
+        path = tmp_path / "big.scenario"
+        path.write_text(text.replace("\nplanes = 6\n", "\nplanes = 2\n")
+                        .replace("\nsats_per_plane = 11\n", "\nsats_per_plane = 1000\n"))
+        spec = load_scenario(path).constellation
+        assert spec.total_satellites == 2000
+        work = self.counted(monkeypatch)
+        for method in (METHOD_REASSIGNMENT, METHOD_FIXED, METHOD_EQUAL_TIME):
+            seq = partition(spec, method, 60.0)
+            work.clear()
+            assert validate_sequence(spec, seq) == []
+            slot = seq.count // spec.sats_per_plane
+            assert work["calls"] <= slot and work["rows"] == work["calls"] * 2000
