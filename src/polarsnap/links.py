@@ -208,8 +208,8 @@ class TopologyEdgeSet:
     passes their universe ids; ``from_edges`` builds one from ``IslEdge``
     objects, either way round. Whatever integer arrays it is given, a set
     stores ``kind`` as ``KIND_DTYPE`` and ``a``, ``b`` and the ids as
-    ``INDEX_DTYPE``, so sets are equal, and hash equal, exactly when their
-    arrays are, however they were built.
+    ``INDEX_DTYPE``, so sets are equal exactly when their arrays are, and
+    then hash equal (hashed once), however they were built.
 
     Raises:
         ValueError: If a value is not an integer its array's dtype holds;
@@ -243,7 +243,10 @@ class TopologyEdgeSet:
 
     def rotated(self, k: int) -> "TopologyEdgeSet":
         """A drawn set with every phase class c's edges moved to class c - k:
-        what the same rule draws once the rows have advanced k slots."""
+        what the same rule draws once the rows have advanced k slots. A
+        ValueError for a set not drawn from the universe."""
+        if self._ids is None:
+            raise ValueError("only a set drawn from the edge universe can be rotated")
         wiring = _wiring(self.shape)
         return wiring.draw(wiring.rotated(self._ids, k))
 
@@ -301,11 +304,15 @@ class TopologyEdgeSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TopologyEdgeSet):
             return NotImplemented
-        return (self.shape == other.shape and np.array_equal(self.kind, other.kind)
-                and np.array_equal(self.a, other.a) and np.array_equal(self.b, other.b))
+        return self is other or (self.shape == other.shape and all(
+            map(np.array_equal, (self.kind, self.a, self.b), (other.kind, other.a, other.b))))
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.shape, self.a.tobytes(), self.b.tobytes()))
 
     def __hash__(self) -> int:
-        return hash((self.shape, self.a.tobytes(), self.b.tobytes()))
+        return self._hash
 
     def __repr__(self) -> str:
         n, m = self.shape

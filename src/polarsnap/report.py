@@ -15,8 +15,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ScenarioError
-from .geometry import ConstellationSpec, orbit_period
-from .links import HORIZONTAL, INTRA_PLANE, KINDS, OBLIQUE, TopologyEdgeSet, canonical_arrays
+from .geometry import ConstellationSpec, check_polar_border, orbit_period
+from .links import (
+    HORIZONTAL,
+    INTRA_PLANE,
+    KINDS,
+    OBLIQUE,
+    TRIGGER_ENTER,
+    TRIGGER_EXIT,
+    TopologyEdgeSet,
+    canonical_arrays,
+)
 from .routing import DelaySeries, SendGrid, delay_experiment, route_sequences, utilization
 from .scenario import MAX_SATELLITES, ScenarioConfig
 from .snapshots import (
@@ -164,9 +173,10 @@ def load_topology(path: Path) -> tuple[ConstellationSpec, SnapshotSequence]:
     each distinct mask's set gathers its rows from the table's arrays once.
 
     Raises:
-        ValueError: If the file is not a well-formed topology export, or it
-            names a kind outside ``KINDS`` or more than ``MAX_SATELLITES``
-            satellites. The message names the file and any snapshot.
+        ValueError: If the file is not a well-formed topology export, holds
+            a header value the writer never writes, or names a kind outside
+            ``KINDS`` or more than ``MAX_SATELLITES`` satellites. The message
+            names the file and the key or snapshot.
     """
     try:
         return _parse_topology(json.loads(Path(path).read_text()))
@@ -196,6 +206,13 @@ def _parse_topology(doc) -> tuple[ConstellationSpec, SnapshotSequence]:
         raise ValueError(f"period_s must be a positive number, got {period!r}")
     if not _is_number(doc["polar_border_deg"]):
         raise ValueError(f"polar_border_deg must be a number, got {doc['polar_border_deg']!r}")
+    check_polar_border(doc["polar_border_deg"])
+    if type(doc["method"]) is not str:
+        raise ValueError(f"method must be a string, got {doc['method']!r}")
+    if doc["trigger"] not in (TRIGGER_ENTER, TRIGGER_EXIT, None):
+        raise ValueError(f"trigger must be 'enter', 'exit' or null, got {doc['trigger']!r}")
+    if type(doc["truncated_final"]) is not bool:
+        raise ValueError(f"truncated_final must be true or false, got {doc['truncated_final']!r}")
     if type(entries) is not list or not entries:
         raise ValueError("snapshots must be a non-empty list")
     table = _edge_table(shape, doc["edges"])

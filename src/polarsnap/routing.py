@@ -17,18 +17,18 @@ out of scope.
 The delay experiment is a send grid plus a routing pass. A ``SendGrid``
 holds what every sequence shares for one pair of stations: the send times
 and both attachments (satellite, mask flag and up- or down-link delay for
-every send), evaluated block by block as arrays, and a memo of routes
-keyed on (edge set, send). A set is known by a digest of its endpoint
-arrays, so drawn, loaded and hand-made sets with the same links share memo
-entries, and the memo keeps no set's arrays.
+every send), evaluated block by block as arrays, and a weak memo of routes:
+per live edge set, the route of each send over it. Equal sets (drawn,
+loaded or hand-made) share one entry while the first of them lives, and an
+entry ends with its set, so the memo keeps no set's arrays.
 ``route_sequences`` routes its sequences together: it looks up each one
-once, then block by block of sends gathers the distinct (edge set, send)
-pairs not in the memo and evaluates satellite positions in one call for the
-sends it routes. Grid and pass take their blocks of sends from
-``instant_blocks``. ``send_count`` checks every send count against ``MAX_SENDS``.
+and its snapshots' memo entries once, then block by block of sends gathers
+the distinct (memo entry, send) pairs not yet routed and evaluates
+satellite positions in one call for the sends it routes. Grid and pass
+take their blocks of sends from ``instant_blocks``. ``send_count`` checks
+every send count against ``MAX_SENDS``.
 """
 import heapq
-import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -94,13 +94,6 @@ def _routing_graph(topo: TopologyEdgeSet,
     stops = np.bincount(ends, minlength=topo.shape[0] * topo.shape[1]).cumsum().tolist()
     table = [neighbour[start:stop] for start, stop in zip([0, *stops], stops)]
     return tuple(map(({} if rows is None else rows).setdefault, table, table))
-
-
-def _digest(topo: TopologyEdgeSet) -> tuple[int, int]:
-    """A fixed-size digest of a set's endpoint arrays: their two 64-bit
-    keyed hashes. (hashlib would map OpenSSL into the process, 3.6 MB of
-    resident memory.)"""
-    return hash(topo.a.tobytes()), hash(topo.b.tobytes())
 
 
 @dataclass(frozen=True)
@@ -283,11 +276,10 @@ class SendGrid:
     For each send k, at k * interval_s: whether both stations attach,
     their satellites' indices in ``sat_to_index`` order and the up- and
     down-link delays, as lists. Attachments are evaluated once, block by
-    block. The grid also memoises routes for ``route_sequences``: an edge
-    set gets a small integer token from its endpoint arrays (``_token``;
-    routes do not depend on edge kinds), and the route of send k over it
-    is stored under ``token * n_sends + k`` as (path delay, path hops), or
-    ``_NO_PATH``.
+    block. The grid also memoises routes for ``route_sequences``:
+    ``routes`` maps each live edge set to its routes, send k's as (path
+    delay, path hops) or ``_NO_PATH``. Routes do not depend on edge kinds,
+    and an entry ends when its set does.
 
     Raises:
         ValueError: On a duration and interval that ``send_count`` rejects.
@@ -313,28 +305,7 @@ class SendGrid:
             self.dst_index += down.index.tolist()
             self.up_s += (up.range_km / SPEED_OF_LIGHT_KM_S).tolist()
             self.down_s += (down.range_km / SPEED_OF_LIGHT_KM_S).tolist()
-        self.routes: dict[int, tuple[float, int]] = {}
-        self._tokens: dict[tuple[int, int], int] = {}  # by endpoint digest
-        self._holders = weakref.WeakValueDictionary()  # token -> a live set holding it
-        self._issued = itertools.count()
-
-    def _token(self, edges: TopologyEdgeSet) -> int:
-        """The memo token of a set: one per distinct pair of endpoint arrays.
-
-        The grid keeps each token under the arrays' ``_digest``, for its
-        whole life, and one live set of each token weakly. A set whose
-        digest names a token with a live set of other endpoints (a digest
-        collision) gets a token of its own.
-        """
-        digest = _digest(edges)
-        token = self._tokens.get(digest)
-        holder = None if token is None else self._holders.get(token)
-        if token is None or (holder is not None and holder is not edges and not (
-                np.array_equal(holder.a, edges.a) and np.array_equal(holder.b, edges.b))):
-            token = next(self._issued)
-            self._tokens.setdefault(digest, token)
-        self._holders.setdefault(token, edges)
-        return token
+        self.routes = weakref.WeakKeyDictionary()  # edge set -> {send: route}
 
 
 def route_sequences(
@@ -342,44 +313,43 @@ def route_sequences(
 ) -> list[list[tuple[float, int]]]:
     """The routing pass: each sequence's route of every send, as (path
     delay, path hops) or ``_NO_PATH``. Each sequence is looked up once over
-    all sends; then, block by block of sends, the distinct (edge set, send)
-    pairs missing from the grid's memo are routed, with one position call
+    all sends, and each snapshot an attached send falls in takes its set's
+    memo entry once; then, block by block of sends, the distinct (memo
+    entry, send) pairs not yet routed are routed, with one position call
     per block that has any. The neighbour tables the pass builds share
     their equal rows; the intern table ends with the pass."""
-    spec, times, n_sends, routes = grid.spec, grid.times, len(grid.times), grid.routes
+    spec, times, attached, sends = grid.spec, grid.times, grid.attached, range(len(grid.times))
     sats = satellite_ids(spec.plane_count, spec.sats_per_plane)
-    sends, attached = np.arange(n_sends), np.array(grid.attached)
-    looked_up = []  # per sequence: cyclic send times, snapshot indices, memo keys (-1 unattached)
+    looked_up = []  # per sequence: cyclic send times, snapshot indices, snapshot memos
     for seq in sequences:
-        taus, index = seq.lookup(sends * grid.interval_s)  # the send times
-        token = np.full(len(seq.snapshots), -1)
-        for j in set(index[attached].tolist()):
+        taus, index = seq.lookup(np.arange(len(times)) * grid.interval_s)  # the send times
+        memos = [None] * len(seq.snapshots)  # None where no send attaches
+        for j in set(index[np.array(attached)].tolist()):
             seq.snapshots[j].edges.check_shape(spec)
-            token[j] = grid._token(seq.snapshots[j].edges)
-        looked_up.append((seq, taus, index, np.where(attached, token[index] * n_sends + sends, -1)))
+            memos[j] = grid.routes.setdefault(seq.snapshots[j].edges, {})
+        looked_up.append((seq, taus, index, memos))
     rows, tabled = {}, set()  # this pass's neighbour rows, interned; ids of the sets seen
-    for block in instant_blocks(n_sends, spec.total_satellites):
+    for block in instant_blocks(len(times), spec.total_satellites):
         # Pairs to route, by send; positions repeat, so tau serves only the snapshot check.
-        todo: dict[int, dict[int, tuple[TopologySnapshot, float]]] = {}
-        for seq, taus, index, keys in looked_up:
-            for k, tau, j in zip(*(x[block].tolist() for x in (keys, taus, index))):
-                if k >= 0 and k not in routes:
-                    todo.setdefault(k % n_sends, {}).setdefault(k, (seq.snapshots[j], tau))
+        todo: dict[int, dict[int, tuple[dict, TopologySnapshot, float]]] = {}
+        for seq, taus, index, memos in looked_up:
+            for k, tau, j in zip(sends[block], taus[block].tolist(), index[block].tolist()):
+                if attached[k] and k not in (memo := memos[j]):
+                    todo.setdefault(k, {}).setdefault(id(memo), (memo, seq.snapshots[j], tau))
         if not todo:
             continue
         routed = sorted(todo)
         positions = all_positions_km(spec, np.array([times[k] for k in routed]))
         for k, pos in zip(routed, positions):
             src, dst = sats[grid.src_index[k]], sats[grid.dst_index[k]]
-            for key, (snap, tau) in todo[k].items():
+            for memo, snap, tau in todo[k].values():
                 if id(snap.edges) not in tabled:  # build its table, if it has none, with rows
                     tabled.add(id(snap.edges))
                     snap.edges.derived(spec, _routing_graph, rows)
                 result = shortest_delay(snap, tau, src, dst, spec, pos)
-                routes[key] = ((result.delay_s, len(result.path) - 1)
-                               if result.reachable else _NO_PATH)
-    return [[routes[k] if k >= 0 else _NO_PATH for k in keys.tolist()]
-            for *_, keys in looked_up]
+                memo[k] = (result.delay_s, len(result.path) - 1) if result.reachable else _NO_PATH
+    return [[memos[j][k] if on else _NO_PATH for k, j, on in zip(sends, index.tolist(), attached)]
+            for _, _, index, memos in looked_up]
 
 
 def delay_experiment(
@@ -403,10 +373,12 @@ def delay_experiment(
     unreachable and excluded from the average.
 
     The sends and their attachments come from ``grid``, built here when
-    omitted; pass one grid to several calls to share them. The samples come
-    from ``route_sequences(grid, [sequence])``: a sequence that a pass over
-    the grid has already routed costs one lookup and no routing. Without a
-    ``sequence``, ``partition`` cuts one with the trigger and its defaults.
+    omitted; pass one grid to several calls to share them, and the routes
+    of every edge set that stays alive between the calls. The samples come
+    from ``route_sequences(grid, [sequence])``: a live sequence that a pass
+    over the grid has already routed costs one lookup and no routing.
+    Without a ``sequence``, ``partition`` cuts one with the trigger and its
+    defaults.
 
     Raises:
         ValueError: On a duration and interval that ``send_count`` rejects,

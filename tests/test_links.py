@@ -767,6 +767,20 @@ class TestEdgeUniverse:
             horizontal_edges(spec, 1))
         assert topo.rotated(1).edges == want
 
+    def test_only_drawn_sets_rotate(self, iridium, tmp_path):
+        # a loaded set and one built from edges have no universe ids to move
+        drawn = partition(iridium, "reassignment", 60.0).snapshots[3].edges
+        path = tmp_path / "topology.json"
+        export_topology(SnapshotSequence("drawn", (TopologySnapshot(0.0, 1.0, drawn),),
+                                         1.0, 60.0), iridium, path)
+        for twin in (TopologyEdgeSet.from_edges(iridium, drawn.edges),
+                     load_topology(path)[1].snapshots[0].edges):
+            assert twin == drawn and twin._ids is None
+            with pytest.raises(ValueError, match="only a set drawn from the edge universe "
+                                                 "can be rotated"):
+                twin.rotated(1)
+        assert drawn.rotated(0) is drawn
+
     @pytest.mark.parametrize("shape", [*itertools.product(range(2, 9), range(3, 17)),
                                        (12, 24), (2, 1000)])
     def test_rotation_matches_the_roll_oracle(self, shape):
@@ -853,7 +867,7 @@ class TestEdgeSetIdentity:
 
     def test_stored_widths_however_built(self, iridium, beijing, london, tmp_path):
         # drawn, built from objects, loaded, and built directly from arrays of
-        # other widths: one set, stored at one width, one hash and one memo token
+        # other widths: one set, stored at one width, one hash and one memo entry
         drawn = partition(iridium, "reassignment", 60.0).snapshots[3].edges
         path = tmp_path / "topology.json"
         export_topology(SnapshotSequence("drawn", (TopologySnapshot(0.0, 1.0, drawn),),
@@ -873,7 +887,7 @@ class TestEdgeSetIdentity:
         routes = route_sequences(grid, [
             SnapshotSequence("one", (TopologySnapshot(0.0, period, topo),), period, 60.0)
             for topo in (drawn, *twins)])
-        assert len(grid._tokens) == 1 and all(r == routes[0] for r in routes)
+        assert len(grid.routes) == 1 and all(r == routes[0] for r in routes)
         assert any(r is not _NO_PATH for r in routes[0])
 
     @pytest.mark.parametrize("kind,a,b", [

@@ -221,6 +221,11 @@ def assert_routes_like_oracles(snapshot, t, src, dst, spec, positions):
     return got
 
 
+def held_routes(grid):
+    """The routes a grid's memo holds, over all its live sets."""
+    return sum(map(len, grid.routes.values()))
+
+
 def assert_same_route(got, want):
     assert got.reachable == want.reachable
     assert len(got.path) == len(want.path)
@@ -699,47 +704,49 @@ class TestSendGrid:
     def test_teledesic_fixed_and_equal_time_share_routes(self, teledesic, beijing,
                                                          london):
         grid = SendGrid(teledesic, beijing, london, self.DURATION_S, self.INTERVAL_S)
-        for method in ("fixed", "equal_time"):
+        seqs = {method: partition(teledesic, method, 60.0) for method in ("fixed", "equal_time")}
+        for method, seq in seqs.items():
             series = delay_experiment(teledesic, method, 60.0, beijing, london,
-                                      self.DURATION_S, self.INTERVAL_S, grid=grid)
+                                      self.DURATION_S, self.INTERVAL_S, sequence=seq, grid=grid)
             if method == "fixed":
-                routed = len(grid.routes)
-        # equal_time at 60 degrees draws edge sets that fixed drew too
-        assert len(grid.routes) < 2 * routed
+                routed = held_routes(grid)
+        # equal_time at 60 degrees draws edge sets that fixed drew too, and
+        # fixed's sequence still holds them
+        assert held_routes(grid) < 2 * routed
         assert series.samples == delay_experiment(
             teledesic, "equal_time", 60.0, beijing, london,
             self.DURATION_S, self.INTERVAL_S).samples
 
-    def test_memo_keeps_digests_not_endpoints(self, teledesic, beijing, london, monkeypatch):
-        # a set's token is kept under a digest of two hashes, whatever its
-        # size, and outlives the set: the same links drawn again after the
-        # first sets died read the memo and route nothing
+    def test_memo_ends_with_its_sets(self, teledesic, beijing, london):
+        # the memo holds its sets weakly: once the sequence that routed them
+        # is gone, so are their entries, and the grid keeps no arrays
         grid = SendGrid(teledesic, beijing, london, self.DURATION_S, self.INTERVAL_S)
+        seq = partition(teledesic, "fixed", 60.0)
         first = delay_experiment(teledesic, "fixed", 60.0, beijing, london,
-                                 self.DURATION_S, self.INTERVAL_S, grid=grid)
+                                 self.DURATION_S, self.INTERVAL_S, sequence=seq, grid=grid)
+        assert len(grid.routes) > 0 and held_routes(grid) == sum(grid.attached)
+        del seq
         gc.collect()
-        assert grid._tokens and all(
-            type(key) is tuple and list(map(type, key)) == [int, int] for key in grid._tokens)
-        assert not grid._holders
-        routed = []
-        monkeypatch.setattr(routing, "shortest_delay", lambda *args: routed.append(args))
+        assert len(grid.routes) == 0
         again = delay_experiment(teledesic, "fixed", 60.0, beijing, london,
                                  self.DURATION_S, self.INTERVAL_S, grid=grid)
-        assert routed == [] and again.samples == first.samples
+        gc.collect()
+        assert again.samples == first.samples and len(grid.routes) == 0
 
-    def test_digest_collision_keeps_live_sets_apart(self, iridium, beijing, london,
-                                                    monkeypatch):
-        # with every digest equal, a set whose endpoints differ from the live
-        # holder of the digest's token gets a token of its own
+    def test_hash_collision_keeps_unequal_sets_apart(self, iridium, beijing, london,
+                                                     monkeypatch):
+        # with every set's hash equal, each distinct set still gets an entry
+        # of its own, and the routes are those of a fresh grid
         seqs = [partition(iridium, method, 60.0) for method in METHODS]
         want = route_sequences(SendGrid(iridium, beijing, london, self.DURATION_S,
                                         self.INTERVAL_S), seqs)
-        monkeypatch.setattr(routing, "_digest", lambda topo: (0, 0))
+        monkeypatch.setattr(TopologyEdgeSet, "__hash__", lambda topo: 0)
         grid = SendGrid(iridium, beijing, london, self.DURATION_S, self.INTERVAL_S)
         assert route_sequences(grid, seqs) == want
         distinct = {seq.snapshots[j].edges for seq in seqs for j in
                     set(seq.lookup(np.array(grid.times))[1][np.array(grid.attached)].tolist())}
-        assert len(grid._tokens) == 1 and len(grid._holders) == len(distinct) > 1
+        assert {hash(topo) for topo in distinct} == {0}
+        assert len(grid.routes) == len(distinct) > 1
 
     def test_compare_leaves_nothing_routed_on_the_universe(self, teledesic, beijing, london,
                                                            tmp_path, monkeypatch):
@@ -821,13 +828,13 @@ class TestSendGrid:
         grid = SendGrid(iridium, beijing, london, self.DURATION_S, self.INTERVAL_S)
         drawn = delay_experiment(iridium, "fixed", 60.0, beijing, london,
                                  self.DURATION_S, self.INTERVAL_S, sequence=seq, grid=grid)
-        routed = len(grid.routes)
+        routed = held_routes(grid)
         with_grid = delay_experiment(iridium, "fixed", 60.0, beijing, london,
                                      self.DURATION_S, self.INTERVAL_S, sequence=loaded,
                                      grid=grid)
         without = delay_experiment(iridium, "fixed", 60.0, beijing, london,
                                    self.DURATION_S, self.INTERVAL_S, sequence=loaded)
-        assert len(grid.routes) == routed
+        assert held_routes(grid) == routed
         assert with_grid.samples == without.samples == drawn.samples
 
     def test_positions_only_for_routed_sends(self, iridium, beijing, london, tmp_path,
@@ -874,7 +881,8 @@ class TestSendGrid:
     def test_position_calls_within_bound(self, teledesic, beijing, london, monkeypatch):
         # 120 sends over 288 satellites: blocks of 14 sends, one position
         # call each for the attachments and one for a block's routed sends;
-        # a block whose sends are all in the memo makes none
+        # a block whose sends are all in the memo makes none, while the
+        # sequence holds the sets
         calls = []
         monkeypatch.setattr(routing, "all_positions_km",
                             lambda spec, t: calls.append(np.size(t)) or all_positions_km(spec, t))
@@ -882,15 +890,16 @@ class TestSendGrid:
         block = POSITION_BLOCK_ROWS // teledesic.total_satellites
         assert block == 14 and calls == [block] * 8 + [120 - 8 * block]
         attached = [sum(grid.attached[first:first + block]) for first in range(0, 120, block)]
+        seq = partition(teledesic, "reassignment", 60.0)
         for want in ([n for n in attached if n], []):
             calls.clear()
             delay_experiment(teledesic, "reassignment", 60.0, beijing, london, 7200.0, 60.0,
-                             grid=grid)
+                             sequence=seq, grid=grid)
             assert calls == want
 
     def test_cut_snapshots_route_without_memo(self, iridium, beijing, london, monkeypatch):
         # hand-made sets use the memo too: every cut snapshot has the same
-        # rings, so one token, and a send without a path is stored as such
+        # rings, so one entry, and a send without a path is stored as such
         # and not routed again
         seq = partition(iridium, "reassignment", 60.0)
         cut = SnapshotSequence(seq.method, tuple(ring_cut(s, iridium) for s in seq.snapshots),
@@ -902,9 +911,9 @@ class TestSendGrid:
         first, second = (delay_experiment(iridium, "reassignment", 60.0, beijing, london,
                                           self.DURATION_S, self.INTERVAL_S, sequence=cut,
                                           grid=grid) for _ in range(2))
-        assert 0 < len(routed) == len(grid.routes) == sum(grid.attached)
-        assert set(grid.routes.values()) == {routing._NO_PATH}
-        assert len(grid._tokens) == 1
+        assert 0 < len(routed) == held_routes(grid) == sum(grid.attached)
+        [memo] = grid.routes.values()
+        assert set(memo.values()) == {routing._NO_PATH}
         assert first.samples == second.samples
         assert not any(s.reachable for s in first.samples)
 
@@ -1048,7 +1057,8 @@ class TestRoutingPass:
         """Route every (border, method) sequence but the last ``left_out``
         in one ``route_sequences`` pass over one grid, read each one's
         samples, and check them against the pass, against a fresh grid per
-        sequence and, on a sample of sends, against Dijkstra; returns the grid."""
+        sequence and, on a sample of sends, against Dijkstra; returns the
+        grid and the sequences, which hold its memo's sets."""
         seqs = [partition(spec, method, border) for border in borders for method in METHODS]
         grid = SendGrid(spec, src, dst, duration_s, interval_s)
         batch = route_sequences(grid, seqs[:len(seqs) - left_out])
@@ -1082,7 +1092,7 @@ class TestRoutingPass:
                 if want.reachable:
                     assert sample.delay_s == grid.up_s[k] + want.delay_s + grid.down_s[k]
                     assert sample.hops == len(want.path) + 1
-        return grid
+        return grid, seqs
 
     @settings(max_examples=20, deadline=None)
     @given(planes=st.sampled_from([2, 4, 6]), sats=st.integers(3, 12),
@@ -1117,23 +1127,22 @@ class TestRoutingPass:
     def test_period_end_fold(self):
         # the sequences start at about 1e-13 s, so the send at 0 folds to
         # the float below the period's end
-        grid = self.check(self.IRIDIUM_33, (60.0,),
-                          GroundStation("Beijing", 39.904, 116.407, 10.0), self.LONDON,
-                          600.0, 60.0)
-        # ten sends take the memo tokens of the sets they hit, not of every
+        grid, seqs = self.check(self.IRIDIUM_33, (60.0,),
+                                GroundStation("Beijing", 39.904, 116.407, 10.0), self.LONDON,
+                                600.0, 60.0)
+        # ten sends take the memo entries of the sets they hit, not of every
         # snapshot's set
-        drawn = {snap.edges for method in METHODS
-                 for snap in partition(self.IRIDIUM_33, method, 60.0).snapshots}
-        assert len(grid._tokens) <= 3 * len(grid.times) < len(drawn)
+        drawn = {snap.edges for seq in seqs for snap in seq.snapshots}
+        assert 0 < len(grid.routes) <= 3 * len(grid.times) < len(drawn)
 
     def test_strict_mask_leaves_sends_unattached(self, iridium):
-        grid = self.check(iridium, (60.0,), self.STRICT, self.LONDON, 3000.0, 20.0)
+        grid, _ = self.check(iridium, (60.0,), self.STRICT, self.LONDON, 3000.0, 20.0)
         assert 0 < sum(grid.attached) < len(grid.times)
 
     def test_sequences_left_out_of_batch_pass(self, iridium, beijing):
-        grid = self.check(iridium, (60.0, 75.0), beijing, self.LONDON, 1800.0, 10.0,
-                          left_out=2)
-        assert len(grid.routes) > 0
+        grid, seqs = self.check(iridium, (60.0, 75.0), beijing, self.LONDON, 1800.0,
+                                10.0, left_out=2)
+        assert 0 < len(grid.routes) <= len({snap.edges for seq in seqs for snap in seq.snapshots})
 
     @pytest.mark.parametrize("sequences", [0.5, 2.5])
     def test_flush_bound(self, iridium, beijing, london, tmp_path, monkeypatch, sequences):

@@ -566,6 +566,17 @@ MALFORMED_EITHER = [
      "plane_count and sats_per_plane must be integers, got (6, True)"),
     ("missing_count", _put(("constellation", "sats_per_plane"), _DROP),
      "constellation: missing key 'sats_per_plane'"),
+    # header values the writer never writes
+    ("method_not_string", _put(("method",), ["reassignment"]),
+     "method must be a string, got ['reassignment']"),
+    ("unknown_trigger", _put(("trigger",), 5), "trigger must be 'enter', 'exit' or null, got 5"),
+    ("truncated_not_bool", _put(("truncated_final",), "yes"),
+     "truncated_final must be true or false, got 'yes'"),
+    ("border_above_90", _put(("polar_border_deg",), 95),
+     "polar_border_deg must be in (0, 90), got 95"),
+    ("negative_border", _put(("polar_border_deg",), -3),
+     "polar_border_deg must be in (0, 90), got -3"),
+    ("border_90", _put(("polar_border_deg",), 90.0), "polar_border_deg must be in (0, 90)"),
 ]
 MALFORMED_V3 = [
     ("short_row", _put(("edges", 0), ["horizontal", 1, 2, 3]), "edges table"),
