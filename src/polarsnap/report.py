@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ScenarioError
-from .geometry import ConstellationSpec, check_polar_border, orbit_period
+from .geometry import ConstellationSpec, check_polar_border, instant_blocks, orbit_period
 from .links import (
     HORIZONTAL,
     INTRA_PLANE,
@@ -71,7 +71,7 @@ class ComparisonReport:
         return not self.validation_failures
 
 
-def write_snapshot_csv(seq: SnapshotSequence, path: Path) -> None:
+def write_snapshot_csv(seq: SnapshotSequence, path: str | Path) -> None:
     """One row per snapshot: bounds, duration, and edge counts by kind."""
     lines = ["method,index,start_s,end_s,duration_s,n_intra,n_oblique,"
              "n_horizontal,n_inter_total"]
@@ -79,17 +79,17 @@ def write_snapshot_csv(seq: SnapshotSequence, path: Path) -> None:
         counts = ",".join(str(snap.edges.count(k)) for k in (INTRA_PLANE, OBLIQUE, HORIZONTAL))
         lines.append(f"{seq.method},{i},{snap.start_s!r},{snap.end_s!r},{snap.duration_s!r},"
                      f"{counts},{snap.n_inter_plane}")
-    path.write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_delay_csv(series: DelaySeries, path: Path) -> None:
+def write_delay_csv(series: DelaySeries, path: str | Path) -> None:
     lines = ["send_time_s,method,polar_border_deg,delay_s,hops,reachable"]
     for s in series.samples:
         delay = repr(s.delay_s) if s.reachable else "nan"
         lines.append(
             f"{s.send_time_s!r},{series.method},{series.polar_border_deg!r},"
             f"{delay},{s.hops},{str(s.reachable).lower()}")
-    path.write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def export_topology(
@@ -106,6 +106,14 @@ def export_topology(
     is indented as by ``json.dumps(doc, indent=1, sort_keys=True)``, except
     that each table row and each snapshot takes one line. Byte-stable for
     identical inputs; round-trips through ``load_topology``.
+
+    Every set, drawn, loaded or built by ``from_edges``, takes one path.
+    The distinct sets go in blocks (``instant_blocks``): each block marks
+    its canonical keys in one boolean array over the shape's
+    ``len(KINDS) * n * n`` keys (12 MB at ``MAX_SATELLITES``), whose set
+    entries are the table. Then each block's masks are one (sets x rows)
+    membership table, filled by one ``searchsorted`` and packed along its
+    rows.
 
     Raises:
         ValueError: On an empty sequence.
@@ -134,30 +142,37 @@ def export_topology(
         "snapshots": [],
     }, indent=1, sort_keys=True)
 
-    # The table is the sorted distinct (kind, a, b) keys, merged set by set so
-    # no array spans every snapshot's edges; each distinct set's mask is built once.
+    # The table is the sorted distinct (kind, a, b) keys; no array spans every
+    # snapshot's edges.
     n, m = spec.total_satellites, spec.sats_per_plane
-    sets = {id(snap.edges): snap.edges for snap in seq.snapshots}
-
-    def keys(topo: TopologyEdgeSet) -> np.ndarray:
-        return (topo.kind.astype(np.int64) * n + topo.a) * n + topo.b
-
-    unique = np.empty(0, dtype=np.int64)
-    for topo in sets.values():
+    sets = list({id(snap.edges): snap.edges for snap in seq.snapshots}.values())
+    for topo in sets:
         topo.check_shape(spec)
-        unique = np.sort(np.concatenate([unique, keys(topo)]))
-        unique = unique[np.diff(unique, prepend=-1) != 0]
+
+    def keys(block: list[TopologyEdgeSet]) -> np.ndarray:
+        kind, a, b = (np.concatenate([getattr(t, x) for t in block]) for x in ("kind", "a", "b"))
+        return (kind.astype(np.int64) * n + a) * n + b
+
+    space = np.zeros(len(KINDS) * n * n, dtype=bool)
+    for block in instant_blocks(len(sets), max(1, *map(len, sets))):
+        space[keys(sets[block])] = True
+    unique = np.flatnonzero(space)
+    del space
     names = [json.dumps(kind) for kind in KINDS]
-    table = [f"[{names[k]}, {a // m + 1}, {a % m + 1}, {b // m + 1}, {b % m + 1}]"
+    labels = [f"{s // m + 1}, {s % m + 1}" for s in range(n)]
+    table = [f"[{names[k]}, {labels[a]}, {labels[b]}]"
              for k, a, b in zip(*(x.tolist() for x in (unique // (n * n), unique // n % n,
                                                        unique % n)))]
-    masks = {}
-    for key, topo in sets.items():
-        member = np.zeros(len(unique), dtype=bool)
-        member[np.searchsorted(unique, keys(topo))] = True
-        masks[key] = np.packbits(member).tobytes().hex()
-    snapshots = [json.dumps({"edge_mask": masks[id(snap.edges)], "end_s": snap.end_s,
-                             "index": i, "start_s": snap.start_s})
+    masks, rows = {}, len(unique)
+    for block in instant_blocks(len(sets), max(1, rows)):
+        part = sets[block]
+        member = np.zeros((len(part), rows), dtype=bool)
+        member[np.repeat(np.arange(len(part)), [len(t) for t in part]),
+               np.searchsorted(unique, keys(part))] = True
+        masks.update(zip(map(id, part), (row.tobytes().hex()
+                                         for row in np.packbits(member, axis=1))))
+    snapshots = [f'{{"edge_mask": "{masks[id(snap.edges)]}", "end_s": {_number(snap.end_s)}, '
+                 f'"index": {i}, "start_s": {_number(snap.start_s)}}}'
                  for i, snap in enumerate(seq.snapshots)]
     for key, lines in (("edges", table), ("snapshots", snapshots)):
         body = "[\n" + ",\n".join(f"  {line}" for line in lines) + "\n ]" if lines else "[]"
@@ -269,6 +284,11 @@ def _require_keys(obj, keys: tuple[str, ...], where: str) -> None:
     missing = [k for k in keys if k not in obj]
     if missing:
         raise ValueError(f"{where}missing key {missing[0]!r}")
+
+
+def _number(x) -> str:
+    """x as ``json.dumps`` writes it: a finite float as its repr."""
+    return repr(x) if type(x) is float and math.isfinite(x) else json.dumps(x)
 
 
 def _is_number(x) -> bool:

@@ -9,7 +9,8 @@ inter-plane link count is the set's.
   T / (2*M) and the inter-plane link count is the same in every snapshot:
   each snapshot is the first one with its phase classes shifted.
 * ``partition_fixed``: boundaries wherever the static baseline's set of
-  active couples changes.
+  active couples changes. They repeat every slot, so only the first slot
+  period's sets are built and the rest are those rotated.
 * ``partition_equal_time``: fixed-width intervals anchored at t=0,
   keeping only baseline links that stay active through the whole interval.
 
@@ -230,7 +231,15 @@ def partition_fixed(
     polar_border_deg: float,
 ) -> SnapshotSequence:
     """Snapshot boundaries wherever the static baseline's set of active
-    couples changes."""
+    couples changes.
+
+    The couples' rows repeat every slot P/M, two phase classes on, so the
+    n boundaries repeat too: n is S * M, or 1 for a baseline that never
+    changes. Only the first S snapshots' sets are built
+    (``fixed_topology``, just after their starts); snapshot i + S holds
+    snapshot i's set ``rotated(2)``. A count that is not a multiple of M
+    has every set built.
+    """
     period = orbit_period(spec)
     times = np.array([e.time_s for e in enumerate_events(spec, polar_border_deg, period)])
     active = np.concatenate([active_couples(spec, polar_border_deg, times[block] + TIE_S)
@@ -238,9 +247,13 @@ def partition_fixed(
     # The state before the first event is the one after the last, a period
     # earlier. A baseline that never changes is one snapshot from t=0.
     starts = times[(active != np.roll(active, 1, axis=0)).any(axis=1)].tolist() or [0.0]
-    snapshots = tuple(
-        TopologySnapshot(start, end, fixed_topology(spec, polar_border_deg, start + TIE_S))
-        for start, end in zip(starts, starts[1:] + [starts[0] + period]))
+    n, m = len(starts), spec.sats_per_plane
+    slot = n // m if n % m == 0 else n
+    sets = [fixed_topology(spec, polar_border_deg, start + TIE_S) for start in starts[:slot]]
+    for i in range(slot, n):
+        sets.append(sets[i - slot].rotated(2))
+    snapshots = tuple(TopologySnapshot(start, end, topo) for start, end, topo
+                      in zip(starts, starts[1:] + [starts[0] + period], sets))
     return SnapshotSequence(METHOD_FIXED, snapshots, period, polar_border_deg)
 
 

@@ -30,6 +30,20 @@ def teledesic() -> ConstellationSpec:
 
 
 @pytest.fixture(scope="session")
+def two_by_thousand() -> ConstellationSpec:
+    """The iridium file at the satellite limit: 2 planes of 1000."""
+    return ConstellationSpec(
+        plane_count=2,
+        sats_per_plane=1000,
+        inclination_deg=86.4,
+        altitude_km=780.0,
+        period_s=6027.0,
+        inter_plane_spacing_deg=31.6,
+        name="iridium",
+    )
+
+
+@pytest.fixture(scope="session")
 def toy() -> ConstellationSpec:
     """Smallest constellation the model supports: 2 planes of 4."""
     return ConstellationSpec(

@@ -19,6 +19,9 @@ couples: a frozenset of active couples per instant, one instant at a time.
 ``scan_lookup`` finds a send's snapshot by a linear scan.
 ``reference_validate_sequence`` is the sequence check before it read the
 slot identity: every snapshot through ``validate_topology``.
+``set_by_set_export_topology`` is the format 3 writer before it worked a
+block of sets at a time: the table merged by a sort per distinct set, a mask
+per set, and each snapshot line written by ``json.dumps``.
 
 The scalar geometry below (one satellite, one instant, ``math`` functions)
 is what the package computed before its array paths; it serves as the
@@ -29,8 +32,10 @@ always-visible geometry itself: a formula that raises, and a mapping.
 """
 import heapq
 import itertools
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -56,6 +61,7 @@ from polarsnap.links import (
     HORIZONTAL,
     INDEX_DTYPE,
     INTRA_PLANE,
+    KINDS,
     OBLIQUE,
     TRIGGER_ENTER,
     TRIGGER_EXIT,
@@ -617,3 +623,59 @@ def reference_validate_sequence(spec: ConstellationSpec, seq: SnapshotSequence) 
                 failures.append(f"{name} snapshot {i}: {len(violations)} violations, "
                                 f"first: {first.rule} {first.detail}")
     return failures
+
+
+def set_by_set_export_topology(seq: SnapshotSequence, spec: ConstellationSpec, path) -> None:
+    """``export_topology`` with the table merged set by set: a concatenation,
+    sort and diff per distinct set, then a ``searchsorted`` and ``packbits``
+    per set for its mask, and a ``json.dumps`` per snapshot line."""
+    if not seq.snapshots:
+        raise ValueError("refusing to export an empty snapshot sequence")
+    head = json.dumps({
+        "format": "polarsnap-topology/3",
+        "constellation": {
+            "name": spec.name,
+            "plane_count": spec.plane_count,
+            "sats_per_plane": spec.sats_per_plane,
+            "inclination_deg": spec.inclination_deg,
+            "altitude_km": spec.altitude_km,
+            "period_s": orbit_period(spec),
+            "inter_plane_spacing_deg": spec.plane_spacing_deg,
+            "earth_radius_km": spec.earth_radius_km,
+            "grazing_altitude_km": spec.grazing_altitude_km,
+        },
+        "method": seq.method,
+        "polar_border_deg": seq.polar_border_deg,
+        "trigger": seq.trigger,
+        "period_s": seq.period_s,
+        "truncated_final": seq.truncated_final,
+        "edges": [],
+        "snapshots": [],
+    }, indent=1, sort_keys=True)
+    n, m = spec.total_satellites, spec.sats_per_plane
+    sets = {id(snap.edges): snap.edges for snap in seq.snapshots}
+
+    def keys(topo: TopologyEdgeSet) -> np.ndarray:
+        return (topo.kind.astype(np.int64) * n + topo.a) * n + topo.b
+
+    unique = np.empty(0, dtype=np.int64)
+    for topo in sets.values():
+        topo.check_shape(spec)
+        unique = np.sort(np.concatenate([unique, keys(topo)]))
+        unique = unique[np.diff(unique, prepend=-1) != 0]
+    names = [json.dumps(kind) for kind in KINDS]
+    table = [f"[{names[k]}, {a // m + 1}, {a % m + 1}, {b // m + 1}, {b % m + 1}]"
+             for k, a, b in zip(*(x.tolist() for x in (unique // (n * n), unique // n % n,
+                                                       unique % n)))]
+    masks = {}
+    for key, topo in sets.items():
+        member = np.zeros(len(unique), dtype=bool)
+        member[np.searchsorted(unique, keys(topo))] = True
+        masks[key] = np.packbits(member).tobytes().hex()
+    snapshots = [json.dumps({"edge_mask": masks[id(snap.edges)], "end_s": snap.end_s,
+                             "index": i, "start_s": snap.start_s})
+                 for i, snap in enumerate(seq.snapshots)]
+    for key, lines in (("edges", table), ("snapshots", snapshots)):
+        body = "[\n" + ",\n".join(f"  {line}" for line in lines) + "\n ]" if lines else "[]"
+        head = head.replace(f'\n "{key}": []', f'\n "{key}": {body}', 1)
+    Path(path).write_text(head + "\n")

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import re
@@ -17,7 +18,13 @@ from hypothesis import strategies as st
 from polarsnap import cli, links, scenario
 from polarsnap.cli import main
 from polarsnap.errors import ScenarioError
-from polarsnap.geometry import ConstellationSpec, SatId, orbit_period, satellite_ids
+from polarsnap.geometry import (
+    POSITION_BLOCK_ROWS,
+    ConstellationSpec,
+    SatId,
+    orbit_period,
+    satellite_ids,
+)
 from polarsnap.links import HORIZONTAL, KINDS, OBLIQUE, IslEdge, TopologyEdgeSet
 from polarsnap.report import (
     ComparisonReport,
@@ -27,8 +34,10 @@ from polarsnap.report import (
     format_summary,
     load_topology,
     run_compare,
+    write_delay_csv,
+    write_snapshot_csv,
 )
-from polarsnap.routing import MAX_SENDS
+from polarsnap.routing import MAX_SENDS, delay_experiment
 from polarsnap.scenario import MAX_SATELLITES, apply_overrides, load_scenario
 from polarsnap.snapshots import (
     SnapshotSequence,
@@ -37,7 +46,7 @@ from polarsnap.snapshots import (
     partition,
     partition_reassignment,
 )
-from tests.oracles import make_edge
+from tests.oracles import make_edge, set_by_set_export_topology
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 IRIDIUM_HEAD = (b"[constellation]\nplanes = 6\nsats_per_plane = 11\n"
@@ -366,9 +375,11 @@ class TestTopologyExport:
         odd = snaps[1].edges.edges | {IslEdge(SatId(4, 2), SatId(3, 7), HORIZONTAL),
                                       IslEdge(SatId(1, 1), SatId(1, 2), OBLIQUE),
                                       make_edge(SatId(1, 1), SatId(6, 1), OBLIQUE)}
+        # bounds of int and numpy types, written as json.dumps writes them
+        edge = np.float64(2.5e3)
         snaps = (snaps[0],
-                 TopologySnapshot(1.0e3, 2.5e3, TopologyEdgeSet.from_edges(iridium, ())),
-                 TopologySnapshot(2.5e3, 6027.0, TopologyEdgeSet.from_edges(iridium, odd)))
+                 TopologySnapshot(1000, edge, TopologyEdgeSet.from_edges(iridium, ())),
+                 TopologySnapshot(edge, 6027.0, TopologyEdgeSet.from_edges(iridium, odd)))
         seq = SnapshotSequence("handmade", snaps, 6027.0, 75.0, trigger=None,
                                truncated_final=True)
         assert any(e.kind == "horizontal" for e in snaps[0].edges.edges)
@@ -376,9 +387,11 @@ class TestTopologyExport:
 
     @staticmethod
     def assert_matches_reference(seq, spec, tmp_path):
-        # the format 3 export loads to the sequence
+        # the format 3 export has the set-by-set writer's bytes and loads to
+        # the sequence
         path = tmp_path / "got.json"
         export_topology(seq, spec, path)
+        assert_set_by_set_bytes(seq, spec, path)
         assert json.loads(path.read_text())["format"] == "polarsnap-topology/3"
         spec2, seq2 = load_topology(path)
         assert spec2 == spec
@@ -391,9 +404,10 @@ class TestTopologyExport:
             [s.edges.n_inter_plane for s in seq.snapshots]
 
     def test_peak_memory_bounded(self, tmp_path):
-        # 600 snapshots of 800 edges each: the table is merged set by set,
-        # so the export's peak stays far below the 15 MB that keys over
-        # every snapshot's edges at once took
+        # 600 snapshots of 800 edges each: the table is marked a block of
+        # sets at a time in a 1.08 MB key-space array, so the export's peak
+        # stays far below the 15 MB that keys over every snapshot's edges
+        # at once took
         spec = ConstellationSpec(2, 300, 86.0, 1000.0, name="wide")
         seq = partition(spec, "reassignment", 60.0)
         path = tmp_path / "wide.json"
@@ -460,6 +474,7 @@ class TestTopologyExport:
         seq = SnapshotSequence("handmade", snaps, 500.0, 60.0)
         path = tmp_path / "topo.json"
         export_topology(seq, teledesic, path)
+        assert_set_by_set_bytes(seq, teledesic, path)
         doc = json.loads(path.read_text())
         assert len(doc["edges"]) == rows
         assert doc["snapshots"][0]["edge_mask"] == "0" * 2 * math.ceil(rows / 8)
@@ -493,12 +508,66 @@ class TestTopologyExport:
             assert [row.removeprefix("  ") for row in rows] == list(map(json.dumps, table))
         assert {row[0] for row in table} == set(KINDS)
 
+    def test_sweep_matches_set_by_set_writer(self, tmp_path):
+        # every sequence of the geometry sweep, and each one loaded back,
+        # whose sets hold no universe ids, writes the set-by-set bytes
+        for n, m, border in itertools.product((2, 4, 6, 8), (3, 5, 8, 11, 16), range(30, 90, 5)):
+            spec = ConstellationSpec(n, m, 86.0, 1000.0)
+            for method in ("reassignment", "fixed", "equal_time"):
+                path = tmp_path / "got.json"
+                export_topology(partition(spec, method, border), spec, path)
+                assert_set_by_set_bytes(load_topology(path)[1], spec, path)
+
+    def test_shipped_loaded_sequences_match_set_by_set_writer(self, tmp_path):
+        for name in ("iridium", "teledesic"):
+            config = load_scenario(SCENARIOS / f"{name}.scenario")
+            spec = config.constellation
+            for border, method in itertools.product(config.polar_borders_deg, config.methods):
+                path = tmp_path / "got.json"
+                export_topology(partition(spec, method, border, trigger=config.trigger,
+                                          equal_time_delta_s=config.equal_time_delta_s),
+                                spec, path)
+                loaded = load_topology(path)[1]
+                assert all(snap.edges._ids is None for snap in loaded.snapshots)
+                assert_set_by_set_bytes(loaded, spec, path)
+
+    def test_two_by_thousand_one_set_per_block(self, two_by_thousand, tmp_path):
+        # 2 x 1000 at 60 degrees: 1000 distinct sets per sequence, each
+        # larger than half a block, so each block holds one set
+        path = tmp_path / "got.json"
+        for method in ("reassignment", "fixed", "equal_time"):
+            seq = partition(two_by_thousand, method, 60.0)
+            assert len({id(snap.edges) for snap in seq.snapshots}) == 1000
+            assert min(len(snap.edges) for snap in seq.snapshots) > POSITION_BLOCK_ROWS // 2
+            export_topology(seq, two_by_thousand, path)
+            assert_set_by_set_bytes(seq, two_by_thousand, path)
+
     def test_empty_sequence_rejected(self, iridium, tmp_path):
         seq = SnapshotSequence("reassignment", (), 6027.0, 60.0)
         target = tmp_path / "never.json"
         with pytest.raises(ValueError):
             export_topology(seq, iridium, target)
         assert not target.exists()
+
+
+def assert_set_by_set_bytes(seq, spec, path):
+    """The file at path holds the bytes the set-by-set writer writes for seq."""
+    want = path.with_name("set_by_set.json")
+    set_by_set_export_topology(seq, spec, want)
+    assert path.read_bytes() == want.read_bytes(), (spec.name, seq.method)
+
+
+class TestCsvWriters:
+    def test_str_path(self, iridium, beijing, london, tmp_path):
+        # a str path writes what a Path writes, as export_topology's does
+        seq = partition(iridium, "fixed", 60.0)
+        series = delay_experiment(iridium, "fixed", 60.0, beijing, london, 600.0, 60.0,
+                                  sequence=seq)
+        for write, arg, name in ((write_snapshot_csv, seq, "snapshots.csv"),
+                                 (write_delay_csv, series, "delay.csv")):
+            write(arg, str(tmp_path / f"str_{name}"))
+            write(arg, tmp_path / name)
+            assert (tmp_path / f"str_{name}").read_bytes() == (tmp_path / name).read_bytes()
 
 
 def _put(keys, value):

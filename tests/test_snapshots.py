@@ -571,6 +571,54 @@ class TestBaselineTable:
         assert truncated > 0
 
 
+class TestFixedByRotation:
+    """``partition_fixed`` builds the sets of its first S = n/M snapshots and
+    rotates them into the rest: every sequence equals the per-instant
+    construction, bounds bit for bit and edge ids exactly, with S
+    ``fixed_topology`` calls (one for a baseline that never changes)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counter = collections.Counter()
+        build = snapshots.fixed_topology
+
+        def counted(*args):
+            counter["fixed_topology"] += 1
+            return build(*args)
+
+        monkeypatch.setattr(snapshots, "fixed_topology", counted)
+        return counter
+
+    @staticmethod
+    def assert_rotated(spec, border, calls) -> SnapshotSequence:
+        calls.clear()
+        seq = partition_fixed(spec, border)
+        TestBaselineTable.assert_same(seq, fixed_per_instant(spec, border))
+        m = spec.sats_per_plane
+        assert seq.count == 1 or seq.count % m == 0, (spec, border)
+        assert calls["fixed_topology"] == max(1, seq.count // m), (spec, border)
+        return seq
+
+    def test_sweep(self, calls):
+        rotated = 0
+        for n, m, border in itertools.product((2, 4, 6, 8), (3, 5, 8, 11, 16), range(30, 90, 5)):
+            seq = self.assert_rotated(ConstellationSpec(n, m, 86.0, 1000.0), border, calls)
+            rotated += seq.count > calls["fixed_topology"]
+        assert rotated == 240 - 4  # the four single-snapshot sequences (M = 3, L = 30)
+
+    @pytest.mark.parametrize("system", ["iridium", "teledesic"])
+    @pytest.mark.parametrize("border", [60.0, 65.0, 70.0, 75.0])
+    def test_shipped(self, system, border, calls, request):
+        spec = request.getfixturevalue(system)
+        seq = self.assert_rotated(spec, border, calls)
+        if system == "teledesic":
+            assert (seq.count, calls["fixed_topology"]) == (48, 2)
+
+    def test_two_by_thousand(self, two_by_thousand, calls):
+        seq = self.assert_rotated(two_by_thousand, 60.0, calls)
+        assert (seq.count, calls["fixed_topology"]) == (2000, 2)
+
+
 class TestSlotIdentity:
     def test_one_slot_later_is_two_classes_on(self):
         # after P/M every satellite stands where its in-plane successor
@@ -608,6 +656,8 @@ class TestTieRule:
             assert {s.n_inter_plane for s in seq.snapshots} == {summary.n_inter_plane}, (
                 spec, border, trigger)
             assert validate_sequence(spec, seq) == reference_validate_sequence(spec, seq) == []
+        TestBaselineTable.assert_same(partition_fixed(spec, border),
+                                      fixed_per_instant(spec, border))
         for seq in (partition_fixed(spec, border), partition(spec, METHOD_EQUAL_TIME, border)):
             sets = [snap.edges for snap in seq.snapshots]
             step = len(sets) // spec.sats_per_plane
