@@ -21,7 +21,7 @@ import sys
 
 from .errors import ScenarioError
 from .geometry import orbit_period
-from .report import ComparisonReport, border_name, format_summary, run_compare
+from .report import ComparisonReport, border_name, delay_ms, format_summary, run_compare
 from .routing import send_count
 from .scenario import ScenarioConfig, apply_overrides, load_scenario
 from .snapshots import analytic_summary
@@ -91,7 +91,7 @@ def cmd_route(args: argparse.Namespace) -> int:
     sends = send_count(config.duration_s, config.interval_s)
     for row in report.rows:
         print(f"{report.scenario_name} {row.method} L_pa={border_name(row.polar_border_deg)}: "
-              f"avg delay {1000.0 * row.average_delay_s:.3f} ms over {sends} sends "
+              f"avg delay {delay_ms(row.average_delay_s)} ms over {sends} sends "
               f"({row.unreachable_fraction:.1%} unreachable)")
     return _status(report)
 

@@ -186,10 +186,19 @@ class GroundStation:
                 f"min_elevation_deg must be in [0, 90], got {self.min_elevation_deg}")
 
 
+def is_finite(value) -> bool:
+    """``math.isfinite``, except that an int too large for a float is not
+    finite rather than an ``OverflowError``."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _require_finite(obj, *names: str) -> None:
     """Raise ValueError naming the first given field set to a non-finite value."""
     for name, value in ((name, getattr(obj, name)) for name in names):
-        if value is not None and not math.isfinite(value):
+        if value is not None and not is_finite(value):
             raise ValueError(f"{name} must be finite, got {value}")
 
 

@@ -93,11 +93,15 @@ class IslEdge:
     kind: str
 
 
-def canonical_arrays(shape: tuple[int, int], names: list[str],
-                     rows: np.ndarray) -> "TopologyEdgeSet":
-    """The edge set of each edge's kind name and its row of an (E, 4)
-    integer array (plane a, index a, plane b, index b), 1-based as in
-    ``SatId``: each row's endpoints sorted, duplicates dropped.
+_KIND_CODES = {name: code for code, name in enumerate(KINDS)}
+
+
+def edge_columns(shape: tuple[int, int], names: list[str],
+                 rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each edge's kind code and its endpoints' ``sat_to_index`` indices,
+    as ``int64`` columns in the given order, from its kind name and its row
+    of an (E, 4) integer array (plane a, index a, plane b, index b), 1-based
+    as in ``SatId``.
 
     Raises:
         ValueError: If a kind is not in ``KINDS`` or an endpoint lies
@@ -109,10 +113,18 @@ def canonical_arrays(shape: tuple[int, int], names: list[str],
     planes, slots = rows[:, 0::2], rows[:, 1::2]
     if ((planes < 1) | (planes > n_planes) | (slots < 1) | (slots > m)).any():
         raise ValueError(f"edge endpoint outside the {n_planes}x{m} constellation")
-    code = np.fromiter(map(KINDS.index, names), np.int64, len(names))
-    n = n_planes * m
-    ends = np.sort((planes.astype(np.int64) - 1) * m + slots - 1, axis=1)
-    key = np.sort((code * n + ends[:, 0]) * n + ends[:, 1])
+    code = np.fromiter(map(_KIND_CODES.__getitem__, names), np.int64, len(names))
+    ends = (planes.astype(np.int64) - 1) * m + slots - 1
+    return code, ends[:, 0], ends[:, 1]
+
+
+def canonical_arrays(shape: tuple[int, int], names: list[str],
+                     rows: np.ndarray) -> "TopologyEdgeSet":
+    """The edge set of the edges ``edge_columns`` reads: each row's
+    endpoints sorted, duplicates dropped; raises as ``edge_columns``."""
+    code, a, b = edge_columns(shape, names, rows)
+    n = shape[0] * shape[1]
+    key = np.sort((code * n + np.minimum(a, b)) * n + np.maximum(a, b))
     key = key[np.diff(key, prepend=-1) != 0]  # np.unique would load numpy.ma, 1 MB
     return TopologyEdgeSet(shape, key // (n * n), key // n % n, key % n)
 

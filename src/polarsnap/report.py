@@ -10,21 +10,30 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ScenarioError
-from .geometry import ConstellationSpec, check_polar_border, instant_blocks, orbit_period
+from .geometry import (
+    ConstellationSpec,
+    check_polar_border,
+    instant_blocks,
+    is_finite,
+    orbit_period,
+)
 from .links import (
     HORIZONTAL,
+    INDEX_DTYPE,
     INTRA_PLANE,
+    KIND_DTYPE,
     KINDS,
     OBLIQUE,
     TRIGGER_ENTER,
     TRIGGER_EXIT,
     TopologyEdgeSet,
-    canonical_arrays,
+    edge_columns,
 )
 from .routing import DelaySeries, SendGrid, delay_experiment, route_sequences, utilization
 from .scenario import MAX_SATELLITES, ScenarioConfig
@@ -180,12 +189,17 @@ def export_topology(
     Path(path).write_text(head + "\n")
 
 
-def load_topology(path: Path) -> tuple[ConstellationSpec, SnapshotSequence]:
+def load_topology(path: str | Path) -> tuple[ConstellationSpec, SnapshotSequence]:
     """Parse a topology export back into a snapshot sequence.
 
-    Only format 3 is read. Its edge table is parsed once into an edge set,
-    the snapshots' masks are unpacked into one (snapshots x rows) table, and
-    each distinct mask's set gathers its rows from the table's arrays once.
+    Only format 3 is read. After the header, a file costs a fixed handful of
+    array passes. The edge table is flattened once into a kind column and
+    four integer columns, and accepted when each row's endpoints are in
+    order and the (kind, a, b) keys strictly increase: then row i is edge i
+    of the canonical set. All snapshot entries are checked at once and
+    their masks decoded by one ``bytes.fromhex``; only when that check
+    fails does a loop over the entries run, to name the first bad snapshot.
+    One set is built per distinct mask text, from one gather of the table.
 
     Raises:
         ValueError: If the file is not a well-formed topology export, holds
@@ -199,7 +213,9 @@ def load_topology(path: Path) -> tuple[ConstellationSpec, SnapshotSequence]:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _parse_topology(doc) -> tuple[ConstellationSpec, SnapshotSequence]:
+def _parse_head(doc) -> tuple[ConstellationSpec, tuple[int, int]]:
+    """The export's constellation and shape, once every header value and
+    the presence of a non-empty snapshot list are checked."""
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != _EXPORT_FORMAT:
         raise ValueError(f"unrecognised topology format {fmt!r}")
@@ -230,11 +246,75 @@ def _parse_topology(doc) -> tuple[ConstellationSpec, SnapshotSequence]:
         raise ValueError(f"truncated_final must be true or false, got {doc['truncated_final']!r}")
     if type(entries) is not list or not entries:
         raise ValueError("snapshots must be a non-empty list")
-    table = _edge_table(shape, doc["edges"])
-    rows = len(table.a)
-    width = (rows + 7) // 8
+    return spec, shape
 
-    masks = []
+
+def _parse_topology(doc) -> tuple[ConstellationSpec, SnapshotSequence]:
+    spec, shape = _parse_head(doc)
+    entries = doc["snapshots"]
+    table = _edge_table(shape, doc["edges"])
+    rows = len(table)
+    width = (rows + 7) // 8
+    bulk = _read_entries(entries, width)
+    if bulk is None:
+        _name_bad_entry(entries, rows, width)
+    texts, times, packed = bulk
+    spare = (1 << (8 * width - rows)) - 1  # the last byte's bits past the table
+    if spare and (padded := packed[:, -1] & spare).any():
+        raise ValueError(f"snapshot {int(padded.argmax())}: edge_mask sets a bit past the "
+                         f"{rows}-row edges table")
+
+    bad = times[0] > times[1]
+    bad[1:] |= times[0, 1:] < times[1, :-1]
+    if bad.any():
+        i = int(bad.argmax())
+        start, end = times[:, i].tolist()
+        raise ValueError(f"snapshot {i}: ends at {end!r}, before its start {start!r}"
+                         if start > end else f"snapshot {i}: starts at {start!r}, before "
+                         f"snapshot {i - 1} ends at {times[1, i - 1].item()!r}")
+
+    # One set per distinct mask text, from its first snapshot's row: one gather
+    # of the table's columns over every distinct mask's rows, cut per set, so
+    # the file's sets are slices of three arrays.
+    first = dict(zip(reversed(texts), range(len(texts) - 1, -1, -1)))
+    member = np.unpackbits(packed[list(first.values())], axis=1, count=rows).view(bool)
+    counts = np.count_nonzero(member, axis=1)
+    picked = np.flatnonzero(member) - np.repeat(np.arange(len(first)) * rows, counts)
+    kind, a, b = (x.take(picked) for x in (table.kind, table.a, table.b))
+    cuts = np.cumsum(counts).tolist()
+    sets = {text: TopologyEdgeSet(shape, kind[lo:hi], a[lo:hi], b[lo:hi])
+            for text, lo, hi in zip(first, [0] + cuts, cuts)}
+    snapshots = tuple(map(TopologySnapshot, *times.tolist(), map(sets.__getitem__, texts)))
+    seq = SnapshotSequence(doc["method"], snapshots, doc["period_s"], doc["polar_border_deg"],
+                           trigger=doc["trigger"], truncated_final=doc["truncated_final"])
+    return spec, seq
+
+
+_ENTRY_KEYS = itemgetter("index", "start_s", "end_s", "edge_mask")
+
+
+def _read_entries(entries: list, width: int) -> tuple[tuple, np.ndarray, np.ndarray] | None:
+    """Every snapshot's mask text, its (2, snapshots) bounds and its decoded
+    (snapshots x width) mask bytes, checked in bulk; None when some entry
+    fails a check that ``_name_bad_entry`` makes."""
+    n = len(entries)
+    try:
+        index, start, end, texts = zip(*map(_ENTRY_KEYS, entries))
+        if not ({*map(type, start), *map(type, end)} <= {int, float}
+                and set(map(type, index)) == {int} and index == tuple(range(n))
+                and set(map(len, texts)) == {2 * width}):
+            return None
+        times = np.array((start, end), dtype=float)
+        packed = bytes.fromhex("".join(texts))  # skips whitespace: the length shows it
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    if len(packed) != n * width or not np.isfinite(times).all():
+        return None
+    return texts, times, np.frombuffer(packed, np.uint8).reshape(n, width)
+
+
+def _name_bad_entry(entries: list, rows: int, width: int) -> None:
+    """Raise ValueError naming the first snapshot entry that fails a check."""
     for i, entry in enumerate(entries):
         where = f"snapshot {i}: "
         _require_keys(entry, ("index", "start_s", "end_s", "edge_mask"), where)
@@ -251,31 +331,7 @@ def _parse_topology(doc) -> tuple[ConstellationSpec, SnapshotSequence]:
         if mask is None or len(mask) != width:
             raise ValueError(f"{where}edge_mask must be {2 * width} hex digits for the "
                              f"{rows}-row edges table")
-        masks.append(mask)
-    packed = np.frombuffer(b"".join(masks), np.uint8).reshape(len(entries), width)
-    member = np.unpackbits(packed, axis=1, count=rows).view(bool)
-    padded = (np.packbits(member, axis=1) != packed).any(1)
-    if padded.any():
-        raise ValueError(f"snapshot {int(padded.argmax())}: edge_mask sets a bit past the "
-                         f"{rows}-row edges table")
-
-    times = np.array([(e["start_s"], e["end_s"]) for e in entries], dtype=float)
-    bad = times[:, 0] > times[:, 1]
-    bad[1:] |= times[1:, 0] < times[:-1, 1]
-    if bad.any():
-        i = int(bad.argmax())
-        start, end = times[i].tolist()
-        raise ValueError(f"snapshot {i}: ends at {end!r}, before its start {start!r}"
-                         if start > end else f"snapshot {i}: starts at {start!r}, before "
-                         f"snapshot {i - 1} ends at {times[i - 1, 1].item()!r}")
-
-    sets = {mask: TopologyEdgeSet(table.shape, table.kind[row], table.a[row], table.b[row])
-            for mask, row in dict(zip(masks, member)).items()}  # one per distinct mask
-    snapshots = tuple(TopologySnapshot(start, end, sets[mask])
-                      for (start, end), mask in zip(times.tolist(), masks))
-    seq = SnapshotSequence(doc["method"], snapshots, period, doc["polar_border_deg"],
-                           trigger=doc["trigger"], truncated_final=doc["truncated_final"])
-    return spec, seq
+    raise AssertionError("the bulk entry check rejected entries that each pass")
 
 
 def _require_keys(obj, keys: tuple[str, ...], where: str) -> None:
@@ -292,28 +348,33 @@ def _number(x) -> str:
 
 
 def _is_number(x) -> bool:
-    return type(x) in (int, float) and math.isfinite(x)
+    """A finite JSON number: an int or float, not a bool, and an int only
+    within float range."""
+    return type(x) in (int, float) and is_finite(x)
 
 
 def _edge_table(shape: tuple[int, int], table) -> TopologyEdgeSet:
-    """The export's edge table as an edge set; its rows must be distinct and
-    in canonical order, so that row i is edge i of the set."""
+    """The export's edge table as an edge set whose edge i is row i: each
+    row's endpoints in order and the rows' (kind, a, b) keys strictly
+    increasing, which is canonical order without duplicates."""
     if not (type(table) is list and set(map(type, table)) <= {list}
             and set(map(len, table)) <= {5}):
         raise ValueError("edges table rows must be [kind, plane_a, index_a, plane_b, index_b]")
-    names, values = [r[0] for r in table], list(chain.from_iterable(r[1:] for r in table))
+    values = list(chain.from_iterable(table))
+    names = values[0::5]
+    del values[0::5]
     if not (set(map(type, names)) <= {str} and set(map(type, values)) <= {int}):
         raise ValueError("edges table: kinds must be strings and endpoints integers")
     try:
-        rows = np.fromiter(values, np.int64, len(values)).reshape(-1, 4)
-        arrays = canonical_arrays(shape, names, rows)
+        kind, a, b = edge_columns(shape, names,
+                                  np.fromiter(values, np.int64, len(values)).reshape(-1, 4))
     except (OverflowError, ValueError) as exc:
         raise ValueError(f"edges table: {exc}") from exc
-    ends = (rows[:, 0::2] - 1) * shape[1] + rows[:, 1::2] - 1
-    if not (np.array_equal(arrays.a, ends[:, 0]) and np.array_equal(arrays.b, ends[:, 1])
-            and [KINDS[k] for k in arrays.kind.tolist()] == names):
+    n = shape[0] * shape[1]
+    if not ((a <= b).all() and (np.diff((kind * n + a) * n + b) > 0).all()):
         raise ValueError("edges table: rows must be distinct and in canonical order")
-    return arrays
+    return TopologyEdgeSet(shape, kind.astype(KIND_DTYPE), a.astype(INDEX_DTYPE),
+                           b.astype(INDEX_DTYPE))
 
 
 def run_compare(config: ScenarioConfig) -> ComparisonReport:
@@ -406,6 +467,12 @@ def _name(spec: ConstellationSpec, method: str, border: float, suffix: str) -> s
     return f"{spec.name}_{method}_{border_name(border)}_{suffix}"
 
 
+def delay_ms(delay_s: float | None) -> str:
+    """A mean delay as the summary and ``route`` print it: milliseconds to
+    three places, or ``-`` when nothing was routed or no send reached."""
+    return "-" if delay_s is None or math.isnan(delay_s) else f"{1000.0 * delay_s:.3f}"
+
+
 def format_summary(spec: ConstellationSpec, report: ComparisonReport) -> str:
     """Fixed-point summary table; analytic and simulated reassignment figures are
     printed side by side as calc/sim. Cells stay a space apart, however wide."""
@@ -432,10 +499,8 @@ def format_summary(spec: ConstellationSpec, report: ComparisonReport) -> str:
             calc = (a.snapshot_count, f"{a.snapshot_duration_s:.2f}",
                     f"{a.snapshot_duration_s:.2f}", a.n_inter_plane)
             cells = [f"{c}/{sim}" for c, sim in zip(calc, cells)]
-        delay = ("-" if row.average_delay_s is None or math.isnan(row.average_delay_s)
-                 else f"{1000.0 * row.average_delay_s:.3f}")
         lines.append(line(row.method, border_name(row.polar_border_deg), *cells,
-                          f"{row.utilization:.4f}", delay))
+                          f"{row.utilization:.4f}", delay_ms(row.average_delay_s)))
     if report.validation_failures:
         lines.append("")
         lines.append("VALIDATION FAILURES:")

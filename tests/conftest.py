@@ -44,6 +44,21 @@ def two_by_thousand() -> ConstellationSpec:
 
 
 @pytest.fixture(scope="session")
+def forty_by_fifty() -> ConstellationSpec:
+    """The iridium file at the satellite limit with planes to route over:
+    40 planes of 50, 4.6 degrees apart."""
+    return ConstellationSpec(
+        plane_count=40,
+        sats_per_plane=50,
+        inclination_deg=86.4,
+        altitude_km=780.0,
+        period_s=6027.0,
+        inter_plane_spacing_deg=4.6,
+        name="iridium",
+    )
+
+
+@pytest.fixture(scope="session")
 def toy() -> ConstellationSpec:
     """Smallest constellation the model supports: 2 planes of 4."""
     return ConstellationSpec(

@@ -22,6 +22,9 @@ slot identity: every snapshot through ``validate_topology``.
 ``set_by_set_export_topology`` is the format 3 writer before it worked a
 block of sets at a time: the table merged by a sort per distinct set, a mask
 per set, and each snapshot line written by ``json.dumps``.
+``reference_load_topology`` is the format 3 reader before it checked a file
+in bulk: the edge table through ``canonical_arrays`` and compared with its
+own rows, and each snapshot entry checked and decoded in a loop.
 
 The scalar geometry below (one satellite, one instant, ``math`` functions)
 is what the package computed before its array paths; it serves as the
@@ -68,8 +71,10 @@ from polarsnap.links import (
     IslEdge,
     TopologyEdgeSet,
     _wiring,
+    canonical_arrays,
     validate_topology,
 )
+from polarsnap.report import _is_number, _parse_head, _require_keys
 from polarsnap.routing import PathResult
 from polarsnap.snapshots import (
     METHOD_EQUAL_TIME,
@@ -679,3 +684,80 @@ def set_by_set_export_topology(seq: SnapshotSequence, spec: ConstellationSpec, p
         body = "[\n" + ",\n".join(f"  {line}" for line in lines) + "\n ]" if lines else "[]"
         head = head.replace(f'\n "{key}": []', f'\n "{key}": {body}', 1)
     Path(path).write_text(head + "\n")
+
+
+def reference_load_topology(path) -> tuple[ConstellationSpec, SnapshotSequence]:
+    """``load_topology`` with the edge table sorted and deduplicated by
+    ``canonical_arrays`` and accepted when that changes nothing, and each
+    snapshot entry checked and its mask decoded one at a time; the header
+    is read by the same ``_parse_head``."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        spec, shape = _parse_head(doc)
+        entries = doc["snapshots"]
+        table = _reference_edge_table(shape, doc["edges"])
+        rows = len(table.a)
+        width = (rows + 7) // 8
+        masks = []
+        for i, entry in enumerate(entries):
+            where = f"snapshot {i}: "
+            _require_keys(entry, ("index", "start_s", "end_s", "edge_mask"), where)
+            if type(entry["index"]) is not int or entry["index"] != i:
+                raise ValueError(f"{where}index {entry['index']!r}, expected {i}")
+            if not (_is_number(entry["start_s"]) and _is_number(entry["end_s"])):
+                raise ValueError(f"{where}bounds must be finite numbers, got "
+                                 f"{entry['start_s']!r} and {entry['end_s']!r}")
+            text = entry["edge_mask"]
+            try:  # fromhex skips whitespace, so the decoded length is checked too
+                mask = (bytes.fromhex(text) if type(text) is str and len(text) == 2 * width
+                        else None)
+            except ValueError:
+                mask = None
+            if mask is None or len(mask) != width:
+                raise ValueError(f"{where}edge_mask must be {2 * width} hex digits for the "
+                                 f"{rows}-row edges table")
+            masks.append(mask)
+        packed = np.frombuffer(b"".join(masks), np.uint8).reshape(len(entries), width)
+        member = np.unpackbits(packed, axis=1, count=rows).view(bool)
+        padded = (np.packbits(member, axis=1) != packed).any(1)
+        if padded.any():
+            raise ValueError(f"snapshot {int(padded.argmax())}: edge_mask sets a bit past the "
+                             f"{rows}-row edges table")
+        times = np.array([(e["start_s"], e["end_s"]) for e in entries], dtype=float)
+        bad = times[:, 0] > times[:, 1]
+        bad[1:] |= times[1:, 0] < times[:-1, 1]
+        if bad.any():
+            i = int(bad.argmax())
+            start, end = times[i].tolist()
+            raise ValueError(f"snapshot {i}: ends at {end!r}, before its start {start!r}"
+                             if start > end else f"snapshot {i}: starts at {start!r}, before "
+                             f"snapshot {i - 1} ends at {times[i - 1, 1].item()!r}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    sets = {mask: TopologyEdgeSet(table.shape, table.kind[row], table.a[row], table.b[row])
+            for mask, row in dict(zip(masks, member)).items()}  # one per distinct mask
+    snapshots = tuple(TopologySnapshot(start, end, sets[mask])
+                      for (start, end), mask in zip(times.tolist(), masks))
+    return spec, SnapshotSequence(doc["method"], snapshots, doc["period_s"],
+                                  doc["polar_border_deg"], trigger=doc["trigger"],
+                                  truncated_final=doc["truncated_final"])
+
+
+def _reference_edge_table(shape: tuple[int, int], table) -> TopologyEdgeSet:
+    if not (type(table) is list and set(map(type, table)) <= {list}
+            and set(map(len, table)) <= {5}):
+        raise ValueError("edges table rows must be [kind, plane_a, index_a, plane_b, index_b]")
+    names, values = [r[0] for r in table], list(itertools.chain.from_iterable(
+        r[1:] for r in table))
+    if not (set(map(type, names)) <= {str} and set(map(type, values)) <= {int}):
+        raise ValueError("edges table: kinds must be strings and endpoints integers")
+    try:
+        rows = np.fromiter(values, np.int64, len(values)).reshape(-1, 4)
+        arrays = canonical_arrays(shape, names, rows)
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(f"edges table: {exc}") from exc
+    ends = (rows[:, 0::2] - 1) * shape[1] + rows[:, 1::2] - 1
+    if not (np.array_equal(arrays.a, ends[:, 0]) and np.array_equal(arrays.b, ends[:, 1])
+            and [KINDS[k] for k in arrays.kind.tolist()] == names):
+        raise ValueError("edges table: rows must be distinct and in canonical order")
+    return arrays

@@ -69,13 +69,15 @@ class TestConstellationSpec:
 
     @pytest.mark.parametrize("field", ["altitude_km", "period_s", "inter_plane_spacing_deg",
                                        "earth_radius_km", "grazing_altitude_km"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    # an int beyond float range is not finite either: a ValueError, not the
+    # OverflowError of math.isfinite
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, -10**400])
     def test_rejects_non_finite(self, iridium, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             dataclasses.replace(iridium, **{field: value})
 
     @pytest.mark.parametrize("field", ["latitude_deg", "longitude_deg", "min_elevation_deg"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 10**400])
     def test_station_rejects_non_finite(self, beijing, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             dataclasses.replace(beijing, **{field: value})

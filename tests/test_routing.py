@@ -1135,6 +1135,17 @@ class TestRoutingPass:
         drawn = {snap.edges for seq in seqs for snap in seq.snapshots}
         assert 0 < len(grid.routes) <= 3 * len(grid.times) < len(drawn)
 
+    def test_satellite_limit_routed(self, forty_by_fifty, beijing):
+        # 40 x 50 at 60 degrees: as many satellites as a scenario may hold,
+        # with planes close enough to route over; every method's sequence
+        # validates, every send reaches, and a seeded sample of sends routes
+        # as Dijkstra routes it, bitwise in delay and hops
+        grid, seqs = self.check(forty_by_fifty, (60.0,), beijing, self.LONDON, 7200.0, 60.0)
+        assert [validate_sequence(forty_by_fifty, seq) for seq in seqs] == [[], [], []]
+        series = [delay_experiment(forty_by_fifty, seq.method, 60.0, beijing, self.LONDON,
+                                   7200.0, 60.0, sequence=seq, grid=grid) for seq in seqs]
+        assert [s.unreachable_fraction for s in series] == [0.0] * 3
+
     def test_strict_mask_leaves_sends_unattached(self, iridium):
         grid, _ = self.check(iridium, (60.0,), self.STRICT, self.LONDON, 3000.0, 20.0)
         assert 0 < sum(grid.attached) < len(grid.times)

@@ -46,7 +46,7 @@ from polarsnap.snapshots import (
     partition,
     partition_reassignment,
 )
-from tests.oracles import make_edge, set_by_set_export_topology
+from tests.oracles import make_edge, reference_load_topology, set_by_set_export_topology
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 IRIDIUM_HEAD = (b"[constellation]\nplanes = 6\nsats_per_plane = 11\n"
@@ -510,15 +510,18 @@ class TestTopologyExport:
 
     def test_sweep_matches_set_by_set_writer(self, tmp_path):
         # every sequence of the geometry sweep, and each one loaded back,
-        # whose sets hold no universe ids, writes the set-by-set bytes
+        # whose sets hold no universe ids, writes the set-by-set bytes; each
+        # loads as the reference loader loads it
         for n, m, border in itertools.product((2, 4, 6, 8), (3, 5, 8, 11, 16), range(30, 90, 5)):
             spec = ConstellationSpec(n, m, 86.0, 1000.0)
             for method in ("reassignment", "fixed", "equal_time"):
                 path = tmp_path / "got.json"
                 export_topology(partition(spec, method, border), spec, path)
-                assert_set_by_set_bytes(load_topology(path)[1], spec, path)
+                assert_set_by_set_bytes(assert_loads_as_reference(path), spec, path)
 
     def test_shipped_loaded_sequences_match_set_by_set_writer(self, tmp_path):
+        # the topology exports of both shipped compares: run_compare writes
+        # each (border, method) sequence with this call, whatever the duration
         for name in ("iridium", "teledesic"):
             config = load_scenario(SCENARIOS / f"{name}.scenario")
             spec = config.constellation
@@ -527,13 +530,14 @@ class TestTopologyExport:
                 export_topology(partition(spec, method, border, trigger=config.trigger,
                                           equal_time_delta_s=config.equal_time_delta_s),
                                 spec, path)
-                loaded = load_topology(path)[1]
+                loaded = assert_loads_as_reference(path)
                 assert all(snap.edges._ids is None for snap in loaded.snapshots)
                 assert_set_by_set_bytes(loaded, spec, path)
 
     def test_two_by_thousand_one_set_per_block(self, two_by_thousand, tmp_path):
         # 2 x 1000 at 60 degrees: 1000 distinct sets per sequence, each
-        # larger than half a block, so each block holds one set
+        # larger than half a block, so each block holds one set; the loader
+        # builds the same 1000 sets as the reference loader
         path = tmp_path / "got.json"
         for method in ("reassignment", "fixed", "equal_time"):
             seq = partition(two_by_thousand, method, 60.0)
@@ -541,6 +545,8 @@ class TestTopologyExport:
             assert min(len(snap.edges) for snap in seq.snapshots) > POSITION_BLOCK_ROWS // 2
             export_topology(seq, two_by_thousand, path)
             assert_set_by_set_bytes(seq, two_by_thousand, path)
+            loaded = assert_loads_as_reference(path)
+            assert len({id(snap.edges) for snap in loaded.snapshots}) == 1000
 
     def test_empty_sequence_rejected(self, iridium, tmp_path):
         seq = SnapshotSequence("reassignment", (), 6027.0, 60.0)
@@ -548,6 +554,28 @@ class TestTopologyExport:
         with pytest.raises(ValueError):
             export_topology(seq, iridium, target)
         assert not target.exists()
+
+
+def assert_loads_as_reference(path) -> SnapshotSequence:
+    """``load_topology`` reads the file at path as ``reference_load_topology``
+    does: equal specs and headers, bounds bit for bit, equal sets, and one
+    set object per distinct mask text. Returns the sequence ``load_topology``
+    read."""
+    spec, seq = load_topology(path)
+    want_spec, want = reference_load_topology(path)
+    assert spec == want_spec
+    assert (seq.method, seq.period_s, seq.polar_border_deg, seq.trigger, seq.truncated_final) \
+        == (want.method, want.period_s, want.polar_border_deg, want.trigger,
+            want.truncated_final)
+    assert [(s.start_s.hex(), s.end_s.hex()) for s in seq.snapshots] == \
+        [(s.start_s.hex(), s.end_s.hex()) for s in want.snapshots]
+    assert [s.edges for s in seq.snapshots] == [s.edges for s in want.snapshots]
+    masks = [entry["edge_mask"] for entry in json.loads(Path(path).read_text())["snapshots"]]
+    first = {}
+    assert [first.setdefault(mask, id(s.edges)) for mask, s in zip(masks, seq.snapshots)] == \
+        [id(s.edges) for s in seq.snapshots]
+    assert len(first) == len({id(s.edges) for s in seq.snapshots})
+    return seq
 
 
 def assert_set_by_set_bytes(seq, spec, path):
@@ -646,6 +674,17 @@ MALFORMED_EITHER = [
     ("negative_border", _put(("polar_border_deg",), -3),
      "polar_border_deg must be in (0, 90), got -3"),
     ("border_90", _put(("polar_border_deg",), 90.0), "polar_border_deg must be in (0, 90)"),
+    # JSON reads a long integer literal as an int beyond float range
+    ("huge_period", _put(("period_s",), 10**400), "period_s must be a positive number"),
+    ("huge_border", _put(("polar_border_deg",), 10**400), "polar_border_deg must be a number"),
+    ("huge_start", _put(("snapshots", 3, "start_s"), 10**400),
+     "snapshot 3: bounds must be finite numbers"),
+    ("huge_end", _put(("snapshots", 3, "end_s"), -10**400),
+     "snapshot 3: bounds must be finite numbers"),
+    ("huge_altitude", _put(("constellation", "altitude_km"), 10**400),
+     "altitude_km must be finite"),
+    ("huge_earth_radius", _put(("constellation", "earth_radius_km"), 10**400),
+     "earth_radius_km must be finite"),
 ]
 MALFORMED_V3 = [
     ("short_row", _put(("edges", 0), ["horizontal", 1, 2, 3]), "edges table"),
@@ -670,6 +709,75 @@ MALFORMED_V3 = [
     ("mask_missing", _put(("snapshots", 1, "edge_mask"), _DROP),
      "snapshot 1: missing key 'edge_mask'"),
     ("index_not_integer", _put(("snapshots", 0, "index"), 0.0), "snapshot 0: index"),
+    ("index_bool", _put(("snapshots", 1, "index"), True), "snapshot 1: index True"),
+    ("bound_bool", _put(("snapshots", 1, "end_s"), False), "snapshot 1: bounds"),
+    ("entry_not_object", _put(("snapshots", 2), [2, 0.0, 1.0, "00"]),
+     "snapshot 2: expected a JSON object"),
+    ("mask_upper_case_padding", _mask(lambda mask: mask[:-1] + "F"), "snapshot 1: edge_mask"),
+    ("mask_newline", _mask(lambda mask: mask[:2] + "\n" + mask[3:]), "snapshot 1: edge_mask"),
+    ("mask_odd_digit_split", _mask(lambda mask: mask[:1] + " " + mask[2:]),
+     "snapshot 1: edge_mask"),
+    ("mask_non_ascii", _mask(lambda mask: mask[:-2] + "\u0661\u0660"), "snapshot 1: edge_mask"),
+    ("huge_endpoint", _put(("edges", 0, 2), 10**400), "edges table: "),
+]
+
+
+def _faults(*edits):
+    """An edit that applies each given edit in turn."""
+    def apply(doc):
+        for edit in edits:
+            edit(doc)
+    return apply
+
+
+# Documents with two faults: (case, edit, the whole message after the file),
+# where the message is the one both loaders give.
+TWO_FAULTS = [
+    ("mask_1_before_index_3", _faults(_mask(lambda mask: "g" + mask[1:]),
+                                      _put(("snapshots", 3, "index"), 7)),
+     "snapshot 1: edge_mask must be 56 hex digits for the 220-row edges table"),
+    ("index_1_before_mask_3", _faults(_put(("snapshots", 1, "index"), 7),
+                                      _put(("snapshots", 3, "edge_mask"), "")),
+     "snapshot 1: index 7, expected 1"),
+    ("mask_1_before_bounds_2", _faults(_put(("snapshots", 2, "start_s"), None),
+                                       _mask(lambda mask: mask + "00")),
+     "snapshot 1: edge_mask must be 56 hex digits for the 220-row edges table"),
+    ("missing_key_before_bounds", _faults(_put(("snapshots", 4, "end_s"), math.inf),
+                                          _put(("snapshots", 4, "index"), _DROP)),
+     "snapshot 4: missing key 'index'"),
+    # the mask checks all run before the padding check, and that before the bounds
+    ("padding_before_bound_order", _faults(_mask(lambda mask: mask[:-1] + "1"),
+                                           _put(("snapshots", 0, "end_s"), -1.0)),
+     "snapshot 1: edge_mask sets a bit past the 220-row edges table"),
+    ("digits_after_padding", _faults(_put(("snapshots", 0, "edge_mask"), "0" * 55 + "1"),
+                                     _mask(lambda mask: mask[:-2])),
+     "snapshot 1: edge_mask must be 56 hex digits for the 220-row edges table"),
+    ("unknown_kind_before_endpoint", _faults(_put(("edges", 5, 0), "laser"),
+                                             _put(("edges", 2, 3), 7)),
+     "edges table: unknown link kind 'laser', expected one of "
+     "('horizontal', 'intra_plane', 'oblique')"),
+    ("unknown_kind_and_endpoint_in_one_row", _faults(_put(("edges", 0, 0), "laser"),
+                                                     _put(("edges", 0, 1), 0)),
+     "edges table: unknown link kind 'laser', expected one of "
+     "('horizontal', 'intra_plane', 'oblique')"),
+    ("first_unknown_kind_by_name", _faults(_put(("edges", 0, 0), "zz"),
+                                           _put(("edges", 9, 0), "aa")),
+     "edges table: unknown link kind 'aa', expected one of "
+     "('horizontal', 'intra_plane', 'oblique')"),
+    ("endpoint_before_order", _faults(_swap_rows, _put(("edges", 7, 4), 12)),
+     "edges table: edge endpoint outside the 6x11 constellation"),
+    ("overflow_before_unknown_kind", _faults(_put(("edges", 0, 0), "laser"),
+                                             _put(("edges", 3, 1), 2**63)),
+     "edges table: Python int too large to convert to C long"),
+    ("types_before_kinds", _faults(_put(("edges", 0, 0), "laser"),
+                                   _put(("edges", 3, 1), 1.0)),
+     "edges table: kinds must be strings and endpoints integers"),
+    ("row_shape_before_types", _faults(_put(("edges", 0, 0), 0), _put(("edges", 3), [1])),
+     "edges table rows must be [kind, plane_a, index_a, plane_b, index_b]"),
+    ("table_before_snapshots", _faults(_swap_rows, _put(("snapshots", 0, "index"), 3)),
+     "edges table: rows must be distinct and in canonical order"),
+    ("header_before_table", _faults(_put(("edges", 0, 0), "laser"), _put(("trigger",), "x")),
+     "trigger must be 'enter', 'exit' or null, got 'x'"),
 ]
 
 
@@ -689,6 +797,10 @@ class TestMalformedTopology:
             load_topology(path)
         assert str(info.value).startswith(f"{path}: "), info.value
         assert names in str(info.value), info.value
+        with pytest.raises(ValueError) as want:
+            reference_load_topology(path)
+        assert str(info.value) == str(want.value)
+        return str(info.value).removeprefix(f"{path}: ")
 
     @pytest.mark.parametrize("write", [export_topology], ids=["v3"])
     @pytest.mark.parametrize("case, edit, names", MALFORMED_EITHER,
@@ -716,6 +828,72 @@ class TestMalformedTopology:
     @pytest.mark.parametrize("case, edit, names", MALFORMED_V3, ids=[c[0] for c in MALFORMED_V3])
     def test_v3(self, case, edit, names, iridium, tmp_path):
         self.assert_rejected(export_topology, iridium, edit, names, tmp_path)
+
+    @pytest.mark.parametrize("case, edit, message", TWO_FAULTS, ids=[c[0] for c in TWO_FAULTS])
+    def test_first_fault_wins(self, case, edit, message, iridium, tmp_path):
+        assert self.assert_rejected(export_topology, iridium, edit, message, tmp_path) == message
+
+    # values an entry's field may take in a hand-edited file
+    ODD_VALUES = [None, True, 0, 1, 2, -1.5, 2**70, 10**400, math.nan, math.inf, "", "0", "00",
+                  "10", [], {}, "0" * 56, "F" * 55 + "0", "0 " * 27 + "00", "0" * 54 + " 0"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, 5),
+                                    st.sampled_from(["index", "start_s", "end_s", "edge_mask"]),
+                                    st.sampled_from(ODD_VALUES + [_DROP])), max_size=3),
+           drop_entry=st.booleans())
+    def test_bulk_check_accepts_what_the_loop_accepts(self, edits, drop_entry, iridium):
+        # hand-edited snapshot entries load, or fail with the same message,
+        # as in the reference loader's entry loop
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "topo.json"
+            export_topology(partition(iridium, "reassignment", 60.0), iridium, path)
+            doc = json.loads(path.read_text())  # 220 table rows, so masks of 56 digits
+            for i, key, value in edits:
+                if value is _DROP:
+                    doc["snapshots"][i].pop(key, None)
+                else:
+                    doc["snapshots"][i][key] = value
+            if drop_entry:
+                doc["snapshots"][1] = doc["snapshots"][1]["edge_mask"]
+            path.write_text(json.dumps(doc))
+            try:
+                want = reference_load_topology(path)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as info:
+                    load_topology(path)
+                assert str(info.value) == str(exc)
+            else:
+                assert_loads_as_reference(path)
+                assert load_topology(path)[0] == want[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, 219), st.integers(0, 4),
+                                    st.sampled_from(list(KINDS) + [1, 2, 6, 11, 12, 0, 2**63])),
+                          max_size=3),
+           moves=st.lists(st.tuples(st.integers(0, 219), st.integers(0, 219)), max_size=2))
+    def test_table_check_accepts_what_canonical_arrays_accepts(self, edits, moves, iridium):
+        # a hand-edited table (known or unknown kinds, endpoints in or out of
+        # range, rows copied over others) loads, or fails with the same
+        # message, as in the reference loader
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "topo.json"
+            export_topology(partition(iridium, "reassignment", 60.0), iridium, path)
+            doc = json.loads(path.read_text())  # 220 table rows
+            for row, column, value in edits:
+                if (column == 0) == isinstance(value, str):
+                    doc["edges"][row][column] = value
+            for source, target in moves:
+                doc["edges"][target] = list(doc["edges"][source])
+            path.write_text(json.dumps(doc))
+            try:
+                reference_load_topology(path)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as info:
+                    load_topology(path)
+                assert str(info.value) == str(exc)
+            else:
+                assert_loads_as_reference(path)
 
     def test_satellite_limit(self, iridium, tmp_path):
         # a header naming more satellites than a scenario may is refused before
@@ -789,6 +967,20 @@ class TestCli:
         assert (tmp_path / "iridium_reassignment_60_delay.csv").exists()
         out = capsys.readouterr().out
         assert "avg delay" in out
+
+    def test_route_prints_dash_without_a_reachable_send(self, tmp_path, capsys):
+        # no station sees a satellite at 90 degrees of elevation, so no send
+        # reaches: route prints "-" for the mean delay, as the summary does
+        path = tmp_path / "zenith.scenario"
+        path.write_text((SCENARIOS / "iridium.scenario").read_text().replace(
+            "min_elevation_deg = 10\n", "min_elevation_deg = 90\n"))
+        assert main(["route", str(path), "--polar-border", "60", "--duration", "600",
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"iridium {method} L_pa=60: avg delay - ms over 10 sends (100.0% unreachable)"
+            for method in ("reassignment", "fixed", "equal_time")]
+        summary = (tmp_path / "out" / "summary_iridium.txt").read_text().splitlines()
+        assert [line.split()[-1] for line in summary[4:]] == ["-"] * 3
 
     @pytest.mark.parametrize("command", ["simulate", "route", "compare"])
     def test_validation_failures_exit_1(self, command, tmp_path, capsys):
