@@ -25,6 +25,7 @@ rate.
 """
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +84,12 @@ class ConstellationSpec:
     name: str = "constellation"
 
     def __post_init__(self):
-        _require_finite(self, "altitude_km", "period_s", "inter_plane_spacing_deg",
-                        "earth_radius_km", "grazing_altitude_km")
+        _require_finite(self, "inclination_deg", "altitude_km", "earth_radius_km",
+                        "grazing_altitude_km")
+        _require_finite(self, "period_s", "inter_plane_spacing_deg", optional=True)
         _require_int(self, "plane_count", "sats_per_plane")
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         if self.plane_count < 2:
             raise UnsupportedConfigurationError(
                 f"plane_count must be >= 2, got {self.plane_count}")
@@ -195,11 +199,18 @@ def is_finite(value) -> bool:
         return False
 
 
-def _require_finite(obj, *names: str) -> None:
-    """Raise ValueError naming the first given field set to a non-finite value."""
+def _require_finite(obj, *names: str, optional: bool = False) -> None:
+    """Raise ValueError naming the first given field that is not a finite
+    real number (a ``bool`` is not one here), or None where ``optional``.
+    An int beyond float range is named without its digits."""
     for name, value in ((name, getattr(obj, name)) for name in names):
-        if value is not None and not is_finite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+        if value is None and optional:
+            continue
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        if not is_finite(value):
+            shown = "an int beyond float range" if isinstance(value, int) else value
+            raise ValueError(f"{name} must be finite, got {shown}")
 
 
 def _require_int(obj, *names: str) -> None:

@@ -209,7 +209,7 @@ def load_topology(path: str | Path) -> tuple[ConstellationSpec, SnapshotSequence
     """
     try:
         return _parse_topology(json.loads(Path(path).read_text()))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # JSON nested past the recursion limit
         raise ValueError(f"{path}: {exc}") from exc
 
 

@@ -6,16 +6,19 @@ inter-plane link count is the set's.
 
 * ``partition_reassignment``: one snapshot per polar-cap crossing event of
   the chosen kind; edges re-paired at every boundary. All durations equal
-  T / (2*M) and the inter-plane link count is the same in every snapshot:
-  each snapshot is the first one with its phase classes shifted.
+  T / (2*M) and the inter-plane link count is the same in every snapshot.
 * ``partition_fixed``: boundaries wherever the static baseline's set of
-  active couples changes. They repeat every slot, so only the first slot
-  period's sets are built and the rest are those rotated.
+  active couples changes.
 * ``partition_equal_time``: fixed-width intervals anchored at t=0,
   keeping only baseline links that stay active through the whole interval.
 
-Both baselines read one boolean table of active couples, a row per instant
-and a column per couple, a block of instants per ``active_couples`` call;
+One slot P/M later every row stands where the row two phase classes above
+it stood, so every method ends alike (``_tiled``): its starts, the sets of
+its first S snapshots, and each later set the one S before it
+``rotated(2)``, with S = n/M when the sequence repeats every slot
+(``_slot_of``), else n. Reassignment's first slot is its first event's set
+and that set rotated by one. Both baselines read one table of active
+couples, a row per instant and a column per couple (``_couple_rows``);
 reassignment, the non-polar bands at its first event (``build_ls_state``).
 
 Every row's phase grows linearly with time, so the border-crossing
@@ -25,10 +28,8 @@ reassignment numbers in closed form; the event-driven sequences count
 rows and edges independently, so the two act as cross-checking oracles.
 The tests check the crossing times against a sampled root-solver and each
 reassignment snapshot against one built from its own event's row state.
-``validate_sequence`` is the per-sequence validation oracle; it checks the
-first slot period's snapshots of a sequence that repeats every slot, and
-every snapshot of one that does not, positions a block of snapshots per
-call (``instant_blocks``).
+``validate_sequence`` is the per-sequence validation oracle; it positions a
+block of snapshots per call (``instant_blocks``).
 """
 import math
 from dataclasses import dataclass
@@ -204,26 +205,17 @@ def partition_reassignment(
     The sequence starts at the first trigger event at or after t=0 and
     tiles exactly one period. Between consecutive events every row moves
     into the place of the row one phase class above it, so only the first
-    event's edges are built from its row state; snapshot i holds them with
-    every class c's edges moved to class c - i. An unknown trigger is a
+    event's edges are built from its row state. An unknown trigger is a
     ValueError.
     """
     if trigger not in (TRIGGER_ENTER, TRIGGER_EXIT):
         raise ValueError(f"unknown trigger {trigger!r}")
     period = orbit_period(spec)
-    events = enumerate_events(spec, polar_border_deg, period, kinds=(trigger,))
-    t0 = events[0].time_s
-    first = reassign_topology(
-        spec, polar_border_deg, build_ls_state(spec, polar_border_deg, t0 + TIE_S),
-        trigger)
-    ends = [e.time_s for e in events[1:]] + [t0 + period]
-    sets = [first]
-    for _ in events[1:]:  # each one class on from the last: one cached permutation
-        sets.append(sets[-1].rotated(1))
-    snapshots = tuple(TopologySnapshot(event.time_s, end, topo)
-                      for event, end, topo in zip(events, ends, sets))
-    return SnapshotSequence(METHOD_REASSIGNMENT, snapshots, period, polar_border_deg,
-                            trigger=trigger)
+    starts = [e.time_s for e in enumerate_events(spec, polar_border_deg, period, kinds=(trigger,))]
+    rows = build_ls_state(spec, polar_border_deg, starts[0] + TIE_S)
+    first = reassign_topology(spec, polar_border_deg, rows, trigger)
+    return _tiled(spec, METHOD_REASSIGNMENT, polar_border_deg, starts,
+                  [first, first.rotated(1)], trigger=trigger)
 
 
 def partition_fixed(
@@ -231,30 +223,17 @@ def partition_fixed(
     polar_border_deg: float,
 ) -> SnapshotSequence:
     """Snapshot boundaries wherever the static baseline's set of active
-    couples changes.
-
-    The couples' rows repeat every slot P/M, two phase classes on, so the
-    n boundaries repeat too: n is S * M, or 1 for a baseline that never
-    changes. Only the first S snapshots' sets are built
-    (``fixed_topology``, just after their starts); snapshot i + S holds
-    snapshot i's set ``rotated(2)``. A count that is not a multiple of M
-    has every set built.
-    """
+    couples changes; the first slot's sets are built (``fixed_topology``,
+    just after their starts) and the rest rotated from them."""
     period = orbit_period(spec)
     times = np.array([e.time_s for e in enumerate_events(spec, polar_border_deg, period)])
-    active = np.concatenate([active_couples(spec, polar_border_deg, times[block] + TIE_S)
-                             for block in instant_blocks(len(times), spec.row_count)])
+    active = _couple_rows(spec, polar_border_deg, times + TIE_S)
     # The state before the first event is the one after the last, a period
     # earlier. A baseline that never changes is one snapshot from t=0.
     starts = times[(active != np.roll(active, 1, axis=0)).any(axis=1)].tolist() or [0.0]
-    n, m = len(starts), spec.sats_per_plane
-    slot = n // m if n % m == 0 else n
-    sets = [fixed_topology(spec, polar_border_deg, start + TIE_S) for start in starts[:slot]]
-    for i in range(slot, n):
-        sets.append(sets[i - slot].rotated(2))
-    snapshots = tuple(TopologySnapshot(start, end, topo) for start, end, topo
-                      in zip(starts, starts[1:] + [starts[0] + period], sets))
-    return SnapshotSequence(METHOD_FIXED, snapshots, period, polar_border_deg)
+    first = [fixed_topology(spec, polar_border_deg, start + TIE_S)
+             for start in starts[:_slot_of(spec, starts)]]
+    return _tiled(spec, METHOD_FIXED, polar_border_deg, starts, first)
 
 
 def equal_time_count(period_s: float, delta_s: float) -> float:
@@ -288,8 +267,7 @@ def partition_equal_time(
     the period's end falling in the first.
 
     Raises:
-        ValueError: As ``equal_time_count``, or if the border is not in
-            (0, 90).
+        ValueError: As ``equal_time_count``, or if the border is not in (0, 90).
     """
     period = orbit_period(spec)
     n_exact = equal_time_count(period, delta_s)
@@ -297,38 +275,61 @@ def partition_equal_time(
     n = int(math.floor(n_exact)) + 1 if truncated else int(round(n_exact))
     starts = np.arange(n) * delta_s
     times = np.array([e.time_s for e in enumerate_events(spec, polar_border_deg, period)])
-    instants = np.concatenate([starts, times]) + TIE_S
-    active = np.concatenate([active_couples(spec, polar_border_deg, instants[block])
-                             for block in instant_blocks(len(instants), spec.row_count)])
-    couples = active[:n]
+    wrapped = (times + TIE_S) % period
+    # The intervals repeat every slot when n of them drift less than a tie in
+    # all, and moving every start onto whole slots passes no event +- a tie.
+    s = _slot_of(spec, starts) if abs(n * delta_s - period) < TIE_S else n
+    ideal = (starts[:s] + period / spec.sats_per_plane * np.arange(n // s)[:, None]).ravel()
+    near = np.append(wrapped, (times - TIE_S) % period)
+    s = s if (np.searchsorted(starts, near) == np.searchsorted(ideal, near)).all() else n
+    inside = wrapped < (starts[s] if s < n else period)
+    active = _couple_rows(spec, polar_border_deg,
+                          np.concatenate([starts[:s], times[inside]]) + TIE_S)
+    couples = active[:s]
     # Each event's row is ANDed into the interval holding it a tie later, mod
     # the period. An event at an interval's start changes nothing: its row is the start's own.
-    np.logical_and.at(couples, np.searchsorted(starts, (times + TIE_S) % period, side="right") - 1,
-                      active[n:])
-    # The last snapshot ends at the period itself: n * delta may miss it by
-    # up to the tolerance.
-    snapshots = tuple(TopologySnapshot(start, end, couple_edges(spec, row)) for start, end, row
-                      in zip(starts.tolist(), starts[1:].tolist() + [period], couples))
-    return SnapshotSequence(METHOD_EQUAL_TIME, snapshots, period, polar_border_deg,
-                            truncated_final=truncated)
+    np.logical_and.at(couples, np.searchsorted(starts, wrapped[inside], side="right") - 1,
+                      active[s:])
+    return _tiled(spec, METHOD_EQUAL_TIME, polar_border_deg, starts.tolist(),
+                  [couple_edges(spec, row) for row in couples], truncated_final=truncated)
+
+
+def _couple_rows(spec: ConstellationSpec, polar_border_deg: float, instants) -> np.ndarray:
+    """``active_couples`` at each instant, a block of instants per call."""
+    return np.concatenate([active_couples(spec, polar_border_deg, instants[block])
+                           for block in instant_blocks(len(instants), spec.row_count)])
+
+
+def _slot_of(spec: ConstellationSpec, starts) -> int:
+    """S = n/M when the n starts repeat every slot: n is a multiple of M
+    and each start lies P/M after the one S before it, to within
+    ``TIE_S``; otherwise n."""
+    n, m = len(starts), spec.sats_per_plane
+    s, starts = n if n % m else n // m, np.asarray(starts)
+    return s if (np.abs(starts[s:] - starts[:-s] - orbit_period(spec) / m) < TIE_S).all() else n
+
+
+def _tiled(spec: ConstellationSpec, method: str, polar_border_deg: float, starts: list[float],
+           first: list[TopologyEdgeSet], **flags) -> SnapshotSequence:
+    """Snapshots from each start to the next, the last ending a period after
+    the first: snapshot i holds ``first[i]``, and snapshot i + len(first)
+    snapshot i's set ``rotated(2)``, what the same rule draws a slot later."""
+    sets = list(first)
+    for i in range(len(first), len(starts)):
+        sets.append(sets[i - len(first)].rotated(2))
+    snapshots = tuple(TopologySnapshot(start, end, topo) for start, end, topo
+                      in zip(starts, starts[1:] + [starts[0] + orbit_period(spec)], sets))
+    return SnapshotSequence(method, snapshots, orbit_period(spec), polar_border_deg, **flags)
 
 
 def _slot_count(spec: ConstellationSpec, seq: SnapshotSequence) -> int:
-    """S = n/M when the sequence repeats every slot P/M: for every i,
-    snapshot i + S starts P/M after snapshot i, to within ``TIE_S``, and
-    holds snapshot i's drawn set two phase classes on, compared exactly
-    (``TopologyEdgeSet.rotates_to``) once per distinct pair of set
-    objects; otherwise n, the count."""
-    snaps, m = seq.snapshots, spec.sats_per_plane
-    n = len(snaps)
-    if n % m:
-        return n
-    s = n // m
-    starts = np.array([snap.start_s for snap in snaps])
-    if not (np.abs(starts[s:] - starts[:-s] - orbit_period(spec) / m) < TIE_S).all():
-        return n
+    """S when the sequence repeats every slot: its starts do (``_slot_of``)
+    and snapshot i + S holds snapshot i's drawn set ``rotates_to`` 2 on,
+    checked once per distinct pair of set objects; otherwise n, the count."""
+    snaps = seq.snapshots
+    s = _slot_of(spec, [snap.start_s for snap in snaps])
     pairs = {(id(a.edges), id(b.edges)): (a.edges, b.edges) for a, b in zip(snaps, snaps[s:])}
-    return s if all(a.rotates_to(b, 2) for a, b in pairs.values()) else n
+    return s if all(a.rotates_to(b, 2) for a, b in pairs.values()) else len(snaps)
 
 
 def _snapshot_failures(spec: ConstellationSpec, seq: SnapshotSequence, name: str,
@@ -355,11 +356,10 @@ def validate_sequence(spec: ConstellationSpec, seq: SnapshotSequence) -> list[st
     not tile, bounds compared exactly, each gap, and each snapshot whose
     links fail ``validate_topology`` just after its start.
 
-    One slot P/M later every satellite stands where its in-plane successor
-    stood, so when the sequence repeats every slot (``_slot_count``) its
-    first S = n/M snapshots hold all it has to check: when they pass, the
-    sequence does. When one fails, the rest are checked too, so the lines
-    are those of checking every snapshot.
+    When the sequence repeats every slot (``_slot_count``), its first S
+    snapshots hold all it has to check: when they pass, the sequence does.
+    When one fails, the rest are checked too, so the lines are those of
+    checking every snapshot.
     """
     period = orbit_period(spec)
     name = f"{spec.name} {seq.method} {seq.polar_border_deg}"

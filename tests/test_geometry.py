@@ -82,6 +82,43 @@ class TestConstellationSpec:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             dataclasses.replace(beijing, **{field: value})
 
+    @pytest.mark.parametrize("field", ["inclination_deg", "altitude_km", "period_s",
+                                       "inter_plane_spacing_deg", "earth_radius_km",
+                                       "grazing_altitude_km"])
+    @pytest.mark.parametrize("value", [True, False, "86", [86.0]])
+    def test_rejects_float_fields_that_are_not_numbers(self, iridium, field, value):
+        # True used to pass as 1 (a 1 degree inclination), and "86" failed
+        # with a TypeError from a comparison
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{field} must be a number, got {value!r}")):
+            dataclasses.replace(iridium, **{field: value})
+
+    @pytest.mark.parametrize("field", ["inclination_deg", "altitude_km", "earth_radius_km",
+                                       "grazing_altitude_km"])
+    def test_rejects_none_where_a_number_is_required(self, iridium, field):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be a number, got None")):
+            dataclasses.replace(iridium, **{field: None})
+
+    @pytest.mark.parametrize("value", [5, None, True, b"iridium"])
+    def test_rejects_name_that_is_not_a_string(self, iridium, value):
+        with pytest.raises(ValueError, match=re.escape(f"name must be a string, got {value!r}")):
+            dataclasses.replace(iridium, name=value)
+
+    @pytest.mark.parametrize("field", ["latitude_deg", "longitude_deg", "min_elevation_deg"])
+    @pytest.mark.parametrize("value", [True, False, "10", None])
+    def test_station_rejects_fields_that_are_not_numbers(self, beijing, field, value):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{field} must be a number, got {value!r}")):
+            dataclasses.replace(beijing, **{field: value})
+
+    @pytest.mark.parametrize("value", [10**400, 10**5000, -10**5000],
+                             ids=["1e400", "1e5000", "-1e5000"])
+    def test_huge_int_named_without_its_digits(self, value):
+        # str() of an int past 4,300 digits raises, and 401 digits say nothing
+        with pytest.raises(ValueError) as info:
+            GroundStation("a", value, 0.0)
+        assert str(info.value) == "latitude_deg must be finite, got an int beyond float range"
+
     @pytest.mark.parametrize("value", [-0.5, 90.5, 95.0])
     def test_station_rejects_elevation_outside_0_90(self, beijing, value):
         with pytest.raises(ValueError, match=r"min_elevation_deg must be in \[0, 90\]"):

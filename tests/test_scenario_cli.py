@@ -685,6 +685,22 @@ MALFORMED_EITHER = [
      "altitude_km must be finite"),
     ("huge_earth_radius", _put(("constellation", "earth_radius_km"), 10**400),
      "earth_radius_km must be finite"),
+    # a bool or a string in a float field is no number, and a name is a string
+    ("bool_inclination", _put(("constellation", "inclination_deg"), True),
+     "inclination_deg must be a number, got True"),
+    ("string_inclination", _put(("constellation", "inclination_deg"), "86"),
+     "inclination_deg must be a number, got '86'"),
+    ("bool_altitude", _put(("constellation", "altitude_km"), True),
+     "altitude_km must be a number, got True"),
+    ("bool_constellation_period", _put(("constellation", "period_s"), False),
+     "period_s must be a number, got False"),
+    ("string_plane_spacing", _put(("constellation", "inter_plane_spacing_deg"), "31.6"),
+     "inter_plane_spacing_deg must be a number, got '31.6'"),
+    ("bool_earth_radius", _put(("constellation", "earth_radius_km"), True),
+     "earth_radius_km must be a number, got True"),
+    ("bool_grazing_altitude", _put(("constellation", "grazing_altitude_km"), False),
+     "grazing_altitude_km must be a number, got False"),
+    ("name_not_string", _put(("constellation", "name"), 5), "name must be a string, got 5"),
 ]
 MALFORMED_V3 = [
     ("short_row", _put(("edges", 0), ["horizontal", 1, 2, 3]), "edges table"),
@@ -807,6 +823,14 @@ class TestMalformedTopology:
                              ids=[c[0] for c in MALFORMED_EITHER])
     def test_either_format(self, write, case, edit, names, iridium, tmp_path):
         self.assert_rejected(write, iridium, edit, names, tmp_path)
+
+    def test_deeply_nested_json(self, tmp_path):
+        # json.loads recurses once per level; past the limit it is a
+        # ValueError that names the file, not a bare RecursionError
+        path = tmp_path / "topo.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: maximum recursion depth")):
+            load_topology(path)
 
     def test_format_1_rejected(self, iridium, tmp_path):
         path = tmp_path / "topo.json"

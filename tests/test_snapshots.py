@@ -572,21 +572,31 @@ class TestBaselineTable:
 
 
 class TestFixedByRotation:
-    """``partition_fixed`` builds the sets of its first S = n/M snapshots and
-    rotates them into the rest: every sequence equals the per-instant
-    construction, bounds bit for bit and edge ids exactly, with S
-    ``fixed_topology`` calls (one for a baseline that never changes)."""
+    """Every partition builds the sets of its first S = n/M snapshots and
+    rotates them into the rest. Both baselines equal their per-instant
+    constructions, bounds bit for bit, edge ids exactly and
+    ``truncated_final`` alike: fixed with S ``fixed_topology`` calls (one
+    for a baseline that never changes), equal_time with S ``couple_edges``
+    draws when its intervals repeat every slot. Reassignment builds one set
+    from one row state."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counter = collections.Counter()
-        build = snapshots.fixed_topology
 
-        def counted(*args):
-            counter["fixed_topology"] += 1
-            return build(*args)
+        def count(name, key, size=lambda *args: 1):
+            build = getattr(snapshots, name)
 
-        monkeypatch.setattr(snapshots, "fixed_topology", counted)
+            def counted(*args):
+                counter[key] += size(*args)
+                return build(*args)
+
+            monkeypatch.setattr(snapshots, name, counted)
+
+        for name in ("fixed_topology", "couple_edges", "reassign_topology", "build_ls_state"):
+            count(name, name)
+        # the couple table's rows: one per instant asked for
+        count("active_couples", "couple_rows", lambda spec, border, t: np.size(t))
         return counter
 
     @staticmethod
@@ -599,11 +609,41 @@ class TestFixedByRotation:
         assert calls["fixed_topology"] == max(1, seq.count // m), (spec, border)
         return seq
 
+    @staticmethod
+    def assert_equal_time(spec, border, calls, delta=None) -> SnapshotSequence:
+        # on the shapes and deltas given here, the intervals repeat every slot
+        # exactly when n of them end within a tie of the period; then S sets
+        # are drawn, from S starts and the 4 events of the first slot
+        period, m = orbit_period(spec), spec.sats_per_plane
+        delta = period / spec.row_count if delta is None else delta
+        calls.clear()
+        seq = partition_equal_time(spec, border, delta)
+        TestBaselineTable.assert_same(seq, equal_time_per_instant(spec, border, delta))
+        if abs(seq.count * delta - period) < TIE_S:
+            assert seq.count % m == 0, (spec, border, delta)
+            slot = seq.count // m
+            assert calls["couple_edges"] == slot, (spec, border, delta)
+            assert calls["couple_rows"] <= slot + 4, (spec, border, delta)
+        else:
+            assert calls["couple_edges"] == seq.count, (spec, border, delta)
+        return seq
+
+    @staticmethod
+    def assert_one_row_state(spec, border, calls):
+        for trigger in (TRIGGER_ENTER, TRIGGER_EXIT):
+            calls.clear()
+            partition_reassignment(spec, border, trigger)
+            assert (calls["build_ls_state"], calls["reassign_topology"]) == (1, 1)
+
     def test_sweep(self, calls):
         rotated = 0
         for n, m, border in itertools.product((2, 4, 6, 8), (3, 5, 8, 11, 16), range(30, 90, 5)):
-            seq = self.assert_rotated(ConstellationSpec(n, m, 86.0, 1000.0), border, calls)
+            spec = ConstellationSpec(n, m, 86.0, 1000.0)
+            seq = self.assert_rotated(spec, border, calls)
             rotated += seq.count > calls["fixed_topology"]
+            assert self.assert_equal_time(spec, border, calls).count == 2 * m
+            assert calls["couple_edges"] == 2, (n, m, border)
+            self.assert_one_row_state(spec, border, calls)
         assert rotated == 240 - 4  # the four single-snapshot sequences (M = 3, L = 30)
 
     @pytest.mark.parametrize("system", ["iridium", "teledesic"])
@@ -613,10 +653,50 @@ class TestFixedByRotation:
         seq = self.assert_rotated(spec, border, calls)
         if system == "teledesic":
             assert (seq.count, calls["fixed_topology"]) == (48, 2)
+        self.assert_equal_time(spec, border, calls)
+        assert calls["couple_edges"] == 2
+        self.assert_one_row_state(spec, border, calls)
 
     def test_two_by_thousand(self, two_by_thousand, calls):
         seq = self.assert_rotated(two_by_thousand, 60.0, calls)
         assert (seq.count, calls["fixed_topology"]) == (2000, 2)
+        # a work bound, counted: 6 couple rows and 2 draws, not 6,000 and 2,000
+        seq = self.assert_equal_time(two_by_thousand, 60.0, calls)
+        assert (seq.count, calls["couple_rows"], calls["couple_edges"]) == (2000, 6, 2)
+        self.assert_one_row_state(two_by_thousand, 60.0, calls)
+
+    @pytest.mark.parametrize("system", ["iridium", "teledesic"])
+    def test_near_divisor_deltas(self, system, calls, request):
+        # deltas of P/2M (1 + r), and twice and half that: n * delta misses
+        # the period by P |r|, within a tie for |r| up to 5e-8 here. A drift
+        # under a tie per slot but not in all (teledesic at 30 degrees,
+        # r = 2e-7) does not repeat every slot.
+        spec = request.getfixturevalue(system)
+        slot = orbit_period(spec) / spec.row_count
+        tiled = 0
+        for border, r, scale in itertools.product(
+                range(30, 90, 5), (0.0, 1e-8, -1e-8, 5e-8, -5e-8, 2e-7, -2e-7, 5e-7, -5e-7,
+                                   9e-7, -9e-7, 1e-6, -1e-6), (1.0, 2.0, 0.5)):
+            seq = self.assert_equal_time(spec, border, calls, slot * (1 + r) * scale)
+            tiled += calls["couple_edges"] < seq.count
+        assert tiled == 12 * 5 * 3
+
+    def test_short_period_drift(self):
+        # at a period of 0.05 or 0.5 s a tie is 2% or 0.2% of it: n intervals
+        # may end within a tie of the period and still not repeat every slot,
+        # where moving a start onto whole slots passes an event
+        fallback = 0
+        for period, m, border, r, scale in itertools.product(
+                (0.05, 0.5), (5, 8, 11), range(30, 90, 5), (1e-3, -1e-3), (1.0, 2.0, 0.5)):
+            spec = ConstellationSpec(2, m, 86.4, 780.0, period_s=period)
+            delta = period / spec.row_count * (1 + r) * scale
+            if delta > 2 * TIE_S:
+                seq = partition_equal_time(spec, border, delta)
+                TestBaselineTable.assert_same(seq, equal_time_per_instant(spec, border, delta))
+                fallback += abs(seq.count * delta - period) < TIE_S and not all(
+                    a.edges.rotates_to(b.edges, 2)
+                    for a, b in zip(seq.snapshots, seq.snapshots[seq.count // m:]))
+        assert fallback > 0
 
 
 class TestSlotIdentity:
@@ -647,8 +727,9 @@ class TestTieRule:
 
     @staticmethod
     def assert_consistent(spec, border):
-        # analytic equals simulated under both triggers, fixed and
-        # equal_time keep the slot identity, and every sequence validates
+        # analytic equals simulated under both triggers, both baselines equal
+        # their per-instant constructions and keep the slot identity, and
+        # every sequence validates
         summary = analytic_summary(spec, border)
         for trigger in (TRIGGER_ENTER, TRIGGER_EXIT):
             seq = partition_reassignment(spec, border, trigger)
@@ -658,6 +739,9 @@ class TestTieRule:
             assert validate_sequence(spec, seq) == reference_validate_sequence(spec, seq) == []
         TestBaselineTable.assert_same(partition_fixed(spec, border),
                                       fixed_per_instant(spec, border))
+        slot = orbit_period(spec) / spec.row_count
+        TestBaselineTable.assert_same(partition(spec, METHOD_EQUAL_TIME, border),
+                                      equal_time_per_instant(spec, border, slot))
         for seq in (partition_fixed(spec, border), partition(spec, METHOD_EQUAL_TIME, border)):
             sets = [snap.edges for snap in seq.snapshots]
             step = len(sets) // spec.sats_per_plane
@@ -688,9 +772,6 @@ class TestTieRule:
         # to count one row less than the enter-triggered partition drew
         assert analytic_summary(iridium, border).n_inter_plane == links
         self.assert_consistent(iridium, border)
-        slot = orbit_period(iridium) / iridium.row_count
-        assert partition(iridium, METHOD_EQUAL_TIME, border) == equal_time_per_instant(
-            iridium, border, slot)
 
     def test_event_before_period_end_wraps(self):
         # a crossing less than a tie before the period's end is at t = 0, so
